@@ -7,7 +7,7 @@ tables) and a micro-coded FK-processor VM, all measurable for accuracy,
 operation count, and modeled latency.
 """
 
-from .fixedpoint import Acc, Fx, Q1_15, Q8_24, QFormat, fx_add, fx_from_real, fx_mul, fx_shr, fx_sub, fx_to_real
+from .fixedpoint import Acc, Fx, Q1_15, Q8_24, QFormat, fx_add, fx_from_real, fx_mul, fx_shr, fx_sub
 from .cordic import (
     CIRCULAR,
     CordicConfig,
@@ -31,6 +31,7 @@ from .dh import (
     apply_point,
     chain_pose,
     decompose,
+    exact_sincos,
     link_transform,
     puma_chain,
     puma_closed_form,
@@ -38,7 +39,7 @@ from .dh import (
 from .ccm import CcmResult, LatencyReport, PipelineModel, ccm_pose, ccm_transform, fk_pipeline, latency_us
 from .taylor import TaylorConfig, remainder_bound, taylor_cos, taylor_sin, taylor_sincos
 from .cfr import CfrState, MacroPeModel, cfr_gain, cfr_rotate, cfr_step, macro_pe_apply, pipeline_timing, selection
-from .lut import SinTable, build_table, dump_table, error_profile, load_table, lut_fk_pose, lut_sincos
+from .lut import SinTable, build_table, dump_table, error_profile, load_table, lut_sincos
 from .umdh import (
     CapacityError,
     FkInstr,

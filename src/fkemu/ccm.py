@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .cordic import (
     CordicConfig,
     DEFAULT_CONFIG,
@@ -130,8 +132,6 @@ def fk_pipeline(
 def ccm_pose(chain: DhChain, cfg: CordicConfig = DEFAULT_CONFIG):
     """Full pose via the module cascade: three direction columns pushed as
     free vectors plus the origin pushed as a point."""
-    import numpy as np
-
     cols = []
     for v in (Vec4(1, 0, 0, 0.0), Vec4(0, 1, 0, 0.0), Vec4(0, 0, 1, 0.0), Vec4(0, 0, 0, 1.0)):
         out, _ = fk_pipeline(chain, v, cfg)

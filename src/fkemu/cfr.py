@@ -57,7 +57,7 @@ def cfr_step(s: CfrState, sigma: int) -> CfrState:
     return CfrState(x, y, u, s.i + 1)
 
 
-def selection(u, w_frac: int) -> int:
+def selection(u: float, w_frac: int) -> int:
     """Sign of the residual estimated from its top w_frac fractional bits.
 
     Truncation is toward zero, so any |u| below one estimate quantum reads
@@ -65,8 +65,7 @@ def selection(u, w_frac: int) -> int:
     """
     if w_frac < 1:
         raise ValueError("w_frac must be >= 1")
-    value = u.real if hasattr(u, "fmt") else float(u)
-    est = math.trunc(math.ldexp(value, w_frac))
+    est = math.trunc(math.ldexp(u, w_frac))
     return 1 if est >= 0 else -1
 
 
@@ -146,20 +145,11 @@ def _stage_axis_w(p: Vec4, d: float, theta: float) -> Vec4:
     return Vec4(c * p.x - s * p.y, s * p.x + c * p.y, p.z + d * p.w, p.w)
 
 
-def macro_pe_apply(j: DhJoint, p: Vec4, cfg=None) -> Vec4:
-    """Two fused rotation+translation stages equal to the link transform.
-
-    The double-precision path applies the two block-diagonal stages
-    directly; passing a CordicConfig instead routes both stages through
-    the fixed-point module datapath, so the result matches the module
-    cascade bit for bit.
-    """
+def macro_pe_apply(j: DhJoint, p: Vec4) -> Vec4:
+    """Two fused rotation+translation stages equal to the link transform,
+    applied as block-diagonal stages in double precision."""
     if p.w not in (0.0, 1.0):
         raise ValueError(f"point w must be 0 or 1, got {p.w}")
-    if cfg is not None:
-        from .ccm import ccm_transform
-
-        return ccm_transform(j, p, cfg).p_out
     inner = _stage_axis_x(p, j.a_eff, j.alpha)
     return _stage_axis_w(inner, j.d, j.theta)
 

@@ -22,17 +22,18 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from . import ccm, cfr, lut, taylor, umdh
+from . import ccm, lut, taylor, umdh
 from .cordic import CordicConfig, DomainError
-from .dh import DhJoint, PRISMATIC, ROTARY, PumaParams, Vec4, chain_pose, link_from_trig
+from .dh import DhJoint, PRISMATIC, ROTARY, PumaParams, Vec4, chain_pose, exact_sincos, pose_op_count
 from .fixedpoint import QFormat
 from .umdh import CapacityError, UmdhParams
 
-BACKENDS = ("matrix", "cordic", "taylor", "lut", "cfr")
+BACKENDS = ("matrix", "cordic", "taylor", "lut")
 
 # Demo profile only; the library itself takes link constants as inputs.
 PUMA560 = PumaParams(d2=0.14909, d4=0.43307, d6=0.05625, a2=0.4318, a3=-0.02032)
@@ -142,26 +143,6 @@ def parse_qformat(text: str) -> QFormat:
         raise argparse.ArgumentTypeError(f"bad Q format {text!r}, expected like Q8.24") from None
 
 
-def _taylor_pose(chain, cfg: taylor.TaylorConfig) -> np.ndarray:
-    pose = None
-    for j in chain:
-        ct, st = taylor.taylor_sincos(j.theta, cfg)
-        ca, sa = taylor.taylor_sincos(j.alpha, cfg)
-        link = link_from_trig(ct, st, ca, sa, j.a_eff, j.d)
-        pose = link if pose is None else pose @ link
-    return pose
-
-
-def _cfr_pose(chain, cfg: CordicConfig) -> np.ndarray:
-    cols = []
-    for v in (Vec4(1, 0, 0, 0.0), Vec4(0, 1, 0, 0.0), Vec4(0, 0, 1, 0.0), Vec4(0, 0, 0, 1.0)):
-        p = v
-        for j in reversed(chain):
-            p = cfr.macro_pe_apply(j, p, cfg)
-        cols.append([p.x, p.y, p.z, p.w])
-    return np.array(cols).T
-
-
 @dataclass(frozen=True)
 class Report:
     """One benchmark row; every numeric field stays finite."""
@@ -183,49 +164,40 @@ class Report:
 @dataclass(frozen=True)
 class _Backend:
     pose: Callable  # chain -> 4x4 ndarray
-    ops: Callable  # n_links -> int
-    latency: Callable  # n_links -> float
+    ops: int  # modeled scalar ops per pose
+    latency: float  # modeled pipeline latency, 0 where no model exists
     params: str
 
 
-def _make_backends(args) -> dict[str, _Backend]:
+def _make_backends(args, n_links: int) -> dict[str, _Backend]:
     ccfg = CordicConfig(args.iters, args.format)
     tcfg = taylor.TaylorConfig()
     table = lut.build_table(args.table_size, mode=args.table_mode)
-
-    def taylor_ops(n):
-        return n * (2 * taylor.sincos_op_count(tcfg) + 6 + 112)
-
-    def matrix_ops(n):
-        return n * (2 + 6 + 112)
-
-    return {
-        "matrix": _Backend(chain_pose, matrix_ops, lambda n: 0.0, ""),
-        "cordic": _Backend(
-            lambda c: ccm.ccm_pose(c, ccfg),
-            lambda n: ccm.pose_op_count(n, ccfg),
-            lambda n: ccm.latency_us(ccm.PipelineModel(n)),
-            f"iters={args.iters};fmt={args.format}",
-        ),
-        "taylor": _Backend(
-            lambda c: _taylor_pose(c, tcfg),
-            taylor_ops,
-            lambda n: 0.0,
+    # (sincos, ops per (cos, sin) pair, params) for the chain-product backends
+    trig = {
+        "matrix": (exact_sincos, 1, ""),
+        "taylor": (
+            partial(taylor.taylor_sincos, cfg=tcfg),
+            taylor.sincos_op_count(tcfg),
             f"terms={tcfg.n_terms};fmt={tcfg.operand_fmt}",
         ),
-        "lut": _Backend(
-            lambda c: lut.lut_fk_pose(c, table),
-            lambda n: lut.pose_op_count(n, table),
-            lambda n: 0.0,
+        "lut": (
+            partial(lut.lut_sincos, table=table),
+            lut.sincos_op_count(table),
             f"entries={args.table_size};mode={args.table_mode}",
         ),
-        "cfr": _Backend(
-            lambda c: _cfr_pose(c, ccfg),
-            lambda n: ccm.pose_op_count(n, ccfg),
-            lambda n: 0.0,
-            f"iters={args.iters};fmt={args.format}",
-        ),
     }
+    backends = {
+        name: _Backend(partial(chain_pose, sincos=sincos), pose_op_count(n_links, ops), 0.0, params)
+        for name, (sincos, ops, params) in trig.items()
+    }
+    backends["cordic"] = _Backend(
+        partial(ccm.ccm_pose, cfg=ccfg),
+        ccm.pose_op_count(n_links, ccfg),
+        ccm.latency_us(ccm.PipelineModel(n_links)),
+        f"iters={args.iters};fmt={args.format}",
+    )
+    return backends
 
 
 def _print_pose(pose: np.ndarray) -> None:
@@ -235,8 +207,7 @@ def _print_pose(pose: np.ndarray) -> None:
 
 def cmd_solve(args) -> int:
     chain_file = load_chain(args.chain)
-    backends = _make_backends(args)
-    backend = backends[args.backend]
+    backend = _make_backends(args, len(chain_file.joints))[args.backend]
     pose = backend.pose(chain_file.joints)
     print(f"chain: {chain_file.name} ({len(chain_file.joints)} joints)")
     print(f"backend: {args.backend}")
@@ -252,12 +223,14 @@ def cmd_solve(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     chain_file = load_chain(args.chain)
     names = [b.strip() for b in args.backends.split(",") if b.strip()]
     for b in names:
         if b not in BACKENDS:
             raise ChainParseError("<backends>", 1, 1, f"unknown backend {b!r}")
-    backends = _make_backends(args)
+    backends = _make_backends(args, len(chain_file.joints))
     rng = np.random.default_rng(args.seed)
     variants = []
     for _ in range(args.trials):
@@ -271,7 +244,6 @@ def cmd_bench(args) -> int:
     oracles = [chain_pose(v) for v in variants]
 
     print(CSV_HEADER)
-    n = len(chain_file.joints)
     for name in names:
         backend = backends[name]
         max_err = 0.0
@@ -284,7 +256,7 @@ def cmd_bench(args) -> int:
             count += diff.size
         report = Report(
             name, max_err, math.sqrt(sq_sum / count),
-            backend.ops(n), backend.latency(n), backend.params,
+            backend.ops, backend.latency, backend.params,
         )
         print(report.csv_row())
     return 0
@@ -302,15 +274,16 @@ def cmd_vm(args) -> int:
     params = UmdhParams(*args.params)
     prog = umdh.umdh_program(params)
     hw = umdh.VmConfig(half_sized=args.half_sized, sincos_cycles=args.sincos_cycles)
+    pose, cycles = umdh.vm_run(prog, *args.angles, params, hw)
+    time_us = umdh.clock_time(cycles, args.clock_mhz)
     if args.dump_program:
         print(prog.to_text(), end="")
-    pose, cycles = umdh.vm_run(prog, *args.angles, params, hw)
     _print_pose(pose)
     naive_ops = umdh.umdh_t04_naive(*args.angles, params)[1]
     print(f"instructions: {len(prog.instrs)}")
     print(f"arithmetic ops: {prog.arith_ops} (naive {naive_ops})")
     print(f"cycles: {cycles}")
-    print(f"time at {args.clock_mhz} MHz: {umdh.clock_time(cycles, args.clock_mhz):.6f} us")
+    print(f"time at {args.clock_mhz} MHz: {time_us:.6f} us")
     return 0
 
 
@@ -336,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="seeded accuracy/op-count sweep as CSV")
     p_bench.add_argument("chain")
-    p_bench.add_argument("--backends", default="cordic,taylor,lut,cfr")
+    p_bench.add_argument("--backends", default="cordic,taylor,lut")
     p_bench.add_argument("--trials", type=int, default=16)
     p_bench.add_argument("--seed", type=int, default=0)
     add_backend_opts(p_bench)

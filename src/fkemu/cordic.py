@@ -42,11 +42,10 @@ class CordicState:
 
 @dataclass(frozen=True, slots=True)
 class CordicConfig:
-    """Iteration count, datapath format, and operating direction."""
+    """Iteration count and datapath format."""
 
     n_iter: int
     fmt: QFormat
-    direction: str = "rotation"
 
     def __post_init__(self) -> None:
         if self.n_iter < 1:
@@ -54,8 +53,6 @@ class CordicConfig:
         # beyond frac_bits + 2 the micro-angles fall below one quantum
         if self.n_iter > self.fmt.frac_bits + 2:
             raise ValueError(f"n_iter {self.n_iter} exceeds {self.fmt} resolution")
-        if self.direction not in ("rotation", "vectoring"):
-            raise ValueError(f"bad direction {self.direction!r}")
 
 
 DEFAULT_CONFIG = CordicConfig(24, QFormat(32, 24))

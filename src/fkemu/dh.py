@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -46,6 +46,10 @@ class DhJoint:
 
 DhChain = Sequence[DhJoint]
 
+# A trig provider: theta -> (cos theta, sin theta).  Every backend that swaps
+# the trig of the chain product for an emulated sin/cos plugs in here.
+SinCos = Callable[[float], tuple[float, float]]
+
 
 @dataclass(frozen=True)
 class Vec4:
@@ -74,13 +78,14 @@ def link_from_trig(ct: float, st: float, ca: float, sa: float, a: float, d: floa
     ])
 
 
-def link_transform(j: DhJoint) -> np.ndarray:
-    """Canonical 4x4 link matrix for one joint."""
-    return link_from_trig(
-        math.cos(j.theta), math.sin(j.theta),
-        math.cos(j.alpha), math.sin(j.alpha),
-        j.a_eff, j.d,
-    )
+def exact_sincos(theta: float) -> tuple[float, float]:
+    """Double-precision (cos, sin): the oracle's trig provider."""
+    return math.cos(theta), math.sin(theta)
+
+
+def link_transform(j: DhJoint, sincos: SinCos = exact_sincos) -> np.ndarray:
+    """4x4 link matrix for one joint, with trig from the given provider."""
+    return link_from_trig(*sincos(j.theta), *sincos(j.alpha), j.a_eff, j.d)
 
 
 def tran(axis: str, t: float) -> np.ndarray:
@@ -113,14 +118,24 @@ def decompose(j: DhJoint) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
     )
 
 
-def chain_pose(chain: DhChain) -> np.ndarray:
-    """Left-to-right product of link transforms: the end-effector pose."""
+def chain_pose(chain: DhChain, sincos: SinCos = exact_sincos) -> np.ndarray:
+    """Left-to-right product of link transforms: the end-effector pose.
+
+    With the default provider this is the oracle; any other provider gives
+    that backend's pose through the same product.
+    """
     if len(chain) == 0:
         raise ValueError("empty chain")
-    pose = link_transform(chain[0])
+    pose = link_transform(chain[0], sincos)
     for j in chain[1:]:
-        pose = pose @ link_transform(j)
+        pose = pose @ link_transform(j, sincos)
     return pose
+
+
+def pose_op_count(n_links: int, sincos_ops: int) -> int:
+    """Modeled scalar ops for a full pose: two (cos, sin) pairs per link,
+    6 trig-entry products, and 112 for the link's 4x4 matrix product."""
+    return n_links * (2 * sincos_ops + 6 + 112)
 
 
 def apply_point(mat: np.ndarray, p: Vec4) -> Vec4:

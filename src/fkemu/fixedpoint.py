@@ -103,10 +103,6 @@ def fx_from_real(v: float, fmt: QFormat) -> Fx:
     return Fx(_saturate(raw, fmt.max_raw, fmt.min_raw), fmt)
 
 
-def fx_to_real(a: Fx) -> float:
-    return a.real
-
-
 def fx_add(a: Fx, b: Fx) -> Fx:
     if a.fmt != b.fmt:
         raise ValueError(f"format mismatch: {a.fmt} vs {b.fmt}")
@@ -134,10 +130,6 @@ def fx_mul(a: Fx, b: Fx, out: QFormat) -> Fx:
     """Full-width product, then truncate (floor) into out, saturating."""
     acc = acc_from_mul(a, b)
     return acc_to_fx(acc, out)
-
-
-def acc_zero(acc_bits: int, frac_bits: int) -> Acc:
-    return Acc(0, acc_bits, frac_bits)
 
 
 def acc_from_mul(a: Fx, b: Fx, acc_bits: int | None = None, frac_bits: int | None = None) -> Acc:
@@ -170,12 +162,6 @@ def acc_from_fx(x: Fx, acc_bits: int, frac_bits: int) -> Acc:
 def _acc_sat(raw: int, acc_bits: int) -> int:
     hi = (1 << (acc_bits - 1)) - 1
     return _saturate(raw, hi, -hi - 1)
-
-
-def acc_add(a: Acc, b: Acc) -> Acc:
-    if (a.acc_bits, a.frac_bits) != (b.acc_bits, b.frac_bits):
-        raise ValueError("accumulator shape mismatch")
-    return Acc(_acc_sat(a.raw + b.raw, a.acc_bits), a.acc_bits, a.frac_bits)
 
 
 def acc_sub(a: Acc, b: Acc) -> Acc:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dh import DhChain, link_from_trig
+from . import dh
 from .fixedpoint import QFormat, fx_from_real
 
 HALF_PI = math.pi / 2
@@ -97,22 +97,6 @@ def lut_sincos(theta, table: SinTable):
     return cos, sin
 
 
-def lut_fk_pose(chain: DhChain, table: SinTable) -> np.ndarray:
-    """Chain pose with table trig substituted for exact trig."""
-    if len(chain) == 0:
-        raise ValueError("empty chain")
-    pose = _lut_link(chain[0], table)
-    for j in chain[1:]:
-        pose = pose @ _lut_link(j, table)
-    return pose
-
-
-def _lut_link(j, table: SinTable) -> np.ndarray:
-    ct, st = lut_sincos(j.theta, table)
-    ca, sa = lut_sincos(j.alpha, table)
-    return link_from_trig(ct, st, ca, sa, j.a_eff, j.d)
-
-
 def error_profile(table: SinTable, n_samples: int = 1_000_000) -> tuple[float, float]:
     """(max, rms) absolute error over a uniform angle scan of sin and cos."""
     angles = np.linspace(0.0, TWO_PI, n_samples, endpoint=False)
@@ -128,9 +112,8 @@ def sincos_op_count(table: SinTable) -> int:
 
 
 def pose_op_count(n_links: int, table: SinTable) -> int:
-    """Modeled scalar ops for a full pose: trig, entry products, chain matmuls."""
-    per_link = sincos_op_count(table) * 2 + 6 + 112
-    return n_links * per_link
+    """Modeled scalar ops for a full pose through the table."""
+    return dh.pose_op_count(n_links, sincos_op_count(table))
 
 
 def dump_table(table: SinTable, path: str) -> None:

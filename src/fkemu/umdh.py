@@ -7,12 +7,13 @@ the shared reach term, cutting the arithmetic-operation count by more than
 half.  Operation counting convention, used by both paths: one fused
 (cos, sin) pair costs 1, each add/subtract/multiply costs 1, each unary
 negation costs 1 (it executes as a subtract from the zero register), and
-data movement (LOADK/MOV/STORE) costs 0.
+constant loads (LOADK) cost 0.
 
 The VM is single-issue: one functional-unit dispatch per cycle, with a
-configurable cycle cost for the cosine/sine unit.  SINCOS writes cos to
-dst and sin to dst+1.  Registers r0..r3 hold the four joint angles at
-entry; the constant pool holds the five loaded constants plus 0.0.
+configurable cycle cost for the cosine/sine unit, whose arithmetic is any
+trig provider (exact by default).  SINCOS writes cos to dst and sin to
+dst+1.  Registers r0..r3 hold the four joint angles at entry; the constant
+pool holds the five loaded constants plus 0.0.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dh import DhJoint, ROTARY
+from .dh import DhJoint, ROTARY, SinCos, exact_sincos
 
 HALF_PI = math.pi / 2
 
@@ -52,8 +53,6 @@ SINCOS = "SINCOS"
 ADD = "ADD"
 SUB = "SUB"
 MUL = "MUL"
-MOV = "MOV"
-STORE = "STORE"
 
 _ARITH = frozenset((SINCOS, ADD, SUB, MUL))
 
@@ -70,10 +69,6 @@ class FkInstr:
             return f"LOADK r{self.dst} k{self.src1}"
         if self.op == SINCOS:
             return f"SINCOS r{self.dst} r{self.src1}"
-        if self.op == MOV:
-            return f"MOV r{self.dst} r{self.src1}"
-        if self.op == STORE:
-            return f"STORE m{self.dst} r{self.src1}"
         return f"{self.op} r{self.dst} r{self.src1} r{self.src2}"
 
 
@@ -97,12 +92,10 @@ class FkProgram:
         top = 3  # r0..r3 carry the angles
         for ins in self.instrs:
             top = max(top, ins.dst + (1 if ins.op == SINCOS else 0))
-            if ins.op not in (LOADK, STORE):
+            if ins.op != LOADK:
                 top = max(top, ins.src1)
             if ins.op in (ADD, SUB, MUL):
                 top = max(top, ins.src2)
-            if ins.op == SINCOS:
-                top = max(top, ins.src1 + 0)
         return max(top, max(self.outputs))
 
     def to_text(self) -> str:
@@ -117,8 +110,11 @@ class VmConfig:
     registers: int = 32
     half_sized: bool = False
     sincos_cycles: int = 1
-    trig: str = "exact"  # exact | cordic | taylor | lut
-    table: object = None  # SinTable when trig == "lut"
+    sincos: SinCos = exact_sincos
+
+    def __post_init__(self) -> None:
+        if self.sincos_cycles < 1:
+            raise ValueError(f"sincos_cycles must be >= 1, got {self.sincos_cycles}")
 
     @property
     def capacity(self) -> int:
@@ -158,7 +154,6 @@ def umdh_t04_naive(
         return ops.sincos(ops.add(ops.add(t2, t3), t4))
 
     def reach(c1):
-        _, _ = None, None
         c2, _ = ops.sincos(t2)
         c23, _ = ops.sincos(ops.add(t2, t3))
         inner = ops.add(ops.add(p.a1, ops.mul(p.a2, c2)), ops.mul(p.a3, c23))
@@ -252,28 +247,6 @@ def umdh_program(p: UmdhParams) -> FkProgram:
     return FkProgram(tuple(k + body), outputs)
 
 
-def _trig(hw: VmConfig, angle: float) -> tuple[float, float]:
-    if hw.trig == "exact":
-        return math.cos(angle), math.sin(angle)
-    if hw.trig == "cordic":
-        from .cordic import DEFAULT_CONFIG, sincos_cordic
-        from .fixedpoint import fx_from_real
-
-        c, s = sincos_cordic(fx_from_real(angle, DEFAULT_CONFIG.fmt))
-        return c.real, s.real
-    if hw.trig == "taylor":
-        from .taylor import taylor_sincos
-
-        return taylor_sincos(angle)
-    if hw.trig == "lut":
-        from .lut import lut_sincos
-
-        if hw.table is None:
-            raise ValueError("lut trig needs a table")
-        return lut_sincos(angle, hw.table)
-    raise ValueError(f"bad trig backend {hw.trig!r}")
-
-
 def vm_run(
     prog: FkProgram,
     t1: float,
@@ -293,13 +266,12 @@ def vm_run(
     pool = p.pool()
     regs = [0.0] * hw.capacity
     regs[0:4] = [t1, t2, t3, t4]
-    mem: dict[int, float] = {}
     cycles = 0
     for ins in prog.instrs:
         if ins.op == LOADK:
             regs[ins.dst] = pool[ins.src1]
         elif ins.op == SINCOS:
-            c, s = _trig(hw, regs[ins.src1])
+            c, s = hw.sincos(regs[ins.src1])
             regs[ins.dst] = c
             regs[ins.dst + 1] = s
             cycles += hw.sincos_cycles - 1
@@ -309,10 +281,6 @@ def vm_run(
             regs[ins.dst] = regs[ins.src1] - regs[ins.src2]
         elif ins.op == MUL:
             regs[ins.dst] = regs[ins.src1] * regs[ins.src2]
-        elif ins.op == MOV:
-            regs[ins.dst] = regs[ins.src1]
-        elif ins.op == STORE:
-            mem[ins.dst] = regs[ins.src1]
         else:
             raise ValueError(f"bad opcode {ins.op!r}")
         cycles += 1
@@ -330,6 +298,8 @@ def clock_time(cycles: int, f_mhz: float = 10.3) -> float:
     """Microseconds for a cycle count at the given clock."""
     if cycles < 0:
         raise ValueError("cycles must be >= 0")
+    if f_mhz <= 0:
+        raise ValueError(f"clock must be > 0 MHz, got {f_mhz}")
     return cycles / f_mhz
 
 

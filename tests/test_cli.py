@@ -16,6 +16,31 @@ joint P 0.0 0.3 0.0 0.5
 point 0.1 0.0 0.2
 """
 
+THREE_LINK = """\
+name three
+joint R 0.3 0.12 0.25 -0.7
+joint P 0.0 0.4 0.0 1.2
+joint R -0.5 0.05 0.18 0.0
+"""
+
+# Exact stdout of `fkemu bench` for a fixed seed: any change to the emulated
+# arithmetic, the op-count formulas or the CSV format shows up here.
+GOLDEN_PUMA = """\
+backend,max_err,rms_err,ops_per_pose,model_latency_us,params
+matrix,0.000000e+00,0.000000e+00,720,0.000000e+00,
+cordic,2.117570e-06,7.354756e-07,9312,6.000000e+02,iters=24;fmt=Q8.24
+taylor,1.789409e-04,7.324584e-05,1152,0.000000e+00,terms=8;fmt=Q1.15
+lut,1.215902e-03,4.037456e-04,828,0.000000e+00,entries=1024;mode=nearest
+"""
+
+GOLDEN_THREE_LINK = """\
+backend,max_err,rms_err,ops_per_pose,model_latency_us,params
+matrix,0.000000e+00,0.000000e+00,360,0.000000e+00,
+cordic,1.268663e-06,4.022525e-07,4656,3.600000e+02,iters=24;fmt=Q8.24
+taylor,7.656835e-05,2.924809e-05,576,0.000000e+00,terms=8;fmt=Q1.15
+lut,9.276967e-07,2.985451e-07,450,0.000000e+00,entries=1024;mode=linear
+"""
+
 
 def write_chain(tmp_path, text, name="chain.txt"):
     path = tmp_path / name
@@ -69,7 +94,7 @@ def test_parse_qformat():
         parse_qformat("wide")
 
 
-@pytest.mark.parametrize("backend", ["matrix", "cordic", "taylor", "lut", "cfr"])
+@pytest.mark.parametrize("backend", ["matrix", "cordic", "taylor", "lut"])
 def test_solve_identity_chain(tmp_path, capsys, backend):
     path = write_chain(tmp_path, IDENTITY_CHAIN)
     assert main(["solve", path, "--backend", backend]) == 0
@@ -93,7 +118,7 @@ def test_solve_malformed_file_exits_2(tmp_path, capsys):
 
 
 def test_solve_domain_error_exits_3(tmp_path, monkeypatch, capsys):
-    def boom(chain):
+    def boom(chain, sincos=None):
         raise DomainError("angle out of range")
 
     path = write_chain(tmp_path, IDENTITY_CHAIN)
@@ -119,6 +144,29 @@ def test_bench_different_seed_changes_output(capsys):
     assert main(["bench", "puma560", "--trials", "4", "--seed", "2"]) == 0
     b = capsys.readouterr().out
     assert a != b
+
+
+def test_bench_csv_golden(tmp_path, capsys):
+    backends = ["--backends", "matrix,cordic,taylor,lut"]
+    assert main(["bench", "puma560", *backends, "--trials", "4", "--seed", "3"]) == 0
+    assert capsys.readouterr().out == GOLDEN_PUMA
+    path = write_chain(tmp_path, THREE_LINK)
+    argv = ["bench", path, *backends, "--table-mode", "linear", "--trials", "4", "--seed", "5"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == GOLDEN_THREE_LINK
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "puma560", "--trials", "0"],
+    ["bench", "puma560", "--trials", "-2"],
+    ["vm", "--angles", "0", "0", "0", "0", "--clock-mhz", "0"],
+    ["vm", "--angles", "0", "0", "0", "0", "--sincos-cycles", "-3"],
+], ids=["trials-0", "trials-negative", "clock-0", "sincos-cycles-negative"])
+def test_bad_numeric_input_exits_2(capsys, argv):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("fkemu: ") and "Traceback" not in err
 
 
 def test_bench_rejects_unknown_backend(capsys):

@@ -33,8 +33,6 @@ def test_config_validation():
         CordicConfig(0, Q8_24)
     with pytest.raises(ValueError):
         CordicConfig(27, Q8_24)  # beyond frac_bits + 2
-    with pytest.raises(ValueError):
-        CordicConfig(8, Q8_24, direction="sideways")
 
 
 def test_step_linear_example():

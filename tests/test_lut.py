@@ -1,5 +1,6 @@
 import math
 import random
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from fkemu.lut import (
     dump_table,
     error_profile,
     load_table,
-    lut_fk_pose,
     lut_sincos,
     pose_op_count,
 )
@@ -112,7 +112,7 @@ def test_error_halves_and_quarters():
 def test_zero_chain_pose_is_exact_identity():
     t = build_table(256, mode=NEAREST)
     chain = [DhJoint(ROTARY, 0, 0, 0, 0)] * 3
-    assert np.array_equal(lut_fk_pose(chain, t), np.eye(4))
+    assert np.array_equal(chain_pose(chain, partial(lut_sincos, table=t)), np.eye(4))
 
 
 def test_pose_matches_oracle_at_high_resolution():
@@ -124,12 +124,12 @@ def test_pose_matches_oracle_at_high_resolution():
                     rng.uniform(-0.3, 0.3), rng.uniform(-math.pi, math.pi))
             for _ in range(6)
         ]
-        assert np.abs(lut_fk_pose(chain, t) - chain_pose(chain)).max() < 1e-5
+        assert np.abs(chain_pose(chain, partial(lut_sincos, table=t)) - chain_pose(chain)).max() < 1e-5
 
 
 def test_pose_rejects_empty_chain():
     with pytest.raises(ValueError):
-        lut_fk_pose([], build_table(64))
+        chain_pose([], partial(lut_sincos, table=build_table(64)))
 
 
 def test_fewer_ops_than_cordic_backend():

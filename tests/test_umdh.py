@@ -1,21 +1,21 @@
 import math
 import random
 import re
+from functools import partial
 
 import numpy as np
 import pytest
 
+from fkemu.cordic import sincos_cordic
 from fkemu.dh import chain_pose
-from fkemu.lut import build_table
+from fkemu.fixedpoint import Q8_24, fx_from_real
+from fkemu.lut import build_table, lut_sincos
+from fkemu.taylor import taylor_sincos
 from fkemu.umdh import (
     ADD,
     CapacityError,
-    FkInstr,
-    LOADK,
-    MOV,
     MUL,
     SINCOS,
-    STORE,
     SUB,
     UmdhParams,
     VmConfig,
@@ -73,12 +73,12 @@ def test_program_reads_follow_writes():
     for ins in PROG.instrs:
         if ins.op in (ADD, SUB, MUL):
             assert ins.src1 in written and ins.src2 in written
-        elif ins.op in (SINCOS, MOV, STORE):
+        elif ins.op == SINCOS:
             assert ins.src1 in written
         if ins.op == SINCOS:
             written.add(ins.dst)
             written.add(ins.dst + 1)
-        elif ins.op != STORE:
+        else:
             written.add(ins.dst)
     for reg in PROG.outputs:
         assert reg in written
@@ -142,42 +142,26 @@ def test_program_text_format():
     assert text == PROG.to_text()  # deterministic emission
     lines = text.splitlines()
     assert lines[0].startswith("#")
-    pattern = re.compile(r"^(LOADK r\d+ k\d+|SINCOS r\d+ r\d+|(ADD|SUB|MUL) r\d+ r\d+ r\d+|MOV r\d+ r\d+|STORE m\d+ r\d+)$")
+    pattern = re.compile(r"^(LOADK r\d+ k\d+|SINCOS r\d+ r\d+|(ADD|SUB|MUL) r\d+ r\d+ r\d+)$")
     for line in lines[1:]:
         if line.startswith("#"):
             continue
         assert pattern.match(line), line
 
 
-def test_vm_mov_and_store():
-    prog = type(PROG)(
-        instrs=(
-            FkInstr(LOADK, 4, 0),
-            FkInstr(MOV, 5, 4),
-            FkInstr(STORE, 0, 5),
-            FkInstr(SUB, 6, 5, 5),
-        ) + tuple(FkInstr(MOV, r, 6) for r in range(7, 16)),
-        outputs=(5, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6),
-    )
-    pose, cycles = vm_run(prog, 0, 0, 0, 0, P)
-    assert pose[0, 0] == P.a0
-    assert cycles == len(prog.instrs)
-
-
 def test_trig_backends_agree_within_tolerance():
     ts = (0.4, -1.1, 0.7, 2.0)
     exact, _ = vm_run(PROG, *ts, P)
+
+    def cordic(a):
+        c, s = sincos_cordic(fx_from_real(a, Q8_24))
+        return c.real, s.real
+
     for hw, tol in (
-        (VmConfig(trig="cordic"), 1e-5),
-        (VmConfig(trig="taylor"), 1e-3),
-        (VmConfig(trig="lut", table=build_table(4096, mode="linear")), 1e-5),
+        (VmConfig(sincos=cordic), 1e-5),
+        (VmConfig(sincos=taylor_sincos), 1e-3),
+        (VmConfig(sincos=partial(lut_sincos, table=build_table(4096, mode="linear"))), 1e-5),
     ):
         pose, _ = vm_run(PROG, *ts, P, hw)
         assert np.abs(pose - exact).max() < tol
 
-
-def test_lut_trig_requires_table():
-    with pytest.raises(ValueError):
-        vm_run(PROG, 0, 0, 0, 0, P, VmConfig(trig="lut"))
-    with pytest.raises(ValueError):
-        vm_run(PROG, 0, 0, 0, 0, P, VmConfig(trig="quantum"))
