@@ -7,12 +7,11 @@ tables) and a micro-coded FK-processor VM, all measurable for accuracy,
 operation count, and modeled latency.
 """
 
-from .fixedpoint import Acc, Fx, Q1_15, Q8_24, QFormat, fx_add, fx_from_real, fx_mul, fx_shr, fx_sub
+from .fixedpoint import DomainError, Fx, Q1_15, Q8_24, QFormat, fx_add, fx_cast, fx_from_real, fx_mul, fx_shr, fx_sub
 from .cordic import (
     CIRCULAR,
     CordicConfig,
     CordicState,
-    DomainError,
     HYPERBOLIC,
     LINEAR,
     cordic_rotate,

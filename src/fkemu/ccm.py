@@ -10,6 +10,7 @@ module, with the documented (2*stage + overhead) latency model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,7 @@ from .cordic import (
     lin1_op_count,
 )
 from .dh import DhChain, DhJoint, Vec4
-from .fixedpoint import Fx, fx_from_real, fx_shr
+from .fixedpoint import DomainError, Fx, fx_from_real, fx_shr
 
 
 @dataclass(frozen=True)
@@ -99,10 +100,20 @@ def ccm_transform(j: DhJoint, p: Vec4, cfg: CordicConfig = DEFAULT_CONFIG) -> Cc
 
     Free vectors skip the translation constants, which is how orientation
     columns ride the same hardware as position.
+
+    Raises DomainError unless 2|p|_2 + |a_eff w| + |d w| + 2 fits the
+    format's range, so no value the module forms can saturate.  The
+    circular stages keep a vector's norm at most |p|_2 + |a_eff|.  A linear
+    accumulate c + v overshoots on its way to the sum by at most
+    max(1, |v|), so it stays within |c| + 2|v| + 1, with |v| <= |p|_2.  The
+    remaining 1 is margin for truncation drift.
     """
     if p.w not in (0.0, 1.0):
         raise ValueError(f"point w must be 0 or 1, got {p.w}")
     fmt = cfg.fmt
+    reach = 2.0 * math.hypot(p.x, p.y, p.z) + abs(j.a_eff * p.w) + abs(j.d * p.w) + 2.0
+    if not reach <= fmt.max_raw * fmt.eps:
+        raise DomainError(f"link {j} on point {p} can saturate {fmt}")
     x = fx_from_real(p.x, fmt)
     y = fx_from_real(p.y, fmt)
     z = fx_from_real(p.z, fmt)

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .fixedpoint import Fx, QFormat, fx_add, fx_from_real, fx_mul, fx_neg, fx_shr, fx_sub
+from .fixedpoint import DomainError, Fx, QFormat, fx_add, fx_from_real, fx_mul, fx_neg, fx_shr, fx_sub
 
 CIRCULAR = 1
 LINEAR = 0
@@ -26,10 +26,6 @@ HALF_PI = math.pi / 2
 
 # Max convergent |z0| in circular rotation mode, sum of all atan(2**-i).
 CIRC_RANGE = 1.7433
-
-
-class DomainError(ValueError):
-    """Input outside the convergence range of the requested mode."""
 
 
 @dataclass(frozen=True, slots=True)

@@ -6,12 +6,21 @@ arithmetic right shift, i.e. truncation toward negative infinity, which is
 what a shifter does.  Overflow saturates instead of wrapping: pose
 coordinates are physically bounded, and a silent wrap would corrupt results
 undetectably while a pinned value stays visibly at the range edge.
+
+There is one scalar type, Fx.  A wide multiply-accumulate register is an
+Fx in a wide QFormat: fx_mul and fx_cast shift into any output format,
+exactly when the output gains fraction bits and by truncation when it
+loses them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+
+class DomainError(ValueError):
+    """Input outside the range a datapath is specified for."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,23 +81,6 @@ class Fx:
         return f"Fx({self.real!r}, {self.fmt})"
 
 
-@dataclass(frozen=True, slots=True)
-class Acc:
-    """Wide accumulator holding an exact product sum at frac_bits scale.
-
-    acc_bits must cover a full double-width product so a single multiply
-    can never overflow; only accumulation can, and that saturates.
-    """
-
-    raw: int
-    acc_bits: int
-    frac_bits: int
-
-    @property
-    def real(self) -> float:
-        return math.ldexp(float(self.raw), -self.frac_bits)
-
-
 def _saturate(raw: int, max_raw: int, min_raw: int) -> int:
     if raw > max_raw:
         return max_raw
@@ -127,51 +119,19 @@ def fx_shr(a: Fx, k: int) -> Fx:
 
 
 def fx_mul(a: Fx, b: Fx, out: QFormat) -> Fx:
-    """Full-width product, then truncate (floor) into out, saturating."""
-    acc = acc_from_mul(a, b)
-    return acc_to_fx(acc, out)
+    """Exact product shifted into out, then saturated.
 
-
-def acc_from_mul(a: Fx, b: Fx, acc_bits: int | None = None, frac_bits: int | None = None) -> Acc:
-    """Exact product of two operands, held wide.
-
-    Default width is the sum of the operand word widths (the double-width
-    product register); a larger acc_bits models guard bits, and frac_bits
-    above the natural product scale applies an exact left shift (the
-    fractional-mode alignment used by MAC units).
+    Gaining fraction bits is an exact left shift (loading a wide
+    accumulator); losing them is an arithmetic right shift (truncation).
     """
-    prod_frac = a.fmt.frac_bits + b.fmt.frac_bits
-    if acc_bits is None:
-        acc_bits = a.fmt.word_bits + b.fmt.word_bits
-    if acc_bits < a.fmt.word_bits + b.fmt.word_bits:
-        raise ValueError("accumulator narrower than a full product")
-    if frac_bits is None:
-        frac_bits = prod_frac
-    if frac_bits < prod_frac:
-        raise ValueError("cannot drop product fraction bits on load")
-    return Acc((a.raw * b.raw) << (frac_bits - prod_frac), acc_bits, frac_bits)
+    shift = out.frac_bits - a.fmt.frac_bits - b.fmt.frac_bits
+    raw = a.raw * b.raw
+    raw = raw << shift if shift >= 0 else raw >> -shift
+    return Fx(_saturate(raw, out.max_raw, out.min_raw), out)
 
 
-def acc_from_fx(x: Fx, acc_bits: int, frac_bits: int) -> Acc:
-    """Align an operand into accumulator scale (exact left shift)."""
-    if frac_bits < x.fmt.frac_bits:
-        raise ValueError("accumulator fraction narrower than operand")
-    return Acc(x.raw << (frac_bits - x.fmt.frac_bits), acc_bits, frac_bits)
-
-
-def _acc_sat(raw: int, acc_bits: int) -> int:
-    hi = (1 << (acc_bits - 1)) - 1
-    return _saturate(raw, hi, -hi - 1)
-
-
-def acc_sub(a: Acc, b: Acc) -> Acc:
-    if (a.acc_bits, a.frac_bits) != (b.acc_bits, b.frac_bits):
-        raise ValueError("accumulator shape mismatch")
-    return Acc(_acc_sat(a.raw - b.raw, a.acc_bits), a.acc_bits, a.frac_bits)
-
-
-def acc_to_fx(a: Acc, out: QFormat) -> Fx:
-    """Narrow the accumulator: arithmetic shift (truncation), saturate."""
-    shift = a.frac_bits - out.frac_bits
-    raw = a.raw >> shift if shift >= 0 else a.raw << -shift
+def fx_cast(a: Fx, out: QFormat) -> Fx:
+    """Move a into out with fx_mul's shift rule, then saturate."""
+    shift = out.frac_bits - a.fmt.frac_bits
+    raw = a.raw << shift if shift >= 0 else a.raw >> -shift
     return Fx(_saturate(raw, out.max_raw, out.min_raw), out)

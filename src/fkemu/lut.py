@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dh
-from .fixedpoint import QFormat, fx_from_real
+from .fixedpoint import DomainError, QFormat, fx_from_real
 
 HALF_PI = math.pi / 2
 TWO_PI = 2 * math.pi
@@ -87,9 +87,11 @@ def lut_sincos(theta, table: SinTable):
     """(cos, sin) of any finite angle; accepts scalars or arrays.
 
     The sign of theta is stripped before folding so odd/even symmetry is
-    bit-exact.
+    bit-exact.  A NaN or infinite angle raises DomainError.
     """
     arr = np.asarray(theta, dtype=float)
+    if not (math.isfinite(arr) if arr.ndim == 0 else np.isfinite(arr).all()):
+        raise DomainError("angles must be finite")
     cos, sin = _sincos_abs(np.abs(arr), table)
     sin = np.where(np.signbit(arr), -sin, sin)
     if arr.ndim == 0:

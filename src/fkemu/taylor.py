@@ -4,36 +4,27 @@ fixed point with a wide multiply-accumulate model.
 Evaluation runs on a reduced argument in [0, pi/4]; anything larger folds
 through quadrant identities and the sin/cos co-function first, because a
 Q1.15 operand cannot even hold pi/2.  Each series is evaluated by Horner
-recursion on u = x**2 with the running value kept in the wide accumulator;
-only the multiplier inputs are narrowed to operand width, and the result
-is narrowed once at the end.
+recursion on u = x**2 with the running value kept in the accumulator, an
+Fx in a wide QFormat (36 bits with 31 fraction bits by default: the
+product scale plus one fractional-mode left shift).  Only the multiplier
+inputs are narrowed to operand width, and the result is narrowed once at
+the end.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from .fixedpoint import (
-    Acc,
-    Fx,
-    Q1_15,
-    QFormat,
-    acc_from_fx,
-    acc_from_mul,
-    acc_sub,
-    acc_to_fx,
-    fx_from_real,
-    fx_mul,
-)
+from .fixedpoint import DomainError, Fx, Q1_15, QFormat, fx_cast, fx_from_real, fx_mul, fx_sub
 
 TWO_PI = 2 * math.pi
 HALF_PI = math.pi / 2
 QUARTER_PI = math.pi / 4
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class TaylorConfig:
     n_terms: int = 8
     operand_fmt: QFormat = Q1_15
@@ -44,11 +35,12 @@ class TaylorConfig:
             raise ValueError("n_terms must be >= 1")
         if self.acc_bits < 2 * self.operand_fmt.word_bits:
             raise ValueError("accumulator must cover a full product")
+        self.acc_fmt  # built here so a word over 64 bits fails at construction
 
-    @property
-    def acc_frac(self) -> int:
+    @cached_property
+    def acc_fmt(self) -> QFormat:
         # fractional-mode alignment: product scale plus one exact left shift
-        return 2 * self.operand_fmt.frac_bits + 1
+        return QFormat(self.acc_bits, 2 * self.operand_fmt.frac_bits + 1)
 
 
 DEFAULT_CONFIG = TaylorConfig()
@@ -107,40 +99,36 @@ def _cos_coeffs(n_terms: int, fmt: QFormat) -> tuple[Fx, ...]:
 
 def _horner(u: Fx, coeffs: tuple[Fx, ...], cfg: TaylorConfig) -> Fx:
     """c[0] - u*(c[1] - u*(c[2] - ...)), accumulator-resident."""
-    fmt = cfg.operand_fmt
-    acc = acc_from_fx(coeffs[-1], cfg.acc_bits, cfg.acc_frac)
+    fmt, acc_fmt = cfg.operand_fmt, cfg.acc_fmt
+    acc = fx_cast(coeffs[-1], acc_fmt)
     for c in coeffs[-2::-1]:
-        m = acc_to_fx(acc, fmt)
-        prod = acc_from_mul(u, m, cfg.acc_bits, cfg.acc_frac)
-        acc = acc_sub(acc_from_fx(c, cfg.acc_bits, cfg.acc_frac), prod)
-    return acc_to_fx(acc, fmt)
+        prod = fx_mul(u, fx_cast(acc, fmt), acc_fmt)
+        acc = fx_sub(fx_cast(c, acc_fmt), prod)
+    return fx_cast(acc, fmt)
 
 
 def _sin_core(t: Fx, cfg: TaylorConfig) -> Fx:
     """sin(t) = t - (t*u)*R(u) for t in [0, pi/4], u = t**2."""
-    fmt = cfg.operand_fmt
+    fmt, acc_fmt = cfg.operand_fmt, cfg.acc_fmt
     coeffs = _sin_coeffs(cfg.n_terms, fmt)
-    t_acc = acc_from_fx(t, cfg.acc_bits, cfg.acc_frac)
     if not coeffs:
-        return acc_to_fx(t_acc, fmt)
+        return t
     u = fx_mul(t, t, fmt)
     z = fx_mul(t, u, fmt)
     r = _horner(u, coeffs, cfg)
-    w = acc_from_mul(z, r, cfg.acc_bits, cfg.acc_frac)
-    return acc_to_fx(acc_sub(t_acc, w), fmt)
+    return fx_cast(fx_sub(fx_cast(t, acc_fmt), fx_mul(z, r, acc_fmt)), fmt)
 
 
 def _cos_core(t: Fx, cfg: TaylorConfig) -> Fx:
     """cos(t) = 1 - u*S(u) for t in [0, pi/4], u = t**2."""
-    fmt = cfg.operand_fmt
-    one = Acc(1 << cfg.acc_frac, cfg.acc_bits, cfg.acc_frac)
+    fmt, acc_fmt = cfg.operand_fmt, cfg.acc_fmt
+    one = Fx(1 << acc_fmt.frac_bits, acc_fmt)
     coeffs = _cos_coeffs(cfg.n_terms, fmt)
     if not coeffs:
-        return acc_to_fx(one, fmt)
+        return fx_cast(one, fmt)
     u = fx_mul(t, t, fmt)
     s = _horner(u, coeffs, cfg)
-    w = acc_from_mul(u, s, cfg.acc_bits, cfg.acc_frac)
-    return acc_to_fx(acc_sub(one, w), fmt)
+    return fx_cast(fx_sub(one, fx_mul(u, s, acc_fmt)), fmt)
 
 
 def _eval_sin(angle: float, cfg: TaylorConfig) -> Fx:
@@ -185,6 +173,8 @@ def taylor_cos(x: Fx, cfg: TaylorConfig = DEFAULT_CONFIG) -> Fx:
 
 def taylor_sincos(theta: float, cfg: TaylorConfig = DEFAULT_CONFIG) -> tuple[float, float]:
     """Float convenience wrapper: (cos, sin) of theta through the engine."""
+    if not math.isfinite(theta):
+        raise DomainError(f"angle {theta} is not finite")
     return _eval_cos(theta, cfg).real, _eval_sin(theta, cfg).real
 
 

@@ -15,7 +15,7 @@ from fkemu.ccm import (
 )
 from fkemu.cordic import CordicConfig
 from fkemu.dh import DhJoint, ROTARY, Vec4, apply_point, chain_pose, link_transform
-from fkemu.fixedpoint import Q8_24
+from fkemu.fixedpoint import DomainError, Q8_24
 
 CFG = CordicConfig(24, Q8_24)
 TOL = 32 * 2.0**-24
@@ -173,3 +173,21 @@ def test_pose_via_free_vectors():
 def test_op_counts_scale():
     assert point_op_count(CFG) == 2 * (2 + 5 * 24) + 2 * (3 * 24)
     assert pose_op_count(6, CFG) == 24 * point_op_count(CFG)
+
+
+def test_reach_beyond_format_raises_domain_error():
+    far = DhJoint(ROTARY, 0.3, 200.0, 0.0, 0.2)  # z = 200 would pin at the Q8.24 edge
+    with pytest.raises(DomainError):
+        ccm_transform(far, Vec4(0, 0, 0), CFG)
+    with pytest.raises(DomainError):
+        ccm_transform(DhJoint(ROTARY, 0.3, 0.0, 0.0, 0.2), Vec4(0, 0, 70.0), CFG)
+    free = ccm_transform(far, Vec4(0, 0, 1, 0.0), CFG).p_out  # no translation
+    assert abs(free.z - math.cos(0.2)) < TOL
+
+
+def test_largest_accepted_reach_is_not_pinned():
+    j = DhJoint(ROTARY, 0.3, 60.0, 0.0, 0.2)
+    p = Vec4(0.0, 0.0, 31.0)  # 2*31 + 60 + 2 = 124 < 128
+    got = ccm_transform(j, p, CFG).p_out
+    want = apply_point(link_transform(j), p)
+    assert abs(got.z - want.z) < 1e-4

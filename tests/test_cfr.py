@@ -144,16 +144,6 @@ def test_macro_pe_matches_matrix_oracle():
         assert abs(got.z - want.z) < 1e-12
 
 
-def test_three_way_agreement():
-    rng = random.Random(54)
-    for _ in range(100):
-        j = DhJoint(ROTARY, rng.uniform(-3, 3), rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-3, 3))
-        p = Vec4(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1))
-        exact = macro_pe_apply(j, p)
-        matrix = apply_point(link_transform(j), p)
-        assert abs(exact.x - matrix.x) < 1e-12
-
-
 def test_macro_pe_w_validation():
     with pytest.raises(ValueError):
         macro_pe_apply(DhJoint(ROTARY, 0, 0, 0, 0), Vec4(0, 0, 0, 0.25))

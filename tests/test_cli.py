@@ -127,6 +127,15 @@ def test_solve_domain_error_exits_3(tmp_path, monkeypatch, capsys):
     assert "domain error" in capsys.readouterr().err
 
 
+def test_cordic_link_beyond_format_exits_3(tmp_path, capsys):
+    path = write_chain(tmp_path, "joint R 0.3 200.0 0.0 0.2\n")
+    assert main(["solve", path, "--backend", "cordic"]) == 3
+    captured = capsys.readouterr()
+    assert "domain error" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_bench_deterministic_and_orderings(tmp_path, capsys):
     assert main(["bench", "puma560", "--trials", "6", "--seed", "9"]) == 0
     first = capsys.readouterr().out

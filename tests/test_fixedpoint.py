@@ -2,22 +2,23 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fkemu.fixedpoint import (
-    Acc,
+    Fx,
     Q1_15,
     Q8_24,
     QFormat,
-    acc_from_fx,
-    acc_from_mul,
-    acc_sub,
-    acc_to_fx,
     fx_add,
+    fx_cast,
     fx_from_real,
     fx_mul,
     fx_shr,
     fx_sub,
 )
+
+ACC = QFormat(36, 31)  # the Taylor engine's default accumulator
 
 
 def test_qformat_validation():
@@ -129,22 +130,70 @@ def test_shr_equals_floor_division():
 
 def test_acc_covers_full_product():
     a = fx_from_real(0.9, Q1_15)
-    with pytest.raises(ValueError):
-        acc_from_mul(a, a, acc_bits=20)
-    acc = acc_from_mul(a, a, acc_bits=36, frac_bits=31)
+    acc = fx_mul(a, a, ACC)
     assert abs(acc.real - a.real * a.real) < 2.0**-30
 
 
 def test_acc_align_and_narrow():
     a = fx_from_real(0.75, Q1_15)
-    acc = acc_from_fx(a, 36, 31)
+    acc = fx_cast(a, ACC)
     assert acc.real == 0.75
-    back = acc_to_fx(acc, Q1_15)
+    back = fx_cast(acc, Q1_15)
     assert back.raw == a.raw
-    diff = acc_sub(acc, acc_from_mul(a, a, 36, 31))
+    diff = fx_sub(acc, fx_mul(a, a, ACC))
     assert abs(diff.real - (0.75 - 0.5625)) < 2.0**-30
 
 
 def test_acc_narrow_saturates():
-    big = Acc(1 << 35, 40, 24)  # value 2**11 at 24 frac bits
-    assert acc_to_fx(big, Q1_15).raw == Q1_15.max_raw
+    big = Fx(1 << 35, QFormat(40, 24))  # value 2**11 at 24 frac bits
+    assert fx_cast(big, Q1_15).raw == Q1_15.max_raw
+
+
+# -- integer oracle for the shift rule ---------------------------------------
+
+
+@st.composite
+def qformats(draw, max_word=64):
+    word = draw(st.integers(8, max_word))
+    return QFormat(word, draw(st.integers(0, word - 1)))
+
+
+def fx_in(fmt):
+    return st.integers(fmt.min_raw, fmt.max_raw).map(lambda raw: Fx(raw, fmt))
+
+
+def shift_oracle(raw, frac_bits, out):
+    """Exact left shift or floor right shift to out's scale, then clip."""
+    shift = out.frac_bits - frac_bits
+    scaled = raw * 2**shift if shift >= 0 else raw // 2**-shift
+    return min(max(scaled, out.min_raw), out.max_raw)
+
+
+@given(qformats(), qformats(), qformats(), st.data())
+def test_mul_matches_integer_oracle(fa, fb, out, data):
+    a, b = data.draw(fx_in(fa)), data.draw(fx_in(fb))
+    got = fx_mul(a, b, out)
+    assert got.fmt == out
+    assert got.raw == shift_oracle(a.raw * b.raw, fa.frac_bits + fb.frac_bits, out)
+
+
+@given(qformats(), qformats(), st.data())
+def test_cast_matches_integer_oracle(fa, out, data):
+    a = data.draw(fx_in(fa))
+    got = fx_cast(a, out)
+    assert got.fmt == out
+    assert got.raw == shift_oracle(a.raw, fa.frac_bits, out)
+
+
+@given(qformats(max_word=28), qformats(max_word=28), st.integers(0, 8), st.data())
+def test_mul_into_wider_format_is_exact(fa, fb, shift, data):
+    a, b = data.draw(fx_in(fa)), data.draw(fx_in(fb))
+    out = QFormat(fa.word_bits + fb.word_bits + shift, fa.frac_bits + fb.frac_bits + shift)
+    assert fx_mul(a, b, out).raw == a.raw * b.raw * 2**shift
+
+
+@given(qformats(max_word=56), st.integers(0, 8), st.data())
+def test_cast_into_wider_format_is_exact(fa, shift, data):
+    a = data.draw(fx_in(fa))
+    out = QFormat(fa.word_bits + shift, fa.frac_bits + shift)
+    assert fx_cast(a, out).raw == a.raw * 2**shift

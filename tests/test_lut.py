@@ -7,7 +7,7 @@ import pytest
 
 from fkemu.ccm import pose_op_count as cordic_pose_ops
 from fkemu.dh import DhJoint, ROTARY, chain_pose
-from fkemu.fixedpoint import Q8_24
+from fkemu.fixedpoint import DomainError, Q8_24
 from fkemu.lut import (
     LINEAR,
     NEAREST,
@@ -154,3 +154,13 @@ def test_load_rejects_bad_magic(tmp_path):
     path.write_bytes(b"NOTLUT" + b"\x00" * 16)
     with pytest.raises(ValueError):
         load_table(str(path))
+
+
+@pytest.mark.parametrize("mode", [NEAREST, LINEAR])
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+def test_non_finite_angle_raises_domain_error(angle, mode):
+    table = build_table(256, mode=mode)
+    with pytest.raises(DomainError):
+        lut_sincos(angle, table)
+    with pytest.raises(DomainError):
+        lut_sincos(np.array([0.1, angle, 0.2]), table)

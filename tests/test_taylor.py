@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from fkemu.fixedpoint import Q8_24, QFormat, fx_from_real
+from fkemu.fixedpoint import DomainError, Q8_24, QFormat, fx_from_real
 from fkemu.taylor import (
     TaylorConfig,
     remainder_bound,
@@ -28,6 +28,8 @@ def test_config_validation():
         TaylorConfig(n_terms=0)
     with pytest.raises(ValueError):
         TaylorConfig(acc_bits=20)
+    with pytest.raises(ValueError):
+        TaylorConfig(operand_fmt=QFormat(40, 38), acc_bits=80)  # accumulator over 64 bits
 
 
 def test_remainder_bound_examples():
@@ -127,3 +129,9 @@ def test_other_operand_formats():
     cfg = TaylorConfig(operand_fmt=QFormat(24, 22), acc_bits=50)
     th = 1.1
     assert abs(taylor_sin(fx(th), cfg).real - math.sin(th)) <= 2.0**-20
+
+
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+def test_non_finite_angle_raises_domain_error(angle):
+    with pytest.raises(DomainError):
+        taylor_sincos(angle, CFG)
