@@ -36,7 +36,7 @@ from .dh import (
     puma_closed_form,
 )
 from .ccm import CcmResult, LatencyReport, PipelineModel, ccm_pose, ccm_transform, fk_pipeline, latency_us
-from .taylor import TaylorConfig, remainder_bound, taylor_cos, taylor_sin, taylor_sincos
+from .taylor import TaylorConfig, remainder_bound, taylor_sincos
 from .cfr import CfrState, MacroPeModel, cfr_gain, cfr_rotate, cfr_step, macro_pe_apply, pipeline_timing, selection
 from .lut import SinTable, build_table, dump_table, error_profile, load_table, lut_sincos
 from .umdh import (

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .fixedpoint import DomainError, Fx, QFormat, fx_add, fx_from_real, fx_mul, fx_neg, fx_shr, fx_sub
+from .fixedpoint import HALF_PI, DomainError, Fx, QFormat, fold_angle, fx_add, fx_from_real, fx_mul, fx_neg, fx_shr, fx_sub
 
 CIRCULAR = 1
 LINEAR = 0
@@ -21,8 +21,6 @@ HYPERBOLIC = -1
 
 # Hyperbolic iterations must repeat these indices to converge.
 _HYP_REPEAT = (4, 13, 40)
-
-HALF_PI = math.pi / 2
 
 # Max convergent |z0| in circular rotation mode, sum of all atan(2**-i).
 CIRC_RANGE = 1.7433
@@ -164,20 +162,28 @@ def _check_range(mode: int, z: float) -> None:
 
 
 def circ_rotate(x: Fx, y: Fx, angle: float, cfg: CordicConfig) -> tuple[Fx, Fx]:
-    """Gain-compensated plane rotation by any finite angle.
+    """Gain-compensated plane rotation by an angle within +-MAX_ANGLE.
 
-    Pre-scales the vector by 1/K, folds the angle to [-pi/4, pi/4] plus a
-    whole number of quarter turns, iterates, then applies the quarter turns
-    as exact sign/swap moves.  This is the reusable circular building block
-    behind sin/cos generation and every link-rotation stage.
+    Pre-scales the vector by 1/K, folds |angle| to a residual in [-pi/4,
+    pi/4] plus a whole number of quarter turns, iterates, then applies the
+    quarter turns as exact sign/swap moves.  This is the reusable circular
+    building block behind sin/cos generation and every link-rotation stage.
+
+    Odd symmetry holds only within sincos_tolerance, not bit for bit: the
+    shift-add steps truncate toward -inf, so a rotation by -z is not the
+    mirror image of one by z.  Raises DomainError beyond MAX_ANGLE or for
+    a non-finite angle.
     """
     fmt = cfg.fmt
     inv_k = fx_from_real(1.0 / gain(cfg.n_iter, CIRCULAR), fmt)
     xs = fx_mul(x, inv_k, fmt)
     ys = fx_mul(y, inv_k, fmt)
-    q = round(angle / HALF_PI)
-    residual = angle - q * HALF_PI
-    z = fx_from_real(residual, fmt)
+    q, r = fold_angle(abs(angle))
+    if r > HALF_PI / 2:
+        q, r = q + 1, r - HALF_PI
+    if angle < 0:
+        q, r = -q, -r
+    z = fx_from_real(r, fmt)
     xr, yr, _ = cordic_rotate(xs, ys, z, CIRCULAR, cfg)
     return _quarter_turns(xr, yr, q)
 
@@ -193,11 +199,11 @@ def _quarter_turns(x: Fx, y: Fx, q: int) -> tuple[Fx, Fx]:
     return y, fx_neg(x)
 
 
-def sincos_cordic(theta: Fx, cfg: CordicConfig = DEFAULT_CONFIG) -> tuple[Fx, Fx]:
-    """Cosine and sine of any finite angle, gain pre-compensated."""
+def sincos_cordic(theta: float, cfg: CordicConfig = DEFAULT_CONFIG) -> tuple[Fx, Fx]:
+    """Cosine and sine of an angle within +-MAX_ANGLE, gain pre-compensated."""
     one = fx_from_real(1.0, cfg.fmt)
     zero = Fx(0, cfg.fmt)
-    return circ_rotate(one, zero, theta.real, cfg)
+    return circ_rotate(one, zero, theta, cfg)
 
 
 def sincos_tolerance(cfg: CordicConfig) -> float:

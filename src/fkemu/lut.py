@@ -16,10 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dh
-from .fixedpoint import DomainError, QFormat, fx_from_real
-
-HALF_PI = math.pi / 2
-TWO_PI = 2 * math.pi
+from .fixedpoint import HALF_PI, TWO_PI, QFormat, fold_angle, fx_from_real
 
 NEAREST = "nearest"
 LINEAR = "linear"
@@ -71,11 +68,8 @@ def _sin_quarter(u, table: SinTable):
 
 
 def _sincos_abs(a, table: SinTable):
-    """(cos, sin) for a >= 0 via quadrant folding onto the quarter table."""
-    a = np.mod(a, TWO_PI)
-    quad = np.floor(a / HALF_PI)
-    r = a - quad * HALF_PI
-    quad = quad.astype(np.int64) & 3
+    """(cos, sin) for a >= 0 via fold_angle onto the quarter table."""
+    quad, r = fold_angle(a)
     s_r = _sin_quarter(r, table)
     c_r = _sin_quarter(HALF_PI - r, table)
     sin = np.select([quad == 0, quad == 1, quad == 2], [s_r, c_r, -s_r], default=-c_r)
@@ -84,14 +78,13 @@ def _sincos_abs(a, table: SinTable):
 
 
 def lut_sincos(theta, table: SinTable):
-    """(cos, sin) of any finite angle; accepts scalars or arrays.
+    """(cos, sin) of angles within +-MAX_ANGLE; accepts scalars or arrays.
 
     The sign of theta is stripped before folding so odd/even symmetry is
-    bit-exact.  A NaN or infinite angle raises DomainError.
+    bit-exact.  Any angle beyond MAX_ANGLE, NaN or infinite raises
+    DomainError.
     """
     arr = np.asarray(theta, dtype=float)
-    if not (math.isfinite(arr) if arr.ndim == 0 else np.isfinite(arr).all()):
-        raise DomainError("angles must be finite")
     cos, sin = _sincos_abs(np.abs(arr), table)
     sin = np.where(np.signbit(arr), -sin, sin)
     if arr.ndim == 0:

@@ -2,7 +2,7 @@
 fixed point with a wide multiply-accumulate model.
 
 Evaluation runs on a reduced argument in [0, pi/4]; anything larger folds
-through quadrant identities and the sin/cos co-function first, because a
+through fold_angle's quadrant and the sin/cos co-function first, because a
 Q1.15 operand cannot even hold pi/2.  Each series is evaluated by Horner
 recursion on u = x**2 with the running value kept in the accumulator, an
 Fx in a wide QFormat (36 bits with 31 fraction bits by default: the
@@ -17,11 +17,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .fixedpoint import DomainError, Fx, Q1_15, QFormat, fx_cast, fx_from_real, fx_mul, fx_sub
-
-TWO_PI = 2 * math.pi
-HALF_PI = math.pi / 2
-QUARTER_PI = math.pi / 4
+from .fixedpoint import HALF_PI, Fx, Q1_15, QFormat, fold_angle, fx_cast, fx_from_real, fx_mul, fx_sub
 
 
 @dataclass(frozen=True)
@@ -131,51 +127,27 @@ def _cos_core(t: Fx, cfg: TaylorConfig) -> Fx:
     return fx_cast(fx_sub(one, fx_mul(u, s, acc_fmt)), fmt)
 
 
-def _eval_sin(angle: float, cfg: TaylorConfig) -> Fx:
-    sign = -1 if angle < 0 else 1
-    a = math.fmod(abs(angle), TWO_PI)
-    if a >= math.pi:
-        sign = -sign
-        a -= math.pi
-    if a > HALF_PI:
-        a = math.pi - a
-    if a > QUARTER_PI:
-        out = _cos_core(fx_from_real(HALF_PI - a, cfg.operand_fmt), cfg)
-    else:
-        out = _sin_core(fx_from_real(a, cfg.operand_fmt), cfg)
-    return Fx(sign * out.raw, out.fmt)
-
-
-def _eval_cos(angle: float, cfg: TaylorConfig) -> Fx:
-    sign = 1
-    a = math.fmod(abs(angle), TWO_PI)
-    if a > math.pi:
-        a = TWO_PI - a
-    if a > HALF_PI:
-        sign = -1
-        a = math.pi - a
-    if a > QUARTER_PI:
-        out = _sin_core(fx_from_real(HALF_PI - a, cfg.operand_fmt), cfg)
-    else:
-        out = _cos_core(fx_from_real(a, cfg.operand_fmt), cfg)
-    return Fx(sign * out.raw, out.fmt)
-
-
-def taylor_sin(x: Fx, cfg: TaylorConfig = DEFAULT_CONFIG) -> Fx:
-    """Sine of any finite angle held in a sufficiently wide input format."""
-    return _eval_sin(x.real, cfg)
-
-
-def taylor_cos(x: Fx, cfg: TaylorConfig = DEFAULT_CONFIG) -> Fx:
-    """Cosine of any finite angle held in a sufficiently wide input format."""
-    return _eval_cos(x.real, cfg)
-
-
 def taylor_sincos(theta: float, cfg: TaylorConfig = DEFAULT_CONFIG) -> tuple[float, float]:
-    """Float convenience wrapper: (cos, sin) of theta through the engine."""
-    if not math.isfinite(theta):
-        raise DomainError(f"angle {theta} is not finite")
-    return _eval_cos(theta, cfg).real, _eval_sin(theta, cfg).real
+    """(cos, sin) of an angle within +-MAX_ANGLE through the engine.
+
+    One fold gives the quadrant q and a residual r in [0, pi/2); past pi/4
+    the cores run on pi/2 - r and trade places.  The octant is measured
+    from the nearest multiple of pi, which is the far end of an odd
+    quadrant, so there the tie r == pi/4 trades too.  Sine and cosine are
+    bit-exactly odd and even in theta.  Raises DomainError beyond
+    MAX_ANGLE or for a non-finite angle.
+    """
+    q, r = fold_angle(abs(theta))
+    swap = r >= HALF_PI / 2 if q & 1 else r > HALF_PI / 2
+    t = fx_from_real(HALF_PI - r if swap else r, cfg.operand_fmt)
+    s, c = _sin_core(t, cfg).raw, _cos_core(t, cfg).raw
+    if swap:
+        s, c = c, s
+    cos, sin = ((c, s), (-s, c), (-c, -s), (s, -c))[q]
+    if theta < 0:
+        sin = -sin
+    frac = cfg.operand_fmt.frac_bits
+    return math.ldexp(cos, -frac), math.ldexp(sin, -frac)
 
 
 def sincos_op_count(cfg: TaylorConfig = DEFAULT_CONFIG) -> int:

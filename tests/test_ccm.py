@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -183,6 +184,14 @@ def test_reach_beyond_format_raises_domain_error():
         ccm_transform(DhJoint(ROTARY, 0.3, 0.0, 0.0, 0.2), Vec4(0, 0, 70.0), CFG)
     free = ccm_transform(far, Vec4(0, 0, 1, 0.0), CFG).p_out  # no translation
     assert abs(free.z - math.cos(0.2)) < TOL
+
+
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf, 2.0**21])
+@pytest.mark.parametrize("field", ["theta", "alpha"])
+def test_joint_angle_outside_domain_raises_domain_error(field, angle):
+    j = dataclasses.replace(DhJoint(ROTARY, 0.3, 0.1, 0.1, 0.2), **{field: angle})
+    with pytest.raises(DomainError):
+        ccm_transform(j, Vec4(0.1, 0, 0), CFG)
 
 
 def test_largest_accepted_reach_is_not_pinned():

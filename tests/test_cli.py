@@ -136,6 +136,16 @@ def test_cordic_link_beyond_format_exits_3(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("backend", ["cordic", "taylor", "lut"])
+def test_joint_angle_beyond_domain_exits_3(tmp_path, capsys, backend):
+    path = write_chain(tmp_path, "joint R 1e15 0 0.1 0\n")
+    assert main(["solve", path, "--backend", backend]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("fkemu: domain error:")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 def test_bench_deterministic_and_orderings(tmp_path, capsys):
     assert main(["bench", "puma560", "--trials", "6", "--seed", "9"]) == 0
     first = capsys.readouterr().out

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fkemu.cordic import (
     CIRCULAR,
@@ -19,7 +21,7 @@ from fkemu.cordic import (
     sincos_cordic,
     sincos_tolerance,
 )
-from fkemu.fixedpoint import Q8_24, fx_from_real
+from fkemu.fixedpoint import MAX_ANGLE, Q8_24, fx_from_real
 
 CFG = CordicConfig(24, Q8_24)
 
@@ -159,14 +161,14 @@ def test_hyperbolic_rotation_gives_cosh_sinh():
 
 
 def test_sincos_examples():
-    c, s = sincos_cordic(fx(0.0), CFG)
+    c, s = sincos_cordic(fx(0.0).real, CFG)
     assert abs(c.real - 1.0) < 1e-6
     assert abs(s.real) < 1e-6
-    c, s = sincos_cordic(fx(math.pi / 2), CFG)
+    c, s = sincos_cordic(fx(math.pi / 2).real, CFG)
     assert abs(c.real) < 1e-6
     assert abs(s.real - 1.0) < 1e-6
     # frozen double trig oracle values for 1 radian
-    c, s = sincos_cordic(fx(1.0), CFG)
+    c, s = sincos_cordic(fx(1.0).real, CFG)
     assert abs(c.real - 0.5403023058681398) < 1e-6
     assert abs(s.real - 0.8414709848078965) < 1e-6
 
@@ -176,10 +178,27 @@ def test_sincos_full_circle_and_pythagoras():
     rng = random.Random(11)
     for _ in range(400):
         th = rng.uniform(-2 * math.pi, 2 * math.pi)
-        c, s = sincos_cordic(fx(th), CFG)
+        c, s = sincos_cordic(fx(th).real, CFG)
         assert abs(c.real - math.cos(th)) <= tol
         assert abs(s.real - math.sin(th)) <= tol
         assert abs(c.real**2 + s.real**2 - 1.0) <= 4 * tol
+
+
+@given(st.floats(-MAX_ANGLE, MAX_ANGLE))
+def test_sincos_error_bound_over_domain(th):
+    # odd symmetry is not bit-exact (shifts truncate toward -inf), so the
+    # mirrored angle is held to the same tolerance instead
+    tol = sincos_tolerance(CFG)
+    for a in (th, -th):
+        c, s = sincos_cordic(a, CFG)
+        assert abs(c.real - math.cos(a)) <= tol
+        assert abs(s.real - math.sin(a)) <= tol
+
+
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf, math.nextafter(MAX_ANGLE, math.inf), -1e16])
+def test_sincos_outside_domain_raises(angle):
+    with pytest.raises(DomainError):
+        sincos_cordic(angle, CFG)
 
 
 def test_rotation_residual_bound():

@@ -1,16 +1,22 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from fkemu.fixedpoint import (
+    HALF_PI,
+    MAX_ANGLE,
+    TWO_PI,
+    DomainError,
     Fx,
     Q1_15,
     Q8_24,
     QFormat,
     fx_add,
+    fold_angle,
     fx_cast,
     fx_from_real,
     fx_mul,
@@ -197,3 +203,24 @@ def test_cast_into_wider_format_is_exact(fa, shift, data):
     a = data.draw(fx_in(fa))
     out = QFormat(fa.word_bits + shift, fa.frac_bits + shift)
     assert fx_cast(a, out).raw == a.raw * 2**shift
+
+
+@given(st.floats(0.0, MAX_ANGLE))
+def test_fold_angle_invariants(mag):
+    q, r = fold_angle(mag)
+    assert q in (0, 1, 2, 3)
+    assert 0.0 <= r < HALF_PI
+    a = mag % TWO_PI  # the textbook reduction, bit for bit
+    assert q == math.floor(a / HALF_PI)
+    assert r == a - q * HALF_PI
+    qs, rs = fold_angle(np.array([mag, 0.5]))
+    assert qs[0] == q
+    assert rs[0] == r
+
+
+@pytest.mark.parametrize("mag", [math.nan, math.inf, math.nextafter(MAX_ANGLE, math.inf), 1e15])
+def test_fold_angle_outside_domain_raises(mag):
+    with pytest.raises(DomainError):
+        fold_angle(mag)
+    with pytest.raises(DomainError):
+        fold_angle(np.array([0.5, mag]))

@@ -4,10 +4,12 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fkemu.ccm import pose_op_count as cordic_pose_ops
 from fkemu.dh import DhJoint, ROTARY, chain_pose
-from fkemu.fixedpoint import DomainError, Q8_24
+from fkemu.fixedpoint import MAX_ANGLE, DomainError, Q8_24
 from fkemu.lut import (
     LINEAR,
     NEAREST,
@@ -64,15 +66,28 @@ def test_sincos_pi_over_four():
     assert abs(s - 0.7071067811865476) < 3e-6
 
 
-def test_symmetry_bit_exact():
-    t = build_table(512, mode=NEAREST)
-    rng = random.Random(61)
-    for _ in range(300):
-        th = rng.uniform(-50, 50)
-        c1, s1 = lut_sincos(th, t)
-        c2, s2 = lut_sincos(-th, t)
-        assert s1 == -s2
-        assert c1 == c2
+ANGLES = st.floats(-MAX_ANGLE, MAX_ANGLE)
+SYMMETRY_TABLE = build_table(512, mode=NEAREST)
+BOUND_TABLES = {mode: build_table(256, mode=mode) for mode in (NEAREST, LINEAR)}
+
+
+@given(ANGLES)
+def test_symmetry_bit_exact(th):
+    c1, s1 = lut_sincos(th, SYMMETRY_TABLE)
+    c2, s2 = lut_sincos(-th, SYMMETRY_TABLE)
+    assert s1 == -s2
+    assert c1 == c2
+
+
+@pytest.mark.parametrize("mode", [NEAREST, LINEAR])
+@given(th=ANGLES)
+def test_error_bound_over_domain(mode, th):
+    t = BOUND_TABLES[mode]
+    # the fold's drift at MAX_ANGLE (4e-11) is margin on the tight linear bound
+    bound = t.step if mode == NEAREST else t.step**2 / 8 + 1e-10
+    c, s = lut_sincos(th, t)
+    assert abs(c - math.cos(th)) <= bound
+    assert abs(s - math.sin(th)) <= bound
 
 
 def test_pythagorean_drift():
@@ -157,7 +172,7 @@ def test_load_rejects_bad_magic(tmp_path):
 
 
 @pytest.mark.parametrize("mode", [NEAREST, LINEAR])
-@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf, math.nextafter(MAX_ANGLE, math.inf), -1e15])
 def test_non_finite_angle_raises_domain_error(angle, mode):
     table = build_table(256, mode=mode)
     with pytest.raises(DomainError):

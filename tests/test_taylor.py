@@ -2,25 +2,20 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from fkemu.fixedpoint import DomainError, Q8_24, QFormat, fx_from_real
-from fkemu.taylor import (
-    TaylorConfig,
-    remainder_bound,
-    series_cos,
-    series_sin,
-    taylor_cos,
-    taylor_sin,
-    taylor_sincos,
-)
+from fkemu.fixedpoint import MAX_ANGLE, DomainError, Q8_24, QFormat, fx_from_real
+from fkemu.taylor import TaylorConfig, remainder_bound, series_cos, series_sin, taylor_sincos
 
 CFG = TaylorConfig()
-WIDE = Q8_24  # input carrier wide enough for any reduced angle
 GATE = 2.0**-13
+ANGLES = st.floats(-MAX_ANGLE, MAX_ANGLE)
 
 
-def fx(v):
-    return fx_from_real(v, WIDE)
+def sincos(th, cfg=CFG):
+    """(cos, sin) of th quantized to Q8.24 first, as a wide input register holds it."""
+    return taylor_sincos(fx_from_real(th, Q8_24).real, cfg)
 
 
 def test_config_validation():
@@ -67,24 +62,23 @@ def test_series_within_remainder_bound():
 
 
 def test_trivial_values():
-    assert taylor_sin(fx(0.0), CFG).raw == 0
-    one = taylor_cos(fx(0.0), CFG)
-    assert abs(one.real - 1.0) <= 2.0**-15  # saturated +1 in Q1.15
+    c, s = sincos(0.0)
+    assert s == 0.0
+    assert abs(c - 1.0) <= 2.0**-15  # saturated +1 in Q1.15
 
 
 def test_known_angles():
-    s = taylor_sin(fx(math.pi / 6), CFG)
-    assert abs(s.real - 0.5) <= GATE
-    c = taylor_cos(fx(math.pi / 3), CFG)
-    assert abs(c.real - 0.5) <= GATE
+    assert abs(sincos(math.pi / 6)[1] - 0.5) <= GATE
+    assert abs(sincos(math.pi / 3)[0] - 0.5) <= GATE
 
 
 def test_fixed_point_accuracy_on_reduced_range():
     rng = random.Random(41)
     for _ in range(2000):
         th = rng.uniform(-math.pi / 2, math.pi / 2)
-        assert abs(taylor_sin(fx(th), CFG).real - math.sin(th)) <= GATE
-        assert abs(taylor_cos(fx(th), CFG).real - math.cos(th)) <= GATE
+        c, s = sincos(th)
+        assert abs(s - math.sin(th)) <= GATE
+        assert abs(c - math.cos(th)) <= GATE
 
 
 def test_fixed_point_tracks_double_series():
@@ -92,46 +86,49 @@ def test_fixed_point_tracks_double_series():
     rng = random.Random(42)
     for _ in range(1000):
         th = rng.uniform(-math.pi / 2, math.pi / 2)
-        assert abs(taylor_sin(fx(th), CFG).real - series_sin(th, CFG.n_terms)) <= budget
-        assert abs(taylor_cos(fx(th), CFG).real - series_cos(th, CFG.n_terms)) <= budget
+        c, s = sincos(th)
+        assert abs(s - series_sin(th, CFG.n_terms)) <= budget
+        assert abs(c - series_cos(th, CFG.n_terms)) <= budget
 
 
-def test_symmetry_is_bit_exact():
-    rng = random.Random(43)
-    for _ in range(500):
-        th = rng.uniform(-8, 8)
-        assert taylor_sin(fx(th), CFG).raw == -taylor_sin(fx(-th), CFG).raw
-        assert taylor_cos(fx(th), CFG).raw == taylor_cos(fx(-th), CFG).raw
+@given(ANGLES)
+def test_symmetry_is_bit_exact(th):
+    c1, s1 = taylor_sincos(th, CFG)
+    c2, s2 = taylor_sincos(-th, CFG)
+    assert s1 == -s2
+    assert c1 == c2
 
 
-def test_full_range_reduction():
-    rng = random.Random(44)
-    for _ in range(800):
-        th = rng.uniform(-10, 10)
-        assert abs(taylor_sin(fx(th), CFG).real - math.sin(th)) <= GATE
-        assert abs(taylor_cos(fx(th), CFG).real - math.cos(th)) <= GATE
+@example(3 * math.pi / 4)  # the octant tie of the second quadrant
+@given(st.floats(math.pi / 2, math.pi))
+def test_supplementary_angles_are_bit_exact(th):
+    # pi - th is exact on this range; n_terms=3 has sin_core != cos_core at pi/4
+    for cfg in (CFG, TaylorConfig(n_terms=3)):
+        c1, s1 = taylor_sincos(th, cfg)
+        c2, s2 = taylor_sincos(math.pi - th, cfg)
+        assert (c1, s1) == (-c2, s2)
 
 
-def test_sincos_convenience_matches_fx_path():
-    for th in (0.0, 0.6, -2.4, 3.3, 7.1):
-        c, s = taylor_sincos(th, CFG)
-        assert c == taylor_cos(fx(th), CFG).real
-        assert s == taylor_sin(fx(th), CFG).real
+@given(ANGLES)
+def test_full_range_reduction(th):
+    c, s = taylor_sincos(th, CFG)
+    assert abs(s - math.sin(th)) <= GATE
+    assert abs(c - math.cos(th)) <= GATE
 
 
 def test_single_term_degenerates_cleanly():
     cfg = TaylorConfig(n_terms=1)
-    assert taylor_sin(fx_from_real(0.5, WIDE), cfg).real == pytest.approx(0.5, abs=2**-15)
-    assert taylor_cos(fx_from_real(0.2, WIDE), cfg).real == pytest.approx(1.0, abs=2**-14)
+    assert sincos(0.5, cfg)[1] == pytest.approx(0.5, abs=2**-15)
+    assert sincos(0.2, cfg)[0] == pytest.approx(1.0, abs=2**-14)
 
 
 def test_other_operand_formats():
     cfg = TaylorConfig(operand_fmt=QFormat(24, 22), acc_bits=50)
     th = 1.1
-    assert abs(taylor_sin(fx(th), cfg).real - math.sin(th)) <= 2.0**-20
+    assert abs(sincos(th, cfg)[1] - math.sin(th)) <= 2.0**-20
 
 
-@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf, math.nextafter(MAX_ANGLE, math.inf), -1e15])
 def test_non_finite_angle_raises_domain_error(angle):
     with pytest.raises(DomainError):
         taylor_sincos(angle, CFG)
