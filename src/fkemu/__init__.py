@@ -14,6 +14,8 @@ from .cordic import (
     CordicState,
     HYPERBOLIC,
     LINEAR,
+    circ_rotate_lanes,
+    cordic_lanes,
     cordic_rotate,
     cordic_step,
     cordic_vector,
@@ -35,7 +37,17 @@ from .dh import (
     puma_chain,
     puma_closed_form,
 )
-from .ccm import CcmResult, LatencyReport, PipelineModel, ccm_pose, ccm_transform, fk_pipeline, latency_us
+from .ccm import (
+    CcmResult,
+    LatencyReport,
+    PipelineModel,
+    ccm_points,
+    ccm_pose,
+    ccm_poses,
+    ccm_transform,
+    fk_pipeline,
+    latency_us,
+)
 from .taylor import TaylorConfig, remainder_bound, taylor_sincos
 from .cfr import CfrState, MacroPeModel, cfr_gain, cfr_rotate, cfr_step, macro_pe_apply, pipeline_timing, selection
 from .lut import SinTable, build_table, dump_table, error_profile, load_table, lut_sincos

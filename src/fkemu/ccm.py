@@ -6,6 +6,16 @@ parallel with a linear accumulate producing x + a; stage 2 rotates the
 intermediate (x, y) by theta and accumulates z + d.  Cascading n modules
 walks a point from the end-effector frame down to the base, one link per
 module, with the documented (2*stage + overhead) latency model.
+
+The cascade runs on lanes (see cordic): lane k pushes points[k] through
+chains[k], and every module processes all lanes at once, link by link.  A
+pose is four lanes per chain: the three direction columns as free vectors
+and the origin as a point, so ccm_poses on 16 chains runs 64 lanes.
+Between links each lane passes through a double, as the real-valued point
+a module takes and returns: exact for words up to 54 bits, and in wider
+words it rounds raws beyond 2**53, as the scalar cascade always did.
+ccm_transform, fk_pipeline and ccm_pose are one-chain calls into the same
+cascade.
 """
 
 from __future__ import annotations
@@ -20,12 +30,12 @@ from .cordic import (
     DEFAULT_CONFIG,
     LINEAR,
     circ1_op_count,
-    circ_rotate,
-    cordic_rotate,
+    circ_rotate_lanes,
+    cordic_lanes,
     lin1_op_count,
 )
 from .dh import DhChain, DhJoint, Vec4
-from .fixedpoint import DomainError, Fx, fx_from_real, fx_shr
+from .fixedpoint import DomainError, Fx, lanes_from_real, lanes_real
 
 
 @dataclass(frozen=True)
@@ -60,39 +70,60 @@ def latency_us(m: PipelineModel) -> float:
     return 2.0 * m.stage_time_us * m.n_links + m.overhead_us
 
 
-def _lin_accumulate(const: Fx, value: Fx, cfg: CordicConfig) -> Fx:
-    """Linear-mode CORDIC add: returns const + value (the LIN1 processor).
+def _lin_accumulate(const, value, cfg: CordicConfig):
+    """Linear-mode CORDIC add on lanes: returns const + value (the LIN1 processor).
 
     Linear mode only converges for |z0| <= 2, so larger arguments are
-    staged down by an exact power of two while the unit multiplicand is
-    staged up by the same factor (y accumulates x0 * z0 either way).
+    staged down by an exact power of two 2**k, chosen per lane, while the
+    unit multiplicand is staged up by the same factor (y accumulates x0 * z0
+    either way).  k stops at word_bits - frac_bits - 2, where every raw of
+    the format is staged within 2.
     """
     fmt = cfg.fmt
-    k = 0
-    v = value
     k_max = fmt.word_bits - fmt.frac_bits - 2
-    while abs(v.real) > 2.0 and k < k_max:
-        k += 1
-        v = fx_shr(value, k)
-    scale = fx_from_real(float(1 << k), fmt)
-    _, y, _ = cordic_rotate(scale, const, v, LINEAR, cfg)
+    two = math.ldexp(2.0, fmt.frac_bits)  # |v.real| > 2.0 on the raw's double
+
+    def too_big(v, k):
+        return (np.abs(v.astype(np.float64)) > two) & (k < k_max)
+
+    k = np.zeros(len(value), dtype=np.int64)
+    v = value
+    big = too_big(v, k)
+    while big.any():
+        k = k + big
+        v = value >> k
+        big = too_big(v, k)
+    scale = lanes_from_real(np.ldexp(1.0, k), fmt)
+    _, y, _ = cordic_lanes(scale, const, v, LINEAR, cfg)
     return y
 
 
-def _stage1(j: DhJoint, x: Fx, y: Fx, z: Fx, w: float, cfg: CordicConfig) -> tuple[Fx, Fx, Fx]:
-    # CIRC1 on (y, z; alpha) and LIN1 on (1, a; x) are independent and may
-    # run in parallel; both read only stage inputs.
-    y_a, z_a = circ_rotate(y, z, j.alpha, cfg)
-    a_const = fx_from_real(j.a_eff * w, cfg.fmt)
-    x_a = _lin_accumulate(a_const, x, cfg)
-    return x_a, y_a, z_a
+def _module(joints, p: np.ndarray, cfg: CordicConfig):
+    """One module on every lane: joints[k] applied to the real point p[k] = (x, y, z, w).
 
-
-def _stage2(j: DhJoint, x_a: Fx, y_a: Fx, z_a: Fx, w: float, cfg: CordicConfig) -> tuple[Fx, Fx, Fx]:
-    x_out, y_out = circ_rotate(x_a, y_a, j.theta, cfg)
-    d_const = fx_from_real(j.d * w, cfg.fmt)
-    z_out = _lin_accumulate(d_const, z_a, cfg)
-    return x_out, y_out, z_out
+    Returns the stage-1 raws (x_a, y_a, z_a) and the output raws.  Raises
+    ValueError unless w is 0 or 1, and DomainError unless 2|p|_2 +
+    |a_eff w| + |d w| + 2 fits the format's range, so no value the module
+    forms can saturate (see ccm_transform).
+    """
+    fmt = cfg.fmt
+    limit = fmt.max_raw * fmt.eps
+    for j, (px, py, pz, pw) in zip(joints, p.tolist()):
+        if pw not in (0.0, 1.0):
+            raise ValueError(f"point w must be 0 or 1, got {pw}")
+        reach = 2.0 * math.hypot(px, py, pz) + abs(j.a_eff * pw) + abs(j.d * pw) + 2.0
+        if not reach <= limit:
+            raise DomainError(f"link {j} on point {Vec4(px, py, pz, pw)} can saturate {fmt}")
+    theta, d, a_eff, alpha = np.array([(j.theta, j.d, j.a_eff, j.alpha) for j in joints], dtype=np.float64).T
+    x, y, z = (lanes_from_real(p[:, c], fmt) for c in range(3))
+    w = p[:, 3]
+    # stage 1: CIRC1 on (y, z; alpha) and LIN1 on (1, a; x) are independent
+    # and may run in parallel; both read only stage inputs
+    y_a, z_a = circ_rotate_lanes(y, z, alpha, cfg)
+    x_a = _lin_accumulate(lanes_from_real(a_eff * w, fmt), x, cfg)
+    x_out, y_out = circ_rotate_lanes(x_a, y_a, theta, cfg)
+    z_out = _lin_accumulate(lanes_from_real(d * w, fmt), z_a, cfg)
+    return (x_a, y_a, z_a), (x_out, y_out, z_out)
 
 
 def ccm_transform(j: DhJoint, p: Vec4, cfg: CordicConfig = DEFAULT_CONFIG) -> CcmResult:
@@ -108,18 +139,25 @@ def ccm_transform(j: DhJoint, p: Vec4, cfg: CordicConfig = DEFAULT_CONFIG) -> Cc
     max(1, |v|), so it stays within |c| + 2|v| + 1, with |v| <= |p|_2.  The
     remaining 1 is margin for truncation drift.
     """
-    if p.w not in (0.0, 1.0):
-        raise ValueError(f"point w must be 0 or 1, got {p.w}")
-    fmt = cfg.fmt
-    reach = 2.0 * math.hypot(p.x, p.y, p.z) + abs(j.a_eff * p.w) + abs(j.d * p.w) + 2.0
-    if not reach <= fmt.max_raw * fmt.eps:
-        raise DomainError(f"link {j} on point {p} can saturate {fmt}")
-    x = fx_from_real(p.x, fmt)
-    y = fx_from_real(p.y, fmt)
-    z = fx_from_real(p.z, fmt)
-    inter = _stage1(j, x, y, z, p.w, cfg)
-    x_out, y_out, z_out = _stage2(j, *inter, p.w, cfg)
-    return CcmResult(Vec4(x_out.real, y_out.real, z_out.real, p.w), inter)
+    inter, out = _module([j], np.array([p.as_array()], dtype=np.float64), cfg)
+    x, y, z = (float(lanes_real(v, cfg.fmt)[0]) for v in out)
+    return CcmResult(Vec4(x, y, z, p.w), tuple(Fx(int(v[0]), cfg.fmt) for v in inter))
+
+
+def ccm_points(chains, points, cfg: CordicConfig = DEFAULT_CONFIG) -> np.ndarray:
+    """Push points[k] (x, y, z, w) through chains[k] from frame n to the
+    base, P_{i-1} = A_i P_i for i = n..1, all lanes at once; returns the
+    (len(chains), 4) points.  The chains must have one length."""
+    lengths = {len(c) for c in chains}
+    if 0 in lengths:
+        raise ValueError("empty chain")
+    if len(lengths) != 1:
+        raise ValueError(f"need one or more chains of one length, got lengths {sorted(lengths)}")
+    p = np.array(points, dtype=np.float64).reshape(len(chains), 4)
+    for link in reversed(range(lengths.pop())):
+        _, out = _module([c[link] for c in chains], p, cfg)
+        p = np.column_stack([lanes_real(v, cfg.fmt) for v in out] + [p[:, 3]])
+    return p
 
 
 def fk_pipeline(
@@ -129,25 +167,25 @@ def fk_pipeline(
     model: PipelineModel | None = None,
 ) -> tuple[Vec4, LatencyReport]:
     """Walk a point from frame n to the base: P_{i-1} = A_i P_i, i = n..1."""
-    if len(chain) == 0:
-        raise ValueError("empty chain")
-    p = p_end
-    for j in reversed(chain):
-        p = ccm_transform(j, p, cfg).p_out
+    x, y, z, _ = ccm_points([chain], [p_end.as_array()], cfg)[0].tolist()
     if model is None:
         model = PipelineModel(len(chain))
     report = LatencyReport(len(chain), 4 * len(chain), latency_us(model))
-    return p, report
+    return Vec4(x, y, z, p_end.w), report
 
 
-def ccm_pose(chain: DhChain, cfg: CordicConfig = DEFAULT_CONFIG):
-    """Full pose via the module cascade: three direction columns pushed as
-    free vectors plus the origin pushed as a point."""
-    cols = []
-    for v in (Vec4(1, 0, 0, 0.0), Vec4(0, 1, 0, 0.0), Vec4(0, 0, 1, 0.0), Vec4(0, 0, 0, 1.0)):
-        out, _ = fk_pipeline(chain, v, cfg)
-        cols.append([out.x, out.y, out.z, out.w])
-    return np.array(cols).T
+def ccm_poses(chains, cfg: CordicConfig = DEFAULT_CONFIG) -> np.ndarray:
+    """Full poses via the module cascade, (len(chains), 4, 4): per chain,
+    the three direction columns pushed as free vectors plus the origin
+    pushed as a point, four lanes per chain."""
+    columns = np.tile(np.eye(4), (len(chains), 1))  # row k of eye(4) is column k of a pose
+    out = ccm_points([c for c in chains for _ in range(4)], columns, cfg)
+    return out.reshape(len(chains), 4, 4).transpose(0, 2, 1)
+
+
+def ccm_pose(chain: DhChain, cfg: CordicConfig = DEFAULT_CONFIG) -> np.ndarray:
+    """Full pose of one chain via the module cascade (see ccm_poses)."""
+    return ccm_poses([chain], cfg)[0]
 
 
 def point_op_count(cfg: CordicConfig = DEFAULT_CONFIG) -> int:

@@ -163,7 +163,7 @@ class Report:
 
 @dataclass(frozen=True)
 class _Backend:
-    pose: Callable  # chain -> 4x4 ndarray
+    poses: Callable  # sequence of chains -> one 4x4 ndarray per chain
     ops: int  # modeled scalar ops per pose
     latency: float  # modeled pipeline latency, 0 where no model exists
     params: str
@@ -188,16 +188,20 @@ def _make_backends(args, n_links: int) -> dict[str, _Backend]:
         ),
     }
     backends = {
-        name: _Backend(partial(chain_pose, sincos=sincos), pose_op_count(n_links, ops), 0.0, params)
+        name: _Backend(partial(_chain_poses, sincos=sincos), pose_op_count(n_links, ops), 0.0, params)
         for name, (sincos, ops, params) in trig.items()
     }
     backends["cordic"] = _Backend(
-        partial(ccm.ccm_pose, cfg=ccfg),
+        partial(ccm.ccm_poses, cfg=ccfg),
         ccm.pose_op_count(n_links, ccfg),
         ccm.latency_us(ccm.PipelineModel(n_links)),
         f"iters={args.iters};fmt={args.format}",
     )
     return backends
+
+
+def _chain_poses(chains, sincos) -> list[np.ndarray]:
+    return [chain_pose(c, sincos) for c in chains]
 
 
 def _print_pose(pose: np.ndarray) -> None:
@@ -208,7 +212,7 @@ def _print_pose(pose: np.ndarray) -> None:
 def cmd_solve(args) -> int:
     chain_file = load_chain(args.chain)
     backend = _make_backends(args, len(chain_file.joints))[args.backend]
-    pose = backend.pose(chain_file.joints)
+    pose = backend.poses([chain_file.joints])[0]
     print(f"chain: {chain_file.name} ({len(chain_file.joints)} joints)")
     print(f"backend: {args.backend}")
     _print_pose(pose)
@@ -222,6 +226,22 @@ def cmd_solve(args) -> int:
     return 0
 
 
+def bench_variants(joints, trials: int, seed: int) -> list[tuple[DhJoint, ...]]:
+    """The seeded chains bench grades: each rotary theta drawn uniformly
+    from [-pi, pi), each prismatic d from [0, 1), joint by joint."""
+    rng = np.random.default_rng(seed)
+    variants = []
+    for _ in range(trials):
+        variant = []
+        for j in joints:
+            if j.kind == ROTARY:
+                variant.append(DhJoint(j.kind, float(rng.uniform(-math.pi, math.pi)), j.d, j.a, j.alpha))
+            else:
+                variant.append(DhJoint(j.kind, j.theta, float(rng.uniform(0.0, 1.0)), j.a, j.alpha))
+        variants.append(tuple(variant))
+    return variants
+
+
 def cmd_bench(args) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
@@ -231,16 +251,7 @@ def cmd_bench(args) -> int:
         if b not in BACKENDS:
             raise ChainParseError("<backends>", 1, 1, f"unknown backend {b!r}")
     backends = _make_backends(args, len(chain_file.joints))
-    rng = np.random.default_rng(args.seed)
-    variants = []
-    for _ in range(args.trials):
-        joints = []
-        for j in chain_file.joints:
-            if j.kind == ROTARY:
-                joints.append(DhJoint(j.kind, float(rng.uniform(-math.pi, math.pi)), j.d, j.a, j.alpha))
-            else:
-                joints.append(DhJoint(j.kind, j.theta, float(rng.uniform(0.0, 1.0)), j.a, j.alpha))
-        variants.append(tuple(joints))
+    variants = bench_variants(chain_file.joints, args.trials, args.seed)
     oracles = [chain_pose(v) for v in variants]
 
     print(CSV_HEADER)
@@ -249,8 +260,8 @@ def cmd_bench(args) -> int:
         max_err = 0.0
         sq_sum = 0.0
         count = 0
-        for variant, oracle in zip(variants, oracles):
-            diff = np.abs(backend.pose(variant) - oracle)
+        for pose, oracle in zip(backend.poses(variants), oracles):
+            diff = np.abs(pose - oracle)
             max_err = max(max_err, float(diff.max()))
             sq_sum += float((diff**2).sum())
             count += diff.size

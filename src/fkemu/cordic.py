@@ -5,6 +5,17 @@ by the mode constant m: circular (1), linear (0), hyperbolic (-1).  Rotation
 mode drives the angle residual z to zero, vectoring mode drives y to zero.
 The circular gain K = prod sqrt(1 + 2**-2i) is never free: callers either
 pre-scale by 1/K (see circ_rotate) or account for it themselves.
+
+The micro-rotation loop is written once, in cordic_lanes, over lanes: x, y
+and z are ndarrays holding one raw integer per lane, and each lane picks
+its own sigma, so a whole batch of independent rotations advances one
+iteration per numpy operation.  Lanes are int64 for words up to 32 bits,
+where every sum and the 1/K pre-scale product are exact, and object arrays
+of Python ints for wider words (fixedpoint.lane_dtype); the loop is the
+same.  Every add and sub saturates as fx_add and fx_sub do, so each lane
+equals a fold of the scalar reference cordic_step bit for bit.  The Fx
+entry points (cordic_rotate, cordic_vector, circ_rotate, sincos_cordic)
+are one-lane calls into it.
 """
 
 from __future__ import annotations
@@ -13,7 +24,22 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .fixedpoint import HALF_PI, DomainError, Fx, QFormat, fold_angle, fx_add, fx_from_real, fx_mul, fx_neg, fx_shr, fx_sub
+import numpy as np
+
+from .fixedpoint import (
+    HALF_PI,
+    DomainError,
+    Fx,
+    QFormat,
+    clip,
+    fold_angle,
+    fx_add,
+    fx_from_real,
+    fx_shr,
+    fx_sub,
+    lane_dtype,
+    lanes_from_real,
+)
 
 CIRCULAR = 1
 LINEAR = 0
@@ -112,16 +138,51 @@ def cordic_step(s: CordicState, mode: int, sigma: int) -> CordicState:
     return CordicState(x, y, z, s.i + 1)
 
 
-def _run(x0: Fx, y0: Fx, z0: Fx, mode: int, cfg: CordicConfig, vectoring: bool) -> tuple[Fx, Fx, Fx]:
-    s = CordicState(x0, y0, z0, 0)
-    for i in iteration_indices(mode, cfg.n_iter):
-        s = CordicState(s.x, s.y, s.z, i)
-        if vectoring:
-            sigma = -1 if s.y.raw > 0 else 1
-        else:
-            sigma = 1 if s.z.raw >= 0 else -1
-        s = cordic_step(s, mode, sigma)
-    return s.x, s.y, s.z
+@lru_cache(maxsize=None)
+def _micro_angles(mode: int, cfg: CordicConfig) -> tuple[tuple[int, int], ...]:
+    """(shift index, micro-angle raw) of every executed iteration."""
+    indices = iteration_indices(mode, cfg.n_iter)
+    if indices[-1] >= cfg.fmt.word_bits:
+        raise ValueError(f"shift {indices[-1]} out of range for {cfg.fmt}")
+    return tuple((i, _angle_fx(mode, i, cfg.fmt).raw) for i in indices)
+
+
+@lru_cache(maxsize=None)
+def _inv_gain_raw(cfg: CordicConfig) -> int:
+    return fx_from_real(1.0 / gain(cfg.n_iter, CIRCULAR), cfg.fmt).raw
+
+
+def cordic_lanes(x, y, z, mode: int, cfg: CordicConfig, vectoring: bool = False):
+    """The micro-rotation loop over lanes of raws in cfg.fmt; returns (x, y, z).
+
+    x, y and z are arrays of lane_dtype(cfg.fmt), one raw per lane.  sigma
+    is chosen per lane, +1 on ties: sign(z) in rotation mode, -sign(y) in
+    vectoring mode.  Each lane equals cordic_step folded over
+    iteration_indices, bit for bit.  No range checks: those belong to the
+    callers that know what the lanes hold.
+    """
+    lo, hi = cfg.fmt.min_raw, cfg.fmt.max_raw
+    for i, e in _micro_angles(mode, cfg):
+        s = ((-y if vectoring else z) >> 63) | 1  # raws have at most 64 bits
+        tx = x >> i
+        if mode == CIRCULAR:
+            x = clip(x - s * (y >> i), lo, hi)
+        elif mode == HYPERBOLIC:
+            x = clip(x + s * (y >> i), lo, hi)
+        y = clip(y + s * tx, lo, hi)
+        z = clip(z - s * e, lo, hi)
+    return x, y, z
+
+
+def _one_lane(cfg: CordicConfig, *values: Fx) -> list[np.ndarray]:
+    for v in values:
+        if v.fmt != cfg.fmt:
+            raise ValueError(f"format mismatch: {v.fmt} vs {cfg.fmt}")
+    return [np.array([v.raw], dtype=lane_dtype(cfg.fmt)) for v in values]
+
+
+def _fx(cfg: CordicConfig, *lanes: np.ndarray) -> tuple[Fx, ...]:
+    return tuple(Fx(int(v[0]), cfg.fmt) for v in lanes)
 
 
 def cordic_rotate(x0: Fx, y0: Fx, z0: Fx, mode: int, cfg: CordicConfig) -> tuple[Fx, Fx, Fx]:
@@ -131,7 +192,7 @@ def cordic_rotate(x0: Fx, y0: Fx, z0: Fx, mode: int, cfg: CordicConfig) -> tuple
     linear output is (x0, y0 + x0*z0, ~0).
     """
     _check_range(mode, z0.real)
-    return _run(x0, y0, z0, mode, cfg, vectoring=False)
+    return _fx(cfg, *cordic_lanes(*_one_lane(cfg, x0, y0, z0), mode, cfg))
 
 
 def cordic_vector(x0: Fx, y0: Fx, z0: Fx, mode: int, cfg: CordicConfig) -> tuple[Fx, Fx, Fx]:
@@ -149,7 +210,7 @@ def cordic_vector(x0: Fx, y0: Fx, z0: Fx, mode: int, cfg: CordicConfig) -> tuple
         raise DomainError("linear vectoring needs |y0/x0| <= 2")
     if mode == HYPERBOLIC and abs(y0.real) >= abs(x0.real):
         raise DomainError("hyperbolic vectoring needs |y0| < |x0|")
-    return _run(x0, y0, z0, mode, cfg, vectoring=True)
+    return _fx(cfg, *cordic_lanes(*_one_lane(cfg, x0, y0, z0), mode, cfg, vectoring=True))
 
 
 def _check_range(mode: int, z: float) -> None:
@@ -167,36 +228,42 @@ def circ_rotate(x: Fx, y: Fx, angle: float, cfg: CordicConfig) -> tuple[Fx, Fx]:
     Pre-scales the vector by 1/K, folds |angle| to a residual in [-pi/4,
     pi/4] plus a whole number of quarter turns, iterates, then applies the
     quarter turns as exact sign/swap moves.  This is the reusable circular
-    building block behind sin/cos generation and every link-rotation stage.
+    building block behind sin/cos generation and every link-rotation stage;
+    circ_rotate_lanes is the same on lanes.
 
     Odd symmetry holds only within sincos_tolerance, not bit for bit: the
     shift-add steps truncate toward -inf, so a rotation by -z is not the
     mirror image of one by z.  Raises DomainError beyond MAX_ANGLE or for
     a non-finite angle.
     """
+    x_lane, y_lane = _one_lane(cfg, x, y)
+    return _fx(cfg, *circ_rotate_lanes(x_lane, y_lane, np.array([angle], dtype=np.float64), cfg))
+
+
+# sign of the rotated (x, y) after a swap for each quarter turn q & 3
+_QUARTER_X = np.array([1, -1, -1, 1])
+_QUARTER_Y = np.array([1, 1, -1, -1])
+
+
+def circ_rotate_lanes(x, y, angle: np.ndarray, cfg: CordicConfig):
+    """circ_rotate on lanes: raws x, y in cfg.fmt and a float64 angle per
+    lane; returns the rotated raws.  DomainError if any |angle| exceeds
+    MAX_ANGLE or is not finite."""
     fmt = cfg.fmt
-    inv_k = fx_from_real(1.0 / gain(cfg.n_iter, CIRCULAR), fmt)
-    xs = fx_mul(x, inv_k, fmt)
-    ys = fx_mul(y, inv_k, fmt)
-    q, r = fold_angle(abs(angle))
-    if r > HALF_PI / 2:
-        q, r = q + 1, r - HALF_PI
-    if angle < 0:
-        q, r = -q, -r
-    z = fx_from_real(r, fmt)
-    xr, yr, _ = cordic_rotate(xs, ys, z, CIRCULAR, cfg)
-    return _quarter_turns(xr, yr, q)
-
-
-def _quarter_turns(x: Fx, y: Fx, q: int) -> tuple[Fx, Fx]:
-    q &= 3
-    if q == 0:
-        return x, y
-    if q == 1:
-        return fx_neg(y), x
-    if q == 2:
-        return fx_neg(x), fx_neg(y)
-    return y, fx_neg(x)
+    lo, hi = fmt.min_raw, fmt.max_raw
+    inv_k = _inv_gain_raw(cfg)
+    xs = clip((x * inv_k) >> fmt.frac_bits, lo, hi)  # fx_mul into fmt
+    ys = clip((y * inv_k) >> fmt.frac_bits, lo, hi)
+    q, r = fold_angle(np.abs(angle))
+    up = r > HALF_PI / 2
+    q, r = q + up, np.where(up, r - HALF_PI, r)
+    neg = angle < 0
+    q, r = np.where(neg, -q, q) & 3, np.where(neg, -r, r)
+    xr, yr, _ = cordic_lanes(xs, ys, lanes_from_real(r, fmt), CIRCULAR, cfg)
+    odd = (q & 1).astype(bool)
+    x_out = clip(np.where(odd, yr, xr) * _QUARTER_X[q], lo, hi)
+    y_out = clip(np.where(odd, xr, yr) * _QUARTER_Y[q], lo, hi)
+    return x_out, y_out
 
 
 def sincos_cordic(theta: float, cfg: CordicConfig = DEFAULT_CONFIG) -> tuple[Fx, Fx]:

@@ -13,6 +13,11 @@ exactly when the output gains fraction bits and by truncation when it
 loses them.
 
 Every sin/cos backend reduces its angle through the one fold_angle here.
+
+Batched datapaths hold the raws of many values, one per lane, in an ndarray
+of lane_dtype(fmt); clip to fmt's min_raw/max_raw, lanes_from_real and
+lanes_real are the saturation of fx_add, fx_from_real and Fx.real on such
+arrays, bit for bit.
 """
 
 from __future__ import annotations
@@ -21,6 +26,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+# clip(raw, lo, hi) is numpy's clip ufunc itself: np.clip wraps it in
+# microseconds of argument checks, which a loop over lanes pays per step
+try:
+    from numpy._core.umath import clip
+except ImportError:  # numpy < 2
+    from numpy.core.umath import clip
 
 HALF_PI = math.pi / 2
 TWO_PI = 2 * math.pi
@@ -162,3 +174,28 @@ def fx_cast(a: Fx, out: QFormat) -> Fx:
     shift = out.frac_bits - a.fmt.frac_bits
     raw = a.raw << shift if shift >= 0 else a.raw >> -shift
     return Fx(_saturate(raw, out.max_raw, out.min_raw), out)
+
+
+_to_int = np.frompyfunc(int, 1, 1)
+
+
+def lane_dtype(fmt: QFormat):
+    """int64 while the product of two raws fits in it (2*word_bits - 2 <= 63,
+    i.e. words up to 32 bits); object, exact Python ints, for wider words."""
+    return np.int64 if 2 * fmt.word_bits - 2 <= 63 else object
+
+
+def lanes_from_real(v, fmt: QFormat) -> np.ndarray:
+    """fx_from_real on an array of finite reals: raws in lane_dtype(fmt).
+
+    Where fx_from_real raises (a NaN, or a real that overflows a double
+    once scaled by 2**frac_bits), the result is undefined."""
+    raw = np.rint(np.ldexp(np.asarray(v, dtype=np.float64), fmt.frac_bits))
+    if lane_dtype(fmt) is object:
+        return clip(_to_int(raw), fmt.min_raw, fmt.max_raw)
+    return clip(raw, fmt.min_raw, fmt.max_raw).astype(np.int64)  # exact: a word up to 32 bits
+
+
+def lanes_real(raw: np.ndarray, fmt: QFormat) -> np.ndarray:
+    """Fx.real of every lane, as float64."""
+    return np.ldexp(raw.astype(np.float64), -fmt.frac_bits)

@@ -67,13 +67,20 @@ def _sin_quarter(u, table: SinTable):
     return lo + (hi - lo) * frac
 
 
+# per quadrant: whether sin and cos trade table reads, and their signs
+_SWAP = np.array([False, True, False, True])
+_SIN_SIGN = np.array([1.0, 1.0, -1.0, -1.0])
+_COS_SIGN = np.array([1.0, -1.0, -1.0, 1.0])
+
+
 def _sincos_abs(a, table: SinTable):
     """(cos, sin) for a >= 0 via fold_angle onto the quarter table."""
     quad, r = fold_angle(a)
     s_r = _sin_quarter(r, table)
     c_r = _sin_quarter(HALF_PI - r, table)
-    sin = np.select([quad == 0, quad == 1, quad == 2], [s_r, c_r, -s_r], default=-c_r)
-    cos = np.select([quad == 0, quad == 1, quad == 2], [c_r, -s_r, -c_r], default=s_r)
+    swap = _SWAP[quad]
+    cos = np.where(swap, s_r, c_r) * _COS_SIGN[quad]
+    sin = np.where(swap, c_r, s_r) * _SIN_SIGN[quad]
     return cos, sin
 
 

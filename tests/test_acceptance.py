@@ -14,9 +14,9 @@ import time
 import numpy as np
 
 from fkemu import cli
-from fkemu.ccm import PipelineModel, ccm_transform, fk_pipeline, latency_us
+from fkemu.ccm import PipelineModel, ccm_points, fk_pipeline, latency_us
 from fkemu.cfr import CfrState, cfr_gain, cfr_rotate, cfr_step, forced_selection
-from fkemu.cordic import CordicConfig, sincos_cordic
+from fkemu.cordic import CordicConfig, circ_rotate_lanes
 from fkemu.dh import (
     DhJoint,
     ROTARY,
@@ -29,7 +29,7 @@ from fkemu.dh import (
     puma_chain,
     puma_closed_form,
 )
-from fkemu.fixedpoint import Q1_15, Q8_24, fx_from_real
+from fkemu.fixedpoint import Q1_15, Q8_24, fx_from_real, lanes_from_real, lanes_real
 from fkemu.lut import LINEAR, NEAREST, build_table, error_profile
 from fkemu.taylor import TaylorConfig, remainder_bound, series_cos, series_sin, taylor_sincos
 from fkemu.umdh import UmdhParams, clock_time, umdh_chain, umdh_program, umdh_t04_naive, vm_run
@@ -65,14 +65,15 @@ def test_c01_decomposition_identity():
 def test_c02_ccm_equivalence():
     rng = random.Random(102)
     strict = 32 * 2.0**-24
-    worst = 0.0
+    joints, points = [], []
     for _ in range(1000):
-        j = DhJoint(ROTARY, rng.uniform(-math.pi, math.pi), rng.uniform(-1, 1),
-                    rng.uniform(-1, 1), rng.uniform(-math.pi, math.pi))
-        p = Vec4(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1))
-        got = ccm_transform(j, p, CFG).p_out
-        want = apply_point(link_transform(j), p)
-        worst = max(worst, abs(got.x - want.x), abs(got.y - want.y), abs(got.z - want.z))
+        joints.append(DhJoint(ROTARY, rng.uniform(-math.pi, math.pi), rng.uniform(-1, 1),
+                              rng.uniform(-1, 1), rng.uniform(-math.pi, math.pi)))
+        points.append(Vec4(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1)))
+    # one lane per (joint, point): each lane is what ccm_transform computes
+    got = ccm_points([(j,) for j in joints], [p.as_array() for p in points], CFG)
+    want = np.array([apply_point(link_transform(j), p).as_array() for j, p in zip(joints, points)])
+    worst = float(np.abs(got[:, :3] - want[:, :3]).max())
     assert worst <= 1e-4  # relaxed gate
     assert worst <= strict  # 32 ulps of Q8.24
     print(f"criterion 2 PASS: module vs matrix, max {worst:.3e} <= {strict:.3e}")
@@ -80,13 +81,13 @@ def test_c02_ccm_equivalence():
 
 def test_c03_cordic_sincos():
     rng = random.Random(103)
-    worst = 0.0
-    worst_pyth = 0.0
-    for _ in range(10_000):
-        th = rng.uniform(-math.pi, math.pi)
-        c, s = sincos_cordic(fx_from_real(th, Q8_24).real, CFG)
-        worst = max(worst, abs(c.real - math.cos(th)), abs(s.real - math.sin(th)))
-        worst_pyth = max(worst_pyth, abs(c.real**2 + s.real**2 - 1.0))
+    th = np.array([rng.uniform(-math.pi, math.pi) for _ in range(10_000)])
+    # one lane per angle: each lane is what sincos_cordic computes
+    quantized = lanes_real(lanes_from_real(th, Q8_24), Q8_24)
+    one = np.full(th.size, fx_from_real(1.0, Q8_24).raw)
+    c, s = (lanes_real(v, Q8_24) for v in circ_rotate_lanes(one, np.zeros_like(one), quantized, CFG))
+    worst = float(max(np.abs(c - np.cos(th)).max(), np.abs(s - np.sin(th)).max()))
+    worst_pyth = float(np.abs(c**2 + s**2 - 1.0).max())
     assert worst <= 1e-6
     assert worst_pyth <= 4e-6
     print(f"criterion 3 PASS: sincos max {worst:.3e} <= 1e-6, pythagorean {worst_pyth:.3e} <= 4e-6")

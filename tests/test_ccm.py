@@ -1,13 +1,19 @@
 import dataclasses
+import hashlib
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fkemu import cli
 
 from fkemu.ccm import (
     PipelineModel,
     ccm_pose,
+    ccm_poses,
     ccm_transform,
     fk_pipeline,
     latency_us,
@@ -15,8 +21,8 @@ from fkemu.ccm import (
     pose_op_count,
 )
 from fkemu.cordic import CordicConfig
-from fkemu.dh import DhJoint, ROTARY, Vec4, apply_point, chain_pose, link_transform
-from fkemu.fixedpoint import DomainError, Q8_24
+from fkemu.dh import DhJoint, PRISMATIC, ROTARY, Vec4, apply_point, chain_pose, link_transform
+from fkemu.fixedpoint import DomainError, Q8_24, QFormat
 
 CFG = CordicConfig(24, Q8_24)
 TOL = 32 * 2.0**-24
@@ -200,3 +206,94 @@ def test_largest_accepted_reach_is_not_pinned():
     got = ccm_transform(j, p, CFG).p_out
     want = apply_point(link_transform(j), p)
     assert abs(got.z - want.z) < 1e-4
+
+
+def test_poses_reject_empty_and_ragged_chains():
+    with pytest.raises(ValueError):
+        ccm_poses([()], CFG)
+    with pytest.raises(ValueError):
+        ccm_poses([], CFG)
+    j = DhJoint(ROTARY, 0.1, 0.1, 0.1, 0.1)
+    with pytest.raises(ValueError):
+        ccm_poses([(j,), (j, j)], CFG)
+
+
+joint_strategy = st.builds(
+    DhJoint,
+    st.sampled_from([ROTARY, PRISMATIC]),
+    st.floats(-math.pi, math.pi),
+    st.floats(0.0, 3.0),  # sums past 2 make the linear accumulates stage some lanes
+    st.floats(-0.5, 0.5),
+    st.floats(-math.pi, math.pi),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(joint_strategy, min_size=n, max_size=n).map(tuple), min_size=1, max_size=4)
+))
+def test_batched_poses_equal_one_chain_poses(chains):
+    got = ccm_poses(chains, CFG)
+    assert got.shape == (len(chains), 4, 4)
+    for k, chain in enumerate(chains):
+        assert got[k].tobytes() == ccm_pose(chain, CFG).tobytes()
+    origin, _ = fk_pipeline(chains[0], Vec4(0, 0, 0), CFG)
+    assert got[0][:, 3].tolist() == [origin.x, origin.y, origin.z, 1.0]
+
+
+def _chain12():
+    """12 links, every third one prismatic."""
+    rng = np.random.default_rng(12)
+    chain = []
+    for i in range(12):
+        kind = PRISMATIC if i % 3 == 2 else ROTARY
+        theta, alpha = (float(v) for v in rng.uniform(-math.pi, math.pi, 2))
+        chain.append(DhJoint(kind, theta, float(rng.uniform(0.0, 0.3)), float(rng.uniform(-0.3, 0.3)), alpha))
+    return tuple(chain)
+
+
+def _sha256(poses):
+    return hashlib.sha256(poses.tobytes()).hexdigest()
+
+
+# Raw pose bits of the module cascade: a moved bit anywhere shows up here,
+# where the bench CSV only carries max/rms errors to seven digits.
+GOLDEN_SOLVE_Q16_40 = """\
+chain: puma560 (6 joints)
+backend: cordic
+   1.000000000  -0.000000000  -0.000000000   0.411480000
+   0.000000000   1.000000000   0.000000000   0.149090000
+   0.000000000   0.000000000   1.000000000   0.489320000
+   0.000000000   0.000000000   0.000000000   1.000000000
+max deviation vs matrix oracle: 8.185452e-11
+point:  0.411480000   0.149090000   0.489320000
+"""
+
+
+def test_ccm_poses_golden(capsys):
+    puma = cli.load_chain("puma560").joints
+    assert _sha256(ccm_poses(cli.bench_variants(puma, 16, 5), CFG)) == (
+        "e4ec7ac5721f954411f063006eed989f9ba5fff086c72529e43306f3233d4d92"
+    )
+    assert _sha256(ccm_poses(cli.bench_variants(_chain12(), 4, 7), CFG)) == (
+        "e16ce30ea6ce00c639f89c5e0248d50f2932232ad5fa079f1ad3a7904b93a1a9"
+    )
+    # offsets of many meters: the linear accumulates stage lanes by 2**k, k differing per lane
+    long_links = (
+        DhJoint(ROTARY, 0.0, 12.0, 3.0, 0.7),
+        DhJoint(PRISMATIC, 0.4, 0.0, 0.0, -1.1),
+        DhJoint(ROTARY, 0.0, 9.5, -4.0, 2.0),
+    )
+    assert _sha256(ccm_poses(cli.bench_variants(long_links, 4, 3), CFG)) == (
+        "dbe5e1e7ab0f8f8b8910295c4a744285a2e2e88231a165a95ac818093aa0c850"
+    )
+    # a 56-bit word: object lanes, and doubles between links that round
+    wide = CordicConfig(40, QFormat(56, 40))
+    assert _sha256(ccm_poses([puma], wide)) == (
+        "36948e2f78d5bd6f92cef7df1ed26581bb7a6a80130f6f501ca2455c2454f35e"
+    )
+    assert _sha256(ccm_poses(cli.bench_variants(puma, 2, 9), wide)) == (
+        "efab1c2a2b7b428161db5f5b8167186f8b9b521b2d151322a0b3d3668098996c"
+    )
+    assert cli.main(["solve", "puma560", "--backend", "cordic", "--format", "Q16.40", "--iters", "40"]) == 0
+    assert capsys.readouterr().out == GOLDEN_SOLVE_Q16_40

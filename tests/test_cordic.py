@@ -1,8 +1,9 @@
 import math
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fkemu.cordic import (
@@ -13,6 +14,8 @@ from fkemu.cordic import (
     HYPERBOLIC,
     LINEAR,
     circ_rotate,
+    circ_rotate_lanes,
+    cordic_lanes,
     cordic_rotate,
     cordic_step,
     cordic_vector,
@@ -21,7 +24,7 @@ from fkemu.cordic import (
     sincos_cordic,
     sincos_tolerance,
 )
-from fkemu.fixedpoint import MAX_ANGLE, Q8_24, fx_from_real
+from fkemu.fixedpoint import MAX_ANGLE, Q8_24, Fx, QFormat, fx_from_real, lane_dtype
 
 CFG = CordicConfig(24, Q8_24)
 
@@ -232,3 +235,72 @@ def test_circ_rotate_any_angle():
         ey = y0 * math.cos(ang) + x0 * math.sin(ang)
         assert abs(x.real - ex) < 2e-6
         assert abs(y.real - ey) < 2e-6
+
+
+# a 16-bit word saturates quickly; Q8.24 is the default; a 56-bit word
+# runs on object lanes
+LANE_FORMATS = [QFormat(16, 12), Q8_24, QFormat(56, 40)]
+
+
+def scalar_reference(x, y, z, mode, cfg, vectoring):
+    """The micro-rotation loop as a fold of cordic_step over one lane."""
+    s = CordicState(Fx(x, cfg.fmt), Fx(y, cfg.fmt), Fx(z, cfg.fmt), 0)
+    for i in iteration_indices(mode, cfg.n_iter):
+        s = CordicState(s.x, s.y, s.z, i)
+        if vectoring:
+            sigma = -1 if s.y.raw > 0 else 1
+        else:
+            sigma = 1 if s.z.raw >= 0 else -1
+        s = cordic_step(s, mode, sigma)
+    return s.x.raw, s.y.raw, s.z.raw
+
+
+@st.composite
+def lane_batches(draw):
+    fmt = draw(st.sampled_from(LANE_FORMATS))
+    cfg = CordicConfig(draw(st.integers(1, fmt.frac_bits + 2)), fmt)
+    raw = st.one_of(
+        st.sampled_from([fmt.min_raw, fmt.max_raw, 0, -1, 1]),
+        st.integers(fmt.min_raw, fmt.max_raw),
+    )
+    lanes = draw(st.lists(st.tuples(raw, raw, raw), min_size=1, max_size=6))
+    return cfg, lanes
+
+
+@settings(deadline=None)
+@given(lane_batches(), st.sampled_from([CIRCULAR, LINEAR, HYPERBOLIC]), st.booleans())
+def test_lane_kernel_equals_scalar_reference(batch, mode, vectoring):
+    cfg, lanes = batch
+    x, y, z = (np.array(v, dtype=lane_dtype(cfg.fmt)) for v in zip(*lanes))
+    out = cordic_lanes(x, y, z, mode, cfg, vectoring)
+    for k, lane in enumerate(lanes):
+        want = scalar_reference(*lane, mode, cfg, vectoring)
+        assert tuple(int(v[k]) for v in out) == want
+
+
+def test_lane_dtype_follows_word_width():
+    assert lane_dtype(QFormat(32, 24)) is np.int64
+    assert lane_dtype(QFormat(33, 24)) is object
+    x, y, z = (np.array([v], dtype=object) for v in (1 << 40, 0, 1 << 38))
+    out = cordic_lanes(x, y, z, CIRCULAR, CordicConfig(40, QFormat(56, 40)))
+    assert all(type(v[0]) is int for v in out)
+
+
+@given(st.lists(st.floats(-MAX_ANGLE, MAX_ANGLE), min_size=1, max_size=8))
+def test_circ_rotate_lanes_equals_one_lane_calls(angles):
+    one, half = fx(1.0), fx(-0.5)
+    x = np.full(len(angles), one.raw)
+    y = np.full(len(angles), half.raw)
+    xs, ys = circ_rotate_lanes(x, y, np.array(angles), CFG)
+    for k, a in enumerate(angles):
+        assert circ_rotate(one, half, a, CFG) == (Fx(int(xs[k]), Q8_24), Fx(int(ys[k]), Q8_24))
+
+
+def test_wrappers_reject_a_format_other_than_the_config():
+    q4_12 = QFormat(16, 12)
+    x, y, z = (fx_from_real(v, q4_12) for v in (1.0, 0.0, 0.1))
+    cfg = CordicConfig(10, Q8_24)  # 10 shifts would fit a Q4.12 word too
+    with pytest.raises(ValueError):
+        cordic_rotate(x, y, z, CIRCULAR, cfg)
+    with pytest.raises(ValueError):
+        circ_rotate(x, y, 0.1, cfg)

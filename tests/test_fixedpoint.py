@@ -15,6 +15,7 @@ from fkemu.fixedpoint import (
     Q1_15,
     Q8_24,
     QFormat,
+    clip,
     fx_add,
     fold_angle,
     fx_cast,
@@ -22,6 +23,9 @@ from fkemu.fixedpoint import (
     fx_mul,
     fx_shr,
     fx_sub,
+    lane_dtype,
+    lanes_from_real,
+    lanes_real,
 )
 
 ACC = QFormat(36, 31)  # the Taylor engine's default accumulator
@@ -224,3 +228,21 @@ def test_fold_angle_outside_domain_raises(mag):
         fold_angle(mag)
     with pytest.raises(DomainError):
         fold_angle(np.array([0.5, mag]))
+
+
+@given(qformats(), st.data())
+def test_lane_conversions_match_scalar_ones(fmt, data):
+    # reals around the format's range, exact halves of an LSB, and far beyond
+    edge = math.ldexp(1.0, fmt.word_bits - fmt.frac_bits)
+    real = st.one_of(
+        st.floats(-2 * edge, 2 * edge),
+        st.integers(-1000, 1000).map(lambda k: (k + 0.5) * fmt.eps),
+        st.sampled_from([1e30, -1e30]),
+    )
+    values = data.draw(st.lists(real, min_size=1, max_size=8))
+    raws = lanes_from_real(values, fmt)
+    assert raws.dtype == lane_dtype(fmt)
+    assert [int(r) for r in raws] == [fx_from_real(v, fmt).raw for v in values]
+    assert lanes_real(raws, fmt).tolist() == [Fx(int(r), fmt).real for r in raws]
+    wide = np.array([fmt.max_raw + 1, fmt.min_raw - 1, 0], dtype=object)
+    assert clip(wide, fmt.min_raw, fmt.max_raw).tolist() == [fmt.max_raw, fmt.min_raw, 0]
