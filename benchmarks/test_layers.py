@@ -3,8 +3,10 @@
     PYTHONPATH=src python -m pytest benchmarks --benchmark-json=BENCH_<n>.json
 
 Layers, bottom up: fixed-point primitive, sin/cos generator per backend
-(scalar, and batched where the backend has lanes), link-matrix assembly,
-chain product or module cascade, the VM, and one in-process ``fkemu bench``.
+(one lane, and batched), link-matrix assembly, chain product or module
+cascade (one chain, and the stacked product of a bench's 16 variants),
+the VM, and one in-process ``fkemu bench`` on puma560 and on a 12-link
+chain.
 These time the emulator on the host; the modeled hardware latency is a
 formula (ccm.latency_us, umdh.clock_time) and is not measured here.  The
 suite sits outside the tier-1 testpaths; ``--benchmark-disable`` runs each
@@ -22,7 +24,7 @@ import pytest
 from fkemu import cli, lut, taylor, umdh
 from fkemu.ccm import ccm_pose, ccm_poses
 from fkemu.cordic import DEFAULT_CONFIG, circ_rotate_lanes, sincos_cordic
-from fkemu.dh import DhJoint, ROTARY, chain_pose, link_transform
+from fkemu.dh import DhJoint, ROTARY, chain_pose, chain_poses, exact_sincos, link_transform
 from fkemu.fixedpoint import Q8_24, fx_add, fx_from_real
 
 PUMA = cli.load_chain("puma560").joints
@@ -52,6 +54,12 @@ def test_taylor_sincos(benchmark):
     benchmark(taylor.taylor_sincos, 1.0)
 
 
+def test_taylor_sincos_192_angles(benchmark):
+    # a puma-bench request's worth: 16 variants x 6 links x (theta, alpha)
+    angles = np.linspace(-math.pi, math.pi, 192)
+    benchmark(taylor.taylor_sincos, angles)
+
+
 def test_lut_sincos_scalar(benchmark):
     benchmark(lut.lut_sincos, 1.0, TABLE)
 
@@ -77,6 +85,12 @@ def test_lut_pose_puma560(benchmark):
     benchmark(chain_pose, PUMA, partial(lut.lut_sincos, table=TABLE))
 
 
+@pytest.mark.parametrize("backend", ["matrix", "taylor", "lut"])
+def test_chain_poses_16_puma560_variants(benchmark, backend):
+    sincos = {"matrix": exact_sincos, "taylor": taylor.taylor_sincos, "lut": partial(lut.lut_sincos, table=TABLE)}
+    benchmark(chain_poses, VARIANTS, sincos[backend])
+
+
 def test_ccm_pose_puma560(benchmark):
     benchmark(ccm_pose, PUMA)
 
@@ -90,15 +104,38 @@ def test_vm_run(benchmark):
     benchmark(umdh.vm_run, prog, 0.2, 0.4, -0.6, 0.8, THUMB)
 
 
+def test_vm_run_taylor(benchmark):
+    prog = umdh.umdh_program(THUMB)
+    hw = umdh.VmConfig(sincos=taylor.taylor_sincos)
+    benchmark(umdh.vm_run, prog, 0.2, 0.4, -0.6, 0.8, THUMB, hw)
+
+
 def test_umdh_t04_naive(benchmark):
     benchmark(umdh.umdh_t04_naive, 0.2, 0.4, -0.6, 0.8, THUMB)
 
 
-def test_bench_puma560_cli(benchmark):
-    argv = ["bench", "puma560", "--trials", "16", "--seed", "5"]
-
+def _bench_cli(benchmark, argv):
     def run():
         with contextlib.redirect_stdout(io.StringIO()):
             return cli.main(argv)
 
     assert benchmark(run) == 0
+
+
+def test_bench_puma560_cli(benchmark):
+    _bench_cli(benchmark, ["bench", "puma560", "--trials", "16", "--seed", "5"])
+
+
+def test_bench_chain12_cli(benchmark, tmp_path):
+    # 12 links, every third prismatic, with the matrix, taylor and linear lut backends
+    rng = np.random.default_rng(12)
+    lines = ["name chain12"]
+    for i in range(12):
+        theta, alpha = (float(v) for v in rng.uniform(-math.pi, math.pi, 2))
+        d, a = float(rng.uniform(0.0, 0.3)), float(rng.uniform(-0.3, 0.3))
+        lines.append(f"joint {'P' if i % 3 == 2 else 'R'} {theta!r} {d!r} {a!r} {alpha!r}")
+    path = tmp_path / "chain12.chain"
+    path.write_text("\n".join(lines) + "\n")
+    argv = ["bench", str(path), "--backends", "matrix,taylor,lut", "--table-mode", "linear",
+            "--trials", "16", "--seed", "5"]
+    _bench_cli(benchmark, argv)

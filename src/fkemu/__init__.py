@@ -31,6 +31,7 @@ from .dh import (
     Vec4,
     apply_point,
     chain_pose,
+    chain_poses,
     decompose,
     exact_sincos,
     link_transform,

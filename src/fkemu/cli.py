@@ -29,7 +29,7 @@ import numpy as np
 
 from . import ccm, lut, taylor, umdh
 from .cordic import CordicConfig, DomainError
-from .dh import DhJoint, PRISMATIC, ROTARY, PumaParams, Vec4, chain_pose, exact_sincos, pose_op_count
+from .dh import DhJoint, PRISMATIC, ROTARY, PumaParams, Vec4, chain_pose, chain_poses, exact_sincos, pose_op_count
 from .fixedpoint import QFormat
 from .umdh import CapacityError, UmdhParams
 
@@ -163,7 +163,7 @@ class Report:
 
 @dataclass(frozen=True)
 class _Backend:
-    poses: Callable  # sequence of chains -> one 4x4 ndarray per chain
+    poses: Callable  # sequence of chains of one length -> (len(chains), 4, 4) ndarray
     ops: int  # modeled scalar ops per pose
     latency: float  # modeled pipeline latency, 0 where no model exists
     params: str
@@ -188,7 +188,7 @@ def _make_backends(args, n_links: int) -> dict[str, _Backend]:
         ),
     }
     backends = {
-        name: _Backend(partial(_chain_poses, sincos=sincos), pose_op_count(n_links, ops), 0.0, params)
+        name: _Backend(partial(chain_poses, sincos=sincos), pose_op_count(n_links, ops), 0.0, params)
         for name, (sincos, ops, params) in trig.items()
     }
     backends["cordic"] = _Backend(
@@ -200,10 +200,6 @@ def _make_backends(args, n_links: int) -> dict[str, _Backend]:
     return backends
 
 
-def _chain_poses(chains, sincos) -> list[np.ndarray]:
-    return [chain_pose(c, sincos) for c in chains]
-
-
 def _print_pose(pose: np.ndarray) -> None:
     for row in pose:
         print("  " + "  ".join(f"{v: .9f}" for v in row))
@@ -212,12 +208,12 @@ def _print_pose(pose: np.ndarray) -> None:
 def cmd_solve(args) -> int:
     chain_file = load_chain(args.chain)
     backend = _make_backends(args, len(chain_file.joints))[args.backend]
+    oracle = chain_pose(chain_file.joints)
     pose = backend.poses([chain_file.joints])[0]
     print(f"chain: {chain_file.name} ({len(chain_file.joints)} joints)")
     print(f"backend: {args.backend}")
     _print_pose(pose)
     if args.backend != "matrix":
-        oracle = chain_pose(chain_file.joints)
         dev = float(np.abs(pose - oracle).max())
         print(f"max deviation vs matrix oracle: {dev:.6e}")
     if chain_file.point is not None:
@@ -252,7 +248,7 @@ def cmd_bench(args) -> int:
             raise ChainParseError("<backends>", 1, 1, f"unknown backend {b!r}")
     backends = _make_backends(args, len(chain_file.joints))
     variants = bench_variants(chain_file.joints, args.trials, args.seed)
-    oracles = [chain_pose(v) for v in variants]
+    oracles = chain_poses(variants)
 
     print(CSV_HEADER)
     for name in names:
@@ -274,6 +270,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
+    if args.links < 1:
+        raise ValueError(f"--links must be >= 1, got {args.links}")
     print("n_links,processors,latency_us")
     for n in range(1, args.links + 1):
         model = ccm.PipelineModel(n)
@@ -282,6 +280,8 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_vm(args) -> int:
+    if not all(math.isfinite(v) for v in args.angles + args.params):
+        raise DomainError("joint angles and link constants must be finite")
     params = UmdhParams(*args.params)
     prog = umdh.umdh_program(params)
     hw = umdh.VmConfig(half_sized=args.half_sized, sincos_cycles=args.sincos_cycles)

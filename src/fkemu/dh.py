@@ -14,10 +14,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .fixedpoint import HALF_PI
+
 ROTARY = "rotary"
 PRISMATIC = "prismatic"
-
-HALF_PI = math.pi / 2
 
 
 @dataclass(frozen=True)
@@ -46,9 +46,10 @@ class DhJoint:
 
 DhChain = Sequence[DhJoint]
 
-# A trig provider: theta -> (cos theta, sin theta).  Every backend that swaps
+# A trig provider: theta -> (cos theta, sin theta), floats for a float and
+# float64 ndarrays of theta's shape for an ndarray.  Every backend that swaps
 # the trig of the chain product for an emulated sin/cos plugs in here.
-SinCos = Callable[[float], tuple[float, float]]
+SinCos = Callable
 
 
 @dataclass(frozen=True)
@@ -78,9 +79,14 @@ def link_from_trig(ct: float, st: float, ca: float, sa: float, a: float, d: floa
     ])
 
 
-def exact_sincos(theta: float) -> tuple[float, float]:
-    """Double-precision (cos, sin): the oracle's trig provider."""
-    return math.cos(theta), math.sin(theta)
+def exact_sincos(theta):
+    """Double-precision (cos, sin): the oracle's trig provider.  math.cos
+    and math.sin for a float, np.cos and np.sin for an ndarray."""
+    # the float test first: it keeps the one-angle calls of chain_pose and
+    # the VM within ~10 ns of plain math.cos/math.sin
+    if type(theta) is float or not isinstance(theta, np.ndarray):
+        return math.cos(theta), math.sin(theta)
+    return np.cos(theta), np.sin(theta)
 
 
 def link_transform(j: DhJoint, sincos: SinCos = exact_sincos) -> np.ndarray:
@@ -129,6 +135,35 @@ def chain_pose(chain: DhChain, sincos: SinCos = exact_sincos) -> np.ndarray:
     pose = link_transform(chain[0], sincos)
     for j in chain[1:]:
         pose = pose @ link_transform(j, sincos)
+    return pose
+
+
+def chain_poses(chains: Sequence[DhChain], sincos: SinCos = exact_sincos) -> np.ndarray:
+    """chain_pose of every chain, as one (len(chains), 4, 4) array.
+
+    The chains must have one length.  One provider call takes every theta
+    and alpha of the set; link k of every chain is assembled as a stack,
+    and the product runs link by link with a stacked matmul.  Each pose
+    equals chain_pose(chain, sincos) bit for bit when the provider gives
+    the same bits for an array as for its elements one by one.
+    """
+    lengths = {len(c) for c in chains}
+    if not lengths or 0 in lengths:
+        raise ValueError("empty chain")
+    if len(lengths) != 1:
+        raise ValueError(f"need chains of one length, got lengths {sorted(lengths)}")
+    theta, alpha, a, d = np.array(
+        [[(j.theta, j.alpha, j.a_eff, j.d) for j in c] for c in chains], dtype=np.float64
+    ).transpose(2, 0, 1)
+    (ct, ca), (st, sa) = sincos(np.stack([theta, alpha]))
+    links = np.zeros(theta.shape + (4, 4))  # link_from_trig, entry by entry
+    links[..., 0, 0], links[..., 0, 1], links[..., 0, 2], links[..., 0, 3] = ct, -ca * st, sa * st, a * ct
+    links[..., 1, 0], links[..., 1, 1], links[..., 1, 2], links[..., 1, 3] = st, ca * ct, -sa * ct, a * st
+    links[..., 2, 1], links[..., 2, 2], links[..., 2, 3] = sa, ca, d
+    links[..., 3, 3] = 1.0
+    pose = links[:, 0]
+    for k in range(1, links.shape[1]):
+        pose = pose @ links[:, k]
     return pose
 
 

@@ -22,6 +22,8 @@ NEAREST = "nearest"
 LINEAR = "linear"
 
 _MAGIC = b"FKLUT1"
+_HEADER = struct.Struct("<6sBBBI")  # magic, mode byte, word bits, fraction bits, entries
+_MODES = (NEAREST, LINEAR)  # mode byte -> mode
 
 
 @dataclass(frozen=True)
@@ -40,17 +42,21 @@ class SinTable:
 
 def build_table(n_entries: int, fmt: QFormat | None = None, mode: str = NEAREST) -> SinTable:
     """Build a quarter-wave sine table; deterministic for fixed inputs."""
-    if n_entries < 2:
-        raise ValueError("n_entries must be >= 2")
-    if n_entries & (n_entries - 1):
-        raise ValueError("n_entries must be a power of two")
-    if mode not in (NEAREST, LINEAR):
+    _check_entries(n_entries)
+    if mode not in _MODES:
         raise ValueError(f"bad mode {mode!r}")
     grid = np.sin(np.arange(n_entries) * (HALF_PI / n_entries))
     if fmt is not None:
         grid = np.array([fx_from_real(v, fmt).real for v in grid])
     grid.setflags(write=False)
     return SinTable(n_entries, grid, mode, fmt)
+
+
+def _check_entries(n_entries: int) -> None:
+    if n_entries < 2:
+        raise ValueError(f"n_entries must be >= 2, got {n_entries}")
+    if n_entries & (n_entries - 1):
+        raise ValueError(f"n_entries must be a power of two, got {n_entries}")
 
 
 def _sin_quarter(u, table: SinTable):
@@ -122,9 +128,8 @@ def dump_table(table: SinTable, path: str) -> None:
     """Flat binary dump: header then little-endian entries."""
     word = table.fmt.word_bits if table.fmt else 0
     frac = table.fmt.frac_bits if table.fmt else 0
-    mode = 0 if table.mode == NEAREST else 1
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<6sBBBI", _MAGIC, mode, word, frac, table.n_entries))
+        fh.write(_HEADER.pack(_MAGIC, _MODES.index(table.mode), word, frac, table.n_entries))
         if table.fmt:
             raws = [fx_from_real(v, table.fmt).raw for v in table.values]
             fh.write(struct.pack(f"<{len(raws)}q", *raws))
@@ -133,17 +138,31 @@ def dump_table(table: SinTable, path: str) -> None:
 
 
 def load_table(path: str) -> SinTable:
+    """Read a dump_table file back.  Raises ValueError, saying what is wrong,
+    for any file dump_table cannot have written: a bad magic, mode byte,
+    Q format or entry count, or a header or body of the wrong length."""
     with open(path, "rb") as fh:
-        head = fh.read(struct.calcsize("<6sBBBI"))
-        magic, mode, word, frac, n = struct.unpack("<6sBBBI", head)
-        if magic != _MAGIC:
-            raise ValueError(f"not a table file: bad magic {magic!r}")
-        if word:
-            fmt = QFormat(word, frac)
-            raws = struct.unpack(f"<{n}q", fh.read(8 * n))
-            values = np.array([math.ldexp(r, -frac) for r in raws])
-        else:
-            fmt = None
-            values = np.frombuffer(fh.read(8 * n), dtype="<f8").copy()
+        data = fh.read()
+    if len(data) < _HEADER.size:
+        raise ValueError(f"{path}: truncated header, {len(data)} of {_HEADER.size} bytes")
+    magic, mode, word, frac, n = _HEADER.unpack_from(data)
+    if magic != _MAGIC:
+        raise ValueError(f"not a table file: bad magic {magic!r}")
+    if mode >= len(_MODES):
+        raise ValueError(f"{path}: bad mode byte {mode}, expected 0 ({NEAREST}) or 1 ({LINEAR})")
+    if not word and frac:
+        raise ValueError(f"{path}: a float table has 0 fraction bits, got {frac}")
+    try:
+        _check_entries(n)
+        fmt = QFormat(word, frac) if word else None
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+    body = data[_HEADER.size :]
+    if len(body) != 8 * n:
+        raise ValueError(f"{path}: body has {len(body)} bytes, {n} entries take {8 * n}")
+    if fmt:
+        values = np.array([math.ldexp(r, -frac) for r in struct.unpack(f"<{n}q", body)])
+    else:
+        values = np.frombuffer(body, dtype="<f8").copy()
     values.setflags(write=False)
-    return SinTable(n, values, NEAREST if mode == 0 else LINEAR, fmt)
+    return SinTable(n, values, _MODES[mode], fmt)

@@ -4,11 +4,15 @@ fixed point with a wide multiply-accumulate model.
 Evaluation runs on a reduced argument in [0, pi/4]; anything larger folds
 through fold_angle's quadrant and the sin/cos co-function first, because a
 Q1.15 operand cannot even hold pi/2.  Each series is evaluated by Horner
-recursion on u = x**2 with the running value kept in the accumulator, an
-Fx in a wide QFormat (36 bits with 31 fraction bits by default: the
-product scale plus one fractional-mode left shift).  Only the multiplier
-inputs are narrowed to operand width, and the result is narrowed once at
-the end.
+recursion on u = x**2 with the running value kept in the accumulator, a
+wide QFormat (36 bits with 31 fraction bits by default: the product scale
+plus one fractional-mode left shift).  Only the multiplier inputs are
+narrowed to operand width, and the result is narrowed once at the end.
+
+The engine runs on lanes (see fixedpoint): one raw integer per angle in an
+ndarray, every fx_mul, fx_cast and fx_sub applied to all lanes at once with
+the same shift rule and saturation, so a batch of angles costs one pass of
+the series.  A float angle is a one-lane call.
 """
 
 from __future__ import annotations
@@ -17,7 +21,9 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .fixedpoint import HALF_PI, Fx, Q1_15, QFormat, fold_angle, fx_cast, fx_from_real, fx_mul, fx_sub
+import numpy as np
+
+from .fixedpoint import HALF_PI, Fx, Q1_15, QFormat, clip, fold_angle, fx_cast, fx_from_real, lanes_from_real, lanes_real
 
 
 @dataclass(frozen=True)
@@ -93,61 +99,96 @@ def _cos_coeffs(n_terms: int, fmt: QFormat) -> tuple[Fx, ...]:
     )
 
 
-def _horner(u: Fx, coeffs: tuple[Fx, ...], cfg: TaylorConfig) -> Fx:
-    """c[0] - u*(c[1] - u*(c[2] - ...)), accumulator-resident."""
+def _lane_dtype(cfg: TaylorConfig):
+    """int64 while every intermediate fits: with acc_bits <= 63 a difference
+    of two accumulator raws does, and so does a product of two operand raws
+    (words of at most 31 bits, since acc_bits >= 2 * word_bits) shifted one
+    bit left into the accumulator.  Object lanes, exact Python ints, past
+    that."""
+    return np.int64 if cfg.acc_bits <= 63 else object
+
+
+@lru_cache(maxsize=None)
+def _acc_coeffs(cfg: TaylorConfig) -> np.ndarray:
+    """Raws of the sine (row 0) and cosine (row 1) coefficients loaded into
+    the accumulator, in lanes of _lane_dtype(cfg)."""
+    rows = [
+        [fx_cast(c, cfg.acc_fmt).raw for c in coeffs(cfg.n_terms, cfg.operand_fmt)]
+        for coeffs in (_sin_coeffs, _cos_coeffs)
+    ]
+    out = np.array(rows, dtype=_lane_dtype(cfg)).reshape(2, cfg.n_terms - 1)
+    out.setflags(write=False)
+    return out
+
+
+def _shift(raw, k: int):
+    """fx_mul's and fx_cast's shift rule: exact left shift by k >= 0,
+    truncating right shift by -k otherwise."""
+    return raw << k if k >= 0 else raw >> -k
+
+
+def _cores(t: np.ndarray, cfg: TaylorConfig) -> np.ndarray:
+    """Raws of sin (row 0) and cos (row 1) in the operand format, for lanes
+    of raws t in [0, pi/4]: sin(t) = t - (t*u)*R(u) and cos(t) = 1 - u*S(u),
+    u = t**2.  R and S run as one Horner recursion over both rows, kept in
+    the accumulator; only the multiplier inputs are narrowed to operand
+    width, and each result once at the end.  Every op is an fx_mul, fx_cast
+    or fx_sub on lanes, saturated alike, so each lane equals the Fx
+    evaluation bit for bit."""
     fmt, acc_fmt = cfg.operand_fmt, cfg.acc_fmt
-    acc = fx_cast(coeffs[-1], acc_fmt)
-    for c in coeffs[-2::-1]:
-        prod = fx_mul(u, fx_cast(acc, fmt), acc_fmt)
-        acc = fx_sub(fx_cast(c, acc_fmt), prod)
-    return fx_cast(acc, fmt)
+    lo, hi, alo, ahi = fmt.min_raw, fmt.max_raw, acc_fmt.min_raw, acc_fmt.max_raw
+    frac, narrow = fmt.frac_bits, fmt.frac_bits - acc_fmt.frac_bits
+    widen = acc_fmt.frac_bits - 2 * frac  # a product of two operands into the accumulator
+    one = 1 << acc_fmt.frac_bits
+
+    def to_fmt(acc):  # fx_cast(acc, fmt)
+        return clip(_shift(acc, narrow), lo, hi)
+
+    def mul_acc(a, b):  # fx_mul(a, b, acc_fmt)
+        return clip(_shift(a * b, widen), alo, ahi)
+
+    coeffs = _acc_coeffs(cfg)
+    if cfg.n_terms == 1:
+        return np.stack([t, np.full(t.shape, int(to_fmt(one)), dtype=t.dtype)])
+    u = clip((t * t) >> frac, lo, hi)  # fx_mul(t, t, fmt)
+    z = clip((t * u) >> frac, lo, hi)
+    acc = coeffs[:, -1:]  # c[0] - u*(c[1] - u*(c[2] - ...)), both series at once
+    for k in range(cfg.n_terms - 3, -1, -1):
+        acc = clip(coeffs[:, k : k + 1] - mul_acc(u, to_fmt(acc)), alo, ahi)
+    head = np.stack([clip(_shift(t, -narrow), alo, ahi), np.full(t.shape, one, dtype=t.dtype)])  # t and 1
+    return to_fmt(clip(head - mul_acc(np.stack([z, u]), to_fmt(acc)), alo, ahi))  # t - z*R(u), 1 - u*S(u)
 
 
-def _sin_core(t: Fx, cfg: TaylorConfig) -> Fx:
-    """sin(t) = t - (t*u)*R(u) for t in [0, pi/4], u = t**2."""
-    fmt, acc_fmt = cfg.operand_fmt, cfg.acc_fmt
-    coeffs = _sin_coeffs(cfg.n_terms, fmt)
-    if not coeffs:
-        return t
-    u = fx_mul(t, t, fmt)
-    z = fx_mul(t, u, fmt)
-    r = _horner(u, coeffs, cfg)
-    return fx_cast(fx_sub(fx_cast(t, acc_fmt), fx_mul(z, r, acc_fmt)), fmt)
+# per quadrant: the signs of cos and sin once the cores have traded places
+_COS_SIGN = np.array([1, -1, -1, 1])
+_SIN_SIGN = np.array([1, 1, -1, -1])
 
 
-def _cos_core(t: Fx, cfg: TaylorConfig) -> Fx:
-    """cos(t) = 1 - u*S(u) for t in [0, pi/4], u = t**2."""
-    fmt, acc_fmt = cfg.operand_fmt, cfg.acc_fmt
-    one = Fx(1 << acc_fmt.frac_bits, acc_fmt)
-    coeffs = _cos_coeffs(cfg.n_terms, fmt)
-    if not coeffs:
-        return fx_cast(one, fmt)
-    u = fx_mul(t, t, fmt)
-    s = _horner(u, coeffs, cfg)
-    return fx_cast(fx_sub(one, fx_mul(u, s, acc_fmt)), fmt)
+def taylor_sincos(theta, cfg: TaylorConfig = DEFAULT_CONFIG):
+    """(cos, sin) of angles within +-MAX_ANGLE through the engine: a float
+    gives floats, an ndarray gives float64 ndarrays of its shape.
 
-
-def taylor_sincos(theta: float, cfg: TaylorConfig = DEFAULT_CONFIG) -> tuple[float, float]:
-    """(cos, sin) of an angle within +-MAX_ANGLE through the engine.
-
-    One fold gives the quadrant q and a residual r in [0, pi/2); past pi/4
-    the cores run on pi/2 - r and trade places.  The octant is measured
-    from the nearest multiple of pi, which is the far end of an odd
-    quadrant, so there the tie r == pi/4 trades too.  Sine and cosine are
-    bit-exactly odd and even in theta.  Raises DomainError beyond
-    MAX_ANGLE or for a non-finite angle.
+    Each angle is one lane of _cores.  One fold gives the quadrant q and a
+    residual r in [0, pi/2); past pi/4 the cores run on pi/2 - r and trade
+    places.  The octant is measured from the nearest multiple of pi, which
+    is the far end of an odd quadrant, so there the tie r == pi/4 trades
+    too.  Sine and cosine are bit-exactly odd and even in theta.  Raises
+    DomainError if any angle is beyond MAX_ANGLE or not finite.
     """
-    q, r = fold_angle(abs(theta))
-    swap = r >= HALF_PI / 2 if q & 1 else r > HALF_PI / 2
-    t = fx_from_real(HALF_PI - r if swap else r, cfg.operand_fmt)
-    s, c = _sin_core(t, cfg).raw, _cos_core(t, cfg).raw
-    if swap:
-        s, c = c, s
-    cos, sin = ((c, s), (-s, c), (-c, -s), (s, -c))[q]
-    if theta < 0:
-        sin = -sin
-    frac = cfg.operand_fmt.frac_bits
-    return math.ldexp(cos, -frac), math.ldexp(sin, -frac)
+    arr = np.asarray(theta, dtype=np.float64)
+    lanes = arr.reshape(-1)
+    q, r = fold_angle(np.abs(lanes))
+    odd = (q & 1).astype(bool)
+    swap = np.where(odd, r >= HALF_PI / 2, r > HALF_PI / 2)
+    t = lanes_from_real(np.where(swap, HALF_PI - r, r), cfg.operand_fmt)
+    s, c = _cores(t.astype(_lane_dtype(cfg), copy=False), cfg)
+    trade = swap != odd  # a swap, then an odd quadrant's co-function
+    cos = np.where(trade, s, c) * _COS_SIGN[q]
+    sin = np.where(trade, c, s) * (_SIN_SIGN[q] * np.where(lanes < 0, -1, 1))
+    cos, sin = (lanes_real(v, cfg.operand_fmt).reshape(arr.shape) for v in (cos, sin))
+    if arr.ndim == 0:
+        return float(cos), float(sin)
+    return cos, sin
 
 
 def sincos_op_count(cfg: TaylorConfig = DEFAULT_CONFIG) -> int:

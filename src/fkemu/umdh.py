@@ -24,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dh import DhJoint, ROTARY, SinCos, exact_sincos
-
-HALF_PI = math.pi / 2
+from .fixedpoint import HALF_PI
 
 
 class CapacityError(RuntimeError):

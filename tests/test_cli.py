@@ -188,6 +188,26 @@ def test_bad_numeric_input_exits_2(capsys, argv):
     assert err.startswith("fkemu: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["vm", "--angles", "nan", "0", "0", "0"],
+    ["vm", "--angles", "0", "0", "inf", "0"],
+    ["vm", "--angles", "0", "0", "0", "0", "--params", "0.05", "0.04", "0.03", "nan", "0.02"],
+], ids=["vm-nan-angle", "vm-inf-angle", "vm-nan-param"])
+def test_vm_non_finite_input_exits_3(capsys, argv):
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("fkemu: domain error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("links", ["0", "-3"])
+def test_pipeline_without_links_exits_2(capsys, links):
+    assert main(["pipeline", "--links", links]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"fkemu: --links must be >= 1, got {links}\n"
+
+
 def test_bench_rejects_unknown_backend(capsys):
     assert main(["bench", "puma560", "--backends", "matrix,warp"]) == 2
 

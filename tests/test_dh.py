@@ -1,9 +1,14 @@
+import hashlib
 import math
 import random
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fkemu import cli, lut, taylor
 from fkemu.dh import (
     DhJoint,
     PRISMATIC,
@@ -12,7 +17,9 @@ from fkemu.dh import (
     Vec4,
     apply_point,
     chain_pose,
+    chain_poses,
     decompose,
+    exact_sincos,
     link_transform,
     puma_chain,
     puma_closed_form,
@@ -177,3 +184,73 @@ def test_puma_requires_six_angles():
         puma_closed_form([0] * 5, PARAMS)
     with pytest.raises(ValueError):
         puma_chain([0] * 7, PARAMS)
+
+
+PROVIDERS = {
+    "matrix": exact_sincos,
+    "taylor": taylor.taylor_sincos,
+    "lut-nearest": partial(lut.lut_sincos, table=lut.build_table(1024, mode=lut.NEAREST)),
+    "lut-linear": partial(lut.lut_sincos, table=lut.build_table(256, mode=lut.LINEAR)),
+}
+
+joint_strategy = st.builds(
+    DhJoint,
+    st.sampled_from([ROTARY, PRISMATIC]),
+    st.floats(-40.0, 40.0),
+    st.floats(-1.0, 1.0),
+    st.floats(-1.0, 1.0),
+    st.floats(-math.pi, math.pi),
+)
+
+
+@pytest.mark.parametrize("provider", PROVIDERS)
+@settings(max_examples=30, deadline=None)
+@given(chains=st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.lists(joint_strategy, min_size=n, max_size=n).map(tuple), min_size=1, max_size=5)
+))
+def test_chain_poses_equal_chain_pose_stack(provider, chains):
+    sincos = PROVIDERS[provider]
+    got = chain_poses(chains, sincos)
+    assert got.shape == (len(chains), 4, 4)
+    for k, chain in enumerate(chains):
+        assert got[k].tobytes() == chain_pose(chain, sincos).tobytes()
+
+
+def test_chain_poses_reject_empty_and_ragged_sets():
+    j = DhJoint(ROTARY, 0.1, 0.1, 0.1, 0.1)
+    for chains in ([], [()], [(j,), ()]):
+        with pytest.raises(ValueError, match="empty chain"):
+            chain_poses(chains)
+    with pytest.raises(ValueError, match="one length"):
+        chain_poses([(j,), (j, j)])
+
+
+def test_exact_sincos_keeps_the_argument_kind():
+    c, s = exact_sincos(0.3)
+    assert type(c) is float and (c, s) == (math.cos(0.3), math.sin(0.3))
+    cos, sin = exact_sincos(np.array([[0.3, -2.0]]))
+    assert cos.shape == (1, 2) and sin[0, 1] == np.sin(-2.0)
+
+
+MIXED = (
+    DhJoint(ROTARY, 0.3, 0.12, 0.25, -0.7),
+    DhJoint(PRISMATIC, 0.0, 0.4, 0.0, 1.2),
+    DhJoint(ROTARY, -0.5, 0.05, 0.18, 0.0),
+)
+
+
+def test_matrix_poses_golden():
+    # Raw bits of the oracle poses, captured from math.cos/math.sin one angle
+    # at a time.  chain_poses takes its trig from np.cos/np.sin, whose
+    # float64 results depend on the platform's numpy build; the bench CSVs
+    # assume the two agree, and this pin says so where it holds.
+    def digest(chains):
+        return hashlib.sha256(chain_poses(chains).tobytes()).hexdigest()
+
+    puma = cli.load_chain("puma560").joints
+    assert digest(cli.bench_variants(puma, 16, 5)) == (
+        "947fff62ef98bccb2985b241affadda74ee43f94bd3d107a9d5168d4a6bfb580"
+    )
+    assert digest(cli.bench_variants(MIXED, 8, 11)) == (
+        "7e27dd65fba438982701a0cf5d1a9e9260102428a32c2567218f8ec4bb2ea0df"
+    )

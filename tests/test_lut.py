@@ -1,5 +1,6 @@
 import math
 import random
+import struct
 from functools import partial
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from fkemu.ccm import pose_op_count as cordic_pose_ops
 from fkemu.dh import DhJoint, ROTARY, chain_pose
-from fkemu.fixedpoint import MAX_ANGLE, DomainError, Q8_24
+from fkemu.fixedpoint import MAX_ANGLE, DomainError, Q8_24, QFormat
 from fkemu.lut import (
     LINEAR,
     NEAREST,
@@ -168,6 +169,47 @@ def test_load_rejects_bad_magic(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"NOTLUT" + b"\x00" * 16)
     with pytest.raises(ValueError):
+        load_table(str(path))
+
+
+formats = st.one_of(
+    st.none(),
+    st.integers(8, 64).flatmap(lambda w: st.builds(QFormat, st.just(w), st.integers(0, w - 1))),
+)
+
+
+@given(st.integers(1, 10), formats, st.sampled_from([NEAREST, LINEAR]))
+def test_dump_load_round_trip_property(tmp_path_factory, log_size, fmt, mode):
+    t = build_table(1 << log_size, fmt=fmt, mode=mode)
+    path = tmp_path_factory.mktemp("lut") / "table.bin"
+    dump_table(t, str(path))
+    back = load_table(str(path))
+    assert (back.n_entries, back.mode, back.fmt) == (t.n_entries, t.mode, t.fmt)
+    assert back.values.tobytes() == t.values.tobytes()
+
+
+def _header(mode=0, word=0, frac=0, n=4):
+    return struct.pack("<6sBBBI", b"FKLUT1", mode, word, frac, n)
+
+
+@pytest.mark.parametrize("data,message", [
+    (_header(mode=7) + bytes(32), "bad mode byte 7"),
+    (_header(n=6) + bytes(48), "n_entries must be a power of two, got 6"),
+    (_header(n=1) + bytes(8), "n_entries must be >= 2, got 1"),
+    (_header(n=0), "n_entries must be >= 2, got 0"),
+    (_header()[:9], "truncated header, 9 of 13 bytes"),
+    (_header(n=4) + bytes(20), "body has 20 bytes, 4 entries take 32"),
+    (_header(word=32, frac=24, n=4) + bytes(31), "body has 31 bytes"),
+    (_header(n=4) + bytes(40), "body has 40 bytes"),
+    (_header(word=5, frac=2) + bytes(32), "word_bits must be in 8..64, got 5"),
+    (_header(word=16, frac=16) + bytes(32), "frac_bits must be in 0..15, got 16"),
+    (_header(frac=3) + bytes(32), "a float table has 0 fraction bits, got 3"),
+], ids=["mode-7", "entries-6", "entries-1", "entries-0", "short-header", "short-body",
+        "short-fixed-body", "long-body", "word-5", "frac-too-wide", "float-with-frac"])
+def test_load_rejects_corrupt_files(tmp_path, data, message):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match=message):
         load_table(str(path))
 
 

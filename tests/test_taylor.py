@@ -1,12 +1,34 @@
+import hashlib
 import math
 import random
 
+import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fkemu.fixedpoint import MAX_ANGLE, DomainError, Q8_24, QFormat, fx_from_real
-from fkemu.taylor import TaylorConfig, remainder_bound, series_cos, series_sin, taylor_sincos
+from fkemu.fixedpoint import (
+    HALF_PI,
+    MAX_ANGLE,
+    DomainError,
+    Fx,
+    Q8_24,
+    QFormat,
+    fold_angle,
+    fx_cast,
+    fx_from_real,
+    fx_mul,
+    fx_sub,
+)
+from fkemu.taylor import (
+    TaylorConfig,
+    _cos_coeffs,
+    _sin_coeffs,
+    remainder_bound,
+    series_cos,
+    series_sin,
+    taylor_sincos,
+)
 
 CFG = TaylorConfig()
 GATE = 2.0**-13
@@ -132,3 +154,130 @@ def test_other_operand_formats():
 def test_non_finite_angle_raises_domain_error(angle):
     with pytest.raises(DomainError):
         taylor_sincos(angle, CFG)
+
+
+# -- the Fx reference the lanes are checked against ---------------------------
+#
+# The engine one angle at a time on Fx scalars: every op is an fx_mul, fx_cast
+# or fx_sub, as the datapath is specified.  taylor_sincos runs the same ops on
+# lanes and must equal this bit for bit.
+
+
+def _horner(u: Fx, coeffs: tuple[Fx, ...], cfg: TaylorConfig) -> Fx:
+    """c[0] - u*(c[1] - u*(c[2] - ...)), accumulator-resident."""
+    fmt, acc_fmt = cfg.operand_fmt, cfg.acc_fmt
+    acc = fx_cast(coeffs[-1], acc_fmt)
+    for c in coeffs[-2::-1]:
+        prod = fx_mul(u, fx_cast(acc, fmt), acc_fmt)
+        acc = fx_sub(fx_cast(c, acc_fmt), prod)
+    return fx_cast(acc, fmt)
+
+
+def _sin_core(t: Fx, cfg: TaylorConfig) -> Fx:
+    """sin(t) = t - (t*u)*R(u) for t in [0, pi/4], u = t**2."""
+    fmt, acc_fmt = cfg.operand_fmt, cfg.acc_fmt
+    coeffs = _sin_coeffs(cfg.n_terms, fmt)
+    if not coeffs:
+        return t
+    u = fx_mul(t, t, fmt)
+    z = fx_mul(t, u, fmt)
+    r = _horner(u, coeffs, cfg)
+    return fx_cast(fx_sub(fx_cast(t, acc_fmt), fx_mul(z, r, acc_fmt)), fmt)
+
+
+def _cos_core(t: Fx, cfg: TaylorConfig) -> Fx:
+    """cos(t) = 1 - u*S(u) for t in [0, pi/4], u = t**2."""
+    fmt, acc_fmt = cfg.operand_fmt, cfg.acc_fmt
+    one = Fx(1 << acc_fmt.frac_bits, acc_fmt)
+    coeffs = _cos_coeffs(cfg.n_terms, fmt)
+    if not coeffs:
+        return fx_cast(one, fmt)
+    u = fx_mul(t, t, fmt)
+    s = _horner(u, coeffs, cfg)
+    return fx_cast(fx_sub(one, fx_mul(u, s, acc_fmt)), fmt)
+
+
+def reference_raws(theta: float, cfg: TaylorConfig) -> tuple[int, int]:
+    """Raw (cos, sin) of one angle through the Fx reference."""
+    q, r = fold_angle(abs(theta))
+    swap = r >= HALF_PI / 2 if q & 1 else r > HALF_PI / 2
+    t = fx_from_real(HALF_PI - r if swap else r, cfg.operand_fmt)
+    s, c = _sin_core(t, cfg).raw, _cos_core(t, cfg).raw
+    if swap:
+        s, c = c, s
+    cos, sin = ((c, s), (-s, c), (-c, -s), (s, -c))[q]
+    return cos, -sin if theta < 0 else sin
+
+
+def lane_raws(angles, cfg: TaylorConfig) -> np.ndarray:
+    """Raw (cos, sin) of taylor_sincos on one array of angles, shape (2, n)."""
+    cos, sin = taylor_sincos(np.asarray(angles, dtype=np.float64), cfg)
+    raws = np.ldexp(np.array([cos, sin]), cfg.operand_fmt.frac_bits)
+    assert np.array_equal(raws, np.rint(raws))
+    return raws.astype("<i8")
+
+
+TIES = [k * math.pi / 4 for k in range(-40, 41)]
+LANE_CONFIGS = [
+    TaylorConfig(n_terms=1),
+    TaylorConfig(n_terms=3),
+    TaylorConfig(n_terms=8),
+    TaylorConfig(operand_fmt=QFormat(24, 22), acc_bits=50),
+    TaylorConfig(acc_bits=64),  # accumulator over 63 bits: object lanes
+    TaylorConfig(operand_fmt=QFormat(32, 31), acc_bits=64),  # the constant 1 alone needs 64 bits
+]
+
+
+@pytest.mark.parametrize("cfg", LANE_CONFIGS, ids=str)
+@settings(max_examples=40, deadline=None)
+@example(angles=[0.0, -0.0, MAX_ANGLE, -MAX_ANGLE] + TIES)
+@given(angles=st.lists(st.one_of(ANGLES, st.sampled_from(TIES + [0.0, -0.0])), min_size=1, max_size=24))
+def test_lanes_equal_fx_reference(cfg, angles):
+    want = np.array([reference_raws(th, cfg) for th in angles]).T
+    assert np.array_equal(lane_raws(angles, cfg), want)
+
+
+def test_float_in_floats_out_and_shape_kept():
+    c, s = taylor_sincos(0.7)
+    assert type(c) is float and type(s) is float
+    grid = np.linspace(-4.0, 4.0, 12).reshape(3, 4)
+    cos, sin = taylor_sincos(grid)
+    assert cos.shape == sin.shape == (3, 4) and cos.dtype == np.float64
+    for th, cv, sv in zip(grid.ravel(), cos.ravel(), sin.ravel()):
+        assert (cv, sv) == taylor_sincos(float(th))
+    empty = taylor_sincos(np.array([]))
+    assert empty[0].shape == empty[1].shape == (0,)
+
+
+def test_lanes_reject_any_angle_outside_domain():
+    with pytest.raises(DomainError):
+        taylor_sincos(np.array([0.1, math.nan, 0.2]))
+    with pytest.raises(DomainError):
+        taylor_sincos(np.array([[0.1], [math.nextafter(MAX_ANGLE, math.inf)]]))
+
+
+def pin_angles() -> np.ndarray:
+    ends = [0.0, -0.0, MAX_ANGLE, -MAX_ANGLE, 2.0**20 - 0.5, 1e-9, -1e-9]
+    return np.array(
+        TIES + ends + np.linspace(-30.0, 30.0, 1001).tolist() + np.linspace(-MAX_ANGLE, MAX_ANGLE, 257).tolist()
+    )
+
+
+# sha256 of the raw (cos, sin) pairs of the scalar Fx engine on pin_angles,
+# captured before the engine moved onto lanes
+TAYLOR_RAW_PINS = [
+    (TaylorConfig(), "bb038a0fc9803c84484ceedb847c6a52860a12e7f44b5d52a0b8c5b424657638"),
+    (TaylorConfig(n_terms=3), "44d26752aa70a314498a1a0ab735e46bb99869c4283dda94d9430ef1396d04d5"),
+    (TaylorConfig(n_terms=1), "3c96fdd558fddee371119c37568530991476a47f68006682347fb3f2e79c0fb4"),
+    (TaylorConfig(operand_fmt=QFormat(24, 22), acc_bits=50),
+     "be171559f75dc2875ff920754d5d3e85b448d712f4a2df7e06379a8856d5bf4f"),
+    (TaylorConfig(acc_bits=64), "bb038a0fc9803c84484ceedb847c6a52860a12e7f44b5d52a0b8c5b424657638"),
+    (TaylorConfig(operand_fmt=QFormat(32, 31), acc_bits=64),
+     "99f91fe489755a0727ad34fba6e2d02d02278165f99f5c186bdde1433fb67ed4"),
+]
+
+
+@pytest.mark.parametrize("cfg,digest", TAYLOR_RAW_PINS, ids=[str(c) for c, _ in TAYLOR_RAW_PINS])
+def test_taylor_raws_golden(cfg, digest):
+    pairs = lane_raws(pin_angles(), cfg).T  # one (cos, sin) row per angle
+    assert hashlib.sha256(np.ascontiguousarray(pairs).tobytes()).hexdigest() == digest
