@@ -2,11 +2,12 @@
 
     PYTHONPATH=src python -m pytest benchmarks --benchmark-json=BENCH_<n>.json
 
-Layers, bottom up: fixed-point primitive, sin/cos generator per backend
-(one lane, and batched), link-matrix assembly, chain product or module
-cascade (one chain, and the stacked product of a bench's 16 variants),
-the VM, and one in-process ``fkemu bench`` on puma560 and on a 12-link
-chain.
+Layers, bottom up: fixed-point primitive (the scalar fx_add reference,
+and rescale on 64 int64 lanes, the narrowing the kernels use), sin/cos
+generator per backend (one lane, and batched), link-matrix assembly, chain
+product or module cascade (one chain, and the stacked product of a bench's
+16 variants), the VM, and one in-process ``fkemu bench`` on puma560 and on
+a 12-link chain.
 These time the emulator on the host; the modeled hardware latency is a
 formula (ccm.latency_us, umdh.clock_time) and is not measured here.  The
 suite sits outside the tier-1 testpaths; ``--benchmark-disable`` runs each
@@ -25,7 +26,7 @@ from fkemu import cli, lut, taylor, umdh
 from fkemu.ccm import ccm_pose, ccm_poses
 from fkemu.cordic import DEFAULT_CONFIG, circ_rotate_lanes, sincos_cordic
 from fkemu.dh import DhJoint, ROTARY, chain_pose, chain_poses, exact_sincos, link_transform
-from fkemu.fixedpoint import Q8_24, fx_add, fx_from_real
+from fkemu.fixedpoint import Q8_24, fx_add, fx_from_real, rescale
 
 PUMA = cli.load_chain("puma560").joints
 VARIANTS = cli.bench_variants(PUMA, 16, 5)
@@ -36,6 +37,12 @@ THUMB = cli.DEMO_THUMB
 def test_fx_add(benchmark):
     a, b = fx_from_real(0.25, Q8_24), fx_from_real(-0.75, Q8_24)
     benchmark(fx_add, a, b)
+
+
+def test_rescale_64_lanes(benchmark):
+    # products of two Q8.24 raws narrowed back into Q8.24, the outer ones saturating
+    prod = np.arange(-32, 32, dtype=np.int64) * (3 << 50)
+    benchmark(rescale, prod, 2 * Q8_24.frac_bits, Q8_24)
 
 
 def test_sincos_cordic(benchmark):

@@ -107,8 +107,6 @@ def rot(axis: str, angle: float) -> np.ndarray:
         m[0, 0], m[0, 1], m[1, 0], m[1, 1] = c, -s, s, c
     elif axis == "x":
         m[1, 1], m[1, 2], m[2, 1], m[2, 2] = c, -s, s, c
-    elif axis == "y":
-        m[0, 0], m[0, 2], m[2, 0], m[2, 2] = c, s, -s, c
     else:
         raise ValueError(f"bad axis {axis!r}")
     return m

@@ -7,17 +7,21 @@ what a shifter does.  Overflow saturates instead of wrapping: pose
 coordinates are physically bounded, and a silent wrap would corrupt results
 undetectably while a pinned value stays visibly at the range edge.
 
-There is one scalar type, Fx.  A wide multiply-accumulate register is an
-Fx in a wide QFormat: fx_mul and fx_cast shift into any output format,
-exactly when the output gains fraction bits and by truncation when it
-loses them.
+Both rules are written once, in rescale: a raw scaled by 2**-frac moves
+into a format by an exact left shift when the format gains fraction bits,
+a truncating right shift when it loses them, then saturation.  Every fx_*
+op and the lane kernels narrow through it; only the CORDIC micro-rotation
+loop inlines its clip, for speed.
 
-Every sin/cos backend reduces its angle through the one fold_angle here.
+There is one scalar type, Fx.  A wide multiply-accumulate register is an
+Fx in a wide QFormat.
+
+Every sin/cos backend reduces its angle through the one fold_angle here and
+unfolds its quadrant through quarter_turns, by exact swaps and signs.
 
 Batched datapaths hold the raws of many values, one per lane, in an ndarray
-of lane_dtype(fmt); clip to fmt's min_raw/max_raw, lanes_from_real and
-lanes_real are the saturation of fx_add, fx_from_real and Fx.real on such
-arrays, bit for bit.
+of lane_dtype(fmt); rescale, lanes_from_real and lanes_real work on such
+arrays with the same bits as on Fx.
 """
 
 from __future__ import annotations
@@ -60,6 +64,22 @@ def fold_angle(mag):
     a = mag % TWO_PI
     q = np.floor(a / HALF_PI).astype(np.int64) if array else math.floor(a / HALF_PI)
     return q, a - q * HALF_PI
+
+
+# per quarter turn q: whether x and y swap, then the signs they take; int8,
+# so float, int64 and object operands keep their dtype and gathers stay small
+_ODD = np.array([False, True, False, True])
+_X_SIGN = np.array([1, -1, -1, 1], dtype=np.int8)
+_Y_SIGN = np.array([1, 1, -1, -1], dtype=np.int8)
+
+
+def quarter_turns(q, x, y):
+    """(x, y) rotated by q quarter turns, q in 0..3 (an int or an int array
+    broadcasting with x and y), the inverse of fold_angle's quadrant: an odd
+    q swaps x and y, then each takes its quadrant's sign.  Exact; a negated
+    raw may leave its format, so fixed-point callers saturate after it."""
+    odd = _ODD[q]
+    return np.where(odd, y, x) * _X_SIGN[q], np.where(odd, x, y) * _Y_SIGN[q]
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,34 +140,37 @@ class Fx:
         return f"Fx({self.real!r}, {self.fmt})"
 
 
-def _saturate(raw: int, max_raw: int, min_raw: int) -> int:
-    if raw > max_raw:
-        return max_raw
-    if raw < min_raw:
-        return min_raw
-    return raw
+def rescale(raw, frac: int, fmt: QFormat):
+    """raw, scaled by 2**-frac, moved into fmt: an exact left shift when fmt
+    gains fraction bits, an arithmetic (floor) right shift when it loses
+    them, then saturation to fmt's range.  raw is a Python int, or lanes of
+    int64 or object raws; the result is of the same kind."""
+    shift = fmt.frac_bits - frac
+    if shift > 0:
+        raw = raw << shift
+    elif shift < 0:
+        raw = raw >> -shift
+    lo, hi = fmt.min_raw, fmt.max_raw
+    if isinstance(raw, int):
+        return hi if raw > hi else lo if raw < lo else raw
+    return clip(raw, lo, hi)
 
 
 def fx_from_real(v: float, fmt: QFormat) -> Fx:
     """Quantize a real to fmt: round-half-to-even, then saturate."""
-    raw = round(math.ldexp(v, fmt.frac_bits))
-    return Fx(_saturate(raw, fmt.max_raw, fmt.min_raw), fmt)
+    return Fx(rescale(round(math.ldexp(v, fmt.frac_bits)), fmt.frac_bits, fmt), fmt)
 
 
 def fx_add(a: Fx, b: Fx) -> Fx:
     if a.fmt != b.fmt:
         raise ValueError(f"format mismatch: {a.fmt} vs {b.fmt}")
-    return Fx(_saturate(a.raw + b.raw, a.fmt.max_raw, a.fmt.min_raw), a.fmt)
+    return Fx(rescale(a.raw + b.raw, a.fmt.frac_bits, a.fmt), a.fmt)
 
 
 def fx_sub(a: Fx, b: Fx) -> Fx:
     if a.fmt != b.fmt:
         raise ValueError(f"format mismatch: {a.fmt} vs {b.fmt}")
-    return Fx(_saturate(a.raw - b.raw, a.fmt.max_raw, a.fmt.min_raw), a.fmt)
-
-
-def fx_neg(a: Fx) -> Fx:
-    return Fx(_saturate(-a.raw, a.fmt.max_raw, a.fmt.min_raw), a.fmt)
+    return Fx(rescale(a.raw - b.raw, a.fmt.frac_bits, a.fmt), a.fmt)
 
 
 def fx_shr(a: Fx, k: int) -> Fx:
@@ -158,22 +181,13 @@ def fx_shr(a: Fx, k: int) -> Fx:
 
 
 def fx_mul(a: Fx, b: Fx, out: QFormat) -> Fx:
-    """Exact product shifted into out, then saturated.
-
-    Gaining fraction bits is an exact left shift (loading a wide
-    accumulator); losing them is an arithmetic right shift (truncation).
-    """
-    shift = out.frac_bits - a.fmt.frac_bits - b.fmt.frac_bits
-    raw = a.raw * b.raw
-    raw = raw << shift if shift >= 0 else raw >> -shift
-    return Fx(_saturate(raw, out.max_raw, out.min_raw), out)
+    """Exact product rescaled into out."""
+    return Fx(rescale(a.raw * b.raw, a.fmt.frac_bits + b.fmt.frac_bits, out), out)
 
 
 def fx_cast(a: Fx, out: QFormat) -> Fx:
-    """Move a into out with fx_mul's shift rule, then saturate."""
-    shift = out.frac_bits - a.fmt.frac_bits
-    raw = a.raw << shift if shift >= 0 else a.raw >> -shift
-    return Fx(_saturate(raw, out.max_raw, out.min_raw), out)
+    """a rescaled into out."""
+    return Fx(rescale(a.raw, a.fmt.frac_bits, out), out)
 
 
 _to_int = np.frompyfunc(int, 1, 1)

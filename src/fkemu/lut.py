@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dh
-from .fixedpoint import HALF_PI, TWO_PI, QFormat, fold_angle, fx_from_real
+from .fixedpoint import HALF_PI, TWO_PI, QFormat, fold_angle, lanes_from_real, lanes_real, quarter_turns
 
 NEAREST = "nearest"
 LINEAR = "linear"
@@ -24,6 +24,8 @@ LINEAR = "linear"
 _MAGIC = b"FKLUT1"
 _HEADER = struct.Struct("<6sBBBI")  # magic, mode byte, word bits, fraction bits, entries
 _MODES = (NEAREST, LINEAR)  # mode byte -> mode
+# 8 MB of float64; a linear table this size is off by step**2/8, about 3e-13
+MAX_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -47,7 +49,7 @@ def build_table(n_entries: int, fmt: QFormat | None = None, mode: str = NEAREST)
         raise ValueError(f"bad mode {mode!r}")
     grid = np.sin(np.arange(n_entries) * (HALF_PI / n_entries))
     if fmt is not None:
-        grid = np.array([fx_from_real(v, fmt).real for v in grid])
+        grid = lanes_real(lanes_from_real(grid, fmt), fmt)
     grid.setflags(write=False)
     return SinTable(n_entries, grid, mode, fmt)
 
@@ -57,6 +59,8 @@ def _check_entries(n_entries: int) -> None:
         raise ValueError(f"n_entries must be >= 2, got {n_entries}")
     if n_entries & (n_entries - 1):
         raise ValueError(f"n_entries must be a power of two, got {n_entries}")
+    if n_entries > MAX_ENTRIES:
+        raise ValueError(f"n_entries must be at most {MAX_ENTRIES}, got {n_entries}")
 
 
 def _sin_quarter(u, table: SinTable):
@@ -73,21 +77,11 @@ def _sin_quarter(u, table: SinTable):
     return lo + (hi - lo) * frac
 
 
-# per quadrant: whether sin and cos trade table reads, and their signs
-_SWAP = np.array([False, True, False, True])
-_SIN_SIGN = np.array([1.0, 1.0, -1.0, -1.0])
-_COS_SIGN = np.array([1.0, -1.0, -1.0, 1.0])
-
-
 def _sincos_abs(a, table: SinTable):
     """(cos, sin) for a >= 0 via fold_angle onto the quarter table."""
     quad, r = fold_angle(a)
     s_r = _sin_quarter(r, table)
-    c_r = _sin_quarter(HALF_PI - r, table)
-    swap = _SWAP[quad]
-    cos = np.where(swap, s_r, c_r) * _COS_SIGN[quad]
-    sin = np.where(swap, c_r, s_r) * _SIN_SIGN[quad]
-    return cos, sin
+    return quarter_turns(quad, _sin_quarter(HALF_PI - r, table), s_r)
 
 
 def lut_sincos(theta, table: SinTable):
@@ -131,8 +125,7 @@ def dump_table(table: SinTable, path: str) -> None:
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, _MODES.index(table.mode), word, frac, table.n_entries))
         if table.fmt:
-            raws = [fx_from_real(v, table.fmt).raw for v in table.values]
-            fh.write(struct.pack(f"<{len(raws)}q", *raws))
+            fh.write(lanes_from_real(table.values, table.fmt).astype("<i8").tobytes())
         else:
             fh.write(table.values.astype("<f8").tobytes())
 
@@ -161,7 +154,7 @@ def load_table(path: str) -> SinTable:
     if len(body) != 8 * n:
         raise ValueError(f"{path}: body has {len(body)} bytes, {n} entries take {8 * n}")
     if fmt:
-        values = np.array([math.ldexp(r, -frac) for r in struct.unpack(f"<{n}q", body)])
+        values = lanes_real(np.frombuffer(body, dtype="<i8"), fmt)
     else:
         values = np.frombuffer(body, dtype="<f8").copy()
     values.setflags(write=False)

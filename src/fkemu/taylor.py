@@ -10,9 +10,9 @@ plus one fractional-mode left shift).  Only the multiplier inputs are
 narrowed to operand width, and the result is narrowed once at the end.
 
 The engine runs on lanes (see fixedpoint): one raw integer per angle in an
-ndarray, every fx_mul, fx_cast and fx_sub applied to all lanes at once with
-the same shift rule and saturation, so a batch of angles costs one pass of
-the series.  A float angle is a one-lane call.
+ndarray, every multiply, cast and subtract narrowed by rescale on all lanes
+at once, so a batch of angles costs one pass of the series.  A float angle
+is a one-lane call.
 """
 
 from __future__ import annotations
@@ -23,7 +23,18 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .fixedpoint import HALF_PI, Fx, Q1_15, QFormat, clip, fold_angle, fx_cast, fx_from_real, lanes_from_real, lanes_real
+from .fixedpoint import (
+    HALF_PI,
+    Fx,
+    Q1_15,
+    QFormat,
+    fold_angle,
+    fx_from_real,
+    lanes_from_real,
+    lanes_real,
+    quarter_turns,
+    rescale,
+)
 
 
 @dataclass(frozen=True)
@@ -113,7 +124,7 @@ def _acc_coeffs(cfg: TaylorConfig) -> np.ndarray:
     """Raws of the sine (row 0) and cosine (row 1) coefficients loaded into
     the accumulator, in lanes of _lane_dtype(cfg)."""
     rows = [
-        [fx_cast(c, cfg.acc_fmt).raw for c in coeffs(cfg.n_terms, cfg.operand_fmt)]
+        [rescale(c.raw, c.fmt.frac_bits, cfg.acc_fmt) for c in coeffs(cfg.n_terms, cfg.operand_fmt)]
         for coeffs in (_sin_coeffs, _cos_coeffs)
     ]
     out = np.array(rows, dtype=_lane_dtype(cfg)).reshape(2, cfg.n_terms - 1)
@@ -121,47 +132,28 @@ def _acc_coeffs(cfg: TaylorConfig) -> np.ndarray:
     return out
 
 
-def _shift(raw, k: int):
-    """fx_mul's and fx_cast's shift rule: exact left shift by k >= 0,
-    truncating right shift by -k otherwise."""
-    return raw << k if k >= 0 else raw >> -k
-
-
 def _cores(t: np.ndarray, cfg: TaylorConfig) -> np.ndarray:
     """Raws of sin (row 0) and cos (row 1) in the operand format, for lanes
     of raws t in [0, pi/4]: sin(t) = t - (t*u)*R(u) and cos(t) = 1 - u*S(u),
     u = t**2.  R and S run as one Horner recursion over both rows, kept in
     the accumulator; only the multiplier inputs are narrowed to operand
-    width, and each result once at the end.  Every op is an fx_mul, fx_cast
-    or fx_sub on lanes, saturated alike, so each lane equals the Fx
-    evaluation bit for bit."""
+    width, and each result once at the end.  Each lane equals the Fx
+    evaluation (fx_mul, fx_cast, fx_sub) bit for bit."""
     fmt, acc_fmt = cfg.operand_fmt, cfg.acc_fmt
-    lo, hi, alo, ahi = fmt.min_raw, fmt.max_raw, acc_fmt.min_raw, acc_fmt.max_raw
-    frac, narrow = fmt.frac_bits, fmt.frac_bits - acc_fmt.frac_bits
-    widen = acc_fmt.frac_bits - 2 * frac  # a product of two operands into the accumulator
-    one = 1 << acc_fmt.frac_bits
-
-    def to_fmt(acc):  # fx_cast(acc, fmt)
-        return clip(_shift(acc, narrow), lo, hi)
-
-    def mul_acc(a, b):  # fx_mul(a, b, acc_fmt)
-        return clip(_shift(a * b, widen), alo, ahi)
-
+    frac, acc_frac = fmt.frac_bits, acc_fmt.frac_bits
+    one = 1 << acc_frac
     coeffs = _acc_coeffs(cfg)
     if cfg.n_terms == 1:
-        return np.stack([t, np.full(t.shape, int(to_fmt(one)), dtype=t.dtype)])
-    u = clip((t * t) >> frac, lo, hi)  # fx_mul(t, t, fmt)
-    z = clip((t * u) >> frac, lo, hi)
+        return np.stack([t, np.full(t.shape, rescale(one, acc_frac, fmt), dtype=t.dtype)])
+    u = rescale(t * t, 2 * frac, fmt)
+    z = rescale(t * u, 2 * frac, fmt)
     acc = coeffs[:, -1:]  # c[0] - u*(c[1] - u*(c[2] - ...)), both series at once
     for k in range(cfg.n_terms - 3, -1, -1):
-        acc = clip(coeffs[:, k : k + 1] - mul_acc(u, to_fmt(acc)), alo, ahi)
-    head = np.stack([clip(_shift(t, -narrow), alo, ahi), np.full(t.shape, one, dtype=t.dtype)])  # t and 1
-    return to_fmt(clip(head - mul_acc(np.stack([z, u]), to_fmt(acc)), alo, ahi))  # t - z*R(u), 1 - u*S(u)
-
-
-# per quadrant: the signs of cos and sin once the cores have traded places
-_COS_SIGN = np.array([1, -1, -1, 1])
-_SIN_SIGN = np.array([1, 1, -1, -1])
+        prod = rescale(u * rescale(acc, acc_frac, fmt), 2 * frac, acc_fmt)
+        acc = rescale(coeffs[:, k : k + 1] - prod, acc_frac, acc_fmt)
+    head = np.stack([rescale(t, frac, acc_fmt), np.full(t.shape, one, dtype=t.dtype)])  # t and 1
+    prod = rescale(np.stack([z, u]) * rescale(acc, acc_frac, fmt), 2 * frac, acc_fmt)
+    return rescale(rescale(head - prod, acc_frac, acc_fmt), acc_frac, fmt)  # t - z*R(u), 1 - u*S(u)
 
 
 def taylor_sincos(theta, cfg: TaylorConfig = DEFAULT_CONFIG):
@@ -181,10 +173,9 @@ def taylor_sincos(theta, cfg: TaylorConfig = DEFAULT_CONFIG):
     odd = (q & 1).astype(bool)
     swap = np.where(odd, r >= HALF_PI / 2, r > HALF_PI / 2)
     t = lanes_from_real(np.where(swap, HALF_PI - r, r), cfg.operand_fmt)
-    s, c = _cores(t.astype(_lane_dtype(cfg), copy=False), cfg)
-    trade = swap != odd  # a swap, then an odd quadrant's co-function
-    cos = np.where(trade, s, c) * _COS_SIGN[q]
-    sin = np.where(trade, c, s) * (_SIN_SIGN[q] * np.where(lanes < 0, -1, 1))
+    cores = _cores(t.astype(_lane_dtype(cfg), copy=False), cfg)
+    cos, sin = quarter_turns(q, *np.where(swap, cores, cores[::-1]))  # (cos r, sin r) turned by q
+    sin = sin * np.where(lanes < 0, -1, 1)
     cos, sin = (lanes_real(v, cfg.operand_fmt).reshape(arr.shape) for v in (cos, sin))
     if arr.ndim == 0:
         return float(cos), float(sin)

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fkemu import cli
 from fkemu.cli import ChainParseError, load_chain, main, parse_chain, parse_qformat
 from fkemu.cordic import DomainError
+from fkemu.dh import PRISMATIC, ROTARY, DhJoint, Vec4
 from fkemu.fixedpoint import QFormat
+from fkemu.lut import MAX_ENTRIES
 
 IDENTITY_CHAIN = "joint R 0 0 0 0\n"
 
@@ -55,6 +59,46 @@ def test_parse_chain_full():
     assert cf.joints[0].kind == "rotary"
     assert cf.joints[1].kind == "prismatic"
     assert cf.point.x == 0.1
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+comments = st.text(st.characters(blacklist_categories=("Cc", "Zl", "Zp")), max_size=12)
+joints = st.builds(DhJoint, st.sampled_from([ROTARY, PRISMATIC]), finite, finite, finite, finite)
+
+
+def chain_text(draw, name, joint_list, point):
+    """A chain file as a user might write it: repr floats, any spacing,
+    full-line and trailing comments, blank lines."""
+    def line(*tokens):
+        sep = draw(st.sampled_from([" ", "  ", "\t"]))
+        trailing = draw(st.one_of(st.just(""), comments.map(lambda c: " #" + c)))
+        return sep.join(tokens) + trailing
+
+    lines = [line("name", name)]
+    for j in joint_list:
+        kind = "R" if j.kind == ROTARY else "P"
+        lines.append(line("joint", kind, *(repr(v) for v in (j.theta, j.d, j.a, j.alpha))))
+    if point is not None:
+        lines.append(line("point", *(repr(v) for v in (point.x, point.y, point.z))))
+    out = []
+    for text in lines:
+        out += draw(st.lists(st.one_of(st.just(""), comments.map(lambda c: "#" + c)), max_size=2))
+        out.append(text)
+    return "\n".join(out) + draw(st.sampled_from(["", "\n"]))
+
+
+@given(
+    st.text(st.characters(whitelist_categories=("L", "N"), whitelist_characters="_-."), min_size=1, max_size=10),
+    st.lists(joints, min_size=1, max_size=6),
+    st.one_of(st.none(), st.builds(Vec4, finite, finite, finite)),
+    st.data(),
+)
+def test_parse_chain_round_trip(name, joint_list, point, data):
+    cf = parse_chain(chain_text(data.draw, name, joint_list, point))
+    assert cf.name == name
+    # repr, so that -0.0 has to come back as -0.0
+    assert repr(cf.joints) == repr(tuple(joint_list))
+    assert repr(cf.point) == repr(point)
 
 
 def test_parse_errors_carry_line_and_column():
@@ -180,12 +224,15 @@ def test_bench_csv_golden(tmp_path, capsys):
     ["bench", "puma560", "--trials", "-2"],
     ["vm", "--angles", "0", "0", "0", "0", "--clock-mhz", "0"],
     ["vm", "--angles", "0", "0", "0", "0", "--sincos-cycles", "-3"],
-], ids=["trials-0", "trials-negative", "clock-0", "sincos-cycles-negative"])
+    # rejected before the table is allocated, whichever backends run
+    ["bench", "puma560", "--backends", "lut", "--table-size", str(2 * MAX_ENTRIES)],
+    ["bench", "puma560", "--backends", "matrix", "--table-size", str(2 * MAX_ENTRIES)],
+], ids=["trials-0", "trials-negative", "clock-0", "sincos-cycles-negative", "lut-table-2^21", "matrix-table-2^21"])
 def test_bad_numeric_input_exits_2(capsys, argv):
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("fkemu: ") and "Traceback" not in err
+    assert err.startswith("fkemu: ") and "Traceback" not in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -26,6 +26,8 @@ from fkemu.fixedpoint import (
     lane_dtype,
     lanes_from_real,
     lanes_real,
+    quarter_turns,
+    rescale,
 )
 
 ACC = QFormat(36, 31)  # the Taylor engine's default accumulator
@@ -179,12 +181,24 @@ def shift_oracle(raw, frac_bits, out):
     return min(max(scaled, out.min_raw), out.max_raw)
 
 
+def assert_lanes_match_oracle(raw, frac_bits, out):
+    """rescale on object lanes, and on int64 lanes where raw shifted into
+    out fits in them, gives the oracle's raw in the lanes' dtype."""
+    expected = shift_oracle(raw, frac_bits, out)
+    kinds = [object] + ([np.int64] if abs(raw) << max(out.frac_bits - frac_bits, 0) < 2**63 else [])
+    for dtype in kinds:
+        got = rescale(np.array([raw, raw], dtype=dtype), frac_bits, out)
+        assert got.dtype == dtype
+        assert [int(v) for v in got] == [expected, expected]
+
+
 @given(qformats(), qformats(), qformats(), st.data())
 def test_mul_matches_integer_oracle(fa, fb, out, data):
     a, b = data.draw(fx_in(fa)), data.draw(fx_in(fb))
     got = fx_mul(a, b, out)
     assert got.fmt == out
     assert got.raw == shift_oracle(a.raw * b.raw, fa.frac_bits + fb.frac_bits, out)
+    assert_lanes_match_oracle(a.raw * b.raw, fa.frac_bits + fb.frac_bits, out)
 
 
 @given(qformats(), qformats(), st.data())
@@ -193,6 +207,7 @@ def test_cast_matches_integer_oracle(fa, out, data):
     got = fx_cast(a, out)
     assert got.fmt == out
     assert got.raw == shift_oracle(a.raw, fa.frac_bits, out)
+    assert_lanes_match_oracle(a.raw, fa.frac_bits, out)
 
 
 @given(qformats(max_word=28), qformats(max_word=28), st.integers(0, 8), st.data())
@@ -220,6 +235,21 @@ def test_fold_angle_invariants(mag):
     qs, rs = fold_angle(np.array([mag, 0.5]))
     assert qs[0] == q
     assert rs[0] == r
+
+
+def test_quarter_turns_of_the_x_axis():
+    axes = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+    assert [tuple(int(v) for v in quarter_turns(q, 1, 0)) for q in range(4)] == axes
+    x, y = quarter_turns(np.arange(4), np.ones(4, dtype=np.int64), np.zeros(4, dtype=np.int64))
+    assert list(zip(x.tolist(), y.tolist())) == axes
+
+
+@given(st.floats(0.0, MAX_ANGLE))
+def test_quarter_turns_inverts_fold_angle(mag):
+    q, r = fold_angle(mag)
+    c, s = quarter_turns(q, math.cos(r), math.sin(r))
+    # the fold drifts from the true period by at most 4e-11 rad at MAX_ANGLE
+    assert abs(c - math.cos(mag)) < 1e-9 and abs(s - math.sin(mag)) < 1e-9
 
 
 @pytest.mark.parametrize("mag", [math.nan, math.inf, math.nextafter(MAX_ANGLE, math.inf), 1e15])

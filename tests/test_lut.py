@@ -13,6 +13,7 @@ from fkemu.dh import DhJoint, ROTARY, chain_pose
 from fkemu.fixedpoint import MAX_ANGLE, DomainError, Q8_24, QFormat
 from fkemu.lut import (
     LINEAR,
+    MAX_ENTRIES,
     NEAREST,
     build_table,
     dump_table,
@@ -28,6 +29,8 @@ def test_build_validation():
         build_table(1)
     with pytest.raises(ValueError):
         build_table(48)  # not a power of two
+    with pytest.raises(ValueError, match=f"at most {MAX_ENTRIES}, got {2 * MAX_ENTRIES}"):
+        build_table(2 * MAX_ENTRIES)
     with pytest.raises(ValueError):
         build_table(64, mode="cubic")
 
@@ -197,6 +200,7 @@ def _header(mode=0, word=0, frac=0, n=4):
     (_header(n=6) + bytes(48), "n_entries must be a power of two, got 6"),
     (_header(n=1) + bytes(8), "n_entries must be >= 2, got 1"),
     (_header(n=0), "n_entries must be >= 2, got 0"),
+    (_header(n=1 << 31), "n_entries must be at most 1048576, got 2147483648"),
     (_header()[:9], "truncated header, 9 of 13 bytes"),
     (_header(n=4) + bytes(20), "body has 20 bytes, 4 entries take 32"),
     (_header(word=32, frac=24, n=4) + bytes(31), "body has 31 bytes"),
@@ -204,7 +208,7 @@ def _header(mode=0, word=0, frac=0, n=4):
     (_header(word=5, frac=2) + bytes(32), "word_bits must be in 8..64, got 5"),
     (_header(word=16, frac=16) + bytes(32), "frac_bits must be in 0..15, got 16"),
     (_header(frac=3) + bytes(32), "a float table has 0 fraction bits, got 3"),
-], ids=["mode-7", "entries-6", "entries-1", "entries-0", "short-header", "short-body",
+], ids=["mode-7", "entries-6", "entries-1", "entries-0", "entries-2^31", "short-header", "short-body",
         "short-fixed-body", "long-body", "word-5", "frac-too-wide", "float-with-frac"])
 def test_load_rejects_corrupt_files(tmp_path, data, message):
     path = tmp_path / "bad.bin"
