@@ -2,7 +2,7 @@
 
 A double-precision DH chain model serves as the oracle; next to it sit four
 hardware-flavored evaluation paths (CORDIC module cascade, fixed-point
-Taylor engine, constant-factor CORDIC macro-PEs, quarter-wave lookup
+Taylor engine, constant-factor CORDIC recurrences, quarter-wave lookup
 tables) and a micro-coded FK-processor VM, all measurable for accuracy,
 operation count, and modeled latency.
 """
@@ -50,7 +50,7 @@ from .ccm import (
     latency_us,
 )
 from .taylor import TaylorConfig, remainder_bound, taylor_sincos
-from .cfr import CfrState, MacroPeModel, cfr_gain, cfr_rotate, cfr_step, macro_pe_apply, pipeline_timing, selection
+from .cfr import CfrState, cfr_gain, cfr_rotate, cfr_step, selection
 from .lut import SinTable, build_table, dump_table, error_profile, load_table, lut_sincos
 from .umdh import (
     CapacityError,

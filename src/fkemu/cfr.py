@@ -1,5 +1,4 @@
-"""Constant-factor CORDIC recurrences with a scaled residual-angle variable,
-plus the macro-PE stage model and its pipeline timing.
+"""Constant-factor CORDIC recurrences with a scaled residual-angle variable.
 
 The recurrences keep the residual angle pre-shifted, U[i] = 2**i * residual,
 so the sign decision only ever looks at a fixed window of fractional bits.
@@ -17,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .cordic import CIRCULAR, DomainError, gain
-from .dh import DhJoint, Vec4
 
 SelectionPolicy = Callable[[float, int], int]
 
@@ -28,21 +26,6 @@ class CfrState:
     y: float
     u: float  # scaled residual angle, 2**i times the remaining rotation
     i: int
-
-
-@dataclass(frozen=True)
-class MacroPeModel:
-    """Pipeline shape: two macro-PEs per joint, micro-stages per macro-PE."""
-
-    joints: int
-    micro_stages: int = 1
-    stage_delay: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.joints < 1 or self.micro_stages < 1:
-            raise ValueError("counts must be positive")
-        if self.stage_delay <= 0:
-            raise ValueError("stage_delay must be positive")
 
 
 def cfr_step(s: CfrState, sigma: int) -> CfrState:
@@ -102,7 +85,7 @@ def cfr_rotate(
     w_frac is given; repeat_indices lists correcting iterations executed
     twice.  An explicit sel policy overrides all of that.
     """
-    if abs(angle) > cfr_range(n_iter):
+    if not abs(angle) <= cfr_range(n_iter):
         raise DomainError(f"angle {angle} outside +-{cfr_range(n_iter)}")
     boundary = n_iter // 2
     s = CfrState(x0, y0, angle, 0)
@@ -110,6 +93,9 @@ def cfr_rotate(
     for i in range(n_iter):
         repeats = 2 if i in repeat_indices else 1
         for _ in range(repeats):
+            if s.i > i:
+                # a repeated iteration: undo the first pass's doubling of U
+                s = CfrState(s.x, s.y, math.ldexp(s.u, -1), i)
             # policies see the scaled residual: its fractional window keeps
             # sign information as the remaining angle shrinks
             if sel is not None:
@@ -118,7 +104,6 @@ def cfr_rotate(
                 sigma = selection(s.u, w_frac)
             else:
                 sigma = exact_selection(s.u, i)
-            s = CfrState(s.x, s.y, s.u, i)
             s = cfr_step(s, sigma)
             step += 1
     return s.x, s.y
@@ -131,31 +116,3 @@ def cfr_gain(n_iter: int, repeat_indices: Sequence[int] = ()) -> float:
         if i < n_iter:
             k *= math.sqrt(1.0 + math.ldexp(1.0, -2 * i))
     return k
-
-
-def _stage_axis_x(p: Vec4, a: float, psi: float) -> Vec4:
-    # block-diagonal: 2x2 rotation on (y, z) alongside 2x2 translation on (x, w)
-    c, s = math.cos(psi), math.sin(psi)
-    return Vec4(p.x + a * p.w, c * p.y - s * p.z, s * p.y + c * p.z, p.w)
-
-
-def _stage_axis_w(p: Vec4, d: float, theta: float) -> Vec4:
-    # block-diagonal: 2x2 rotation on (x, y) alongside 2x2 translation on (z, w)
-    c, s = math.cos(theta), math.sin(theta)
-    return Vec4(c * p.x - s * p.y, s * p.x + c * p.y, p.z + d * p.w, p.w)
-
-
-def macro_pe_apply(j: DhJoint, p: Vec4) -> Vec4:
-    """Two fused rotation+translation stages equal to the link transform,
-    applied as block-diagonal stages in double precision."""
-    if p.w not in (0.0, 1.0):
-        raise ValueError(f"point w must be 0 or 1, got {p.w}")
-    inner = _stage_axis_x(p, j.a_eff, j.alpha)
-    return _stage_axis_w(inner, j.d, j.theta)
-
-
-def pipeline_timing(m: MacroPeModel) -> tuple[float, float]:
-    """(fill latency, post-fill throughput) of the fully pipelined array."""
-    fill = m.joints * 2 * m.micro_stages * m.stage_delay
-    throughput = 1.0 / (m.micro_stages * m.stage_delay)
-    return fill, throughput

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from dataclasses import dataclass
 from functools import partial
@@ -310,11 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="print the pose of a chain")
     p_solve.add_argument("chain", help="chain file path, or 'puma560' for the demo")
-    p_solve.add_argument(
-        "--backend",
-        choices=BACKENDS,
-        default=os.environ.get("FK_DEFAULT_BACKEND", "matrix"),
-    )
+    p_solve.add_argument("--backend", choices=BACKENDS, default="matrix")
     add_backend_opts(p_solve)
     p_solve.set_defaults(func=cmd_solve)
 
@@ -348,9 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "backend", None) is not None and args.backend not in BACKENDS:
-        print(f"fkemu: unknown backend {args.backend!r}", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except ChainParseError as e:

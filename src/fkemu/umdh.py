@@ -104,9 +104,11 @@ class FkProgram:
         return "\n".join(lines) + "\n"
 
 
+REGISTERS = 32  # full-sized register file; half_sized halves it
+
+
 @dataclass(frozen=True)
 class VmConfig:
-    registers: int = 32
     half_sized: bool = False
     sincos_cycles: int = 1
     sincos: SinCos = exact_sincos
@@ -117,7 +119,7 @@ class VmConfig:
 
     @property
     def capacity(self) -> int:
-        return self.registers // 2 if self.half_sized else self.registers
+        return REGISTERS // 2 if self.half_sized else REGISTERS
 
 
 class _OpCounter:

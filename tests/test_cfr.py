@@ -6,19 +6,15 @@ import pytest
 
 from fkemu.cfr import (
     CfrState,
-    MacroPeModel,
     cfr_gain,
     cfr_range,
     cfr_rotate,
     cfr_step,
     forced_selection,
-    macro_pe_apply,
-    pipeline_timing,
     selection,
     truncated_selection,
 )
 from fkemu.cordic import DomainError
-from fkemu.dh import DhJoint, ROTARY, Vec4, apply_point, link_transform
 
 
 def test_step_example():
@@ -91,8 +87,9 @@ def test_two_step_closed_form():
 
 
 def test_rotate_out_of_range():
-    with pytest.raises(DomainError):
-        cfr_rotate(1.0, 0.0, cfr_range(8) + 0.01, 8)
+    for angle, n_iter, w_frac in ((cfr_range(8) + 0.01, 8, None), (math.nan, 8, None), (math.nan, 16, 10)):
+        with pytest.raises(DomainError):
+            cfr_rotate(1.0, 0.0, angle, n_iter, w_frac=w_frac)
 
 
 def test_selection_policy():
@@ -127,41 +124,18 @@ def test_repeat_indices_extend_gain():
     assert math.hypot(x, y) == pytest.approx(k, rel=1e-10)
 
 
-def test_macro_pe_zero_joint_is_identity():
-    p = Vec4(0.3, -0.4, 0.5)
-    assert macro_pe_apply(DhJoint(ROTARY, 0, 0, 0, 0), p) == p
-
-
-def test_macro_pe_matches_matrix_oracle():
-    rng = random.Random(52)
-    for _ in range(300):
-        j = DhJoint(ROTARY, rng.uniform(-3, 3), rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-3, 3))
-        p = Vec4(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1))
-        got = macro_pe_apply(j, p)
-        want = apply_point(link_transform(j), p)
-        assert abs(got.x - want.x) < 1e-12
-        assert abs(got.y - want.y) < 1e-12
-        assert abs(got.z - want.z) < 1e-12
-
-
-def test_macro_pe_w_validation():
-    with pytest.raises(ValueError):
-        macro_pe_apply(DhJoint(ROTARY, 0, 0, 0, 0), Vec4(0, 0, 0, 0.25))
-
-
-def test_pipeline_timing():
-    fill, rate = pipeline_timing(MacroPeModel(6, 1, 1.0))
-    assert fill == 12.0
-    assert rate == 1.0
-    fill2, rate2 = pipeline_timing(MacroPeModel(6, 2, 1.0))
-    assert fill2 == 2 * fill
-    assert rate2 == rate / 2
-
-
-def test_model_validation():
-    with pytest.raises(ValueError):
-        MacroPeModel(0)
-    with pytest.raises(ValueError):
-        MacroPeModel(3, micro_stages=0)
-    with pytest.raises(ValueError):
-        MacroPeModel(3, stage_delay=0.0)
+@pytest.mark.parametrize("n_iter", [8, 16, 24])
+@pytest.mark.parametrize("repeats", [(), (0,), (2,), (4, 6)], ids=["none", "0", "2", "4,6"])
+def test_repeat_indices_keep_the_rotation_angle(n_iter, repeats):
+    # a repeated iteration must step the residual by atan(2**-i) again,
+    # not by a U the first pass already doubled
+    x0, y0 = 0.6, -0.2
+    r = cfr_range(n_iter)
+    bound = math.atan(math.ldexp(1.0, 1 - n_iter)) + 1e-9
+    for k in range(201):
+        angle = (k - 100) / 100 * r
+        x, y = cfr_rotate(x0, y0, angle, n_iter, repeat_indices=repeats)
+        turned = math.atan2(y, x) - math.atan2(y0, x0)
+        assert abs(math.remainder(turned + angle, 2 * math.pi)) <= bound
+        ratio = math.hypot(x, y) / math.hypot(x0, y0)
+        assert abs(ratio - cfr_gain(n_iter, repeats)) <= 1e-12

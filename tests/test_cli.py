@@ -290,19 +290,6 @@ def test_vm_dump_program(capsys):
     assert "SINCOS r12 r0" in out
 
 
-def test_env_default_backend(tmp_path, capsys, monkeypatch):
-    path = write_chain(tmp_path, IDENTITY_CHAIN)
-    monkeypatch.setenv("FK_DEFAULT_BACKEND", "lut")
-    assert main(["solve", path]) == 0
-    assert "backend: lut" in capsys.readouterr().out
-
-
-def test_env_invalid_backend_rejected(tmp_path, capsys, monkeypatch):
-    path = write_chain(tmp_path, IDENTITY_CHAIN)
-    monkeypatch.setenv("FK_DEFAULT_BACKEND", "abacus")
-    assert main(["solve", path]) == 2
-
-
 def test_solve_prints_transformed_point(tmp_path, capsys):
     path = write_chain(tmp_path, DEMO)
     assert main(["solve", path]) == 0
