@@ -49,6 +49,12 @@ def test_sincos_cordic(benchmark):
     benchmark(sincos_cordic, 1.0)
 
 
+def test_sincos_cordic_192_angles(benchmark):
+    # a puma-bench request's worth: 16 variants x 6 links x (theta, alpha)
+    angles = np.linspace(-math.pi, math.pi, 192)
+    benchmark(sincos_cordic, angles)
+
+
 @pytest.mark.parametrize("lanes", [1, 64])
 def test_circ_rotate_lanes(benchmark, lanes):
     x = np.full(lanes, fx_from_real(1.0, Q8_24).raw)

@@ -12,13 +12,11 @@ from .cordic import (
     CIRCULAR,
     CordicConfig,
     CordicState,
-    HYPERBOLIC,
     LINEAR,
     circ_rotate_lanes,
     cordic_lanes,
     cordic_rotate,
     cordic_step,
-    cordic_vector,
     gain,
     sincos_cordic,
 )

@@ -44,19 +44,25 @@ class CcmResult:
     intermediates: tuple[Fx, Fx, Fx]  # (x_a, y_a, z_a)
 
 
+# the paper's per-stage delay and fixed overhead of the cascade
+STAGE_TIME_US = 40.0
+OVERHEAD_US = 120.0
+
+
 @dataclass(frozen=True)
 class PipelineModel:
     """Latency model: two stage delays per module plus a fixed overhead."""
 
     n_links: int
-    stage_time_us: float = 40.0
-    overhead_us: float = 120.0
 
     def __post_init__(self) -> None:
         if self.n_links < 1:
             raise ValueError("n_links must be >= 1")
-        if self.stage_time_us <= 0 or self.overhead_us <= 0:
-            raise ValueError("times must be positive")
+
+    @property
+    def processors(self) -> int:
+        """Four CORDIC processors per module, one module per link."""
+        return 4 * self.n_links
 
 
 @dataclass(frozen=True)
@@ -67,7 +73,7 @@ class LatencyReport:
 
 
 def latency_us(m: PipelineModel) -> float:
-    return 2.0 * m.stage_time_us * m.n_links + m.overhead_us
+    return 2.0 * STAGE_TIME_US * m.n_links + OVERHEAD_US
 
 
 def _lin_accumulate(const, value, cfg: CordicConfig):
@@ -160,17 +166,11 @@ def ccm_points(chains, points, cfg: CordicConfig = DEFAULT_CONFIG) -> np.ndarray
     return p
 
 
-def fk_pipeline(
-    chain: DhChain,
-    p_end: Vec4,
-    cfg: CordicConfig = DEFAULT_CONFIG,
-    model: PipelineModel | None = None,
-) -> tuple[Vec4, LatencyReport]:
+def fk_pipeline(chain: DhChain, p_end: Vec4, cfg: CordicConfig = DEFAULT_CONFIG) -> tuple[Vec4, LatencyReport]:
     """Walk a point from frame n to the base: P_{i-1} = A_i P_i, i = n..1."""
     x, y, z, _ = ccm_points([chain], [p_end.as_array()], cfg)[0].tolist()
-    if model is None:
-        model = PipelineModel(len(chain))
-    report = LatencyReport(len(chain), 4 * len(chain), latency_us(model))
+    model = PipelineModel(len(chain))
+    report = LatencyReport(len(chain), model.processors, latency_us(model))
     return Vec4(x, y, z, p_end.w), report
 
 

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .cordic import CIRCULAR, DomainError, gain
+from .cordic import DomainError, gain
 
 SelectionPolicy = Callable[[float, int], int]
 
@@ -111,7 +111,7 @@ def cfr_rotate(
 
 def cfr_gain(n_iter: int, repeat_indices: Sequence[int] = ()) -> float:
     """Constant norm gain over the executed iteration list."""
-    k = gain(n_iter, CIRCULAR)
+    k = gain(n_iter)
     for i in repeat_indices:
         if i < n_iter:
             k *= math.sqrt(1.0 + math.ldexp(1.0, -2 * i))

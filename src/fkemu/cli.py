@@ -242,6 +242,8 @@ def cmd_bench(args) -> int:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
     chain_file = load_chain(args.chain)
     names = [b.strip() for b in args.backends.split(",") if b.strip()]
+    if not names:
+        raise ChainParseError("<backends>", 1, 1, "no backend named")
     for b in names:
         if b not in BACKENDS:
             raise ChainParseError("<backends>", 1, 1, f"unknown backend {b!r}")
@@ -274,7 +276,7 @@ def cmd_pipeline(args) -> int:
     print("n_links,processors,latency_us")
     for n in range(1, args.links + 1):
         model = ccm.PipelineModel(n)
-        print(f"{n},{4 * n},{ccm.latency_us(model):.6e}")
+        print(f"{n},{model.processors},{ccm.latency_us(model):.6e}")
     return 0
 
 

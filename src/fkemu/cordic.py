@@ -1,10 +1,10 @@
-"""Generalized CORDIC iteration engine on fixed-point state.
+"""CORDIC iteration engine on fixed-point state, as forward kinematics uses it.
 
-One shift-add micro-rotation per step, in three coordinate systems selected
-by the mode constant m: circular (1), linear (0), hyperbolic (-1).  Rotation
-mode drives the angle residual z to zero, vectoring mode drives y to zero.
+One shift-add micro-rotation per step, in rotation mode (the angle residual
+z is driven to zero), in two coordinate systems selected by the mode
+constant m: circular (1) rotates a vector, linear (0) accumulates y + x*z.
 The circular gain K = prod sqrt(1 + 2**-2i) is never free: callers either
-pre-scale by 1/K (see circ_rotate) or account for it themselves.
+pre-scale by 1/K (see circ_rotate_lanes) or account for it themselves.
 
 The micro-rotation loop is written once, in cordic_lanes, over lanes: x, y
 and z are ndarrays holding one raw integer per lane, and each lane picks
@@ -13,9 +13,9 @@ iteration per numpy operation.  Lanes are int64 for words up to 32 bits,
 where every sum and the 1/K pre-scale product are exact, and object arrays
 of Python ints for wider words (fixedpoint.lane_dtype); the loop is the
 same.  Every add and sub saturates, so each lane equals a fold of the
-scalar reference cordic_step bit for bit.  The Fx entry points
-(cordic_rotate, cordic_vector, circ_rotate, sincos_cordic) are one-lane
-calls into it.
+scalar reference cordic_step bit for bit.  cordic_rotate is the one-lane
+Fx entry point into it, and sincos_cordic the trig provider: one lane per
+angle.
 """
 
 from __future__ import annotations
@@ -39,16 +39,13 @@ from .fixedpoint import (
     fx_sub,
     lane_dtype,
     lanes_from_real,
+    lanes_real,
     quarter_turns,
     rescale,
 )
 
 CIRCULAR = 1
 LINEAR = 0
-HYPERBOLIC = -1
-
-# Hyperbolic iterations must repeat these indices to converge.
-_HYP_REPEAT = (4, 13, 40)
 
 # Max convergent |z0| in circular rotation mode, sum of all atan(2**-i).
 CIRC_RANGE = 1.7433
@@ -80,40 +77,22 @@ class CordicConfig:
 DEFAULT_CONFIG = CordicConfig(24, QFormat(32, 24))
 
 
-def iteration_indices(mode: int, n_iter: int) -> list[int]:
-    """Shift indices actually executed; hyperbolic repeats 4, 13, 40."""
-    if mode in (CIRCULAR, LINEAR):
-        return list(range(n_iter))
-    seq: list[int] = []
-    i = 1
-    while len(seq) < n_iter:
-        seq.append(i)
-        if i in _HYP_REPEAT and (len(seq) < 2 or seq[-2] != i):
-            continue  # stay on i once more
-        i += 1
-    return seq[:n_iter]
-
-
 def angle_step(mode: int, i: int) -> float:
     """Elementary angle e_i for one micro-rotation at shift index i."""
     if mode == CIRCULAR:
         return math.atan(math.ldexp(1.0, -i))
     if mode == LINEAR:
         return math.ldexp(1.0, -i)
-    if mode == HYPERBOLIC:
-        return math.atanh(math.ldexp(1.0, -i))
     raise ValueError(f"bad mode {mode}")
 
 
-def gain(n_iter: int, mode: int) -> float:
-    """Norm scale factor accumulated over n_iter micro-rotations."""
+def gain(n_iter: int) -> float:
+    """Circular norm scale factor accumulated over n_iter micro-rotations."""
     if n_iter < 1:
         raise ValueError("n_iter must be >= 1")
-    if mode == LINEAR:
-        return 1.0
     k = 1.0
-    for i in iteration_indices(mode, n_iter):
-        k *= math.sqrt(1.0 + mode * math.ldexp(1.0, -2 * i))
+    for i in range(n_iter):
+        k *= math.sqrt(1.0 + math.ldexp(1.0, -2 * i))
     return k
 
 
@@ -130,7 +109,7 @@ def cordic_step(s: CordicState, mode: int, sigma: int) -> CordicState:
     tx = fx_shr(s.x, s.i)
     if mode == LINEAR:
         x = s.x
-    elif mode * sigma > 0:
+    elif sigma > 0:
         x = fx_sub(s.x, ty)
     else:
         x = fx_add(s.x, ty)
@@ -142,36 +121,33 @@ def cordic_step(s: CordicState, mode: int, sigma: int) -> CordicState:
 
 @lru_cache(maxsize=None)
 def _micro_angles(mode: int, cfg: CordicConfig) -> tuple[tuple[int, int], ...]:
-    """(shift index, micro-angle raw) of every executed iteration."""
-    indices = iteration_indices(mode, cfg.n_iter)
-    if indices[-1] >= cfg.fmt.word_bits:
-        raise ValueError(f"shift {indices[-1]} out of range for {cfg.fmt}")
-    return tuple((i, _angle_fx(mode, i, cfg.fmt).raw) for i in indices)
+    """(shift index, micro-angle raw) of every iteration."""
+    if cfg.n_iter > cfg.fmt.word_bits:
+        raise ValueError(f"shift {cfg.n_iter - 1} out of range for {cfg.fmt}")
+    return tuple((i, _angle_fx(mode, i, cfg.fmt).raw) for i in range(cfg.n_iter))
 
 
 @lru_cache(maxsize=None)
 def _inv_gain_raw(cfg: CordicConfig) -> int:
-    return fx_from_real(1.0 / gain(cfg.n_iter, CIRCULAR), cfg.fmt).raw
+    return fx_from_real(1.0 / gain(cfg.n_iter), cfg.fmt).raw
 
 
-def cordic_lanes(x, y, z, mode: int, cfg: CordicConfig, vectoring: bool = False):
-    """The micro-rotation loop over lanes of raws in cfg.fmt; returns (x, y, z).
+def cordic_lanes(x, y, z, mode: int, cfg: CordicConfig):
+    """The rotation-mode micro-rotation loop over lanes of raws in cfg.fmt;
+    returns (x, y, z).
 
     x, y and z are arrays of lane_dtype(cfg.fmt), one raw per lane.  sigma
-    is chosen per lane, +1 on ties: sign(z) in rotation mode, -sign(y) in
-    vectoring mode.  Each lane equals cordic_step folded over
-    iteration_indices, bit for bit.  No range checks: those belong to the
-    callers that know what the lanes hold.
+    is chosen per lane, sign(z) with +1 on ties.  Each lane equals
+    cordic_step folded over shift indices 0..n_iter-1, bit for bit.  No
+    range checks: those belong to the callers that know what the lanes hold.
     """
     # bare clip, bounds hoisted: a rescale call makes each saturation ~50% slower on 64 lanes
     lo, hi = cfg.fmt.min_raw, cfg.fmt.max_raw
     for i, e in _micro_angles(mode, cfg):
-        s = ((-y if vectoring else z) >> 63) | 1  # raws have at most 64 bits
+        s = (z >> 63) | 1  # raws have at most 64 bits
         tx = x >> i
         if mode == CIRCULAR:
             x = clip(x - s * (y >> i), lo, hi)
-        elif mode == HYPERBOLIC:
-            x = clip(x + s * (y >> i), lo, hi)
         y = clip(y + s * tx, lo, hi)
         z = clip(z - s * e, lo, hi)
     return x, y, z
@@ -198,55 +174,27 @@ def cordic_rotate(x0: Fx, y0: Fx, z0: Fx, mode: int, cfg: CordicConfig) -> tuple
     return _fx(cfg, *cordic_lanes(*_one_lane(cfg, x0, y0, z0), mode, cfg))
 
 
-def cordic_vector(x0: Fx, y0: Fx, z0: Fx, mode: int, cfg: CordicConfig) -> tuple[Fx, Fx, Fx]:
-    """Vectoring mode: drive y to zero, sigma = -sign(y), +1 on ties.
-
-    Circular output is (K*hypot(x0, y0), ~0, z0 + atan(y0/x0)); linear
-    output accumulates the quotient, (x0, ~0, z0 + y0/x0).
-    """
-    if mode == CIRCULAR:
-        if x0.raw == 0 and y0.raw == 0:
-            raise DomainError("circular vectoring undefined at the origin")
-        if x0.raw <= 0:
-            raise DomainError("circular vectoring needs x0 > 0 for the principal angle")
-    if mode == LINEAR and abs(y0.real) > 2.0 * abs(x0.real):
-        raise DomainError("linear vectoring needs |y0/x0| <= 2")
-    if mode == HYPERBOLIC and abs(y0.real) >= abs(x0.real):
-        raise DomainError("hyperbolic vectoring needs |y0| < |x0|")
-    return _fx(cfg, *cordic_lanes(*_one_lane(cfg, x0, y0, z0), mode, cfg, vectoring=True))
-
-
 def _check_range(mode: int, z: float) -> None:
     if mode == CIRCULAR and abs(z) > CIRC_RANGE:
         raise DomainError(f"angle {z} outside circular range +-{CIRC_RANGE}")
     if mode == LINEAR and abs(z) > 2.0:
         raise DomainError(f"linear argument {z} outside +-2")
-    if mode == HYPERBOLIC and abs(z) > 1.118:
-        raise DomainError(f"hyperbolic argument {z} outside +-1.118")
-
-
-def circ_rotate(x: Fx, y: Fx, angle: float, cfg: CordicConfig) -> tuple[Fx, Fx]:
-    """Gain-compensated plane rotation by an angle within +-MAX_ANGLE.
-
-    Pre-scales the vector by 1/K, folds |angle| to a residual in [-pi/4,
-    pi/4] plus a whole number of quarter turns, iterates, then applies the
-    quarter turns as exact sign/swap moves.  This is the reusable circular
-    building block behind sin/cos generation and every link-rotation stage;
-    circ_rotate_lanes is the same on lanes.
-
-    Odd symmetry holds only within sincos_tolerance, not bit for bit: the
-    shift-add steps truncate toward -inf, so a rotation by -z is not the
-    mirror image of one by z.  Raises DomainError beyond MAX_ANGLE or for
-    a non-finite angle.
-    """
-    x_lane, y_lane = _one_lane(cfg, x, y)
-    return _fx(cfg, *circ_rotate_lanes(x_lane, y_lane, np.array([angle], dtype=np.float64), cfg))
 
 
 def circ_rotate_lanes(x, y, angle: np.ndarray, cfg: CordicConfig):
-    """circ_rotate on lanes: raws x, y in cfg.fmt and a float64 angle per
-    lane; returns the rotated raws.  DomainError if any |angle| exceeds
-    MAX_ANGLE or is not finite."""
+    """Gain-compensated plane rotation of every lane: raws x, y in cfg.fmt
+    and a float64 angle within +-MAX_ANGLE per lane; returns the rotated raws.
+
+    Pre-scales the vector by 1/K, folds |angle| to a residual in [-pi/4,
+    pi/4] plus a whole number of quarter turns, iterates, then applies the
+    quarter turns as exact sign/swap moves.  This is the circular building
+    block behind sin/cos generation and every link-rotation stage.
+
+    Odd symmetry holds only within sincos_tolerance, not bit for bit: the
+    shift-add steps truncate toward -inf, so a rotation by -z is not the
+    mirror image of one by z.  Raises DomainError if any |angle| exceeds
+    MAX_ANGLE or is not finite.
+    """
     fmt = cfg.fmt
     inv_k = _inv_gain_raw(cfg)
     xs = rescale(x * inv_k, 2 * fmt.frac_bits, fmt)
@@ -261,11 +209,22 @@ def circ_rotate_lanes(x, y, angle: np.ndarray, cfg: CordicConfig):
     return rescale(x_out, fmt.frac_bits, fmt), rescale(y_out, fmt.frac_bits, fmt)
 
 
-def sincos_cordic(theta: float, cfg: CordicConfig = DEFAULT_CONFIG) -> tuple[Fx, Fx]:
-    """Cosine and sine of an angle within +-MAX_ANGLE, gain pre-compensated."""
-    one = fx_from_real(1.0, cfg.fmt)
-    zero = Fx(0, cfg.fmt)
-    return circ_rotate(one, zero, theta, cfg)
+def sincos_cordic(theta, cfg: CordicConfig = DEFAULT_CONFIG):
+    """(cos, sin) of angles within +-MAX_ANGLE, gain pre-compensated: a
+    float gives floats, an ndarray gives float64 ndarrays of its shape.
+
+    Each angle is one lane of circ_rotate_lanes rotating (1, 0); each value
+    has the bits Fx.real gives its raw in cfg.fmt.  Raises DomainError if
+    any angle is beyond MAX_ANGLE or not finite.
+    """
+    arr = np.asarray(theta, dtype=np.float64)
+    lanes = arr.reshape(-1)
+    one = np.full(lanes.size, fx_from_real(1.0, cfg.fmt).raw, dtype=lane_dtype(cfg.fmt))
+    xr, yr = circ_rotate_lanes(one, np.zeros_like(one), lanes, cfg)
+    cos, sin = (lanes_real(v, cfg.fmt).reshape(arr.shape) for v in (xr, yr))
+    if arr.ndim == 0:
+        return float(cos), float(sin)
+    return cos, sin
 
 
 def sincos_tolerance(cfg: CordicConfig) -> float:

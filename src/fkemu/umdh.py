@@ -299,8 +299,8 @@ def clock_time(cycles: int, f_mhz: float = 10.3) -> float:
     """Microseconds for a cycle count at the given clock."""
     if cycles < 0:
         raise ValueError("cycles must be >= 0")
-    if f_mhz <= 0:
-        raise ValueError(f"clock must be > 0 MHz, got {f_mhz}")
+    if not 0 < f_mhz < math.inf:
+        raise ValueError(f"clock must be finite and > 0 MHz, got {f_mhz}")
     return cycles / f_mhz
 
 

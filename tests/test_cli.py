@@ -223,11 +223,13 @@ def test_bench_csv_golden(tmp_path, capsys):
     ["bench", "puma560", "--trials", "0"],
     ["bench", "puma560", "--trials", "-2"],
     ["vm", "--angles", "0", "0", "0", "0", "--clock-mhz", "0"],
+    ["vm", "--angles", "0", "0", "0", "0", "--clock-mhz", "nan"],
+    ["vm", "--angles", "0", "0", "0", "0", "--clock-mhz", "inf"],
     ["vm", "--angles", "0", "0", "0", "0", "--sincos-cycles", "-3"],
     # rejected before the table is allocated, whichever backends run
     ["bench", "puma560", "--backends", "lut", "--table-size", str(2 * MAX_ENTRIES)],
     ["bench", "puma560", "--backends", "matrix", "--table-size", str(2 * MAX_ENTRIES)],
-], ids=["trials-0", "trials-negative", "clock-0", "sincos-cycles-negative", "lut-table-2^21", "matrix-table-2^21"])
+], ids=["trials-0", "trials-negative", "clock-0", "clock-nan", "clock-inf", "sincos-cycles-negative", "lut-table-2^21", "matrix-table-2^21"])
 def test_bad_numeric_input_exits_2(capsys, argv):
     assert main(argv) == 2
     out, err = capsys.readouterr()
@@ -256,7 +258,9 @@ def test_pipeline_without_links_exits_2(capsys, links):
 
 
 def test_bench_rejects_unknown_backend(capsys):
-    assert main(["bench", "puma560", "--backends", "matrix,warp"]) == 2
+    for backends in ("matrix,warp", ",", ""):  # an unknown name, or none at all
+        assert main(["bench", "puma560", "--backends", backends]) == 2
+        assert capsys.readouterr().out == ""
 
 
 def test_pipeline_table(capsys):

@@ -11,20 +11,16 @@ from fkemu.cordic import (
     CordicConfig,
     CordicState,
     DomainError,
-    HYPERBOLIC,
     LINEAR,
-    circ_rotate,
     circ_rotate_lanes,
     cordic_lanes,
     cordic_rotate,
     cordic_step,
-    cordic_vector,
     gain,
-    iteration_indices,
     sincos_cordic,
     sincos_tolerance,
 )
-from fkemu.fixedpoint import MAX_ANGLE, Q8_24, Fx, QFormat, fx_from_real, lane_dtype
+from fkemu.fixedpoint import MAX_ANGLE, Q8_24, Fx, QFormat, fx_from_real, lane_dtype, lanes_from_real, lanes_real
 
 CFG = CordicConfig(24, Q8_24)
 
@@ -82,7 +78,7 @@ def test_rotate_linear_is_multiply_accumulate():
 
 
 def test_rotate_zero_angle_returns_gain():
-    inv_k = fx(1.0 / gain(24, CIRCULAR))
+    inv_k = fx(1.0 / gain(24))
     x, y, z = cordic_rotate(inv_k, fx(0.0), fx(0.0), CIRCULAR, CFG)
     assert abs(x.real - 1.0) < 1e-6
     assert abs(y.real) < 1e-6
@@ -90,7 +86,7 @@ def test_rotate_zero_angle_returns_gain():
 
 def test_rotate_pi_over_six():
     # double-precision trig oracle, frozen
-    inv_k = fx(1.0 / gain(24, CIRCULAR))
+    inv_k = fx(1.0 / gain(24))
     x, y, _ = cordic_rotate(inv_k, fx(0.0), fx(math.pi / 6), CIRCULAR, CFG)
     assert abs(x.real - 0.8660254037844387) < 1e-6
     assert abs(y.real - 0.5) < 1e-6
@@ -103,77 +99,26 @@ def test_rotate_out_of_range_raises():
         cordic_rotate(fx(1.0), fx(0.0), fx(2.5), LINEAR, CFG)
 
 
-def test_vector_aligned_gives_gain():
-    x, y, z = cordic_vector(fx(1.0), fx(0.0), fx(0.0), CIRCULAR, CFG)
-    assert abs(x.real - gain(24, CIRCULAR)) < 1e-6
-    assert abs(y.real) < 1e-6
-    assert abs(z.real) < 1e-6
-
-
-def test_vector_atan():
-    # atan oracle, frozen pi/4
-    _, y, z = cordic_vector(fx(1.0), fx(1.0), fx(0.0), CIRCULAR, CFG)
-    assert abs(z.real - 0.7853981633974483) < 1e-6
-    assert abs(y.real) < 2e-6
-
-
-def test_vector_linear_division():
-    # oracle: y0/d
-    _, y, z = cordic_vector(fx(0.8), fx(0.3), fx(0.0), LINEAR, CFG)
-    assert abs(z.real - 0.375) < 1e-6
-    assert abs(y.real) < 1e-6
-
-
-def test_vector_domain_errors():
-    zero = fx(0.0)
-    with pytest.raises(DomainError):
-        cordic_vector(zero, zero, zero, CIRCULAR, CFG)
-    with pytest.raises(DomainError):
-        cordic_vector(fx(-1.0), fx(0.5), zero, CIRCULAR, CFG)
-    with pytest.raises(DomainError):
-        cordic_vector(fx(0.1), fx(0.9), zero, LINEAR, CFG)
-
-
 def test_gain_values():
-    assert gain(7, LINEAR) == 1.0
-    assert gain(1, CIRCULAR) == pytest.approx(math.sqrt(2.0), rel=1e-15)
+    assert gain(1) == pytest.approx(math.sqrt(2.0), rel=1e-15)
     # independent product loop
     k = 1.0
     for i in range(24):
         k *= math.sqrt(1.0 + 2.0 ** (-2 * i))
-    assert gain(24, CIRCULAR) == pytest.approx(k, rel=1e-15)
-    kh = 1.0
-    for i in iteration_indices(HYPERBOLIC, 20):
-        kh *= math.sqrt(1.0 - 2.0 ** (-2 * i))
-    assert gain(20, HYPERBOLIC) == pytest.approx(kh, rel=1e-15)
-
-
-def test_hyperbolic_indices_repeat():
-    seq = iteration_indices(HYPERBOLIC, 16)
-    assert seq[:6] == [1, 2, 3, 4, 4, 5]
-    assert seq.count(4) == 2
-    assert seq.count(13) == 2
-    assert iteration_indices(CIRCULAR, 5) == [0, 1, 2, 3, 4]
-
-
-def test_hyperbolic_rotation_gives_cosh_sinh():
-    kh = gain(24, HYPERBOLIC)
-    x, y, _ = cordic_rotate(fx(1.0 / kh), fx(0.0), fx(0.5), HYPERBOLIC, CFG)
-    assert abs(x.real - math.cosh(0.5)) < 1e-5
-    assert abs(y.real - math.sinh(0.5)) < 1e-5
+    assert gain(24) == pytest.approx(k, rel=1e-15)
 
 
 def test_sincos_examples():
     c, s = sincos_cordic(fx(0.0).real, CFG)
-    assert abs(c.real - 1.0) < 1e-6
-    assert abs(s.real) < 1e-6
+    assert abs(c - 1.0) < 1e-6
+    assert abs(s) < 1e-6
     c, s = sincos_cordic(fx(math.pi / 2).real, CFG)
-    assert abs(c.real) < 1e-6
-    assert abs(s.real - 1.0) < 1e-6
+    assert abs(c) < 1e-6
+    assert abs(s - 1.0) < 1e-6
     # frozen double trig oracle values for 1 radian
     c, s = sincos_cordic(fx(1.0).real, CFG)
-    assert abs(c.real - 0.5403023058681398) < 1e-6
-    assert abs(s.real - 0.8414709848078965) < 1e-6
+    assert abs(c - 0.5403023058681398) < 1e-6
+    assert abs(s - 0.8414709848078965) < 1e-6
 
 
 def test_sincos_full_circle_and_pythagoras():
@@ -182,9 +127,9 @@ def test_sincos_full_circle_and_pythagoras():
     for _ in range(400):
         th = rng.uniform(-2 * math.pi, 2 * math.pi)
         c, s = sincos_cordic(fx(th).real, CFG)
-        assert abs(c.real - math.cos(th)) <= tol
-        assert abs(s.real - math.sin(th)) <= tol
-        assert abs(c.real**2 + s.real**2 - 1.0) <= 4 * tol
+        assert abs(c - math.cos(th)) <= tol
+        assert abs(s - math.sin(th)) <= tol
+        assert abs(c**2 + s**2 - 1.0) <= 4 * tol
 
 
 @given(st.floats(-MAX_ANGLE, MAX_ANGLE))
@@ -194,8 +139,8 @@ def test_sincos_error_bound_over_domain(th):
     tol = sincos_tolerance(CFG)
     for a in (th, -th):
         c, s = sincos_cordic(a, CFG)
-        assert abs(c.real - math.cos(a)) <= tol
-        assert abs(s.real - math.sin(a)) <= tol
+        assert abs(c - math.cos(a)) <= tol
+        assert abs(s - math.sin(a)) <= tol
 
 
 @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf, math.nextafter(MAX_ANGLE, math.inf), -1e16])
@@ -215,7 +160,7 @@ def test_rotation_residual_bound():
 
 def test_norm_growth_matches_gain():
     rng = random.Random(13)
-    k = gain(24, CIRCULAR)
+    k = gain(24)
     for _ in range(200):
         x0, y0 = rng.uniform(-1, 1), rng.uniform(-1, 1)
         z0 = rng.uniform(-1.7, 1.7)
@@ -226,15 +171,15 @@ def test_norm_growth_matches_gain():
 
 
 def test_circ_rotate_any_angle():
-    rng = random.Random(14)
-    for _ in range(100):
-        x0, y0 = rng.uniform(-1, 1), rng.uniform(-1, 1)
-        ang = rng.uniform(-3 * math.pi, 3 * math.pi)
-        x, y = circ_rotate(fx(x0), fx(y0), ang, CFG)
-        ex = x0 * math.cos(ang) - y0 * math.sin(ang)
-        ey = y0 * math.cos(ang) + x0 * math.sin(ang)
-        assert abs(x.real - ex) < 2e-6
-        assert abs(y.real - ey) < 2e-6
+    rng = np.random.default_rng(14)
+    x0, y0 = rng.uniform(-1, 1, (2, 100))
+    ang = rng.uniform(-3 * math.pi, 3 * math.pi, 100)
+    xs, ys = circ_rotate_lanes(lanes_from_real(x0, Q8_24), lanes_from_real(y0, Q8_24), ang, CFG)
+    x, y = lanes_real(xs, Q8_24), lanes_real(ys, Q8_24)
+    ex = x0 * np.cos(ang) - y0 * np.sin(ang)
+    ey = y0 * np.cos(ang) + x0 * np.sin(ang)
+    assert np.abs(x - ex).max() < 2e-6
+    assert np.abs(y - ey).max() < 2e-6
 
 
 # a 16-bit word saturates quickly; Q8.24 is the default; a 56-bit word
@@ -242,16 +187,11 @@ def test_circ_rotate_any_angle():
 LANE_FORMATS = [QFormat(16, 12), Q8_24, QFormat(56, 40)]
 
 
-def scalar_reference(x, y, z, mode, cfg, vectoring):
+def scalar_reference(x, y, z, mode, cfg):
     """The micro-rotation loop as a fold of cordic_step over one lane."""
     s = CordicState(Fx(x, cfg.fmt), Fx(y, cfg.fmt), Fx(z, cfg.fmt), 0)
-    for i in iteration_indices(mode, cfg.n_iter):
-        s = CordicState(s.x, s.y, s.z, i)
-        if vectoring:
-            sigma = -1 if s.y.raw > 0 else 1
-        else:
-            sigma = 1 if s.z.raw >= 0 else -1
-        s = cordic_step(s, mode, sigma)
+    for _ in range(cfg.n_iter):
+        s = cordic_step(s, mode, 1 if s.z.raw >= 0 else -1)
     return s.x.raw, s.y.raw, s.z.raw
 
 
@@ -268,13 +208,13 @@ def lane_batches(draw):
 
 
 @settings(deadline=None)
-@given(lane_batches(), st.sampled_from([CIRCULAR, LINEAR, HYPERBOLIC]), st.booleans())
-def test_lane_kernel_equals_scalar_reference(batch, mode, vectoring):
+@given(lane_batches(), st.sampled_from([CIRCULAR, LINEAR]))
+def test_lane_kernel_equals_scalar_reference(batch, mode):
     cfg, lanes = batch
     x, y, z = (np.array(v, dtype=lane_dtype(cfg.fmt)) for v in zip(*lanes))
-    out = cordic_lanes(x, y, z, mode, cfg, vectoring)
+    out = cordic_lanes(x, y, z, mode, cfg)
     for k, lane in enumerate(lanes):
-        want = scalar_reference(*lane, mode, cfg, vectoring)
+        want = scalar_reference(*lane, mode, cfg)
         assert tuple(int(v[k]) for v in out) == want
 
 
@@ -286,14 +226,17 @@ def test_lane_dtype_follows_word_width():
     assert all(type(v[0]) is int for v in out)
 
 
-@given(st.lists(st.floats(-MAX_ANGLE, MAX_ANGLE), min_size=1, max_size=8))
-def test_circ_rotate_lanes_equals_one_lane_calls(angles):
-    one, half = fx(1.0), fx(-0.5)
-    x = np.full(len(angles), one.raw)
-    y = np.full(len(angles), half.raw)
-    xs, ys = circ_rotate_lanes(x, y, np.array(angles), CFG)
+@settings(deadline=None)
+@given(st.sampled_from(LANE_FORMATS), st.lists(st.floats(-MAX_ANGLE, MAX_ANGLE), min_size=1, max_size=8))
+def test_sincos_cordic_array_equals_float_calls(fmt, angles):
+    cfg = CordicConfig(fmt.frac_bits, fmt)
+    cos, sin = sincos_cordic(np.array(angles).reshape(-1, 1), cfg)
+    assert cos.shape == sin.shape == (len(angles), 1)
+    assert cos.dtype == sin.dtype == np.float64
     for k, a in enumerate(angles):
-        assert circ_rotate(one, half, a, CFG) == (Fx(int(xs[k]), Q8_24), Fx(int(ys[k]), Q8_24))
+        c, s = sincos_cordic(a, cfg)
+        assert type(c) is float and type(s) is float
+        assert np.array([c, s]).tobytes() == np.array([cos[k, 0], sin[k, 0]]).tobytes()
 
 
 def test_wrappers_reject_a_format_other_than_the_config():
@@ -302,5 +245,3 @@ def test_wrappers_reject_a_format_other_than_the_config():
     cfg = CordicConfig(10, Q8_24)  # 10 shifts would fit a Q4.12 word too
     with pytest.raises(ValueError):
         cordic_rotate(x, y, z, CIRCULAR, cfg)
-    with pytest.raises(ValueError):
-        circ_rotate(x, y, 0.1, cfg)

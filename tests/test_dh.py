@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fkemu import cli, lut, taylor
+from fkemu import cli, cordic, lut, taylor
 from fkemu.dh import (
     DhJoint,
     PRISMATIC,
@@ -188,6 +188,7 @@ def test_puma_requires_six_angles():
 
 PROVIDERS = {
     "matrix": exact_sincos,
+    "cordic": cordic.sincos_cordic,
     "taylor": taylor.taylor_sincos,
     "lut-nearest": partial(lut.lut_sincos, table=lut.build_table(1024, mode=lut.NEAREST)),
     "lut-linear": partial(lut.lut_sincos, table=lut.build_table(256, mode=lut.LINEAR)),

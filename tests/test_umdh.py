@@ -8,7 +8,6 @@ import pytest
 
 from fkemu.cordic import sincos_cordic
 from fkemu.dh import chain_pose
-from fkemu.fixedpoint import Q8_24, fx_from_real
 from fkemu.lut import build_table, lut_sincos
 from fkemu.taylor import taylor_sincos
 from fkemu.umdh import (
@@ -152,13 +151,8 @@ def test_program_text_format():
 def test_trig_backends_agree_within_tolerance():
     ts = (0.4, -1.1, 0.7, 2.0)
     exact, _ = vm_run(PROG, *ts, P)
-
-    def cordic(a):
-        c, s = sincos_cordic(fx_from_real(a, Q8_24).real)
-        return c.real, s.real
-
     for hw, tol in (
-        (VmConfig(sincos=cordic), 1e-5),
+        (VmConfig(sincos=sincos_cordic), 1e-5),
         (VmConfig(sincos=taylor_sincos), 1e-3),
         (VmConfig(sincos=partial(lut_sincos, table=build_table(4096, mode="linear"))), 1e-5),
     ):
