@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from fkemu import cli, lut, taylor, umdh
-from fkemu.ccm import ccm_pose, ccm_poses
+from fkemu.ccm import ccm_poses
 from fkemu.cordic import DEFAULT_CONFIG, circ_rotate_lanes, sincos_cordic
 from fkemu.dh import DhJoint, ROTARY, chain_pose, chain_poses, exact_sincos, link_transform
 from fkemu.fixedpoint import Q8_24, fx_add, fx_from_real, rescale
@@ -105,7 +105,7 @@ def test_chain_poses_16_puma560_variants(benchmark, backend):
 
 
 def test_ccm_pose_puma560(benchmark):
-    benchmark(ccm_pose, PUMA)
+    benchmark(ccm_poses, [PUMA])
 
 
 def test_ccm_poses_16_puma560_variants(benchmark):

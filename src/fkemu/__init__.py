@@ -15,7 +15,6 @@ from .cordic import (
     LINEAR,
     circ_rotate_lanes,
     cordic_lanes,
-    cordic_rotate,
     cordic_step,
     gain,
     sincos_cordic,
@@ -37,13 +36,10 @@ from .dh import (
     puma_closed_form,
 )
 from .ccm import (
-    CcmResult,
     LatencyReport,
     PipelineModel,
     ccm_points,
-    ccm_pose,
     ccm_poses,
-    ccm_transform,
     fk_pipeline,
     latency_us,
 )

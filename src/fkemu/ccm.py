@@ -14,8 +14,6 @@ and the origin as a point, so ccm_poses on 16 chains runs 64 lanes.
 Between links each lane passes through a double, as the real-valued point
 a module takes and returns: exact for words up to 54 bits, and in wider
 words it rounds raws beyond 2**53, as the scalar cascade always did.
-ccm_transform, fk_pipeline and ccm_pose are one-chain calls into the same
-cascade.
 """
 
 from __future__ import annotations
@@ -34,15 +32,8 @@ from .cordic import (
     cordic_lanes,
     lin1_op_count,
 )
-from .dh import DhChain, DhJoint, Vec4
-from .fixedpoint import DomainError, Fx, lanes_from_real, lanes_real
-
-
-@dataclass(frozen=True)
-class CcmResult:
-    p_out: Vec4
-    intermediates: tuple[Fx, Fx, Fx]  # (x_a, y_a, z_a)
-
+from .dh import DhChain, Vec4
+from .fixedpoint import DomainError, lanes_from_real, lanes_real
 
 # the paper's per-stage delay and fixed overhead of the cascade
 STAGE_TIME_US = 40.0
@@ -67,7 +58,6 @@ class PipelineModel:
 
 @dataclass(frozen=True)
 class LatencyReport:
-    n_links: int
     processors: int
     latency_us: float
 
@@ -107,10 +97,16 @@ def _lin_accumulate(const, value, cfg: CordicConfig):
 def _module(joints, p: np.ndarray, cfg: CordicConfig):
     """One module on every lane: joints[k] applied to the real point p[k] = (x, y, z, w).
 
-    Returns the stage-1 raws (x_a, y_a, z_a) and the output raws.  Raises
-    ValueError unless w is 0 or 1, and DomainError unless 2|p|_2 +
+    Returns the output raws (x, y, z).  A free vector (w = 0) skips the
+    translation constants, which is how orientation columns ride the same
+    hardware as position.
+
+    Raises ValueError unless w is 0 or 1, and DomainError unless 2|p|_2 +
     |a_eff w| + |d w| + 2 fits the format's range, so no value the module
-    forms can saturate (see ccm_transform).
+    forms can saturate.  The circular stages keep a vector's norm at most
+    |p|_2 + |a_eff|.  A linear accumulate c + v overshoots on its way to the
+    sum by at most max(1, |v|), so it stays within |c| + 2|v| + 1, with
+    |v| <= |p|_2.  The remaining 1 is margin for truncation drift.
     """
     fmt = cfg.fmt
     limit = fmt.max_raw * fmt.eps
@@ -129,25 +125,7 @@ def _module(joints, p: np.ndarray, cfg: CordicConfig):
     x_a = _lin_accumulate(lanes_from_real(a_eff * w, fmt), x, cfg)
     x_out, y_out = circ_rotate_lanes(x_a, y_a, theta, cfg)
     z_out = _lin_accumulate(lanes_from_real(d * w, fmt), z_a, cfg)
-    return (x_a, y_a, z_a), (x_out, y_out, z_out)
-
-
-def ccm_transform(j: DhJoint, p: Vec4, cfg: CordicConfig = DEFAULT_CONFIG) -> CcmResult:
-    """Push one point (w=1) or free vector (w=0) through one module.
-
-    Free vectors skip the translation constants, which is how orientation
-    columns ride the same hardware as position.
-
-    Raises DomainError unless 2|p|_2 + |a_eff w| + |d w| + 2 fits the
-    format's range, so no value the module forms can saturate.  The
-    circular stages keep a vector's norm at most |p|_2 + |a_eff|.  A linear
-    accumulate c + v overshoots on its way to the sum by at most
-    max(1, |v|), so it stays within |c| + 2|v| + 1, with |v| <= |p|_2.  The
-    remaining 1 is margin for truncation drift.
-    """
-    inter, out = _module([j], np.array([p.as_array()], dtype=np.float64), cfg)
-    x, y, z = (float(lanes_real(v, cfg.fmt)[0]) for v in out)
-    return CcmResult(Vec4(x, y, z, p.w), tuple(Fx(int(v[0]), cfg.fmt) for v in inter))
+    return x_out, y_out, z_out
 
 
 def ccm_points(chains, points, cfg: CordicConfig = DEFAULT_CONFIG) -> np.ndarray:
@@ -161,7 +139,7 @@ def ccm_points(chains, points, cfg: CordicConfig = DEFAULT_CONFIG) -> np.ndarray
         raise ValueError(f"need one or more chains of one length, got lengths {sorted(lengths)}")
     p = np.array(points, dtype=np.float64).reshape(len(chains), 4)
     for link in reversed(range(lengths.pop())):
-        _, out = _module([c[link] for c in chains], p, cfg)
+        out = _module([c[link] for c in chains], p, cfg)
         p = np.column_stack([lanes_real(v, cfg.fmt) for v in out] + [p[:, 3]])
     return p
 
@@ -170,7 +148,7 @@ def fk_pipeline(chain: DhChain, p_end: Vec4, cfg: CordicConfig = DEFAULT_CONFIG)
     """Walk a point from frame n to the base: P_{i-1} = A_i P_i, i = n..1."""
     x, y, z, _ = ccm_points([chain], [p_end.as_array()], cfg)[0].tolist()
     model = PipelineModel(len(chain))
-    report = LatencyReport(len(chain), model.processors, latency_us(model))
+    report = LatencyReport(model.processors, latency_us(model))
     return Vec4(x, y, z, p_end.w), report
 
 
@@ -181,11 +159,6 @@ def ccm_poses(chains, cfg: CordicConfig = DEFAULT_CONFIG) -> np.ndarray:
     columns = np.tile(np.eye(4), (len(chains), 1))  # row k of eye(4) is column k of a pose
     out = ccm_points([c for c in chains for _ in range(4)], columns, cfg)
     return out.reshape(len(chains), 4, 4).transpose(0, 2, 1)
-
-
-def ccm_pose(chain: DhChain, cfg: CordicConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Full pose of one chain via the module cascade (see ccm_poses)."""
-    return ccm_poses([chain], cfg)[0]
 
 
 def point_op_count(cfg: CordicConfig = DEFAULT_CONFIG) -> int:

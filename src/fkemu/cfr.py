@@ -15,7 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .cordic import DomainError, gain
+from .cordic import gain
+from .fixedpoint import DomainError
 
 SelectionPolicy = Callable[[float, int], int]
 
@@ -112,7 +113,7 @@ def cfr_rotate(
 def cfr_gain(n_iter: int, repeat_indices: Sequence[int] = ()) -> float:
     """Constant norm gain over the executed iteration list."""
     k = gain(n_iter)
-    for i in repeat_indices:
-        if i < n_iter:
+    for i in range(n_iter):
+        if i in repeat_indices:  # cfr_rotate's rule: each listed iteration runs twice
             k *= math.sqrt(1.0 + math.ldexp(1.0, -2 * i))
     return k

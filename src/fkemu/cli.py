@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from dataclasses import dataclass
 from functools import partial
@@ -27,9 +28,9 @@ from typing import Callable
 import numpy as np
 
 from . import ccm, lut, taylor, umdh
-from .cordic import CordicConfig, DomainError
+from .cordic import CordicConfig
 from .dh import DhJoint, PRISMATIC, ROTARY, PumaParams, Vec4, chain_pose, chain_poses, exact_sincos, pose_op_count
-from .fixedpoint import QFormat
+from .fixedpoint import DomainError, QFormat
 from .umdh import CapacityError, UmdhParams
 
 BACKENDS = ("matrix", "cordic", "taylor", "lut")
@@ -70,6 +71,10 @@ def _demo_chain_text() -> str:
     )
 
 
+# fields after each directive word: a joint is its kind and four numbers
+CHAIN_FIELDS = {"name": 1, "joint": 5, "point": 3}
+
+
 def parse_chain(text: str, filename: str = "<chain>") -> ChainFile:
     name = "chain"
     joints: list[DhJoint] = []
@@ -80,44 +85,41 @@ def parse_chain(text: str, filename: str = "<chain>") -> ChainFile:
         if not tokens:
             continue
 
-        def _floats(count: int, start: int) -> list[float]:
+        def error(k: int, msg: str) -> ChainParseError:
+            """The error at token k, or one past the line's end if there is no token k."""
+            starts = [m.start() for m in re.finditer(r"\S+", line)] + [len(line.rstrip())]
+            return ChainParseError(filename, lineno, starts[min(k, len(tokens))] + 1, msg)
+
+        def floats(start: int, count: int) -> list[float]:
             vals = []
-            for k in range(count):
-                idx = start + k
-                if idx >= len(tokens):
-                    col = len(line.rstrip()) + 1
-                    raise ChainParseError(filename, lineno, col, f"expected {count} numbers")
+            for k in range(start, start + count):
+                if k >= len(tokens):
+                    raise error(k, f"expected {count} numbers")
                 try:
-                    value = float(tokens[idx])
+                    value = float(tokens[k])
                 except ValueError:
-                    col = line.index(tokens[idx]) + 1
-                    raise ChainParseError(
-                        filename, lineno, col, f"bad number {tokens[idx]!r}"
-                    ) from None
+                    raise error(k, f"bad number {tokens[k]!r}") from None
                 if not math.isfinite(value):
-                    col = line.index(tokens[idx]) + 1
-                    raise ChainParseError(filename, lineno, col, "number must be finite")
+                    raise error(k, "number must be finite")
                 vals.append(value)
             return vals
 
         key = tokens[0]
+        fields = CHAIN_FIELDS.get(key)
+        if fields is None:
+            raise error(0, f"unknown directive {key!r}")
         if key == "name":
             if len(tokens) < 2:
-                raise ChainParseError(filename, lineno, len(line.rstrip()) + 1, "missing name")
+                raise error(1, "missing name")
             name = tokens[1]
         elif key == "joint":
             if len(tokens) < 2 or tokens[1] not in ("R", "P"):
-                col = line.index(tokens[1]) + 1 if len(tokens) > 1 else len(line.rstrip()) + 1
-                raise ChainParseError(filename, lineno, col, "joint kind must be R or P")
-            kind = ROTARY if tokens[1] == "R" else PRISMATIC
-            theta, d, a, alpha = _floats(4, 2)
-            joints.append(DhJoint(kind, theta, d, a, alpha))
-        elif key == "point":
-            x, y, z = _floats(3, 1)
-            point = Vec4(x, y, z)
+                raise error(1, "joint kind must be R or P")
+            joints.append(DhJoint(ROTARY if tokens[1] == "R" else PRISMATIC, *floats(2, 4)))
         else:
-            col = line.index(key) + 1
-            raise ChainParseError(filename, lineno, col, f"unknown directive {key!r}")
+            point = Vec4(*floats(1, 3))
+        if len(tokens) > fields + 1:
+            raise error(fields + 1, f"{key} takes {fields} fields")
     if not joints:
         raise ChainParseError(filename, 1, 1, "chain has no joints")
     return ChainFile(name, tuple(joints), point)

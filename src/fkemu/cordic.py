@@ -13,9 +13,8 @@ iteration per numpy operation.  Lanes are int64 for words up to 32 bits,
 where every sum and the 1/K pre-scale product are exact, and object arrays
 of Python ints for wider words (fixedpoint.lane_dtype); the loop is the
 same.  Every add and sub saturates, so each lane equals a fold of the
-scalar reference cordic_step bit for bit.  cordic_rotate is the one-lane
-Fx entry point into it, and sincos_cordic the trig provider: one lane per
-angle.
+scalar reference cordic_step bit for bit.  sincos_cordic is the trig
+provider on top of it: one lane per angle.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ import numpy as np
 
 from .fixedpoint import (
     HALF_PI,
-    DomainError,
     Fx,
     QFormat,
     clip,
@@ -46,9 +44,6 @@ from .fixedpoint import (
 
 CIRCULAR = 1
 LINEAR = 0
-
-# Max convergent |z0| in circular rotation mode, sum of all atan(2**-i).
-CIRC_RANGE = 1.7433
 
 
 @dataclass(frozen=True, slots=True)
@@ -137,9 +132,12 @@ def cordic_lanes(x, y, z, mode: int, cfg: CordicConfig):
     returns (x, y, z).
 
     x, y and z are arrays of lane_dtype(cfg.fmt), one raw per lane.  sigma
-    is chosen per lane, sign(z) with +1 on ties.  Each lane equals
-    cordic_step folded over shift indices 0..n_iter-1, bit for bit.  No
-    range checks: those belong to the callers that know what the lanes hold.
+    is chosen per lane, sign(z) with +1 on ties, driving z to zero.
+    Circular output is K*(x0*cos z0 - y0*sin z0, y0*cos z0 + x0*sin z0, ~0)
+    for |z0| within the sum of all atan(2**-i), about 1.7433; linear output
+    is (x0, y0 + x0*z0, ~0) for |z0| <= 2.  Each lane equals cordic_step
+    folded over shift indices 0..n_iter-1, bit for bit.  No range checks:
+    those belong to the callers that know what the lanes hold.
     """
     # bare clip, bounds hoisted: a rescale call makes each saturation ~50% slower on 64 lanes
     lo, hi = cfg.fmt.min_raw, cfg.fmt.max_raw
@@ -151,34 +149,6 @@ def cordic_lanes(x, y, z, mode: int, cfg: CordicConfig):
         y = clip(y + s * tx, lo, hi)
         z = clip(z - s * e, lo, hi)
     return x, y, z
-
-
-def _one_lane(cfg: CordicConfig, *values: Fx) -> list[np.ndarray]:
-    for v in values:
-        if v.fmt != cfg.fmt:
-            raise ValueError(f"format mismatch: {v.fmt} vs {cfg.fmt}")
-    return [np.array([v.raw], dtype=lane_dtype(cfg.fmt)) for v in values]
-
-
-def _fx(cfg: CordicConfig, *lanes: np.ndarray) -> tuple[Fx, ...]:
-    return tuple(Fx(int(v[0]), cfg.fmt) for v in lanes)
-
-
-def cordic_rotate(x0: Fx, y0: Fx, z0: Fx, mode: int, cfg: CordicConfig) -> tuple[Fx, Fx, Fx]:
-    """Rotation mode: drive z to zero, sigma = sign(z), +1 on ties.
-
-    Circular output is K*(x0*cos z0 - y0*sin z0, y0*cos z0 + x0*sin z0, ~0);
-    linear output is (x0, y0 + x0*z0, ~0).
-    """
-    _check_range(mode, z0.real)
-    return _fx(cfg, *cordic_lanes(*_one_lane(cfg, x0, y0, z0), mode, cfg))
-
-
-def _check_range(mode: int, z: float) -> None:
-    if mode == CIRCULAR and abs(z) > CIRC_RANGE:
-        raise DomainError(f"angle {z} outside circular range +-{CIRC_RANGE}")
-    if mode == LINEAR and abs(z) > 2.0:
-        raise DomainError(f"linear argument {z} outside +-2")
 
 
 def circ_rotate_lanes(x, y, angle: np.ndarray, cfg: CordicConfig):

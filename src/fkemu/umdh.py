@@ -45,8 +45,6 @@ class UmdhParams:
         return (self.a0, self.a1, self.a2, self.a3, self.d1, 0.0)
 
 
-CONST_NAMES = ("a0", "a1", "a2", "a3", "d1", "zero")
-
 LOADK = "LOADK"
 SINCOS = "SINCOS"
 ADD = "ADD"

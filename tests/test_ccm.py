@@ -12,9 +12,8 @@ from fkemu import cli
 
 from fkemu.ccm import (
     PipelineModel,
-    ccm_pose,
+    ccm_points,
     ccm_poses,
-    ccm_transform,
     fk_pipeline,
     latency_us,
     point_op_count,
@@ -40,39 +39,29 @@ def random_pair(rng):
     return j, p
 
 
+def push(j, p):
+    """One module: the point or free vector p through joint j, as (x, y, z, w)."""
+    return ccm_points([(j,)], [p.as_array()], CFG)[0]
+
+
 def test_zero_joint_zero_point():
-    out = ccm_transform(DhJoint(ROTARY, 0, 0, 0, 0), Vec4(0, 0, 0), CFG).p_out
-    assert max(abs(out.x), abs(out.y), abs(out.z)) < 1e-6
-    assert out.w == 1.0
+    out = push(DhJoint(ROTARY, 0, 0, 0, 0), Vec4(0, 0, 0))
+    assert np.abs(out[:3]).max() < 1e-6
+    assert out[3] == 1.0
 
 
 def test_pure_z_translation():
-    out = ccm_transform(DhJoint(ROTARY, 0, 5.0, 0, 0), Vec4(1, 2, 3), CFG).p_out
-    assert abs(out.x - 1) < 1e-5
-    assert abs(out.y - 2) < 1e-5
-    assert abs(out.z - 8) < 1e-5
+    out = push(DhJoint(ROTARY, 0, 5.0, 0, 0), Vec4(1, 2, 3))
+    assert np.abs(out[:3] - [1, 2, 8]).max() < 1e-5
 
 
 def test_matches_matrix_oracle():
+    # one lane per (joint, point), as acceptance c02 runs it
     rng = random.Random(31)
-    worst = 0.0
-    for _ in range(200):
-        j, p = random_pair(rng)
-        got = ccm_transform(j, p, CFG).p_out
-        want = apply_point(link_transform(j), p)
-        worst = max(worst, abs(got.x - want.x), abs(got.y - want.y), abs(got.z - want.z))
-    assert worst <= TOL
-
-
-def test_intermediates_satisfy_stage_one_equations():
-    rng = random.Random(32)
-    for _ in range(50):
-        j, p = random_pair(rng)
-        x_a, y_a, z_a = ccm_transform(j, p, CFG).intermediates
-        ca, sa = math.cos(j.alpha), math.sin(j.alpha)
-        assert abs(x_a.real - (p.x + j.a)) <= TOL
-        assert abs(y_a.real - (p.y * ca - p.z * sa)) <= TOL
-        assert abs(z_a.real - (p.z * ca + p.y * sa)) <= TOL
+    pairs = [random_pair(rng) for _ in range(200)]
+    got = ccm_points([(j,) for j, _ in pairs], [p.as_array() for _, p in pairs], CFG)
+    want = np.array([link_transform(j) @ p.as_array() for j, p in pairs])
+    assert np.abs(got[:, :3] - want[:, :3]).max() <= TOL
 
 
 def test_two_step_substitution_identity():
@@ -94,15 +83,15 @@ def test_two_step_substitution_identity():
 
 def test_free_vector_skips_translation():
     j = DhJoint(ROTARY, 0.0, 5.0, 3.0, 0.0)
-    out = ccm_transform(j, Vec4(0.25, 0, 0, 0.0), CFG).p_out
-    assert abs(out.x - 0.25) < 1e-5
-    assert abs(out.z) < 1e-5
-    assert out.w == 0.0
+    out = push(j, Vec4(0.25, 0, 0, 0.0))
+    assert abs(out[0] - 0.25) < 1e-5
+    assert abs(out[2]) < 1e-5
+    assert out[3] == 0.0
 
 
 def test_w_must_be_zero_or_one():
     with pytest.raises(ValueError):
-        ccm_transform(DhJoint(ROTARY, 0, 0, 0, 0), Vec4(0, 0, 0, 0.5), CFG)
+        push(DhJoint(ROTARY, 0, 0, 0, 0), Vec4(0, 0, 0, 0.5))
 
 
 def test_pipeline_processor_count_and_identity_link():
@@ -140,10 +129,10 @@ def test_pipeline_equals_iterated_modules_exactly():
     ]
     p0 = Vec4(0.2, -0.1, 0.15)
     via_pipeline, _ = fk_pipeline(chain, p0, CFG)
-    p = p0
+    p = p0.as_array()
     for j in reversed(chain):
-        p = ccm_transform(j, p, CFG).p_out
-    assert via_pipeline == p  # same code path, bit-identical
+        p = ccm_points([(j,)], [p], CFG)[0]
+    assert via_pipeline == Vec4(*p.tolist())  # same code path, bit-identical
 
 
 def test_pipeline_rejects_empty_chain():
@@ -169,7 +158,7 @@ def test_pose_via_free_vectors():
         DhJoint(ROTARY, -0.4, 0.15, 0.1, 0.5),
         DhJoint(ROTARY, 1.8, 0.05, 0.12, -2.2),
     ]
-    pose = ccm_pose(chain, CFG)
+    pose = ccm_poses([chain], CFG)[0]
     assert np.abs(pose - chain_pose(chain)).max() < 1e-5
     assert np.array_equal(pose[3], [0, 0, 0, 1])
 
@@ -182,11 +171,11 @@ def test_op_counts_scale():
 def test_reach_beyond_format_raises_domain_error():
     far = DhJoint(ROTARY, 0.3, 200.0, 0.0, 0.2)  # z = 200 would pin at the Q8.24 edge
     with pytest.raises(DomainError):
-        ccm_transform(far, Vec4(0, 0, 0), CFG)
+        push(far, Vec4(0, 0, 0))
     with pytest.raises(DomainError):
-        ccm_transform(DhJoint(ROTARY, 0.3, 0.0, 0.0, 0.2), Vec4(0, 0, 70.0), CFG)
-    free = ccm_transform(far, Vec4(0, 0, 1, 0.0), CFG).p_out  # no translation
-    assert abs(free.z - math.cos(0.2)) < TOL
+        push(DhJoint(ROTARY, 0.3, 0.0, 0.0, 0.2), Vec4(0, 0, 70.0))
+    free = push(far, Vec4(0, 0, 1, 0.0))  # no translation
+    assert abs(free[2] - math.cos(0.2)) < TOL
 
 
 @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf, 2.0**21])
@@ -194,15 +183,15 @@ def test_reach_beyond_format_raises_domain_error():
 def test_joint_angle_outside_domain_raises_domain_error(field, angle):
     j = dataclasses.replace(DhJoint(ROTARY, 0.3, 0.1, 0.1, 0.2), **{field: angle})
     with pytest.raises(DomainError):
-        ccm_transform(j, Vec4(0.1, 0, 0), CFG)
+        push(j, Vec4(0.1, 0, 0))
 
 
 def test_largest_accepted_reach_is_not_pinned():
     j = DhJoint(ROTARY, 0.3, 60.0, 0.0, 0.2)
     p = Vec4(0.0, 0.0, 31.0)  # 2*31 + 60 + 2 = 124 < 128
-    got = ccm_transform(j, p, CFG).p_out
+    got = push(j, p)
     want = apply_point(link_transform(j), p)
-    assert abs(got.z - want.z) < 1e-4
+    assert abs(got[2] - want.z) < 1e-4
 
 
 def test_poses_reject_empty_and_ragged_chains():
@@ -233,7 +222,7 @@ def test_batched_poses_equal_one_chain_poses(chains):
     got = ccm_poses(chains, CFG)
     assert got.shape == (len(chains), 4, 4)
     for k, chain in enumerate(chains):
-        assert got[k].tobytes() == ccm_pose(chain, CFG).tobytes()
+        assert got[k].tobytes() == ccm_poses([chain], CFG)[0].tobytes()
     origin, _ = fk_pipeline(chains[0], Vec4(0, 0, 0), CFG)
     assert got[0][:, 3].tolist() == [origin.x, origin.y, origin.z, 1.0]
 

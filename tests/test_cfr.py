@@ -14,7 +14,7 @@ from fkemu.cfr import (
     selection,
     truncated_selection,
 )
-from fkemu.cordic import DomainError
+from fkemu.fixedpoint import DomainError
 
 
 def test_step_example():
@@ -125,10 +125,13 @@ def test_repeat_indices_extend_gain():
 
 
 @pytest.mark.parametrize("n_iter", [8, 16, 24])
-@pytest.mark.parametrize("repeats", [(), (0,), (2,), (4, 6)], ids=["none", "0", "2", "4,6"])
+@pytest.mark.parametrize(
+    "repeats", [(), (0,), (2,), (4, 6), (2, 2), (-1,), (8,)], ids=["none", "0", "2", "4,6", "2,2", "-1", "8"]
+)
 def test_repeat_indices_keep_the_rotation_angle(n_iter, repeats):
     # a repeated iteration must step the residual by atan(2**-i) again,
-    # not by a U the first pass already doubled
+    # not by a U the first pass already doubled; an iteration runs twice
+    # however often it is listed, and an index outside 0..n_iter-1 never runs
     x0, y0 = 0.6, -0.2
     r = cfr_range(n_iter)
     bound = math.atan(math.ldexp(1.0, 1 - n_iter)) + 1e-9

@@ -5,9 +5,8 @@ from hypothesis import strategies as st
 
 from fkemu import cli
 from fkemu.cli import ChainParseError, load_chain, main, parse_chain, parse_qformat
-from fkemu.cordic import DomainError
 from fkemu.dh import PRISMATIC, ROTARY, DhJoint, Vec4
-from fkemu.fixedpoint import QFormat
+from fkemu.fixedpoint import DomainError, QFormat
 from fkemu.lut import MAX_ENTRIES
 
 IDENTITY_CHAIN = "joint R 0 0 0 0\n"
@@ -117,6 +116,25 @@ def test_parse_errors_carry_line_and_column():
         parse_chain("joint R nan 0 0 0\n", "f")
     with pytest.raises(ChainParseError):
         parse_chain("pivot R 0 0 0 0\n", "f")
+    # a column is where its token starts, not where its text first appears
+    for text, col in [("joint R 1 2 3 n\n", 15), ("point 1 t 1\n", 9)]:
+        with pytest.raises(ChainParseError) as e:
+            parse_chain(text, "f")
+        assert (e.value.line, e.value.col) == (1, col)
+    # extra fields are errors at the first extra token
+    extra = [
+        ("joint R 0.1 0.2 0.3 0.4 0.5\n", 25),
+        ("point 1 2 3 4\n", 13),
+        ("point 11 1 1 1\n", 14),
+        ("name a b  # c\n", 8),
+    ]
+    for text, col in extra:
+        with pytest.raises(ChainParseError) as e:
+            parse_chain(IDENTITY_CHAIN + text, "f")
+        assert (e.value.line, e.value.col) == (2, col)
+    with pytest.raises(ChainParseError) as e:
+        parse_chain("point 1 2\t\n", "f")  # too few: one past the line's end, as before
+    assert e.value.col == 10
 
 
 def test_load_chain_missing_file():

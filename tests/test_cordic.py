@@ -10,23 +10,37 @@ from fkemu.cordic import (
     CIRCULAR,
     CordicConfig,
     CordicState,
-    DomainError,
     LINEAR,
     circ_rotate_lanes,
     cordic_lanes,
-    cordic_rotate,
     cordic_step,
     gain,
     sincos_cordic,
     sincos_tolerance,
 )
-from fkemu.fixedpoint import MAX_ANGLE, Q8_24, Fx, QFormat, fx_from_real, lane_dtype, lanes_from_real, lanes_real
+from fkemu.fixedpoint import (
+    MAX_ANGLE,
+    Q8_24,
+    DomainError,
+    Fx,
+    QFormat,
+    fx_from_real,
+    lane_dtype,
+    lanes_from_real,
+    lanes_real,
+)
 
 CFG = CordicConfig(24, Q8_24)
 
 
 def fx(v):
     return fx_from_real(v, Q8_24)
+
+
+def rotate(x0, y0, z0, mode):
+    """cordic_lanes on Q8.24 lanes quantized from the reals; returns the real outputs."""
+    out = cordic_lanes(*(lanes_from_real(np.atleast_1d(v), Q8_24) for v in (x0, y0, z0)), mode, CFG)
+    return tuple(lanes_real(v, Q8_24) for v in out)
 
 
 def test_config_validation():
@@ -67,36 +81,27 @@ def test_step_rejects_bad_sigma():
 
 
 def test_rotate_linear_is_multiply_accumulate():
-    # (1, a, b) -> y = a + b
-    out = cordic_rotate(fx(1.0), fx(0.25), fx(0.6), LINEAR, CFG)
-    assert abs(out[1].real - 0.85) < 1e-6
+    # lane 0: (1, a, b) -> y = a + b
     rng = random.Random(10)
-    for _ in range(50):
-        x0, y0, z0 = rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-1.9, 1.9)
-        out = cordic_rotate(fx(x0), fx(y0), fx(z0), LINEAR, CFG)
-        assert abs(out[1].real - (y0 + x0 * z0)) <= CFG.n_iter * Q8_24.eps + abs(x0) * 2.0 ** (1 - CFG.n_iter)
+    x0, y0, z0 = np.array([(1.0, 0.25, 0.6)] + [
+        (rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-1.9, 1.9)) for _ in range(50)
+    ]).T
+    _, y, _ = rotate(x0, y0, z0, LINEAR)
+    assert abs(y[0] - 0.85) < 1e-6
+    assert (np.abs(y - (y0 + x0 * z0)) <= CFG.n_iter * Q8_24.eps + np.abs(x0) * 2.0 ** (1 - CFG.n_iter)).all()
 
 
 def test_rotate_zero_angle_returns_gain():
-    inv_k = fx(1.0 / gain(24))
-    x, y, z = cordic_rotate(inv_k, fx(0.0), fx(0.0), CIRCULAR, CFG)
-    assert abs(x.real - 1.0) < 1e-6
-    assert abs(y.real) < 1e-6
+    x, y, _ = rotate(1.0 / gain(24), 0.0, 0.0, CIRCULAR)
+    assert abs(x[0] - 1.0) < 1e-6
+    assert abs(y[0]) < 1e-6
 
 
 def test_rotate_pi_over_six():
     # double-precision trig oracle, frozen
-    inv_k = fx(1.0 / gain(24))
-    x, y, _ = cordic_rotate(inv_k, fx(0.0), fx(math.pi / 6), CIRCULAR, CFG)
-    assert abs(x.real - 0.8660254037844387) < 1e-6
-    assert abs(y.real - 0.5) < 1e-6
-
-
-def test_rotate_out_of_range_raises():
-    with pytest.raises(DomainError):
-        cordic_rotate(fx(1.0), fx(0.0), fx(1.8), CIRCULAR, CFG)
-    with pytest.raises(DomainError):
-        cordic_rotate(fx(1.0), fx(0.0), fx(2.5), LINEAR, CFG)
+    x, y, _ = rotate(1.0 / gain(24), 0.0, math.pi / 6, CIRCULAR)
+    assert abs(x[0] - 0.8660254037844387) < 1e-6
+    assert abs(y[0] - 0.5) < 1e-6
 
 
 def test_gain_values():
@@ -152,22 +157,17 @@ def test_sincos_outside_domain_raises(angle):
 def test_rotation_residual_bound():
     rng = random.Random(12)
     bound = math.atan(2.0 ** -(CFG.n_iter - 1)) + Q8_24.eps
-    for _ in range(200):
-        z0 = rng.uniform(-1.7, 1.7)
-        _, _, z = cordic_rotate(fx(0.3), fx(0.1), fx(z0), CIRCULAR, CFG)
-        assert abs(z.real) <= bound
+    z0 = np.array([rng.uniform(-1.7, 1.7) for _ in range(200)])
+    _, _, z = rotate(np.full(200, 0.3), np.full(200, 0.1), z0, CIRCULAR)
+    assert np.abs(z).max() <= bound
 
 
 def test_norm_growth_matches_gain():
     rng = random.Random(13)
-    k = gain(24)
-    for _ in range(200):
-        x0, y0 = rng.uniform(-1, 1), rng.uniform(-1, 1)
-        z0 = rng.uniform(-1.7, 1.7)
-        x, y, _ = cordic_rotate(fx(x0), fx(y0), fx(z0), CIRCULAR, CFG)
-        got = math.hypot(x.real, y.real)
-        want = k * math.hypot(fx(x0).real, fx(y0).real)
-        assert abs(got - want) <= CFG.n_iter * Q8_24.eps
+    x0, y0, z0 = np.array([(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1.7, 1.7)) for _ in range(200)]).T
+    x, y, _ = rotate(x0, y0, z0, CIRCULAR)
+    want = gain(24) * np.hypot(*(lanes_real(lanes_from_real(v, Q8_24), Q8_24) for v in (x0, y0)))
+    assert np.abs(np.hypot(x, y) - want).max() <= CFG.n_iter * Q8_24.eps
 
 
 def test_circ_rotate_any_angle():
@@ -237,11 +237,3 @@ def test_sincos_cordic_array_equals_float_calls(fmt, angles):
         c, s = sincos_cordic(a, cfg)
         assert type(c) is float and type(s) is float
         assert np.array([c, s]).tobytes() == np.array([cos[k, 0], sin[k, 0]]).tobytes()
-
-
-def test_wrappers_reject_a_format_other_than_the_config():
-    q4_12 = QFormat(16, 12)
-    x, y, z = (fx_from_real(v, q4_12) for v in (1.0, 0.0, 0.1))
-    cfg = CordicConfig(10, Q8_24)  # 10 shifts would fit a Q4.12 word too
-    with pytest.raises(ValueError):
-        cordic_rotate(x, y, z, CIRCULAR, cfg)
