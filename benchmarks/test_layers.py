@@ -6,8 +6,8 @@ Layers, bottom up: fixed-point primitive (the scalar fx_add reference,
 and rescale on 64 int64 lanes, the narrowing the kernels use), sin/cos
 generator per backend (one lane, and batched), link-matrix assembly, chain
 product or module cascade (one chain, and the stacked product of a bench's
-16 variants), the VM, and one in-process ``fkemu bench`` on puma560 and on
-a 12-link chain.
+16 variants), the seeded variant draw, the VM, and one in-process ``fkemu
+bench`` on puma560 and on a 12-link chain.
 These time the emulator on the host; the modeled hardware latency is a
 formula (ccm.latency_us, umdh.clock_time) and is not measured here.  The
 suite sits outside the tier-1 testpaths; ``--benchmark-disable`` runs each
@@ -25,7 +25,7 @@ import pytest
 from fkemu import cli, lut, taylor, umdh
 from fkemu.ccm import ccm_poses
 from fkemu.cordic import DEFAULT_CONFIG, circ_rotate_lanes, sincos_cordic
-from fkemu.dh import DhJoint, ROTARY, chain_pose, chain_poses, exact_sincos, link_transform
+from fkemu.dh import ChainSet, DhJoint, ROTARY, chain_pose, chain_poses, exact_sincos, link_transform
 from fkemu.fixedpoint import Q8_24, fx_add, fx_from_real, rescale
 
 PUMA = cli.load_chain("puma560").joints
@@ -105,11 +105,16 @@ def test_chain_poses_16_puma560_variants(benchmark, backend):
 
 
 def test_ccm_pose_puma560(benchmark):
-    benchmark(ccm_poses, [PUMA])
+    # ChainSet.of stays inside the timing, so the row compares with earlier BENCH files
+    benchmark(lambda: ccm_poses(ChainSet.of([PUMA])))
 
 
 def test_ccm_poses_16_puma560_variants(benchmark):
     benchmark(ccm_poses, VARIANTS)
+
+
+def test_bench_variants_16_puma560(benchmark):
+    benchmark(cli.bench_variants, PUMA, 16, 5)
 
 
 def test_vm_run(benchmark):

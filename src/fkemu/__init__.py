@@ -20,6 +20,7 @@ from .cordic import (
     sincos_cordic,
 )
 from .dh import (
+    ChainSet,
     DhChain,
     DhJoint,
     PRISMATIC,

@@ -32,7 +32,7 @@ from .cordic import (
     cordic_lanes,
     lin1_op_count,
 )
-from .dh import DhChain, Vec4
+from .dh import ChainSet, DhChain, Vec4
 from .fixedpoint import DomainError, lanes_from_real, lanes_real
 
 # the paper's per-stage delay and fixed overhead of the cascade
@@ -94,8 +94,8 @@ def _lin_accumulate(const, value, cfg: CordicConfig):
     return y
 
 
-def _module(joints, p: np.ndarray, cfg: CordicConfig):
-    """One module on every lane: joints[k] applied to the real point p[k] = (x, y, z, w).
+def _module(chains: ChainSet, link: int, p: np.ndarray, cfg: CordicConfig):
+    """One module on every lane: link `link` of chains[k] applied to p[k] = (x, y, z, w).
 
     Returns the output raws (x, y, z).  A free vector (w = 0) skips the
     translation constants, which is how orientation columns ride the same
@@ -109,16 +109,18 @@ def _module(joints, p: np.ndarray, cfg: CordicConfig):
     |v| <= |p|_2.  The remaining 1 is margin for truncation drift.
     """
     fmt = cfg.fmt
-    limit = fmt.max_raw * fmt.eps
-    for j, (px, py, pz, pw) in zip(joints, p.tolist()):
-        if pw not in (0.0, 1.0):
-            raise ValueError(f"point w must be 0 or 1, got {pw}")
-        reach = 2.0 * math.hypot(px, py, pz) + abs(j.a_eff * pw) + abs(j.d * pw) + 2.0
-        if not reach <= limit:
-            raise DomainError(f"link {j} on point {Vec4(px, py, pz, pw)} can saturate {fmt}")
-    theta, d, a_eff, alpha = np.array([(j.theta, j.d, j.a_eff, j.alpha) for j in joints], dtype=np.float64).T
-    x, y, z = (lanes_from_real(p[:, c], fmt) for c in range(3))
+    theta, d, a_eff, alpha = (v[:, link] for v in (chains.theta, chains.d, chains.a_eff, chains.alpha))
     w = p[:, 3]
+    bad_w = (w != 0.0) & (w != 1.0)
+    with np.errstate(invalid="ignore"):  # inf * 0 is nan, as in float arithmetic, and fails the bound
+        reach = 2.0 * np.array([math.hypot(*q) for q in p[:, :3].tolist()]) + abs(a_eff * w) + abs(d * w) + 2.0
+    bad = bad_w | ~(reach <= fmt.max_raw * fmt.eps)
+    first = np.argmax(bad)
+    if bad_w[first]:
+        raise ValueError(f"point w must be 0 or 1, got {w[first]}")
+    if bad[first]:
+        raise DomainError(f"link {link} can saturate {fmt} on points {p[bad].tolist()}")
+    x, y, z = (lanes_from_real(p[:, c], fmt) for c in range(3))
     # stage 1: CIRC1 on (y, z; alpha) and LIN1 on (1, a; x) are independent
     # and may run in parallel; both read only stage inputs
     y_a, z_a = circ_rotate_lanes(y, z, alpha, cfg)
@@ -128,36 +130,30 @@ def _module(joints, p: np.ndarray, cfg: CordicConfig):
     return x_out, y_out, z_out
 
 
-def ccm_points(chains, points, cfg: CordicConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Push points[k] (x, y, z, w) through chains[k] from frame n to the
-    base, P_{i-1} = A_i P_i for i = n..1, all lanes at once; returns the
-    (len(chains), 4) points.  The chains must have one length."""
-    lengths = {len(c) for c in chains}
-    if 0 in lengths:
-        raise ValueError("empty chain")
-    if len(lengths) != 1:
-        raise ValueError(f"need one or more chains of one length, got lengths {sorted(lengths)}")
+def ccm_points(chains: ChainSet, points, cfg: CordicConfig = DEFAULT_CONFIG) -> np.ndarray:
+    """Push points[k] (x, y, z, w) through chains[k], frame n to the base
+    (P_{i-1} = A_i P_i, i = n..1) on all lanes at once: (len(chains), 4)."""
     p = np.array(points, dtype=np.float64).reshape(len(chains), 4)
-    for link in reversed(range(lengths.pop())):
-        out = _module([c[link] for c in chains], p, cfg)
+    for link in reversed(range(chains.theta.shape[1])):
+        out = _module(chains, link, p, cfg)
         p = np.column_stack([lanes_real(v, cfg.fmt) for v in out] + [p[:, 3]])
     return p
 
 
 def fk_pipeline(chain: DhChain, p_end: Vec4, cfg: CordicConfig = DEFAULT_CONFIG) -> tuple[Vec4, LatencyReport]:
     """Walk a point from frame n to the base: P_{i-1} = A_i P_i, i = n..1."""
-    x, y, z, _ = ccm_points([chain], [p_end.as_array()], cfg)[0].tolist()
+    x, y, z, _ = ccm_points(ChainSet.of([chain]), [p_end.as_array()], cfg)[0].tolist()
     model = PipelineModel(len(chain))
     report = LatencyReport(model.processors, latency_us(model))
     return Vec4(x, y, z, p_end.w), report
 
 
-def ccm_poses(chains, cfg: CordicConfig = DEFAULT_CONFIG) -> np.ndarray:
+def ccm_poses(chains: ChainSet, cfg: CordicConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Full poses via the module cascade, (len(chains), 4, 4): per chain,
     the three direction columns pushed as free vectors plus the origin
     pushed as a point, four lanes per chain."""
-    columns = np.tile(np.eye(4), (len(chains), 1))  # row k of eye(4) is column k of a pose
-    out = ccm_points([c for c in chains for _ in range(4)], columns, cfg)
+    lanes = ChainSet(*(np.repeat(v, 4, axis=0) for v in (chains.theta, chains.d, chains.a_eff, chains.alpha)))
+    out = ccm_points(lanes, np.tile(np.eye(4), (len(chains), 1)), cfg)  # row k of eye(4): column k of a pose
     return out.reshape(len(chains), 4, 4).transpose(0, 2, 1)
 
 

@@ -22,14 +22,14 @@ import math
 import re
 import sys
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Callable
 
 import numpy as np
 
 from . import ccm, lut, taylor, umdh
 from .cordic import CordicConfig
-from .dh import DhJoint, PRISMATIC, ROTARY, PumaParams, Vec4, chain_pose, chain_poses, exact_sincos, pose_op_count
+from .dh import ChainSet, DhJoint, PRISMATIC, ROTARY, PumaParams, Vec4, chain_pose, chain_poses, exact_sincos, pose_op_count
 from .fixedpoint import DomainError, QFormat
 from .umdh import CapacityError, UmdhParams
 
@@ -164,7 +164,7 @@ class Report:
 
 @dataclass(frozen=True)
 class _Backend:
-    poses: Callable  # sequence of chains of one length -> (len(chains), 4, 4) ndarray
+    poses: Callable  # ChainSet -> (len(chains), 4, 4) ndarray
     ops: int  # modeled scalar ops per pose
     latency: float  # modeled pipeline latency, 0 where no model exists
     params: str
@@ -210,7 +210,7 @@ def cmd_solve(args) -> int:
     chain_file = load_chain(args.chain)
     backend = _make_backends(args, len(chain_file.joints))[args.backend]
     oracle = chain_pose(chain_file.joints)
-    pose = backend.poses([chain_file.joints])[0]
+    pose = backend.poses(ChainSet.of([chain_file.joints]))[0]
     print(f"chain: {chain_file.name} ({len(chain_file.joints)} joints)")
     print(f"backend: {args.backend}")
     _print_pose(pose)
@@ -223,20 +223,15 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def bench_variants(joints, trials: int, seed: int) -> list[tuple[DhJoint, ...]]:
-    """The seeded chains bench grades: each rotary theta drawn uniformly
-    from [-pi, pi), each prismatic d from [0, 1), joint by joint."""
-    rng = np.random.default_rng(seed)
-    variants = []
-    for _ in range(trials):
-        variant = []
-        for j in joints:
-            if j.kind == ROTARY:
-                variant.append(DhJoint(j.kind, float(rng.uniform(-math.pi, math.pi)), j.d, j.a, j.alpha))
-            else:
-                variant.append(DhJoint(j.kind, j.theta, float(rng.uniform(0.0, 1.0)), j.a, j.alpha))
-        variants.append(tuple(variant))
-    return variants
+def bench_variants(joints, trials: int, seed: int) -> ChainSet:
+    """The seeded chains bench grades: rotary theta in [-pi, pi), prismatic d in
+    [0, 1), each lo + (hi - lo) * u from one draw, the bits of rng.uniform(lo, hi)."""
+    base = ChainSet.of([joints])
+    u = np.random.default_rng(seed).random((trials, len(joints)))
+    rotary = np.array([j.kind == ROTARY for j in joints])
+    theta = np.where(rotary, -math.pi + (math.pi - -math.pi) * u, base.theta)
+    d = np.where(rotary, base.d, u)
+    return ChainSet(theta, d, np.broadcast_to(base.a_eff, theta.shape), np.broadcast_to(base.alpha, theta.shape))
 
 
 def cmd_bench(args) -> int:
@@ -301,6 +296,7 @@ def cmd_vm(args) -> int:
     return 0
 
 
+@cache  # parse_args leaves the parser as it is, so every main call shares one
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fkemu", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -46,6 +46,31 @@ class DhJoint:
 
 DhChain = Sequence[DhJoint]
 
+
+@dataclass(frozen=True, eq=False)
+class ChainSet:
+    """Chains of one length as (chains, links) float64 arrays, one per link
+    constant, as the parallel modules read them; a_eff holds the prismatic rule."""
+
+    theta: np.ndarray
+    d: np.ndarray
+    a_eff: np.ndarray
+    alpha: np.ndarray
+
+    @staticmethod
+    def of(chains: Sequence[DhChain]) -> "ChainSet":
+        lengths = {len(c) for c in chains}
+        if not lengths or 0 in lengths:
+            raise ValueError("empty chain")
+        if len(lengths) != 1:
+            raise ValueError(f"need chains of one length, got lengths {sorted(lengths)}")
+        rows = [[(j.theta, j.d, j.a_eff, j.alpha) for j in c] for c in chains]
+        return ChainSet(*np.array(rows, dtype=np.float64).transpose(2, 0, 1))
+
+    def __len__(self) -> int:
+        return len(self.theta)
+
+
 # A trig provider: theta -> (cos theta, sin theta), floats for a float and
 # float64 ndarrays of theta's shape for an ndarray.  Every backend that swaps
 # the trig of the chain product for an emulated sin/cos plugs in here.
@@ -136,23 +161,15 @@ def chain_pose(chain: DhChain, sincos: SinCos = exact_sincos) -> np.ndarray:
     return pose
 
 
-def chain_poses(chains: Sequence[DhChain], sincos: SinCos = exact_sincos) -> np.ndarray:
-    """chain_pose of every chain, as one (len(chains), 4, 4) array.
+def chain_poses(chains: ChainSet, sincos: SinCos = exact_sincos) -> np.ndarray:
+    """chain_pose of every chain of the set, as one (len(chains), 4, 4) array.
 
-    The chains must have one length.  One provider call takes every theta
-    and alpha of the set; link k of every chain is assembled as a stack,
-    and the product runs link by link with a stacked matmul.  Each pose
-    equals chain_pose(chain, sincos) bit for bit when the provider gives
-    the same bits for an array as for its elements one by one.
+    One provider call takes every theta and alpha of the set; link k of
+    every chain is assembled as a stack, and the product runs link by link
+    with a stacked matmul.  Each pose equals chain_pose(chain, sincos) bit
+    for bit when the provider's bits on an array equal its bits angle by angle.
     """
-    lengths = {len(c) for c in chains}
-    if not lengths or 0 in lengths:
-        raise ValueError("empty chain")
-    if len(lengths) != 1:
-        raise ValueError(f"need chains of one length, got lengths {sorted(lengths)}")
-    theta, alpha, a, d = np.array(
-        [[(j.theta, j.alpha, j.a_eff, j.d) for j in c] for c in chains], dtype=np.float64
-    ).transpose(2, 0, 1)
+    theta, alpha, a, d = chains.theta, chains.alpha, chains.a_eff, chains.d
     (ct, ca), (st, sa) = sincos(np.stack([theta, alpha]))
     links = np.zeros(theta.shape + (4, 4))  # link_from_trig, entry by entry
     links[..., 0, 0], links[..., 0, 1], links[..., 0, 2], links[..., 0, 3] = ct, -ca * st, sa * st, a * ct

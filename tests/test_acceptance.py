@@ -18,6 +18,7 @@ from fkemu.ccm import PipelineModel, ccm_points, fk_pipeline, latency_us
 from fkemu.cfr import CfrState, cfr_gain, cfr_rotate, cfr_step, forced_selection
 from fkemu.cordic import CordicConfig, circ_rotate_lanes
 from fkemu.dh import (
+    ChainSet,
     DhJoint,
     ROTARY,
     PumaParams,
@@ -70,8 +71,8 @@ def test_c02_ccm_equivalence():
         joints.append(DhJoint(ROTARY, rng.uniform(-math.pi, math.pi), rng.uniform(-1, 1),
                               rng.uniform(-1, 1), rng.uniform(-math.pi, math.pi)))
         points.append(Vec4(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1)))
-    # one lane per (joint, point): each lane is what ccm_transform computes
-    got = ccm_points([(j,) for j in joints], [p.as_array() for p in points], CFG)
+    # one lane per (joint, point): each lane is one module, one link applied to one point
+    got = ccm_points(ChainSet.of([(j,) for j in joints]), [p.as_array() for p in points], CFG)
     want = np.array([apply_point(link_transform(j), p).as_array() for j, p in zip(joints, points)])
     worst = float(np.abs(got[:, :3] - want[:, :3]).max())
     assert worst <= 1e-4  # relaxed gate

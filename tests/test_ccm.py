@@ -20,7 +20,7 @@ from fkemu.ccm import (
     pose_op_count,
 )
 from fkemu.cordic import CordicConfig
-from fkemu.dh import DhJoint, PRISMATIC, ROTARY, Vec4, apply_point, chain_pose, link_transform
+from fkemu.dh import ChainSet, DhJoint, PRISMATIC, ROTARY, Vec4, apply_point, chain_pose, link_transform
 from fkemu.fixedpoint import DomainError, Q8_24, QFormat
 
 CFG = CordicConfig(24, Q8_24)
@@ -41,7 +41,7 @@ def random_pair(rng):
 
 def push(j, p):
     """One module: the point or free vector p through joint j, as (x, y, z, w)."""
-    return ccm_points([(j,)], [p.as_array()], CFG)[0]
+    return ccm_points(ChainSet.of([(j,)]), [p.as_array()], CFG)[0]
 
 
 def test_zero_joint_zero_point():
@@ -59,7 +59,7 @@ def test_matches_matrix_oracle():
     # one lane per (joint, point), as acceptance c02 runs it
     rng = random.Random(31)
     pairs = [random_pair(rng) for _ in range(200)]
-    got = ccm_points([(j,) for j, _ in pairs], [p.as_array() for _, p in pairs], CFG)
+    got = ccm_points(ChainSet.of([(j,) for j, _ in pairs]), [p.as_array() for _, p in pairs], CFG)
     want = np.array([link_transform(j) @ p.as_array() for j, p in pairs])
     assert np.abs(got[:, :3] - want[:, :3]).max() <= TOL
 
@@ -131,7 +131,7 @@ def test_pipeline_equals_iterated_modules_exactly():
     via_pipeline, _ = fk_pipeline(chain, p0, CFG)
     p = p0.as_array()
     for j in reversed(chain):
-        p = ccm_points([(j,)], [p], CFG)[0]
+        p = ccm_points(ChainSet.of([(j,)]), [p], CFG)[0]
     assert via_pipeline == Vec4(*p.tolist())  # same code path, bit-identical
 
 
@@ -158,7 +158,7 @@ def test_pose_via_free_vectors():
         DhJoint(ROTARY, -0.4, 0.15, 0.1, 0.5),
         DhJoint(ROTARY, 1.8, 0.05, 0.12, -2.2),
     ]
-    pose = ccm_poses([chain], CFG)[0]
+    pose = ccm_poses(ChainSet.of([chain]), CFG)[0]
     assert np.abs(pose - chain_pose(chain)).max() < 1e-5
     assert np.array_equal(pose[3], [0, 0, 0, 1])
 
@@ -176,6 +176,8 @@ def test_reach_beyond_format_raises_domain_error():
         push(DhJoint(ROTARY, 0.3, 0.0, 0.0, 0.2), Vec4(0, 0, 70.0))
     free = push(far, Vec4(0, 0, 1, 0.0))  # no translation
     assert abs(free[2] - math.cos(0.2)) < TOL
+    with pytest.raises(DomainError):  # inf * 0 is nan, which fails the bound
+        push(dataclasses.replace(far, d=math.inf), Vec4(0, 0, 1, 0.0))
 
 
 @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf, 2.0**21])
@@ -194,14 +196,30 @@ def test_largest_accepted_reach_is_not_pinned():
     assert abs(got[2] - want.z) < 1e-4
 
 
-def test_poses_reject_empty_and_ragged_chains():
-    with pytest.raises(ValueError):
-        ccm_poses([()], CFG)
-    with pytest.raises(ValueError):
-        ccm_poses([], CFG)
-    j = DhJoint(ROTARY, 0.1, 0.1, 0.1, 0.1)
-    with pytest.raises(ValueError):
-        ccm_poses([(j,), (j, j)], CFG)
+@pytest.mark.parametrize("fmt", [Q8_24, QFormat(16, 12)], ids=str)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_reach_check_is_the_documented_bound(fmt, data):
+    # z puts the reach 2|p|_2 + |a_eff w| + |d w| + 2 within a few ulps of
+    # the format's top, where the array check must agree with the bound
+    # evaluated in Python floats
+    limit = fmt.max_raw * fmt.eps
+    angle, small = st.floats(-math.pi, math.pi), st.floats(-limit / 16, limit / 16)
+    kind, w = data.draw(st.sampled_from([ROTARY, PRISMATIC])), data.draw(st.sampled_from([0.0, 1.0]))
+    j = DhJoint(kind, data.draw(angle), 2 * data.draw(small), 2 * data.draw(small), data.draw(angle))
+    x, y = data.draw(small), data.draw(small)
+    half = (limit - 2.0 - abs(j.a_eff * w) - abs(j.d * w)) / 2.0
+    z = math.sqrt(half * half - x * x - y * y) * data.draw(st.sampled_from([-1.0, 1.0]))
+    for _ in range(data.draw(st.integers(0, 4))):
+        z = math.nextafter(z, data.draw(st.sampled_from([-math.inf, math.inf])))
+    reach = 2.0 * math.hypot(x, y, z) + abs(j.a_eff * w) + abs(j.d * w) + 2.0
+    chains, p = ChainSet.of([(j,)]), [(x, y, z, w)]
+    cfg = CordicConfig(fmt.frac_bits, fmt)
+    if reach <= limit:
+        ccm_points(chains, p, cfg)
+    else:
+        with pytest.raises(DomainError, match="link 0"):
+            ccm_points(chains, p, cfg)
 
 
 joint_strategy = st.builds(
@@ -219,10 +237,10 @@ joint_strategy = st.builds(
     lambda n: st.lists(st.lists(joint_strategy, min_size=n, max_size=n).map(tuple), min_size=1, max_size=4)
 ))
 def test_batched_poses_equal_one_chain_poses(chains):
-    got = ccm_poses(chains, CFG)
+    got = ccm_poses(ChainSet.of(chains), CFG)
     assert got.shape == (len(chains), 4, 4)
     for k, chain in enumerate(chains):
-        assert got[k].tobytes() == ccm_poses([chain], CFG)[0].tobytes()
+        assert got[k].tobytes() == ccm_poses(ChainSet.of([chain]), CFG)[0].tobytes()
     origin, _ = fk_pipeline(chains[0], Vec4(0, 0, 0), CFG)
     assert got[0][:, 3].tolist() == [origin.x, origin.y, origin.z, 1.0]
 
@@ -275,7 +293,7 @@ def test_ccm_poses_golden(capsys):
     )
     # a 56-bit word: object lanes, and doubles between links that round
     wide = CordicConfig(40, QFormat(56, 40))
-    assert _sha256(ccm_poses([puma], wide)) == (
+    assert _sha256(ccm_poses(ChainSet.of([puma]), wide)) == (
         "36948e2f78d5bd6f92cef7df1ed26581bb7a6a80130f6f501ca2455c2454f35e"
     )
     assert _sha256(ccm_poses(cli.bench_variants(puma, 2, 9), wide)) == (

@@ -1,11 +1,13 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fkemu import cli
 from fkemu.cli import ChainParseError, load_chain, main, parse_chain, parse_qformat
-from fkemu.dh import PRISMATIC, ROTARY, DhJoint, Vec4
+from fkemu.dh import PRISMATIC, ROTARY, ChainSet, DhJoint, Vec4
 from fkemu.fixedpoint import DomainError, QFormat
 from fkemu.lut import MAX_ENTRIES
 
@@ -279,6 +281,36 @@ def test_bench_rejects_unknown_backend(capsys):
     for backends in ("matrix,warp", ",", ""):  # an unknown name, or none at all
         assert main(["bench", "puma560", "--backends", backends]) == 2
         assert capsys.readouterr().out == ""
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    cli.build_parser.cache_clear()
+    assert main(["bench", "puma560"]) == 0
+    first = capsys.readouterr().out
+    assert main(["bench", "puma560", "--trials", "3", "--table-mode", "linear"]) == 0
+    assert capsys.readouterr().out != first
+    assert main(["bench", "puma560"]) == 0
+    assert capsys.readouterr().out == first  # no option of the last call lingers
+    assert cli.build_parser() is cli.build_parser()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(joints, min_size=1, max_size=6), st.integers(1, 5), st.integers(0, 2**32))
+def test_bench_variants_draw_what_uniform_draws(joint_list, trials, seed):
+    # the reference draws one rng.uniform per joint, trial by trial
+    rng = np.random.default_rng(seed)
+    want = ChainSet.of([
+        [
+            DhJoint(j.kind, float(rng.uniform(-math.pi, math.pi)), j.d, j.a, j.alpha) if j.kind == ROTARY
+            else DhJoint(j.kind, j.theta, float(rng.uniform(0.0, 1.0)), j.a, j.alpha)
+            for j in joint_list
+        ]
+        for _ in range(trials)
+    ])
+    got = cli.bench_variants(joint_list, trials, seed)
+    for field in ("theta", "d", "a_eff", "alpha"):
+        assert getattr(got, field).shape == (trials, len(joint_list))
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
 
 
 def test_pipeline_table(capsys):

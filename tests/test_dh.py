@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from fkemu import cli, cordic, lut, taylor
 from fkemu.dh import (
+    ChainSet,
     DhJoint,
     PRISMATIC,
     ROTARY,
@@ -211,19 +212,21 @@ joint_strategy = st.builds(
 ))
 def test_chain_poses_equal_chain_pose_stack(provider, chains):
     sincos = PROVIDERS[provider]
-    got = chain_poses(chains, sincos)
+    got = chain_poses(ChainSet.of(chains), sincos)
     assert got.shape == (len(chains), 4, 4)
     for k, chain in enumerate(chains):
         assert got[k].tobytes() == chain_pose(chain, sincos).tobytes()
 
 
-def test_chain_poses_reject_empty_and_ragged_sets():
+def test_chain_set_rejects_empty_and_ragged_sets():
+    # the one place a chain set is checked: chain_poses, ccm_points and
+    # ccm_poses take only a ChainSet
     j = DhJoint(ROTARY, 0.1, 0.1, 0.1, 0.1)
     for chains in ([], [()], [(j,), ()]):
         with pytest.raises(ValueError, match="empty chain"):
-            chain_poses(chains)
+            ChainSet.of(chains)
     with pytest.raises(ValueError, match="one length"):
-        chain_poses([(j,), (j, j)])
+        ChainSet.of([(j,), (j, j)])
 
 
 def test_exact_sincos_keeps_the_argument_kind():
