@@ -140,6 +140,15 @@ def test_pipeline_rejects_empty_chain():
         fk_pipeline([], Vec4(0, 0, 0), CFG)
 
 
+def test_poses_reject_empty_and_ragged_chains():
+    j = DhJoint(ROTARY, 0.1, 0.1, 0.1, 0.1)
+    for chains in ([], [()], [(j,), ()]):
+        with pytest.raises(ValueError, match="empty chain"):
+            ccm_poses(ChainSet.of(chains), CFG)
+    with pytest.raises(ValueError, match="one length"):
+        ccm_poses(ChainSet.of([(j,), (j, j)]), CFG)
+
+
 def test_latency_formula():
     assert latency_us(PipelineModel(6)) == 600.0
     assert latency_us(PipelineModel(1)) == 200.0

@@ -218,15 +218,15 @@ def test_chain_poses_equal_chain_pose_stack(provider, chains):
         assert got[k].tobytes() == chain_pose(chain, sincos).tobytes()
 
 
-def test_chain_set_rejects_empty_and_ragged_sets():
-    # the one place a chain set is checked: chain_poses, ccm_points and
-    # ccm_poses take only a ChainSet
+def test_chain_poses_reject_empty_and_ragged_sets():
+    # ChainSet.of is the one place a chain set is checked: chain_poses,
+    # ccm_points and ccm_poses take only a ChainSet
     j = DhJoint(ROTARY, 0.1, 0.1, 0.1, 0.1)
     for chains in ([], [()], [(j,), ()]):
         with pytest.raises(ValueError, match="empty chain"):
-            ChainSet.of(chains)
+            chain_poses(ChainSet.of(chains))
     with pytest.raises(ValueError, match="one length"):
-        ChainSet.of([(j,), (j, j)])
+        chain_poses(ChainSet.of([(j,), (j, j)]))
 
 
 def test_exact_sincos_keeps_the_argument_kind():
