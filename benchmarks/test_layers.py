@@ -3,11 +3,13 @@
     PYTHONPATH=src python -m pytest benchmarks --benchmark-json=BENCH_<n>.json
 
 Layers, bottom up: fixed-point primitive (the scalar fx_add reference,
-and rescale on 64 int64 lanes, the narrowing the kernels use), sin/cos
-generator per backend (one lane, and batched), link-matrix assembly, chain
-product or module cascade (one chain, and the stacked product of a bench's
-16 variants), the seeded variant draw, the VM, and one in-process ``fkemu
-bench`` on puma560 and on a 12-link chain.
+and rescale on 64 int64 lanes, the narrowing the kernels use), the CORDIC
+processors the cascade runs (the closed-form linear accumulate, the fold
+and sigma pass over a puma request's angles, and one stacked circular
+stage), sin/cos generator per backend (one lane, and batched), link-matrix
+assembly, chain product or module cascade (one chain, and the stacked
+product of a bench's 16 variants), the seeded variant draw, the VM, and
+one in-process ``fkemu bench`` on puma560 and on a 12-link chain.
 These time the emulator on the host; the modeled hardware latency is a
 formula (ccm.latency_us, umdh.clock_time) and is not measured here.  The
 suite sits outside the tier-1 testpaths; ``--benchmark-disable`` runs each
@@ -24,9 +26,9 @@ import pytest
 
 from fkemu import cli, lut, taylor, umdh
 from fkemu.ccm import ccm_poses
-from fkemu.cordic import DEFAULT_CONFIG, circ_rotate_lanes, sincos_cordic
+from fkemu.cordic import DEFAULT_CONFIG, circ_rotate_lanes, circ_rotate_sigmas, circ_sigmas, linear_lanes, sincos_cordic
 from fkemu.dh import ChainSet, DhJoint, ROTARY, chain_pose, chain_poses, exact_sincos, link_transform
-from fkemu.fixedpoint import Q8_24, fx_add, fx_from_real, rescale
+from fkemu.fixedpoint import Q8_24, fx_add, fx_from_real, lanes_from_real, rescale
 
 PUMA = cli.load_chain("puma560").joints
 VARIANTS = cli.bench_variants(PUMA, 16, 5)
@@ -43,6 +45,27 @@ def test_rescale_64_lanes(benchmark):
     # products of two Q8.24 raws narrowed back into Q8.24, the outer ones saturating
     prod = np.arange(-32, 32, dtype=np.int64) * (3 << 50)
     benchmark(rescale, prod, 2 * Q8_24.frac_bits, Q8_24)
+
+
+def test_linear_lanes_64_lanes(benchmark):
+    # a LIN1 processor's worth: const + value on 64 lanes, value within +-2 (unstaged)
+    one = np.full(64, fx_from_real(1.0, Q8_24).raw)
+    const, value = (lanes_from_real(np.linspace(-r, r, 64), Q8_24) for r in (1.0, 2.0))
+    benchmark(linear_lanes, one, const, value, DEFAULT_CONFIG)
+
+
+def test_circ_sigmas_768_residuals(benchmark):
+    # one puma-bench request's angles: 6 links x (alpha, theta) x 64 lanes
+    angles = np.linspace(-math.pi, math.pi, 768).reshape(6, 2, 64)
+    benchmark(circ_sigmas, angles, DEFAULT_CONFIG)
+
+
+def test_circ_rotate_sigmas_64_lanes(benchmark):
+    # one circular stage of the cascade, its sigmas already passed
+    x = np.full(64, fx_from_real(1.0, Q8_24).raw)
+    y = np.zeros(64, dtype=np.int64)
+    turns, sigmas = circ_sigmas(np.linspace(-math.pi, math.pi, 64), DEFAULT_CONFIG)
+    benchmark(circ_rotate_sigmas, x, y, turns, sigmas, DEFAULT_CONFIG)
 
 
 def test_sincos_cordic(benchmark):

@@ -11,6 +11,12 @@ The cascade runs on lanes (see cordic): lane k pushes points[k] through
 chains[k], and every module processes all lanes at once, link by link.  A
 pose is four lanes per chain: the three direction columns as free vectors
 and the origin as a point, so ccm_poses on 16 chains runs 64 lanes.
+Every joint angle is known before the cascade starts, so ccm_points folds
+all of them and finds all their sigmas in one pass (cordic.circ_sigmas);
+each circular stage then only steps its (x, y).  Each linear processor is
+cordic.linear_lanes's closed form, exact because each module's reach check
+rules out saturation.  The emulated processors still run n_iter shift-add
+steps each: op counts and the latency model do not change.
 Between links each lane passes through a double, as the real-valued point
 a module takes and returns: exact for words up to 54 bits, and in wider
 words it rounds raws beyond 2**53, as the scalar cascade always did.
@@ -26,11 +32,11 @@ import numpy as np
 from .cordic import (
     CordicConfig,
     DEFAULT_CONFIG,
-    LINEAR,
     circ1_op_count,
-    circ_rotate_lanes,
-    cordic_lanes,
+    circ_rotate_sigmas,
+    circ_sigmas,
     lin1_op_count,
+    linear_lanes,
 )
 from .dh import ChainSet, DhChain, Vec4
 from .fixedpoint import DomainError, lanes_from_real, lanes_real
@@ -73,7 +79,9 @@ def _lin_accumulate(const, value, cfg: CordicConfig):
     staged down by an exact power of two 2**k, chosen per lane, while the
     unit multiplicand is staged up by the same factor (y accumulates x0 * z0
     either way).  k stops at word_bits - frac_bits - 2, where every raw of
-    the format is staged within 2.
+    the format is staged within 2.  The n_iter shift-add steps run in
+    cordic.linear_lanes's closed form, which equals the clipping loop bit
+    for bit because _module's reach check proves no partial sum saturates.
     """
     fmt = cfg.fmt
     k_max = fmt.word_bits - fmt.frac_bits - 2
@@ -89,14 +97,13 @@ def _lin_accumulate(const, value, cfg: CordicConfig):
         k = k + big
         v = value >> k
         big = too_big(v, k)
-    scale = lanes_from_real(np.ldexp(1.0, k), fmt)
-    _, y, _ = cordic_lanes(scale, const, v, LINEAR, cfg)
-    return y
+    return linear_lanes(lanes_from_real(np.ldexp(1.0, k), fmt), const, v, cfg)
 
 
-def _module(chains: ChainSet, link: int, p: np.ndarray, cfg: CordicConfig):
+def _module(chains: ChainSet, link: int, p: np.ndarray, turns, sigmas, cfg: CordicConfig):
     """One module on every lane: link `link` of chains[k] applied to p[k] = (x, y, z, w).
 
+    turns and sigmas are circ_sigmas of the link's (alpha, theta) lanes.
     Returns the output raws (x, y, z).  A free vector (w = 0) skips the
     translation constants, which is how orientation columns ride the same
     hardware as position.
@@ -109,7 +116,7 @@ def _module(chains: ChainSet, link: int, p: np.ndarray, cfg: CordicConfig):
     |v| <= |p|_2.  The remaining 1 is margin for truncation drift.
     """
     fmt = cfg.fmt
-    theta, d, a_eff, alpha = (v[:, link] for v in (chains.theta, chains.d, chains.a_eff, chains.alpha))
+    d, a_eff = chains.d[:, link], chains.a_eff[:, link]
     w = p[:, 3]
     bad_w = (w != 0.0) & (w != 1.0)
     with np.errstate(invalid="ignore"):  # inf * 0 is nan, as in float arithmetic, and fails the bound
@@ -123,19 +130,25 @@ def _module(chains: ChainSet, link: int, p: np.ndarray, cfg: CordicConfig):
     x, y, z = (lanes_from_real(p[:, c], fmt) for c in range(3))
     # stage 1: CIRC1 on (y, z; alpha) and LIN1 on (1, a; x) are independent
     # and may run in parallel; both read only stage inputs
-    y_a, z_a = circ_rotate_lanes(y, z, alpha, cfg)
+    y_a, z_a = circ_rotate_sigmas(y, z, turns[0], sigmas[0], cfg)
     x_a = _lin_accumulate(lanes_from_real(a_eff * w, fmt), x, cfg)
-    x_out, y_out = circ_rotate_lanes(x_a, y_a, theta, cfg)
+    x_out, y_out = circ_rotate_sigmas(x_a, y_a, turns[1], sigmas[1], cfg)
     z_out = _lin_accumulate(lanes_from_real(d * w, fmt), z_a, cfg)
     return x_out, y_out, z_out
 
 
 def ccm_points(chains: ChainSet, points, cfg: CordicConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Push points[k] (x, y, z, w) through chains[k], frame n to the base
-    (P_{i-1} = A_i P_i, i = n..1) on all lanes at once: (len(chains), 4)."""
+    (P_{i-1} = A_i P_i, i = n..1) on all lanes at once: (len(chains), 4).
+
+    Every alpha and theta is known before the cascade starts, so one fold
+    and one sigma pass over all of them, link by (alpha, theta) by lane,
+    come first: a joint angle beyond MAX_ANGLE raises its DomainError before
+    any module checks its reach."""
     p = np.array(points, dtype=np.float64).reshape(len(chains), 4)
+    turns, sigmas = circ_sigmas(np.stack([chains.alpha.T, chains.theta.T], axis=1), cfg)
     for link in reversed(range(chains.theta.shape[1])):
-        out = _module(chains, link, p, cfg)
+        out = _module(chains, link, p, turns[link], sigmas[link], cfg)
         p = np.column_stack([lanes_real(v, cfg.fmt) for v in out] + [p[:, 3]])
     return p
 

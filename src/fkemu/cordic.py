@@ -5,16 +5,27 @@ z is driven to zero), in two coordinate systems selected by the mode
 constant m: circular (1) rotates a vector, linear (0) accumulates y + x*z.
 The circular gain K = prod sqrt(1 + 2**-2i) is never free: callers either
 pre-scale by 1/K (see circ_rotate_lanes) or account for it themselves.
+cordic_step is the scalar reference for both modes.
 
-The micro-rotation loop is written once, in cordic_lanes, over lanes: x, y
-and z are ndarrays holding one raw integer per lane, and each lane picks
-its own sigma, so a whole batch of independent rotations advances one
-iteration per numpy operation.  Lanes are int64 for words up to 32 bits,
-where every sum and the 1/K pre-scale product are exact, and object arrays
-of Python ints for wider words (fixedpoint.lane_dtype); the loop is the
-same.  Every add and sub saturates, so each lane equals a fold of the
-scalar reference cordic_step bit for bit.  sincos_cordic is the trig
-provider on top of it: one lane per angle.
+The emulator runs lanes: x, y and z are ndarrays holding one raw integer
+per lane, each lane picks its own sigma, and a whole batch of independent
+rotations advances one step per numpy operation.  Lanes are int64 for
+words up to 32 bits, where every sum and the 1/K pre-scale product are
+exact, and object arrays of Python ints for wider words
+(fixedpoint.lane_dtype); the code is the same.  The emulated hardware runs
+n_iter steps either way; the emulator skips work whose result it knows:
+
+- sigmas depend on z alone, so a circular rotation is a sigma pass over z
+  (_sigma_pass), then the stacked (x, y) steps (_stacked_steps), with
+  every clip kept.  cordic_lanes composes the two; circ_sigmas (fold and
+  sigma pass) and circ_rotate_sigmas (pre-scale, steps, quarter turns) let
+  the module cascade run one sigma pass over all its angles.
+- linear sigmas are the binary digits of z0, so linear_lanes is a closed
+  form, exact where no partial sum saturates.
+
+Each lane equals a fold of cordic_step bit for bit (linear_lanes under its
+precondition).  sincos_cordic is the trig provider on top: one lane per
+angle.
 """
 
 from __future__ import annotations
@@ -115,11 +126,11 @@ def cordic_step(s: CordicState, mode: int, sigma: int) -> CordicState:
 
 
 @lru_cache(maxsize=None)
-def _micro_angles(mode: int, cfg: CordicConfig) -> tuple[tuple[int, int], ...]:
-    """(shift index, micro-angle raw) of every iteration."""
+def _micro_angles(cfg: CordicConfig) -> tuple[int, ...]:
+    """Circular micro-angle raw of every iteration."""
     if cfg.n_iter > cfg.fmt.word_bits:
         raise ValueError(f"shift {cfg.n_iter - 1} out of range for {cfg.fmt}")
-    return tuple((i, _angle_fx(mode, i, cfg.fmt).raw) for i in range(cfg.n_iter))
+    return tuple(_angle_fx(CIRCULAR, i, cfg.fmt).raw for i in range(cfg.n_iter))
 
 
 @lru_cache(maxsize=None)
@@ -127,56 +138,141 @@ def _inv_gain_raw(cfg: CordicConfig) -> int:
     return fx_from_real(1.0 / gain(cfg.n_iter), cfg.fmt).raw
 
 
-def cordic_lanes(x, y, z, mode: int, cfg: CordicConfig):
-    """The rotation-mode micro-rotation loop over lanes of raws in cfg.fmt;
-    returns (x, y, z).
+def _operands(dtype, *values):
+    """values as 0-d arrays of a lane dtype, for the step loops: numpy
+    converts a Python int operand on every ufunc call, which on 64 lanes
+    costs about as much as the operation itself."""
+    return [np.array(v, dtype=dtype) for v in values]
+
+
+def _sigma_pass(z, cfg: CordicConfig):
+    """The circular z pass over raw residuals z, shape (..., lanes): returns
+    the signed sigma stack, int8 of shape (..., n_iter, 2, lanes) holding
+    (-sigma_i, +sigma_i) at step i, and the final residuals.
+
+    sigma_i is sign(z_i) with +1 on ties, driving z to zero, and every z
+    update saturates.  z never reads x or y, so every sigma is known before
+    the first (x, y) step.
+    """
+    lo, hi, sign_shift, one, *angles = _operands(
+        z.dtype, cfg.fmt.min_raw, cfg.fmt.max_raw, 63, 1, *_micro_angles(cfg)
+    )
+    sigmas = np.empty(z.shape[:-1] + (len(angles), 2, z.shape[-1]), dtype=np.int8)
+    for i, e in enumerate(angles):
+        s = (z >> sign_shift) | one  # raws have at most 64 bits
+        sigmas[..., i, 1, :] = s
+        z = clip(z - s * e, lo, hi)
+    sigmas[..., 0, :] = -sigmas[..., 1, :]
+    return sigmas, z
+
+
+def _stacked_steps(v, sigmas, cfg: CordicConfig):
+    """The circular (x, y) steps on v = (x, y) stacked, shape (2, lanes),
+    driven by a signed sigma stack of _sigma_pass: x' = x - s*(y >> i) and
+    y' = y + s*(x >> i), both saturating, as one shift, multiply, add and
+    clip per step."""
+    # bare clip, not rescale: a call per step would cost more than the clip on 64 lanes
+    lo, hi = _operands(v.dtype, cfg.fmt.min_raw, cfg.fmt.max_raw)
+    for i, s in enumerate(sigmas.astype(v.dtype)):
+        v = clip(v + s * (v[::-1] >> i), lo, hi)
+    return v
+
+
+def cordic_lanes(x, y, z, cfg: CordicConfig):
+    """The circular rotation-mode micro-rotation loop over lanes of raws in
+    cfg.fmt; returns (x, y, z).
 
     x, y and z are arrays of lane_dtype(cfg.fmt), one raw per lane.  sigma
-    is chosen per lane, sign(z) with +1 on ties, driving z to zero.
-    Circular output is K*(x0*cos z0 - y0*sin z0, y0*cos z0 + x0*sin z0, ~0)
-    for |z0| within the sum of all atan(2**-i), about 1.7433; linear output
-    is (x0, y0 + x0*z0, ~0) for |z0| <= 2.  Each lane equals cordic_step
-    folded over shift indices 0..n_iter-1, bit for bit.  No range checks:
-    those belong to the callers that know what the lanes hold.
+    is chosen per lane, sign(z) with +1 on ties, driving z to zero.  The
+    output is K*(x0*cos z0 - y0*sin z0, y0*cos z0 + x0*sin z0, ~0) for |z0|
+    within the sum of all atan(2**-i), about 1.7433.  Each lane equals
+    cordic_step folded over shift indices 0..n_iter-1 in CIRCULAR mode, bit
+    for bit: a sigma pass over z, then the stacked (x, y) steps.  No range
+    checks: those belong to the callers that know what the lanes hold.
     """
-    # bare clip, bounds hoisted: a rescale call makes each saturation ~50% slower on 64 lanes
-    lo, hi = cfg.fmt.min_raw, cfg.fmt.max_raw
-    for i, e in _micro_angles(mode, cfg):
-        s = (z >> 63) | 1  # raws have at most 64 bits
-        tx = x >> i
-        if mode == CIRCULAR:
-            x = clip(x - s * (y >> i), lo, hi)
-        y = clip(y + s * tx, lo, hi)
-        z = clip(z - s * e, lo, hi)
+    sigmas, z = _sigma_pass(z, cfg)
+    x, y = _stacked_steps(np.stack([x, y]), sigmas, cfg)
     return x, y, z
+
+
+def linear_lanes(x, y, z, cfg: CordicConfig):
+    """The linear rotation-mode loop over lanes of raws in cfg.fmt, in
+    closed form: returns y0 + x0*z0, as the loop leaves it in y.
+
+    The loop's sigmas are the non-restoring digits of z0 over the
+    power-of-two micro-angles e_i = 2**(F - i), F = frac_bits.  Their sum E
+    and the last nonzero one e_l make E + e_l = 2**(F+1), so with T =
+    clip(z0 + 2**(F+1), 0, 2**(F+2) - 1), sigma_i = 2*bit_{F+1-i}(T) - 1.
+    That is T = clip(z0 + E + e_l, 0, 2E + e_l - 1) with the top widened by
+    e_l, so that the step whose micro-angle rounds to 0 (i = F + 1) reads
+    bit 0, which is the sign of its residual.  Then y = clip(y0 + sum
+    sigma_i*(x0 >> i)): one (n_iter, lanes) shift, multiply and sum.
+
+    Each lane equals cordic_step folded over shift indices 0..n_iter-1 in
+    LINEAR mode, bit for bit, provided no partial sum y0 + sum_{j<=i}
+    sigma_j*(x0 >> j) saturates: the loop clips every partial sum, this
+    form only the last (z never saturates in the loop).  ccm._module's
+    reach check proves that precondition.  The digits also need 1.0 to be
+    a power-of-two raw, frac_bits <= word_bits - 2, which that check
+    implies; a format without it raises ValueError.
+    """
+    if cfg.fmt.frac_bits > cfg.fmt.word_bits - 2:
+        raise ValueError(f"linear lanes need 1.0 as a power-of-two raw, which {cfg.fmt} lacks")
+    top = 1 << (cfg.fmt.frac_bits + 1)
+    t = clip(z, -top, top - 1) + top
+    shifts = np.arange(cfg.n_iter)[:, None]
+    sigma = ((t >> (cfg.fmt.frac_bits + 1 - shifts)) & 1) * 2 - 1
+    steps = sigma.astype(y.dtype, copy=False) * (x >> shifts)
+    return clip(y + steps.sum(axis=0), cfg.fmt.min_raw, cfg.fmt.max_raw)
+
+
+def circ_sigmas(angle: np.ndarray, cfg: CordicConfig):
+    """The front of circ_rotate_lanes for float64 angles within +-MAX_ANGLE,
+    of any shape (..., lanes): the quarter turns q, shape (..., lanes), and
+    the signed sigma stack of the folded residuals, (..., n_iter, 2, lanes).
+
+    |angle| folds to a residual in [-pi/4, pi/4] plus a whole number of
+    quarter turns, and one z pass over every residual gives every sigma.
+    Raises DomainError if any |angle| exceeds MAX_ANGLE or is not finite.
+    """
+    q, r = fold_angle(np.abs(angle))
+    up = r > HALF_PI / 2
+    q, r = q + up, np.where(up, r - HALF_PI, r)
+    neg = angle < 0
+    q, r = np.where(neg, -q, q) & 3, np.where(neg, -r, r)
+    sigmas, _ = _sigma_pass(lanes_from_real(r, cfg.fmt), cfg)
+    return q, sigmas
+
+
+def circ_rotate_sigmas(x, y, q, sigmas, cfg: CordicConfig):
+    """The back of circ_rotate_lanes: raws x, y in cfg.fmt rotated by the
+    angles circ_sigmas folded into q and sigmas (one (n_iter, 2, lanes)
+    stack); returns the rotated raws.
+
+    Pre-scales the vector by 1/K, steps it, then applies the quarter turns
+    as exact sign/swap moves and saturates.
+    """
+    fmt = cfg.fmt
+    v = rescale(np.stack([x, y]) * _inv_gain_raw(cfg), 2 * fmt.frac_bits, fmt)
+    x_out, y_out = quarter_turns(q, *_stacked_steps(v, sigmas, cfg))
+    return rescale(x_out, fmt.frac_bits, fmt), rescale(y_out, fmt.frac_bits, fmt)
 
 
 def circ_rotate_lanes(x, y, angle: np.ndarray, cfg: CordicConfig):
     """Gain-compensated plane rotation of every lane: raws x, y in cfg.fmt
     and a float64 angle within +-MAX_ANGLE per lane; returns the rotated raws.
 
-    Pre-scales the vector by 1/K, folds |angle| to a residual in [-pi/4,
-    pi/4] plus a whole number of quarter turns, iterates, then applies the
-    quarter turns as exact sign/swap moves.  This is the circular building
-    block behind sin/cos generation and every link-rotation stage.
+    circ_sigmas (fold and sigma pass), then circ_rotate_sigmas (pre-scale
+    by 1/K, stacked steps, quarter turns).  This is the circular building
+    block behind sin/cos generation and every link-rotation stage; the
+    cascade calls its two halves itself, so one sigma pass serves all links.
 
     Odd symmetry holds only within sincos_tolerance, not bit for bit: the
     shift-add steps truncate toward -inf, so a rotation by -z is not the
     mirror image of one by z.  Raises DomainError if any |angle| exceeds
     MAX_ANGLE or is not finite.
     """
-    fmt = cfg.fmt
-    inv_k = _inv_gain_raw(cfg)
-    xs = rescale(x * inv_k, 2 * fmt.frac_bits, fmt)
-    ys = rescale(y * inv_k, 2 * fmt.frac_bits, fmt)
-    q, r = fold_angle(np.abs(angle))
-    up = r > HALF_PI / 2
-    q, r = q + up, np.where(up, r - HALF_PI, r)
-    neg = angle < 0
-    q, r = np.where(neg, -q, q) & 3, np.where(neg, -r, r)
-    xr, yr, _ = cordic_lanes(xs, ys, lanes_from_real(r, fmt), CIRCULAR, cfg)
-    x_out, y_out = quarter_turns(q, xr, yr)
-    return rescale(x_out, fmt.frac_bits, fmt), rescale(y_out, fmt.frac_bits, fmt)
+    return circ_rotate_sigmas(x, y, *circ_sigmas(angle, cfg), cfg)
 
 
 def sincos_cordic(theta, cfg: CordicConfig = DEFAULT_CONFIG):

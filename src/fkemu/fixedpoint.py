@@ -10,8 +10,8 @@ undetectably while a pinned value stays visibly at the range edge.
 Both rules are written once, in rescale: a raw scaled by 2**-frac moves
 into a format by an exact left shift when the format gains fraction bits,
 a truncating right shift when it loses them, then saturation.  Every fx_*
-op and the lane kernels narrow through it; only the CORDIC micro-rotation
-loop inlines its clip, for speed.
+op and the lane kernels narrow through it; only the CORDIC step loops and
+the closed-form linear kernel inline their clip, for speed.
 
 There is one scalar type, Fx.  A wide multiply-accumulate register is an
 Fx in a wide QFormat.
@@ -27,7 +27,7 @@ arrays with the same bits as on Fx.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -93,6 +93,9 @@ class QFormat:
 
     word_bits: int
     frac_bits: int
+    # the raw range, stored once: every rescale reads both bounds
+    min_raw: int = field(init=False, repr=False, compare=False)
+    max_raw: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 8 <= self.word_bits <= 64:
@@ -101,14 +104,8 @@ class QFormat:
             raise ValueError(
                 f"frac_bits must be in 0..{self.word_bits - 1}, got {self.frac_bits}"
             )
-
-    @property
-    def max_raw(self) -> int:
-        return (1 << (self.word_bits - 1)) - 1
-
-    @property
-    def min_raw(self) -> int:
-        return -(1 << (self.word_bits - 1))
+        object.__setattr__(self, "min_raw", -(1 << (self.word_bits - 1)))
+        object.__setattr__(self, "max_raw", (1 << (self.word_bits - 1)) - 1)
 
     @property
     def eps(self) -> float:

@@ -200,6 +200,16 @@ def test_cordic_link_beyond_format_exits_3(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_cordic_angle_fault_reported_before_reach_fault(tmp_path, capsys):
+    # the cascade folds every joint angle before the first module checks its
+    # reach, so the last link's reach fault, met first in the cascade, loses
+    path = write_chain(tmp_path, "joint R 1e15 0 0.1 0\njoint R 0.3 200.0 0.0 0.2\n")
+    assert main(["solve", path, "--backend", "cordic"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("fkemu: domain error: |angle| must be finite")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("backend", ["cordic", "taylor", "lut"])
 def test_joint_angle_beyond_domain_exits_3(tmp_path, capsys, backend):
     path = write_chain(tmp_path, "joint R 1e15 0 0.1 0\n")

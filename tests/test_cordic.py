@@ -15,6 +15,7 @@ from fkemu.cordic import (
     cordic_lanes,
     cordic_step,
     gain,
+    linear_lanes,
     sincos_cordic,
     sincos_tolerance,
 )
@@ -37,10 +38,13 @@ def fx(v):
     return fx_from_real(v, Q8_24)
 
 
-def rotate(x0, y0, z0, mode):
+def quantized(*reals):
+    return (lanes_from_real(np.atleast_1d(v), Q8_24) for v in reals)
+
+
+def rotate(x0, y0, z0):
     """cordic_lanes on Q8.24 lanes quantized from the reals; returns the real outputs."""
-    out = cordic_lanes(*(lanes_from_real(np.atleast_1d(v), Q8_24) for v in (x0, y0, z0)), mode, CFG)
-    return tuple(lanes_real(v, Q8_24) for v in out)
+    return tuple(lanes_real(v, Q8_24) for v in cordic_lanes(*quantized(x0, y0, z0), CFG))
 
 
 def test_config_validation():
@@ -86,20 +90,20 @@ def test_rotate_linear_is_multiply_accumulate():
     x0, y0, z0 = np.array([(1.0, 0.25, 0.6)] + [
         (rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-1.9, 1.9)) for _ in range(50)
     ]).T
-    _, y, _ = rotate(x0, y0, z0, LINEAR)
+    y = lanes_real(linear_lanes(*quantized(x0, y0, z0), CFG), Q8_24)
     assert abs(y[0] - 0.85) < 1e-6
     assert (np.abs(y - (y0 + x0 * z0)) <= CFG.n_iter * Q8_24.eps + np.abs(x0) * 2.0 ** (1 - CFG.n_iter)).all()
 
 
 def test_rotate_zero_angle_returns_gain():
-    x, y, _ = rotate(1.0 / gain(24), 0.0, 0.0, CIRCULAR)
+    x, y, _ = rotate(1.0 / gain(24), 0.0, 0.0)
     assert abs(x[0] - 1.0) < 1e-6
     assert abs(y[0]) < 1e-6
 
 
 def test_rotate_pi_over_six():
     # double-precision trig oracle, frozen
-    x, y, _ = rotate(1.0 / gain(24), 0.0, math.pi / 6, CIRCULAR)
+    x, y, _ = rotate(1.0 / gain(24), 0.0, math.pi / 6)
     assert abs(x[0] - 0.8660254037844387) < 1e-6
     assert abs(y[0] - 0.5) < 1e-6
 
@@ -158,14 +162,14 @@ def test_rotation_residual_bound():
     rng = random.Random(12)
     bound = math.atan(2.0 ** -(CFG.n_iter - 1)) + Q8_24.eps
     z0 = np.array([rng.uniform(-1.7, 1.7) for _ in range(200)])
-    _, _, z = rotate(np.full(200, 0.3), np.full(200, 0.1), z0, CIRCULAR)
+    _, _, z = rotate(np.full(200, 0.3), np.full(200, 0.1), z0)
     assert np.abs(z).max() <= bound
 
 
 def test_norm_growth_matches_gain():
     rng = random.Random(13)
     x0, y0, z0 = np.array([(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1.7, 1.7)) for _ in range(200)]).T
-    x, y, _ = rotate(x0, y0, z0, CIRCULAR)
+    x, y, _ = rotate(x0, y0, z0)
     want = gain(24) * np.hypot(*(lanes_real(lanes_from_real(v, Q8_24), Q8_24) for v in (x0, y0)))
     assert np.abs(np.hypot(x, y) - want).max() <= CFG.n_iter * Q8_24.eps
 
@@ -208,21 +212,58 @@ def lane_batches(draw):
 
 
 @settings(deadline=None)
-@given(lane_batches(), st.sampled_from([CIRCULAR, LINEAR]))
-def test_lane_kernel_equals_scalar_reference(batch, mode):
+@given(lane_batches())
+def test_lane_kernel_equals_scalar_reference(batch):
+    # the circular loop: a sigma pass over z, then the stacked (x, y) steps,
+    # every clip kept, so saturating raws must match too
     cfg, lanes = batch
     x, y, z = (np.array(v, dtype=lane_dtype(cfg.fmt)) for v in zip(*lanes))
-    out = cordic_lanes(x, y, z, mode, cfg)
+    out = cordic_lanes(x, y, z, cfg)
     for k, lane in enumerate(lanes):
-        want = scalar_reference(*lane, mode, cfg)
+        want = scalar_reference(*lane, CIRCULAR, cfg)
         assert tuple(int(v[k]) for v in out) == want
+
+
+@st.composite
+def linear_batches(draw):
+    # 1.0 must be a power-of-two raw, frac_bits <= word_bits - 2: Q2.14 and
+    # Q2.62 sit at that edge, the latter on object lanes with T beyond int64
+    fmt = draw(st.sampled_from(LANE_FORMATS + [QFormat(16, 14), QFormat(64, 62)]))
+    # frac_bits + 2 iterations end on a micro-angle that rounds to 0
+    cfg = CordicConfig(draw(st.one_of(st.just(fmt.frac_bits + 2), st.integers(1, fmt.frac_bits + 2))), fmt)
+    # |y0| + sum |x0 >> i| <= |y0| + 2|x0| + n_iter, under 3/4 of the range
+    # plus n_iter: no partial sum saturates
+    quarter = fmt.max_raw // 4
+    operand = st.one_of(st.sampled_from([-quarter, quarter, 0, -1, 1]), st.integers(-quarter, quarter))
+    # z0 up to 3x the convergence range, the sum of the micro-angles (~2.0)
+    reach = min(3 * (2 << fmt.frac_bits), fmt.max_raw)
+    angle = st.one_of(st.sampled_from([-reach, reach, 0, -1, 1]), st.integers(-reach, reach))
+    lanes = draw(st.lists(st.tuples(operand, operand, angle), min_size=1, max_size=6))
+    return cfg, lanes
+
+
+@settings(deadline=None)
+@given(linear_batches())
+def test_linear_lanes_equal_scalar_reference(batch):
+    cfg, lanes = batch
+    x, y, z = (np.array(v, dtype=lane_dtype(cfg.fmt)) for v in zip(*lanes))
+    out = linear_lanes(x, y, z, cfg)
+    assert out.dtype == lane_dtype(cfg.fmt)
+    for k, lane in enumerate(lanes):
+        assert int(out[k]) == scalar_reference(*lane, LINEAR, cfg)[1]
+
+
+def test_linear_lanes_reject_formats_without_power_of_two_one():
+    one = np.array([1])
+    with pytest.raises(ValueError, match="power-of-two"):  # Q1.15: 1.0 saturates
+        linear_lanes(one, one, one, CordicConfig(15, QFormat(16, 15)))
 
 
 def test_lane_dtype_follows_word_width():
     assert lane_dtype(QFormat(32, 24)) is np.int64
     assert lane_dtype(QFormat(33, 24)) is object
     x, y, z = (np.array([v], dtype=object) for v in (1 << 40, 0, 1 << 38))
-    out = cordic_lanes(x, y, z, CIRCULAR, CordicConfig(40, QFormat(56, 40)))
+    out = cordic_lanes(x, y, z, CordicConfig(40, QFormat(56, 40)))
     assert all(type(v[0]) is int for v in out)
 
 
