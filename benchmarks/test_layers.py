@@ -6,7 +6,8 @@ Layers, bottom up: fixed-point primitive (the scalar fx_add reference,
 and rescale on 64 int64 lanes, the narrowing the kernels use), the CORDIC
 processors the cascade runs (the closed-form linear accumulate, the fold
 and sigma pass over a puma request's angles, and one stacked circular
-stage), sin/cos generator per backend (one lane, and batched), link-matrix
+stage), sin/cos generator per backend (one lane, and batched; the LUT
+also on perfbench lut-scan's 2**20 angles per table mode), link-matrix
 assembly, chain product or module cascade (one chain, and the stacked
 product of a bench's 16 variants), the seeded variant draw, the VM, and
 one in-process ``fkemu bench`` on puma560 and on a 12-link chain.
@@ -100,9 +101,17 @@ def test_lut_sincos_scalar(benchmark):
     benchmark(lut.lut_sincos, 1.0, TABLE)
 
 
-def test_lut_sincos_1e5_angles(benchmark):
+@pytest.mark.parametrize("mode", [lut.NEAREST, lut.LINEAR])
+def test_lut_sincos_1e5_angles(benchmark, mode):
     angles = np.linspace(-8 * math.pi, 8 * math.pi, 100_000)
-    benchmark(lut.lut_sincos, angles, TABLE)
+    benchmark(lut.lut_sincos, angles, lut.build_table(1024, mode=mode))
+
+
+@pytest.mark.parametrize("mode", [lut.NEAREST, lut.LINEAR])
+def test_lut_sincos_2e20_angles(benchmark, mode):
+    # perfbench lut-scan's shape: 2**20 angles over +-4 turns, one table per call
+    angles = np.random.default_rng(20).uniform(-8 * math.pi, 8 * math.pi, 1 << 20)
+    benchmark(lut.lut_sincos, angles, lut.build_table(1024, mode=mode))
 
 
 def test_link_transform(benchmark):

@@ -5,13 +5,19 @@ through exact sign/swap identities, and cosine reads the complementary
 entry.  Power-of-two sizes keep index extraction a shift.  Nearest-entry
 and linearly interpolated lookups both ship, since their accuracy/cost
 trade is the whole point of the backend.
+
+On arrays the emulator runs the lookup in blocks of BLOCK angles, so each
+block's temporaries stay in cache, and reads a table padded with the
+virtual endpoint sin(pi/2) = 1, so a lookup is a plain gather.  Neither
+changes the arithmetic emulated: every output is the same IEEE operations
+on the same operands as a one-angle call, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,16 +32,36 @@ _HEADER = struct.Struct("<6sBBBI")  # magic, mode byte, word bits, fraction bits
 _MODES = (NEAREST, LINEAR)  # mode byte -> mode
 # 8 MB of float64; a linear table this size is off by step**2/8, about 3e-13
 MAX_ENTRIES = 1 << 20
+# angles per block of an array call: its ~20 float64 temporaries fit in L2
+BLOCK = 8192
 
 
 @dataclass(frozen=True)
 class SinTable:
-    """Immutable quarter-wave table; safe for concurrent readers."""
+    """Immutable quarter-wave table; safe for concurrent readers.
+
+    The grid is stored once, padded with the virtual endpoint
+    sin(pi/2) = 1.0; values is a read-only view of its first n_entries.
+    A linear table also stores deltas[k] = padded[k+1] - padded[k], the
+    same subtraction its interpolation did per lookup.
+    """
 
     n_entries: int
     values: np.ndarray  # sin(k * (pi/2)/n_entries), quantized at build time
     mode: str
     fmt: QFormat | None = None
+    padded: np.ndarray = field(init=False, repr=False, compare=False)
+    deltas: np.ndarray | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        padded = np.append(self.values, 1.0)
+        padded.setflags(write=False)
+        deltas = np.diff(padded) if self.mode == LINEAR else None
+        if deltas is not None:
+            deltas.setflags(write=False)
+        object.__setattr__(self, "values", padded[:-1])
+        object.__setattr__(self, "padded", padded)
+        object.__setattr__(self, "deltas", deltas)
 
     @property
     def step(self) -> float:
@@ -50,7 +76,6 @@ def build_table(n_entries: int, fmt: QFormat | None = None, mode: str = NEAREST)
     grid = np.sin(np.arange(n_entries) * (HALF_PI / n_entries))
     if fmt is not None:
         grid = lanes_real(lanes_from_real(grid, fmt), fmt)
-    grid.setflags(write=False)
     return SinTable(n_entries, grid, mode, fmt)
 
 
@@ -64,24 +89,21 @@ def _check_entries(n_entries: int) -> None:
 
 
 def _sin_quarter(u, table: SinTable):
-    """sin(u) for u in [0, pi/2], with sin(pi/2) = 1 as a virtual endpoint."""
-    pos = np.asarray(u) / table.step
+    """sin(u) for u in [0, pi/2], with sin(pi/2) = 1 as a virtual endpoint.
+
+    The endpoint is the padded table's last entry, so neither lookup needs
+    a select: nearest gathers entry rint(u/step), and linear gathers the
+    entry and delta at idx = min(floor(u/step), n_entries - 1) and adds
+    delta * frac.  These are the operands and the IEEE operations of
+    entry + (next - entry) * frac with next = 1.0 past the grid, so the
+    bits are the same.
+    """
+    pos = u / table.step
     if table.mode == NEAREST:
-        idx = np.rint(pos).astype(np.int64)
-        return np.where(idx >= table.n_entries, 1.0, table.values[np.minimum(idx, table.n_entries - 1)])
-    idx = np.floor(pos).astype(np.int64)
-    idx = np.minimum(idx, table.n_entries - 1)
-    frac = pos - idx
-    lo = table.values[idx]
-    hi = np.where(idx + 1 >= table.n_entries, 1.0, table.values[np.minimum(idx + 1, table.n_entries - 1)])
-    return lo + (hi - lo) * frac
-
-
-def _sincos_abs(a, table: SinTable):
-    """(cos, sin) for a >= 0 via fold_angle onto the quarter table."""
-    quad, r = fold_angle(a)
-    s_r = _sin_quarter(r, table)
-    return quarter_turns(quad, _sin_quarter(HALF_PI - r, table), s_r)
+        return np.take(table.padded, np.rint(pos).astype(np.intp))
+    idx = np.minimum(np.floor(pos), table.n_entries - 1)  # a float, so pos - idx needs no cast
+    lane = idx.astype(np.intp)
+    return np.take(table.padded, lane) + np.take(table.deltas, lane) * (pos - idx)
 
 
 def lut_sincos(theta, table: SinTable):
@@ -89,14 +111,23 @@ def lut_sincos(theta, table: SinTable):
 
     The sign of theta is stripped before folding so odd/even symmetry is
     bit-exact.  Any angle beyond MAX_ANGLE, NaN or infinite raises
-    DomainError.
+    DomainError.  The angles run in blocks of BLOCK, each folded by
+    fold_angle, looked up in the quarter table, unfolded by quarter_turns
+    and given the sign of theta; a scalar is a block of one.
     """
     arr = np.asarray(theta, dtype=float)
-    cos, sin = _sincos_abs(np.abs(arr), table)
-    sin = np.where(np.signbit(arr), -sin, sin)
+    flat = arr.reshape(-1)
+    cos, sin = np.empty_like(flat), np.empty_like(flat)
+    for lo in range(0, flat.size, BLOCK):
+        block = flat[lo : lo + BLOCK]
+        quad, r = fold_angle(np.abs(block))
+        c, s = quarter_turns(quad, _sin_quarter(HALF_PI - r, table), _sin_quarter(r, table))
+        cos[lo : lo + BLOCK] = c
+        # times -1.0 is negation, bit for bit: the sign of a negative theta, -0.0 included
+        np.multiply(s, np.copysign(1.0, block), out=sin[lo : lo + BLOCK])
     if arr.ndim == 0:
-        return float(cos), float(sin)
-    return cos, sin
+        return float(cos[0]), float(sin[0])
+    return cos.reshape(arr.shape), sin.reshape(arr.shape)
 
 
 def error_profile(table: SinTable, n_samples: int = 1_000_000) -> tuple[float, float]:
@@ -156,6 +187,5 @@ def load_table(path: str) -> SinTable:
     if fmt:
         values = lanes_real(np.frombuffer(body, dtype="<i8"), fmt)
     else:
-        values = np.frombuffer(body, dtype="<f8").copy()
-    values.setflags(write=False)
+        values = np.frombuffer(body, dtype="<f8")
     return SinTable(n, values, _MODES[mode], fmt)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import struct
@@ -5,13 +6,14 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fkemu.ccm import pose_op_count as cordic_pose_ops
 from fkemu.dh import DhJoint, ROTARY, chain_pose
-from fkemu.fixedpoint import MAX_ANGLE, DomainError, Q8_24, QFormat
+from fkemu.fixedpoint import MAX_ANGLE, DomainError, Q1_15, Q8_24, QFormat
 from fkemu.lut import (
+    BLOCK,
     LINEAR,
     MAX_ENTRIES,
     NEAREST,
@@ -71,16 +73,82 @@ def test_sincos_pi_over_four():
 
 
 ANGLES = st.floats(-MAX_ANGLE, MAX_ANGLE)
-SYMMETRY_TABLE = build_table(512, mode=NEAREST)
-BOUND_TABLES = {mode: build_table(256, mode=mode) for mode in (NEAREST, LINEAR)}
+MODES = (NEAREST, LINEAR)
+SYMMETRY_TABLES = {mode: build_table(512, mode=mode) for mode in MODES}
+BOUND_TABLES = {mode: build_table(256, mode=mode) for mode in MODES}
 
 
-@given(ANGLES)
-def test_symmetry_bit_exact(th):
-    c1, s1 = lut_sincos(th, SYMMETRY_TABLE)
-    c2, s2 = lut_sincos(-th, SYMMETRY_TABLE)
-    assert s1 == -s2
-    assert c1 == c2
+def _bits(x):
+    # == cannot tell 0.0 from -0.0; the bytes can
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+@given(ANGLES, st.sampled_from(MODES))
+def test_symmetry_bit_exact(th, mode):
+    c1, s1 = lut_sincos(th, SYMMETRY_TABLES[mode])
+    c2, s2 = lut_sincos(-th, SYMMETRY_TABLES[mode])
+    assert _bits(s1) == _bits(-s2)
+    assert _bits(c1) == _bits(c2)
+
+
+# one and more blocks, each side of a block bound, and shapes that are not flat
+BLOCK_SHAPES = [(), (0,), (2, 16, 12), (BLOCK - 1,), (BLOCK,), (BLOCK + 1,), (2 * BLOCK + 3,)]
+SPECIAL_ANGLES = st.sampled_from([0.0, -0.0, MAX_ANGLE, -MAX_ANGLE, 5e-324, -5e-324])
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    shape=st.sampled_from(BLOCK_SHAPES),
+    mode=st.sampled_from(MODES),
+    fmt=st.sampled_from([None, Q1_15]),
+    log_n=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+    picks=st.lists(ANGLES | SPECIAL_ANGLES, max_size=6),
+)
+def test_array_equals_scalar_across_blocks(shape, mode, fmt, log_n, seed, picks):
+    table = build_table(1 << log_n, fmt=fmt, mode=mode)
+    size = math.prod(shape)
+    rng = np.random.default_rng(seed)
+    flat = rng.uniform(-8 * math.pi, 8 * math.pi, size)
+    flat[::5] = rng.integers(-16 * table.n_entries, 16 * table.n_entries, flat[::5].size) * (table.step / 2)
+    # drawn angles sit at the ends of blocks, where a block bound would show
+    ends = sorted({i for b in range(0, size + BLOCK, BLOCK) for i in (b - 1, b) if 0 <= i < size})
+    for i, a in zip(ends, picks):
+        flat[i] = a
+    cos, sin = lut_sincos(flat.reshape(shape), table)
+    assert np.shape(cos) == np.shape(sin) == shape
+    pairs = [lut_sincos(float(a), table) for a in flat]
+    assert _bits(cos) == _bits([c for c, _ in pairs])
+    assert _bits(sin) == _bits([s for _, s in pairs])
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("angle", [math.nan, -math.inf, math.nextafter(MAX_ANGLE, math.inf)])
+def test_domain_error_in_last_block(mode, angle):
+    angles = np.linspace(-MAX_ANGLE, MAX_ANGLE, 2 * BLOCK + 3)
+    angles[-1] = angle
+    with pytest.raises(DomainError):
+        lut_sincos(angles, build_table(256, mode=mode))
+
+
+def _pin_sweep(table):
+    turns = np.linspace(-8 * math.pi, 8 * math.pi, 1 << 16)
+    half_steps = np.arange(-8 * table.n_entries, 8 * table.n_entries + 1) * (table.step / 2)
+    return np.concatenate([turns, half_steps, [MAX_ANGLE, -MAX_ANGLE, 0.0, -0.0]])
+
+
+# Raw (cos, sin) bits on Q1.15 tables, whose entries do not rest on the
+# platform's np.sin: a moved bit anywhere in the fold, lookup or unfold shows here.
+@pytest.mark.parametrize("mode,n_entries,digest", [
+    (NEAREST, 4, "eb99c9d5ab4b3cc9e72b5f4c81053735804c0ef2cc9fd2126a3e75d258ff7873"),
+    (NEAREST, 1024, "6ab3933da52f36b80bb659f344680aff33951298613dc25e108ee870f5552a6c"),
+    (LINEAR, 4, "a48e314c367220954ff31aa0dd6d783618e2c98f4fb6f3dcc176a3ffa82a11ff"),
+    (LINEAR, 1024, "8cee1314f7ed0c2440daee1955f8095f0b7200f3511a6183284b8d11c3f48813"),
+])
+def test_lut_sincos_golden(mode, n_entries, digest):
+    table = build_table(n_entries, fmt=Q1_15, mode=mode)
+    cos, sin = lut_sincos(_pin_sweep(table), table)
+    assert hashlib.sha256(cos.tobytes() + sin.tobytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("mode", [NEAREST, LINEAR])
