@@ -11,8 +11,13 @@ Chain files are line oriented so they diff cleanly:
     point <x> <y> <z>
 
 Angles are radians, lengths meters.  The special chain name "puma560"
-loads a built-in six-revolute demo profile.  Exit codes: 0 success,
-2 parse failure, 3 numeric domain error, 4 register capacity error.
+loads a built-in six-revolute demo profile, dh.puma_chain at zero angles.
+
+solve and bench take every pose, the oracle's and each backend's, from one
+stacked product over a ChainSet; bench grades a backend in one pass over all
+its poses.  Exit codes: 0 success, 2 parse failure or bad option, 3 numeric
+domain error (an angle or reach outside a backend's domain, or a pose or
+error past float64), 4 register capacity error.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import numpy as np
 
 from . import ccm, lut, taylor, umdh
 from .cordic import CordicConfig
-from .dh import ChainSet, DhJoint, PRISMATIC, ROTARY, PumaParams, Vec4, chain_pose, chain_poses, exact_sincos, pose_op_count
+from .dh import ChainSet, DhJoint, PRISMATIC, ROTARY, PumaParams, Vec4, chain_poses, exact_sincos, pose_op_count, puma_chain
 from .fixedpoint import DomainError, QFormat
 from .umdh import CapacityError, UmdhParams
 
@@ -55,20 +60,6 @@ class ChainFile:
     name: str
     joints: tuple[DhJoint, ...]
     point: Vec4 | None
-
-
-def _demo_chain_text() -> str:
-    p = PUMA560
-    return (
-        "name puma560\n"
-        f"joint R 0.0 0.0 0.0 {-math.pi / 2}\n"
-        f"joint R 0.0 {p.d2} {p.a2} 0.0\n"
-        f"joint R 0.0 0.0 {p.a3} {math.pi / 2}\n"
-        f"joint R 0.0 {p.d4} 0.0 {-math.pi / 2}\n"
-        f"joint R 0.0 0.0 0.0 {math.pi / 2}\n"
-        f"joint R 0.0 {p.d6} 0.0 0.0\n"
-        "point 0.0 0.0 0.0\n"
-    )
 
 
 # fields after each directive word: a joint is its kind and four numbers
@@ -127,7 +118,7 @@ def parse_chain(text: str, filename: str = "<chain>") -> ChainFile:
 
 def load_chain(path: str) -> ChainFile:
     if path == "puma560":
-        return parse_chain(_demo_chain_text(), "puma560")
+        return ChainFile("puma560", tuple(puma_chain([0.0] * 6, PUMA560)), Vec4(0.0, 0.0, 0.0))
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -142,24 +133,6 @@ def parse_qformat(text: str) -> QFormat:
         return QFormat(int(m) + int(n), int(n))
     except (ValueError, TypeError):
         raise argparse.ArgumentTypeError(f"bad Q format {text!r}, expected like Q8.24") from None
-
-
-@dataclass(frozen=True)
-class Report:
-    """One benchmark row; every numeric field stays finite."""
-
-    backend: str
-    max_err: float
-    rms_err: float
-    ops_per_pose: int
-    model_latency_us: float
-    params: str
-
-    def csv_row(self) -> str:
-        return (
-            f"{self.backend},{self.max_err:.6e},{self.rms_err:.6e},"
-            f"{self.ops_per_pose},{self.model_latency_us:.6e},{self.params}"
-        )
 
 
 @dataclass(frozen=True)
@@ -206,19 +179,30 @@ def _print_pose(pose: np.ndarray) -> None:
         print("  " + "  ".join(f"{v: .9f}" for v in row))
 
 
+def _finite(x, what: str):
+    """x, unless some entry of it is NaN or infinite: link constants so large
+    that a pose or an error leaves float64 are outside every backend's domain."""
+    if not np.isfinite(x).all():
+        raise DomainError(f"{what} is not finite in float64")
+    return x
+
+
 def cmd_solve(args) -> int:
     chain_file = load_chain(args.chain)
     backend = _make_backends(args, len(chain_file.joints))[args.backend]
-    oracle = chain_pose(chain_file.joints)
-    pose = backend.poses(ChainSet.of([chain_file.joints]))[0]
+    chains = ChainSet.of([chain_file.joints])
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite reports it
+        oracle = _finite(chain_poses(chains)[0], "oracle pose")
+        pose = backend.poses(chains)[0]
+        dev = _finite(float(np.abs(pose - oracle).max()), "deviation from the oracle")
+        if chain_file.point is not None:
+            moved = _finite(pose @ chain_file.point.as_array(), "transformed point")
     print(f"chain: {chain_file.name} ({len(chain_file.joints)} joints)")
     print(f"backend: {args.backend}")
     _print_pose(pose)
     if args.backend != "matrix":
-        dev = float(np.abs(pose - oracle).max())
         print(f"max deviation vs matrix oracle: {dev:.6e}")
     if chain_file.point is not None:
-        moved = pose @ chain_file.point.as_array()
         print("point: " + "  ".join(f"{v: .9f}" for v in moved[:3]))
     return 0
 
@@ -234,36 +218,34 @@ def bench_variants(joints, trials: int, seed: int) -> ChainSet:
     return ChainSet(theta, d, np.broadcast_to(base.a_eff, theta.shape), np.broadcast_to(base.alpha, theta.shape))
 
 
+def grade(poses: np.ndarray, oracles: np.ndarray) -> tuple[float, float]:
+    """(max_err, rms_err) of (n, 4, 4) poses against their oracles, over every
+    entry.  The squared errors are summed pose by pose and the poses in order,
+    as a loop over the poses adds them, so rms_err keeps that loop's bits."""
+    diff = np.abs(poses - oracles)
+    sq_sum = np.cumsum((diff**2).sum(axis=(1, 2)))[-1]
+    return float(diff.max()), math.sqrt(sq_sum / diff.size)
+
+
 def cmd_bench(args) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
     chain_file = load_chain(args.chain)
     names = [b.strip() for b in args.backends.split(",") if b.strip()]
     if not names:
-        raise ChainParseError("<backends>", 1, 1, "no backend named")
+        raise ValueError("--backends names no backend")
     for b in names:
         if b not in BACKENDS:
-            raise ChainParseError("<backends>", 1, 1, f"unknown backend {b!r}")
+            raise ValueError(f"--backends: unknown backend {b!r}, expected some of {','.join(BACKENDS)}")
     backends = _make_backends(args, len(chain_file.joints))
     variants = bench_variants(chain_file.joints, args.trials, args.seed)
-    oracles = chain_poses(variants)
-
-    print(CSV_HEADER)
-    for name in names:
-        backend = backends[name]
-        max_err = 0.0
-        sq_sum = 0.0
-        count = 0
-        for pose, oracle in zip(backend.poses(variants), oracles):
-            diff = np.abs(pose - oracle)
-            max_err = max(max_err, float(diff.max()))
-            sq_sum += float((diff**2).sum())
-            count += diff.size
-        report = Report(
-            name, max_err, math.sqrt(sq_sum / count),
-            backend.ops, backend.latency, backend.params,
-        )
-        print(report.csv_row())
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite reports it
+        oracles = _finite(chain_poses(variants), "oracle pose")
+        print(CSV_HEADER)
+        for name in names:
+            backend = backends[name]
+            max_err, rms_err = _finite(grade(backend.poses(variants), oracles), f"{name} error")
+            print(f"{name},{max_err:.6e},{rms_err:.6e},{backend.ops},{backend.latency:.6e},{backend.params}")
     return 0
 
 

@@ -50,19 +50,18 @@ class DomainError(ValueError):
 def fold_angle(mag):
     """Quadrant q in 0..3 and residual r in [0, pi/2) with mag = q*pi/2 + r mod 2*pi.
 
-    mag is |angle|, a float or an ndarray; floats give the same bits as
-    arrays.  q = floor(a / (pi/2)) for a = mag mod 2*pi, and r is exact
-    because q*pi/2 is a double for q <= 3.  The reduction is modulo the
-    float 2*pi, which drifts from the true period by |mag| * 3.9e-17:
-    4e-11 at MAX_ANGLE, under 1/1000 of a Q8.24 LSB, but 0.04 rad at 1e15.
-    So DomainError is raised unless mag <= MAX_ANGLE, which rejects NaN and
-    infinity too.
+    mag is |angle|, an ndarray (q is int64 of its shape) or a float (q is
+    an int64 scalar), with the same bits either way.  q = floor(a / (pi/2))
+    for a = mag mod 2*pi, and r is exact because q*pi/2 is a double for
+    q <= 3.  The reduction is modulo the float 2*pi, which drifts from the
+    true period by |mag| * 3.9e-17: 4e-11 at MAX_ANGLE, under 1/1000 of a
+    Q8.24 LSB, but 0.04 rad at 1e15.  So DomainError is raised unless
+    mag <= MAX_ANGLE, which rejects NaN and infinity too.
     """
-    array = isinstance(mag, np.ndarray)
-    if not ((mag <= MAX_ANGLE).all() if array else mag <= MAX_ANGLE):
+    if not np.all(mag <= MAX_ANGLE):
         raise DomainError(f"|angle| must be finite and at most {MAX_ANGLE:.0f} rad")
     a = mag % TWO_PI
-    q = np.floor(a / HALF_PI).astype(np.int64) if array else math.floor(a / HALF_PI)
+    q = np.floor(a / HALF_PI).astype(np.int64)
     return q, a - q * HALF_PI
 
 

@@ -1,14 +1,16 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fkemu import cli
 from fkemu.cli import ChainParseError, load_chain, main, parse_chain, parse_qformat
-from fkemu.dh import PRISMATIC, ROTARY, ChainSet, DhJoint, Vec4
-from fkemu.fixedpoint import DomainError, QFormat
+from fkemu.dh import PRISMATIC, ROTARY, ChainSet, DhJoint, Vec4, puma_chain
+from fkemu.fixedpoint import QFormat
 from fkemu.lut import MAX_ENTRIES
 
 IDENTITY_CHAIN = "joint R 0 0 0 0\n"
@@ -44,6 +46,29 @@ matrix,0.000000e+00,0.000000e+00,360,0.000000e+00,
 cordic,1.268663e-06,4.022525e-07,4656,3.600000e+02,iters=24;fmt=Q8.24
 taylor,7.656835e-05,2.924809e-05,576,0.000000e+00,terms=8;fmt=Q1.15
 lut,9.276967e-07,2.985451e-07,450,0.000000e+00,entries=1024;mode=linear
+"""
+
+
+# sha256 of `fkemu bench --backends matrix,cordic,taylor,lut` stdout at more
+# trials than the goldens, in both table modes.  The CSV's 7 significant
+# digits hardly ever show the order rms_err's squares are added in; that
+# order is held bit for bit by test_grade_adds_what_a_loop_over_the_poses_adds
+BENCH_SHA256 = {
+    ("puma560", 16, "nearest"): "066aa50cb9eaf9a4a3d60a862fa955eee26461421fb556492751bcbdede318a1",
+    ("puma560", 16, "linear"): "17d8ea759f2e56a6ebe5cf8c805a712570d2153d35b9a371bb85934ac6a6591d",
+    ("puma560", 33, "nearest"): "b435efb77ce4ce8a61dcea7fcadfe12972e0cefb901b10a9e6379374baeb90f1",
+    ("puma560", 33, "linear"): "ffa0c2ab67ac036afeebf78f6ce79e5532227210cc34a4f09637caa004d2e492",
+    ("three", 16, "nearest"): "6c4ac046525719ab5890e20cb2981b947c4f5ef8235a0babffb0398d36035543",
+    ("three", 16, "linear"): "0f0f6c4d2c6a57f3590cafa9295c71e1607912ba9ad32f04992423e802583aca",
+    ("three", 33, "nearest"): "b10f04d00cb64ffb11cd13256f7e177a282a74dde3d7606ab67b9eae1d254665",
+    ("three", 33, "linear"): "eebf9f7b37cd4d2b929c5b5f487cec063057fbf2e8e11144ee53ebd2c0c200d2",
+}
+
+
+# link constants whose pose leaves float64: the oracle's product overflows
+OVERFLOW_CHAIN = """\
+joint R 0.1 1e308 1e308 0.3
+joint R 0.2 1e308 1e308 0.5
 """
 
 
@@ -147,7 +172,8 @@ def test_load_chain_missing_file():
 def test_builtin_demo_chain():
     cf = load_chain("puma560")
     assert cf.name == "puma560"
-    assert len(cf.joints) == 6
+    assert cf.joints == tuple(puma_chain([0.0] * 6, cli.PUMA560))
+    assert cf.point == Vec4(0.0, 0.0, 0.0)
 
 
 def test_parse_qformat():
@@ -181,14 +207,32 @@ def test_solve_malformed_file_exits_2(tmp_path, capsys):
     assert "bad number" in capsys.readouterr().err
 
 
-def test_solve_domain_error_exits_3(tmp_path, monkeypatch, capsys):
-    def boom(chain, sincos=None):
-        raise DomainError("angle out of range")
+@pytest.mark.filterwarnings("error")  # no numpy RuntimeWarning gets out
+def test_solve_domain_error_exits_3(tmp_path, capsys):
+    path = write_chain(tmp_path, OVERFLOW_CHAIN)
+    for backend in cli.BACKENDS:
+        assert main(["solve", path, "--backend", backend]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "fkemu: domain error: oracle pose is not finite in float64\n"
+    # a finite pose can still carry a point past float64: 1.7e308 * sqrt(2)
+    path = write_chain(tmp_path, f"joint R {math.pi / 4!r} 0 0 0\npoint 1.7e308 1.7e308 0\n")
+    assert main(["solve", path]) == 3
+    assert capsys.readouterr() == ("", "fkemu: domain error: transformed point is not finite in float64\n")
 
-    path = write_chain(tmp_path, IDENTITY_CHAIN)
-    monkeypatch.setattr(cli, "chain_pose", boom)
-    assert main(["solve", path, "--backend", "matrix"]) == 3
-    assert "domain error" in capsys.readouterr().err
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text, err", [
+    (OVERFLOW_CHAIN, "oracle pose is not finite in float64"),
+    # the poses stay finite, but a squared error of ~1e195 does not
+    (OVERFLOW_CHAIN.replace("1e308", "1e200"), "taylor error is not finite in float64"),
+], ids=["oracle-overflows", "rms-overflows"])
+def test_bench_non_finite_numbers_exit_3(tmp_path, capsys, text, err):
+    path = write_chain(tmp_path, text)
+    assert main(["bench", path, "--backends", "taylor,lut"]) == 3
+    out, got = capsys.readouterr()
+    assert "nan" not in out and "inf" not in out
+    assert got == f"fkemu: domain error: {err}\n"
 
 
 def test_cordic_link_beyond_format_exits_3(tmp_path, capsys):
@@ -249,6 +293,17 @@ def test_bench_csv_golden(tmp_path, capsys):
     assert capsys.readouterr().out == GOLDEN_THREE_LINK
 
 
+@pytest.mark.parametrize("key", sorted(BENCH_SHA256), ids=lambda k: "-".join(map(str, k)))
+def test_bench_csv_sha256_at_more_trials(tmp_path, capsys, key):
+    chain, trials, mode = key
+    seed = 3 if chain == "puma560" else 5
+    path = "puma560" if chain == "puma560" else write_chain(tmp_path, THREE_LINK)
+    argv = ["bench", path, "--backends", "matrix,cordic,taylor,lut", "--table-mode", mode,
+            "--trials", str(trials), "--seed", str(seed)]
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == BENCH_SHA256[key]
+
+
 @pytest.mark.parametrize("argv", [
     ["bench", "puma560", "--trials", "0"],
     ["bench", "puma560", "--trials", "-2"],
@@ -288,9 +343,13 @@ def test_pipeline_without_links_exits_2(capsys, links):
 
 
 def test_bench_rejects_unknown_backend(capsys):
-    for backends in ("matrix,warp", ",", ""):  # an unknown name, or none at all
+    for backends, err in [  # an unknown name, or none at all
+        ("matrix,warp", "--backends: unknown backend 'warp', expected some of matrix,cordic,taylor,lut"),
+        (",", "--backends names no backend"),
+        ("", "--backends names no backend"),
+    ]:
         assert main(["bench", "puma560", "--backends", backends]) == 2
-        assert capsys.readouterr().out == ""
+        assert capsys.readouterr() == ("", f"fkemu: {err}\n")
 
 
 def test_parser_is_built_once_and_reused(capsys):
@@ -302,6 +361,21 @@ def test_parser_is_built_once_and_reused(capsys):
     assert main(["bench", "puma560"]) == 0
     assert capsys.readouterr().out == first  # no option of the last call lingers
     assert cli.build_parser() is cli.build_parser()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda n: st.tuples(*[
+    hnp.arrays(np.float64, (n, 4, 4), elements=st.floats(-1e3, 1e3)) for _ in range(2)
+])))
+def test_grade_adds_what_a_loop_over_the_poses_adds(pair):
+    # the reference is a loop over the poses; a flat np.sum rounds differently
+    poses, oracles = pair
+    max_err = sq_sum = 0.0
+    for pose, oracle in zip(poses, oracles):
+        diff = np.abs(pose - oracle)
+        max_err = max(max_err, float(diff.max()))
+        sq_sum += float((diff**2).sum())
+    assert cli.grade(poses, oracles) == (max_err, math.sqrt(sq_sum / poses.size))
 
 
 @settings(max_examples=40, deadline=None)
