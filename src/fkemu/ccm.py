@@ -119,7 +119,8 @@ def _module(chains: ChainSet, link: int, p: np.ndarray, turns, sigmas, cfg: Cord
     d, a_eff = chains.d[:, link], chains.a_eff[:, link]
     w = p[:, 3]
     bad_w = (w != 0.0) & (w != 1.0)
-    with np.errstate(invalid="ignore"):  # inf * 0 is nan, as in float arithmetic, and fails the bound
+    # a sum past the double range is inf and inf * 0 is nan, as in float arithmetic; both fail the bound
+    with np.errstate(over="ignore", invalid="ignore"):
         reach = 2.0 * np.array([math.hypot(*q) for q in p[:, :3].tolist()]) + abs(a_eff * w) + abs(d * w) + 2.0
     bad = bad_w | ~(reach <= fmt.max_raw * fmt.eps)
     first = np.argmax(bad)

@@ -14,12 +14,18 @@ configurable cycle cost for the cosine/sine unit, whose arithmetic is any
 trig provider (exact by default).  SINCOS writes cos to dst and sin to
 dst+1.  Registers r0..r3 hold the four joint angles at entry; the constant
 pool holds the five loaded constants plus 0.0.
+
+FkInstr and FkProgram check themselves when built (ValueError), and a
+program derives its op count and highest register then, so vm_run runs a
+checked program without walking it first.  Its one check of its own is
+CapacityError, for a register file too small for the program.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,15 +57,32 @@ ADD = "ADD"
 SUB = "SUB"
 MUL = "MUL"
 
-_ARITH = frozenset((SINCOS, ADD, SUB, MUL))
+# the two-operand units and what each computes: dst <- src1 op src2
+_BINARY = {ADD: operator.add, SUB: operator.sub, MUL: operator.mul}
+
+_POOL_SLOTS = len(UmdhParams(0.0, 0.0, 0.0, 0.0, 0.0).pool())
 
 
 @dataclass(frozen=True)
 class FkInstr:
+    """LOADK dst k(src1), SINCOS dst src1, or a _BINARY unit dst src1 src2.
+
+    Raises ValueError for an unknown opcode, a negative operand or a LOADK
+    slot outside the constant pool.
+    """
+
     op: str
     dst: int
     src1: int = 0
     src2: int = 0
+
+    def __post_init__(self) -> None:
+        if self.op not in (LOADK, SINCOS) and self.op not in _BINARY:
+            raise ValueError(f"bad opcode {self.op!r}")
+        if min(self.dst, self.src1, self.src2) < 0:
+            raise ValueError(f"negative operand in {self}")
+        if self.op == LOADK and self.src1 >= _POOL_SLOTS:
+            raise ValueError(f"LOADK slot k{self.src1} outside the {_POOL_SLOTS}-entry pool")
 
     def text(self) -> str:
         if self.op == LOADK:
@@ -74,26 +97,32 @@ class FkProgram:
     """Straight-line instruction sequence plus the output register map.
 
     outputs lists twelve register ids, row-major over the top three rows
-    of the pose matrix.
+    of the pose matrix.  One pass at construction raises ValueError for a
+    read of a register that is neither an angle register nor written
+    earlier, and for outputs that are not twelve written registers.  It
+    stores arith_ops (every instruction but LOADK) and max_register (the
+    highest register written, at least r3).
     """
 
     instrs: tuple[FkInstr, ...]
     outputs: tuple[int, ...]
+    arith_ops: int = field(init=False, repr=False, compare=False)
+    max_register: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def arith_ops(self) -> int:
-        return sum(1 for i in self.instrs if i.op in _ARITH)
-
-    @property
-    def max_register(self) -> int:
-        top = 3  # r0..r3 carry the angles
+    def __post_init__(self) -> None:
+        written = {0, 1, 2, 3}  # r0..r3 carry the angles
+        arith_ops = 0
         for ins in self.instrs:
-            top = max(top, ins.dst + (1 if ins.op == SINCOS else 0))
-            if ins.op != LOADK:
-                top = max(top, ins.src1)
-            if ins.op in (ADD, SUB, MUL):
-                top = max(top, ins.src2)
-        return max(top, max(self.outputs))
+            reads = () if ins.op == LOADK else (ins.src1,) if ins.op == SINCOS else (ins.src1, ins.src2)
+            for r in reads:
+                if r not in written:
+                    raise ValueError(f"{ins.text()} reads r{r}, which no earlier instruction wrote")
+            written.update((ins.dst, ins.dst + 1) if ins.op == SINCOS else (ins.dst,))
+            arith_ops += ins.op != LOADK
+        if len(self.outputs) != 12 or not written.issuperset(self.outputs):
+            raise ValueError(f"outputs must be 12 written registers, got {self.outputs}")
+        object.__setattr__(self, "arith_ops", arith_ops)
+        object.__setattr__(self, "max_register", max(written))
 
     def to_text(self) -> str:
         lines = ["# four-joint thumb pose, straight-line schedule"]
@@ -265,24 +294,15 @@ def vm_run(
     pool = p.pool()
     regs = [0.0] * hw.capacity
     regs[0:4] = [t1, t2, t3, t4]
-    cycles = 0
+    cycles = len(prog.instrs)
     for ins in prog.instrs:
         if ins.op == LOADK:
             regs[ins.dst] = pool[ins.src1]
         elif ins.op == SINCOS:
-            c, s = hw.sincos(regs[ins.src1])
-            regs[ins.dst] = c
-            regs[ins.dst + 1] = s
+            regs[ins.dst], regs[ins.dst + 1] = hw.sincos(regs[ins.src1])
             cycles += hw.sincos_cycles - 1
-        elif ins.op == ADD:
-            regs[ins.dst] = regs[ins.src1] + regs[ins.src2]
-        elif ins.op == SUB:
-            regs[ins.dst] = regs[ins.src1] - regs[ins.src2]
-        elif ins.op == MUL:
-            regs[ins.dst] = regs[ins.src1] * regs[ins.src2]
         else:
-            raise ValueError(f"bad opcode {ins.op!r}")
-        cycles += 1
+            regs[ins.dst] = _BINARY[ins.op](regs[ins.src1], regs[ins.src2])
     vals = [regs[r] for r in prog.outputs]
     pose = np.array([
         vals[0:4],

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -187,6 +188,16 @@ def test_reach_beyond_format_raises_domain_error():
     assert abs(free[2] - math.cos(0.2)) < TOL
     with pytest.raises(DomainError):  # inf * 0 is nan, which fails the bound
         push(dataclasses.replace(far, d=math.inf), Vec4(0, 0, 1, 0.0))
+
+
+def test_reach_overflow_raises_domain_error_without_warning():
+    huge = [DhJoint(ROTARY, 0.1, 1e308, 1e308, 0.3), DhJoint(ROTARY, 0.2, 1e308, 1e308, 0.5)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="link 1"):  # reach sum overflows to inf
+            ccm_poses(ChainSet.of([huge]), CFG)
+        with pytest.raises(DomainError, match="link 0"):  # 2 * hypot overflows to inf
+            ccm_points(ChainSet.of([[DhJoint(ROTARY, 0.1, 0.1, 0.1, 0.3)]]), [(1e308, 1e308, 0, 1)], CFG)
 
 
 @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf, 2.0**21])

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import re
@@ -13,6 +14,9 @@ from fkemu.taylor import taylor_sincos
 from fkemu.umdh import (
     ADD,
     CapacityError,
+    FkInstr,
+    FkProgram,
+    LOADK,
     MUL,
     SINCOS,
     SUB,
@@ -60,6 +64,39 @@ def test_naive_matches_chain_oracle():
         assert np.abs(pose - oracle).max() < 1e-12
 
 
+# sha256 of vm_run's pose bytes plus its cycle count over 256 seeded angle
+# sets: a moved bit in any register operation shows up here, where the
+# other VM tests compare at 1e-12
+VM_SHA256 = {
+    "exact": "02daa23042bc17304035a52ed8cdc254fa9f944d9016a3cbf6efcd39dfc66bd1",
+    "sincos_cycles=4": "0910a4a08463afe62819336c97d7adc0f45b0343f34601e58f4fb6acbcb7363c",
+    "taylor": "7dd1449d8e88da011b80635954dc886b2f15cf8ad6007bd3cea83cbade4b30dd",
+}
+PROGRAM_TEXT_SHA256 = "f7f31e55bbeb45882a5775d964e137ebf237c904dd689008339c1afe207394f0"
+
+
+@pytest.mark.parametrize("name, hw", [
+    ("exact", VmConfig()),
+    ("sincos_cycles=4", VmConfig(sincos_cycles=4)),
+    ("taylor", VmConfig(sincos=taylor_sincos)),
+])
+def test_vm_bits_pinned(name, hw):
+    rng = random.Random(15)
+    h = hashlib.sha256()
+    for _ in range(256):
+        ts = [rng.uniform(-math.pi, math.pi) for _ in range(4)]
+        pose, cycles = vm_run(PROG, *ts, P, hw)
+        h.update(pose.tobytes())
+        h.update(cycles.to_bytes(4, "little"))
+    assert h.hexdigest() == VM_SHA256[name]
+
+
+def test_program_text_and_facts_pinned():
+    assert hashlib.sha256(PROG.to_text().encode()).hexdigest() == PROGRAM_TEXT_SHA256
+    assert PROG.max_register == 30
+    assert PROG.arith_ops == 24
+
+
 def test_program_counts():
     naive_ops = umdh_t04_naive(0.1, 0.2, 0.3, 0.4, P)[1]
     assert PROG.arith_ops <= 28
@@ -82,6 +119,44 @@ def test_program_reads_follow_writes():
     for reg in PROG.outputs:
         assert reg in written
     assert len(PROG.outputs) == 12
+
+
+@pytest.mark.parametrize("op, dst, src1, src2", [
+    ("DIV", 20, 1, 2),      # no such unit
+    (LOADK, 4, 9, 0),       # the pool has six slots
+    (LOADK, 4, 6, 0),
+    (SINCOS, -1, 2, 0),     # would write regs[-1] and regs[0]
+    (ADD, 20, 1, -2),
+])
+def test_bad_instruction_rejected_when_built(op, dst, src1, src2):
+    with pytest.raises(ValueError):
+        FkInstr(op, dst, src1, src2)
+
+
+def test_read_before_write_rejected_when_built():
+    # r31 is never written: at run time it would read the file's initial 0.0
+    with pytest.raises(ValueError, match="r31"):
+        FkProgram(PROG.instrs + (FkInstr(ADD, 20, 31, 31),), PROG.outputs)
+    # the instruction that writes r10 comes after the one that reads it
+    swapped = PROG.instrs[:6] + (PROG.instrs[7], PROG.instrs[6]) + PROG.instrs[8:]
+    with pytest.raises(ValueError, match="r10"):
+        FkProgram(swapped, PROG.outputs)
+
+
+@pytest.mark.parametrize("outputs", [
+    PROG.outputs[:11],
+    PROG.outputs + (30,),
+    PROG.outputs[:11] + (31,),  # r31 is never written
+])
+def test_outputs_must_be_twelve_written_registers(outputs):
+    with pytest.raises(ValueError, match="outputs"):
+        FkProgram(PROG.instrs, outputs)
+
+
+def test_program_equality_ignores_derived_facts():
+    again = FkProgram(PROG.instrs, PROG.outputs)
+    assert again == PROG
+    assert repr(again) == f"FkProgram(instrs={PROG.instrs!r}, outputs={PROG.outputs!r})"
 
 
 def test_vm_zero_angles():
