@@ -1,6 +1,42 @@
+import sys
+import time
+from pathlib import Path
+
+# perfbench's speed-reference kernels, imported as they are: they never touch fkemu
+sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
+import calibrate  # noqa: E402
+
+RUNS = {"core": 40, "stream": 20}  # ~0.2 s and ~0.6 s per timing on a 2-vCPU Xeon VM
+_before_ns = {}
+
+
+def _kernel_ns(kind):
+    """Fastest time of one calibrate kernel over RUNS[kind] runs, in ns: a
+    minimum, as the rows' own figure is."""
+    kernel, _ = calibrate.KERNELS[kind]
+    kernel()  # first call pays numpy's lazy set-up
+    fastest = float("inf")
+    for _ in range(RUNS[kind]):
+        t = time.perf_counter_ns()
+        kernel()
+        fastest = min(fastest, time.perf_counter_ns() - t)
+    return fastest
+
+
+def pytest_sessionstart(session):
+    config = session.config
+    if not config.getoption("benchmark_disable") or config.getoption("benchmark_enable"):
+        _before_ns.update((kind, _kernel_ns(kind)) for kind in RUNS)
+
+
 def pytest_benchmark_update_machine_info(config, machine_info):
     # the host name says nothing about speed; keep the saved JSON free of it
     machine_info.pop("node", None)
+    # the speed the session ran at, before and after, against calibrate's reference
+    machine_info["speed_reference"] = {
+        kind: {"ref_ns": calibrate.KERNELS[kind][1], "before_ns": _before_ns.get(kind), "after_ns": _kernel_ns(kind)}
+        for kind in RUNS
+    }
 
 
 def pytest_benchmark_update_json(config, benchmarks, output_json):

@@ -3,7 +3,8 @@
     PYTHONPATH=src python -m pytest benchmarks --benchmark-json=BENCH_<n>.json
 
 Layers, bottom up: fixed-point primitive (the scalar fx_add reference,
-and rescale on 64 int64 lanes, the narrowing the kernels use), the CORDIC
+rescale on 64 int64 lanes, the narrowing the kernels use, and fold_angle
+on one lut_sincos block of 8192 angles), the CORDIC
 processors the cascade runs (the closed-form linear accumulate, the fold
 and sigma pass over a puma request's angles, and one stacked circular
 stage), sin/cos generator per backend (one lane, and batched; the LUT
@@ -15,6 +16,23 @@ These time the emulator on the host; the modeled hardware latency is a
 formula (ccm.latency_us, umdh.clock_time) and is not measured here.  The
 suite sits outside the tier-1 testpaths; ``--benchmark-disable`` runs each
 body once as a smoke test.
+
+The host's speed drifts by up to 2x, so a row's raw minimum moves between
+BENCH files even where no code changed.  From BENCH_16.json on, the
+session also times perfbench's two speed-reference kernels (calibrate.py)
+before and after the rows, each the fastest of a few runs, into
+machine_info["speed_reference"].  Compare a row across such files by its
+scaled minimum,
+
+    stats.min * ref_ns / mean(before_ns, after_ns)
+
+taking the stream kernel's figures for the rows over 1e5 or more angles
+(test_lut_sincos_1e5_angles, test_lut_sincos_2e20_angles) and the core
+kernel's for every other row.  ref_ns is a constant, so it sets only the
+scale.  Where before_ns and after_ns differ by more than ~20%, the speed
+changed during the session, and the mean says little about any one row.
+Earlier files carry no reference: compare their raw minima only within
+one file.
 """
 
 import contextlib
@@ -29,7 +47,7 @@ from fkemu import cli, lut, taylor, umdh
 from fkemu.ccm import ccm_poses
 from fkemu.cordic import DEFAULT_CONFIG, circ_rotate_lanes, circ_rotate_sigmas, circ_sigmas, linear_lanes, sincos_cordic
 from fkemu.dh import ChainSet, DhJoint, ROTARY, chain_pose, chain_poses, exact_sincos, link_transform
-from fkemu.fixedpoint import Q8_24, fx_add, fx_from_real, lanes_from_real, rescale
+from fkemu.fixedpoint import Q8_24, fold_angle, fx_add, fx_from_real, lanes_from_real, rescale
 
 PUMA = cli.load_chain("puma560").joints
 VARIANTS = cli.bench_variants(PUMA, 16, 5)
@@ -46,6 +64,12 @@ def test_rescale_64_lanes(benchmark):
     # products of two Q8.24 raws narrowed back into Q8.24, the outer ones saturating
     prod = np.arange(-32, 32, dtype=np.int64) * (3 << 50)
     benchmark(rescale, prod, 2 * Q8_24.frac_bits, Q8_24)
+
+
+def test_fold_angle_8192_angles(benchmark):
+    # one lut-scan block: |angles| over +-4 turns, as lut_sincos folds them
+    mag = np.abs(np.random.default_rng(20).uniform(-8 * math.pi, 8 * math.pi, lut.BLOCK))
+    benchmark(fold_angle, mag)
 
 
 def test_linear_lanes_64_lanes(benchmark):

@@ -17,7 +17,12 @@ There is one scalar type, Fx.  A wide multiply-accumulate register is an
 Fx in a wide QFormat.
 
 Every sin/cos backend reduces its angle through the one fold_angle here and
-unfolds its quadrant through quarter_turns, by exact swaps and signs.
+unfolds its quadrant through quarter_turns, by exact swaps and signs.  The
+fold takes whole turns off by Cody and Waite's split constants: TWO_PI is
+_TWO_PI_HI, 32 significant bits, plus the exact rest _TWO_PI_LO, so k turns
+come off with two exact products and two exact subtractions, and one
+correction (+ TWO_PI where k was one too many) gives mag % TWO_PI bit for
+bit.
 
 Batched datapaths hold the raws of many values, one per lane, in an ndarray
 of lane_dtype(fmt); rescale, lanes_from_real and lanes_real work on such
@@ -41,6 +46,10 @@ except ImportError:  # numpy < 2
 HALF_PI = math.pi / 2
 TWO_PI = 2 * math.pi
 MAX_ANGLE = 2.0**20  # largest |angle| a backend accepts, in radians; see fold_angle
+# TWO_PI split for fold_angle: the high part keeps 32 significant bits (its
+# low 21 mantissa bits cleared), and the low part is the exact remainder
+_TWO_PI_HI = float.fromhex("0x1.921fb544p+2")
+_TWO_PI_LO = TWO_PI - _TWO_PI_HI  # 0x1.0b46p-32, 17 bits
 
 
 class DomainError(ValueError):
@@ -57,12 +66,31 @@ def fold_angle(mag):
     true period by |mag| * 3.9e-17: 4e-11 at MAX_ANGLE, under 1/1000 of a
     Q8.24 LSB, but 0.04 rad at 1e15.  So DomainError is raised unless
     mag <= MAX_ANGLE, which rejects NaN and infinity too.
+
+    a is mag % TWO_PI bit for bit, at a quarter of its cost, by Cody and
+    Waite's two-constant reduction: k = floor(mag / TWO_PI), then
+    a = (mag - k*_TWO_PI_HI) - k*_TWO_PI_LO, plus TWO_PI where that is
+    negative.  Every step is exact:
+
+    - mag <= MAX_ANGLE gives k < 2**18, so k*_TWO_PI_HI (at most 50
+      significant bits) and k*_TWO_PI_LO (at most 35) are exact;
+    - fl is monotone and floor(t) is a double, so k is never below the
+      true quotient's floor, and at most one above it: a is in
+      [-TWO_PI, TWO_PI) and only the a < 0 correction can apply;
+    - for mag >= 4, every true intermediate is a multiple of 2**-50 below
+      8 in magnitude, so both subtractions and the + TWO_PI are exact; below
+      4, k is 0 and a is mag.
+
+    So a is mag - k'*TWO_PI for the true floor k', as fmod gives it.
     """
     if not np.all(mag <= MAX_ANGLE):
         raise DomainError(f"|angle| must be finite and at most {MAX_ANGLE:.0f} rad")
-    a = mag % TWO_PI
-    q = np.floor(a / HALF_PI).astype(np.int64)
-    return q, a - q * HALF_PI
+    k = np.floor(mag / TWO_PI)
+    # an array even for a float mag, so the correction runs in place
+    a = np.asarray((mag - k * _TWO_PI_HI) - k * _TWO_PI_LO)
+    np.add(a, TWO_PI, out=a, where=a < 0)
+    q = np.floor(a / HALF_PI)  # a float in 0..3, so q*HALF_PI needs no cast
+    return q.astype(np.int64), a - q * HALF_PI
 
 
 # per quarter turn q: whether x and y swap, then the signs they take; int8,

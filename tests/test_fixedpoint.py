@@ -1,11 +1,15 @@
+import hashlib
 import math
 import random
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fkemu import lut
+from fkemu.cordic import DEFAULT_CONFIG as CORDIC_CONFIG, circ_sigmas
 from fkemu.fixedpoint import (
     HALF_PI,
     MAX_ANGLE,
@@ -29,6 +33,7 @@ from fkemu.fixedpoint import (
     quarter_turns,
     rescale,
 )
+from fkemu.taylor import taylor_sincos
 
 ACC = QFormat(36, 31)  # the Taylor engine's default accumulator
 
@@ -224,9 +229,52 @@ def test_cast_into_wider_format_is_exact(fa, shift, data):
     assert fx_cast(a, out).raw == a.raw * 2**shift
 
 
-@given(st.floats(0.0, MAX_ANGLE))
+K_MAX = math.floor(MAX_ANGLE / TWO_PI)  # the last whole turn within the domain
+
+
+def near_multiples(stride: int = 1) -> np.ndarray:
+    """k*TWO_PI for every stride-th k in 0..K_MAX+1, as a double, with its 4
+    float neighbours on each side, kept within [0, MAX_ANGLE]: the angles
+    whose quotient by TWO_PI a reduction is likeliest to get one off."""
+    centre = np.arange(0, K_MAX + 2, stride) * TWO_PI
+    below = above = centre
+    rings = [centre]
+    for _ in range(4):
+        below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+        rings += [below, above]
+    mag = np.concatenate(rings)
+    return mag[(mag >= 0.0) & (mag <= MAX_ANGLE)]
+
+
+def test_fold_angle_on_every_near_multiple():
+    mag = near_multiples()
+    assert mag.size > 9 * K_MAX
+    q, r = fold_angle(mag)
+    a = mag % TWO_PI  # the textbook reduction, bit for bit
+    want_q = np.floor(a / HALF_PI).astype(np.int64)
+    want_r = a - want_q * HALF_PI
+    assert q.dtype == np.int64 and np.array_equal(q, want_q)
+    assert np.array_equal(r.view(np.int64), want_r.view(np.int64))
+
+
+def _ulps_from(x: float, steps: int) -> float:
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+# uniform angles, and angles within 4 ulps of a whole number of turns
+FOLD_ANGLES = st.one_of(
+    st.floats(0.0, MAX_ANGLE),
+    st.builds(lambda k, steps: _ulps_from(k * TWO_PI, steps), st.integers(0, K_MAX), st.integers(-4, 4))
+    .filter(lambda mag: 0.0 <= mag <= MAX_ANGLE),
+)
+
+
+@given(FOLD_ANGLES)
 def test_fold_angle_invariants(mag):
     q, r = fold_angle(mag)
+    assert type(q) is np.int64 and type(r) is np.float64
     assert q in (0, 1, 2, 3)
     assert 0.0 <= r < HALF_PI
     a = mag % TWO_PI  # the textbook reduction, bit for bit
@@ -235,6 +283,30 @@ def test_fold_angle_invariants(mag):
     qs, rs = fold_angle(np.array([mag, 0.5]))
     assert qs[0] == q
     assert rs[0] == r
+
+
+def _lut(mode):
+    return partial(lut.lut_sincos, table=lut.build_table(1024, fmt=Q1_15, mode=mode))
+
+
+# sha256 of each trig provider's output arrays on near_multiples(409) of both
+# signs (7354 angles), captured before fold_angle's reduction changed: a moved
+# bit in the fold shows at the sin/cos layer, not only in q and r
+PROVIDER_PINS = {
+    "lut-nearest": (_lut(lut.NEAREST), "723bf337c21684fa4b472e7a65d59bdd616d995f8e04260f3531ff125b40a38e"),
+    "lut-linear": (_lut(lut.LINEAR), "5fc77a0fceae603649306bbebddd75fbcc02e41f42fb1e21a5be380033ade3b3"),
+    "taylor": (taylor_sincos, "7e373a79240f973fabe8f7637fb2fa02bc93363fdbcc173f830d50bb6e43cd1c"),
+    "cordic-sigmas": (partial(circ_sigmas, cfg=CORDIC_CONFIG),
+                      "5830bcc8d8616ca8cfb3a76d08b1c4b20bc743458aa90a1c1652ff507efc1a90"),
+}
+
+
+@pytest.mark.parametrize("provider", PROVIDER_PINS)
+def test_providers_pinned_on_near_multiples(provider):
+    sincos, digest = PROVIDER_PINS[provider]
+    mag = near_multiples(409)
+    out = sincos(np.concatenate([mag, -mag]))
+    assert hashlib.sha256(b"".join(v.tobytes() for v in out)).hexdigest() == digest
 
 
 def test_quarter_turns_of_the_x_axis():
