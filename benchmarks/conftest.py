@@ -2,12 +2,14 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 # perfbench's speed-reference kernels, imported as they are: they never touch fkemu
 sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
 import calibrate  # noqa: E402
 
 RUNS = {"core": 40, "stream": 20}  # ~0.2 s and ~0.6 s per timing on a 2-vCPU Xeon VM
-_before_ns = {}
+BEFORE_NS = pytest.StashKey[dict]()  # kernel times at session start, on the config
 
 
 def _kernel_ns(kind):
@@ -26,15 +28,16 @@ def _kernel_ns(kind):
 def pytest_sessionstart(session):
     config = session.config
     if not config.getoption("benchmark_disable") or config.getoption("benchmark_enable"):
-        _before_ns.update((kind, _kernel_ns(kind)) for kind in RUNS)
+        config.stash[BEFORE_NS] = {kind: _kernel_ns(kind) for kind in RUNS}
 
 
 def pytest_benchmark_update_machine_info(config, machine_info):
     # the host name says nothing about speed; keep the saved JSON free of it
     machine_info.pop("node", None)
     # the speed the session ran at, before and after, against calibrate's reference
+    before = config.stash.get(BEFORE_NS, {})
     machine_info["speed_reference"] = {
-        kind: {"ref_ns": calibrate.KERNELS[kind][1], "before_ns": _before_ns.get(kind), "after_ns": _kernel_ns(kind)}
+        kind: {"ref_ns": calibrate.KERNELS[kind][1], "before_ns": before.get(kind), "after_ns": _kernel_ns(kind)}
         for kind in RUNS
     }
 
