@@ -10,6 +10,8 @@ import calibrate  # noqa: E402
 
 RUNS = {"core": 40, "stream": 20}  # ~0.2 s and ~0.6 s per timing on a 2-vCPU Xeon VM
 BEFORE_NS = pytest.StashKey[dict]()  # kernel times at session start, on the config
+AFTER_NS = pytest.StashKey[dict]()  # and at session end, taken once
+MOVED = 0.2  # a kernel whose after/before ratio is off 1 by more: the speed changed mid-session
 
 
 def _kernel_ns(kind):
@@ -25,6 +27,12 @@ def _kernel_ns(kind):
     return fastest
 
 
+def _after_ns(config):
+    if AFTER_NS not in config.stash:
+        config.stash[AFTER_NS] = {kind: _kernel_ns(kind) for kind in RUNS}
+    return config.stash[AFTER_NS]
+
+
 def pytest_sessionstart(session):
     config = session.config
     if not config.getoption("benchmark_disable") or config.getoption("benchmark_enable"):
@@ -35,11 +43,28 @@ def pytest_benchmark_update_machine_info(config, machine_info):
     # the host name says nothing about speed; keep the saved JSON free of it
     machine_info.pop("node", None)
     # the speed the session ran at, before and after, against calibrate's reference
-    before = config.stash.get(BEFORE_NS, {})
+    before, after = config.stash.get(BEFORE_NS, {}), _after_ns(config)
     machine_info["speed_reference"] = {
-        kind: {"ref_ns": calibrate.KERNELS[kind][1], "before_ns": before.get(kind), "after_ns": _kernel_ns(kind)}
+        kind: {
+            "ref_ns": calibrate.KERNELS[kind][1],
+            "before_ns": before.get(kind),
+            "after_ns": after[kind],
+            "ratio": after[kind] / before[kind] if kind in before else None,
+        }
         for kind in RUNS
     }
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    before = config.stash.get(BEFORE_NS, None)
+    if before is None:
+        return
+    after = _after_ns(config)
+    moved = [f"{kind} x{after[kind] / before[kind]:.2f}" for kind in RUNS if abs(after[kind] / before[kind] - 1) > MOVED]
+    if moved:
+        terminalreporter.write_line(
+            f"WARNING: the speed reference moved by over {MOVED:.0%} during this session ({', '.join(moved)}): drop it"
+        )
 
 
 def pytest_benchmark_update_json(config, benchmarks, output_json):

@@ -5,11 +5,12 @@
 Layers, bottom up: fixed-point primitive (the scalar fx_add reference,
 rescale on 64 int64 lanes, the narrowing the kernels use, and fold_angle
 on one lut_sincos block of 8192 angles), the CORDIC
-processors the cascade runs (the closed-form linear accumulate, the fold
-and sigma pass over a puma request's angles, and one stacked circular
-stage), sin/cos generator per backend (one lane, and batched; the LUT
-also on perfbench lut-scan's 2**20 angles per table mode), link-matrix
-assembly, chain product or module cascade (one chain, and the stacked
+processors the cascade runs (the closed-form linear accumulate on one
+row and on a module's (2, 64) stack, the fold and sigma pass over a puma
+request's angles, and one stacked circular stage), sin/cos generator per
+backend (one lane, and batched; the LUT also on perfbench lut-scan's
+2**20 angles per table mode), link-matrix assembly, chain product or
+module cascade (one chain, one module on 64 lanes, and the stacked
 product of a bench's 16 variants), the seeded variant draw, the VM, and
 one in-process ``fkemu bench`` on puma560 and on a 12-link chain.
 These time the emulator on the host; the modeled hardware latency is a
@@ -29,10 +30,12 @@ scaled minimum,
 taking the stream kernel's figures for the rows over 1e5 or more angles
 (test_lut_sincos_1e5_angles, test_lut_sincos_2e20_angles) and the core
 kernel's for every other row.  ref_ns is a constant, so it sets only the
-scale.  Where before_ns and after_ns differ by more than ~20%, the speed
-changed during the session, and the mean says little about any one row.
-Earlier files carry no reference: compare their raw minima only within
-one file.
+scale.  From BENCH_17.json on, each kernel also carries ratio =
+after_ns / before_ns.  Where a kernel's ratio is off 1 by more than 20%, the
+speed changed during the session, the mean says little about any one row,
+and the session prints a one-line warning at its end: drop such a session
+and run it again, rather than compare its rows.  Earlier files carry no
+reference: compare their raw minima only within one file.
 """
 
 import contextlib
@@ -44,7 +47,7 @@ import numpy as np
 import pytest
 
 from fkemu import cli, lut, taylor, umdh
-from fkemu.ccm import ccm_poses
+from fkemu.ccm import ccm_points, ccm_poses
 from fkemu.cordic import DEFAULT_CONFIG, circ_rotate_lanes, circ_rotate_sigmas, circ_sigmas, linear_lanes, sincos_cordic
 from fkemu.dh import ChainSet, DhJoint, ROTARY, chain_pose, chain_poses, exact_sincos, link_transform
 from fkemu.fixedpoint import Q8_24, fold_angle, fx_add, fx_from_real, lanes_from_real, rescale
@@ -76,6 +79,13 @@ def test_linear_lanes_64_lanes(benchmark):
     # a LIN1 processor's worth: const + value on 64 lanes, value within +-2 (unstaged)
     one = np.full(64, fx_from_real(1.0, Q8_24).raw)
     const, value = (lanes_from_real(np.linspace(-r, r, 64), Q8_24) for r in (1.0, 2.0))
+    benchmark(linear_lanes, one, const, value, DEFAULT_CONFIG)
+
+
+def test_linear_lanes_2x64_stack(benchmark):
+    # the merged linear pass of one module: LIN1 and LIN2 as one (2, 64) stack
+    one = np.full((2, 64), fx_from_real(1.0, Q8_24).raw)
+    const, value = (lanes_from_real(np.linspace(-r, r, 128).reshape(2, 64), Q8_24) for r in (1.0, 2.0))
     benchmark(linear_lanes, one, const, value, DEFAULT_CONFIG)
 
 
@@ -163,6 +173,14 @@ def test_chain_poses_16_puma560_variants(benchmark, backend):
 def test_ccm_pose_puma560(benchmark):
     # ChainSet.of stays inside the timing, so the row compares with earlier BENCH files
     benchmark(lambda: ccm_poses(ChainSet.of([PUMA])))
+
+
+def test_ccm_points_one_module_64_lanes(benchmark):
+    # one module of the cascade: 64 one-link chains (puma's first link,
+    # varied), each pushing a point
+    chains = cli.bench_variants(PUMA[:1], 64, 5)
+    points = np.column_stack([np.random.default_rng(21).uniform(-0.5, 0.5, (64, 3)), np.ones(64)])
+    benchmark(ccm_points, chains, points)
 
 
 def test_ccm_poses_16_puma560_variants(benchmark):

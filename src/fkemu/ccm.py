@@ -15,8 +15,17 @@ Every joint angle is known before the cascade starts, so ccm_points folds
 all of them and finds all their sigmas in one pass (cordic.circ_sigmas);
 each circular stage then only steps its (x, y).  Each linear processor is
 cordic.linear_lanes's closed form, exact because each module's reach check
-rules out saturation.  The emulated processors still run n_iter shift-add
+rules out saturation.  Once CIRC1 has run, both linear processors of a
+module have their inputs, so the emulator runs them as one linear pass on
+a (2, lanes) stack.  The emulated processors still run n_iter shift-add
 steps each: op counts and the latency model do not change.
+
+A module takes x, y and z in as one (3, lanes) conversion to raws and
+gives them back as one conversion to doubles; w never changes, so the w
+check and the constants a_eff w and d w are made once per cascade.  The
+reach check takes every lane's norm vectorized and falls back to
+math.hypot only for lanes whose reach lies within NEAR_LIMIT of the
+format's top, so each decision is the documented bound's own.
 Between links each lane passes through a double, as the real-valued point
 a module takes and returns: exact for words up to 54 bits, and in wider
 words it rounds raws beyond 2**53, as the scalar cascade always did.
@@ -39,7 +48,7 @@ from .cordic import (
     linear_lanes,
 )
 from .dh import ChainSet, DhChain, Vec4
-from .fixedpoint import DomainError, lanes_from_real, lanes_real
+from .fixedpoint import DomainError, lane_dtype, lanes_from_real, lanes_real
 
 # the paper's per-stage delay and fixed overhead of the cascade
 STAGE_TIME_US = 40.0
@@ -73,7 +82,8 @@ def latency_us(m: PipelineModel) -> float:
 
 
 def _lin_accumulate(const, value, cfg: CordicConfig):
-    """Linear-mode CORDIC add on lanes: returns const + value (the LIN1 processor).
+    """Linear-mode CORDIC add on lanes of any shape (..., lanes): returns
+    const + value (the LIN1 and LIN2 processors, one per row of a stack).
 
     Linear mode only converges for |z0| <= 2, so larger arguments are
     staged down by an exact power of two 2**k, chosen per lane, while the
@@ -90,52 +100,75 @@ def _lin_accumulate(const, value, cfg: CordicConfig):
     def too_big(v, k):
         return (np.abs(v.astype(np.float64)) > two) & (k < k_max)
 
-    k = np.zeros(len(value), dtype=np.int64)
+    k = np.zeros(value.shape, dtype=np.int64)
     v = value
     big = too_big(v, k)
     while big.any():
         k = k + big
         v = value >> k
         big = too_big(v, k)
-    return linear_lanes(lanes_from_real(np.ldexp(1.0, k), fmt), const, v, cfg)
+    # the unit staged up is the raw 2**(frac_bits + k), at most 2**(word_bits - 2): exact
+    unit = np.left_shift(1 << fmt.frac_bits, k).astype(lane_dtype(fmt), copy=False)
+    return linear_lanes(unit, const, v, cfg)
 
 
-def _module(chains: ChainSet, link: int, p: np.ndarray, turns, sigmas, cfg: CordicConfig):
-    """One module on every lane: link `link` of chains[k] applied to p[k] = (x, y, z, w).
+def _reach(norm, consts):
+    """2|p|_2 + |a_eff w| + |d w| + 2, in this order, for consts = (a_eff w, d w)."""
+    return 2.0 * norm + abs(consts[0]) + abs(consts[1]) + 2.0
 
-    turns and sigmas are circ_sigmas of the link's (alpha, theta) lanes.
-    Returns the output raws (x, y, z).  A free vector (w = 0) skips the
-    translation constants, which is how orientation columns ride the same
-    hardware as position.
+
+# half-width of the band around the reach limit, relative, where a lane's
+# norm is taken again by math.hypot: the vectorized norm is within a few
+# ulps of it, 2**-49 relative at most, so outside the band both decide alike
+NEAR_LIMIT = 2.0**-44
+
+
+def _module(link: int, p: np.ndarray, w, bad_w, consts, turns, sigmas, cfg: CordicConfig):
+    """One module on every lane: link `link` of lane k's chain applied to
+    the point (p[:, k], w[k]).
+
+    p holds x, y and z as doubles, shape (3, lanes); bad_w marks the lanes
+    whose w is neither 0 nor 1; consts = (a_eff w, d w), (2, lanes); turns
+    and sigmas are circ_sigmas of the link's (alpha, theta) lanes, the
+    sigmas already of the lane dtype.  Returns the output raws, (3, lanes).
+    A free vector (w = 0) skips the translation constants, which is how
+    orientation columns ride the same hardware as position.
+
+    The point enters as one conversion of its (3, lanes) doubles and the
+    constants as one of theirs.  CIRC1 and LIN1 both read only stage
+    inputs, and LIN2 reads CIRC1's z, so after CIRC1 the two linear
+    processors run as one accumulate on a (2, lanes) stack, then CIRC2.
 
     Raises ValueError unless w is 0 or 1, and DomainError unless 2|p|_2 +
     |a_eff w| + |d w| + 2 fits the format's range, so no value the module
-    forms can saturate.  The circular stages keep a vector's norm at most
-    |p|_2 + |a_eff|.  A linear accumulate c + v overshoots on its way to the
-    sum by at most max(1, |v|), so it stays within |c| + 2|v| + 1, with
-    |v| <= |p|_2.  The remaining 1 is margin for truncation drift.
+    forms can saturate; of the lanes failing either, the first decides
+    which.  The circular stages keep a vector's norm at most |p|_2 +
+    |a_eff|.  A linear accumulate c + v overshoots on its way to the sum
+    by at most max(1, |v|), so it stays within |c| + 2|v| + 1, with
+    |v| <= |p|_2.  The remaining 1 is margin for truncation drift.  The
+    norm is vectorized; only lanes whose reach falls within NEAR_LIMIT of
+    the bound take it again as math.hypot, so every decision is the bound's
+    own, evaluated in doubles.
     """
     fmt = cfg.fmt
-    d, a_eff = chains.d[:, link], chains.a_eff[:, link]
-    w = p[:, 3]
-    bad_w = (w != 0.0) & (w != 1.0)
+    limit = fmt.max_raw * fmt.eps
     # a sum past the double range is inf and inf * 0 is nan, as in float arithmetic; both fail the bound
     with np.errstate(over="ignore", invalid="ignore"):
-        reach = 2.0 * np.array([math.hypot(*q) for q in p[:, :3].tolist()]) + abs(a_eff * w) + abs(d * w) + 2.0
-    bad = bad_w | ~(reach <= fmt.max_raw * fmt.eps)
+        reach = _reach(np.sqrt((p * p).sum(axis=0)), consts)
+        near = abs(reach - limit) <= limit * NEAR_LIMIT
+        if near.any():
+            reach[near] = _reach(np.array([math.hypot(*q) for q in p[:, near].T.tolist()]), consts[:, near])
+    bad = bad_w | ~(reach <= limit)
     first = np.argmax(bad)
     if bad_w[first]:
         raise ValueError(f"point w must be 0 or 1, got {w[first]}")
     if bad[first]:
-        raise DomainError(f"link {link} can saturate {fmt} on points {p[bad].tolist()}")
-    x, y, z = (lanes_from_real(p[:, c], fmt) for c in range(3))
-    # stage 1: CIRC1 on (y, z; alpha) and LIN1 on (1, a; x) are independent
-    # and may run in parallel; both read only stage inputs
+        raise DomainError(f"link {link} can saturate {fmt} on points {np.vstack([p, w])[:, bad].T.tolist()}")
+    x, y, z = lanes_from_real(p, fmt)
     y_a, z_a = circ_rotate_sigmas(y, z, turns[0], sigmas[0], cfg)
-    x_a = _lin_accumulate(lanes_from_real(a_eff * w, fmt), x, cfg)
+    x_a, z_out = _lin_accumulate(lanes_from_real(consts, fmt), np.array([x, z_a]), cfg)
     x_out, y_out = circ_rotate_sigmas(x_a, y_a, turns[1], sigmas[1], cfg)
-    z_out = _lin_accumulate(lanes_from_real(d * w, fmt), z_a, cfg)
-    return x_out, y_out, z_out
+    return np.array([x_out, y_out, z_out])
 
 
 def ccm_points(chains: ChainSet, points, cfg: CordicConfig = DEFAULT_CONFIG) -> np.ndarray:
@@ -145,13 +178,21 @@ def ccm_points(chains: ChainSet, points, cfg: CordicConfig = DEFAULT_CONFIG) -> 
     Every alpha and theta is known before the cascade starts, so one fold
     and one sigma pass over all of them, link by (alpha, theta) by lane,
     come first: a joint angle beyond MAX_ANGLE raises its DomainError before
-    any module checks its reach."""
+    any module checks its reach.  w never changes, so the w check and the
+    translation constants a_eff w and d w of every link are made once too,
+    and the sigma stack is cast to the lane dtype once."""
     p = np.array(points, dtype=np.float64).reshape(len(chains), 4)
+    w = p[:, 3]
+    bad_w = (w != 0.0) & (w != 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan fail the reach check
+        consts = np.stack([chains.a_eff.T, chains.d.T], axis=1) * w
     turns, sigmas = circ_sigmas(np.stack([chains.alpha.T, chains.theta.T], axis=1), cfg)
+    sigmas = sigmas.astype(lane_dtype(cfg.fmt))
+    xyz = p[:, :3].T
     for link in reversed(range(chains.theta.shape[1])):
-        out = _module(chains, link, p, turns[link], sigmas[link], cfg)
-        p = np.column_stack([lanes_real(v, cfg.fmt) for v in out] + [p[:, 3]])
-    return p
+        out = _module(link, xyz, w, bad_w, consts[link], turns[link], sigmas[link], cfg)
+        xyz = lanes_real(out, cfg.fmt)
+    return np.column_stack([*xyz, w])
 
 
 def fk_pipeline(chain: DhChain, p_end: Vec4, cfg: CordicConfig = DEFAULT_CONFIG) -> tuple[Vec4, LatencyReport]:

@@ -21,7 +21,12 @@ n_iter steps either way; the emulator skips work whose result it knows:
   sigma pass) and circ_rotate_sigmas (pre-scale, steps, quarter turns) let
   the module cascade run one sigma pass over all its angles.
 - linear sigmas are the binary digits of z0, so linear_lanes is a closed
-  form, exact where no partial sum saturates.
+  form, exact where no partial sum saturates; it runs on a stack of rows
+  as on one.
+
+The loops read their shift amounts, range and micro-angles as arrays of
+the lane dtype made once per CordicConfig (_operands), not as Python ints
+that numpy would convert on every call.
 
 Each lane equals a fold of cordic_step bit for bit (linear_lanes under its
 precondition).  sincos_cordic is the trig provider on top: one lane per
@@ -33,6 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -138,11 +144,50 @@ def _inv_gain_raw(cfg: CordicConfig) -> int:
     return fx_from_real(1.0 / gain(cfg.n_iter), cfg.fmt).raw
 
 
-def _operands(dtype, *values):
-    """values as 0-d arrays of a lane dtype, for the step loops: numpy
-    converts a Python int operand on every ufunc call, which on 64 lanes
-    costs about as much as the operation itself."""
-    return [np.array(v, dtype=dtype) for v in values]
+class _Operands(NamedTuple):
+    lo: np.ndarray  # the format's raw range
+    hi: np.ndarray
+    sign_shift: np.ndarray  # z >> 63 is -1 or 0: raws have at most 64 bits
+    one: np.ndarray
+    two: np.ndarray
+    angles: tuple  # circular micro-angle raws, one per step
+    shifts: tuple  # the step index i, one per step
+    shift_row: np.ndarray  # 0..n_iter-1, for the linear closed form
+    digit_row: np.ndarray  # frac_bits + 1 - shift_row
+    top: np.ndarray  # 2**(frac_bits + 1), and the clip bounds of z around it
+    top_lo: np.ndarray
+    top_hi: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _operands(cfg: CordicConfig) -> _Operands:
+    """The step loops' constants as read-only arrays of lane_dtype(cfg.fmt),
+    made once per config: numpy converts a Python int operand on every ufunc
+    call, which on 64 lanes costs about as much as the operation itself.
+    Keyed on the whole config, since the range, the micro-angles and the
+    number of steps all depend on it."""
+    fmt, n = cfg.fmt, cfg.n_iter
+    top = 1 << (fmt.frac_bits + 1)
+
+    def const(v):
+        a = np.array(v, dtype=lane_dtype(fmt))
+        a.flags.writeable = False
+        return a
+
+    return _Operands(
+        lo=const(fmt.min_raw),
+        hi=const(fmt.max_raw),
+        sign_shift=const(63),
+        one=const(1),
+        two=const(2),
+        angles=tuple(map(const, _micro_angles(cfg))),
+        shifts=tuple(map(const, range(n))),
+        shift_row=const(list(range(n))),
+        digit_row=const([fmt.frac_bits + 1 - i for i in range(n)]),
+        top=const(top),
+        top_lo=const(-top),
+        top_hi=const(top - 1),
+    )
 
 
 def _sigma_pass(z, cfg: CordicConfig):
@@ -154,14 +199,12 @@ def _sigma_pass(z, cfg: CordicConfig):
     update saturates.  z never reads x or y, so every sigma is known before
     the first (x, y) step.
     """
-    lo, hi, sign_shift, one, *angles = _operands(
-        z.dtype, cfg.fmt.min_raw, cfg.fmt.max_raw, 63, 1, *_micro_angles(cfg)
-    )
-    sigmas = np.empty(z.shape[:-1] + (len(angles), 2, z.shape[-1]), dtype=np.int8)
-    for i, e in enumerate(angles):
-        s = (z >> sign_shift) | one  # raws have at most 64 bits
+    ops = _operands(cfg)
+    sigmas = np.empty(z.shape[:-1] + (cfg.n_iter, 2, z.shape[-1]), dtype=np.int8)
+    for i, e in enumerate(ops.angles):
+        s = (z >> ops.sign_shift) | ops.one
         sigmas[..., i, 1, :] = s
-        z = clip(z - s * e, lo, hi)
+        z = clip(z - s * e, ops.lo, ops.hi)
     sigmas[..., 0, :] = -sigmas[..., 1, :]
     return sigmas, z
 
@@ -170,11 +213,12 @@ def _stacked_steps(v, sigmas, cfg: CordicConfig):
     """The circular (x, y) steps on v = (x, y) stacked, shape (2, lanes),
     driven by a signed sigma stack of _sigma_pass: x' = x - s*(y >> i) and
     y' = y + s*(x >> i), both saturating, as one shift, multiply, add and
-    clip per step."""
+    clip per step.  A sigma stack already of v's dtype is used as it is, so
+    the cascade casts its stack once, not once per rotation."""
     # bare clip, not rescale: a call per step would cost more than the clip on 64 lanes
-    lo, hi = _operands(v.dtype, cfg.fmt.min_raw, cfg.fmt.max_raw)
-    for i, s in enumerate(sigmas.astype(v.dtype)):
-        v = clip(v + s * (v[::-1] >> i), lo, hi)
+    ops = _operands(cfg)
+    for s, i in zip(sigmas.astype(v.dtype, copy=False), ops.shifts):
+        v = clip(v + s * (v[::-1] >> i), ops.lo, ops.hi)
     return v
 
 
@@ -199,6 +243,10 @@ def linear_lanes(x, y, z, cfg: CordicConfig):
     """The linear rotation-mode loop over lanes of raws in cfg.fmt, in
     closed form: returns y0 + x0*z0, as the loop leaves it in y.
 
+    x, y and z are arrays of lane_dtype(cfg.fmt) of one shape (..., lanes):
+    the steps run along a new last axis, so a stack of rows is as many
+    independent accumulates, each with the bits of a call on its row alone.
+
     The loop's sigmas are the non-restoring digits of z0 over the
     power-of-two micro-angles e_i = 2**(F - i), F = frac_bits.  Their sum E
     and the last nonzero one e_l make E + e_l = 2**(F+1), so with T =
@@ -206,7 +254,7 @@ def linear_lanes(x, y, z, cfg: CordicConfig):
     That is T = clip(z0 + E + e_l, 0, 2E + e_l - 1) with the top widened by
     e_l, so that the step whose micro-angle rounds to 0 (i = F + 1) reads
     bit 0, which is the sign of its residual.  Then y = clip(y0 + sum
-    sigma_i*(x0 >> i)): one (n_iter, lanes) shift, multiply and sum.
+    sigma_i*(x0 >> i)): one (..., lanes, n_iter) shift, multiply and sum.
 
     Each lane equals cordic_step folded over shift indices 0..n_iter-1 in
     LINEAR mode, bit for bit, provided no partial sum y0 + sum_{j<=i}
@@ -218,12 +266,11 @@ def linear_lanes(x, y, z, cfg: CordicConfig):
     """
     if cfg.fmt.frac_bits > cfg.fmt.word_bits - 2:
         raise ValueError(f"linear lanes need 1.0 as a power-of-two raw, which {cfg.fmt} lacks")
-    top = 1 << (cfg.fmt.frac_bits + 1)
-    t = clip(z, -top, top - 1) + top
-    shifts = np.arange(cfg.n_iter)[:, None]
-    sigma = ((t >> (cfg.fmt.frac_bits + 1 - shifts)) & 1) * 2 - 1
-    steps = sigma.astype(y.dtype, copy=False) * (x >> shifts)
-    return clip(y + steps.sum(axis=0), cfg.fmt.min_raw, cfg.fmt.max_raw)
+    ops = _operands(cfg)
+    t = clip(z, ops.top_lo, ops.top_hi) + ops.top
+    sigma = ((t[..., None] >> ops.digit_row) & ops.one) * ops.two - ops.one
+    steps = sigma * (x[..., None] >> ops.shift_row)
+    return clip(y + steps.sum(axis=-1), ops.lo, ops.hi)
 
 
 def circ_sigmas(angle: np.ndarray, cfg: CordicConfig):
@@ -253,7 +300,7 @@ def circ_rotate_sigmas(x, y, q, sigmas, cfg: CordicConfig):
     as exact sign/swap moves and saturates.
     """
     fmt = cfg.fmt
-    v = rescale(np.stack([x, y]) * _inv_gain_raw(cfg), 2 * fmt.frac_bits, fmt)
+    v = rescale(np.array([x, y]) * _inv_gain_raw(cfg), 2 * fmt.frac_bits, fmt)
     x_out, y_out = quarter_turns(q, *_stacked_steps(v, sigmas, cfg))
     return rescale(x_out, fmt.frac_bits, fmt), rescale(y_out, fmt.frac_bits, fmt)
 

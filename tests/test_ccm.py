@@ -13,6 +13,7 @@ from fkemu import cli
 
 from fkemu.ccm import (
     PipelineModel,
+    _lin_accumulate,
     ccm_points,
     ccm_poses,
     fk_pipeline,
@@ -20,9 +21,9 @@ from fkemu.ccm import (
     point_op_count,
     pose_op_count,
 )
-from fkemu.cordic import CordicConfig
+from fkemu.cordic import CordicConfig, linear_lanes
 from fkemu.dh import ChainSet, DhJoint, PRISMATIC, ROTARY, Vec4, apply_point, chain_pose, link_transform
-from fkemu.fixedpoint import DomainError, Q8_24, QFormat
+from fkemu.fixedpoint import DomainError, Q8_24, QFormat, lane_dtype
 
 CFG = CordicConfig(24, Q8_24)
 TOL = 32 * 2.0**-24
@@ -233,13 +234,51 @@ def test_reach_check_is_the_documented_bound(fmt, data):
     for _ in range(data.draw(st.integers(0, 4))):
         z = math.nextafter(z, data.draw(st.sampled_from([-math.inf, math.inf])))
     reach = 2.0 * math.hypot(x, y, z) + abs(j.a_eff * w) + abs(j.d * w) + 2.0
-    chains, p = ChainSet.of([(j,)]), [(x, y, z, w)]
+    joints, points = [j], [(x, y, z, w)]
+    if data.draw(st.booleans()):
+        # the boundary lane anywhere among 63 lanes far inside the bound,
+        # which the vectorized norm alone decides
+        at, rng = data.draw(st.integers(0, 63)), np.random.default_rng(fmt.frac_bits)
+        joints = [DhJoint(ROTARY, *rng.uniform(-0.5, 0.5, 4)) for _ in range(63)]
+        points = np.column_stack([rng.uniform(-0.5, 0.5, (63, 3)), rng.integers(0, 2, 63)]).tolist()
+        joints.insert(at, j)
+        points.insert(at, (x, y, z, w))
+    chains = ChainSet.of([(jk,) for jk in joints])
     cfg = CordicConfig(fmt.frac_bits, fmt)
     if reach <= limit:
-        ccm_points(chains, p, cfg)
+        ccm_points(chains, points, cfg)
     else:
         with pytest.raises(DomainError, match="link 0"):
-            ccm_points(chains, p, cfg)
+            ccm_points(chains, points, cfg)
+
+
+@st.composite
+def linear_stacks(draw):
+    # int64 lanes (Q8.24) and object lanes (a 56-bit word); raws up to 8.0,
+    # so _lin_accumulate stages a lane by 2**k, k = 0..2, differing per lane,
+    # and no partial sum nears the range
+    fmt = draw(st.sampled_from([Q8_24, QFormat(56, 40)]))
+    cfg = CordicConfig(draw(st.integers(1, fmt.frac_bits + 2)), fmt)
+    lanes = draw(st.integers(1, 6))
+    big, two = 8 << fmt.frac_bits, 2 << fmt.frac_bits
+    raw = st.one_of(st.sampled_from([-big, big, 0, -1, 1, -two, two, two + 1, 4 * two + 1]), st.integers(-big, big))
+    values = draw(st.lists(raw, min_size=6 * lanes, max_size=6 * lanes))
+    return cfg, np.array(values, dtype=lane_dtype(fmt)).reshape(3, 2, lanes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(linear_stacks())
+def test_stacked_linear_lanes_equal_row_calls(batch):
+    # the module runs LIN1 and LIN2 as one (2, lanes) stack: each row must
+    # have the bits of a call on that row alone
+    cfg, (x, y, z) = batch
+    for stacked, rows in [
+        (linear_lanes(x, y, z, cfg), [linear_lanes(x[r], y[r], z[r], cfg) for r in range(2)]),
+        (_lin_accumulate(y, z, cfg), [_lin_accumulate(y[r], z[r], cfg) for r in range(2)]),
+    ]:
+        assert stacked.shape == x.shape
+        assert stacked.dtype == rows[0].dtype == lane_dtype(cfg.fmt)
+        assert stacked.tolist() == [row.tolist() for row in rows]
 
 
 joint_strategy = st.builds(
