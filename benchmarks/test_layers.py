@@ -2,17 +2,17 @@
 
     PYTHONPATH=src python -m pytest benchmarks --benchmark-json=BENCH_<n>.json
 
-Layers, bottom up: fixed-point primitive (the scalar fx_add reference,
-rescale on 64 int64 lanes, the narrowing the kernels use, and fold_angle
-on one lut_sincos block of 8192 angles), the CORDIC
-processors the cascade runs (the closed-form linear accumulate on one
-row and on a module's (2, 64) stack, the fold and sigma pass over a puma
-request's angles, and one stacked circular stage), sin/cos generator per
-backend (one lane, and batched; the LUT also on perfbench lut-scan's
-2**20 angles per table mode), link-matrix assembly, chain product or
-module cascade (one chain, one module on 64 lanes, and the stacked
-product of a bench's 16 variants), the seeded variant draw, the VM, and
-one in-process ``fkemu bench`` on puma560 and on a 12-link chain.
+Layers, bottom up: fixed-point primitive (rescale on 64 int64 lanes, the
+narrowing the kernels use, and fold_angle on one lut_sincos block of
+8192 angles), the CORDIC processors the cascade runs (the closed-form
+linear accumulate on one row and on a module's (2, 64) stack, the fold
+and sigma pass over a puma request's angles, and one stacked circular
+stage), sin/cos generator per backend (one lane, and batched; the LUT
+also on perfbench lut-scan's 2**20 angles per table mode), chain product
+or module cascade, which include link-matrix assembly (one chain, one
+module on 64 lanes, and the stacked product of a bench's 16 variants),
+the seeded variant draw, the VM, and one in-process ``fkemu bench`` on
+puma560 and on a 12-link chain.
 These time the emulator on the host; the modeled hardware latency is a
 formula (ccm.latency_us, umdh.clock_time) and is not measured here.  The
 suite sits outside the tier-1 testpaths; ``--benchmark-disable`` runs each
@@ -36,6 +36,14 @@ speed changed during the session, the mean says little about any one row,
 and the session prints a one-line warning at its end: drop such a session
 and run it again, rather than compare its rows.  Earlier files carry no
 reference: compare their raw minima only within one file.
+
+Scaling does not make rows bound by numpy's per-call cost comparable
+across files.  From BENCH_16.json to BENCH_17.json the scaled minimum of
+test_vm_run, whose code did not change, moved by 13% (10.0 to 8.7 us),
+as much as the row the change between them was about.  A claim about
+such a row (vm_run, a one-lane sincos, one cascade module, chain_pose)
+needs parent and change timed interleaved on one machine, not two BENCH
+files.
 """
 
 import contextlib
@@ -49,18 +57,13 @@ import pytest
 from fkemu import cli, lut, taylor, umdh
 from fkemu.ccm import ccm_points, ccm_poses
 from fkemu.cordic import DEFAULT_CONFIG, circ_rotate_lanes, circ_rotate_sigmas, circ_sigmas, linear_lanes, sincos_cordic
-from fkemu.dh import ChainSet, DhJoint, ROTARY, chain_pose, chain_poses, exact_sincos, link_transform
-from fkemu.fixedpoint import Q8_24, fold_angle, fx_add, fx_from_real, lanes_from_real, rescale
+from fkemu.dh import ChainSet, chain_pose, chain_poses, exact_sincos
+from fkemu.fixedpoint import Q8_24, fold_angle, fx_from_real, lanes_from_real, rescale
 
 PUMA = cli.load_chain("puma560").joints
 VARIANTS = cli.bench_variants(PUMA, 16, 5)
 TABLE = lut.build_table(1024)
 THUMB = cli.DEMO_THUMB
-
-
-def test_fx_add(benchmark):
-    a, b = fx_from_real(0.25, Q8_24), fx_from_real(-0.75, Q8_24)
-    benchmark(fx_add, a, b)
 
 
 def test_rescale_64_lanes(benchmark):
@@ -146,10 +149,6 @@ def test_lut_sincos_2e20_angles(benchmark, mode):
     # perfbench lut-scan's shape: 2**20 angles over +-4 turns, one table per call
     angles = np.random.default_rng(20).uniform(-8 * math.pi, 8 * math.pi, 1 << 20)
     benchmark(lut.lut_sincos, angles, lut.build_table(1024, mode=mode))
-
-
-def test_link_transform(benchmark):
-    benchmark(link_transform, DhJoint(ROTARY, 0.3, 0.1, 0.2, -0.9))
 
 
 def test_chain_pose_puma560(benchmark):

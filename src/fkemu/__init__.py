@@ -7,7 +7,7 @@ tables) and a micro-coded FK-processor VM, all measurable for accuracy,
 operation count, and modeled latency.
 """
 
-from .fixedpoint import DomainError, Fx, Q1_15, Q8_24, QFormat, fx_add, fx_cast, fx_from_real, fx_mul, fx_shr, fx_sub
+from .fixedpoint import DomainError, Fx, Q1_15, Q8_24, QFormat, fx_from_real
 from .cordic import (
     CIRCULAR,
     CordicConfig,
@@ -27,24 +27,14 @@ from .dh import (
     PRISMATIC,
     ROTARY,
     PumaParams,
-    Vec4,
-    apply_point,
     chain_pose,
     chain_poses,
     decompose,
     exact_sincos,
-    link_transform,
     puma_chain,
     puma_closed_form,
 )
-from .ccm import (
-    LatencyReport,
-    PipelineModel,
-    ccm_points,
-    ccm_poses,
-    fk_pipeline,
-    latency_us,
-)
+from .ccm import PipelineModel, ccm_points, ccm_poses, latency_us
 from .taylor import TaylorConfig, remainder_bound, taylor_sincos
 from .cfr import CfrState, cfr_gain, cfr_rotate, cfr_step, selection
 from .lut import SinTable, build_table, dump_table, error_profile, load_table, lut_sincos

@@ -5,7 +5,8 @@ CORDIC processors: stage 1 runs a circular rotation of (y, z) by alpha in
 parallel with a linear accumulate producing x + a; stage 2 rotates the
 intermediate (x, y) by theta and accumulates z + d.  Cascading n modules
 walks a point from the end-effector frame down to the base, one link per
-module, with the documented (2*stage + overhead) latency model.
+module; PipelineModel counts its processors and latency_us gives the
+documented (2*stage + overhead) latency.
 
 The cascade runs on lanes (see cordic): lane k pushes points[k] through
 chains[k], and every module processes all lanes at once, link by link.  A
@@ -28,7 +29,7 @@ math.hypot only for lanes whose reach lies within NEAR_LIMIT of the
 format's top, so each decision is the documented bound's own.
 Between links each lane passes through a double, as the real-valued point
 a module takes and returns: exact for words up to 54 bits, and in wider
-words it rounds raws beyond 2**53, as the scalar cascade always did.
+words it rounds raws beyond 2**53.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .cordic import (
     lin1_op_count,
     linear_lanes,
 )
-from .dh import ChainSet, DhChain, Vec4
+from .dh import ChainSet
 from .fixedpoint import DomainError, lane_dtype, lanes_from_real, lanes_real
 
 # the paper's per-stage delay and fixed overhead of the cascade
@@ -69,12 +70,6 @@ class PipelineModel:
     def processors(self) -> int:
         """Four CORDIC processors per module, one module per link."""
         return 4 * self.n_links
-
-
-@dataclass(frozen=True)
-class LatencyReport:
-    processors: int
-    latency_us: float
 
 
 def latency_us(m: PipelineModel) -> float:
@@ -193,14 +188,6 @@ def ccm_points(chains: ChainSet, points, cfg: CordicConfig = DEFAULT_CONFIG) -> 
         out = _module(link, xyz, w, bad_w, consts[link], turns[link], sigmas[link], cfg)
         xyz = lanes_real(out, cfg.fmt)
     return np.column_stack([*xyz, w])
-
-
-def fk_pipeline(chain: DhChain, p_end: Vec4, cfg: CordicConfig = DEFAULT_CONFIG) -> tuple[Vec4, LatencyReport]:
-    """Walk a point from frame n to the base: P_{i-1} = A_i P_i, i = n..1."""
-    x, y, z, _ = ccm_points(ChainSet.of([chain]), [p_end.as_array()], cfg)[0].tolist()
-    model = PipelineModel(len(chain))
-    report = LatencyReport(model.processors, latency_us(model))
-    return Vec4(x, y, z, p_end.w), report
 
 
 def ccm_poses(chains: ChainSet, cfg: CordicConfig = DEFAULT_CONFIG) -> np.ndarray:

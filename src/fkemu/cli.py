@@ -34,7 +34,7 @@ import numpy as np
 
 from . import ccm, lut, taylor, umdh
 from .cordic import CordicConfig
-from .dh import ChainSet, DhJoint, PRISMATIC, ROTARY, PumaParams, Vec4, chain_poses, exact_sincos, pose_op_count, puma_chain
+from .dh import ChainSet, DhJoint, PRISMATIC, ROTARY, PumaParams, chain_poses, exact_sincos, pose_op_count, puma_chain
 from .fixedpoint import DomainError, QFormat
 from .umdh import CapacityError, UmdhParams
 
@@ -59,7 +59,7 @@ class ChainParseError(ValueError):
 class ChainFile:
     name: str
     joints: tuple[DhJoint, ...]
-    point: Vec4 | None
+    point: tuple[float, float, float] | None  # x, y, z, transformed as a point (w = 1)
 
 
 # fields after each directive word: a joint is its kind and four numbers
@@ -69,7 +69,7 @@ CHAIN_FIELDS = {"name": 1, "joint": 5, "point": 3}
 def parse_chain(text: str, filename: str = "<chain>") -> ChainFile:
     name = "chain"
     joints: list[DhJoint] = []
-    point: Vec4 | None = None
+    point: tuple[float, float, float] | None = None
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0]
         tokens = line.split()
@@ -108,7 +108,7 @@ def parse_chain(text: str, filename: str = "<chain>") -> ChainFile:
                 raise error(1, "joint kind must be R or P")
             joints.append(DhJoint(ROTARY if tokens[1] == "R" else PRISMATIC, *floats(2, 4)))
         else:
-            point = Vec4(*floats(1, 3))
+            point = tuple(floats(1, 3))
         if len(tokens) > fields + 1:
             raise error(fields + 1, f"{key} takes {fields} fields")
     if not joints:
@@ -118,7 +118,7 @@ def parse_chain(text: str, filename: str = "<chain>") -> ChainFile:
 
 def load_chain(path: str) -> ChainFile:
     if path == "puma560":
-        return ChainFile("puma560", tuple(puma_chain([0.0] * 6, PUMA560)), Vec4(0.0, 0.0, 0.0))
+        return ChainFile("puma560", tuple(puma_chain([0.0] * 6, PUMA560)), (0.0, 0.0, 0.0))
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -196,7 +196,7 @@ def cmd_solve(args) -> int:
         pose = backend.poses(chains)[0]
         dev = _finite(float(np.abs(pose - oracle).max()), "deviation from the oracle")
         if chain_file.point is not None:
-            moved = _finite(pose @ chain_file.point.as_array(), "transformed point")
+            moved = _finite(pose @ (*chain_file.point, 1.0), "transformed point")
     print(f"chain: {chain_file.name} ({len(chain_file.joints)} joints)")
     print(f"backend: {args.backend}")
     _print_pose(pose)

@@ -5,7 +5,8 @@ z is driven to zero), in two coordinate systems selected by the mode
 constant m: circular (1) rotates a vector, linear (0) accumulates y + x*z.
 The circular gain K = prod sqrt(1 + 2**-2i) is never free: callers either
 pre-scale by 1/K (see circ_rotate_lanes) or account for it themselves.
-cordic_step is the scalar reference for both modes.
+cordic_step is one micro-rotation of one Fx state in either mode, written
+on rescale; the tests fold it over a lane to check the kernels below.
 
 The emulator runs lanes: x, y and z are ndarrays holding one raw integer
 per lane, each lane picks its own sigma, and a whole batch of independent
@@ -48,10 +49,7 @@ from .fixedpoint import (
     QFormat,
     clip,
     fold_angle,
-    fx_add,
     fx_from_real,
-    fx_shr,
-    fx_sub,
     lane_dtype,
     lanes_from_real,
     lanes_real,
@@ -89,15 +87,6 @@ class CordicConfig:
 DEFAULT_CONFIG = CordicConfig(24, QFormat(32, 24))
 
 
-def angle_step(mode: int, i: int) -> float:
-    """Elementary angle e_i for one micro-rotation at shift index i."""
-    if mode == CIRCULAR:
-        return math.atan(math.ldexp(1.0, -i))
-    if mode == LINEAR:
-        return math.ldexp(1.0, -i)
-    raise ValueError(f"bad mode {mode}")
-
-
 def gain(n_iter: int) -> float:
     """Circular norm scale factor accumulated over n_iter micro-rotations."""
     if n_iter < 1:
@@ -110,25 +99,32 @@ def gain(n_iter: int) -> float:
 
 @lru_cache(maxsize=None)
 def _angle_fx(mode: int, i: int, fmt: QFormat) -> Fx:
-    return fx_from_real(angle_step(mode, i), fmt)
+    """Elementary angle e_i of one micro-rotation at shift index i, in fmt."""
+    if mode == CIRCULAR:
+        return fx_from_real(math.atan(math.ldexp(1.0, -i)), fmt)
+    if mode == LINEAR:
+        return fx_from_real(math.ldexp(1.0, -i), fmt)
+    raise ValueError(f"bad mode {mode}")
 
 
 def cordic_step(s: CordicState, mode: int, sigma: int) -> CordicState:
-    """One micro-rotation: x' = x - m*s*2^-i*y, y' = y + s*2^-i*x, z' = z - s*e_i."""
+    """One micro-rotation: x' = x - m*s*2^-i*y, y' = y + s*2^-i*x, z' = z - s*e_i,
+    each sum saturating in the state's format.
+
+    Raises ValueError unless sigma is +-1, x, y and z share one format, and
+    the shift index i is in 0..word_bits-1.
+    """
     if sigma not in (-1, 1):
         raise ValueError(f"sigma must be +-1, got {sigma}")
-    ty = fx_shr(s.y, s.i)
-    tx = fx_shr(s.x, s.i)
-    if mode == LINEAR:
-        x = s.x
-    elif sigma > 0:
-        x = fx_sub(s.x, ty)
-    else:
-        x = fx_add(s.x, ty)
-    y = fx_add(s.y, tx) if sigma > 0 else fx_sub(s.y, tx)
-    e = _angle_fx(mode, s.i, s.x.fmt)
-    z = fx_sub(s.z, e) if sigma > 0 else fx_add(s.z, e)
-    return CordicState(x, y, z, s.i + 1)
+    fmt, i, sigma = s.x.fmt, s.i, int(sigma)  # a Python int keeps sigma * raw exact at any word width
+    if s.y.fmt != fmt or s.z.fmt != fmt:
+        raise ValueError(f"format mismatch: {fmt}, {s.y.fmt}, {s.z.fmt}")
+    if not 0 <= i < fmt.word_bits:
+        raise ValueError(f"shift {i} out of range for {fmt}")
+    x = s.x.raw if mode == LINEAR else rescale(s.x.raw - sigma * (s.y.raw >> i), fmt.frac_bits, fmt)
+    y = rescale(s.y.raw + sigma * (s.x.raw >> i), fmt.frac_bits, fmt)
+    z = rescale(s.z.raw - sigma * _angle_fx(mode, i, fmt).raw, fmt.frac_bits, fmt)
+    return CordicState(Fx(x, fmt), Fx(y, fmt), Fx(z, fmt), i + 1)
 
 
 @lru_cache(maxsize=None)

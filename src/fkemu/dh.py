@@ -77,33 +77,6 @@ class ChainSet:
 SinCos = Callable
 
 
-@dataclass(frozen=True)
-class Vec4:
-    """Homogeneous point (w=1) or free direction vector (w=0)."""
-
-    x: float
-    y: float
-    z: float
-    w: float = 1.0
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z, self.w])
-
-    @staticmethod
-    def from_array(v: np.ndarray) -> "Vec4":
-        return Vec4(float(v[0]), float(v[1]), float(v[2]), float(v[3]))
-
-
-def link_from_trig(ct: float, st: float, ca: float, sa: float, a: float, d: float) -> np.ndarray:
-    """Link matrix assembled from already-computed trig values."""
-    return np.array([
-        [ct, -ca * st, sa * st, a * ct],
-        [st, ca * ct, -sa * ct, a * st],
-        [0.0, sa, ca, d],
-        [0.0, 0.0, 0.0, 1.0],
-    ])
-
-
 def exact_sincos(theta):
     """Double-precision (cos, sin): the oracle's trig provider.  math.cos
     and math.sin for a float, np.cos and np.sin for an ndarray."""
@@ -114,9 +87,16 @@ def exact_sincos(theta):
     return np.cos(theta), np.sin(theta)
 
 
-def link_transform(j: DhJoint, sincos: SinCos = exact_sincos) -> np.ndarray:
+def _link(j: DhJoint, sincos: SinCos) -> np.ndarray:
     """4x4 link matrix for one joint, with trig from the given provider."""
-    return link_from_trig(*sincos(j.theta), *sincos(j.alpha), j.a_eff, j.d)
+    (ct, st), (ca, sa) = sincos(j.theta), sincos(j.alpha)
+    a, d = j.a_eff, j.d
+    return np.array([
+        [ct, -ca * st, sa * st, a * ct],
+        [st, ca * ct, -sa * ct, a * st],
+        [0.0, sa, ca, d],
+        [0.0, 0.0, 0.0, 1.0],
+    ])
 
 
 def tran(axis: str, t: float) -> np.ndarray:
@@ -138,7 +118,7 @@ def rot(axis: str, angle: float) -> np.ndarray:
 
 
 def decompose(j: DhJoint) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Four elementary factors whose product equals link_transform(j)."""
+    """Four elementary factors whose product equals chain_pose([j])."""
     return (
         tran("z", j.d),
         rot("z", j.theta),
@@ -155,9 +135,9 @@ def chain_pose(chain: DhChain, sincos: SinCos = exact_sincos) -> np.ndarray:
     """
     if len(chain) == 0:
         raise ValueError("empty chain")
-    pose = link_transform(chain[0], sincos)
+    pose = _link(chain[0], sincos)
     for j in chain[1:]:
-        pose = pose @ link_transform(j, sincos)
+        pose = pose @ _link(j, sincos)
     return pose
 
 
@@ -171,7 +151,7 @@ def chain_poses(chains: ChainSet, sincos: SinCos = exact_sincos) -> np.ndarray:
     """
     theta, alpha, a, d = chains.theta, chains.alpha, chains.a_eff, chains.d
     (ct, ca), (st, sa) = sincos(np.stack([theta, alpha]))
-    links = np.zeros(theta.shape + (4, 4))  # link_from_trig, entry by entry
+    links = np.zeros(theta.shape + (4, 4))  # _link, entry by entry
     links[..., 0, 0], links[..., 0, 1], links[..., 0, 2], links[..., 0, 3] = ct, -ca * st, sa * st, a * ct
     links[..., 1, 0], links[..., 1, 1], links[..., 1, 2], links[..., 1, 3] = st, ca * ct, -sa * ct, a * st
     links[..., 2, 1], links[..., 2, 2], links[..., 2, 3] = sa, ca, d
@@ -186,10 +166,6 @@ def pose_op_count(n_links: int, sincos_ops: int) -> int:
     """Modeled scalar ops for a full pose: two (cos, sin) pairs per link,
     6 trig-entry products, and 112 for the link's 4x4 matrix product."""
     return n_links * (2 * sincos_ops + 6 + 112)
-
-
-def apply_point(mat: np.ndarray, p: Vec4) -> Vec4:
-    return Vec4.from_array(mat @ p.as_array())
 
 
 @dataclass(frozen=True)

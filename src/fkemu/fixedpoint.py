@@ -9,12 +9,13 @@ undetectably while a pinned value stays visibly at the range edge.
 
 Both rules are written once, in rescale: a raw scaled by 2**-frac moves
 into a format by an exact left shift when the format gains fraction bits,
-a truncating right shift when it loses them, then saturation.  Every fx_*
-op and the lane kernels narrow through it; only the CORDIC step loops and
-the closed-form linear kernel inline their clip, for speed.
+a truncating right shift when it loses them, then saturation.  The lane
+kernels, fx_from_real and cordic_step narrow through it; only the CORDIC
+step loops and the closed-form linear kernel inline their clip, for speed.
 
-There is one scalar type, Fx.  A wide multiply-accumulate register is an
-Fx in a wide QFormat.
+There is one scalar type, Fx: a raw and its format, as fx_from_real
+quantizes a constant.  A wide multiply-accumulate register is a wide
+QFormat.
 
 Every sin/cos backend reduces its angle through the one fold_angle here and
 unfolds its quadrant through quarter_turns, by exact swaps and signs.  The
@@ -183,35 +184,6 @@ def rescale(raw, frac: int, fmt: QFormat):
 def fx_from_real(v: float, fmt: QFormat) -> Fx:
     """Quantize a real to fmt: round-half-to-even, then saturate."""
     return Fx(rescale(round(math.ldexp(v, fmt.frac_bits)), fmt.frac_bits, fmt), fmt)
-
-
-def fx_add(a: Fx, b: Fx) -> Fx:
-    if a.fmt != b.fmt:
-        raise ValueError(f"format mismatch: {a.fmt} vs {b.fmt}")
-    return Fx(rescale(a.raw + b.raw, a.fmt.frac_bits, a.fmt), a.fmt)
-
-
-def fx_sub(a: Fx, b: Fx) -> Fx:
-    if a.fmt != b.fmt:
-        raise ValueError(f"format mismatch: {a.fmt} vs {b.fmt}")
-    return Fx(rescale(a.raw - b.raw, a.fmt.frac_bits, a.fmt), a.fmt)
-
-
-def fx_shr(a: Fx, k: int) -> Fx:
-    """Arithmetic right shift by k: floor division by 2**k."""
-    if not 0 <= k < a.fmt.word_bits:
-        raise ValueError(f"shift {k} out of range for {a.fmt}")
-    return Fx(a.raw >> k, a.fmt)
-
-
-def fx_mul(a: Fx, b: Fx, out: QFormat) -> Fx:
-    """Exact product rescaled into out."""
-    return Fx(rescale(a.raw * b.raw, a.fmt.frac_bits + b.fmt.frac_bits, out), out)
-
-
-def fx_cast(a: Fx, out: QFormat) -> Fx:
-    """a rescaled into out."""
-    return Fx(rescale(a.raw, a.fmt.frac_bits, out), out)
 
 
 _to_int = np.frompyfunc(int, 1, 1)

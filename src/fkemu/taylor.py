@@ -76,24 +76,6 @@ def remainder_bound(x: float, r: int, which: str) -> float:
     raise ValueError(f"which must be 'sin' or 'cos', got {which!r}")
 
 
-def series_sin(x: float, n_terms: int) -> float:
-    """Double-precision truncated sine series (reference path)."""
-    total = 0.0
-    for k in range(n_terms):
-        p = 2 * k + 1
-        total += (-1.0) ** k * x**p / math.factorial(p)
-    return total
-
-
-def series_cos(x: float, n_terms: int) -> float:
-    """Double-precision truncated cosine series (reference path)."""
-    total = 0.0
-    for k in range(n_terms):
-        p = 2 * k
-        total += (-1.0) ** k * x**p / math.factorial(p)
-    return total
-
-
 @lru_cache(maxsize=None)
 def _sin_coeffs(n_terms: int, fmt: QFormat) -> tuple[Fx, ...]:
     # 1/3!, 1/5!, ... quantized once; the leading 1/1! never gets stored
@@ -137,8 +119,8 @@ def _cores(t: np.ndarray, cfg: TaylorConfig) -> np.ndarray:
     of raws t in [0, pi/4]: sin(t) = t - (t*u)*R(u) and cos(t) = 1 - u*S(u),
     u = t**2.  R and S run as one Horner recursion over both rows, kept in
     the accumulator; only the multiplier inputs are narrowed to operand
-    width, and each result once at the end.  Each lane equals the Fx
-    evaluation (fx_mul, fx_cast, fx_sub) bit for bit."""
+    width, and each result once at the end.  Each lane equals the same ops
+    run one Fx at a time (tests/reference.py) bit for bit."""
     fmt, acc_fmt = cfg.operand_fmt, cfg.acc_fmt
     frac, acc_frac = fmt.frac_bits, acc_fmt.frac_bits
     one = 1 << acc_frac

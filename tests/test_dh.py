@@ -15,13 +15,10 @@ from fkemu.dh import (
     PRISMATIC,
     ROTARY,
     PumaParams,
-    Vec4,
-    apply_point,
     chain_pose,
     chain_poses,
     decompose,
     exact_sincos,
-    link_transform,
     puma_chain,
     puma_closed_form,
 )
@@ -58,26 +55,26 @@ def test_joint_validation():
 
 
 def test_link_transform_identity():
-    assert np.array_equal(link_transform(DhJoint(ROTARY, 0, 0, 0, 0)), np.eye(4))
+    assert np.array_equal(chain_pose([DhJoint(ROTARY, 0, 0, 0, 0)]), np.eye(4))
 
 
 def test_link_transform_quarter_turn():
-    m = link_transform(DhJoint(ROTARY, math.pi / 2, 0, 1.0, 0))
+    m = chain_pose([DhJoint(ROTARY, math.pi / 2, 0, 1.0, 0)])
     assert np.allclose(m[:3, 3], [0, 1, 0], atol=1e-15)
 
 
 def test_link_transform_matches_four_factor_oracle():
     j = DhJoint(ROTARY, 0.3, 0.2, 0.5, 0.7)
-    assert np.abs(link_transform(j) - four_factor_product(j)).max() < 1e-15
+    assert np.abs(chain_pose([j]) - four_factor_product(j)).max() < 1e-15
     rng = random.Random(21)
     for _ in range(500):
         j = random_joint(rng)
-        assert np.abs(link_transform(j) - four_factor_product(j)).max() < 1e-12
+        assert np.abs(chain_pose([j]) - four_factor_product(j)).max() < 1e-12
 
 
 def test_prismatic_ignores_a_offset():
     j = DhJoint(PRISMATIC, 0.4, 0.9, 0.77, 0.2)
-    m = link_transform(j)
+    m = chain_pose([j])
     assert np.allclose(m[:3, 3], [0, 0, 0.9])
     assert np.abs(m - four_factor_product(j)).max() < 1e-15
 
@@ -97,12 +94,13 @@ def test_decompose_recomposes():
     for _ in range(500):
         j = random_joint(rng, kind=ROTARY if rng.random() < 0.8 else PRISMATIC)
         tz, rz, tx, rx = decompose(j)
-        assert np.abs(tz @ rz @ tx @ rx - link_transform(j)).max() < 1e-12
+        assert np.abs(tz @ rz @ tx @ rx - chain_pose([j])).max() < 1e-12
 
 
 def test_chain_pose_single_and_empty():
     j = DhJoint(ROTARY, 0.5, 0.2, 0.3, -0.4)
-    assert np.array_equal(chain_pose([j]), link_transform(j))
+    # one link, assembled one joint at a time and as a stack, bit for bit
+    assert np.array_equal(chain_pose([j]), chain_poses(ChainSet.of([[j]]))[0])
     with pytest.raises(ValueError):
         chain_pose([])
 
@@ -127,26 +125,11 @@ def test_rotation_blocks_orthonormal():
     rng = random.Random(24)
     for _ in range(300):
         chain = [random_joint(rng) for _ in range(4)]
-        for m in (link_transform(chain[0]), chain_pose(chain)):
+        for m in (chain_pose(chain[:1]), chain_pose(chain)):
             r = m[:3, :3]
             assert np.abs(r.T @ r - np.eye(3)).max() < 1e-12
             assert abs(np.linalg.det(r) - 1.0) < 1e-9
             assert np.array_equal(m[3], [0, 0, 0, 1])
-
-
-def test_apply_point():
-    p = Vec4(0.1, -0.2, 0.3)
-    assert apply_point(np.eye(4), p) == p
-    t = np.eye(4)
-    t[:3, 3] = [1, 2, 3]
-    assert apply_point(t, Vec4(0, 0, 0)) == Vec4(1.0, 2.0, 3.0, 1.0)
-    rng = random.Random(25)
-    for _ in range(100):
-        m = link_transform(random_joint(rng))
-        p = Vec4(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1))
-        got = apply_point(m, p)
-        want = m @ p.as_array()
-        assert np.allclose([got.x, got.y, got.z, got.w], want, atol=1e-15)
 
 
 def test_puma_zero_angles_zero_constants_is_identity():

@@ -20,13 +20,8 @@ from fkemu.fixedpoint import (
     Q8_24,
     QFormat,
     clip,
-    fx_add,
     fold_angle,
-    fx_cast,
     fx_from_real,
-    fx_mul,
-    fx_shr,
-    fx_sub,
     lane_dtype,
     lanes_from_real,
     lanes_real,
@@ -34,6 +29,7 @@ from fkemu.fixedpoint import (
     rescale,
 )
 from fkemu.taylor import taylor_sincos
+from reference import fx_add, fx_cast, fx_mul, fx_shr, fx_sub
 
 ACC = QFormat(36, 31)  # the Taylor engine's default accumulator
 

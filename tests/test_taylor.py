@@ -15,20 +15,16 @@ from fkemu.fixedpoint import (
     Q8_24,
     QFormat,
     fold_angle,
-    fx_cast,
     fx_from_real,
-    fx_mul,
-    fx_sub,
 )
 from fkemu.taylor import (
     TaylorConfig,
     _cos_coeffs,
     _sin_coeffs,
     remainder_bound,
-    series_cos,
-    series_sin,
     taylor_sincos,
 )
+from reference import fx_cast, fx_mul, fx_sub, series_cos, series_sin
 
 CFG = TaylorConfig()
 GATE = 2.0**-13
