@@ -9,18 +9,19 @@ sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
 import calibrate  # noqa: E402
 
 RUNS = {"core": 40, "stream": 20}  # ~0.2 s and ~0.6 s per timing on a 2-vCPU Xeon VM
+ROW_RUNS = 5  # core kernel runs just before and just after each row: ~50 ms a row
 BEFORE_NS = pytest.StashKey[dict]()  # kernel times at session start, on the config
 AFTER_NS = pytest.StashKey[dict]()  # and at session end, taken once
 MOVED = 0.2  # a kernel whose after/before ratio is off 1 by more: the speed changed mid-session
 
 
-def _kernel_ns(kind):
-    """Fastest time of one calibrate kernel over RUNS[kind] runs, in ns: a
-    minimum, as the rows' own figure is."""
+def _kernel_ns(kind, runs=None):
+    """Fastest time of one calibrate kernel over runs (RUNS[kind] by default)
+    runs, in ns: a minimum, as the rows' own figure is."""
     kernel, _ = calibrate.KERNELS[kind]
     kernel()  # first call pays numpy's lazy set-up
     fastest = float("inf")
-    for _ in range(RUNS[kind]):
+    for _ in range(runs or RUNS[kind]):
         t = time.perf_counter_ns()
         kernel()
         fastest = min(fastest, time.perf_counter_ns() - t)
@@ -37,6 +38,21 @@ def pytest_sessionstart(session):
     config = session.config
     if not config.getoption("benchmark_disable") or config.getoption("benchmark_enable"):
         config.stash[BEFORE_NS] = {kind: _kernel_ns(kind) for kind in RUNS}
+
+
+@pytest.fixture(autouse=True)
+def _row_speed_reference(request):
+    """The speed a row ran at: the core kernel's fastest of ROW_RUNS runs
+    just before and ROW_RUNS just after it, in the row's extra_info["core_ns"].
+    The box's speed can move within the ~20 s between the session's own
+    before and after timings; a dispatch-bound row scales by this instead."""
+    if "benchmark" not in request.fixturenames or BEFORE_NS not in request.config.stash:
+        yield
+        return
+    bench = request.getfixturevalue("benchmark")
+    before = _kernel_ns("core", ROW_RUNS)
+    yield
+    bench.extra_info["core_ns"] = min(before, _kernel_ns("core", ROW_RUNS))
 
 
 def pytest_benchmark_update_machine_info(config, machine_info):

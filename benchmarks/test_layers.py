@@ -9,9 +9,12 @@ linear accumulate on one row and on a module's (2, 64) stack, the fold
 and sigma pass over a puma request's angles, and one stacked circular
 stage), sin/cos generator per backend (one lane, and batched; the LUT
 also on perfbench lut-scan's 2**20 angles per table mode), chain product
-or module cascade, which include link-matrix assembly (one chain, one
-module on 64 lanes, and the stacked product of a bench's 16 variants),
-the seeded variant draw, the VM, and one in-process ``fkemu bench`` on
+or module cascade, which include link-matrix assembly (one chain, whose
+links chain_pose builds as one (n, 4, 4) array, on puma560 and on
+thumb-vm's five-link thumb chain; one module on 64 lanes; and the stacked
+product of a bench's 16 variants), the seeded variant draw, the VM (its
+program decoded once when built) and the naive thumb pose, one whole
+perfbench thumb-vm request, and one in-process ``fkemu bench`` on
 puma560 and on a 12-link chain.
 These time the emulator on the host; the modeled hardware latency is a
 formula (ccm.latency_us, umdh.clock_time) and is not measured here.  The
@@ -36,6 +39,16 @@ speed changed during the session, the mean says little about any one row,
 and the session prints a one-line warning at its end: drop such a session
 and run it again, rather than compare its rows.  Earlier files carry no
 reference: compare their raw minima only within one file.
+
+The box's speed also moves within the ~20 s between the session's before
+and after timings, so from BENCH_19.json on each row carries its own
+reference: extra_info["core_ns"], the core kernel's fastest of a few runs
+just before and just after that row (benchmarks/conftest.py).  Scale a
+row by the speed it ran at as
+
+    stats.min * ref_ns / extra_info["core_ns"]
+
+with ref_ns the core kernel's.
 
 Scaling does not make rows bound by numpy's per-call cost comparable
 across files.  From BENCH_16.json to BENCH_17.json the scaled minimum of
@@ -64,6 +77,7 @@ PUMA = cli.load_chain("puma560").joints
 VARIANTS = cli.bench_variants(PUMA, 16, 5)
 TABLE = lut.build_table(1024)
 THUMB = cli.DEMO_THUMB
+THUMB_ANGLES = (0.2, 0.4, -0.6, 0.8)
 
 
 def test_rescale_64_lanes(benchmark):
@@ -190,19 +204,37 @@ def test_bench_variants_16_puma560(benchmark):
     benchmark(cli.bench_variants, PUMA, 16, 5)
 
 
+def test_chain_pose_thumb(benchmark):
+    # thumb-vm's oracle: the five-link thumb chain, exact trig
+    benchmark(chain_pose, umdh.umdh_chain(*THUMB_ANGLES, THUMB))
+
+
+def test_thumb_vm_request(benchmark):
+    # one perfbench thumb-vm request: the naive pose, the VM and the oracle
+    # on one angle set, the oracle's chain built inside it as the request does
+    prog = umdh.umdh_program(THUMB)
+
+    def request(ts):
+        naive = umdh.umdh_t04_naive(*ts, THUMB)
+        vm = umdh.vm_run(prog, *ts, THUMB)
+        return naive, vm, chain_pose(umdh.umdh_chain(*ts, THUMB))
+
+    benchmark(request, THUMB_ANGLES)
+
+
 def test_vm_run(benchmark):
     prog = umdh.umdh_program(THUMB)
-    benchmark(umdh.vm_run, prog, 0.2, 0.4, -0.6, 0.8, THUMB)
+    benchmark(umdh.vm_run, prog, *THUMB_ANGLES, THUMB)
 
 
 def test_vm_run_taylor(benchmark):
     prog = umdh.umdh_program(THUMB)
     hw = umdh.VmConfig(sincos=taylor.taylor_sincos)
-    benchmark(umdh.vm_run, prog, 0.2, 0.4, -0.6, 0.8, THUMB, hw)
+    benchmark(umdh.vm_run, prog, *THUMB_ANGLES, THUMB, hw)
 
 
 def test_umdh_t04_naive(benchmark):
-    benchmark(umdh.umdh_t04_naive, 0.2, 0.4, -0.6, 0.8, THUMB)
+    benchmark(umdh.umdh_t04_naive, *THUMB_ANGLES, THUMB)
 
 
 def _bench_cli(benchmark, argv):

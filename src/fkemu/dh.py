@@ -4,6 +4,14 @@ Link transforms, the four-factor decomposition Tran(z,d)*Rot(z,theta)*
 Tran(x,a)*Rot(x,alpha), chain products, and the six-joint closed-form pose
 used as the arm-level oracle.  Everything here is the reference arithmetic
 the emulated backends are measured against.
+
+Both chain products take a link's entries from one helper, _link_top.
+chain_pose builds one chain's links as Python floats in one list and one
+(n, 4, 4) array; chain_poses writes a set's links as array slots of a
+(chains, n, 4, 4) stack.  Either way each entry is the same IEEE expression
+on the provider's (cos, sin), and each product step is the same matmul on
+C-contiguous 4x4 float64 operands, so the bits equal those of a product of
+one np.array per link.
 """
 
 from __future__ import annotations
@@ -87,16 +95,19 @@ def exact_sincos(theta):
     return np.cos(theta), np.sin(theta)
 
 
-def _link(j: DhJoint, sincos: SinCos) -> np.ndarray:
-    """4x4 link matrix for one joint, with trig from the given provider."""
-    (ct, st), (ca, sa) = sincos(j.theta), sincos(j.alpha)
-    a, d = j.a_eff, j.d
-    return np.array([
-        [ct, -ca * st, sa * st, a * ct],
-        [st, ca * ct, -sa * ct, a * st],
-        [0.0, sa, ca, d],
-        [0.0, 0.0, 0.0, 1.0],
-    ])
+def _link_top(ct, st, ca, sa, a, d) -> tuple:
+    """The top three rows of a link matrix, row-major, from (cos, sin) of
+    theta and alpha, a_eff and d; row 3 is (0, 0, 0, 1).  Floats give one
+    link's entries, arrays a stack of links' entries: both products take
+    their links from these expressions."""
+    return (
+        ct, -ca * st, sa * st, a * ct,
+        st, ca * ct, -sa * ct, a * st,
+        0.0, sa, ca, d,
+    )
+
+
+_LINK_BOTTOM = (0.0, 0.0, 0.0, 1.0)
 
 
 def tran(axis: str, t: float) -> np.ndarray:
@@ -131,13 +142,21 @@ def chain_pose(chain: DhChain, sincos: SinCos = exact_sincos) -> np.ndarray:
     """Left-to-right product of link transforms: the end-effector pose.
 
     With the default provider this is the oracle; any other provider gives
-    that backend's pose through the same product.
+    that backend's pose through the same product.  Every link's sixteen
+    entries go into one list, made one (n, 4, 4) array, and the product
+    runs over its links[k] views: one array build a chain, not one a link.
     """
     if len(chain) == 0:
         raise ValueError("empty chain")
-    pose = _link(chain[0], sincos)
-    for j in chain[1:]:
-        pose = pose @ _link(j, sincos)
+    flat = []
+    for j in chain:
+        (ct, st), (ca, sa) = sincos(j.theta), sincos(j.alpha)
+        flat += _link_top(ct, st, ca, sa, j.a_eff, j.d)
+        flat += _LINK_BOTTOM
+    links = np.array(flat).reshape(len(chain), 4, 4)
+    pose = links[0]
+    for k in range(1, len(chain)):
+        pose = pose @ links[k]
     return pose
 
 
@@ -151,10 +170,12 @@ def chain_poses(chains: ChainSet, sincos: SinCos = exact_sincos) -> np.ndarray:
     """
     theta, alpha, a, d = chains.theta, chains.alpha, chains.a_eff, chains.d
     (ct, ca), (st, sa) = sincos(np.stack([theta, alpha]))
-    links = np.zeros(theta.shape + (4, 4))  # _link, entry by entry
-    links[..., 0, 0], links[..., 0, 1], links[..., 0, 2], links[..., 0, 3] = ct, -ca * st, sa * st, a * ct
-    links[..., 1, 0], links[..., 1, 1], links[..., 1, 2], links[..., 1, 3] = st, ca * ct, -sa * ct, a * st
-    links[..., 2, 1], links[..., 2, 2], links[..., 2, 3] = sa, ca, d
+    links = np.zeros(theta.shape + (4, 4))
+    (
+        links[..., 0, 0], links[..., 0, 1], links[..., 0, 2], links[..., 0, 3],
+        links[..., 1, 0], links[..., 1, 1], links[..., 1, 2], links[..., 1, 3],
+        _, links[..., 2, 1], links[..., 2, 2], links[..., 2, 3],  # [2, 0] stays np.zeros' 0.0
+    ) = _link_top(ct, st, ca, sa, a, d)
     links[..., 3, 3] = 1.0
     pose = links[:, 0]
     for k in range(1, links.shape[1]):

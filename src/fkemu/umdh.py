@@ -16,9 +16,13 @@ dst+1.  Registers r0..r3 hold the four joint angles at entry; the constant
 pool holds the five loaded constants plus 0.0.
 
 FkInstr and FkProgram check themselves when built (ValueError), and a
-program derives its op count and highest register then, so vm_run runs a
-checked program without walking it first.  Its one check of its own is
-CapacityError, for a register file too small for the program.
+program derives its op count, highest register and decoded form then, so
+vm_run runs a checked program without walking it first.  Its one check of
+its own is CapacityError, for a register file too small for the program.
+The decoded form holds each instruction's unit and operands as a plain
+tuple, so the dispatch loop reads no instruction fields and looks up no
+unit; the values and their order of evaluation are the instruction's own.
+Both pose builders make one flat 16-float np.array, reshaped to 4x4.
 """
 
 from __future__ import annotations
@@ -101,13 +105,17 @@ class FkProgram:
     read of a register that is neither an angle register nor written
     earlier, and for outputs that are not twelve written registers.  It
     stores arith_ops (every instruction but LOADK) and max_register (the
-    highest register written, at least r3).
+    highest register written, at least r3), and decoded: per instruction,
+    (binary unit or None, is SINCOS, dst, src1, src2), the form vm_run
+    dispatches on.  The three are derived, so equality, hash and repr see
+    instrs and outputs only.
     """
 
     instrs: tuple[FkInstr, ...]
     outputs: tuple[int, ...]
     arith_ops: int = field(init=False, repr=False, compare=False)
     max_register: int = field(init=False, repr=False, compare=False)
+    decoded: tuple[tuple, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         written = {0, 1, 2, 3}  # r0..r3 carry the angles
@@ -123,6 +131,9 @@ class FkProgram:
             raise ValueError(f"outputs must be 12 written registers, got {self.outputs}")
         object.__setattr__(self, "arith_ops", arith_ops)
         object.__setattr__(self, "max_register", max(written))
+        object.__setattr__(self, "decoded", tuple(
+            (_BINARY.get(ins.op), ins.op == SINCOS, ins.dst, ins.src1, ins.src2) for ins in self.instrs
+        ))
 
     def to_text(self) -> str:
         lines = ["# four-joint thumb pose, straight-line schedule"]
@@ -229,11 +240,11 @@ def umdh_t04_naive(
     r23 = ops.add(ops.add(ops.mul(p.a2, s2), ops.mul(p.a3, s23)), p.d1)
 
     pose = np.array([
-        [r00, r01, r02, r03],
-        [r10, r11, r12, r13],
-        [r20, r21, 0.0, r23],
-        [0.0, 0.0, 0.0, 1.0],
-    ])
+        r00, r01, r02, r03,
+        r10, r11, r12, r13,
+        r20, r21, 0.0, r23,
+        0.0, 0.0, 0.0, 1.0,
+    ]).reshape(4, 4)
     return pose, ops.count
 
 
@@ -292,24 +303,19 @@ def vm_run(
             f"{' (half-sized)' if hw.half_sized else ''}"
         )
     pool = p.pool()
+    sincos, sincos_extra = hw.sincos, hw.sincos_cycles - 1
     regs = [0.0] * hw.capacity
     regs[0:4] = [t1, t2, t3, t4]
     cycles = len(prog.instrs)
-    for ins in prog.instrs:
-        if ins.op == LOADK:
-            regs[ins.dst] = pool[ins.src1]
-        elif ins.op == SINCOS:
-            regs[ins.dst], regs[ins.dst + 1] = hw.sincos(regs[ins.src1])
-            cycles += hw.sincos_cycles - 1
-        else:
-            regs[ins.dst] = _BINARY[ins.op](regs[ins.src1], regs[ins.src2])
-    vals = [regs[r] for r in prog.outputs]
-    pose = np.array([
-        vals[0:4],
-        vals[4:8],
-        vals[8:12],
-        [0.0, 0.0, 0.0, 1.0],
-    ])
+    for unit, is_sincos, dst, src1, src2 in prog.decoded:
+        if unit is not None:
+            regs[dst] = unit(regs[src1], regs[src2])
+        elif is_sincos:
+            regs[dst], regs[dst + 1] = sincos(regs[src1])
+            cycles += sincos_extra
+        else:  # LOADK
+            regs[dst] = pool[src1]
+    pose = np.array([regs[r] for r in prog.outputs] + [0.0, 0.0, 0.0, 1.0]).reshape(4, 4)
     return pose, cycles
 
 

@@ -1,13 +1,17 @@
-"""Scalar reference arithmetic the tests check the lane kernels against.
+"""Reference code the tests check the package's fast paths against.
 
 The package computes on lanes and narrows through fixedpoint.rescale; these
 are the same rules one Fx at a time, plus the double-precision truncated
-series the Taylor engine evaluates in fixed point.
+series the Taylor engine evaluates in fixed point, and the thumb VM's
+dispatch one FkInstr at a time.
 """
 
 import math
 
+import numpy as np
+
 from fkemu.fixedpoint import Fx, QFormat, rescale
+from fkemu.umdh import _BINARY, LOADK, SINCOS, CapacityError, FkProgram, UmdhParams, VmConfig
 
 
 def fx_add(a: Fx, b: Fx) -> Fx:
@@ -55,3 +59,37 @@ def series_cos(x: float, n_terms: int) -> float:
         p = 2 * k
         total += (-1.0) ** k * x**p / math.factorial(p)
     return total
+
+
+def vm_run_reference(
+    prog: FkProgram, t1: float, t2: float, t3: float, t4: float, p: UmdhParams, hw: VmConfig = VmConfig()
+) -> tuple[np.ndarray, int]:
+    """umdh.vm_run dispatching on each FkInstr's fields, with the unit looked
+    up in _BINARY per instruction; vm_run runs prog.decoded and must equal
+    this bit for bit, pose and cycles."""
+    need = prog.max_register + 1
+    if need > hw.capacity:
+        raise CapacityError(
+            f"program needs {need} registers, file provides {hw.capacity}"
+            f"{' (half-sized)' if hw.half_sized else ''}"
+        )
+    pool = p.pool()
+    regs = [0.0] * hw.capacity
+    regs[0:4] = [t1, t2, t3, t4]
+    cycles = len(prog.instrs)
+    for ins in prog.instrs:
+        if ins.op == LOADK:
+            regs[ins.dst] = pool[ins.src1]
+        elif ins.op == SINCOS:
+            regs[ins.dst], regs[ins.dst + 1] = hw.sincos(regs[ins.src1])
+            cycles += hw.sincos_cycles - 1
+        else:
+            regs[ins.dst] = _BINARY[ins.op](regs[ins.src1], regs[ins.src2])
+    vals = [regs[r] for r in prog.outputs]
+    pose = np.array([
+        vals[0:4],
+        vals[4:8],
+        vals[8:12],
+        [0.0, 0.0, 0.0, 1.0],
+    ])
+    return pose, cycles

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import random
@@ -6,9 +7,11 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fkemu.cordic import sincos_cordic
-from fkemu.dh import chain_pose
+from fkemu.dh import chain_pose, exact_sincos
 from fkemu.lut import build_table, lut_sincos
 from fkemu.taylor import taylor_sincos
 from fkemu.umdh import (
@@ -28,6 +31,7 @@ from fkemu.umdh import (
     umdh_t04_naive,
     vm_run,
 )
+from reference import vm_run_reference
 
 P = UmdhParams(a0=0.05, a1=0.04, a2=0.03, a3=0.025, d1=0.02)
 PROG = umdh_program(P)
@@ -155,8 +159,56 @@ def test_outputs_must_be_twelve_written_registers(outputs):
 
 def test_program_equality_ignores_derived_facts():
     again = FkProgram(PROG.instrs, PROG.outputs)
-    assert again == PROG
+    assert again == PROG and hash(again) == hash(PROG)
     assert repr(again) == f"FkProgram(instrs={PROG.instrs!r}, outputs={PROG.outputs!r})"
+    seen = {f.name for f in dataclasses.fields(FkProgram) if f.compare or f.repr or f.init}
+    assert seen == {"instrs", "outputs"}
+    assert len(PROG.decoded) == len(PROG.instrs)
+
+
+@st.composite
+def straight_line_programs(draw):
+    """A valid FkProgram: every read follows a write, every opcode can
+    appear, and the highest register may or may not fit a half-sized file."""
+    top = draw(st.integers(4, 31))
+    written = [0, 1, 2, 3]
+    instrs = []
+    for _ in range(draw(st.integers(1, 40))):
+        op = draw(st.sampled_from([LOADK, SINCOS, ADD, SUB, MUL]))
+        dst = draw(st.integers(0, top))
+        if op == LOADK:
+            ins = FkInstr(op, dst, draw(st.integers(0, 5)))
+        elif op == SINCOS:
+            ins = FkInstr(op, dst, draw(st.sampled_from(written)))
+        else:
+            ins = FkInstr(op, dst, draw(st.sampled_from(written)), draw(st.sampled_from(written)))
+        instrs.append(ins)
+        written = sorted({*written, dst, dst + 1} if op == SINCOS else {*written, dst})
+    outputs = tuple(draw(st.lists(st.sampled_from(written), min_size=12, max_size=12)))
+    return FkProgram(tuple(instrs), outputs)
+
+
+def _outcome(run, *args):
+    try:
+        pose, cycles = run(*args)
+    except (CapacityError, ValueError) as e:  # a full file; math.cos(inf) or a Taylor DomainError
+        return type(e), str(e)
+    return pose.shape, pose.tobytes(), cycles
+
+
+angle = st.floats(-math.pi, math.pi)
+length = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    prog=straight_line_programs(),
+    ts=st.tuples(angle, angle, angle, angle),
+    p=st.builds(UmdhParams, length, length, length, length, length),
+    hw=st.builds(VmConfig, st.booleans(), st.integers(1, 4), st.sampled_from([exact_sincos, taylor_sincos])),
+)
+def test_vm_run_equals_reference_dispatch(prog, ts, p, hw):
+    assert _outcome(vm_run, prog, *ts, p, hw) == _outcome(vm_run_reference, prog, *ts, p, hw)
 
 
 def test_vm_zero_angles():
