@@ -35,7 +35,7 @@ import numpy as np
 from . import ccm, lut, taylor, umdh
 from .cordic import CordicConfig
 from .dh import ChainSet, DhJoint, PRISMATIC, ROTARY, PumaParams, chain_poses, exact_sincos, pose_op_count, puma_chain
-from .fixedpoint import DomainError, QFormat
+from .fixedpoint import DomainError, Q8_24, QFormat
 from .umdh import CapacityError, UmdhParams
 
 BACKENDS = ("matrix", "cordic", "taylor", "lut")
@@ -287,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--iters", type=int, default=24, help="CORDIC iteration count")
         p.add_argument("--table-size", type=int, default=1024, help="lookup table entries")
         p.add_argument("--table-mode", choices=(lut.NEAREST, lut.LINEAR), default=lut.NEAREST)
-        p.add_argument("--format", type=parse_qformat, default=QFormat(32, 24), help="datapath Q format, e.g. Q8.24")
+        p.add_argument("--format", type=parse_qformat, default=Q8_24, help="datapath Q format, e.g. Q8.24")
 
     p_solve = sub.add_parser("solve", help="print the pose of a chain")
     p_solve.add_argument("chain", help="chain file path, or 'puma560' for the demo")

@@ -25,9 +25,9 @@ n_iter steps either way; the emulator skips work whose result it knows:
   form, exact where no partial sum saturates; it runs on a stack of rows
   as on one.
 
-The loops read their shift amounts, range and micro-angles as arrays of
-the lane dtype made once per CordicConfig (_operands), not as Python ints
-that numpy would convert on every call.
+Every per-config constant (range, shifts, micro-angles, the 1/K pre-scale)
+is in one table of lane-dtype arrays made once per CordicConfig
+(_operands), not Python ints that numpy would convert on every call.
 
 Each lane equals a fold of cordic_step bit for bit (linear_lanes under its
 precondition).  sincos_cordic is the trig provider on top: one lane per
@@ -46,6 +46,7 @@ import numpy as np
 from .fixedpoint import (
     HALF_PI,
     Fx,
+    Q8_24,
     QFormat,
     clip,
     fold_angle,
@@ -82,9 +83,11 @@ class CordicConfig:
         # beyond frac_bits + 2 the micro-angles fall below one quantum
         if self.n_iter > self.fmt.frac_bits + 2:
             raise ValueError(f"n_iter {self.n_iter} exceeds {self.fmt} resolution")
+        if self.n_iter > self.fmt.word_bits:
+            raise ValueError(f"shift {self.n_iter - 1} out of range for {self.fmt}")
 
 
-DEFAULT_CONFIG = CordicConfig(24, QFormat(32, 24))
+DEFAULT_CONFIG = CordicConfig(24, Q8_24)
 
 
 def gain(n_iter: int) -> float:
@@ -127,19 +130,6 @@ def cordic_step(s: CordicState, mode: int, sigma: int) -> CordicState:
     return CordicState(Fx(x, fmt), Fx(y, fmt), Fx(z, fmt), i + 1)
 
 
-@lru_cache(maxsize=None)
-def _micro_angles(cfg: CordicConfig) -> tuple[int, ...]:
-    """Circular micro-angle raw of every iteration."""
-    if cfg.n_iter > cfg.fmt.word_bits:
-        raise ValueError(f"shift {cfg.n_iter - 1} out of range for {cfg.fmt}")
-    return tuple(_angle_fx(CIRCULAR, i, cfg.fmt).raw for i in range(cfg.n_iter))
-
-
-@lru_cache(maxsize=None)
-def _inv_gain_raw(cfg: CordicConfig) -> int:
-    return fx_from_real(1.0 / gain(cfg.n_iter), cfg.fmt).raw
-
-
 class _Operands(NamedTuple):
     lo: np.ndarray  # the format's raw range
     hi: np.ndarray
@@ -153,15 +143,16 @@ class _Operands(NamedTuple):
     top: np.ndarray  # 2**(frac_bits + 1), and the clip bounds of z around it
     top_lo: np.ndarray
     top_hi: np.ndarray
+    inv_gain: np.ndarray  # 1/K, the circular pre-scale
 
 
 @lru_cache(maxsize=None)
 def _operands(cfg: CordicConfig) -> _Operands:
-    """The step loops' constants as read-only arrays of lane_dtype(cfg.fmt),
-    made once per config: numpy converts a Python int operand on every ufunc
-    call, which on 64 lanes costs about as much as the operation itself.
-    Keyed on the whole config, since the range, the micro-angles and the
-    number of steps all depend on it."""
+    """Every per-config constant of the kernels as a read-only array of
+    lane_dtype(cfg.fmt), made once per config: numpy converts a Python int
+    operand on every ufunc call, which on 64 lanes costs about as much as
+    the operation itself.  Keyed on the whole config, since the range, the
+    micro-angles, 1/K and the number of steps all depend on it."""
     fmt, n = cfg.fmt, cfg.n_iter
     top = 1 << (fmt.frac_bits + 1)
 
@@ -176,13 +167,14 @@ def _operands(cfg: CordicConfig) -> _Operands:
         sign_shift=const(63),
         one=const(1),
         two=const(2),
-        angles=tuple(map(const, _micro_angles(cfg))),
+        angles=tuple(const(_angle_fx(CIRCULAR, i, fmt).raw) for i in range(n)),
         shifts=tuple(map(const, range(n))),
         shift_row=const(list(range(n))),
         digit_row=const([fmt.frac_bits + 1 - i for i in range(n)]),
         top=const(top),
         top_lo=const(-top),
         top_hi=const(top - 1),
+        inv_gain=const(fx_from_real(1.0 / gain(n), fmt).raw),
     )
 
 
@@ -296,7 +288,7 @@ def circ_rotate_sigmas(x, y, q, sigmas, cfg: CordicConfig):
     as exact sign/swap moves and saturates.
     """
     fmt = cfg.fmt
-    v = rescale(np.array([x, y]) * _inv_gain_raw(cfg), 2 * fmt.frac_bits, fmt)
+    v = rescale(np.array([x, y]) * _operands(cfg).inv_gain, 2 * fmt.frac_bits, fmt)
     x_out, y_out = quarter_turns(q, *_stacked_steps(v, sigmas, cfg))
     return rescale(x_out, fmt.frac_bits, fmt), rescale(y_out, fmt.frac_bits, fmt)
 
@@ -319,12 +311,13 @@ def circ_rotate_lanes(x, y, angle: np.ndarray, cfg: CordicConfig):
 
 
 def sincos_cordic(theta, cfg: CordicConfig = DEFAULT_CONFIG):
-    """(cos, sin) of angles within +-MAX_ANGLE, gain pre-compensated: a
-    float gives floats, an ndarray gives float64 ndarrays of its shape.
+    """(cos, sin) of angles within +-MAX_ANGLE, gain pre-compensated: a float
+    or 0-d ndarray gives floats, another ndarray float64 ndarrays of its shape.
 
     Each angle is one lane of circ_rotate_lanes rotating (1, 0); each value
-    has the bits Fx.real gives its raw in cfg.fmt.  Raises DomainError if
-    any angle is beyond MAX_ANGLE or not finite.
+    has the bits Fx.real gives its raw in cfg.fmt, so a zero sine is +0.0
+    for either sign of theta.  Raises DomainError if any angle is beyond
+    MAX_ANGLE or not finite.
     """
     arr = np.asarray(theta, dtype=np.float64)
     lanes = arr.reshape(-1)

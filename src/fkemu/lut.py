@@ -107,7 +107,8 @@ def _sin_quarter(u, table: SinTable):
 
 
 def lut_sincos(theta, table: SinTable):
-    """(cos, sin) of angles within +-MAX_ANGLE; accepts scalars or arrays.
+    """(cos, sin) of angles within +-MAX_ANGLE: a float or a 0-d ndarray
+    gives floats, any other ndarray gives float64 ndarrays of its shape.
 
     The sign of theta is stripped before folding so odd/even symmetry is
     bit-exact.  Any angle beyond MAX_ANGLE, NaN or infinite raises

@@ -12,7 +12,8 @@ narrowed to operand width, and the result is narrowed once at the end.
 The engine runs on lanes (see fixedpoint): one raw integer per angle in an
 ndarray, every multiply, cast and subtract narrowed by rescale on all lanes
 at once, so a batch of angles costs one pass of the series.  A float angle
-is a one-lane call.
+is a one-lane call.  The quantized 1/k! coefficients are one table per
+TaylorConfig (_acc_coeffs), whose dtype is the lane dtype.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import numpy as np
 
 from .fixedpoint import (
     HALF_PI,
-    Fx,
     Q1_15,
     QFormat,
     fold_angle,
@@ -77,39 +77,20 @@ def remainder_bound(x: float, r: int, which: str) -> float:
 
 
 @lru_cache(maxsize=None)
-def _sin_coeffs(n_terms: int, fmt: QFormat) -> tuple[Fx, ...]:
-    # 1/3!, 1/5!, ... quantized once; the leading 1/1! never gets stored
-    return tuple(
-        fx_from_real(1.0 / math.factorial(2 * k + 1), fmt) for k in range(1, n_terms)
-    )
-
-
-@lru_cache(maxsize=None)
-def _cos_coeffs(n_terms: int, fmt: QFormat) -> tuple[Fx, ...]:
-    # 1/2!, 1/4!, ... quantized once; the leading 1 never gets stored
-    return tuple(
-        fx_from_real(1.0 / math.factorial(2 * k), fmt) for k in range(1, n_terms)
-    )
-
-
-def _lane_dtype(cfg: TaylorConfig):
-    """int64 while every intermediate fits: with acc_bits <= 63 a difference
-    of two accumulator raws does, and so does a product of two operand raws
-    (words of at most 31 bits, since acc_bits >= 2 * word_bits) shifted one
-    bit left into the accumulator.  Object lanes, exact Python ints, past
-    that."""
-    return np.int64 if cfg.acc_bits <= 63 else object
-
-
-@lru_cache(maxsize=None)
 def _acc_coeffs(cfg: TaylorConfig) -> np.ndarray:
-    """Raws of the sine (row 0) and cosine (row 1) coefficients loaded into
-    the accumulator, in lanes of _lane_dtype(cfg)."""
+    """Raws of the sine (row 0: 1/3!, 1/5!, ...) and cosine (row 1: 1/2!,
+    1/4!, ...) coefficients quantized to the operand format, in the
+    accumulator.  The dtype is the lane dtype: int64 while acc_bits <= 63,
+    where a difference of two accumulator raws fits and so does a product
+    of two operand raws (at most 31 bits each, as acc_bits >= 2 * word_bits)
+    shifted one bit left; object, exact Python ints, past that."""
+    fmt = cfg.operand_fmt
     rows = [
-        [rescale(c.raw, c.fmt.frac_bits, cfg.acc_fmt) for c in coeffs(cfg.n_terms, cfg.operand_fmt)]
-        for coeffs in (_sin_coeffs, _cos_coeffs)
+        [rescale(fx_from_real(1.0 / math.factorial(2 * k + odd), fmt).raw, fmt.frac_bits, cfg.acc_fmt)
+         for k in range(1, cfg.n_terms)]
+        for odd in (1, 0)
     ]
-    out = np.array(rows, dtype=_lane_dtype(cfg)).reshape(2, cfg.n_terms - 1)
+    out = np.array(rows, dtype=np.int64 if cfg.acc_bits <= 63 else object)
     out.setflags(write=False)
     return out
 
@@ -140,14 +121,15 @@ def _cores(t: np.ndarray, cfg: TaylorConfig) -> np.ndarray:
 
 def taylor_sincos(theta, cfg: TaylorConfig = DEFAULT_CONFIG):
     """(cos, sin) of angles within +-MAX_ANGLE through the engine: a float
-    gives floats, an ndarray gives float64 ndarrays of its shape.
+    or 0-d ndarray gives floats, another ndarray float64 ndarrays of its shape.
 
     Each angle is one lane of _cores.  One fold gives the quadrant q and a
     residual r in [0, pi/2); past pi/4 the cores run on pi/2 - r and trade
     places.  The octant is measured from the nearest multiple of pi, which
     is the far end of an odd quadrant, so there the tie r == pi/4 trades
-    too.  Sine and cosine are bit-exactly odd and even in theta.  Raises
-    DomainError if any angle is beyond MAX_ANGLE or not finite.
+    too.  The raws are bit-exactly odd (sine) and even (cosine) in theta,
+    but a zero sine is +0.0 for either sign of theta.  Raises DomainError
+    if any angle is beyond MAX_ANGLE or not finite.
     """
     arr = np.asarray(theta, dtype=np.float64)
     lanes = arr.reshape(-1)
@@ -155,7 +137,7 @@ def taylor_sincos(theta, cfg: TaylorConfig = DEFAULT_CONFIG):
     odd = (q & 1).astype(bool)
     swap = np.where(odd, r >= HALF_PI / 2, r > HALF_PI / 2)
     t = lanes_from_real(np.where(swap, HALF_PI - r, r), cfg.operand_fmt)
-    cores = _cores(t.astype(_lane_dtype(cfg), copy=False), cfg)
+    cores = _cores(t.astype(_acc_coeffs(cfg).dtype, copy=False), cfg)
     cos, sin = quarter_turns(q, *np.where(swap, cores, cores[::-1]))  # (cos r, sin r) turned by q
     sin = sin * np.where(lanes < 0, -1, 1)
     cos, sin = (lanes_real(v, cfg.operand_fmt).reshape(arr.shape) for v in (cos, sin))

@@ -2,15 +2,15 @@
 
 The package computes on lanes and narrows through fixedpoint.rescale; these
 are the same rules one Fx at a time, plus the double-precision truncated
-series the Taylor engine evaluates in fixed point, and the thumb VM's
-dispatch one FkInstr at a time.
+series the Taylor engine evaluates in fixed point and its quantized
+coefficients, and the thumb VM's dispatch one FkInstr at a time.
 """
 
 import math
 
 import numpy as np
 
-from fkemu.fixedpoint import Fx, QFormat, rescale
+from fkemu.fixedpoint import Fx, QFormat, fx_from_real, rescale
 from fkemu.umdh import _BINARY, LOADK, SINCOS, CapacityError, FkProgram, UmdhParams, VmConfig
 
 
@@ -59,6 +59,14 @@ def series_cos(x: float, n_terms: int) -> float:
         p = 2 * k
         total += (-1.0) ** k * x**p / math.factorial(p)
     return total
+
+
+def taylor_coeffs(which: str, n_terms: int, fmt: QFormat) -> tuple[Fx, ...]:
+    """The coefficients an n-term series stores, each 1/k! quantized to fmt:
+    1/3!, 1/5!, ... for "sin" and 1/2!, 1/4!, ... for "cos" (the leading
+    1/1! and 1 are never stored)."""
+    first = {"sin": 3, "cos": 2}[which]
+    return tuple(fx_from_real(1.0 / math.factorial(first + 2 * k), fmt) for k in range(n_terms - 1))
 
 
 def vm_run_reference(

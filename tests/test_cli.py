@@ -459,3 +459,11 @@ def test_solve_custom_format_and_iters(tmp_path, capsys):
 def test_solve_incompatible_iters_exits_2(capsys):
     # 24 iterations exceed what a 12-fraction-bit datapath resolves
     assert main(["solve", "puma560", "--backend", "cordic", "--format", "Q4.12"]) == 2
+
+
+@pytest.mark.parametrize("backend", ["cordic", "matrix"])
+def test_solve_iters_past_word_exits_2(capsys, backend):
+    # the CORDIC config is checked when built, whichever backend runs
+    assert main(["solve", "puma560", "--backend", backend, "--iters", "9", "--format", "Q1.7"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "fkemu: shift 8 out of range for Q1.7\n"

@@ -53,6 +53,8 @@ def test_config_validation():
         CordicConfig(0, Q8_24)
     with pytest.raises(ValueError):
         CordicConfig(27, Q8_24)  # beyond frac_bits + 2
+    with pytest.raises(ValueError, match=r"^shift 8 out of range for Q1\.7$"):
+        CordicConfig(9, QFormat(8, 7))  # within frac_bits + 2, but step 8 shifts a whole 8-bit word
 
 
 def test_step_linear_example():

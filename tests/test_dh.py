@@ -220,6 +220,17 @@ def test_exact_sincos_keeps_the_argument_kind():
     assert cos.shape == (1, 2) and sin[0, 1] == np.sin(-2.0)
 
 
+@pytest.mark.parametrize("provider", PROVIDERS)
+def test_provider_gives_floats_for_a_float_and_arrays_of_its_shape(provider):
+    sincos = PROVIDERS[provider]
+    c, s = sincos(0.7)
+    assert type(c) is float and type(s) is float
+    for shape in [(5,), (2, 3), (0,), (3, 0)]:
+        theta = np.linspace(-3.0, 3.0, math.prod(shape)).reshape(shape)
+        for v in sincos(theta):
+            assert type(v) is np.ndarray and v.dtype == np.float64 and v.shape == shape
+
+
 MIXED = (
     DhJoint(ROTARY, 0.3, 0.12, 0.25, -0.7),
     DhJoint(PRISMATIC, 0.0, 0.4, 0.0, 1.2),

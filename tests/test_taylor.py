@@ -17,14 +17,8 @@ from fkemu.fixedpoint import (
     fold_angle,
     fx_from_real,
 )
-from fkemu.taylor import (
-    TaylorConfig,
-    _cos_coeffs,
-    _sin_coeffs,
-    remainder_bound,
-    taylor_sincos,
-)
-from reference import fx_cast, fx_mul, fx_sub, series_cos, series_sin
+from fkemu.taylor import TaylorConfig, remainder_bound, taylor_sincos
+from reference import fx_cast, fx_mul, fx_sub, series_cos, series_sin, taylor_coeffs
 
 CFG = TaylorConfig()
 GATE = 2.0**-13
@@ -172,7 +166,7 @@ def _horner(u: Fx, coeffs: tuple[Fx, ...], cfg: TaylorConfig) -> Fx:
 def _sin_core(t: Fx, cfg: TaylorConfig) -> Fx:
     """sin(t) = t - (t*u)*R(u) for t in [0, pi/4], u = t**2."""
     fmt, acc_fmt = cfg.operand_fmt, cfg.acc_fmt
-    coeffs = _sin_coeffs(cfg.n_terms, fmt)
+    coeffs = taylor_coeffs("sin", cfg.n_terms, fmt)
     if not coeffs:
         return t
     u = fx_mul(t, t, fmt)
@@ -185,7 +179,7 @@ def _cos_core(t: Fx, cfg: TaylorConfig) -> Fx:
     """cos(t) = 1 - u*S(u) for t in [0, pi/4], u = t**2."""
     fmt, acc_fmt = cfg.operand_fmt, cfg.acc_fmt
     one = Fx(1 << acc_fmt.frac_bits, acc_fmt)
-    coeffs = _cos_coeffs(cfg.n_terms, fmt)
+    coeffs = taylor_coeffs("cos", cfg.n_terms, fmt)
     if not coeffs:
         return fx_cast(one, fmt)
     u = fx_mul(t, t, fmt)
