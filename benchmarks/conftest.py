@@ -7,12 +7,12 @@ import pytest
 # perfbench's speed-reference kernels, imported as they are: they never touch fkemu
 sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
 import calibrate  # noqa: E402
+from bench_trajectory import MOVED  # noqa: E402  the reader that flags such sessions
 
 RUNS = {"core": 40, "stream": 20}  # ~0.2 s and ~0.6 s per timing on a 2-vCPU Xeon VM
 ROW_RUNS = 5  # core kernel runs just before and just after each row: ~50 ms a row
 BEFORE_NS = pytest.StashKey[dict]()  # kernel times at session start, on the config
 AFTER_NS = pytest.StashKey[dict]()  # and at session end, taken once
-MOVED = 0.2  # a kernel whose after/before ratio is off 1 by more: the speed changed mid-session
 
 
 def _kernel_ns(kind, runs=None):

@@ -7,8 +7,9 @@ narrowing the kernels use, and fold_angle on one lut_sincos block of
 8192 angles), the CORDIC processors the cascade runs (the closed-form
 linear accumulate on one row and on a module's (2, 64) stack, the fold
 and sigma pass over a puma request's angles, and one stacked circular
-stage), sin/cos generator per backend (one lane, and batched; the LUT
-also on perfbench lut-scan's 2**20 angles per table mode), chain product
+stage, with every clip and clip-free as the cascade runs it), sin/cos
+generator per backend (one lane, and batched; the LUT also on perfbench
+lut-scan's 2**20 angles per table mode), chain product
 or module cascade, which include link-matrix assembly (one chain, whose
 links chain_pose builds as one (n, 4, 4) array, on puma560 and on
 thumb-vm's five-link thumb chain; one module on 64 lanes; and the stacked
@@ -25,38 +26,19 @@ The host's speed drifts by up to 2x, so a row's raw minimum moves between
 BENCH files even where no code changed.  From BENCH_16.json on, the
 session also times perfbench's two speed-reference kernels (calibrate.py)
 before and after the rows, each the fastest of a few runs, into
-machine_info["speed_reference"].  Compare a row across such files by its
-scaled minimum,
+machine_info["speed_reference"], with ratio = after_ns / before_ns from
+BENCH_17.json on; the session prints a one-line warning at its end where a
+ratio is off 1 by more than 20%: drop such a session and run it again.
+From BENCH_19.json on, each row also carries extra_info["core_ns"], the
+core kernel's fastest of a few runs just before and just after that row
+(benchmarks/conftest.py), since the speed also moves between the
+session's before and after timings.
 
-    stats.min * ref_ns / mean(before_ns, after_ns)
-
-taking the stream kernel's figures for the rows over 1e5 or more angles
-(test_lut_sincos_1e5_angles, test_lut_sincos_2e20_angles) and the core
-kernel's for every other row.  ref_ns is a constant, so it sets only the
-scale.  From BENCH_17.json on, each kernel also carries ratio =
-after_ns / before_ns.  Where a kernel's ratio is off 1 by more than 20%, the
-speed changed during the session, the mean says little about any one row,
-and the session prints a one-line warning at its end: drop such a session
-and run it again, rather than compare its rows.  Earlier files carry no
-reference: compare their raw minima only within one file.
-
-The box's speed also moves within the ~20 s between the session's before
-and after timings, so from BENCH_19.json on each row carries its own
-reference: extra_info["core_ns"], the core kernel's fastest of a few runs
-just before and just after that row (benchmarks/conftest.py).  Scale a
-row by the speed it ran at as
-
-    stats.min * ref_ns / extra_info["core_ns"]
-
-with ref_ns the core kernel's.
-
-Scaling does not make rows bound by numpy's per-call cost comparable
-across files.  From BENCH_16.json to BENCH_17.json the scaled minimum of
-test_vm_run, whose code did not change, moved by 13% (10.0 to 8.7 us),
-as much as the row the change between them was about.  A claim about
-such a row (vm_run, a one-lane sincos, one cascade module, chain_pose)
-needs parent and change timed interleaved on one machine, not two BENCH
-files.
+benchmarks/bench_trajectory.py reads every committed file by these
+records: it prints each row's minimum scaled by the rule its file allows,
+and marks the sessions that warned and the rows bound by numpy's per-call
+cost, which scaling does not make comparable across files.  The rules are
+written there.
 """
 
 import contextlib
@@ -68,10 +50,10 @@ import numpy as np
 import pytest
 
 from fkemu import cli, lut, taylor, umdh
-from fkemu.ccm import ccm_points, ccm_poses
+from fkemu.ccm import _by_link, ccm_points, ccm_poses
 from fkemu.cordic import DEFAULT_CONFIG, circ_rotate_lanes, circ_rotate_sigmas, circ_sigmas, linear_lanes, sincos_cordic
 from fkemu.dh import ChainSet, chain_pose, chain_poses, exact_sincos
-from fkemu.fixedpoint import Q8_24, fold_angle, fx_from_real, lanes_from_real, rescale
+from fkemu.fixedpoint import Q8_24, fold_angle, fx_from_real, lanes_from_real, rescale, turn_moves
 
 PUMA = cli.load_chain("puma560").joints
 VARIANTS = cli.bench_variants(PUMA, 16, 5)
@@ -107,17 +89,30 @@ def test_linear_lanes_2x64_stack(benchmark):
 
 
 def test_circ_sigmas_768_residuals(benchmark):
-    # one puma-bench request's angles: 6 links x (alpha, theta) x 64 lanes
-    angles = np.linspace(-math.pi, math.pi, 768).reshape(6, 2, 64)
-    benchmark(circ_sigmas, angles, DEFAULT_CONFIG)
+    # one puma-bench request's angles, 6 links x (alpha, theta) x 64 lanes,
+    # stacked as ccm_points stacks them: each chain's links on four lanes
+    alpha, theta = (np.repeat(v, 4, axis=0) for v in (VARIANTS.alpha, VARIANTS.theta))
+    benchmark(circ_sigmas, _by_link(alpha, theta), DEFAULT_CONFIG)
+
+
+def _stage_operands(dtype):
+    """(1, 0) on 64 lanes and the moves and sigmas of 64 angles, the latter
+    two of dtype: int8 as circ_rotate_lanes passes them, int64 as the cascade
+    casts them once."""
+    v = np.array([np.full(64, fx_from_real(1.0, Q8_24).raw), np.zeros(64, dtype=np.int64)])
+    q, sigmas = circ_sigmas(np.linspace(-math.pi, math.pi, 64), DEFAULT_CONFIG)
+    swap, signs = turn_moves(q)
+    return v, swap, signs.astype(dtype), sigmas.astype(dtype)
 
 
 def test_circ_rotate_sigmas_64_lanes(benchmark):
-    # one circular stage of the cascade, its sigmas already passed
-    x = np.full(64, fx_from_real(1.0, Q8_24).raw)
-    y = np.zeros(64, dtype=np.int64)
-    turns, sigmas = circ_sigmas(np.linspace(-math.pi, math.pi, 64), DEFAULT_CONFIG)
-    benchmark(circ_rotate_sigmas, x, y, turns, sigmas, DEFAULT_CONFIG)
+    # one circular stage with every clip, its sigmas already passed
+    benchmark(circ_rotate_sigmas, *_stage_operands(np.int8), DEFAULT_CONFIG)
+
+
+def test_circ_rotate_sigmas_64_lanes_clip_free(benchmark):
+    # one circular stage as the cascade runs it: no clip, operands cast once
+    benchmark(circ_rotate_sigmas, *_stage_operands(np.int64), DEFAULT_CONFIG, False)
 
 
 def test_sincos_cordic(benchmark):

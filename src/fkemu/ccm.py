@@ -13,18 +13,23 @@ chains[k], and every module processes all lanes at once, link by link.  A
 pose is four lanes per chain: the three direction columns as free vectors
 and the origin as a point, so ccm_poses on 16 chains runs 64 lanes.
 Every joint angle is known before the cascade starts, so ccm_points folds
-all of them and finds all their sigmas in one pass (cordic.circ_sigmas);
-each circular stage then only steps its (x, y).  Each linear processor is
-cordic.linear_lanes's closed form, exact because each module's reach check
-rules out saturation.  Once CIRC1 has run, both linear processors of a
-module have their inputs, so the emulator runs them as one linear pass on
-a (2, lanes) stack.  The emulated processors still run n_iter shift-add
-steps each: op counts and the latency model do not change.
+all of them, finds all their sigmas in one pass (cordic.circ_sigmas) and
+gathers all their quarter-turn moves at once; each circular stage then
+only pre-scales, steps and turns its (x, y) stack.  Each module's reach
+check rules out saturation, so each linear processor is
+cordic.linear_lanes's closed form, and wherever _clip_free proves it for
+the config, the circular stages run clip-free: no clip after the 1/K
+pre-scale, any step or the quarter turns, with the clipped route's bits.
+Once CIRC1 has run, both linear processors of a module have their inputs,
+so the emulator runs them as one linear pass on a (2, lanes) stack.  The
+emulated processors still run n_iter shift-add steps each: op counts and
+the latency model do not change.
 
 A module takes x, y and z in as one (3, lanes) conversion to raws and
 gives them back as one conversion to doubles; w never changes, so the w
-check and the constants a_eff w and d w are made once per cascade.  The
-reach check takes every lane's norm vectorized and falls back to
+check and the constants a_eff w and d w, as doubles and as raws, are made
+once per cascade.  The per-link stacks are C-contiguous, adjacent lanes
+adjacent in memory.  The reach check takes every lane's norm vectorized and falls back to
 math.hypot only for lanes whose reach lies within NEAR_LIMIT of the
 format's top, so each decision is the documented bound's own.
 Between links each lane passes through a double, as the real-valued point
@@ -36,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,11 +51,12 @@ from .cordic import (
     circ1_op_count,
     circ_rotate_sigmas,
     circ_sigmas,
+    gain,
     lin1_op_count,
     linear_lanes,
 )
 from .dh import ChainSet
-from .fixedpoint import DomainError, lane_dtype, lanes_from_real, lanes_real
+from .fixedpoint import DomainError, fx_from_real, lane_dtype, lanes_from_real, lanes_real, turn_moves
 
 # the paper's per-stage delay and fixed overhead of the cascade
 STAGE_TIME_US = 40.0
@@ -118,32 +125,68 @@ def _reach(norm, consts):
 NEAR_LIMIT = 2.0**-44
 
 
-def _module(link: int, p: np.ndarray, w, bad_w, consts, turns, sigmas, cfg: CordicConfig):
+def _module(link: int, p: np.ndarray, w, bad_w, consts, raws, stages, cfg: CordicConfig, saturate: bool):
     """One module on every lane: link `link` of lane k's chain applied to
     the point (p[:, k], w[k]).
 
     p holds x, y and z as doubles, shape (3, lanes); bad_w marks the lanes
-    whose w is neither 0 nor 1; consts = (a_eff w, d w), (2, lanes); turns
-    and sigmas are circ_sigmas of the link's (alpha, theta) lanes, the
-    sigmas already of the lane dtype.  Returns the output raws, (3, lanes).
-    A free vector (w = 0) skips the translation constants, which is how
+    whose w is neither 0 nor 1; consts = (a_eff w, d w), (2, lanes), and
+    raws their conversion; stages holds the (swap, signs, sigmas) of
+    CIRC1 and CIRC2, circ_sigmas of the link's alpha and theta lanes as
+    turn_moves and sigma stacks of the lane dtype; saturate is
+    _clip_free's answer negated.  Returns the output raws, (3, lanes).  A
+    free vector (w = 0) skips the translation constants, which is how
     orientation columns ride the same hardware as position.
 
-    The point enters as one conversion of its (3, lanes) doubles and the
-    constants as one of theirs.  CIRC1 and LIN1 both read only stage
-    inputs, and LIN2 reads CIRC1's z, so after CIRC1 the two linear
-    processors run as one accumulate on a (2, lanes) stack, then CIRC2.
+    The point enters as one conversion of its (3, lanes) doubles.  CIRC1
+    and LIN1 both read only stage inputs, and LIN2 reads CIRC1's z, so
+    after CIRC1 the two linear processors run as one accumulate on a
+    (2, lanes) stack, then CIRC2.
 
     Raises ValueError unless w is 0 or 1, and DomainError unless 2|p|_2 +
-    |a_eff w| + |d w| + 2 fits the format's range, so no value the module
-    forms can saturate; of the lanes failing either, the first decides
-    which.  The circular stages keep a vector's norm at most |p|_2 +
-    |a_eff|.  A linear accumulate c + v overshoots on its way to the sum
-    by at most max(1, |v|), so it stays within |c| + 2|v| + 1, with
-    |v| <= |p|_2.  The remaining 1 is margin for truncation drift.  The
-    norm is vectorized; only lanes whose reach falls within NEAR_LIMIT of
-    the bound take it again as math.hypot, so every decision is the bound's
-    own, evaluated in doubles.
+    |a_eff w| + |d w| + 2 fits the format's range; of the lanes failing
+    either, the first decides which.  The norm is vectorized; only lanes
+    whose reach falls within NEAR_LIMIT of the bound take it again as
+    math.hypot, so every decision is the bound's own, evaluated in doubles.
+
+    Linear processors.  A linear accumulate c + v overshoots on its way to
+    the sum by at most max(1, |v|), so it stays within |c| + 2|v| + 1,
+    with |v| <= |p|_2, and the remaining 1 of the bound is margin for
+    truncation drift.
+
+    Circular processors.  Where _clip_free(cfg) holds, no value a circular
+    stage forms leaves the format on a lane that passes the reach check, so
+    its clips cannot fire and the stages run without them, with the bits
+    of the clipped route.  In raws, with u = 2**frac_bits (1.0), F =
+    frac_bits, n = n_iter and M the format's top:
+    - A stage takes a vector of norm r to at most g r + D, every
+      intermediate included.  The 1/K pre-scale by the raw c and the
+      steps, step i scaling the norm by sqrt(1 + 4**-i), scale it by at
+      most g = max(1, K c / u).  Each floor shift (the pre-scale's, and
+      both of step i's for i >= 1) moves the vector by under sqrt(2), grown
+      by the steps after it: D = sqrt(2) (K + sum_{i>=1} prod_{j>i}
+      sqrt(1 + 4**-j)) <= 1.5 n + 1.  The quarter turns keep the norm,
+      and a value within M negates within the range.
+    - CIRC1 turns (y, z), of norm at most |p| + 1 once quantized.
+    - LIN1 gives x + a_eff w + e, |e| <= lam max(u, |x|) with lam =
+      (max(1, 2**(F + 1 - n)) + 2 + 2**(F - 52)) / u.  The digits miss the
+      staged value by at most max(1, 2**(F + 1 - n)) staged LSBs; staging
+      by 2**k < max(1, |x| / u) floors off under one, and the staged
+      value's top clip at most 1 + 2**(F - 52), the last term for raws a
+      double rounds.
+    - CIRC2 turns (x + a_eff w + e, CIRC1's y), of norm r2 <= |a_eff w| +
+      1/2 + g (|p| + 1) + D + |e|.  The reach check's bound in exact
+      arithmetic is 2|p| + |a_eff w| <= M (1 + 2**-49) - 2u, so with
+      g + lam <= 2, g r2 + D <= g (M (1 + 2**-49) - (2 - lam) u + g + 1/2 +
+      D) + D, and CIRC1's values stay below that.
+    _clip_free(cfg) is g + lam <= 2 and that last bound <= M.  It holds for
+    every n_iter from 2 up with 5 or more fraction bits and at most
+    frac_bits + 2 integer bits (Q3.5, Q8.24 and Q16.40 among them), and in
+    Q4.4.  Elsewhere the stages keep every clip, and so the bits: with
+    n_iter = 1, where the proof's linear term is too coarse, and in formats
+    such as Q8.0 (1/K rounds to 1) or Q8.4 at 3 to 6 iterations (the
+    rounded 1/K adds more gain than the margin), where a clip does fire on
+    lanes the reach check passes.
     """
     fmt = cfg.fmt
     limit = fmt.max_raw * fmt.eps
@@ -159,11 +202,31 @@ def _module(link: int, p: np.ndarray, w, bad_w, consts, turns, sigmas, cfg: Cord
         raise ValueError(f"point w must be 0 or 1, got {w[first]}")
     if bad[first]:
         raise DomainError(f"link {link} can saturate {fmt} on points {np.vstack([p, w])[:, bad].T.tolist()}")
-    x, y, z = lanes_from_real(p, fmt)
-    y_a, z_a = circ_rotate_sigmas(y, z, turns[0], sigmas[0], cfg)
-    x_a, z_out = _lin_accumulate(lanes_from_real(consts, fmt), np.array([x, z_a]), cfg)
-    x_out, y_out = circ_rotate_sigmas(x_a, y_a, turns[1], sigmas[1], cfg)
+    xyz = lanes_from_real(p, fmt)
+    y_a, z_a = circ_rotate_sigmas(xyz[1:], *stages[0], cfg, saturate)
+    x_a, z_out = _lin_accumulate(raws, np.array([xyz[0], z_a]), cfg)
+    x_out, y_out = circ_rotate_sigmas(np.array([x_a, y_a]), *stages[1], cfg, saturate)
     return np.array([x_out, y_out, z_out])
+
+
+@lru_cache(maxsize=None)
+def _clip_free(cfg: CordicConfig) -> bool:
+    """Whether _module's proof that its circular stages never saturate
+    holds in cfg; see _module.  Evaluated in doubles, which the proof's
+    slack absorbs."""
+    fmt, n = cfg.fmt, cfg.n_iter
+    u, top = math.ldexp(1.0, fmt.frac_bits), float(fmt.max_raw)
+    g = max(1.0, gain(n) * fx_from_real(1.0 / gain(n), fmt).raw / u)
+    drift = 1.5 * n + 1.0
+    lam = (max(1.0, 2.0 ** (fmt.frac_bits + 1 - n)) + 2.0 + 2.0 ** (fmt.frac_bits - 52)) / u
+    stage2 = g * (top * (1.0 + 2.0**-49) - (2.0 - lam) * u + g + 0.5 + drift) + drift
+    return g + lam <= 2.0 and stage2 <= top
+
+
+def _by_link(a, b):
+    """Two (lanes, links) arrays as one C-contiguous (links, 2, lanes) stack:
+    the layout the kernels walk, adjacent lanes adjacent in memory."""
+    return np.ascontiguousarray(np.stack([a.T, b.T], axis=1))
 
 
 def ccm_points(chains: ChainSet, points, cfg: CordicConfig = DEFAULT_CONFIG) -> np.ndarray:
@@ -173,20 +236,29 @@ def ccm_points(chains: ChainSet, points, cfg: CordicConfig = DEFAULT_CONFIG) -> 
     Every alpha and theta is known before the cascade starts, so one fold
     and one sigma pass over all of them, link by (alpha, theta) by lane,
     come first: a joint angle beyond MAX_ANGLE raises its DomainError before
-    any module checks its reach.  w never changes, so the w check and the
-    translation constants a_eff w and d w of every link are made once too,
-    and the sigma stack is cast to the lane dtype once."""
+    any module checks its reach.  Their quarter-turn moves are gathered
+    then too, and they and the sigma stack are cast to the lane dtype
+    once.  w never changes, so the w check and the translation constants
+    a_eff w and d w of every link are made once, and converted to raws
+    once: a constant past the format's range fails its link's reach check
+    before any module reads it, so it converts as 0, with no warning."""
+    fmt = cfg.fmt
     p = np.array(points, dtype=np.float64).reshape(len(chains), 4)
     w = p[:, 3]
     bad_w = (w != 0.0) & (w != 1.0)
     with np.errstate(over="ignore", invalid="ignore"):  # inf and nan fail the reach check
-        consts = np.stack([chains.a_eff.T, chains.d.T], axis=1) * w
-    turns, sigmas = circ_sigmas(np.stack([chains.alpha.T, chains.theta.T], axis=1), cfg)
-    sigmas = sigmas.astype(lane_dtype(cfg.fmt))
+        consts = _by_link(chains.a_eff, chains.d) * w
+        raws = lanes_from_real(np.where(abs(consts) <= fmt.max_raw * fmt.eps, consts, 0.0), fmt)
+    q, sigmas = circ_sigmas(_by_link(chains.alpha, chains.theta), cfg)
+    swaps, signs = turn_moves(q)
+    dtype = lane_dtype(fmt)
+    sigmas, signs = sigmas.astype(dtype), signs.astype(dtype)
+    saturate = not _clip_free(cfg)
     xyz = p[:, :3].T
     for link in reversed(range(chains.theta.shape[1])):
-        out = _module(link, xyz, w, bad_w, consts[link], turns[link], sigmas[link], cfg)
-        xyz = lanes_real(out, cfg.fmt)
+        stages = [(swaps[link, s], signs[link, s], sigmas[link, s]) for s in (0, 1)]
+        out = _module(link, xyz, w, bad_w, consts[link], raws[link], stages, cfg, saturate)
+        xyz = lanes_real(out, fmt)
     return np.column_stack([*xyz, w])
 
 

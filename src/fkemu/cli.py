@@ -15,9 +15,11 @@ loads a built-in six-revolute demo profile, dh.puma_chain at zero angles.
 
 solve and bench take every pose, the oracle's and each backend's, from one
 stacked product over a ChainSet; bench grades a backend in one pass over all
-its poses.  Exit codes: 0 success, 2 parse failure or bad option, 3 numeric
-domain error (an angle or reach outside a backend's domain, or a pose or
-error past float64), 4 register capacity error.
+its poses.  The matrix backend's poses are the oracle's own product, the
+same call on the same chains, so both commands compute it once.  Exit
+codes: 0 success, 2 parse failure or bad option, 3 numeric domain error (an
+angle or reach outside a backend's domain, or a pose or error past
+float64), 4 register capacity error.
 """
 
 from __future__ import annotations
@@ -193,7 +195,7 @@ def cmd_solve(args) -> int:
     chains = ChainSet.of([chain_file.joints])
     with np.errstate(over="ignore", invalid="ignore"):  # _finite reports it
         oracle = _finite(chain_poses(chains)[0], "oracle pose")
-        pose = backend.poses(chains)[0]
+        pose = oracle if args.backend == "matrix" else backend.poses(chains)[0]
         dev = _finite(float(np.abs(pose - oracle).max()), "deviation from the oracle")
         if chain_file.point is not None:
             moved = _finite(pose @ (*chain_file.point, 1.0), "transformed point")
@@ -244,7 +246,8 @@ def cmd_bench(args) -> int:
         print(CSV_HEADER)
         for name in names:
             backend = backends[name]
-            max_err, rms_err = _finite(grade(backend.poses(variants), oracles), f"{name} error")
+            poses = oracles if name == "matrix" else backend.poses(variants)
+            max_err, rms_err = _finite(grade(poses, oracles), f"{name} error")
             print(f"{name},{max_err:.6e},{rms_err:.6e},{backend.ops},{backend.latency:.6e},{backend.params}")
     return 0
 

@@ -17,10 +17,15 @@ exact, and object arrays of Python ints for wider words
 n_iter steps either way; the emulator skips work whose result it knows:
 
 - sigmas depend on z alone, so a circular rotation is a sigma pass over z
-  (_sigma_pass), then the stacked (x, y) steps (_stacked_steps), with
-  every clip kept.  cordic_lanes composes the two; circ_sigmas (fold and
-  sigma pass) and circ_rotate_sigmas (pre-scale, steps, quarter turns) let
-  the module cascade run one sigma pass over all its angles.
+  (_sigma_pass, which has no clip: a z update cannot saturate), then the
+  stacked (x, y) steps (_stacked_steps), which take their clip as an
+  operand, saturate, so one loop serves the callers that need the clip
+  and the cascade, which has proved it cannot fire.  cordic_lanes, for
+  arbitrary raws, composes the two with the clip; circ_sigmas (fold and
+  sigma pass) and circ_rotate_sigmas (pre-scale, steps, quarter turns)
+  let the module cascade run one sigma pass over all its angles.
+  circ_rotate_sigmas clips unless told not to, which the cascade does
+  where ccm._clip_free proves it safe.
 - linear sigmas are the binary digits of z0, so linear_lanes is a closed
   form, exact where no partial sum saturates; it runs on a stack of rows
   as on one.
@@ -54,8 +59,8 @@ from .fixedpoint import (
     lane_dtype,
     lanes_from_real,
     lanes_real,
-    quarter_turns,
     rescale,
+    turn_moves,
 )
 
 CIRCULAR = 1
@@ -144,6 +149,7 @@ class _Operands(NamedTuple):
     top_lo: np.ndarray
     top_hi: np.ndarray
     inv_gain: np.ndarray  # 1/K, the circular pre-scale
+    frac: np.ndarray  # frac_bits, the shift that narrows the pre-scale product
 
 
 @lru_cache(maxsize=None)
@@ -175,6 +181,7 @@ def _operands(cfg: CordicConfig) -> _Operands:
         top_lo=const(-top),
         top_hi=const(top - 1),
         inv_gain=const(fx_from_real(1.0 / gain(n), fmt).raw),
+        frac=const(fmt.frac_bits),
     )
 
 
@@ -183,30 +190,36 @@ def _sigma_pass(z, cfg: CordicConfig):
     the signed sigma stack, int8 of shape (..., n_iter, 2, lanes) holding
     (-sigma_i, +sigma_i) at step i, and the final residuals.
 
-    sigma_i is sign(z_i) with +1 on ties, driving z to zero, and every z
-    update saturates.  z never reads x or y, so every sigma is known before
-    the first (x, y) step.
+    sigma_i is sign(z_i) with +1 on ties, driving z to zero.  z never reads
+    x or y, so every sigma is known before the first (x, y) step.  No z
+    update can saturate, from any raw in the format: z >= 0 goes to
+    z - e_i >= -e_i and z < 0 to z + e_i < e_i, and e_i is a raw of the
+    format, so the pass has no clip to run.
     """
     ops = _operands(cfg)
     sigmas = np.empty(z.shape[:-1] + (cfg.n_iter, 2, z.shape[-1]), dtype=np.int8)
     for i, e in enumerate(ops.angles):
         s = (z >> ops.sign_shift) | ops.one
         sigmas[..., i, 1, :] = s
-        z = clip(z - s * e, ops.lo, ops.hi)
+        z = z - s * e
     sigmas[..., 0, :] = -sigmas[..., 1, :]
     return sigmas, z
 
 
-def _stacked_steps(v, sigmas, cfg: CordicConfig):
+def _stacked_steps(v, sigmas, cfg: CordicConfig, saturate: bool = True):
     """The circular (x, y) steps on v = (x, y) stacked, shape (2, lanes),
     driven by a signed sigma stack of _sigma_pass: x' = x - s*(y >> i) and
-    y' = y + s*(x >> i), both saturating, as one shift, multiply, add and
-    clip per step.  A sigma stack already of v's dtype is used as it is, so
-    the cascade casts its stack once, not once per rotation."""
+    y' = y + s*(x >> i), as one shift, multiply and add per step, and a
+    clip unless saturate is False, which a caller may pass only where it
+    has proved that no step leaves the format.  A sigma stack already of
+    v's dtype is used as it is, so the cascade casts its stack once, not
+    once per rotation."""
     # bare clip, not rescale: a call per step would cost more than the clip on 64 lanes
     ops = _operands(cfg)
     for s, i in zip(sigmas.astype(v.dtype, copy=False), ops.shifts):
-        v = clip(v + s * (v[::-1] >> i), ops.lo, ops.hi)
+        v = v + s * (v[::-1] >> i)
+        if saturate:
+            v = clip(v, ops.lo, ops.hi)
     return v
 
 
@@ -279,35 +292,45 @@ def circ_sigmas(angle: np.ndarray, cfg: CordicConfig):
     return q, sigmas
 
 
-def circ_rotate_sigmas(x, y, q, sigmas, cfg: CordicConfig):
-    """The back of circ_rotate_lanes: raws x, y in cfg.fmt rotated by the
-    angles circ_sigmas folded into q and sigmas (one (n_iter, 2, lanes)
-    stack); returns the rotated raws.
+def circ_rotate_sigmas(v, swap, signs, sigmas, cfg: CordicConfig, saturate: bool = True):
+    """The back of circ_rotate_lanes: raws v = (x, y) stacked in cfg.fmt,
+    shape (2, lanes), rotated by the angles circ_sigmas folded into quarter
+    turns and sigmas (one (n_iter, 2, lanes) stack); returns the rotated
+    stack.  swap and signs are turn_moves of the quarter turns.
 
     Pre-scales the vector by 1/K, steps it, then applies the quarter turns
-    as exact sign/swap moves and saturates.
+    as exact swap and sign moves, saturating after the pre-scale, each
+    step and the turns.  saturate=False leaves out every clip, for a
+    caller that has proved no value leaves the format (ccm._module); the
+    bits are then the same.
     """
-    fmt = cfg.fmt
-    v = rescale(np.array([x, y]) * _operands(cfg).inv_gain, 2 * fmt.frac_bits, fmt)
-    x_out, y_out = quarter_turns(q, *_stacked_steps(v, sigmas, cfg))
-    return rescale(x_out, fmt.frac_bits, fmt), rescale(y_out, fmt.frac_bits, fmt)
+    ops = _operands(cfg)
+    v = (v * ops.inv_gain) >> ops.frac
+    if saturate:
+        v = clip(v, ops.lo, ops.hi)
+    v = _stacked_steps(v, sigmas, cfg, saturate)
+    v = np.where(swap, v[::-1], v) * signs
+    return clip(v, ops.lo, ops.hi) if saturate else v
 
 
 def circ_rotate_lanes(x, y, angle: np.ndarray, cfg: CordicConfig):
     """Gain-compensated plane rotation of every lane: raws x, y in cfg.fmt
-    and a float64 angle within +-MAX_ANGLE per lane; returns the rotated raws.
+    and a float64 angle within +-MAX_ANGLE per lane; returns the rotated
+    raws, x and y stacked.
 
     circ_sigmas (fold and sigma pass), then circ_rotate_sigmas (pre-scale
-    by 1/K, stacked steps, quarter turns).  This is the circular building
-    block behind sin/cos generation and every link-rotation stage; the
-    cascade calls its two halves itself, so one sigma pass serves all links.
+    by 1/K, stacked steps, quarter turns) with every clip.  This is the
+    circular building block behind sin/cos generation and every
+    link-rotation stage; the cascade calls its two halves itself, so one
+    sigma pass serves all links.
 
     Odd symmetry holds only within sincos_tolerance, not bit for bit: the
     shift-add steps truncate toward -inf, so a rotation by -z is not the
     mirror image of one by z.  Raises DomainError if any |angle| exceeds
     MAX_ANGLE or is not finite.
     """
-    return circ_rotate_sigmas(x, y, *circ_sigmas(angle, cfg), cfg)
+    q, sigmas = circ_sigmas(angle, cfg)
+    return circ_rotate_sigmas(np.array([x, y]), *turn_moves(q), sigmas, cfg)
 
 
 def sincos_cordic(theta, cfg: CordicConfig = DEFAULT_CONFIG):

@@ -11,14 +11,17 @@ Both rules are written once, in rescale: a raw scaled by 2**-frac moves
 into a format by an exact left shift when the format gains fraction bits,
 a truncating right shift when it loses them, then saturation.  The lane
 kernels, fx_from_real and cordic_step narrow through it; only the CORDIC
-step loops and the closed-form linear kernel inline their clip, for speed.
+kernels inline their clip, for speed: the circular (x, y) steps, whose
+clip is an operand that the cascade leaves out where it cannot fire, the
+circular pre-scale and quarter turns, and the closed-form linear kernel.
 
 There is one scalar type, Fx: a raw and its format, as fx_from_real
 quantizes a constant.  A wide multiply-accumulate register is a wide
 QFormat.
 
 Every sin/cos backend reduces its angle through the one fold_angle here and
-unfolds its quadrant through quarter_turns, by exact swaps and signs.  The
+unfolds its quadrant through quarter_turns, by exact swaps and signs, or
+through turn_moves, the same moves gathered once for a stacked (x, y).  The
 fold takes whole turns off by Cody and Waite's split constants: TWO_PI is
 _TWO_PI_HI, 32 significant bits, plus the exact rest _TWO_PI_LO, so k turns
 come off with two exact products and two exact subtractions, and one
@@ -108,6 +111,14 @@ def quarter_turns(q, x, y):
     raw may leave its format, so fixed-point callers saturate after it."""
     odd = _ODD[q]
     return np.where(odd, y, x) * _X_SIGN[q], np.where(odd, x, y) * _Y_SIGN[q]
+
+
+def turn_moves(q):
+    """quarter_turns' moves for an int array q, gathered once for (x, y)
+    stacked as v = [x, y]: the swap mask, q's shape, and the signs, int8 of
+    shape q.shape[:-1] + (2,) + q.shape[-1:].  For a q of shape (lanes,),
+    np.where(swap, v[::-1], v) * signs is quarter_turns(q, x, y), stacked."""
+    return _ODD[q], np.stack([_X_SIGN[q], _Y_SIGN[q]], axis=-2)
 
 
 @dataclass(frozen=True, slots=True)

@@ -3,13 +3,14 @@ import hashlib
 import math
 import random
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fkemu import cli
+from fkemu import ccm, cli
 
 from fkemu.ccm import (
     PipelineModel,
@@ -185,12 +186,15 @@ def test_reach_beyond_format_raises_domain_error():
 
 def test_reach_overflow_raises_domain_error_without_warning():
     huge = [DhJoint(ROTARY, 0.1, 1e308, 1e308, 0.3), DhJoint(ROTARY, 0.2, 1e308, 1e308, 0.5)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(DomainError, match="link 1"):  # reach sum overflows to inf
-            ccm_poses(ChainSet.of([huge]), CFG)
-        with pytest.raises(DomainError, match="link 0"):  # 2 * hypot overflows to inf
-            ccm_points(ChainSet.of([[DhJoint(ROTARY, 0.1, 0.1, 0.1, 0.3)]]), [(1e308, 1e308, 0, 1)], CFG)
+    # the link constants become raws once per cascade, before any reach
+    # check: on object lanes too (a 56-bit word), where converting inf raises
+    for cfg in (CFG, CordicConfig(40, QFormat(56, 40))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="link 1"):  # reach sum overflows to inf
+                ccm_poses(ChainSet.of([huge]), cfg)
+            with pytest.raises(DomainError, match="link 0"):  # 2 * hypot overflows to inf
+                ccm_points(ChainSet.of([[DhJoint(ROTARY, 0.1, 0.1, 0.1, 0.3)]]), [(1e308, 1e308, 0, 1)], cfg)
 
 
 @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf, 2.0**21])
@@ -242,6 +246,73 @@ def test_reach_check_is_the_documented_bound(fmt, data):
     else:
         with pytest.raises(DomainError, match="link 0"):
             ccm_points(chains, points, cfg)
+
+
+# n_iter = frac_bits + 2 and lower in the smallest formats the reach check
+# lets points through (3 integer bits), Q8.24, and a 56-bit word on object lanes
+CLIP_FREE_FORMATS = [QFormat(8, 5), QFormat(8, 4), Q8_24, QFormat(56, 40)]
+
+
+def test_clip_free_stages_cover_the_formats_in_use():
+    for fmt in CLIP_FREE_FORMATS:
+        assert all(ccm._clip_free(CordicConfig(n, fmt)) for n in range(2, fmt.frac_bits + 3))
+    assert ccm._clip_free(CFG)
+
+
+def test_clip_free_gate_keeps_the_clips_where_they_fire():
+    # the reach check passes each link, but CIRC2 grows (a, 0) past the top:
+    # in Q8.0 1/K rounds to 1, and in Q8.4 at 3 iterations the rounded 1/K
+    # leaves more gain than the margin absorbs
+    for cfg, a in [(CordicConfig(2, QFormat(8, 0)), 100.0), (CordicConfig(3, QFormat(12, 4)), 125.9)]:
+        assert not ccm._clip_free(cfg)
+        chains, points = ChainSet.of([(DhJoint(ROTARY, 0.0, 0.0, a, 0.0),)]), [(0, 0, 0, 1.0)]
+        with mock.patch.object(ccm, "_clip_free", return_value=True):
+            unclipped = ccm_points(chains, points, cfg)
+        assert unclipped.tolist() != ccm_points(chains, points, cfg).tolist()
+
+
+@st.composite
+def reach_edge_lanes(draw):
+    # one lane whose reach 2|p|_2 + |a_eff w| + |d w| + 2 lies within a few
+    # ulps of the format's top, the budget split between a, d and |p| as
+    # drawn (as test_reach_check_is_the_documented_bound builds its lane,
+    # but with a and d up to the whole budget), among lanes far inside it
+    fmt = draw(st.sampled_from(CLIP_FREE_FORMATS))
+    cfg = CordicConfig(draw(st.one_of(st.just(fmt.frac_bits + 2), st.integers(2, fmt.frac_bits + 2))), fmt)
+    limit = fmt.max_raw * fmt.eps
+    budget, unit, sign = limit - 2.0, st.floats(0.0, 1.0), st.sampled_from([-1.0, 1.0])
+    kind, w = draw(st.sampled_from([ROTARY, PRISMATIC])), draw(st.sampled_from([0.0, 1.0]))
+    a = budget * draw(unit) * draw(sign)
+    d = (budget - abs(a)) * draw(unit) * draw(sign)
+    j = DhJoint(kind, draw(st.floats(-math.pi, math.pi)), d, a, draw(st.floats(-math.pi, math.pi)))
+    half = (budget - abs(j.a_eff * w) - abs(j.d * w)) / 2.0
+    x = half * draw(unit) * draw(sign)
+    y = math.sqrt(half * half - x * x) * draw(unit) * draw(sign)
+    z = math.sqrt(max(0.0, half * half - x * x - y * y)) * draw(sign)
+    for _ in range(draw(st.integers(0, 4))):
+        z = math.nextafter(z, draw(st.sampled_from([-math.inf, math.inf])))
+    assume(2.0 * math.hypot(x, y, z) + abs(j.a_eff * w) + abs(j.d * w) + 2.0 <= limit)
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    n, inside = draw(st.integers(0, 63)), budget / 8  # reach at most 2 sqrt(3) s + 2 s + 2 <= limit
+    joints = [DhJoint(ROTARY, *rng.uniform(-inside, inside, 4)) for _ in range(n)]
+    points = np.column_stack([rng.uniform(-inside, inside, (n, 3)), rng.integers(0, 2, n)]).tolist()
+    at = draw(st.integers(0, n))
+    joints.insert(at, j)
+    points.insert(at, (x, y, z, w))
+    return cfg, ChainSet.of([(jk,) for jk in joints]), points
+
+
+@settings(max_examples=80, deadline=None)
+@given(reach_edge_lanes())
+def test_clip_free_stages_equal_the_clipped_route(case):
+    # the cascade's circular stages run without clips where _clip_free
+    # holds; with every clip kept (circ_rotate_sigmas' default) the bits
+    # must be the same on every lane the reach check passes
+    cfg, chains, points = case
+    free = ccm_points(chains, points, cfg)
+    with mock.patch.object(ccm, "_clip_free", return_value=False):
+        clipped = ccm_points(chains, points, cfg)
+    assert free.tobytes() == clipped.tobytes()
 
 
 @st.composite

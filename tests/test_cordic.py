@@ -12,6 +12,7 @@ from fkemu.cordic import (
     CordicConfig,
     CordicState,
     LINEAR,
+    _sigma_pass,
     circ_rotate_lanes,
     cordic_lanes,
     cordic_step,
@@ -21,6 +22,7 @@ from fkemu.cordic import (
     sincos_tolerance,
 )
 from fkemu.fixedpoint import (
+    HALF_PI,
     MAX_ANGLE,
     Q8_24,
     DomainError,
@@ -243,6 +245,36 @@ def test_lane_kernel_equals_scalar_reference(batch):
     for k, lane in enumerate(lanes):
         want = scalar_reference(*lane, CIRCULAR, cfg)
         assert tuple(int(v[k]) for v in out) == want
+
+
+@st.composite
+def z_batches(draw):
+    # raws across the whole range, its ends and the fold's residual bound
+    # +-pi/4 included, in formats down to a one-bit integer part (Q1.7,
+    # Q1.15), where e_0 is most of the range
+    fmt = draw(st.sampled_from([QFormat(8, 7), QFormat(16, 15), QFormat(8, 5), QFormat(8, 4), Q8_24, QFormat(56, 40)]))
+    cfg = CordicConfig(draw(st.integers(1, min(fmt.frac_bits + 2, fmt.word_bits))), fmt)
+    folded = int(lanes_from_real(HALF_PI / 2, fmt))
+    raw = st.one_of(st.sampled_from([fmt.min_raw, fmt.max_raw, -folded, folded, 0, -1, 1]),
+                    st.integers(fmt.min_raw, fmt.max_raw))
+    return cfg, draw(st.lists(raw, min_size=1, max_size=8))
+
+
+@settings(deadline=None)
+@given(z_batches())
+def test_sigma_pass_without_clip_equals_scalar_reference(batch):
+    # the z pass runs no clip: from any raw, each lane's sigmas and final
+    # residual must be those of cordic_step, which saturates every update
+    cfg, zs = batch
+    sigmas, z = _sigma_pass(np.array(zs, dtype=lane_dtype(cfg.fmt)), cfg)
+    zero = Fx(0, cfg.fmt)
+    for k, z0 in enumerate(zs):
+        s = CordicState(zero, zero, Fx(z0, cfg.fmt), 0)
+        for i in range(cfg.n_iter):
+            sigma = 1 if s.z.raw >= 0 else -1
+            assert sigmas[i, :, k].tolist() == [-sigma, sigma]
+            s = cordic_step(s, CIRCULAR, sigma)
+        assert int(z[k]) == s.z.raw
 
 
 @st.composite

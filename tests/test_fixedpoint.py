@@ -27,6 +27,7 @@ from fkemu.fixedpoint import (
     lanes_real,
     quarter_turns,
     rescale,
+    turn_moves,
 )
 from fkemu.taylor import taylor_sincos
 from reference import fx_add, fx_cast, fx_mul, fx_shr, fx_sub
@@ -310,6 +311,18 @@ def test_quarter_turns_of_the_x_axis():
     assert [tuple(int(v) for v in quarter_turns(q, 1, 0)) for q in range(4)] == axes
     x, y = quarter_turns(np.arange(4), np.ones(4, dtype=np.int64), np.zeros(4, dtype=np.int64))
     assert list(zip(x.tolist(), y.tolist())) == axes
+
+
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(-(1 << 40), 1 << 40), st.integers(-(1 << 40), 1 << 40)),
+                min_size=1, max_size=8), st.sampled_from([np.int64, object]))
+def test_turn_moves_on_a_stack_are_quarter_turns(lanes, dtype):
+    # the cascade gathers the moves once and applies them to (x, y) stacked
+    q, x, y = (np.array(v, dtype=t) for v, t in zip(zip(*lanes), (np.int64, dtype, dtype)))
+    swap, signs = turn_moves(q)
+    v = np.array([x, y])
+    moved = np.where(swap, v[::-1], v) * signs
+    assert moved.dtype == v.dtype
+    assert moved.tolist() == [r.tolist() for r in quarter_turns(q, x, y)]
 
 
 @given(st.floats(0.0, MAX_ANGLE))
