@@ -41,6 +41,7 @@ DISPATCH_BOUND = (
     "test_rescale_64_lanes",
     "test_sincos_cordic",
     "test_taylor_sincos",
+    "test_taylor_sincos_384_angles",
     "test_lut_sincos_scalar",
     "test_circ_rotate_lanes[1]",
     "test_ccm_points_one_module_64_lanes",
@@ -48,6 +49,8 @@ DISPATCH_BOUND = (
     "test_chain_pose_thumb",
     "test_taylor_pose_puma560",
     "test_lut_pose_puma560",
+    "test_chain_links_chain12_48x12",
+    "test_chain_product_chain12_48x12",
     "test_vm_run",
     "test_vm_run_taylor",
     "test_umdh_t04_naive",

@@ -9,8 +9,11 @@ linear accumulate on one row and on a module's (2, 64) stack, the fold
 and sigma pass over a puma request's angles, and one stacked circular
 stage, with every clip and clip-free as the cascade runs it), sin/cos
 generator per backend (one lane, and batched; the LUT also on perfbench
-lut-scan's 2**20 angles per table mode), chain product
-or module cascade, which include link-matrix assembly (one chain, whose
+lut-scan's 2**20 angles per table mode, Taylor on a chain12-bench
+request's 384 angles), link-matrix assembly and chain product apart
+(chain_links and chain_product on chain12-bench's stack of 48 chains: 16
+variants for each of three providers, 12 links each), chain product
+or module cascade with their link-matrix assembly (one chain, whose
 links chain_pose builds as one (n, 4, 4) array, on puma560 and on
 thumb-vm's five-link thumb chain; one module on 64 lanes; and the stacked
 product of a bench's 16 variants), the seeded variant draw, the VM (its
@@ -52,7 +55,7 @@ import pytest
 from fkemu import cli, lut, taylor, umdh
 from fkemu.ccm import _by_link, ccm_points, ccm_poses
 from fkemu.cordic import DEFAULT_CONFIG, circ_rotate_lanes, circ_rotate_sigmas, circ_sigmas, linear_lanes, sincos_cordic
-from fkemu.dh import ChainSet, chain_pose, chain_poses, exact_sincos
+from fkemu.dh import ChainSet, chain_links, chain_pose, chain_poses, chain_product, exact_sincos
 from fkemu.fixedpoint import Q8_24, fold_angle, fx_from_real, lanes_from_real, rescale, turn_moves
 
 PUMA = cli.load_chain("puma560").joints
@@ -60,6 +63,23 @@ VARIANTS = cli.bench_variants(PUMA, 16, 5)
 TABLE = lut.build_table(1024)
 THUMB = cli.DEMO_THUMB
 THUMB_ANGLES = (0.2, 0.4, -0.6, 0.8)
+
+
+def _chain12_text():
+    """perfbench chain12-bench's chain shape: 12 links, every third prismatic."""
+    rng = np.random.default_rng(12)
+    lines = ["name chain12"]
+    for i in range(12):
+        theta, alpha = (float(v) for v in rng.uniform(-math.pi, math.pi, 2))
+        d, a = float(rng.uniform(0.0, 0.3)), float(rng.uniform(-0.3, 0.3))
+        lines.append(f"joint {'P' if i % 3 == 2 else 'R'} {theta!r} {d!r} {a!r} {alpha!r}")
+    return "\n".join(lines) + "\n"
+
+
+CHAIN12_TEXT = _chain12_text()
+# as many chains as one chain12-bench request stacks: the oracle, taylor
+# and lut each take the 16 variants
+CHAIN12_STACK = cli.bench_variants(cli.parse_chain(CHAIN12_TEXT).joints, 48, 5)
 
 
 def test_rescale_64_lanes(benchmark):
@@ -143,6 +163,12 @@ def test_taylor_sincos_192_angles(benchmark):
     benchmark(taylor.taylor_sincos, angles)
 
 
+def test_taylor_sincos_384_angles(benchmark):
+    # a chain12-bench request's worth: 16 variants x 12 links x (theta, alpha)
+    angles = np.stack([CHAIN12_STACK.theta[:16], CHAIN12_STACK.alpha[:16]])
+    benchmark(taylor.taylor_sincos, angles)
+
+
 def test_lut_sincos_scalar(benchmark):
     benchmark(lut.lut_sincos, 1.0, TABLE)
 
@@ -176,6 +202,14 @@ def test_lut_pose_puma560(benchmark):
 def test_chain_poses_16_puma560_variants(benchmark, backend):
     sincos = {"matrix": exact_sincos, "taylor": taylor.taylor_sincos, "lut": partial(lut.lut_sincos, table=TABLE)}
     benchmark(chain_poses, VARIANTS, sincos[backend])
+
+
+def test_chain_links_chain12_48x12(benchmark):
+    benchmark(chain_links, CHAIN12_STACK)
+
+
+def test_chain_product_chain12_48x12(benchmark):
+    benchmark(chain_product, chain_links(CHAIN12_STACK))
 
 
 def test_ccm_pose_puma560(benchmark):
@@ -246,14 +280,8 @@ def test_bench_puma560_cli(benchmark):
 
 def test_bench_chain12_cli(benchmark, tmp_path):
     # 12 links, every third prismatic, with the matrix, taylor and linear lut backends
-    rng = np.random.default_rng(12)
-    lines = ["name chain12"]
-    for i in range(12):
-        theta, alpha = (float(v) for v in rng.uniform(-math.pi, math.pi, 2))
-        d, a = float(rng.uniform(0.0, 0.3)), float(rng.uniform(-0.3, 0.3))
-        lines.append(f"joint {'P' if i % 3 == 2 else 'R'} {theta!r} {d!r} {a!r} {alpha!r}")
     path = tmp_path / "chain12.chain"
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(CHAIN12_TEXT)
     argv = ["bench", str(path), "--backends", "matrix,taylor,lut", "--table-mode", "linear",
             "--trials", "16", "--seed", "5"]
     _bench_cli(benchmark, argv)

@@ -27,7 +27,9 @@ from .dh import (
     PRISMATIC,
     ROTARY,
     PumaParams,
+    chain_links,
     chain_pose,
+    chain_product,
     chain_poses,
     decompose,
     exact_sincos,

@@ -13,13 +13,16 @@ Chain files are line oriented so they diff cleanly:
 Angles are radians, lengths meters.  The special chain name "puma560"
 loads a built-in six-revolute demo profile, dh.puma_chain at zero angles.
 
-solve and bench take every pose, the oracle's and each backend's, from one
-stacked product over a ChainSet; bench grades a backend in one pass over all
-its poses.  The matrix backend's poses are the oracle's own product, the
-same call on the same chains, so both commands compute it once.  Exit
-codes: 0 success, 2 parse failure or bad option, 3 numeric domain error (an
-angle or reach outside a backend's domain, or a pose or error past
-float64), 4 register capacity error.
+solve and bench take every pose from one stacked product over a ChainSet:
+the link stacks of the oracle and of each named chain-product backend
+(taylor, lut) are concatenated and multiplied as one, and the matrix
+backend reads the oracle's slot; cordic runs the module cascade.  bench
+grades every backend in one pass over that stack, and prints nothing until
+every pose, error and finiteness check is done, so a failed bench leaves
+stdout empty, as a failed solve does.  Exit codes: 0 success, 2 parse
+failure or bad option, 3 numeric domain error (an angle or reach outside a
+backend's domain, or a pose or error past float64), 4 register capacity
+error.
 """
 
 from __future__ import annotations
@@ -36,7 +39,10 @@ import numpy as np
 
 from . import ccm, lut, taylor, umdh
 from .cordic import CordicConfig
-from .dh import ChainSet, DhJoint, PRISMATIC, ROTARY, PumaParams, chain_poses, exact_sincos, pose_op_count, puma_chain
+from .dh import (
+    ChainSet, DhJoint, PRISMATIC, ROTARY, PumaParams,
+    chain_links, chain_product, exact_sincos, pose_op_count, puma_chain,
+)
 from .fixedpoint import DomainError, Q8_24, QFormat
 from .umdh import CapacityError, UmdhParams
 
@@ -139,21 +145,22 @@ def parse_qformat(text: str) -> QFormat:
 
 @dataclass(frozen=True)
 class _Backend:
-    poses: Callable  # ChainSet -> (len(chains), 4, 4) ndarray
     ops: int  # modeled scalar ops per pose
     latency: float  # modeled pipeline latency, 0 where no model exists
     params: str
+    sincos: Callable | None = None  # the trig provider of a chain-product backend
+    cascade: Callable | None = None  # ChainSet -> (len(chains), 4, 4) poses, for cordic
 
 
 def _make_backends(args, n_links: int) -> dict[str, _Backend]:
     ccfg = CordicConfig(args.iters, args.format)
-    tcfg = taylor.TaylorConfig()
+    tcfg = taylor.DEFAULT_CONFIG
     table = lut.build_table(args.table_size, mode=args.table_mode)
     # (sincos, ops per (cos, sin) pair, params) for the chain-product backends
     trig = {
         "matrix": (exact_sincos, 1, ""),
         "taylor": (
-            partial(taylor.taylor_sincos, cfg=tcfg),
+            taylor.taylor_sincos,
             taylor.sincos_op_count(tcfg),
             f"terms={tcfg.n_terms};fmt={tcfg.operand_fmt}",
         ),
@@ -164,14 +171,14 @@ def _make_backends(args, n_links: int) -> dict[str, _Backend]:
         ),
     }
     backends = {
-        name: _Backend(partial(chain_poses, sincos=sincos), pose_op_count(n_links, ops), 0.0, params)
+        name: _Backend(pose_op_count(n_links, ops), 0.0, params, sincos=sincos)
         for name, (sincos, ops, params) in trig.items()
     }
     backends["cordic"] = _Backend(
-        partial(ccm.ccm_poses, cfg=ccfg),
         ccm.pose_op_count(n_links, ccfg),
         ccm.latency_us(ccm.PipelineModel(n_links)),
         f"iters={args.iters};fmt={args.format}",
+        cascade=partial(ccm.ccm_poses, cfg=ccfg),
     )
     return backends
 
@@ -189,13 +196,29 @@ def _finite(x, what: str):
     return x
 
 
+def _poses(backends: dict[str, _Backend], names: list[str], chains: ChainSet) -> tuple[np.ndarray, np.ndarray]:
+    """(oracles, poses): the oracle's (len(chains), 4, 4) poses of the set,
+    and every named backend's stacked in names' order, (len(names),
+    len(chains), 4, 4).  The links of the oracle and of each chain-product
+    backend are concatenated and go through one chain_product; matrix reads
+    the oracle's slot, and cordic runs the cascade once the oracle is
+    checked finite."""
+    stacked = list(dict.fromkeys(["matrix", *(n for n in names if backends[n].sincos)]))
+    links = np.concatenate([chain_links(chains, backends[n].sincos) for n in stacked])
+    slots = dict(zip(stacked, chain_product(links).reshape(len(stacked), len(chains), 4, 4)))
+    oracles = _finite(slots["matrix"], "oracle pose")
+    for name in names:
+        if name not in slots:
+            slots[name] = backends[name].cascade(chains)
+    return oracles, np.stack([slots[name] for name in names])
+
+
 def cmd_solve(args) -> int:
     chain_file = load_chain(args.chain)
-    backend = _make_backends(args, len(chain_file.joints))[args.backend]
-    chains = ChainSet.of([chain_file.joints])
+    backends = _make_backends(args, len(chain_file.joints))
     with np.errstate(over="ignore", invalid="ignore"):  # _finite reports it
-        oracle = _finite(chain_poses(chains)[0], "oracle pose")
-        pose = oracle if args.backend == "matrix" else backend.poses(chains)[0]
+        oracles, poses = _poses(backends, [args.backend], ChainSet.of([chain_file.joints]))
+        oracle, pose = oracles[0], poses[0, 0]
         dev = _finite(float(np.abs(pose - oracle).max()), "deviation from the oracle")
         if chain_file.point is not None:
             moved = _finite(pose @ (*chain_file.point, 1.0), "transformed point")
@@ -220,13 +243,15 @@ def bench_variants(joints, trials: int, seed: int) -> ChainSet:
     return ChainSet(theta, d, np.broadcast_to(base.a_eff, theta.shape), np.broadcast_to(base.alpha, theta.shape))
 
 
-def grade(poses: np.ndarray, oracles: np.ndarray) -> tuple[float, float]:
-    """(max_err, rms_err) of (n, 4, 4) poses against their oracles, over every
-    entry.  The squared errors are summed pose by pose and the poses in order,
-    as a loop over the poses adds them, so rms_err keeps that loop's bits."""
+def grade(poses: np.ndarray, oracles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(max_err, rms_err) of each backend's (n, 4, 4) poses, stacked as
+    (backends, n, 4, 4), against the (n, 4, 4) oracles, over every entry:
+    two (backends,) arrays.  A backend's squared errors are summed pose by
+    pose and the poses in order, as a loop over its poses adds them, so its
+    rms_err keeps that loop's bits."""
     diff = np.abs(poses - oracles)
-    sq_sum = np.cumsum((diff**2).sum(axis=(1, 2)))[-1]
-    return float(diff.max()), math.sqrt(sq_sum / diff.size)
+    sq_sum = np.cumsum((diff**2).sum(axis=(2, 3)), axis=1)[:, -1]
+    return diff.max(axis=(1, 2, 3)), np.sqrt(sq_sum / oracles.size)
 
 
 def cmd_bench(args) -> int:
@@ -242,13 +267,14 @@ def cmd_bench(args) -> int:
     backends = _make_backends(args, len(chain_file.joints))
     variants = bench_variants(chain_file.joints, args.trials, args.seed)
     with np.errstate(over="ignore", invalid="ignore"):  # _finite reports it
-        oracles = _finite(chain_poses(variants), "oracle pose")
-        print(CSV_HEADER)
-        for name in names:
-            backend = backends[name]
-            poses = oracles if name == "matrix" else backend.poses(variants)
-            max_err, rms_err = _finite(grade(poses, oracles), f"{name} error")
-            print(f"{name},{max_err:.6e},{rms_err:.6e},{backend.ops},{backend.latency:.6e},{backend.params}")
+        oracles, poses = _poses(backends, names, variants)
+        max_errs, rms_errs = grade(poses, oracles)
+    rows = [CSV_HEADER]
+    for name, max_err, rms_err in zip(names, max_errs.tolist(), rms_errs.tolist()):
+        _finite((max_err, rms_err), f"{name} error")
+        b = backends[name]
+        rows.append(f"{name},{max_err:.6e},{rms_err:.6e},{b.ops},{b.latency:.6e},{b.params}")
+    print("\n".join(rows))
     return 0
 
 

@@ -42,7 +42,7 @@ angle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -81,6 +81,8 @@ class CordicConfig:
 
     n_iter: int
     fmt: QFormat
+    # the hash, stored once: every kernel call looks its constants up by config
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n_iter < 1:
@@ -90,6 +92,10 @@ class CordicConfig:
             raise ValueError(f"n_iter {self.n_iter} exceeds {self.fmt} resolution")
         if self.n_iter > self.fmt.word_bits:
             raise ValueError(f"shift {self.n_iter - 1} out of range for {self.fmt}")
+        object.__setattr__(self, "_hash", hash((self.n_iter, self.fmt)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 DEFAULT_CONFIG = CordicConfig(24, Q8_24)

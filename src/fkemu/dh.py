@@ -5,13 +5,17 @@ Tran(x,a)*Rot(x,alpha), chain products, and the six-joint closed-form pose
 used as the arm-level oracle.  Everything here is the reference arithmetic
 the emulated backends are measured against.
 
-Both chain products take a link's entries from one helper, _link_top.
-chain_pose builds one chain's links as Python floats in one list and one
-(n, 4, 4) array; chain_poses writes a set's links as array slots of a
-(chains, n, 4, 4) stack.  Either way each entry is the same IEEE expression
-on the provider's (cos, sin), and each product step is the same matmul on
-C-contiguous 4x4 float64 operands, so the bits equal those of a product of
-one np.array per link.
+A chain set's poses come from two layers: chain_links assembles every
+link of a ChainSet as a (chains, n, 4, 4) stack from one provider call, and
+chain_product multiplies any such stack link by link.  chain_poses is the
+one composed with the other; fkemu bench concatenates the link stacks of
+several providers and runs one chain_product over them all.  chain_pose is
+the one-chain route: it builds its chain's links as Python floats in one
+list and one (n, 4, 4) array.  Every link entry comes from one helper,
+_link_top, so it is the same IEEE expression on the provider's (cos, sin)
+either way, and each product step is the same matmul on C-contiguous 4x4
+float64 operands, so the bits equal those of a product of one np.array per
+link, however many chains or providers share the stack.
 """
 
 from __future__ import annotations
@@ -162,14 +166,10 @@ def chain_pose(chain: DhChain, sincos: SinCos = exact_sincos) -> np.ndarray:
     return pose
 
 
-def chain_poses(chains: ChainSet, sincos: SinCos = exact_sincos) -> np.ndarray:
-    """chain_pose of every chain of the set, as one (len(chains), 4, 4) array.
-
-    One provider call takes every theta and alpha of the set; link k of
-    every chain is assembled as a stack, and the product runs link by link
-    with a stacked matmul.  Each pose equals chain_pose(chain, sincos) bit
-    for bit when the provider's bits on an array equal its bits angle by angle.
-    """
+def chain_links(chains: ChainSet, sincos: SinCos = exact_sincos) -> np.ndarray:
+    """Every link matrix of the set, (len(chains), n, 4, 4), from one
+    provider call on every theta and alpha: link k of every chain is
+    assembled as one stack of _link_top entries."""
     theta, alpha, a, d = chains.theta, chains.alpha, chains.a_eff, chains.d
     (ct, ca), (st, sa) = sincos(np.stack([theta, alpha]))
     links = np.zeros(theta.shape + (4, 4))
@@ -179,10 +179,26 @@ def chain_poses(chains: ChainSet, sincos: SinCos = exact_sincos) -> np.ndarray:
         _, links[..., 2, 1], links[..., 2, 2], links[..., 2, 3],  # [2, 0] stays np.zeros' 0.0
     ) = _link_top(ct, st, ca, sa, a, d)
     links[..., 3, 3] = 1.0
+    return links
+
+
+def chain_product(links: np.ndarray) -> np.ndarray:
+    """The left-to-right product of each chain's links, (chains, 4, 4) from
+    a (chains, n, 4, 4) stack: link by link with a stacked matmul.  Each
+    pose depends on its own chain's links alone, with the same bits at any
+    stack size."""
     pose = links[:, 0]
     for k in range(1, links.shape[1]):
         pose = pose @ links[:, k]
     return pose
+
+
+def chain_poses(chains: ChainSet, sincos: SinCos = exact_sincos) -> np.ndarray:
+    """chain_pose of every chain of the set, as one (len(chains), 4, 4)
+    array: chain_product(chain_links(chains, sincos)).  Each pose equals
+    chain_pose(chain, sincos) bit for bit when the provider's bits on an
+    array equal its bits angle by angle."""
+    return chain_product(chain_links(chains, sincos))
 
 
 def pose_op_count(n_links: int, sincos_ops: int) -> int:

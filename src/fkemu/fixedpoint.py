@@ -14,6 +14,8 @@ kernels, fx_from_real and cordic_step narrow through it; only the CORDIC
 kernels inline their clip, for speed: the circular (x, y) steps, whose
 clip is an operand that the cascade leaves out where it cannot fire, the
 circular pre-scale and quarter turns, and the closed-form linear kernel.
+The Taylor cores write their narrowings out as shifts too, with the one
+clip their proof leaves.
 
 There is one scalar type, Fx: a raw and its format, as fx_from_real
 quantizes a constant.  A wide multiply-accumulate register is a wide

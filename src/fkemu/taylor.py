@@ -10,10 +10,13 @@ plus one fractional-mode left shift).  Only the multiplier inputs are
 narrowed to operand width, and the result is narrowed once at the end.
 
 The engine runs on lanes (see fixedpoint): one raw integer per angle in an
-ndarray, every multiply, cast and subtract narrowed by rescale on all lanes
-at once, so a batch of angles costs one pass of the series.  A float angle
-is a one-lane call.  The quantized 1/k! coefficients are one table per
-TaylorConfig (_acc_coeffs), whose dtype is the lane dtype.
+ndarray, every multiply, cast and subtract applied to all lanes at once, so
+a batch of angles costs one pass of the series.  A float angle is a
+one-lane call.  The quantized 1/k! coefficients and every other constant
+of the series are one table of lane-dtype arrays per TaylorConfig
+(_acc_coeffs).  Each step narrows by fixedpoint's rules, written out as
+shifts; only the final narrowing into the operand format clips, since
+_cores proves that no other clip can change a bit.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,6 +32,7 @@ from .fixedpoint import (
     HALF_PI,
     Q1_15,
     QFormat,
+    clip,
     fold_angle,
     fx_from_real,
     lanes_from_real,
@@ -76,47 +81,110 @@ def remainder_bound(x: float, r: int, which: str) -> float:
     raise ValueError(f"which must be 'sin' or 'cos', got {which!r}")
 
 
+class _Coeffs(NamedTuple):
+    steps: tuple  # (2, 1) columns of (sine, cosine) coefficients, last term first
+    frac: np.ndarray  # F: narrows a product of two operand raws to the operand format
+    narrow: np.ndarray  # F + 1: narrows an accumulator raw to the operand format
+    one: np.ndarray  # 1.0 in the accumulator
+    lo: np.ndarray  # the operand format's raw range
+    hi: np.ndarray
+
+
 @lru_cache(maxsize=None)
-def _acc_coeffs(cfg: TaylorConfig) -> np.ndarray:
-    """Raws of the sine (row 0: 1/3!, 1/5!, ...) and cosine (row 1: 1/2!,
-    1/4!, ...) coefficients quantized to the operand format, in the
-    accumulator.  The dtype is the lane dtype: int64 while acc_bits <= 63,
-    where a difference of two accumulator raws fits and so does a product
-    of two operand raws (at most 31 bits each, as acc_bits >= 2 * word_bits)
-    shifted one bit left; object, exact Python ints, past that."""
-    fmt = cfg.operand_fmt
-    rows = [
-        [rescale(fx_from_real(1.0 / math.factorial(2 * k + odd), fmt).raw, fmt.frac_bits, cfg.acc_fmt)
-         for k in range(1, cfg.n_terms)]
-        for odd in (1, 0)
+def _acc_coeffs(cfg: TaylorConfig) -> _Coeffs:
+    """The series' constants as read-only arrays of the lane dtype, made once
+    per config: int64 while acc_bits <= 63, where a difference of two
+    accumulator raws fits and so does a product of two operand raws (at most
+    31 bits each, as acc_bits >= 2 * word_bits) shifted one bit left;
+    object, exact Python ints, past that.
+
+    The coefficients are the raws of the sine (1/3!, 1/5!, ...) and cosine
+    (1/2!, 1/4!, ...) terms quantized to the operand format, in the
+    accumulator, one (sine, cosine) column per Horner step.  Trailing columns
+    that are zero in both rows are left out (all but one where every column
+    is zero, as at n_terms = 1): a step on a zero column after zero columns
+    computes 0 - u*0 = 0, so the recursion's first nonzero partial is its
+    column.  In the default config 1/9! and up quantize to 0 in Q1.15, so
+    three of six steps go."""
+    fmt, acc_fmt = cfg.operand_fmt, cfg.acc_fmt
+    dtype = np.int64 if cfg.acc_bits <= 63 else object
+
+    def const(v):
+        a = np.array(v, dtype=dtype)
+        a.flags.writeable = False
+        return a
+
+    cols = [
+        [rescale(fx_from_real(1.0 / math.factorial(2 * k + odd), fmt).raw, fmt.frac_bits, acc_fmt) for odd in (1, 0)]
+        for k in range(1, cfg.n_terms)
     ]
-    out = np.array(rows, dtype=np.int64 if cfg.acc_bits <= 63 else object)
-    out.setflags(write=False)
-    return out
+    while cols and not any(cols[-1]):
+        cols.pop()
+    return _Coeffs(
+        steps=tuple(const([[s], [c]]) for s, c in reversed(cols or [(0, 0)])),
+        frac=const(fmt.frac_bits),
+        narrow=const(fmt.frac_bits + 1),
+        one=const(1 << acc_fmt.frac_bits),
+        lo=const(fmt.min_raw),
+        hi=const(fmt.max_raw),
+    )
 
 
 def _cores(t: np.ndarray, cfg: TaylorConfig) -> np.ndarray:
     """Raws of sin (row 0) and cos (row 1) in the operand format, for lanes
-    of raws t in [0, pi/4]: sin(t) = t - (t*u)*R(u) and cos(t) = 1 - u*S(u),
-    u = t**2.  R and S run as one Horner recursion over both rows, kept in
-    the accumulator; only the multiplier inputs are narrowed to operand
-    width, and each result once at the end.  Each lane equals the same ops
-    run one Fx at a time (tests/reference.py) bit for bit."""
-    fmt, acc_fmt = cfg.operand_fmt, cfg.acc_fmt
-    frac, acc_frac = fmt.frac_bits, acc_fmt.frac_bits
-    one = 1 << acc_frac
-    coeffs = _acc_coeffs(cfg)
-    if cfg.n_terms == 1:
-        return np.stack([t, np.full(t.shape, rescale(one, acc_frac, fmt), dtype=t.dtype)])
-    u = rescale(t * t, 2 * frac, fmt)
-    z = rescale(t * u, 2 * frac, fmt)
-    acc = coeffs[:, -1:]  # c[0] - u*(c[1] - u*(c[2] - ...)), both series at once
-    for k in range(cfg.n_terms - 3, -1, -1):
-        prod = rescale(u * rescale(acc, acc_frac, fmt), 2 * frac, acc_fmt)
-        acc = rescale(coeffs[:, k : k + 1] - prod, acc_frac, acc_fmt)
-    head = np.stack([rescale(t, frac, acc_fmt), np.full(t.shape, one, dtype=t.dtype)])  # t and 1
-    prod = rescale(np.stack([z, u]) * rescale(acc, acc_frac, fmt), 2 * frac, acc_fmt)
-    return rescale(rescale(head - prod, acc_frac, acc_fmt), acc_frac, fmt)  # t - z*R(u), 1 - u*S(u)
+    of raws t of [0, pi/4] in the lane dtype: sin(t) = t - (t*u)*R(u) and
+    cos(t) = 1 - u*S(u), u = t**2.  R and S run as one Horner recursion over
+    both rows, kept in the accumulator; only the multiplier inputs are
+    narrowed to operand width, and each result once at the end.  Each lane
+    equals the same ops with every narrowing clipped (tests/reference.py)
+    bit for bit.
+
+    With operand format QW-F.F and the accumulator's 2F + 1 fraction bits, a
+    narrowing is a shift: a product of two operand raws moves into the
+    accumulator by << 1 (here: the multipliers are 2u, made once, and 2z), an
+    accumulator raw into the operand format by >> (F + 1), and a product
+    into the operand format by >> F.  Only the final narrowing into the
+    operand format clips; no other value can leave its format, in values:
+
+    - t <= 1: t rounds a residual of at most pi/4, so t < 0.79 where F >= 7
+      and t <= 1 in any format.  So u <= t**2 <= 1 and z = t*u <= 1, and
+      both are >= 0.  Where the operand format has one integer bit, F >= 7
+      (word_bits >= 8): u < 0.63 and z < 0.5 (u < 0.62, z < 0.49 in
+      Q1.15), under its top 1 - 2**-F; any other format holds 1.
+    - Every Horner partial lies in [0, 1/2].  The coefficients lie in
+      [0, 1/2] and never rise along a row, since 1/k! falls and rounding to
+      a grid is monotone.  A partial is p_k = c_k - u*q, where q is the
+      previous partial p_{k+1} floored to operand width, so
+      0 <= q <= p_{k+1} <= c_{k+1}.  With u <= 1, 0 <= u*q <= c_{k+1} <= c_k,
+      so 0 <= p_k <= c_k <= 1/2: each partial, and each q, fits its format.
+    - Every product (u*q in the loop, z*R and u*S at the end) lies in
+      [0, 1/2], so its move into the accumulator, whose top is at least
+      1 - 2**-(2F + 1), cannot saturate.
+
+    The results' own narrowing into the accumulator would clip: 1 - u*S is
+    1.0 where u*S truncates to 0, which an accumulator of acc_bits < 2F + 3
+    cannot hold (Q1.15 at 32 bits, Q1.31 at 64).  But that clip cannot
+    change the output: shifted right by F + 1, the accumulator's range
+    covers the operand format's (acc_bits >= 2 * word_bits), so a value
+    the accumulator pins at its top still narrows to at least the operand
+    top, and the operand clip gives the same raw either way.  The operand
+    clip stays, because cos(0) = 1 saturates in a format with one integer
+    bit.
+
+    The zero steps _acc_coeffs leaves out are still steps of the emulated
+    engine, so sincos_op_count keeps charging them.  On int64 lanes
+    (acc_bits <= 63, so F <= 30) no raw or product passes 2**(2F + 1) in
+    magnitude."""
+    c = _acc_coeffs(cfg)
+    u = (t * t) >> c.frac
+    u2 = u + u
+    acc = c.steps[0]  # c[0] - u*(c[1] - u*(c[2] - ...)), both series at once
+    for col in c.steps[1:]:
+        acc = col - u2 * (acc >> c.narrow)
+    z = (t * u) >> c.frac
+    head = np.stack([t << c.narrow, np.full(t.shape, c.one, dtype=t.dtype)])  # t and 1
+    acc = head - np.stack([z + z, u2]) * (acc >> c.narrow)  # t - z*R(u), 1 - u*S(u)
+    return clip(acc >> c.narrow, c.lo, c.hi)
 
 
 def taylor_sincos(theta, cfg: TaylorConfig = DEFAULT_CONFIG):
@@ -137,7 +205,7 @@ def taylor_sincos(theta, cfg: TaylorConfig = DEFAULT_CONFIG):
     odd = (q & 1).astype(bool)
     swap = np.where(odd, r >= HALF_PI / 2, r > HALF_PI / 2)
     t = lanes_from_real(np.where(swap, HALF_PI - r, r), cfg.operand_fmt)
-    cores = _cores(t.astype(_acc_coeffs(cfg).dtype, copy=False), cfg)
+    cores = _cores(t.astype(_acc_coeffs(cfg).one.dtype, copy=False), cfg)  # to the lane dtype
     cos, sin = quarter_turns(q, *np.where(swap, cores, cores[::-1]))  # (cos r, sin r) turned by q
     sin = sin * np.where(lanes < 0, -1, 1)
     cos, sin = (lanes_real(v, cfg.operand_fmt).reshape(arr.shape) for v in (cos, sin))

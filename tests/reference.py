@@ -3,7 +3,8 @@
 The package computes on lanes and narrows through fixedpoint.rescale; these
 are the same rules one Fx at a time, plus the double-precision truncated
 series the Taylor engine evaluates in fixed point and its quantized
-coefficients, and the thumb VM's dispatch one FkInstr at a time.
+coefficients, the Taylor lanes with every narrowing clipped, and the thumb
+VM's dispatch one FkInstr at a time.
 """
 
 import math
@@ -67,6 +68,31 @@ def taylor_coeffs(which: str, n_terms: int, fmt: QFormat) -> tuple[Fx, ...]:
     1/1! and 1 are never stored)."""
     first = {"sin": 3, "cos": 2}[which]
     return tuple(fx_from_real(1.0 / math.factorial(first + 2 * k), fmt) for k in range(n_terms - 1))
+
+
+def cores_reference(t: np.ndarray, cfg) -> np.ndarray:
+    """taylor._cores as the engine is specified: every narrowing through
+    rescale, clip included, and a Horner step for every coefficient, zeros
+    too.  t holds raws of [0, pi/4] in the lane dtype of cfg's accumulator;
+    returns the (sin, cos) raws, (2, lanes)."""
+    fmt, acc_fmt = cfg.operand_fmt, cfg.acc_fmt
+    frac, acc_frac = fmt.frac_bits, acc_fmt.frac_bits
+    one = 1 << acc_frac
+    if cfg.n_terms == 1:
+        return np.stack([t, np.full(t.shape, rescale(one, acc_frac, fmt), dtype=t.dtype)])
+    coeffs = np.array(
+        [[fx_cast(c, acc_fmt).raw for c in taylor_coeffs(which, cfg.n_terms, fmt)] for which in ("sin", "cos")],
+        dtype=t.dtype,
+    )
+    u = rescale(t * t, 2 * frac, fmt)
+    z = rescale(t * u, 2 * frac, fmt)
+    acc = coeffs[:, -1:]  # c[0] - u*(c[1] - u*(c[2] - ...)), both series at once
+    for k in range(cfg.n_terms - 3, -1, -1):
+        prod = rescale(u * rescale(acc, acc_frac, fmt), 2 * frac, acc_fmt)
+        acc = rescale(coeffs[:, k : k + 1] - prod, acc_frac, acc_fmt)
+    head = np.stack([rescale(t, frac, acc_fmt), np.full(t.shape, one, dtype=t.dtype)])  # t and 1
+    prod = rescale(np.stack([z, u]) * rescale(acc, acc_frac, fmt), 2 * frac, acc_fmt)
+    return rescale(rescale(head - prod, acc_frac, acc_fmt), acc_frac, fmt)  # t - z*R(u), 1 - u*S(u)
 
 
 def vm_run_reference(

@@ -235,6 +235,20 @@ def test_bench_non_finite_numbers_exit_3(tmp_path, capsys, text, err):
     assert got == f"fkemu: domain error: {err}\n"
 
 
+@pytest.mark.parametrize("text, backends", [
+    ("joint R 0.3 0.1 0.2 3e6\n", "matrix,taylor"),  # an alpha past MAX_ANGLE
+    ("joint R 0.3 200.0 0.0 0.2\n", "matrix,cordic"),  # a link beyond the cascade's reach
+], ids=["taylor-angle", "cordic-reach"])
+def test_failed_bench_prints_nothing(tmp_path, capsys, text, backends):
+    # every pose and error is computed before the first line, so no header
+    # or matrix row is left behind a domain error
+    path = write_chain(tmp_path, text)
+    assert main(["bench", path, "--backends", backends]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("fkemu: domain error:") and err.count("\n") == 1
+
+
 def test_cordic_link_beyond_format_exits_3(tmp_path, capsys):
     path = write_chain(tmp_path, "joint R 0.3 200.0 0.0 0.2\n")
     assert main(["solve", path, "--backend", "cordic"]) == 3
@@ -364,18 +378,23 @@ def test_parser_is_built_once_and_reused(capsys):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 40).flatmap(lambda n: st.tuples(*[
-    hnp.arrays(np.float64, (n, 4, 4), elements=st.floats(-1e3, 1e3)) for _ in range(2)
-])))
+@given(st.tuples(st.integers(1, 4), st.integers(1, 40)).flatmap(lambda bn: st.tuples(
+    hnp.arrays(np.float64, (bn[0], bn[1], 4, 4), elements=st.floats(-1e3, 1e3)),
+    hnp.arrays(np.float64, (bn[1], 4, 4), elements=st.floats(-1e3, 1e3)),
+)))
 def test_grade_adds_what_a_loop_over_the_poses_adds(pair):
-    # the reference is a loop over the poses; a flat np.sum rounds differently
+    # a stack of backends' poses against one oracle set; the reference is a
+    # loop over each backend's poses, since a flat np.sum rounds differently
     poses, oracles = pair
-    max_err = sq_sum = 0.0
-    for pose, oracle in zip(poses, oracles):
-        diff = np.abs(pose - oracle)
-        max_err = max(max_err, float(diff.max()))
-        sq_sum += float((diff**2).sum())
-    assert cli.grade(poses, oracles) == (max_err, math.sqrt(sq_sum / poses.size))
+    max_errs, rms_errs = cli.grade(poses, oracles)
+    assert max_errs.shape == rms_errs.shape == (len(poses),)
+    for backend, max_got, rms_got in zip(poses, max_errs, rms_errs):
+        max_err = sq_sum = 0.0
+        for pose, oracle in zip(backend, oracles):
+            diff = np.abs(pose - oracle)
+            max_err = max(max_err, float(diff.max()))
+            sq_sum += float((diff**2).sum())
+        assert (max_got, rms_got) == (max_err, math.sqrt(sq_sum / oracles.size))
 
 
 @settings(max_examples=40, deadline=None)

@@ -15,8 +15,10 @@ from fkemu.dh import (
     PRISMATIC,
     ROTARY,
     PumaParams,
+    chain_links,
     chain_pose,
     chain_poses,
+    chain_product,
     decompose,
     exact_sincos,
     puma_chain,
@@ -200,6 +202,26 @@ def test_chain_poses_equal_chain_pose_stack(provider, chains):
     assert got.shape == (len(chains), 4, 4)
     for k, chain in enumerate(chains):
         assert got[k].tobytes() == chain_pose(chain, sincos).tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    chains=st.integers(1, 6).flatmap(
+        lambda n: st.lists(st.lists(joint_strategy, min_size=n, max_size=n).map(tuple), min_size=1, max_size=5)
+    ),
+    providers=st.lists(st.sampled_from(sorted(PROVIDERS)), min_size=1, max_size=6),
+)
+def test_one_product_over_stacked_providers(chains, providers):
+    # fkemu bench's route: several providers' link stacks, concatenated in
+    # any order (repeats too), through one chain_product
+    chain_set = ChainSet.of(chains)
+    links = np.concatenate([chain_links(chain_set, PROVIDERS[p]) for p in providers])
+    poses = chain_product(links).reshape(len(providers), len(chains), 4, 4)
+    for provider, got in zip(providers, poses):
+        sincos = PROVIDERS[provider]
+        assert got.tobytes() == chain_poses(chain_set, sincos).tobytes()
+        for k, chain in enumerate(chains):
+            assert got[k].tobytes() == chain_pose(chain, sincos).tobytes()
 
 
 def test_chain_poses_reject_empty_and_ragged_sets():

@@ -17,8 +17,8 @@ from fkemu.fixedpoint import (
     fold_angle,
     fx_from_real,
 )
-from fkemu.taylor import TaylorConfig, remainder_bound, taylor_sincos
-from reference import fx_cast, fx_mul, fx_sub, series_cos, series_sin, taylor_coeffs
+from fkemu.taylor import TaylorConfig, _cores, remainder_bound, taylor_sincos
+from reference import cores_reference, fx_cast, fx_mul, fx_sub, series_cos, series_sin, taylor_coeffs
 
 CFG = TaylorConfig()
 GATE = 2.0**-13
@@ -225,6 +225,18 @@ LANE_CONFIGS = [
 def test_lanes_equal_fx_reference(cfg, angles):
     want = np.array([reference_raws(th, cfg) for th in angles]).T
     assert np.array_equal(lane_raws(angles, cfg), want)
+
+
+@pytest.mark.parametrize("acc_bits", [32, 36, 64])
+@pytest.mark.parametrize("n_terms", range(1, 11))
+def test_cores_equal_clipped_reference_on_every_raw(n_terms, acc_bits):
+    # every Q1.15 raw of [0, pi/4], the whole domain of the clip-free
+    # cores, against every narrowing clipped and every zero step run
+    cfg = TaylorConfig(n_terms=n_terms, acc_bits=acc_bits)
+    t = np.arange(round(math.pi / 4 * 2**15) + 1).astype(np.int64 if acc_bits <= 63 else object)
+    got, want = _cores(t, cfg), cores_reference(t, cfg)
+    assert got.shape == want.shape == (2, len(t))
+    assert np.array_equal(got, want)
 
 
 def test_float_in_floats_out_and_shape_kept():
