@@ -16,10 +16,12 @@ Every joint angle is known before the cascade starts, so ccm_points folds
 all of them, finds all their sigmas in one pass (cordic.circ_sigmas) and
 gathers all their quarter-turn moves at once; each circular stage then
 only pre-scales, steps and turns its (x, y) stack.  Each module's reach
-check rules out saturation, so each linear processor is
-cordic.linear_lanes's closed form, and wherever _clip_free proves it for
-the config, the circular stages run clip-free: no clip after the 1/K
-pre-scale, any step or the quarter turns, with the clipped route's bits.
+check, against the per-config limit _reach_limit (at most the format's
+top), rules out saturation in all four processors: each linear processor
+is cordic.linear_lanes's closed form, and the circular stages run with no
+clip after the 1/K pre-scale, any step or the quarter turns, with the
+bits a clipped route gives.  A lane that a clip could pin raises
+DomainError instead.
 Once CIRC1 has run, both linear processors of a module have their inputs,
 so the emulator runs them as one linear pass on a (2, lanes) stack.  The
 emulated processors still run n_iter shift-add steps each: op counts and
@@ -31,7 +33,7 @@ check and the constants a_eff w and d w, as doubles and as raws, are made
 once per cascade.  The per-link stacks are C-contiguous, adjacent lanes
 adjacent in memory.  The reach check takes every lane's norm vectorized and falls back to
 math.hypot only for lanes whose reach lies within NEAR_LIMIT of the
-format's top, so each decision is the documented bound's own.
+limit, so each decision is the documented bound's own.
 Between links each lane passes through a double, as the real-valued point
 a module takes and returns: exact for words up to 54 bits, and in wider
 words it rounds raws beyond 2**53.
@@ -125,7 +127,7 @@ def _reach(norm, consts):
 NEAR_LIMIT = 2.0**-44
 
 
-def _module(link: int, p: np.ndarray, w, bad_w, consts, raws, stages, cfg: CordicConfig, saturate: bool):
+def _module(link: int, p: np.ndarray, w, bad_w, consts, raws, stages, cfg: CordicConfig):
     """One module on every lane: link `link` of lane k's chain applied to
     the point (p[:, k], w[k]).
 
@@ -133,33 +135,41 @@ def _module(link: int, p: np.ndarray, w, bad_w, consts, raws, stages, cfg: Cordi
     whose w is neither 0 nor 1; consts = (a_eff w, d w), (2, lanes), and
     raws their conversion; stages holds the (swap, signs, sigmas) of
     CIRC1 and CIRC2, circ_sigmas of the link's alpha and theta lanes as
-    turn_moves and sigma stacks of the lane dtype; saturate is
-    _clip_free's answer negated.  Returns the output raws, (3, lanes).  A
-    free vector (w = 0) skips the translation constants, which is how
-    orientation columns ride the same hardware as position.
+    turn_moves and sigma stacks of the lane dtype.  Returns the output
+    raws, (3, lanes).  A free vector (w = 0) skips the translation
+    constants, which is how orientation columns ride the same hardware as
+    position.
 
     The point enters as one conversion of its (3, lanes) doubles.  CIRC1
     and LIN1 both read only stage inputs, and LIN2 reads CIRC1's z, so
     after CIRC1 the two linear processors run as one accumulate on a
     (2, lanes) stack, then CIRC2.
 
-    Raises ValueError unless w is 0 or 1, and DomainError unless 2|p|_2 +
-    |a_eff w| + |d w| + 2 fits the format's range; of the lanes failing
-    either, the first decides which.  The norm is vectorized; only lanes
-    whose reach falls within NEAR_LIMIT of the bound take it again as
-    math.hypot, so every decision is the bound's own, evaluated in doubles.
+    Raises ValueError unless w is 0 or 1, and DomainError unless the reach
+    2|p|_2 + |a_eff w| + |d w| + 2 is at most _reach_limit(cfg); of the
+    lanes failing either, the first decides which.  The norm is vectorized;
+    only lanes whose reach falls within NEAR_LIMIT of the limit take it
+    again as math.hypot, so every decision is the bound's own, evaluated in
+    doubles.
 
-    Linear processors.  A linear accumulate c + v overshoots on its way to
-    the sum by at most max(1, |v|), so it stays within |c| + 2|v| + 1,
-    with |v| <= |p|_2, and the remaining 1 of the bound is margin for
-    truncation drift.
-
-    Circular processors.  Where _clip_free(cfg) holds, no value a circular
-    stage forms leaves the format on a lane that passes the reach check, so
-    its clips cannot fire and the stages run without them, with the bits
-    of the clipped route.  In raws, with u = 2**frac_bits (1.0), F =
-    frac_bits, n = n_iter and M the format's top:
-    - A stage takes a vector of norm r to at most g r + D, every
+    No processor saturates on a lane that passes, so the module runs no
+    clip: each linear processor is linear_lanes's closed form, exact where
+    no partial sum saturates, and the circular stages leave out every
+    clip, with the bits of the clipped route.  In raws, with u = 2**F
+    (1.0), F = frac_bits, n = n_iter, M the format's top, a = a_eff w,
+    d = d w and L the limit, a lane that passes has 2|p| + |a| + |d| <=
+    L e - 2u, where e = 1 + 2**-49 absorbs the rounding of the check's
+    doubles; the raws of x, y, z, a and d lie within 1/2 of them.
+    - A linear accumulate c + v keeps every partial sum within |c| +
+      max(u, 2|v|).  The loop runs on v' = v >> k, staged so |v'| <= 2u,
+      with the unit 2**(F + k).  Its first partial sum is +-2**k u, and a
+      later one lies within 2**k (|v'| + u/2): the residual after step j
+      is within 2**(F - j), and step F + 1, whose micro-angle rounds to 0,
+      moves the sum by 2**(k - 1).  With k = 0 that is the bound.  With
+      k >= 1, staging went on only while |v >> (k - 1)| > 2u, and a case
+      analysis of the floor shifts keeps the sums within 2|v| (test_ccm
+      checks the bound on every raw of the 8- and 12-bit formats).
+    - A circular stage takes a vector of norm r to at most g r + D, every
       intermediate included.  The 1/K pre-scale by the raw c and the
       steps, step i scaling the norm by sqrt(1 + 4**-i), scale it by at
       most g = max(1, K c / u).  Each floor shift (the pre-scale's, and
@@ -167,29 +177,35 @@ def _module(link: int, p: np.ndarray, w, bad_w, consts, raws, stages, cfg: Cordi
       by the steps after it: D = sqrt(2) (K + sum_{i>=1} prod_{j>i}
       sqrt(1 + 4**-j)) <= 1.5 n + 1.  The quarter turns keep the norm,
       and a value within M negates within the range.
-    - CIRC1 turns (y, z), of norm at most |p| + 1 once quantized.
-    - LIN1 gives x + a_eff w + e, |e| <= lam max(u, |x|) with lam =
+    - CIRC1 turns (y, z), of norm at most |p| + 1 once quantized, so its
+      values, its z output included, stay within Z = g (|p| + 1) + D.
+    - LIN1 gives x + a + err, |err| <= lam max(u, |x|) with lam =
       (max(1, 2**(F + 1 - n)) + 2 + 2**(F - 52)) / u.  The digits miss the
       staged value by at most max(1, 2**(F + 1 - n)) staged LSBs; staging
       by 2**k < max(1, |x| / u) floors off under one, and the staged
       value's top clip at most 1 + 2**(F - 52), the last term for raws a
       double rounds.
-    - CIRC2 turns (x + a_eff w + e, CIRC1's y), of norm r2 <= |a_eff w| +
-      1/2 + g (|p| + 1) + D + |e|.  The reach check's bound in exact
-      arithmetic is 2|p| + |a_eff w| <= M (1 + 2**-49) - 2u, so with
-      g + lam <= 2, g r2 + D <= g (M (1 + 2**-49) - (2 - lam) u + g + 1/2 +
-      D) + D, and CIRC1's values stay below that.
-    _clip_free(cfg) is g + lam <= 2 and that last bound <= M.  It holds for
-    every n_iter from 2 up with 5 or more fraction bits and at most
-    frac_bits + 2 integer bits (Q3.5, Q8.24 and Q16.40 among them), and in
-    Q4.4.  Elsewhere the stages keep every clip, and so the bits: with
-    n_iter = 1, where the proof's linear term is too coarse, and in formats
-    such as Q8.0 (1/K rounds to 1) or Q8.4 at 3 to 6 iterations (the
-    rounded 1/K adds more gain than the margin), where a clip does fire on
-    lanes the reach check passes.
+    - CIRC2 turns (x + a + err, CIRC1's y), of norm r2 <= |a| + (g + lam)
+      |p| + lam u + g + 1/2 + D.  With s = max(1, (g + lam) / 2), |a| +
+      (g + lam) |p| <= s (|a| + 2|p|) <= s (L e - 2u), and CIRC2's values,
+      within g r2 + D, stay within M, and CIRC1's (within Z, below
+      r2's bound) too, if
+          (CIRC2) L e <= ((M - D) / g - lam u - g - 1/2 - D) / s + 2u.
+    - LIN2 accumulates d + CIRC1's z, and LIN1 a + x.  As 2g|p| + |d| <=
+      g (L e - 2u), LIN2's partial sums, within |d| + 1/2 + max(u, 2Z),
+      stay within M where 2Z decides if
+          (LIN2) L e <= (M - 2g - 2D - 1/2) / g + 2u,
+      and where u decides, LIN1's too (within |a| + 1/2 + max(u, 2|p| +
+      1), whose second term needs less, as u >= 1), if
+          (LIN)  L e <= M + u - 1/2.
+    _reach_limit(cfg) is the largest L, at most M, that meets all three.
+    It is M in every config where the margin of 2 covers the stages' gain
+    and drift, among them every n_iter from 1 up in Q8.24, Q4.12 and
+    Q16.40; coarse formats get less, Q8.0 at 2 iterations about a quarter
+    of its top, since its 1/K rounds to 1.
     """
     fmt = cfg.fmt
-    limit = fmt.max_raw * fmt.eps
+    limit = _reach_limit(cfg)
     # a sum past the double range is inf and inf * 0 is nan, as in float arithmetic; both fail the bound
     with np.errstate(over="ignore", invalid="ignore"):
         reach = _reach(np.sqrt((p * p).sum(axis=0)), consts)
@@ -201,26 +217,33 @@ def _module(link: int, p: np.ndarray, w, bad_w, consts, raws, stages, cfg: Cordi
     if bad_w[first]:
         raise ValueError(f"point w must be 0 or 1, got {w[first]}")
     if bad[first]:
-        raise DomainError(f"link {link} can saturate {fmt} on points {np.vstack([p, w])[:, bad].T.tolist()}")
+        raise DomainError(
+            f"link {link} can saturate {fmt} at n_iter {cfg.n_iter}: reach must be at most {limit}, "
+            f"got {reach[first]} on points {np.vstack([p, w])[:, bad].T.tolist()}"
+        )
+    # no clip in any stage (the trailing False): the reach check rules every one out
     xyz = lanes_from_real(p, fmt)
-    y_a, z_a = circ_rotate_sigmas(xyz[1:], *stages[0], cfg, saturate)
+    y_a, z_a = circ_rotate_sigmas(xyz[1:], *stages[0], cfg, False)
     x_a, z_out = _lin_accumulate(raws, np.array([xyz[0], z_a]), cfg)
-    x_out, y_out = circ_rotate_sigmas(np.array([x_a, y_a]), *stages[1], cfg, saturate)
+    x_out, y_out = circ_rotate_sigmas(np.array([x_a, y_a]), *stages[1], cfg, False)
     return np.array([x_out, y_out, z_out])
 
 
 @lru_cache(maxsize=None)
-def _clip_free(cfg: CordicConfig) -> bool:
-    """Whether _module's proof that its circular stages never saturate
-    holds in cfg; see _module.  Evaluated in doubles, which the proof's
-    slack absorbs."""
+def _reach_limit(cfg: CordicConfig) -> float:
+    """The largest reach, at most the format's top, under which _module's
+    proof that no processor saturates closes in cfg: the CIRC2, LIN2 and
+    LIN conditions there, in the format's units.  Evaluated in doubles,
+    which the proof's slack absorbs."""
     fmt, n = cfg.fmt, cfg.n_iter
-    u, top = math.ldexp(1.0, fmt.frac_bits), float(fmt.max_raw)
+    u, top, e = math.ldexp(1.0, fmt.frac_bits), float(fmt.max_raw), 1.0 + 2.0**-49
     g = max(1.0, gain(n) * fx_from_real(1.0 / gain(n), fmt).raw / u)
     drift = 1.5 * n + 1.0
     lam = (max(1.0, 2.0 ** (fmt.frac_bits + 1 - n)) + 2.0 + 2.0 ** (fmt.frac_bits - 52)) / u
-    stage2 = g * (top * (1.0 + 2.0**-49) - (2.0 - lam) * u + g + 0.5 + drift) + drift
-    return g + lam <= 2.0 and stage2 <= top
+    s = max(1.0, (g + lam) / 2.0)
+    circ2 = ((top - drift) / g - lam * u - g - 0.5 - drift) / s + 2.0 * u
+    lin2 = (top - 2.0 * g - 2.0 * drift - 0.5) / g + 2.0 * u
+    return min(top, circ2 / e, lin2 / e, (top + u - 0.5) / e) * fmt.eps
 
 
 def _by_link(a, b):
@@ -253,11 +276,10 @@ def ccm_points(chains: ChainSet, points, cfg: CordicConfig = DEFAULT_CONFIG) -> 
     swaps, signs = turn_moves(q)
     dtype = lane_dtype(fmt)
     sigmas, signs = sigmas.astype(dtype), signs.astype(dtype)
-    saturate = not _clip_free(cfg)
     xyz = p[:, :3].T
     for link in reversed(range(chains.theta.shape[1])):
         stages = [(swaps[link, s], signs[link, s], sigmas[link, s]) for s in (0, 1)]
-        out = _module(link, xyz, w, bad_w, consts[link], raws[link], stages, cfg, saturate)
+        out = _module(link, xyz, w, bad_w, consts[link], raws[link], stages, cfg)
         xyz = lanes_real(out, fmt)
     return np.column_stack([*xyz, w])
 

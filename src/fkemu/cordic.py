@@ -24,8 +24,10 @@ n_iter steps either way; the emulator skips work whose result it knows:
   arbitrary raws, composes the two with the clip; circ_sigmas (fold and
   sigma pass) and circ_rotate_sigmas (pre-scale, steps, quarter turns)
   let the module cascade run one sigma pass over all its angles.
-  circ_rotate_sigmas clips unless told not to, which the cascade does
-  where ccm._clip_free proves it safe.
+  circ_rotate_sigmas clips unless told not to: circ_rotate_lanes and
+  sincos_cordic take arbitrary raws and keep every clip (cos 0 saturates
+  in a format with one integer bit), and the cascade runs it with none,
+  since ccm._module's reach check rules every one out.
 - linear sigmas are the binary digits of z0, so linear_lanes is a closed
   form, exact where no partial sum saturates; it runs on a stack of rows
   as on one.
@@ -307,8 +309,9 @@ def circ_rotate_sigmas(v, swap, signs, sigmas, cfg: CordicConfig, saturate: bool
     Pre-scales the vector by 1/K, steps it, then applies the quarter turns
     as exact swap and sign moves, saturating after the pre-scale, each
     step and the turns.  saturate=False leaves out every clip, for a
-    caller that has proved no value leaves the format (ccm._module); the
-    bits are then the same.
+    caller that has proved no value leaves the format; the bits are then
+    the same.  The module cascade is that caller: every one of its stages
+    runs with no clip, on lanes that ccm._module's reach check passed.
     """
     ops = _operands(cfg)
     v = (v * ops.inv_gain) >> ops.frac

@@ -12,8 +12,9 @@ into a format by an exact left shift when the format gains fraction bits,
 a truncating right shift when it loses them, then saturation.  The lane
 kernels, fx_from_real and cordic_step narrow through it; only the CORDIC
 kernels inline their clip, for speed: the circular (x, y) steps, whose
-clip is an operand that the cascade leaves out where it cannot fire, the
-circular pre-scale and quarter turns, and the closed-form linear kernel.
+clip is an operand, the circular pre-scale and quarter turns, and the
+closed-form linear kernel.  The module cascade runs the circular ones
+with no clip at all: its reach check proves that none can fire.
 The Taylor cores write their narrowings out as shifts too, with the one
 clip their proof leaves.
 

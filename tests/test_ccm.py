@@ -21,9 +21,9 @@ from fkemu.ccm import (
     point_op_count,
     pose_op_count,
 )
-from fkemu.cordic import CordicConfig, linear_lanes
+from fkemu.cordic import LINEAR, CordicConfig, _angle_fx, circ_rotate_sigmas, linear_lanes
 from fkemu.dh import ChainSet, DhJoint, PRISMATIC, ROTARY, chain_pose
-from fkemu.fixedpoint import DomainError, Q8_24, QFormat, lane_dtype
+from fkemu.fixedpoint import DomainError, Q8_24, QFormat, lane_dtype, rescale
 
 CFG = CordicConfig(24, Q8_24)
 TOL = 32 * 2.0**-24
@@ -213,14 +213,16 @@ def test_largest_accepted_reach_is_not_pinned():
     assert abs(got[2] - want[2]) < 1e-4
 
 
-@pytest.mark.parametrize("fmt", [Q8_24, QFormat(16, 12)], ids=str)
+@pytest.mark.parametrize("fmt", [Q8_24, QFormat(16, 12), QFormat(8, 2)], ids=str)
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_reach_check_is_the_documented_bound(fmt, data):
     # z puts the reach 2|p|_2 + |a_eff w| + |d w| + 2 within a few ulps of
-    # the format's top, where the array check must agree with the bound
-    # evaluated in Python floats
-    limit = fmt.max_raw * fmt.eps
+    # the config's limit (the format's top in Q8.24 and Q4.12, below it in
+    # Q6.2 at 2 iterations), where the array check must agree with the
+    # bound evaluated in Python floats
+    cfg = CordicConfig(fmt.frac_bits, fmt)
+    limit = ccm._reach_limit(cfg)
     angle, small = st.floats(-math.pi, math.pi), st.floats(-limit / 16, limit / 16)
     kind, w = data.draw(st.sampled_from([ROTARY, PRISMATIC])), data.draw(st.sampled_from([0.0, 1.0]))
     j = DhJoint(kind, data.draw(angle), 2 * data.draw(small), 2 * data.draw(small), data.draw(angle))
@@ -240,7 +242,6 @@ def test_reach_check_is_the_documented_bound(fmt, data):
         joints.insert(at, j)
         points.insert(at, (x, y, z, w))
     chains = ChainSet.of([(jk,) for jk in joints])
-    cfg = CordicConfig(fmt.frac_bits, fmt)
     if reach <= limit:
         ccm_points(chains, points, cfg)
     else:
@@ -249,37 +250,71 @@ def test_reach_check_is_the_documented_bound(fmt, data):
 
 
 # n_iter = frac_bits + 2 and lower in the smallest formats the reach check
-# lets points through (3 integer bits), Q8.24, and a 56-bit word on object lanes
+# lets points through (3 integer bits), Q8.24, and a 56-bit word on object
+# lanes: every one keeps the format's top as its reach limit
 CLIP_FREE_FORMATS = [QFormat(8, 5), QFormat(8, 4), Q8_24, QFormat(56, 40)]
+# formats whose limit lies below the top at some n_iter: Q8.0 (1/K rounds
+# to 1), Q6.2, Q7.1 and Q8.4, where the rounded 1/K adds gain the margin
+# of 2 does not cover; in all but Q7.1 a clip does fire within the top
+COARSE_FORMATS = [QFormat(8, 0), QFormat(8, 2), QFormat(8, 1), QFormat(12, 4)]
 
 
 def test_clip_free_stages_cover_the_formats_in_use():
-    for fmt in CLIP_FREE_FORMATS:
-        assert all(ccm._clip_free(CordicConfig(n, fmt)) for n in range(2, fmt.frac_bits + 3))
-    assert ccm._clip_free(CFG)
+    for fmt in [*CLIP_FREE_FORMATS, QFormat(16, 12)]:
+        for n in range(1, fmt.frac_bits + 3):
+            assert ccm._reach_limit(CordicConfig(n, fmt)) == fmt.max_raw * fmt.eps
+    for word in range(8, 17):
+        for frac in range(word):
+            fmt = QFormat(word, frac)
+            for n in range(1, min(frac + 2, word) + 1):
+                assert ccm._reach_limit(CordicConfig(n, fmt)) <= fmt.max_raw * fmt.eps
 
 
-def test_clip_free_gate_keeps_the_clips_where_they_fire():
-    # the reach check passes each link, but CIRC2 grows (a, 0) past the top:
-    # in Q8.0 1/K rounds to 1, and in Q8.4 at 3 iterations the rounded 1/K
-    # leaves more gain than the margin absorbs
+def test_reach_check_refuses_what_a_clip_would_pin():
+    # each lane's reach is within the format's top, but CIRC2 would grow
+    # (a, 0) past it: in Q8.0 1/K rounds to 1, and in Q8.4 at 3 iterations
+    # the rounded 1/K leaves more gain than the margin absorbs.  The reach
+    # limit of those configs lies below the top, and the lane raises
     for cfg, a in [(CordicConfig(2, QFormat(8, 0)), 100.0), (CordicConfig(3, QFormat(12, 4)), 125.9)]:
-        assert not ccm._clip_free(cfg)
+        assert 2.0 + a <= cfg.fmt.max_raw * cfg.fmt.eps
+        assert ccm._reach_limit(cfg) < 2.0 + a
         chains, points = ChainSet.of([(DhJoint(ROTARY, 0.0, 0.0, a, 0.0),)]), [(0, 0, 0, 1.0)]
-        with mock.patch.object(ccm, "_clip_free", return_value=True):
-            unclipped = ccm_points(chains, points, cfg)
-        assert unclipped.tolist() != ccm_points(chains, points, cfg).tolist()
+        with pytest.raises(DomainError, match=f"link 0 can saturate {cfg.fmt} at n_iter {cfg.n_iter}"):
+            ccm_points(chains, points, cfg)
+
+
+def test_linear_partial_sums_stay_within_the_proofs_bound():
+    # _module's proof: an accumulate c + v, staged as _lin_accumulate
+    # stages it, keeps every partial sum of the clipping loop within |c| +
+    # max(u, 2|v|).  With c = 0, on every raw of the 8- and 12-bit formats
+    # that have linear lanes; the partial sums of fewer steps are a prefix
+    for word in (8, 12):
+        for frac in range(word - 1):
+            fmt, u = QFormat(word, frac), 1 << frac
+            cfg = CordicConfig(frac + 2, fmt)
+            v = np.arange(fmt.min_raw, fmt.max_raw + 1)
+            k = np.zeros_like(v)
+            while (big := (abs(v >> k) > 2 * u) & (k < word - frac - 2)).any():
+                k = k + big
+            z, unit, total = v >> k, np.left_shift(u, k), np.zeros_like(v)
+            for i in range(cfg.n_iter):
+                sigma = np.where(z >= 0, 1, -1)
+                total = total + sigma * (unit >> i)
+                z = z - sigma * _angle_fx(LINEAR, i, fmt).raw
+                assert (abs(total) <= np.maximum(u, 2 * abs(v))).all()
+            assert total.tolist() == _lin_accumulate(np.zeros_like(v), v, cfg).tolist()
 
 
 @st.composite
 def reach_edge_lanes(draw):
     # one lane whose reach 2|p|_2 + |a_eff w| + |d w| + 2 lies within a few
-    # ulps of the format's top, the budget split between a, d and |p| as
-    # drawn (as test_reach_check_is_the_documented_bound builds its lane,
-    # but with a and d up to the whole budget), among lanes far inside it
-    fmt = draw(st.sampled_from(CLIP_FREE_FORMATS))
-    cfg = CordicConfig(draw(st.one_of(st.just(fmt.frac_bits + 2), st.integers(2, fmt.frac_bits + 2))), fmt)
-    limit = fmt.max_raw * fmt.eps
+    # ulps of the config's reach limit, the budget split between a, d and
+    # |p| as drawn (as test_reach_check_is_the_documented_bound builds its
+    # lane, but with a and d up to the whole budget), among lanes far
+    # inside it
+    fmt = draw(st.sampled_from(CLIP_FREE_FORMATS + COARSE_FORMATS))
+    cfg = CordicConfig(draw(st.one_of(st.just(fmt.frac_bits + 2), st.integers(1, fmt.frac_bits + 2))), fmt)
+    limit = ccm._reach_limit(cfg)
     budget, unit, sign = limit - 2.0, st.floats(0.0, 1.0), st.sampled_from([-1.0, 1.0])
     kind, w = draw(st.sampled_from([ROTARY, PRISMATIC])), draw(st.sampled_from([0.0, 1.0]))
     a = budget * draw(unit) * draw(sign)
@@ -302,18 +337,73 @@ def reach_edge_lanes(draw):
     return cfg, ChainSet.of([(jk,) for jk in joints]), points
 
 
+def _clipped_stage(v, swap, signs, sigmas, cfg, saturate):
+    """circ_rotate_sigmas with every clip, whatever the cascade asks."""
+    return circ_rotate_sigmas(v, swap, signs, sigmas, cfg)
+
+
+def _clipped_linear_lanes(x, y, z, cfg):
+    """The linear loop with every partial sum and residual clipped, as a
+    fold of cordic_step in LINEAR mode forms them."""
+    fmt = cfg.fmt
+    for i in range(cfg.n_iter):
+        sigma = np.where(z >= 0, 1, -1).astype(y.dtype)
+        y = rescale(y + sigma * (x >> i), fmt.frac_bits, fmt)
+        z = rescale(z - sigma * _angle_fx(LINEAR, i, fmt).raw, fmt.frac_bits, fmt)
+    return y
+
+
 @settings(max_examples=80, deadline=None)
 @given(reach_edge_lanes())
 def test_clip_free_stages_equal_the_clipped_route(case):
-    # the cascade's circular stages run without clips where _clip_free
-    # holds; with every clip kept (circ_rotate_sigmas' default) the bits
-    # must be the same on every lane the reach check passes
+    # the cascade runs no clip; with every clip kept, in the circular
+    # stages and in every linear partial sum, the bits must be the same on
+    # every lane the reach check passes
     cfg, chains, points = case
     free = ccm_points(chains, points, cfg)
-    with mock.patch.object(ccm, "_clip_free", return_value=False):
+    with mock.patch.object(ccm, "circ_rotate_sigmas", _clipped_stage), \
+            mock.patch.object(ccm, "linear_lanes", _clipped_linear_lanes):
         clipped = ccm_points(chains, points, cfg)
     assert free.tobytes() == clipped.tobytes()
 
+
+# the coarse configs whose limit lies below the top, and a few that keep it
+EDGE_CONFIGS = [
+    (1, QFormat(8, 0)), (2, QFormat(8, 0)), (2, QFormat(8, 2)), (3, QFormat(8, 2)), (2, QFormat(8, 1)),
+    (3, QFormat(8, 1)), (1, QFormat(12, 4)), (3, QFormat(12, 4)), (6, QFormat(12, 4)), (1, Q8_24),
+    (24, Q8_24), (1, QFormat(8, 4)), (2, QFormat(8, 4)), (1, QFormat(16, 12)),
+]
+
+
+def _edge_lanes(cfg, n, rng):
+    """n one-link lanes whose reach lies just under cfg's reach limit, the
+    budget split between |a|, |d| and 2|p| at random, and all of it on one
+    of them in a third of the lanes; points and free vectors alike."""
+    budget = (ccm._reach_limit(cfg) - 2.0) * (1.0 - 2.0**-30)
+    share = rng.dirichlet(np.ones(3), n)
+    share[: n // 3] = np.eye(3)[rng.integers(0, 3, n // 3)]
+    w = rng.integers(0, 2, n).astype(np.float64)
+    share[w == 0.0] = [0.0, 0.0, 1.0]  # a free vector's reach is 2|p| alone
+    a, d = (budget * share[:, k] * rng.choice([-1.0, 1.0], n) for k in (0, 1))
+    direction = rng.normal(size=(n, 3))
+    p = direction / np.linalg.norm(direction, axis=1, keepdims=True) * (budget * share[:, 2:] / 2.0)
+    theta, alpha = rng.uniform(-math.pi, math.pi, (2, n, 1))
+    return ChainSet(theta, d[:, None], a[:, None], alpha), np.column_stack([p, w])
+
+
+def test_coarse_configs_equal_the_clipped_route_at_the_limit():
+    # a sweep beside the property below, which draws few coarse lanes: in
+    # each config, lanes at the reach limit give the bits of the route
+    # with every clip kept
+    rng = np.random.default_rng(23)
+    for n_iter, fmt in EDGE_CONFIGS:
+        cfg = CordicConfig(n_iter, fmt)
+        chains, points = _edge_lanes(cfg, 600, rng)
+        free = ccm_points(chains, points, cfg)
+        with mock.patch.object(ccm, "circ_rotate_sigmas", _clipped_stage), \
+                mock.patch.object(ccm, "linear_lanes", _clipped_linear_lanes):
+            clipped = ccm_points(chains, points, cfg)
+        assert free.tobytes() == clipped.tobytes(), cfg
 
 @st.composite
 def linear_stacks(draw):

@@ -258,6 +258,24 @@ def test_cordic_link_beyond_format_exits_3(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_cordic_reach_below_the_top_exits_3(tmp_path, capsys):
+    # at 2 iterations Q8.0's 1/K rounds to 1, so CIRC2 would pin x = 100
+    # at the format's top; the link fails the config's reach limit instead
+    path = write_chain(tmp_path, "joint R 0 0 100 0\n")
+    assert main(["solve", path, "--backend", "cordic", "--format", "Q8.0", "--iters", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("fkemu: domain error: link 0 can saturate Q8.0 at n_iter 2: reach must be at most 31.9")
+
+
+def test_bench_one_iteration_sha256(capsys):
+    # n_iter = 1 in Q8.24: the general proof keeps the format's top as the
+    # reach limit, so every lane runs, and without a clip
+    assert main(["bench", "puma560", "--iters", "1", "--seed", "7"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "926172ed286bbde79138a9f5a3f32a682a19c148b30a571216877f24913948e9"
+    )
+
 def test_cordic_angle_fault_reported_before_reach_fault(tmp_path, capsys):
     # the cascade folds every joint angle before the first module checks its
     # reach, so the last link's reach fault, met first in the cascade, loses
