@@ -5,15 +5,15 @@
 Layers, bottom up: fixed-point primitive (rescale on 64 int64 lanes, the
 narrowing the kernels use, and fold_angle on one lut_sincos block of
 8192 angles), the CORDIC processors the cascade runs (the closed-form
-linear accumulate on one row and on a module's (2, 64) stack, the fold
-and sigma pass over a puma request's angles, and one stacked circular
-stage, with every clip and clip-free as the cascade runs it), sin/cos
-generator per backend (one lane, and batched; the LUT also on perfbench
-lut-scan's 2**20 angles per table mode, Taylor on a chain12-bench
-request's 384 angles), link-matrix assembly and chain product apart
-(chain_links and chain_product on chain12-bench's stack of 48 chains: 16
-variants for each of three providers, 12 links each), chain product
-or module cascade with their link-matrix assembly (one chain, whose
+unit linear accumulate on one row and on a module's (2, 64) stack, the
+fold and sigma pass over a puma request's angles, and one circular stage
+on a mirrored (x, y) stack, with every clip and clip-free as the cascade
+runs it), sin/cos generator per backend (one lane, and batched; the LUT
+also on perfbench lut-scan's 2**20 angles per table mode, Taylor on a
+chain12-bench request's 384 angles), link-matrix assembly and chain
+product apart (chain_links and chain_product on chain12-bench's stack of
+48 chains: 16 variants for each of three providers, 12 links each), chain
+product or module cascade with their link-matrix assembly (one chain, whose
 links chain_pose builds as one (n, 4, 4) array, on puma560 and on
 thumb-vm's five-link thumb chain; one module on 64 lanes; and the stacked
 product of a bench's 16 variants), the seeded variant draw, the VM (its
@@ -54,9 +54,16 @@ import pytest
 
 from fkemu import cli, lut, taylor, umdh
 from fkemu.ccm import _by_link, ccm_points, ccm_poses
-from fkemu.cordic import DEFAULT_CONFIG, circ_rotate_lanes, circ_rotate_sigmas, circ_sigmas, linear_lanes, sincos_cordic
+from fkemu.cordic import (
+    DEFAULT_CONFIG,
+    circ_rotate_lanes,
+    circ_rotate_sigmas,
+    circ_sigmas,
+    linear_unit_lanes,
+    sincos_cordic,
+)
 from fkemu.dh import ChainSet, chain_links, chain_pose, chain_poses, chain_product, exact_sincos
-from fkemu.fixedpoint import Q8_24, fold_angle, fx_from_real, lanes_from_real, rescale, turn_moves
+from fkemu.fixedpoint import Q8_24, fold_angle, fx_from_real, lanes_from_real, mirror, rescale, turn_moves
 
 PUMA = cli.load_chain("puma560").joints
 VARIANTS = cli.bench_variants(PUMA, 16, 5)
@@ -95,17 +102,16 @@ def test_fold_angle_8192_angles(benchmark):
 
 
 def test_linear_lanes_64_lanes(benchmark):
-    # a LIN1 processor's worth: const + value on 64 lanes, value within +-2 (unstaged)
-    one = np.full(64, fx_from_real(1.0, Q8_24).raw)
+    # a LIN1 processor's worth: const + value on 64 lanes, value within +-2
+    # (unstaged, k = 0), in the unit kernel
     const, value = (lanes_from_real(np.linspace(-r, r, 64), Q8_24) for r in (1.0, 2.0))
-    benchmark(linear_lanes, one, const, value, DEFAULT_CONFIG)
+    benchmark(linear_unit_lanes, const, value, np.zeros(64, dtype=np.int64), DEFAULT_CONFIG)
 
 
 def test_linear_lanes_2x64_stack(benchmark):
     # the merged linear pass of one module: LIN1 and LIN2 as one (2, 64) stack
-    one = np.full((2, 64), fx_from_real(1.0, Q8_24).raw)
     const, value = (lanes_from_real(np.linspace(-r, r, 128).reshape(2, 64), Q8_24) for r in (1.0, 2.0))
-    benchmark(linear_lanes, one, const, value, DEFAULT_CONFIG)
+    benchmark(linear_unit_lanes, const, value, np.zeros((2, 64), dtype=np.int64), DEFAULT_CONFIG)
 
 
 def test_circ_sigmas_768_residuals(benchmark):
@@ -116,10 +122,10 @@ def test_circ_sigmas_768_residuals(benchmark):
 
 
 def _stage_operands(dtype):
-    """(1, 0) on 64 lanes and the moves and sigmas of 64 angles, the latter
-    two of dtype: int8 as circ_rotate_lanes passes them, int64 as the cascade
-    casts them once."""
-    v = np.array([np.full(64, fx_from_real(1.0, Q8_24).raw), np.zeros(64, dtype=np.int64)])
+    """(1, 0) on 64 lanes as a mirrored stack and the moves and sigmas of
+    64 angles, the latter two of dtype: int8 as circ_rotate_lanes passes
+    them, int64 as the cascade casts them once."""
+    v = mirror(np.full(64, fx_from_real(1.0, Q8_24).raw), np.zeros(64, dtype=np.int64))
     q, sigmas = circ_sigmas(np.linspace(-math.pi, math.pi, 64), DEFAULT_CONFIG)
     swap, signs = turn_moves(q)
     return v, swap, signs.astype(dtype), sigmas.astype(dtype)

@@ -17,7 +17,7 @@ from .cordic import (
     cordic_lanes,
     cordic_step,
     gain,
-    linear_lanes,
+    linear_unit_lanes,
     sincos_cordic,
 )
 from .dh import (

@@ -14,11 +14,13 @@ pose is four lanes per chain: the three direction columns as free vectors
 and the origin as a point, so ccm_poses on 16 chains runs 64 lanes.
 Every joint angle is known before the cascade starts, so ccm_points folds
 all of them, finds all their sigmas in one pass (cordic.circ_sigmas) and
-gathers all their quarter-turn moves at once; each circular stage then
-only pre-scales, steps and turns its (x, y) stack.  Each module's reach
-check, against the per-config limit _reach_limit (at most the format's
-top), rules out saturation in all four processors: each linear processor
-is cordic.linear_lanes's closed form, and the circular stages run with no
+gathers all their quarter-turn moves at once, mirrored as the kernels
+take them; each circular stage then only pre-scales, steps and turns its
+(x, y) pair as one mirrored stack (fixedpoint.mirror), whose reversal is
+the swap of x and y.  Each module's reach check, against the per-config
+limit _reach_limit (at most the format's top), rules out saturation in
+all four processors: each linear processor is cordic.linear_unit_lanes's
+closed form on the staged unit, and the circular stages run with no
 clip after the 1/K pre-scale, any step or the quarter turns, with the
 bits a clipped route gives.  A lane that a clip could pin raises
 DomainError instead.
@@ -55,10 +57,10 @@ from .cordic import (
     circ_sigmas,
     gain,
     lin1_op_count,
-    linear_lanes,
+    linear_unit_lanes,
 )
 from .dh import ChainSet
-from .fixedpoint import DomainError, fx_from_real, lane_dtype, lanes_from_real, lanes_real, turn_moves
+from .fixedpoint import DomainError, fx_from_real, lane_dtype, lanes_from_real, lanes_real, mirror, turn_moves, unmirror
 
 # the paper's per-stage delay and fixed overhead of the cascade
 STAGE_TIME_US = 40.0
@@ -93,9 +95,10 @@ def _lin_accumulate(const, value, cfg: CordicConfig):
     staged down by an exact power of two 2**k, chosen per lane, while the
     unit multiplicand is staged up by the same factor (y accumulates x0 * z0
     either way).  k stops at word_bits - frac_bits - 2, where every raw of
-    the format is staged within 2.  The n_iter shift-add steps run in
-    cordic.linear_lanes's closed form, which equals the clipping loop bit
-    for bit because _module's reach check proves no partial sum saturates.
+    the format is staged within 2.  The n_iter shift-add steps on the unit
+    2**(frac_bits + k) run in cordic.linear_unit_lanes's closed form, a
+    few ufuncs on the lanes, which equals the clipping loop bit for bit
+    because _module's reach check proves no partial sum saturates.
     """
     fmt = cfg.fmt
     k_max = fmt.word_bits - fmt.frac_bits - 2
@@ -111,9 +114,7 @@ def _lin_accumulate(const, value, cfg: CordicConfig):
         k = k + big
         v = value >> k
         big = too_big(v, k)
-    # the unit staged up is the raw 2**(frac_bits + k), at most 2**(word_bits - 2): exact
-    unit = np.left_shift(1 << fmt.frac_bits, k).astype(lane_dtype(fmt), copy=False)
-    return linear_lanes(unit, const, v, cfg)
+    return linear_unit_lanes(const, v, k, cfg)
 
 
 def _reach(norm, consts):
@@ -135,8 +136,9 @@ def _module(link: int, p: np.ndarray, w, bad_w, consts, raws, stages, cfg: Cordi
     whose w is neither 0 nor 1; consts = (a_eff w, d w), (2, lanes), and
     raws their conversion; stages holds the (swap, signs, sigmas) of
     CIRC1 and CIRC2, circ_sigmas of the link's alpha and theta lanes as
-    turn_moves and sigma stacks of the lane dtype.  Returns the output
-    raws, (3, lanes).  A free vector (w = 0) skips the translation
+    turn_moves and sigma stacks of the lane dtype, mirrored: each circular
+    stage takes its pair as mirror(y, z) or mirror(x, y).  Returns the
+    output raws, (3, lanes).  A free vector (w = 0) skips the translation
     constants, which is how orientation columns ride the same hardware as
     position.
 
@@ -147,19 +149,21 @@ def _module(link: int, p: np.ndarray, w, bad_w, consts, raws, stages, cfg: Cordi
 
     Raises ValueError unless w is 0 or 1, and DomainError unless the reach
     2|p|_2 + |a_eff w| + |d w| + 2 is at most _reach_limit(cfg); of the
-    lanes failing either, the first decides which.  The norm is vectorized;
-    only lanes whose reach falls within NEAR_LIMIT of the limit take it
-    again as math.hypot, so every decision is the bound's own, evaluated in
-    doubles.
+    lanes failing either, the first decides which, and a DomainError names
+    that lane's point and the number of lanes failing.  The norm is
+    vectorized; only lanes whose reach falls within NEAR_LIMIT of the limit
+    take it again as math.hypot, so every decision is the bound's own,
+    evaluated in doubles.
 
     No processor saturates on a lane that passes, so the module runs no
-    clip: each linear processor is linear_lanes's closed form, exact where
-    no partial sum saturates, and the circular stages leave out every
-    clip, with the bits of the clipped route.  In raws, with u = 2**F
-    (1.0), F = frac_bits, n = n_iter, M the format's top, a = a_eff w,
-    d = d w and L the limit, a lane that passes has 2|p| + |a| + |d| <=
-    L e - 2u, where e = 1 + 2**-49 absorbs the rounding of the check's
-    doubles; the raws of x, y, z, a and d lie within 1/2 of them.
+    clip: each linear processor is linear_unit_lanes's closed form on the
+    staged unit, exact where no partial sum saturates, and the circular
+    stages leave out every clip, with the bits of the clipped route.  In
+    raws, with u = 2**F (1.0), F = frac_bits, n = n_iter, M the format's
+    top, a = a_eff w, d = d w and L the limit, a lane that passes has
+    2|p| + |a| + |d| <= L e - 2u, where e = 1 + 2**-49 absorbs the rounding
+    of the check's doubles; the raws of x, y, z, a and d lie within 1/2 of
+    them.
     - A linear accumulate c + v keeps every partial sum within |c| +
       max(u, 2|v|).  The loop runs on v' = v >> k, staged so |v'| <= 2u,
       with the unit 2**(F + k).  Its first partial sum is +-2**k u, and a
@@ -219,13 +223,14 @@ def _module(link: int, p: np.ndarray, w, bad_w, consts, raws, stages, cfg: Cordi
     if bad[first]:
         raise DomainError(
             f"link {link} can saturate {fmt} at n_iter {cfg.n_iter}: reach must be at most {limit}, "
-            f"got {reach[first]} on points {np.vstack([p, w])[:, bad].T.tolist()}"
+            f"got {reach[first]} on point {np.append(p[:, first], w[first]).tolist()}, "
+            f"the first of {bad.sum()} failing lanes"
         )
     # no clip in any stage (the trailing False): the reach check rules every one out
     xyz = lanes_from_real(p, fmt)
-    y_a, z_a = circ_rotate_sigmas(xyz[1:], *stages[0], cfg, False)
+    y_a, z_a = unmirror(circ_rotate_sigmas(mirror(xyz[1], xyz[2]), *stages[0], cfg, False))
     x_a, z_out = _lin_accumulate(raws, np.array([xyz[0], z_a]), cfg)
-    x_out, y_out = circ_rotate_sigmas(np.array([x_a, y_a]), *stages[1], cfg, False)
+    x_out, y_out = unmirror(circ_rotate_sigmas(mirror(x_a, y_a), *stages[1], cfg, False))
     return np.array([x_out, y_out, z_out])
 
 

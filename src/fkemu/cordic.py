@@ -18,9 +18,13 @@ n_iter steps either way; the emulator skips work whose result it knows:
 
 - sigmas depend on z alone, so a circular rotation is a sigma pass over z
   (_sigma_pass, which has no clip: a z update cannot saturate), then the
-  stacked (x, y) steps (_stacked_steps), which take their clip as an
-  operand, saturate, so one loop serves the callers that need the clip
-  and the cascade, which has proved it cannot fire.  cordic_lanes, for
+  (x, y) steps (_stacked_steps), which take their clip as an operand,
+  saturate, so one loop serves the callers that need the clip and the
+  cascade, which has proved it cannot fire.  x and y ride one 1-D
+  mirrored stack, fixedpoint.mirror's [x_0 ... x_{L-1}, y_{L-1} ... y_0],
+  so a step's swap of x and y is the reversed view v[::-1], which numpy
+  runs on its fast path; the sigma stack and the quarter-turn moves
+  (fixedpoint.turn_moves) are mirrored to match.  cordic_lanes, for
   arbitrary raws, composes the two with the clip; circ_sigmas (fold and
   sigma pass) and circ_rotate_sigmas (pre-scale, steps, quarter turns)
   let the module cascade run one sigma pass over all its angles.
@@ -28,17 +32,20 @@ n_iter steps either way; the emulator skips work whose result it knows:
   sincos_cordic take arbitrary raws and keep every clip (cos 0 saturates
   in a format with one integer bit), and the cascade runs it with none,
   since ccm._module's reach check rules every one out.
-- linear sigmas are the binary digits of z0, so linear_lanes is a closed
-  form, exact where no partial sum saturates; it runs on a stack of rows
-  as on one.
+- linear sigmas are the binary digits of z0, and the cascade's
+  multiplicand is always the staged unit 2**(frac_bits + k), so
+  linear_unit_lanes sums the loop in closed form with a few ufuncs per
+  lane, exact where no partial sum saturates; it runs on a stack of rows
+  as on one.  The general-multiplicand form it is summed from is the
+  tests' reference (tests/reference.py).
 
 Every per-config constant (range, shifts, micro-angles, the 1/K pre-scale)
 is in one table of lane-dtype arrays made once per CordicConfig
 (_operands), not Python ints that numpy would convert on every call.
 
-Each lane equals a fold of cordic_step bit for bit (linear_lanes under its
-precondition).  sincos_cordic is the trig provider on top: one lane per
-angle.
+Each lane equals a fold of cordic_step bit for bit (linear_unit_lanes
+under its precondition).  sincos_cordic is the trig provider on top: one
+lane per angle.
 """
 
 from __future__ import annotations
@@ -61,8 +68,10 @@ from .fixedpoint import (
     lane_dtype,
     lanes_from_real,
     lanes_real,
+    mirror,
     rescale,
     turn_moves,
+    unmirror,
 )
 
 CIRCULAR = 1
@@ -147,15 +156,13 @@ class _Operands(NamedTuple):
     lo: np.ndarray  # the format's raw range
     hi: np.ndarray
     sign_shift: np.ndarray  # z >> 63 is -1 or 0: raws have at most 64 bits
+    zero: np.ndarray
     one: np.ndarray
-    two: np.ndarray
     angles: tuple  # circular micro-angle raws, one per step
     shifts: tuple  # the step index i, one per step
-    shift_row: np.ndarray  # 0..n_iter-1, for the linear closed form
-    digit_row: np.ndarray  # frac_bits + 1 - shift_row
-    top: np.ndarray  # 2**(frac_bits + 1), and the clip bounds of z around it
-    top_lo: np.ndarray
+    top_lo: np.ndarray  # the clip bounds of z in the linear closed form, -+2**(frac_bits + 1)
     top_hi: np.ndarray
+    lin_shift: np.ndarray  # frac_bits + 1 - n_iter, the linear closed form's shift less k
     inv_gain: np.ndarray  # 1/K, the circular pre-scale
     frac: np.ndarray  # frac_bits, the shift that narrows the pre-scale product
 
@@ -179,15 +186,13 @@ def _operands(cfg: CordicConfig) -> _Operands:
         lo=const(fmt.min_raw),
         hi=const(fmt.max_raw),
         sign_shift=const(63),
+        zero=const(0),
         one=const(1),
-        two=const(2),
         angles=tuple(const(_angle_fx(CIRCULAR, i, fmt).raw) for i in range(n)),
         shifts=tuple(map(const, range(n))),
-        shift_row=const(list(range(n))),
-        digit_row=const([fmt.frac_bits + 1 - i for i in range(n)]),
-        top=const(top),
         top_lo=const(-top),
         top_hi=const(top - 1),
+        lin_shift=const(fmt.frac_bits + 1 - n),
         inv_gain=const(fx_from_real(1.0 / gain(n), fmt).raw),
         frac=const(fmt.frac_bits),
     )
@@ -195,8 +200,10 @@ def _operands(cfg: CordicConfig) -> _Operands:
 
 def _sigma_pass(z, cfg: CordicConfig):
     """The circular z pass over raw residuals z, shape (..., lanes): returns
-    the signed sigma stack, int8 of shape (..., n_iter, 2, lanes) holding
-    (-sigma_i, +sigma_i) at step i, and the final residuals.
+    the signed sigma stack, int8 of shape (..., n_iter, 2*lanes) holding
+    mirror(-sigma_i, +sigma_i) at step i (-sigma by lane, then +sigma in
+    reversed lane order: the signs of x's and y's updates in a mirrored
+    (x, y) stack), and the final residuals.
 
     sigma_i is sign(z_i) with +1 on ties, driving z to zero.  z never reads
     x or y, so every sigma is known before the first (x, y) step.  No z
@@ -205,19 +212,19 @@ def _sigma_pass(z, cfg: CordicConfig):
     format, so the pass has no clip to run.
     """
     ops = _operands(cfg)
-    sigmas = np.empty(z.shape[:-1] + (cfg.n_iter, 2, z.shape[-1]), dtype=np.int8)
+    sigmas = np.empty(z.shape[:-1] + (cfg.n_iter, z.shape[-1]), dtype=np.int8)
     for i, e in enumerate(ops.angles):
         s = (z >> ops.sign_shift) | ops.one
-        sigmas[..., i, 1, :] = s
+        sigmas[..., i, :] = s
         z = z - s * e
-    sigmas[..., 0, :] = -sigmas[..., 1, :]
-    return sigmas, z
+    return mirror(-sigmas, sigmas), z
 
 
 def _stacked_steps(v, sigmas, cfg: CordicConfig, saturate: bool = True):
-    """The circular (x, y) steps on v = (x, y) stacked, shape (2, lanes),
+    """The circular (x, y) steps on v = mirror(x, y), shape (2*lanes,),
     driven by a signed sigma stack of _sigma_pass: x' = x - s*(y >> i) and
-    y' = y + s*(x >> i), as one shift, multiply and add per step, and a
+    y' = y + s*(x >> i), as one shift of the reversed view v[::-1] (y where
+    v holds x, x where v holds y), one multiply and one add per step, and a
     clip unless saturate is False, which a caller may pass only where it
     has proved that no step leaves the format.  A sigma stack already of
     v's dtype is used as it is, so the cascade casts its stack once, not
@@ -240,52 +247,60 @@ def cordic_lanes(x, y, z, cfg: CordicConfig):
     output is K*(x0*cos z0 - y0*sin z0, y0*cos z0 + x0*sin z0, ~0) for |z0|
     within the sum of all atan(2**-i), about 1.7433.  Each lane equals
     cordic_step folded over shift indices 0..n_iter-1 in CIRCULAR mode, bit
-    for bit: a sigma pass over z, then the stacked (x, y) steps.  No range
-    checks: those belong to the callers that know what the lanes hold.
+    for bit: a sigma pass over z, then the (x, y) steps on the mirrored
+    stack.  No range checks: those belong to the callers that know what the
+    lanes hold.
     """
     sigmas, z = _sigma_pass(z, cfg)
-    x, y = _stacked_steps(np.stack([x, y]), sigmas, cfg)
+    x, y = unmirror(_stacked_steps(mirror(x, y), sigmas, cfg))
     return x, y, z
 
 
-def linear_lanes(x, y, z, cfg: CordicConfig):
-    """The linear rotation-mode loop over lanes of raws in cfg.fmt, in
-    closed form: returns y0 + x0*z0, as the loop leaves it in y.
+def linear_unit_lanes(y, z, k, cfg: CordicConfig):
+    """The linear rotation-mode loop over lanes of raws in cfg.fmt on the
+    unit multiplicand staged up by 2**k, x0 = 2**(F + k) with F = frac_bits,
+    in closed form: returns y0 + x0*z0, as the loop leaves it in y.
 
-    x, y and z are arrays of lane_dtype(cfg.fmt) of one shape (..., lanes):
-    the steps run along a new last axis, so a stack of rows is as many
-    independent accumulates, each with the bits of a call on its row alone.
+    y and z are arrays of lane_dtype(cfg.fmt) and k an int64 array, k >= 0
+    and F + k <= word_bits - 2 (x0 a raw of the format), all of one shape;
+    every operation is per element, so a stack of rows is as many
+    independent accumulates.
 
     The loop's sigmas are the non-restoring digits of z0 over the
-    power-of-two micro-angles e_i = 2**(F - i), F = frac_bits.  Their sum E
-    and the last nonzero one e_l make E + e_l = 2**(F+1), so with T =
-    clip(z0 + 2**(F+1), 0, 2**(F+2) - 1), sigma_i = 2*bit_{F+1-i}(T) - 1.
-    That is T = clip(z0 + E + e_l, 0, 2E + e_l - 1) with the top widened by
-    e_l, so that the step whose micro-angle rounds to 0 (i = F + 1) reads
-    bit 0, which is the sign of its residual.  Then y = clip(y0 + sum
-    sigma_i*(x0 >> i)): one (..., lanes, n_iter) shift, multiply and sum.
+    power-of-two micro-angles e_i = 2**(F - i).  Their sum E and the last
+    nonzero one e_l make E + e_l = 2**(F+1), so with T = clip(z0 +
+    2**(F+1), 0, 2**(F+2) - 1), sigma_i = 2*bit_{F+1-i}(T) - 1.  That is
+    T = clip(z0 + E + e_l, 0, 2E + e_l - 1) with the top widened by e_l, so
+    that the step whose micro-angle rounds to 0 (i = F + 1) reads bit 0,
+    which is the sign of its residual.  Step i adds sigma_i*(x0 >> i) =
+    sigma_i*2**(F + k - i), nonzero up to i = F + k, so the sum over the
+    steps i = 0..m, m = min(n_iter - 1, F + k), telescopes: with z_c =
+    clip(z0, -2**(F+1), 2**(F+1) - 1) and lo = F + 1 - m = max(F + 2 -
+    n_iter, 1 - k), it is ((z_c >> lo) << (lo + k)) + 2**(lo + k - 1),
+    which is (((z_c << k) >> e) | 1) << e for e = lo + k - 1 >= 0.  lo
+    depends on k only at n_iter = F + 2.  Then y = clip(y0 + sum).
 
     Each lane equals cordic_step folded over shift indices 0..n_iter-1 in
-    LINEAR mode, bit for bit, provided no partial sum y0 + sum_{j<=i}
-    sigma_j*(x0 >> j) saturates: the loop clips every partial sum, this
-    form only the last (z never saturates in the loop).  ccm._module's
-    reach check proves that precondition.  The digits also need 1.0 to be
-    a power-of-two raw, frac_bits <= word_bits - 2, which that check
-    implies; a format without it raises ValueError.
+    LINEAR mode from (x0, y0, z0), bit for bit, provided no partial sum
+    y0 + sum_{j<=i} sigma_j*(x0 >> j) saturates: the loop clips every
+    partial sum, this form only the last (z never saturates in the loop).
+    ccm._module's reach check proves that precondition.  The digits also
+    need 1.0 to be a power-of-two raw, frac_bits <= word_bits - 2, which
+    that check implies; a format without it raises ValueError.
     """
     if cfg.fmt.frac_bits > cfg.fmt.word_bits - 2:
         raise ValueError(f"linear lanes need 1.0 as a power-of-two raw, which {cfg.fmt} lacks")
     ops = _operands(cfg)
-    t = clip(z, ops.top_lo, ops.top_hi) + ops.top
-    sigma = ((t[..., None] >> ops.digit_row) & ops.one) * ops.two - ops.one
-    steps = sigma * (x[..., None] >> ops.shift_row)
-    return clip(y + steps.sum(axis=-1), ops.lo, ops.hi)
+    e = np.maximum(k + ops.lin_shift, ops.zero)
+    s = (((clip(z, ops.top_lo, ops.top_hi) << k) >> e) | ops.one) << e
+    return clip(y + s, ops.lo, ops.hi)
 
 
 def circ_sigmas(angle: np.ndarray, cfg: CordicConfig):
     """The front of circ_rotate_lanes for float64 angles within +-MAX_ANGLE,
     of any shape (..., lanes): the quarter turns q, shape (..., lanes), and
-    the signed sigma stack of the folded residuals, (..., n_iter, 2, lanes).
+    the signed sigma stack of the folded residuals, (..., n_iter, 2*lanes),
+    mirrored as _sigma_pass gives it.
 
     |angle| folds to a residual in [-pi/4, pi/4] plus a whole number of
     quarter turns, and one z pass over every residual gives every sigma.
@@ -301,10 +316,11 @@ def circ_sigmas(angle: np.ndarray, cfg: CordicConfig):
 
 
 def circ_rotate_sigmas(v, swap, signs, sigmas, cfg: CordicConfig, saturate: bool = True):
-    """The back of circ_rotate_lanes: raws v = (x, y) stacked in cfg.fmt,
-    shape (2, lanes), rotated by the angles circ_sigmas folded into quarter
-    turns and sigmas (one (n_iter, 2, lanes) stack); returns the rotated
-    stack.  swap and signs are turn_moves of the quarter turns.
+    """The back of circ_rotate_lanes: raws v = mirror(x, y) in cfg.fmt,
+    shape (2*lanes,), rotated by the angles circ_sigmas folded into quarter
+    turns and sigmas (one (n_iter, 2*lanes) stack); returns the rotated
+    mirrored stack.  swap and signs are turn_moves of the quarter turns,
+    so a quarter turn's swap of x and y is a select from v[::-1].
 
     Pre-scales the vector by 1/K, steps it, then applies the quarter turns
     as exact swap and sign moves, saturating after the pre-scale, each
@@ -325,11 +341,11 @@ def circ_rotate_sigmas(v, swap, signs, sigmas, cfg: CordicConfig, saturate: bool
 def circ_rotate_lanes(x, y, angle: np.ndarray, cfg: CordicConfig):
     """Gain-compensated plane rotation of every lane: raws x, y in cfg.fmt
     and a float64 angle within +-MAX_ANGLE per lane; returns the rotated
-    raws, x and y stacked.
+    raws (x, y).
 
     circ_sigmas (fold and sigma pass), then circ_rotate_sigmas (pre-scale
-    by 1/K, stacked steps, quarter turns) with every clip.  This is the
-    circular building block behind sin/cos generation and every
+    by 1/K, steps, quarter turns) on mirror(x, y) with every clip.  This is
+    the circular building block behind sin/cos generation and every
     link-rotation stage; the cascade calls its two halves itself, so one
     sigma pass serves all links.
 
@@ -339,7 +355,7 @@ def circ_rotate_lanes(x, y, angle: np.ndarray, cfg: CordicConfig):
     MAX_ANGLE or is not finite.
     """
     q, sigmas = circ_sigmas(angle, cfg)
-    return circ_rotate_sigmas(np.array([x, y]), *turn_moves(q), sigmas, cfg)
+    return unmirror(circ_rotate_sigmas(mirror(x, y), *turn_moves(q), sigmas, cfg))
 
 
 def sincos_cordic(theta, cfg: CordicConfig = DEFAULT_CONFIG):

@@ -13,8 +13,8 @@ a truncating right shift when it loses them, then saturation.  The lane
 kernels, fx_from_real and cordic_step narrow through it; only the CORDIC
 kernels inline their clip, for speed: the circular (x, y) steps, whose
 clip is an operand, the circular pre-scale and quarter turns, and the
-closed-form linear kernel.  The module cascade runs the circular ones
-with no clip at all: its reach check proves that none can fire.
+closed-form unit linear kernel.  The module cascade runs the circular
+ones with no clip at all: its reach check proves that none can fire.
 The Taylor cores write their narrowings out as shifts too, with the one
 clip their proof leaves.
 
@@ -24,8 +24,10 @@ QFormat.
 
 Every sin/cos backend reduces its angle through the one fold_angle here and
 unfolds its quadrant through quarter_turns, by exact swaps and signs, or
-through turn_moves, the same moves gathered once for a stacked (x, y).  The
-fold takes whole turns off by Cody and Waite's split constants: TWO_PI is
+through turn_moves, the same moves gathered once for an (x, y) held as one
+mirrored lane stack (mirror: x by lane, then y in reversed lane order, so
+that swapping x and y is reversing the stack).  The fold takes whole
+turns off by Cody and Waite's split constants: TWO_PI is
 _TWO_PI_HI, 32 significant bits, plus the exact rest _TWO_PI_LO, so k turns
 come off with two exact products and two exact subtractions, and one
 correction (+ TWO_PI where k was one too many) gives mag % TWO_PI bit for
@@ -116,12 +118,31 @@ def quarter_turns(q, x, y):
     return np.where(odd, y, x) * _X_SIGN[q], np.where(odd, x, y) * _Y_SIGN[q]
 
 
+def mirror(x, y):
+    """x and y, each of shape (..., lanes), as one mirrored lane stack of
+    shape (..., 2*lanes): [x_0 ... x_{L-1}, y_{L-1} ... y_0].  Its reversal
+    v[..., ::-1] holds y where v holds x and x where v holds y, lane for
+    lane, so a swap of x and y is one reversed view: on a 1-D stack numpy
+    runs it on its fast path, where a (2, lanes) stack's v[::-1] takes the
+    general iterator at about twice the cost per call on 64 lanes."""
+    return np.concatenate([x, y[..., ::-1]], axis=-1)
+
+
+def unmirror(v):
+    """The x and y of a mirrored lane stack v, each of shape (..., lanes),
+    in lane order."""
+    lanes = v.shape[-1] // 2
+    return v[..., :lanes], v[..., lanes:][..., ::-1]
+
+
 def turn_moves(q):
-    """quarter_turns' moves for an int array q, gathered once for (x, y)
-    stacked as v = [x, y]: the swap mask, q's shape, and the signs, int8 of
-    shape q.shape[:-1] + (2,) + q.shape[-1:].  For a q of shape (lanes,),
-    np.where(swap, v[::-1], v) * signs is quarter_turns(q, x, y), stacked."""
-    return _ODD[q], np.stack([_X_SIGN[q], _Y_SIGN[q]], axis=-2)
+    """quarter_turns' moves for an int array q of shape (..., lanes),
+    gathered once for (x, y) as a mirrored stack v = mirror(x, y): the swap
+    mask (bool) and the signs (int8), both mirrored, of shape (..., 2*lanes).
+    np.where(swap, v[::-1], v) * signs is mirror(*quarter_turns(q, x, y))
+    for a q of shape (lanes,)."""
+    odd = _ODD[q]
+    return mirror(odd, odd), mirror(_X_SIGN[q], _Y_SIGN[q])
 
 
 @dataclass(frozen=True, slots=True)

@@ -3,15 +3,16 @@
 The package computes on lanes and narrows through fixedpoint.rescale; these
 are the same rules one Fx at a time, plus the double-precision truncated
 series the Taylor engine evaluates in fixed point and its quantized
-coefficients, the Taylor lanes with every narrowing clipped, and the thumb
-VM's dispatch one FkInstr at a time.
+coefficients, the Taylor lanes with every narrowing clipped, the linear
+CORDIC loop's closed form for any multiplicand, and the thumb VM's
+dispatch one FkInstr at a time.
 """
 
 import math
 
 import numpy as np
 
-from fkemu.fixedpoint import Fx, QFormat, fx_from_real, rescale
+from fkemu.fixedpoint import Fx, QFormat, clip, fx_from_real, lane_dtype, rescale
 from fkemu.umdh import _BINARY, LOADK, SINCOS, CapacityError, FkProgram, UmdhParams, VmConfig
 
 
@@ -93,6 +94,41 @@ def cores_reference(t: np.ndarray, cfg) -> np.ndarray:
     head = np.stack([rescale(t, frac, acc_fmt), np.full(t.shape, one, dtype=t.dtype)])  # t and 1
     prod = rescale(np.stack([z, u]) * rescale(acc, acc_frac, fmt), 2 * frac, acc_fmt)
     return rescale(rescale(head - prod, acc_frac, acc_fmt), acc_frac, fmt)  # t - z*R(u), 1 - u*S(u)
+
+
+def linear_lanes(x, y, z, cfg):
+    """The linear rotation-mode loop over lanes of raws in cfg.fmt, in
+    closed form for any multiplicand x: returns y0 + x0*z0, as the loop
+    leaves it in y.  cordic.linear_unit_lanes is this form summed by hand
+    for the unit multiplicand x0 = 2**(frac_bits + k).
+
+    x, y and z are arrays of lane_dtype(cfg.fmt) of one shape (..., lanes):
+    the steps run along a new last axis, so a stack of rows is as many
+    independent accumulates, each with the bits of a call on its row alone.
+
+    The loop's sigmas are the non-restoring digits of z0 over the
+    power-of-two micro-angles e_i = 2**(F - i), F = frac_bits.  Their sum E
+    and the last nonzero one e_l make E + e_l = 2**(F+1), so with T =
+    clip(z0 + 2**(F+1), 0, 2**(F+2) - 1), sigma_i = 2*bit_{F+1-i}(T) - 1.
+    That is T = clip(z0 + E + e_l, 0, 2E + e_l - 1) with the top widened by
+    e_l, so that the step whose micro-angle rounds to 0 (i = F + 1) reads
+    bit 0, which is the sign of its residual.  Then y = clip(y0 + sum
+    sigma_i*(x0 >> i)): one (..., lanes, n_iter) shift, multiply and sum.
+
+    Each lane equals cordic_step folded over shift indices 0..n_iter-1 in
+    LINEAR mode, bit for bit, provided no partial sum y0 + sum_{j<=i}
+    sigma_j*(x0 >> j) saturates: the loop clips every partial sum, this
+    form only the last (z never saturates in the loop).  The digits also
+    need 1.0 to be a power-of-two raw, frac_bits <= word_bits - 2; a format
+    without it raises ValueError.
+    """
+    fmt = cfg.fmt
+    if fmt.frac_bits > fmt.word_bits - 2:
+        raise ValueError(f"linear lanes need 1.0 as a power-of-two raw, which {fmt} lacks")
+    top, shifts = 1 << (fmt.frac_bits + 1), np.arange(cfg.n_iter).astype(lane_dtype(fmt))
+    t = clip(z, -top, top - 1) + top
+    sigma = ((t[..., None] >> (fmt.frac_bits + 1 - shifts)) & 1) * 2 - 1
+    return rescale(y + (sigma * (x[..., None] >> shifts)).sum(axis=-1), fmt.frac_bits, fmt)
 
 
 def vm_run_reference(

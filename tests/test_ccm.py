@@ -21,9 +21,10 @@ from fkemu.ccm import (
     point_op_count,
     pose_op_count,
 )
-from fkemu.cordic import LINEAR, CordicConfig, _angle_fx, circ_rotate_sigmas, linear_lanes
+from fkemu.cordic import LINEAR, CordicConfig, _angle_fx, circ_rotate_sigmas
 from fkemu.dh import ChainSet, DhJoint, PRISMATIC, ROTARY, chain_pose
 from fkemu.fixedpoint import DomainError, Q8_24, QFormat, lane_dtype, rescale
+from reference import linear_lanes
 
 CFG = CordicConfig(24, Q8_24)
 TOL = 32 * 2.0**-24
@@ -353,6 +354,13 @@ def _clipped_linear_lanes(x, y, z, cfg):
     return y
 
 
+def _clipped_unit_lanes(y, z, k, cfg):
+    """linear_unit_lanes as the clipped loop: the unit 2**(frac_bits + k)
+    built as lanes and accumulated with every partial sum clipped."""
+    unit = np.array([1 << (cfg.fmt.frac_bits + kk) for kk in k.ravel().tolist()], dtype=y.dtype)
+    return _clipped_linear_lanes(unit.reshape(k.shape), y, z, cfg)
+
+
 @settings(max_examples=80, deadline=None)
 @given(reach_edge_lanes())
 def test_clip_free_stages_equal_the_clipped_route(case):
@@ -361,9 +369,10 @@ def test_clip_free_stages_equal_the_clipped_route(case):
     # every lane the reach check passes
     cfg, chains, points = case
     free = ccm_points(chains, points, cfg)
-    with mock.patch.object(ccm, "circ_rotate_sigmas", _clipped_stage), \
-            mock.patch.object(ccm, "linear_lanes", _clipped_linear_lanes):
+    with mock.patch.object(ccm, "circ_rotate_sigmas", side_effect=_clipped_stage) as stage, \
+            mock.patch.object(ccm, "linear_unit_lanes", side_effect=_clipped_unit_lanes) as linear:
         clipped = ccm_points(chains, points, cfg)
+    assert stage.called and linear.called  # neither patch may go inert
     assert free.tobytes() == clipped.tobytes()
 
 
@@ -400,9 +409,10 @@ def test_coarse_configs_equal_the_clipped_route_at_the_limit():
         cfg = CordicConfig(n_iter, fmt)
         chains, points = _edge_lanes(cfg, 600, rng)
         free = ccm_points(chains, points, cfg)
-        with mock.patch.object(ccm, "circ_rotate_sigmas", _clipped_stage), \
-                mock.patch.object(ccm, "linear_lanes", _clipped_linear_lanes):
+        with mock.patch.object(ccm, "circ_rotate_sigmas", side_effect=_clipped_stage) as stage, \
+                mock.patch.object(ccm, "linear_unit_lanes", side_effect=_clipped_unit_lanes) as linear:
             clipped = ccm_points(chains, points, cfg)
+        assert stage.called and linear.called  # neither patch may go inert
         assert free.tobytes() == clipped.tobytes(), cfg
 
 @st.composite

@@ -249,6 +249,18 @@ def test_failed_bench_prints_nothing(tmp_path, capsys, text, backends):
     assert err.startswith("fkemu: domain error:") and err.count("\n") == 1
 
 
+def test_reach_fault_names_one_point_however_many_lanes_fail(tmp_path, capsys):
+    # the link fails on every trial's origin lane: the error names the first
+    # one's point and counts the rest, in one short line
+    path = write_chain(tmp_path, "joint R 0.3 200.0 0.0 0.2\n")
+    assert main(["bench", path, "--backends", "cordic", "--trials", "1000"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("fkemu: domain error: link 0 can saturate Q8.24 at n_iter 24: reach must be at most")
+    assert err.endswith("on point [0.0, 0.0, 0.0, 1.0], the first of 1000 failing lanes\n")
+    assert len(err.encode()) < 300
+
+
 def test_cordic_link_beyond_format_exits_3(tmp_path, capsys):
     path = write_chain(tmp_path, "joint R 0.3 200.0 0.0 0.2\n")
     assert main(["solve", path, "--backend", "cordic"]) == 3

@@ -17,7 +17,7 @@ from fkemu.cordic import (
     cordic_lanes,
     cordic_step,
     gain,
-    linear_lanes,
+    linear_unit_lanes,
     sincos_cordic,
     sincos_tolerance,
 )
@@ -32,7 +32,9 @@ from fkemu.fixedpoint import (
     lane_dtype,
     lanes_from_real,
     lanes_real,
+    unmirror,
 )
+from reference import linear_lanes
 
 CFG = CordicConfig(24, Q8_24)
 
@@ -266,13 +268,16 @@ def test_sigma_pass_without_clip_equals_scalar_reference(batch):
     # the z pass runs no clip: from any raw, each lane's sigmas and final
     # residual must be those of cordic_step, which saturates every update
     cfg, zs = batch
+    # sigmas are mirrored: -sigma at lane k, +sigma at 2*lanes - 1 - k
     sigmas, z = _sigma_pass(np.array(zs, dtype=lane_dtype(cfg.fmt)), cfg)
+    assert sigmas.shape == (cfg.n_iter, 2 * len(zs))
+    minus, plus = unmirror(sigmas)
     zero = Fx(0, cfg.fmt)
     for k, z0 in enumerate(zs):
         s = CordicState(zero, zero, Fx(z0, cfg.fmt), 0)
         for i in range(cfg.n_iter):
             sigma = 1 if s.z.raw >= 0 else -1
-            assert sigmas[i, :, k].tolist() == [-sigma, sigma]
+            assert [minus[i, k], plus[i, k]] == [-sigma, sigma]
             s = cordic_step(s, CIRCULAR, sigma)
         assert int(z[k]) == s.z.raw
 
@@ -306,10 +311,53 @@ def test_linear_lanes_equal_scalar_reference(batch):
         assert int(out[k]) == scalar_reference(*lane, LINEAR, cfg)[1]
 
 
+@st.composite
+def unit_batches(draw):
+    # linear_unit_lanes' operands: k from 0 to word_bits - frac_bits - 2
+    # per lane, n_iter up to frac_bits + 2, where lo depends on k, and z at
+    # +-2**(F+1) and its neighbours; Q2.62's T lies beyond int64
+    fmt = draw(st.sampled_from(LANE_FORMATS + [QFormat(16, 14), QFormat(64, 62)]))
+    cfg = CordicConfig(draw(st.one_of(st.just(fmt.frac_bits + 2), st.integers(1, fmt.frac_bits + 2))), fmt)
+    top = 1 << (fmt.frac_bits + 1)
+    edges = [s * top + d for s in (-1, 1) for d in (-1, 0, 1)] + [fmt.min_raw, fmt.max_raw, 0, -1, 1]
+    z = st.one_of(st.sampled_from([v for v in edges if fmt.min_raw <= v <= fmt.max_raw]),
+                  st.integers(max(-top, fmt.min_raw), min(top, fmt.max_raw)), st.integers(fmt.min_raw, fmt.max_raw))
+    lanes = []
+    for _ in range(draw(st.integers(1, 6))):
+        k = draw(st.integers(0, fmt.word_bits - fmt.frac_bits - 2))
+        # |y0| <= room keeps every partial sum of the loop in the format
+        room = fmt.max_raw - sum((1 << (fmt.frac_bits + k)) >> i for i in range(cfg.n_iter))
+        y = st.one_of(st.sampled_from([0, -room, room, fmt.min_raw, fmt.max_raw]),
+                      st.integers(-room, room), st.integers(fmt.min_raw, fmt.max_raw))
+        lanes.append((draw(y), draw(z), k))
+    return cfg, lanes
+
+
+@settings(deadline=None)
+@given(unit_batches())
+def test_linear_unit_lanes_equal_tensor_form_and_scalar_reference(batch):
+    # the closed form summed by hand: the tensor form's integer on every
+    # input, and the loop's wherever no partial sum saturates
+    cfg, lanes = batch
+    fmt, dtype = cfg.fmt, lane_dtype(cfg.fmt)
+    y, z = (np.array(v, dtype=dtype) for v in list(zip(*lanes))[:2])
+    k = np.array([lane[2] for lane in lanes], dtype=np.int64)
+    x = np.array([1 << (fmt.frac_bits + kk) for kk in k.tolist()], dtype=dtype)
+    out = linear_unit_lanes(y, z, k, cfg)
+    assert out.dtype == dtype
+    assert out.tolist() == linear_lanes(x, y, z, cfg).tolist()
+    for j, (y0, z0, _) in enumerate(lanes):
+        x0 = int(x[j])
+        if abs(y0) <= fmt.max_raw - sum(x0 >> i for i in range(cfg.n_iter)):
+            assert int(out[j]) == scalar_reference(x0, y0, z0, LINEAR, cfg)[1]
+
+
 def test_linear_lanes_reject_formats_without_power_of_two_one():
-    one = np.array([1])
+    one, cfg = np.array([1]), CordicConfig(15, QFormat(16, 15))
     with pytest.raises(ValueError, match="power-of-two"):  # Q1.15: 1.0 saturates
-        linear_lanes(one, one, one, CordicConfig(15, QFormat(16, 15)))
+        linear_lanes(one, one, one, cfg)
+    with pytest.raises(ValueError, match="power-of-two"):
+        linear_unit_lanes(one, one, np.zeros(1, dtype=np.int64), cfg)
 
 
 def test_lane_dtype_follows_word_width():

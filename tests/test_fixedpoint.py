@@ -25,9 +25,11 @@ from fkemu.fixedpoint import (
     lane_dtype,
     lanes_from_real,
     lanes_real,
+    mirror,
     quarter_turns,
     rescale,
     turn_moves,
+    unmirror,
 )
 from fkemu.taylor import taylor_sincos
 from reference import fx_add, fx_cast, fx_mul, fx_shr, fx_sub
@@ -316,13 +318,16 @@ def test_quarter_turns_of_the_x_axis():
 @given(st.lists(st.tuples(st.integers(0, 3), st.integers(-(1 << 40), 1 << 40), st.integers(-(1 << 40), 1 << 40)),
                 min_size=1, max_size=8), st.sampled_from([np.int64, object]))
 def test_turn_moves_on_a_stack_are_quarter_turns(lanes, dtype):
-    # the cascade gathers the moves once and applies them to (x, y) stacked
+    # the cascade gathers the moves once and applies them to (x, y) as one
+    # mirrored stack, whose reversal swaps x and y
     q, x, y = (np.array(v, dtype=t) for v, t in zip(zip(*lanes), (np.int64, dtype, dtype)))
     swap, signs = turn_moves(q)
-    v = np.array([x, y])
+    v = mirror(x, y)
+    assert v.shape == swap.shape == signs.shape == (2 * len(lanes),)
+    assert [r.tolist() for r in unmirror(v)] == [x.tolist(), y.tolist()]
     moved = np.where(swap, v[::-1], v) * signs
     assert moved.dtype == v.dtype
-    assert moved.tolist() == [r.tolist() for r in quarter_turns(q, x, y)]
+    assert [r.tolist() for r in unmirror(moved)] == [r.tolist() for r in quarter_turns(q, x, y)]
 
 
 @given(st.floats(0.0, MAX_ANGLE))
