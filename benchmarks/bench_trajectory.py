@@ -21,7 +21,12 @@ is calibrate's constant, so it sets only the scale.
 A tag ending in "!" marks a session whose kernel moved by over MOVED
 between its before and after timings (benchmarks/conftest.py warns of it
 at the session's end): the speed changed while it ran, so drop it rather
-than compare its rows.  A row name ending in "~" is bound by numpy's
+than compare its rows.  A cell ending in "?" moved the other way from its
+raw minimum since the column before it (one rose while the other fell):
+the speed reference beside the row moved more than the row did, so the
+pair of files says nothing of the row's direction, as with
+test_bench_chain12_cli from BENCH_21 to BENCH_22 (raw 954 -> 736 us,
+scaled 992 -> 1049).  A row name ending in "~" is bound by numpy's
 per-call cost: scaling does not make it comparable across files (the
 untouched vm_run moved 13% from BENCH_16 to BENCH_17), so a claim about
 it needs parent and change timed interleaved on one machine.
@@ -67,7 +72,8 @@ def _kind(name):
 
 
 def read(path):
-    """(tag, {row name: scaled minimum in us}) of one BENCH file."""
+    """(tag, {row name: scaled minimum in us}, {row name: raw minimum in us})
+    of one BENCH file."""
     data = json.loads(path.read_text(encoding="utf-8"))
     ref = data["machine_info"].get("speed_reference")
     rows = data["benchmarks"]
@@ -75,19 +81,30 @@ def read(path):
     tag = "raw" if ref is None else "row" if per_row else "sess"
     if ref is not None and any(abs(k["after_ns"] / k["before_ns"] - 1) > MOVED for k in ref.values()):
         tag += "!"
-    times = {}
+    times, raws = {}, {}
     for row in rows:
         t, kind = row["stats"]["min"], _kind(row["name"])
+        raws[row["name"]] = t * 1e6
         if ref is not None:
             speed = ref[kind]
             ran_at = row["extra_info"]["core_ns"] if per_row and kind == "core" else (speed["before_ns"] + speed["after_ns"]) / 2
             t *= speed["ref_ns"] / ran_at
         times[row["name"]] = t * 1e6
-    return tag, times
+    return tag, times, raws
 
 
-def _cell(t):
-    return "-" if t is None else f"{t:.3g}" if t < 1000 else f"{t:.0f}"
+def _cell(name, now, before):
+    """Row name's figure in now, the (scaled, raw) minima of one file, with
+    "?" where it moved the other way from its raw minimum since before, the
+    minima of the column before it."""
+    (times, raws), (was, was_raw) = now, before
+    if name not in times:
+        return "-"
+    t = times[name]
+    cell = f"{t:.3g}" if t < 1000 else f"{t:.0f}"
+    if name in was and (t - was[name]) * (raws[name] - was_raw[name]) < 0:
+        cell += "?"
+    return cell
 
 
 def main(argv):
@@ -96,14 +113,16 @@ def main(argv):
         raise SystemExit("no BENCH_*.json given or found")
     files = [(path, *read(path)) for path in paths]
     names = list(files[-1][2])  # the newest file's rows first, in its order
-    names += sorted({n for _, _, times in files for n in times} - set(names))
+    names += sorted({n for _, _, times, _ in files for n in times} - set(names))
     labels = [n + ("~" if n.split("[")[0] in DISPATCH_BOUND or n in DISPATCH_BOUND else "") for n in names]
     width = max(map(len, labels))
-    heads = [f"{_number(path)}:{tag}" for path, tag, _ in files]
+    heads = [f"{_number(path)}:{tag}" for path, tag, _, _ in files]
     cols = [max(8, len(h)) for h in heads]
+    minima = [(times, raws) for _, _, times, raws in files]
     print("us".ljust(width), *(h.rjust(c) for h, c in zip(heads, cols)))
     for name, label in zip(names, labels):
-        print(label.ljust(width), *(_cell(times.get(name)).rjust(c) for (_, _, times), c in zip(files, cols)))
+        cells = (_cell(name, now, before) for now, before in zip(minima, [({}, {}), *minima]))
+        print(label.ljust(width), *(cell.rjust(c) for cell, c in zip(cells, cols)))
 
 
 if __name__ == "__main__":

@@ -3,23 +3,23 @@
     PYTHONPATH=src python -m pytest benchmarks --benchmark-json=BENCH_<n>.json
 
 Layers, bottom up: fixed-point primitive (rescale on 64 int64 lanes, the
-narrowing the kernels use, and fold_angle on one lut_sincos block of
-8192 angles), the CORDIC processors the cascade runs (the closed-form
-unit linear accumulate on one row and on a module's (2, 64) stack, the
-fold and sigma pass over a puma request's angles, and one circular stage
-on a mirrored (x, y) stack, with every clip and clip-free as the cascade
-runs it), sin/cos generator per backend (one lane, and batched; the LUT
-also on perfbench lut-scan's 2**20 angles per table mode, Taylor on a
-chain12-bench request's 384 angles), link-matrix assembly and chain
-product apart (chain_links and chain_product on chain12-bench's stack of
-48 chains: 16 variants for each of three providers, 12 links each), chain
-product or module cascade with their link-matrix assembly (one chain, whose
-links chain_pose builds as one (n, 4, 4) array, on puma560 and on
-thumb-vm's five-link thumb chain; one module on 64 lanes; and the stacked
-product of a bench's 16 variants), the seeded variant draw, the VM (its
-program decoded once when built) and the naive thumb pose, one whole
-perfbench thumb-vm request, and one in-process ``fkemu bench`` on
-puma560 and on a 12-link chain.
+narrowing the kernels use, and fold_angle and quarter_turns on one
+lut_sincos block of 8192 angles), the CORDIC processors the cascade runs
+(the closed-form unit linear accumulate on one row and on a module's
+(2, 64) stack, the fold and sigma pass over a puma request's angles, and
+one circular stage on a mirrored (x, y) stack, with every clip and
+clip-free as the cascade runs it), sin/cos generator per backend (one
+lane, and batched; the LUT also on perfbench lut-scan's 2**20 angles per
+table mode, Taylor on a chain12-bench request's 384 angles), link-matrix
+assembly and chain product apart (chain_links and chain_product on
+chain12-bench's stack of 48 chains: 16 variants for each of three
+providers, 12 links each), chain product or module cascade with their
+link-matrix assembly (one chain, whose links chain_pose builds as one
+(n, 4, 4) array, on puma560 and on thumb-vm's five-link thumb chain; one
+module on 64 lanes; and the stacked product of a bench's 16 variants),
+the seeded variant draw, the VM (its program decoded once when built)
+and the naive thumb pose, one whole perfbench thumb-vm request, and one
+in-process ``fkemu bench`` on puma560 and on a 12-link chain.
 These time the emulator on the host; the modeled hardware latency is a
 formula (ccm.latency_us, umdh.clock_time) and is not measured here.  The
 suite sits outside the tier-1 testpaths; ``--benchmark-disable`` runs each
@@ -63,7 +63,17 @@ from fkemu.cordic import (
     sincos_cordic,
 )
 from fkemu.dh import ChainSet, chain_links, chain_pose, chain_poses, chain_product, exact_sincos
-from fkemu.fixedpoint import Q8_24, fold_angle, fx_from_real, lanes_from_real, mirror, rescale, turn_moves
+from fkemu.fixedpoint import (
+    HALF_PI,
+    Q8_24,
+    fold_angle,
+    fx_from_real,
+    lanes_from_real,
+    mirror,
+    quarter_turns,
+    rescale,
+    turn_moves,
+)
 
 PUMA = cli.load_chain("puma560").joints
 VARIANTS = cli.bench_variants(PUMA, 16, 5)
@@ -99,6 +109,13 @@ def test_fold_angle_8192_angles(benchmark):
     # one lut-scan block: |angles| over +-4 turns, as lut_sincos folds them
     mag = np.abs(np.random.default_rng(20).uniform(-8 * math.pi, 8 * math.pi, lut.BLOCK))
     benchmark(fold_angle, mag)
+
+
+def test_quarter_turns_8192_block(benchmark):
+    # the unfold of that block: its quadrants and the quarter table's
+    # (cos r, sin r), as lut_sincos passes them
+    q, r = fold_angle(np.abs(np.random.default_rng(20).uniform(-8 * math.pi, 8 * math.pi, lut.BLOCK)))
+    benchmark(quarter_turns, q, lut._sin_quarter(HALF_PI - r, TABLE), lut._sin_quarter(r, TABLE))
 
 
 def test_linear_lanes_64_lanes(benchmark):

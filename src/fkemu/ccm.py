@@ -269,9 +269,12 @@ def ccm_points(chains: ChainSet, points, cfg: CordicConfig = DEFAULT_CONFIG) -> 
     once.  w never changes, so the w check and the translation constants
     a_eff w and d w of every link are made once, and converted to raws
     once: a constant past the format's range fails its link's reach check
-    before any module reads it, so it converts as 0, with no warning."""
+    before any module reads it, so it converts as 0, with no warning.
+    No chains give a (0, 4) array."""
     fmt = cfg.fmt
     p = np.array(points, dtype=np.float64).reshape(len(chains), 4)
+    if not len(p):  # no lanes: no module has a point to push or check
+        return p
     w = p[:, 3]
     bad_w = (w != 0.0) & (w != 1.0)
     with np.errstate(over="ignore", invalid="ignore"):  # inf and nan fail the reach check

@@ -23,8 +23,11 @@ quantizes a constant.  A wide multiply-accumulate register is a wide
 QFormat.
 
 Every sin/cos backend reduces its angle through the one fold_angle here and
-unfolds its quadrant through quarter_turns, by exact swaps and signs, or
-through turn_moves, the same moves gathered once for an (x, y) held as one
+unfolds its quadrant through quarter_turns: its exact swaps and signs are
+one gather per output from the rows [x, y, -x, -y, x], each sign a
+negation, which has the bits of a product by -1 on every value but a NaN,
+and the fold rejects NaN.  The cascade unfolds through turn_moves, the same
+moves as a swap mask and signs, gathered once for an (x, y) held as one
 mirrored lane stack (mirror: x by lane, then y in reversed lane order, so
 that swapping x and y is reversing the stack).  The fold takes whole
 turns off by Cody and Waite's split constants: TWO_PI is
@@ -102,20 +105,42 @@ def fold_angle(mag):
     return q.astype(np.int64), a - q * HALF_PI
 
 
-# per quarter turn q: whether x and y swap, then the signs they take; int8,
-# so float, int64 and object operands keep their dtype and gathers stay small
+# per quarter turn q: whether x and y swap, then the signs they take; these
+# serve turn_moves alone, for the cascade's mirrored stacks, and are int8 so
+# int64 and object stacks keep their dtype and gathers stay small
 _ODD = np.array([False, True, False, True])
 _X_SIGN = np.array([1, -1, -1, 1], dtype=np.int8)
 _Y_SIGN = np.array([1, 1, -1, -1], dtype=np.int8)
+# per quarter turn q, the row of [x, y, -x, -y] that quarter_turns' first
+# output takes: x, -y, -x, y
+_FIRST_ROW = np.array([0, 3, 2, 1])
 
 
 def quarter_turns(q, x, y):
     """(x, y) rotated by q quarter turns, q in 0..3 (an int or an int array
     broadcasting with x and y), the inverse of fold_angle's quadrant: an odd
     q swaps x and y, then each takes its quadrant's sign.  Exact; a negated
-    raw may leave its format, so fixed-point callers saturate after it."""
-    odd = _ODD[q]
-    return np.where(odd, y, x) * _X_SIGN[q], np.where(odd, x, y) * _Y_SIGN[q]
+    raw may leave its format, so fixed-point callers saturate after it.
+
+    Each output is one gather from the rows [x, y, -x, -y, x]: the first
+    takes row _FIRST_ROW[q] (x, -y, -x, y for q = 0..3), the second the
+    row after it (y, x, -y, -x).  A negation has the bits of a product by
+    -1 on every float but NaN (+-0.0 and +-inf included), which fold_angle
+    rejects, and on int64 and object lanes.  The outputs take the dtype of
+    x and y together and the operands' broadcast shape; 0-d operands give
+    scalars."""
+    q, x, y = np.asarray(q), np.asarray(x), np.asarray(y)
+    if not q.shape == x.shape == y.shape:
+        q, x, y = np.broadcast_arrays(q, x, y)
+    n = x.size
+    rows = np.empty((5, *x.shape), dtype=np.result_type(x, y))
+    # [k, ...] writes values: for 0-d operands rows[k] = x would store x itself in an object row
+    rows[0, ...], rows[1, ...], rows[4, ...] = x, y, x
+    np.negative(rows[:2], out=rows[2:4])
+    rows = rows.reshape(-1)
+    at = (_FIRST_ROW * n).take(q)
+    at += np.arange(n).reshape(x.shape)
+    return rows.take(at), rows[n:].take(at)
 
 
 def mirror(x, y):

@@ -4,15 +4,16 @@ The package computes on lanes and narrows through fixedpoint.rescale; these
 are the same rules one Fx at a time, plus the double-precision truncated
 series the Taylor engine evaluates in fixed point and its quantized
 coefficients, the Taylor lanes with every narrowing clipped, the linear
-CORDIC loop's closed form for any multiplicand, and the thumb VM's
-dispatch one FkInstr at a time.
+CORDIC loop's closed form for any multiplicand, the quarter-turn unfold as
+a select and a product by each sign, and the thumb VM's dispatch one
+FkInstr at a time.
 """
 
 import math
 
 import numpy as np
 
-from fkemu.fixedpoint import Fx, QFormat, clip, fx_from_real, lane_dtype, rescale
+from fkemu.fixedpoint import _ODD, _X_SIGN, _Y_SIGN, Fx, QFormat, clip, fx_from_real, lane_dtype, rescale
 from fkemu.umdh import _BINARY, LOADK, SINCOS, CapacityError, FkProgram, UmdhParams, VmConfig
 
 
@@ -43,6 +44,14 @@ def fx_mul(a: Fx, b: Fx, out: QFormat) -> Fx:
 def fx_cast(a: Fx, out: QFormat) -> Fx:
     """a rescaled into out."""
     return Fx(rescale(a.raw, a.fmt.frac_bits, out), out)
+
+
+def quarter_turns_ref(q, x, y):
+    """fixedpoint.quarter_turns as swap-then-sign moves: an odd q selects
+    the swapped operands, then each is multiplied by its quadrant's int8
+    sign, so the dtype is that of x and y together."""
+    odd = _ODD[q]
+    return np.where(odd, y, x) * _X_SIGN[q], np.where(odd, x, y) * _Y_SIGN[q]
 
 
 def series_sin(x: float, n_terms: int) -> float:

@@ -145,6 +145,15 @@ def test_poses_reject_empty_and_ragged_chains():
         ccm_poses(ChainSet.of([(j,), (j, j)]), CFG)
 
 
+def test_no_chains_give_empty_points_and_poses():
+    # as dh.chain_poses does: an empty stack, not a failing lane search
+    empty = ChainSet(*(np.zeros((0, 2)),) * 4)
+    points = ccm_points(empty, np.zeros((0, 4)), CFG)
+    poses = ccm_poses(empty, CFG)
+    assert (points.shape, points.dtype) == ((0, 4), np.float64)
+    assert (poses.shape, poses.dtype) == ((0, 4, 4), np.float64)
+
+
 def test_latency_formula():
     assert latency_us(PipelineModel(6)) == 600.0
     assert latency_us(PipelineModel(1)) == 200.0

@@ -32,7 +32,7 @@ from fkemu.fixedpoint import (
     unmirror,
 )
 from fkemu.taylor import taylor_sincos
-from reference import fx_add, fx_cast, fx_mul, fx_shr, fx_sub
+from reference import fx_add, fx_cast, fx_mul, fx_shr, fx_sub, quarter_turns_ref
 
 ACC = QFormat(36, 31)  # the Taylor engine's default accumulator
 
@@ -313,6 +313,41 @@ def test_quarter_turns_of_the_x_axis():
     assert [tuple(int(v) for v in quarter_turns(q, 1, 0)) for q in range(4)] == axes
     x, y = quarter_turns(np.arange(4), np.ones(4, dtype=np.int64), np.zeros(4, dtype=np.int64))
     assert list(zip(x.tolist(), y.tolist())) == axes
+
+
+# lane values per dtype: the edge cases, then any value hypothesis draws
+TURN_VALUES = {
+    np.float64: st.one_of(st.sampled_from([0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 2.0**-1023]),
+                          st.floats(allow_nan=False)),
+    np.int64: st.one_of(st.sampled_from([Q8_24.min_raw, Q8_24.max_raw, 1 << 62, -(1 << 62), -(1 << 63)]),
+                        st.integers(-(1 << 63), (1 << 63) - 1)),
+    object: st.one_of(st.sampled_from([1 << 63, -(1 << 63) - 1, 1 << 100, -(1 << 100)]),
+                      st.integers(-(1 << 100), 1 << 100)),
+}
+
+
+def _bits(v):
+    """A float's bits, an int as itself, lane by lane."""
+    v = np.asarray(v)
+    return (v.view(np.int64) if v.dtype == np.float64 else v).tolist()
+
+
+@given(st.sampled_from(list(TURN_VALUES)), st.sampled_from([(), (5,), (2, 3)]),
+       st.sampled_from(["int", "lanes", "row"]), st.data())
+def test_quarter_turns_is_the_select_and_sign_unfold(dtype, shape, q_kind, data):
+    # one gather from [x, y, -x, -y, x] per output, against np.where and a
+    # product by each sign: the same bits, dtype, shape and kind of result
+    def lanes(values, shape, dtype):
+        n = math.prod(shape)
+        return np.array(data.draw(st.lists(values, min_size=n, max_size=n)), dtype=dtype).reshape(shape)
+
+    x, y = (lanes(TURN_VALUES[dtype], shape, dtype) for _ in "xy")
+    quadrants = st.integers(0, 3)
+    q = data.draw(quadrants) if q_kind == "int" else lanes(quadrants, shape if q_kind == "lanes" else shape[-1:], np.int64)
+    for got, want in zip(quarter_turns(q, x, y), quarter_turns_ref(q, x, y), strict=True):
+        assert type(got) is type(want)
+        assert np.asarray(got).dtype == np.asarray(want).dtype and np.shape(got) == np.shape(want)
+        assert _bits(got) == _bits(want)
 
 
 @given(st.lists(st.tuples(st.integers(0, 3), st.integers(-(1 << 40), 1 << 40), st.integers(-(1 << 40), 1 << 40)),
