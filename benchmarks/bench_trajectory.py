@@ -55,6 +55,7 @@ DISPATCH_BOUND = (
     "test_taylor_pose_puma560",
     "test_lut_pose_puma560",
     "test_chain_links_chain12_48x12",
+    "test_bench_links_chain12_3_providers",
     "test_chain_product_chain12_48x12",
     "test_vm_run",
     "test_vm_run_taylor",

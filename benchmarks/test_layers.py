@@ -13,7 +13,9 @@ lane, and batched; the LUT also on perfbench lut-scan's 2**20 angles per
 table mode, Taylor on a chain12-bench request's 384 angles), link-matrix
 assembly and chain product apart (chain_links and chain_product on
 chain12-bench's stack of 48 chains: 16 variants for each of three
-providers, 12 links each), chain product or module cascade with their
+providers, 12 links each; and provider_links, the three providers' trig
+on the 16 variants assembled in one pass, as fkemu bench runs it), chain
+product or module cascade with their
 link-matrix assembly (one chain, whose links chain_pose builds as one
 (n, 4, 4) array, on puma560 and on thumb-vm's five-link thumb chain; one
 module on 64 lanes; and the stacked product of a bench's 16 variants),
@@ -62,7 +64,7 @@ from fkemu.cordic import (
     linear_unit_lanes,
     sincos_cordic,
 )
-from fkemu.dh import ChainSet, chain_links, chain_pose, chain_poses, chain_product, exact_sincos
+from fkemu.dh import ChainSet, chain_links, chain_pose, chain_poses, chain_product, exact_sincos, provider_links
 from fkemu.fixedpoint import (
     HALF_PI,
     Q8_24,
@@ -97,6 +99,8 @@ CHAIN12_TEXT = _chain12_text()
 # as many chains as one chain12-bench request stacks: the oracle, taylor
 # and lut each take the 16 variants
 CHAIN12_STACK = cli.bench_variants(cli.parse_chain(CHAIN12_TEXT).joints, 48, 5)
+# the 16 variants of one chain12-bench request
+CHAIN12_VARIANTS = cli.bench_variants(cli.parse_chain(CHAIN12_TEXT).joints, 16, 5)
 
 
 def test_rescale_64_lanes(benchmark):
@@ -229,6 +233,15 @@ def test_chain_poses_16_puma560_variants(benchmark, backend):
 
 def test_chain_links_chain12_48x12(benchmark):
     benchmark(chain_links, CHAIN12_STACK)
+
+
+def test_bench_links_chain12_3_providers(benchmark):
+    # a chain12-bench request's link assembly: matrix, taylor and linear-LUT
+    # trig on the 16 variants, each provider called once and every link
+    # assembled in one pass, as fkemu bench makes them
+    linear = lut.build_table(1024, mode=lut.LINEAR)
+    providers = [exact_sincos, taylor.taylor_sincos, partial(lut.lut_sincos, table=linear)]
+    benchmark(provider_links, CHAIN12_VARIANTS, providers)
 
 
 def test_chain_product_chain12_48x12(benchmark):

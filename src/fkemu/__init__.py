@@ -33,6 +33,7 @@ from .dh import (
     chain_poses,
     decompose,
     exact_sincos,
+    provider_links,
     puma_chain,
     puma_closed_form,
 )

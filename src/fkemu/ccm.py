@@ -29,16 +29,26 @@ so the emulator runs them as one linear pass on a (2, lanes) stack.  The
 emulated processors still run n_iter shift-add steps each: op counts and
 the latency model do not change.
 
-A module takes x, y and z in as one (3, lanes) conversion to raws and
-gives them back as one conversion to doubles; w never changes, so the w
-check and the constants a_eff w and d w, as doubles and as raws, are made
-once per cascade.  The per-link stacks are C-contiguous, adjacent lanes
-adjacent in memory.  The reach check takes every lane's norm vectorized and falls back to
-math.hypot only for lanes whose reach lies within NEAR_LIMIT of the
-limit, so each decision is the documented bound's own.
-Between links each lane passes through a double, as the real-valued point
-a module takes and returns: exact for words up to 54 bits, and in wider
-words it rounds raws beyond 2**53.
+A cascade converts its caller's doubles to raws once and its output to
+doubles once, at the end.  Between modules it carries the raws where the
+raw -> double -> raw round trip of a real-valued point is exact: in words
+of at most CARRY_BITS = 54 bits, whose raws are at most 2**53 in
+magnitude.  Wider words still pass each lane through a double between
+links, which rounds raws beyond 2**53.  w never changes, so the w check
+and the constants a_eff w and d w, as doubles and as raws, are made once
+per cascade, and so is each link's largest |a_eff w| + |d w|.  The
+per-link stacks are C-contiguous, adjacent lanes adjacent in memory.
+
+A module is cleared by one bound (_clears): with top the largest
+|coordinate| of its points, one reduction over its raws, every lane's
+reach is at most 2 sqrt(3) top + C + 2, C the link's largest |a_eff w| +
+|d w|.  When every w is 0 or 1 and that bound lies below the reach limit
+by CLEAR_MARGIN, the module runs only its four processors.  Otherwise
+the exact check (_check_reach) runs: it takes every lane's norm
+vectorized and falls back to math.hypot only for lanes whose reach lies
+within NEAR_LIMIT of the limit, so each decision is the documented
+bound's own.  Both take the same decisions; a cascade enters one
+np.errstate, not one per module.
 """
 
 from __future__ import annotations
@@ -87,6 +97,11 @@ def latency_us(m: PipelineModel) -> float:
     return 2.0 * STAGE_TIME_US * m.n_links + OVERHEAD_US
 
 
+# k = 0 on every lane, as one 0-d int64 array that broadcasts
+_UNSTAGED = np.zeros((), dtype=np.int64)
+_UNSTAGED.flags.writeable = False
+
+
 def _lin_accumulate(const, value, cfg: CordicConfig):
     """Linear-mode CORDIC add on lanes of any shape (..., lanes): returns
     const + value (the LIN1 and LIN2 processors, one per row of a stack).
@@ -98,11 +113,19 @@ def _lin_accumulate(const, value, cfg: CordicConfig):
     the format is staged within 2.  The n_iter shift-add steps on the unit
     2**(frac_bits + k) run in cordic.linear_unit_lanes's closed form, a
     few ufuncs on the lanes, which equals the clipping loop bit for bit
-    because _module's reach check proves no partial sum saturates.
+    because _module's proof shows that no partial sum saturates on a lane
+    the reach check passes.
+
+    One test decides whether any lane stages at all: a raw's double
+    rounds monotonically, so the largest |raw|'s double is the largest
+    |double| of a raw.  With no lane past 2.0, k is the 0-d _UNSTAGED and
+    no staging array is made.
     """
     fmt = cfg.fmt
     k_max = fmt.word_bits - fmt.frac_bits - 2
     two = math.ldexp(2.0, fmt.frac_bits)  # |v.real| > 2.0 on the raw's double
+    if k_max <= 0 or not float(np.abs(value).max()) > two:
+        return linear_unit_lanes(const, value, _UNSTAGED, cfg)
 
     def too_big(v, k):
         return (np.abs(v.astype(np.float64)) > two) & (k < k_max)
@@ -128,24 +151,41 @@ def _reach(norm, consts):
 NEAR_LIMIT = 2.0**-44
 
 
-def _module(link: int, p: np.ndarray, w, bad_w, consts, raws, stages, cfg: CordicConfig):
-    """One module on every lane: link `link` of lane k's chain applied to
-    the point (p[:, k], w[k]).
+# the relative margin below the reach limit within which one bound clears
+# a whole module: twice NEAR_LIMIT, so a lane it clears lies outside the
+# band where the exact check takes math.hypot, and far more than the few
+# ulps by which either computation's doubles round
+CLEAR_MARGIN = 2.0 * NEAR_LIMIT
+SQRT3 = math.sqrt(3.0)
 
-    p holds x, y and z as doubles, shape (3, lanes); bad_w marks the lanes
-    whose w is neither 0 nor 1; consts = (a_eff w, d w), (2, lanes), and
-    raws their conversion; stages holds the (swap, signs, sigmas) of
-    CIRC1 and CIRC2, circ_sigmas of the link's alpha and theta lanes as
-    turn_moves and sigma stacks of the lane dtype, mirrored: each circular
-    stage takes its pair as mirror(y, z) or mirror(x, y).  Returns the
-    output raws, (3, lanes).  A free vector (w = 0) skips the translation
-    constants, which is how orientation columns ride the same hardware as
-    position.
+# words of at most this many bits carry their raws from module to module:
+# every raw is within 2**53 in magnitude, so a double holds it exactly
+CARRY_BITS = 54
 
-    The point enters as one conversion of its (3, lanes) doubles.  CIRC1
-    and LIN1 both read only stage inputs, and LIN2 reads CIRC1's z, so
-    after CIRC1 the two linear processors run as one accumulate on a
-    (2, lanes) stack, then CIRC2.
+
+def _clears(top: float, c: float, limit: float) -> bool:
+    """Whether one bound clears every lane of a module whose points have
+    |x|, |y|, |z| <= top and whose link has |a_eff w| + |d w| <= c on every
+    lane, against the reach limit `limit`, given that every w is 0 or 1.
+
+    Every lane has |p|_2 <= sqrt(3) top, so its reach 2|p|_2 + |a_eff w| +
+    |d w| + 2 is at most B = 2 sqrt(3) top + c + 2.  The exact check's
+    reach of a lane, computed in doubles, exceeds its real value by at
+    most ~10 roundings of nonnegative terms, under 2**-49 relative; B,
+    computed here, falls short of the real B by as little (SQRT3 is within
+    an ulp of sqrt(3)).  So a computed B at most limit (1 - CLEAR_MARGIN)
+    puts every lane's computed reach below limit (1 - NEAR_LIMIT): outside
+    the band where the exact check takes math.hypot, and within the limit,
+    so _check_reach would pass every lane.  A NaN or an infinite top or c
+    fails the comparison, and the exact check decides.
+    """
+    return 2.0 * SQRT3 * top + c + 2.0 <= limit * (1.0 - CLEAR_MARGIN)
+
+
+def _check_reach(link: int, p: np.ndarray, w, bad_w, consts, cfg: CordicConfig) -> None:
+    """The exact reach check of link `link` on every lane: p holds the
+    points' x, y and z as doubles, shape (3, lanes); bad_w marks the lanes
+    whose w is neither 0 nor 1; consts = (a_eff w, d w), (2, lanes).
 
     Raises ValueError unless w is 0 or 1, and DomainError unless the reach
     2|p|_2 + |a_eff w| + |d w| + 2 is at most _reach_limit(cfg); of the
@@ -153,12 +193,48 @@ def _module(link: int, p: np.ndarray, w, bad_w, consts, raws, stages, cfg: Cordi
     that lane's point and the number of lanes failing.  The norm is
     vectorized; only lanes whose reach falls within NEAR_LIMIT of the limit
     take it again as math.hypot, so every decision is the bound's own,
-    evaluated in doubles.
+    evaluated in doubles.  Under the caller's np.errstate, a sum past the
+    double range is inf and inf * 0 is nan, and both fail the bound.
+    """
+    limit = _reach_limit(cfg)
+    reach = _reach(np.sqrt((p * p).sum(axis=0)), consts)
+    near = abs(reach - limit) <= limit * NEAR_LIMIT
+    if near.any():
+        reach[near] = _reach(np.array([math.hypot(*q) for q in p[:, near].T.tolist()]), consts[:, near])
+    bad = bad_w | ~(reach <= limit)
+    first = np.argmax(bad)
+    if bad_w[first]:
+        raise ValueError(f"point w must be 0 or 1, got {w[first]}")
+    if bad[first]:
+        raise DomainError(
+            f"link {link} can saturate {cfg.fmt} at n_iter {cfg.n_iter}: reach must be at most {limit}, "
+            f"got {reach[first]} on point {np.append(p[:, first], w[first]).tolist()}, "
+            f"the first of {bad.sum()} failing lanes"
+        )
 
-    No processor saturates on a lane that passes, so the module runs no
-    clip: each linear processor is linear_unit_lanes's closed form on the
-    staged unit, exact where no partial sum saturates, and the circular
-    stages leave out every clip, with the bits of the clipped route.  In
+
+def _module(xyz: np.ndarray, raws, stages, cfg: CordicConfig) -> np.ndarray:
+    """One module on every lane: a link applied to the points whose x, y
+    and z raws xyz holds, shape (3, lanes).
+
+    raws holds the link's constants (a_eff w, d w) as raws, (2, lanes);
+    stages holds the (swap, signs, sigmas) of CIRC1 and CIRC2, circ_sigmas
+    of the link's alpha and theta lanes as turn_moves and sigma stacks of
+    the lane dtype, mirrored: each circular stage takes its pair as
+    mirror(y, z) or mirror(x, y).  Returns the output raws, (3, lanes).  A
+    free vector (w = 0) has zero constants, which is how orientation
+    columns ride the same hardware as position.
+
+    CIRC1 and LIN1 both read only stage inputs, and LIN2 reads CIRC1's z,
+    so after CIRC1 the two linear processors run as one accumulate on a
+    (2, lanes) stack, then CIRC2.
+
+    The caller has passed every lane through the reach check, _clears or
+    _check_reach, on the points p as doubles.  No processor saturates on
+    a lane that passes, so the module runs no clip: each linear processor
+    is linear_unit_lanes's closed form on the staged unit, exact where no
+    partial sum saturates, and the circular stages leave out every clip,
+    with the bits of the clipped route.  In
     raws, with u = 2**F (1.0), F = frac_bits, n = n_iter, M the format's
     top, a = a_eff w, d = d w and L the limit, a lane that passes has
     2|p| + |a| + |d| <= L e - 2u, where e = 1 + 2**-49 absorbs the rounding
@@ -208,26 +284,7 @@ def _module(link: int, p: np.ndarray, w, bad_w, consts, raws, stages, cfg: Cordi
     Q16.40; coarse formats get less, Q8.0 at 2 iterations about a quarter
     of its top, since its 1/K rounds to 1.
     """
-    fmt = cfg.fmt
-    limit = _reach_limit(cfg)
-    # a sum past the double range is inf and inf * 0 is nan, as in float arithmetic; both fail the bound
-    with np.errstate(over="ignore", invalid="ignore"):
-        reach = _reach(np.sqrt((p * p).sum(axis=0)), consts)
-        near = abs(reach - limit) <= limit * NEAR_LIMIT
-        if near.any():
-            reach[near] = _reach(np.array([math.hypot(*q) for q in p[:, near].T.tolist()]), consts[:, near])
-    bad = bad_w | ~(reach <= limit)
-    first = np.argmax(bad)
-    if bad_w[first]:
-        raise ValueError(f"point w must be 0 or 1, got {w[first]}")
-    if bad[first]:
-        raise DomainError(
-            f"link {link} can saturate {fmt} at n_iter {cfg.n_iter}: reach must be at most {limit}, "
-            f"got {reach[first]} on point {np.append(p[:, first], w[first]).tolist()}, "
-            f"the first of {bad.sum()} failing lanes"
-        )
     # no clip in any stage (the trailing False): the reach check rules every one out
-    xyz = lanes_from_real(p, fmt)
     y_a, z_a = unmirror(circ_rotate_sigmas(mirror(xyz[1], xyz[2]), *stages[0], cfg, False))
     x_a, z_out = _lin_accumulate(raws, np.array([xyz[0], z_a]), cfg)
     x_out, y_out = unmirror(circ_rotate_sigmas(mirror(x_a, y_a), *stages[1], cfg, False))
@@ -266,30 +323,42 @@ def ccm_points(chains: ChainSet, points, cfg: CordicConfig = DEFAULT_CONFIG) -> 
     come first: a joint angle beyond MAX_ANGLE raises its DomainError before
     any module checks its reach.  Their quarter-turn moves are gathered
     then too, and they and the sigma stack are cast to the lane dtype
-    once.  w never changes, so the w check and the translation constants
-    a_eff w and d w of every link are made once, and converted to raws
-    once: a constant past the format's range fails its link's reach check
-    before any module reads it, so it converts as 0, with no warning.
-    No chains give a (0, 4) array."""
+    once.  w never changes, so the w check, the translation constants
+    a_eff w and d w of every link and each link's largest |a_eff w| +
+    |d w| are made once, and the constants converted to raws once: a
+    constant past the format's range fails its link's reach check before
+    any module reads it, so it converts as 0, with no warning.  The first
+    module's reach is checked on the caller's doubles, a later one's on
+    its input raws (as doubles).  No chains give a (0, 4) array."""
     fmt = cfg.fmt
     p = np.array(points, dtype=np.float64).reshape(len(chains), 4)
     if not len(p):  # no lanes: no module has a point to push or check
         return p
     w = p[:, 3]
     bad_w = (w != 0.0) & (w != 1.0)
-    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan fail the reach check
-        consts = _by_link(chains.a_eff, chains.d) * w
-        raws = lanes_from_real(np.where(abs(consts) <= fmt.max_raw * fmt.eps, consts, 0.0), fmt)
+    clear_w, limit = not bad_w.any(), _reach_limit(cfg)
     q, sigmas = circ_sigmas(_by_link(chains.alpha, chains.theta), cfg)
     swaps, signs = turn_moves(q)
     dtype = lane_dtype(fmt)
     sigmas, signs = sigmas.astype(dtype), signs.astype(dtype)
-    xyz = p[:, :3].T
-    for link in reversed(range(chains.theta.shape[1])):
-        stages = [(swaps[link, s], signs[link, s], sigmas[link, s]) for s in (0, 1)]
-        out = _module(link, xyz, w, bad_w, consts[link], raws[link], stages, cfg)
-        xyz = lanes_real(out, fmt)
-    return np.column_stack([*xyz, w])
+    carry = fmt.word_bits <= CARRY_BITS
+    # inf and nan fail the reach check, which reports them
+    with np.errstate(over="ignore", invalid="ignore"):
+        consts = _by_link(chains.a_eff, chains.d) * w
+        raws = lanes_from_real(np.where(abs(consts) <= fmt.max_raw * fmt.eps, consts, 0.0), fmt)
+        c_link = np.abs(consts).sum(axis=1).max(axis=1).tolist()
+        xyz, p = None, p[:, :3].T  # raws, or their doubles where xyz is None
+        top = float(np.abs(p).max())
+        for link in reversed(range(chains.theta.shape[1])):
+            if not (clear_w and _clears(top, c_link[link], limit)):
+                _check_reach(link, lanes_real(xyz, fmt) if p is None else p, w, bad_w, consts[link], cfg)
+            if xyz is None:
+                xyz = lanes_from_real(p, fmt)
+            stages = [(swaps[link, s], signs[link, s], sigmas[link, s]) for s in (0, 1)]
+            out = _module(xyz, raws[link], stages, cfg)
+            top = float(np.abs(out).max()) * fmt.eps  # rounding is monotone: at least every |double| of out
+            xyz, p = (out, None) if carry else (None, lanes_real(out, fmt))
+        return np.column_stack([*(lanes_real(xyz, fmt) if p is None else p), w])
 
 
 def ccm_poses(chains: ChainSet, cfg: CordicConfig = DEFAULT_CONFIG) -> np.ndarray:

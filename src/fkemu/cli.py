@@ -14,15 +14,15 @@ Angles are radians, lengths meters.  The special chain name "puma560"
 loads a built-in six-revolute demo profile, dh.puma_chain at zero angles.
 
 solve and bench take every pose from one stacked product over a ChainSet:
-the link stacks of the oracle and of each named chain-product backend
-(taylor, lut) are concatenated and multiplied as one, and the matrix
-backend reads the oracle's slot; cordic runs the module cascade.  bench
-grades every backend in one pass over that stack, and prints nothing until
-every pose, error and finiteness check is done, so a failed bench leaves
-stdout empty, as a failed solve does.  Exit codes: 0 success, 2 parse
-failure or bad option, 3 numeric domain error (an angle or reach outside a
-backend's domain, or a pose or error past float64), 4 register capacity
-error.
+dh.provider_links makes the links of the oracle and of each named
+chain-product backend (taylor, lut) in one pass, one chain_product
+multiplies them, and the matrix backend reads the oracle's slot; cordic
+runs the module cascade.  bench grades every backend in one pass over
+that stack, and prints nothing until every pose, error and finiteness
+check is done, so a failed bench leaves stdout empty, as a failed solve
+does.  Exit codes: 0 success, 2 parse failure or bad option, 3 numeric
+domain error (an angle or reach outside a backend's domain, or a pose or
+error past float64), 4 register capacity error.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from . import ccm, lut, taylor, umdh
 from .cordic import CordicConfig
 from .dh import (
     ChainSet, DhJoint, PRISMATIC, ROTARY, PumaParams,
-    chain_links, chain_product, exact_sincos, pose_op_count, puma_chain,
+    chain_product, exact_sincos, finite, pose_op_count, provider_links, puma_chain,
 )
 from .fixedpoint import DomainError, Q8_24, QFormat
 from .umdh import CapacityError, UmdhParams
@@ -188,25 +188,18 @@ def _print_pose(pose: np.ndarray) -> None:
         print("  " + "  ".join(f"{v: .9f}" for v in row))
 
 
-def _finite(x, what: str):
-    """x, unless some entry of it is NaN or infinite: link constants so large
-    that a pose or an error leaves float64 are outside every backend's domain."""
-    if not np.isfinite(x).all():
-        raise DomainError(f"{what} is not finite in float64")
-    return x
-
-
 def _poses(backends: dict[str, _Backend], names: list[str], chains: ChainSet) -> tuple[np.ndarray, np.ndarray]:
     """(oracles, poses): the oracle's (len(chains), 4, 4) poses of the set,
     and every named backend's stacked in names' order, (len(names),
-    len(chains), 4, 4).  The links of the oracle and of each chain-product
-    backend are concatenated and go through one chain_product; matrix reads
-    the oracle's slot, and cordic runs the cascade once the oracle is
-    checked finite."""
+    len(chains), 4, 4).  provider_links makes the links of the oracle and
+    of every named chain-product backend in one pass, and one
+    chain_product multiplies them.  matrix reads the oracle's slot, and
+    cordic runs the cascade once the oracle is checked finite."""
     stacked = list(dict.fromkeys(["matrix", *(n for n in names if backends[n].sincos)]))
-    links = np.concatenate([chain_links(chains, backends[n].sincos) for n in stacked])
-    slots = dict(zip(stacked, chain_product(links).reshape(len(stacked), len(chains), 4, 4)))
-    oracles = _finite(slots["matrix"], "oracle pose")
+    links = provider_links(chains, [backends[n].sincos for n in stacked])
+    poses = chain_product(links.reshape(-1, *links.shape[2:]))
+    slots = dict(zip(stacked, poses.reshape(len(stacked), len(chains), 4, 4)))
+    oracles = finite(slots["matrix"], "oracle pose")
     for name in names:
         if name not in slots:
             slots[name] = backends[name].cascade(chains)
@@ -216,12 +209,12 @@ def _poses(backends: dict[str, _Backend], names: list[str], chains: ChainSet) ->
 def cmd_solve(args) -> int:
     chain_file = load_chain(args.chain)
     backends = _make_backends(args, len(chain_file.joints))
-    with np.errstate(over="ignore", invalid="ignore"):  # _finite reports it
+    with np.errstate(over="ignore", invalid="ignore"):  # finite reports it
         oracles, poses = _poses(backends, [args.backend], ChainSet.of([chain_file.joints]))
         oracle, pose = oracles[0], poses[0, 0]
-        dev = _finite(float(np.abs(pose - oracle).max()), "deviation from the oracle")
+        dev = finite(float(np.abs(pose - oracle).max()), "deviation from the oracle")
         if chain_file.point is not None:
-            moved = _finite(pose @ (*chain_file.point, 1.0), "transformed point")
+            moved = finite(pose @ (*chain_file.point, 1.0), "transformed point")
     print(f"chain: {chain_file.name} ({len(chain_file.joints)} joints)")
     print(f"backend: {args.backend}")
     _print_pose(pose)
@@ -266,12 +259,12 @@ def cmd_bench(args) -> int:
             raise ValueError(f"--backends: unknown backend {b!r}, expected some of {','.join(BACKENDS)}")
     backends = _make_backends(args, len(chain_file.joints))
     variants = bench_variants(chain_file.joints, args.trials, args.seed)
-    with np.errstate(over="ignore", invalid="ignore"):  # _finite reports it
+    with np.errstate(over="ignore", invalid="ignore"):  # finite reports it
         oracles, poses = _poses(backends, names, variants)
         max_errs, rms_errs = grade(poses, oracles)
     rows = [CSV_HEADER]
     for name, max_err, rms_err in zip(names, max_errs.tolist(), rms_errs.tolist()):
-        _finite((max_err, rms_err), f"{name} error")
+        finite((max_err, rms_err), f"{name} error")
         b = backends[name]
         rows.append(f"{name},{max_err:.6e},{rms_err:.6e},{b.ops},{b.latency:.6e},{b.params}")
     print("\n".join(rows))

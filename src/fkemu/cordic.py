@@ -31,7 +31,7 @@ n_iter steps either way; the emulator skips work whose result it knows:
   circ_rotate_sigmas clips unless told not to: circ_rotate_lanes and
   sincos_cordic take arbitrary raws and keep every clip (cos 0 saturates
   in a format with one integer bit), and the cascade runs it with none,
-  since ccm._module's reach check rules every one out.
+  since ccm's reach check rules every one out.
 - linear sigmas are the binary digits of z0, and the cascade's
   multiplicand is always the staged unit 2**(frac_bits + k), so
   linear_unit_lanes sums the loop in closed form with a few ufuncs per
@@ -261,10 +261,10 @@ def linear_unit_lanes(y, z, k, cfg: CordicConfig):
     unit multiplicand staged up by 2**k, x0 = 2**(F + k) with F = frac_bits,
     in closed form: returns y0 + x0*z0, as the loop leaves it in y.
 
-    y and z are arrays of lane_dtype(cfg.fmt) and k an int64 array, k >= 0
-    and F + k <= word_bits - 2 (x0 a raw of the format), all of one shape;
-    every operation is per element, so a stack of rows is as many
-    independent accumulates.
+    y and z are arrays of lane_dtype(cfg.fmt), of one shape, and k an
+    int64 array broadcasting with them, k >= 0 and F + k <= word_bits - 2
+    (x0 a raw of the format); every operation is per element, so a stack
+    of rows is as many independent accumulates.
 
     The loop's sigmas are the non-restoring digits of z0 over the
     power-of-two micro-angles e_i = 2**(F - i).  Their sum E and the last
@@ -284,9 +284,10 @@ def linear_unit_lanes(y, z, k, cfg: CordicConfig):
     LINEAR mode from (x0, y0, z0), bit for bit, provided no partial sum
     y0 + sum_{j<=i} sigma_j*(x0 >> j) saturates: the loop clips every
     partial sum, this form only the last (z never saturates in the loop).
-    ccm._module's reach check proves that precondition.  The digits also
-    need 1.0 to be a power-of-two raw, frac_bits <= word_bits - 2, which
-    that check implies; a format without it raises ValueError.
+    ccm's reach check proves that precondition (ccm._module's proof).
+    The digits also need 1.0 to be a power-of-two raw, frac_bits <=
+    word_bits - 2, which that check implies; a format without it raises
+    ValueError.
     """
     if cfg.fmt.frac_bits > cfg.fmt.word_bits - 2:
         raise ValueError(f"linear lanes need 1.0 as a power-of-two raw, which {cfg.fmt} lacks")
@@ -327,7 +328,7 @@ def circ_rotate_sigmas(v, swap, signs, sigmas, cfg: CordicConfig, saturate: bool
     step and the turns.  saturate=False leaves out every clip, for a
     caller that has proved no value leaves the format; the bits are then
     the same.  The module cascade is that caller: every one of its stages
-    runs with no clip, on lanes that ccm._module's reach check passed.
+    runs with no clip, on lanes that ccm's reach check passed.
     """
     ops = _operands(cfg)
     v = (v * ops.inv_gain) >> ops.frac

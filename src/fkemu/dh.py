@@ -8,14 +8,17 @@ the emulated backends are measured against.
 A chain set's poses come from two layers: chain_links assembles every
 link of a ChainSet as a (chains, n, 4, 4) stack from one provider call, and
 chain_product multiplies any such stack link by link.  chain_poses is the
-one composed with the other; fkemu bench concatenates the link stacks of
-several providers and runs one chain_product over them all.  chain_pose is
-the one-chain route: it builds its chain's links as Python floats in one
-list and one (n, 4, 4) array.  Every link entry comes from one helper,
-_link_top, so it is the same IEEE expression on the provider's (cos, sin)
-either way, and each product step is the same matmul on C-contiguous 4x4
-float64 operands, so the bits equal those of a product of one np.array per
-link, however many chains or providers share the stack.
+one composed with the other; fkemu bench takes provider_links, which calls
+each of several providers once and assembles all their links in the same
+one pass (_link_stack), and runs one chain_product over them all.
+chain_pose is the one-chain route: it builds its chain's links as Python
+floats in one list and one (n, 4, 4) array.  Every link entry comes from
+one helper, _link_top, so it is the same IEEE expression on the
+provider's (cos, sin) either way, and each product step is the same dgemm
+on C-contiguous 4x4 float64 operands, so the bits equal those of a
+product of one np.array per link, however many chains or providers share
+the stack.  chain_pose and chain_poses raise DomainError on a pose past
+float64; chain_product, beneath them, leaves the check to its caller.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fixedpoint import HALF_PI
+from .fixedpoint import DomainError, HALF_PI
 
 ROTARY = "rotary"
 PRISMATIC = "prismatic"
@@ -114,6 +117,8 @@ def _link_top(ct, st, ca, sa, a, d) -> tuple:
 
 
 _LINK_BOTTOM = (0.0, 0.0, 0.0, 1.0)
+_ZEROS = np.zeros(16)
+_ZEROS.flags.writeable = False
 
 
 def tran(axis: str, t: float) -> np.ndarray:
@@ -144,13 +149,24 @@ def decompose(j: DhJoint) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
     )
 
 
+def finite(x, what: str):
+    """x, unless some entry of it is NaN or infinite: link constants so large
+    that a pose or an error leaves float64 are outside every backend's domain."""
+    if not np.isfinite(x).all():
+        raise DomainError(f"{what} is not finite in float64")
+    return x
+
+
 def chain_pose(chain: DhChain, sincos: SinCos = exact_sincos) -> np.ndarray:
     """Left-to-right product of link transforms: the end-effector pose.
 
     With the default provider this is the oracle; any other provider gives
     that backend's pose through the same product.  Every link's sixteen
-    entries go into one list, made one (n, 4, 4) array, and the product
-    runs over its links[k] views: one array build a chain, not one a link.
+    entries go into one list, made one (n, 4, 4) array by np.fromiter, and
+    the product runs ndarray.dot over its links[k] views: one array build
+    a chain, not one a link.  dot on C-contiguous 4x4 float64 operands is
+    the same dgemm as @, without the ufunc's dispatch.  Raises
+    DomainError, with no warning, if the pose leaves float64.
     """
     if len(chain) == 0:
         raise ValueError("empty chain")
@@ -159,20 +175,26 @@ def chain_pose(chain: DhChain, sincos: SinCos = exact_sincos) -> np.ndarray:
         (ct, st), (ca, sa) = sincos(j.theta), sincos(j.alpha)
         flat += _link_top(ct, st, ca, sa, j.a_eff, j.d)
         flat += _LINK_BOTTOM
-    links = np.array(flat).reshape(len(chain), 4, 4)
+    links = np.fromiter(flat, np.float64, len(flat)).reshape(len(chain), 4, 4)
     pose = links[0]
-    for k in range(1, len(chain)):
-        pose = pose @ links[k]
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
+        for k in range(1, len(chain)):
+            pose = pose.dot(links[k])
+        # a NaN or an infinity times 0.0 is NaN, a finite entry gives +-0.0:
+        # one dot with zeros checks every entry, at half np.isfinite's cost
+        if pose.ravel().dot(_ZEROS) != 0.0:
+            raise DomainError("pose is not finite in float64")
     return pose
 
 
-def chain_links(chains: ChainSet, sincos: SinCos = exact_sincos) -> np.ndarray:
-    """Every link matrix of the set, (len(chains), n, 4, 4), from one
-    provider call on every theta and alpha: link k of every chain is
-    assembled as one stack of _link_top entries."""
-    theta, alpha, a, d = chains.theta, chains.alpha, chains.a_eff, chains.d
-    (ct, ca), (st, sa) = sincos(np.stack([theta, alpha]))
-    links = np.zeros(theta.shape + (4, 4))
+def _link_stack(cos, sin, a, d) -> np.ndarray:
+    """Link matrices, shape (..., 4, 4), from the (cos, sin) of a stacked
+    (theta, alpha), each of shape (2, ...), and a_eff and d broadcasting
+    with (...): every entry of every link as one stack of _link_top
+    entries, whatever the leading axes hold (chains and links, or
+    providers, chains and links)."""
+    (ct, ca), (st, sa) = cos, sin
+    links = np.zeros(ct.shape + (4, 4))
     (
         links[..., 0, 0], links[..., 0, 1], links[..., 0, 2], links[..., 0, 3],
         links[..., 1, 0], links[..., 1, 1], links[..., 1, 2], links[..., 1, 3],
@@ -182,11 +204,28 @@ def chain_links(chains: ChainSet, sincos: SinCos = exact_sincos) -> np.ndarray:
     return links
 
 
+def chain_links(chains: ChainSet, sincos: SinCos = exact_sincos) -> np.ndarray:
+    """Every link matrix of the set, (len(chains), n, 4, 4), from one
+    provider call on every theta and alpha, assembled by _link_stack."""
+    return _link_stack(*sincos(np.stack([chains.theta, chains.alpha])), chains.a_eff, chains.d)
+
+
+def provider_links(chains: ChainSet, providers: Sequence[SinCos]) -> np.ndarray:
+    """The link matrices of the set under several providers at once,
+    (len(providers), len(chains), n, 4, 4): each provider called once on
+    the stacked (theta, alpha), and one _link_stack over all their (cos,
+    sin).  Slot k has the bits of chain_links(chains, providers[k])."""
+    angles = np.stack([chains.theta, chains.alpha])
+    cos, sin = zip(*(sincos(angles) for sincos in providers))
+    return _link_stack(np.stack(cos, axis=1), np.stack(sin, axis=1), chains.a_eff, chains.d)
+
+
 def chain_product(links: np.ndarray) -> np.ndarray:
     """The left-to-right product of each chain's links, (chains, 4, 4) from
     a (chains, n, 4, 4) stack: link by link with a stacked matmul.  Each
     pose depends on its own chain's links alone, with the same bits at any
-    stack size."""
+    stack size.  The IEEE layer: a pose past float64 holds inf or nan, and
+    its caller checks it."""
     pose = links[:, 0]
     for k in range(1, links.shape[1]):
         pose = pose @ links[:, k]
@@ -197,8 +236,10 @@ def chain_poses(chains: ChainSet, sincos: SinCos = exact_sincos) -> np.ndarray:
     """chain_pose of every chain of the set, as one (len(chains), 4, 4)
     array: chain_product(chain_links(chains, sincos)).  Each pose equals
     chain_pose(chain, sincos) bit for bit when the provider's bits on an
-    array equal its bits angle by angle."""
-    return chain_product(chain_links(chains, sincos))
+    array equal its bits angle by angle.  Raises DomainError, with no
+    warning, if a pose leaves float64."""
+    with np.errstate(over="ignore", invalid="ignore"):  # finite reports it
+        return finite(chain_product(chain_links(chains, sincos)), "pose")
 
 
 def pose_op_count(n_links: int, sincos_ops: int) -> int:

@@ -1,0 +1,67 @@
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("ab", ROOT / "benchmarks" / "ab.py")
+ab = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab)
+
+BETTER = {"request_us.p50": "lower", "items_per_s": "higher"}
+
+
+def _stdout(p50, items, correct=True, digest="d0", sim=None):
+    """perfbench/run.py's last lines: some log, the report, the result."""
+    report = {"sim": sim or {"sim.ops": 1}, "acc": {"acc.max": 0.5}, "digest": {"sha256": digest, "requests": 8},
+              "errors": [] if correct else ["request 3: boom"]}
+    metrics = {"request_us.p50": {"value": p50, "unit": "us"}, "items_per_s": {"value": items, "unit": "1/s"},
+               "other": {"value": 1.0, "unit": "x"}}
+    result = {"correct": correct, "attempted": 10, "failed": 0 if correct else 1, "metrics": metrics}
+    return "warming up\n" + json.dumps(report) + "\n" + json.dumps(result) + "\n"
+
+
+def _pairs(rows, **change):
+    return [(ab.parse_run(_stdout(p, pi)), ab.parse_run(_stdout(c, ci, **change))) for p, pi, c, ci in rows]
+
+
+def test_summary_gives_ratios_medians_quartiles_and_pairs_won():
+    pairs = _pairs([(100.0, 10.0, 90.0, 11.0), (200.0, 20.0, 190.0, 19.0), (110.0, 11.0, 121.0, 12.1)])
+    lines = ab.summarize(pairs, BETTER)
+    assert lines[0] == "request_us.p50 (us, lower is better)"
+    assert lines[1] == "  ratios: 0.900 0.950 1.100"
+    assert lines[2] == "  parent: median 110, quartiles 105-155"
+    assert lines[3] == "  change: median 121, quartiles 105.5-155.5"
+    assert lines[4] == "  median ratio 0.950 (quartiles 0.925-1.025), change better in 2 of 3 pairs"
+    # higher is better: 11 > 10 and 12.1 > 11 win, 19 < 20 loses
+    assert lines[5] == "items_per_s (1/s, higher is better)"
+    assert lines[9].endswith("change better in 2 of 3 pairs")
+    assert not any(line.startswith("other") for line in lines)  # not an end-to-end metric
+
+
+def test_one_pair_has_its_own_value_as_every_quartile():
+    lines = ab.summarize(_pairs([(100.0, 10.0, 80.0, 12.0)]), BETTER)
+    assert lines[2] == "  parent: median 100, quartiles 100-100"
+    assert lines[4] == "  median ratio 0.800 (quartiles 0.800-0.800), change better in 1 of 1 pairs"
+
+
+def test_problems_name_incorrect_runs_and_moved_bits():
+    assert ab.problems(_pairs([(1.0, 1.0, 1.0, 1.0)]), bits_change=False) == []
+    (found,) = ab.problems(_pairs([(1.0, 1.0, 1.0, 1.0)], correct=False), bits_change=False)
+    assert found.startswith("pair 0 change: not correct")
+    moved = _pairs([(1.0, 1.0, 1.0, 1.0)] * 2, digest="d1")
+    assert [f.split(":")[0:2] for f in ab.problems(moved, bits_change=False)] == [
+        ["pair 0", " digest differs"], ["pair 1", " digest differs"]]
+    assert ab.problems(moved, bits_change=True) == []
+    assert "sim differs" in ab.problems(_pairs([(1.0, 1.0, 1.0, 1.0)], sim={"sim.ops": 2}), bits_change=False)[0]
+
+
+def test_parse_run_needs_a_report_and_a_result():
+    with pytest.raises(ValueError):
+        ab.parse_run('{"correct": true}\n')
+
+
+def test_directions_come_from_benchmark_json():
+    better = ab.directions()
+    assert better["request_us.p50"] == "lower" and better["items_per_s"] == "higher"

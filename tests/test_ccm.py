@@ -23,7 +23,7 @@ from fkemu.ccm import (
 )
 from fkemu.cordic import LINEAR, CordicConfig, _angle_fx, circ_rotate_sigmas
 from fkemu.dh import ChainSet, DhJoint, PRISMATIC, ROTARY, chain_pose
-from fkemu.fixedpoint import DomainError, Q8_24, QFormat, lane_dtype, rescale
+from fkemu.fixedpoint import DomainError, Q8_24, QFormat, lane_dtype, lanes_from_real, lanes_real, rescale
 from reference import linear_lanes
 
 CFG = CordicConfig(24, Q8_24)
@@ -532,3 +532,102 @@ def test_ccm_poses_golden(capsys):
     )
     assert cli.main(["solve", "puma560", "--backend", "cordic", "--format", "Q16.40", "--iters", "40"]) == 0
     assert capsys.readouterr().out == GOLDEN_SOLVE_Q16_40
+
+
+# formats of 8 and 16 bits, Q8.24, and Q16.40 on object lanes, which does
+# not carry its raws between modules
+CLEARANCE_FORMATS = [QFormat(8, 0), QFormat(8, 4), QFormat(8, 5), QFormat(16, 4), QFormat(16, 12), Q8_24,
+                     QFormat(56, 40)]
+
+
+@st.composite
+def one_max_modules(draw):
+    # a module's lanes whose one-max bound 2 sqrt(3) top + C + 2 lies near
+    # the reach limit: just inside or outside the clearance margin, or far
+    # from the limit on either side.  Lane 0 is the tight case, |x| = |y| =
+    # |z| = top and |a_eff w| + |d w| = C; the others lie within both
+    fmt = draw(st.sampled_from(CLEARANCE_FORMATS))
+    cfg = CordicConfig(draw(st.integers(1, fmt.frac_bits + 2)), fmt)
+    limit = ccm._reach_limit(cfg)
+    margin = st.sampled_from([-ccm.CLEAR_MARGIN, 0.0]).flatmap(lambda m: st.floats(m - 2.0**-48, m + 2.0**-48))
+    target = limit * (1.0 + draw(st.one_of(margin, st.floats(-0.5, 0.5))))
+    c = (target - 2.0) * draw(st.floats(0.0, 1.0))
+    top = (target - 2.0 - c) / (2.0 * ccm.SQRT3)
+    assume(top >= 0.0)
+    share, sign = draw(st.floats(0.0, 1.0)), st.sampled_from([-1.0, 1.0])
+    lanes = [(*(top * draw(sign) for _ in range(3)), c * share * draw(sign), c * (1.0 - share) * draw(sign), 1.0)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    for _ in range(draw(st.integers(0, 5))):
+        part = rng.uniform(0.0, 1.0)
+        lanes.append((*rng.uniform(-top, top, 3), *(c * f * rng.choice([-1.0, 1.0]) for f in (part, 1.0 - part)),
+                      float(rng.integers(0, 2))))
+    return cfg, np.array(lanes).T
+
+
+@settings(max_examples=300, deadline=None)
+@given(one_max_modules())
+def test_one_max_clearance_never_clears_a_lane_the_exact_check_refuses(case):
+    # the first module reads the caller's doubles, a later one its raws as
+    # doubles, rounded in words past CARRY_BITS: either way, a module the
+    # one bound clears must pass _check_reach on every lane
+    cfg, (x, y, z, a, d, w) = case
+    limit = ccm._reach_limit(cfg)
+    consts = np.array([a * w, d * w])
+    c = float(np.abs(consts).sum(axis=0).max())
+    first = np.array([x, y, z])
+    raws = lanes_from_real(first, cfg.fmt)
+    later = lanes_real(raws, cfg.fmt)
+    for p, top in [(first, float(np.abs(first).max())), (later, float(np.abs(raws).max()) * cfg.fmt.eps)]:
+        assert top >= np.abs(p).max()
+        if ccm._clears(top, c, limit):
+            ccm._check_reach(0, p, w, np.zeros(w.shape, dtype=bool), consts, cfg)
+
+
+@st.composite
+def cascade_sets(draw):
+    # chains of 1-4 links in words of at most 54 bits, on int64 and object
+    # lanes, their reach drawn up to and past the limit: most sets pass,
+    # some fail at a later link, some at the first
+    fmt = draw(st.sampled_from([QFormat(8, 4), QFormat(8, 5), QFormat(16, 12), Q8_24, QFormat(54, 38)]))
+    cfg = CordicConfig(draw(st.integers(1, fmt.frac_bits + 2)), fmt)
+    scale = ccm._reach_limit(cfg) * draw(st.sampled_from([0.05, 0.2, 0.3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    lanes, links = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    theta, alpha = rng.uniform(-math.pi, math.pi, (2, lanes, links))
+    d, a = rng.uniform(-scale, scale, (2, lanes, links))
+    points = np.column_stack([rng.uniform(-scale, scale, (lanes, 3)), rng.integers(0, 2, lanes)])
+    if draw(st.booleans()):
+        points[rng.integers(0, lanes), 3] = 0.5  # a bad w on one lane
+    return cfg, ChainSet(theta, d, a, alpha), points
+
+
+def _outcome(chains, points, cfg):
+    try:
+        return ccm_points(chains, points, cfg).tobytes()
+    except ValueError as e:  # DomainError included
+        return type(e).__name__, str(e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cascade_sets())
+def test_carried_raws_and_one_max_clearance_keep_bits_and_decisions(case):
+    # the same bits and the same error, message and all, as the route that
+    # passes every lane through doubles between modules and checks every
+    # module exactly
+    cfg, chains, points = case
+    fast = _outcome(chains, points, cfg)
+    with mock.patch.object(ccm, "CARRY_BITS", 0), mock.patch.object(ccm, "_clears", return_value=False):
+        assert fast == _outcome(chains, points, cfg)
+    with mock.patch.object(ccm, "CARRY_BITS", 0):
+        assert fast == _outcome(chains, points, cfg)
+
+
+@settings(max_examples=30, deadline=None)
+@given(reach_edge_lanes())
+def test_reach_edge_lanes_take_the_exact_check(case):
+    # a lane within a few ulps of the reach limit is never cleared by the
+    # one bound: the exact check decides it, as the reach tests above need
+    cfg, chains, points = case
+    with mock.patch.object(ccm, "_check_reach", wraps=ccm._check_reach) as check:
+        ccm_points(chains, points, cfg)
+    assert check.call_count == 1

@@ -21,9 +21,11 @@ from fkemu.dh import (
     chain_product,
     decompose,
     exact_sincos,
+    provider_links,
     puma_chain,
     puma_closed_form,
 )
+from fkemu.fixedpoint import DomainError
 from fkemu.umdh import umdh_chain
 
 PARAMS = PumaParams(d2=0.14909, d4=0.43307, d6=0.05625, a2=0.4318, a3=-0.02032)
@@ -222,6 +224,52 @@ def test_one_product_over_stacked_providers(chains, providers):
         assert got.tobytes() == chain_poses(chain_set, sincos).tobytes()
         for k, chain in enumerate(chains):
             assert got[k].tobytes() == chain_pose(chain, sincos).tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    chains=st.integers(1, 6).flatmap(
+        lambda n: st.lists(st.lists(joint_strategy, min_size=n, max_size=n).map(tuple), min_size=1, max_size=5)
+    ),
+    providers=st.lists(st.sampled_from(sorted(PROVIDERS)), min_size=1, max_size=6),
+)
+def test_provider_links_equal_chain_links(chains, providers):
+    # fkemu bench's route: each provider called once on the stacked
+    # (theta, alpha), one _link_stack over every provider's (cos, sin) in
+    # provider_links, one chain_product
+    chain_set = ChainSet.of(chains)
+    links = provider_links(chain_set, [PROVIDERS[p] for p in providers])
+    assert links.shape == (len(providers), len(chains), len(chains[0]), 4, 4)
+    for provider, got in zip(providers, links):
+        assert got.tobytes() == chain_links(chain_set, PROVIDERS[provider]).tobytes()
+    poses = chain_product(links.reshape(-1, *links.shape[2:])).reshape(len(providers), len(chains), 4, 4)
+    for provider, got in zip(providers, poses):
+        assert got.tobytes() == chain_poses(chain_set, PROVIDERS[provider]).tobytes()
+
+
+HUGE = (DhJoint(ROTARY, 0.1, 1e308, 1e308, 0.3), DhJoint(ROTARY, 0.2, 1e308, 1e308, 0.5))
+
+
+@pytest.mark.parametrize("chain", [
+    HUGE,  # the product overflows
+    (DhJoint(ROTARY, 0.1, math.inf, 0.1, 0.3),),  # one link, no product: inf as given
+    (DhJoint(PRISMATIC, 0.1, 0.2, 0.0, 0.3), DhJoint(ROTARY, 0.2, math.nan, 0.1, 0.5)),
+], ids=["overflow", "inf-link", "nan-link"])
+def test_pose_past_float64_raises_domain_error_without_warning(chain):
+    # the library's own domain; the RuntimeWarning filter of the test
+    # config turns any overflow warning into a failure
+    for provider in ("matrix", "taylor"):
+        with pytest.raises(DomainError, match="pose is not finite in float64"):
+            chain_pose(chain, PROVIDERS[provider])
+        with pytest.raises(DomainError, match="pose is not finite in float64"):
+            chain_poses(ChainSet.of([chain, chain]), PROVIDERS[provider])
+
+
+def test_chain_product_stays_the_ieee_layer():
+    # fkemu bench and solve check the product's poses themselves
+    with np.errstate(over="ignore", invalid="ignore"):
+        pose = chain_product(chain_links(ChainSet.of([HUGE])))
+    assert not np.isfinite(pose).all()
 
 
 def test_chain_poses_reject_empty_and_ragged_sets():
