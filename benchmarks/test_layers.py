@@ -6,9 +6,10 @@ Layers, bottom up: fixed-point primitive (rescale on 64 int64 lanes, the
 narrowing the kernels use, and fold_angle and quarter_turns on one
 lut_sincos block of 8192 angles), the CORDIC processors the cascade runs
 (the closed-form unit linear accumulate on one row and on a module's
-(2, 64) stack, the fold and sigma pass over a puma request's angles, and
-one circular stage on a mirrored (x, y) stack, with every clip and
-clip-free as the cascade runs it), sin/cos generator per backend (one
+(2, 64) stack, the stage plan of a puma request's angles (fold, sigma
+pass, quarter-turn moves and the casts to the lane dtype), and one
+circular stage run from its plan, with every clip and clip-free as the
+cascade runs it), sin/cos generator per backend (one
 lane, and batched; the LUT also on perfbench lut-scan's 2**20 angles per
 table mode, Taylor on a chain12-bench request's 384 angles), link-matrix
 assembly and chain product apart (chain_links and chain_product on
@@ -71,10 +72,8 @@ from fkemu.fixedpoint import (
     fold_angle,
     fx_from_real,
     lanes_from_real,
-    mirror,
     quarter_turns,
     rescale,
-    turn_moves,
 )
 
 PUMA = cli.load_chain("puma560").joints
@@ -136,30 +135,27 @@ def test_linear_lanes_2x64_stack(benchmark):
 
 
 def test_circ_sigmas_768_residuals(benchmark):
-    # one puma-bench request's angles, 6 links x (alpha, theta) x 64 lanes,
-    # stacked as ccm_points stacks them: each chain's links on four lanes
+    # the stage plan of one puma-bench request's angles, 6 links x (alpha,
+    # theta) x 64 lanes, stacked as ccm_points stacks them: each chain's
+    # links on four lanes
     alpha, theta = (np.repeat(v, 4, axis=0) for v in (VARIANTS.alpha, VARIANTS.theta))
     benchmark(circ_sigmas, _by_link(alpha, theta), DEFAULT_CONFIG)
 
 
-def _stage_operands(dtype):
-    """(1, 0) on 64 lanes as a mirrored stack and the moves and sigmas of
-    64 angles, the latter two of dtype: int8 as circ_rotate_lanes passes
-    them, int64 as the cascade casts them once."""
-    v = mirror(np.full(64, fx_from_real(1.0, Q8_24).raw), np.zeros(64, dtype=np.int64))
-    q, sigmas = circ_sigmas(np.linspace(-math.pi, math.pi, 64), DEFAULT_CONFIG)
-    swap, signs = turn_moves(q)
-    return v, swap, signs.astype(dtype), sigmas.astype(dtype)
+def _stage_operands():
+    """(1, 0) on 64 lanes and the stage plan of 64 angles."""
+    x, y = np.full(64, fx_from_real(1.0, Q8_24).raw), np.zeros(64, dtype=np.int64)
+    return x, y, *circ_sigmas(np.linspace(-math.pi, math.pi, 64), DEFAULT_CONFIG)
 
 
 def test_circ_rotate_sigmas_64_lanes(benchmark):
-    # one circular stage with every clip, its sigmas already passed
-    benchmark(circ_rotate_sigmas, *_stage_operands(np.int8), DEFAULT_CONFIG)
+    # one circular stage with every clip, its plan already made
+    benchmark(circ_rotate_sigmas, *_stage_operands(), DEFAULT_CONFIG)
 
 
 def test_circ_rotate_sigmas_64_lanes_clip_free(benchmark):
-    # one circular stage as the cascade runs it: no clip, operands cast once
-    benchmark(circ_rotate_sigmas, *_stage_operands(np.int64), DEFAULT_CONFIG, False)
+    # one circular stage as the cascade runs it: no clip
+    benchmark(circ_rotate_sigmas, *_stage_operands(), DEFAULT_CONFIG, False)
 
 
 def test_sincos_cordic(benchmark):

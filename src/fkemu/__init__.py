@@ -14,7 +14,6 @@ from .cordic import (
     CordicState,
     LINEAR,
     circ_rotate_lanes,
-    cordic_lanes,
     cordic_step,
     gain,
     linear_unit_lanes,
@@ -22,7 +21,6 @@ from .cordic import (
 )
 from .dh import (
     ChainSet,
-    DhChain,
     DhJoint,
     PRISMATIC,
     ROTARY,

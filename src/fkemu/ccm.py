@@ -12,22 +12,19 @@ The cascade runs on lanes (see cordic): lane k pushes points[k] through
 chains[k], and every module processes all lanes at once, link by link.  A
 pose is four lanes per chain: the three direction columns as free vectors
 and the origin as a point, so ccm_poses on 16 chains runs 64 lanes.
-Every joint angle is known before the cascade starts, so ccm_points folds
-all of them, finds all their sigmas in one pass (cordic.circ_sigmas) and
-gathers all their quarter-turn moves at once, mirrored as the kernels
-take them; each circular stage then only pre-scales, steps and turns its
-(x, y) pair as one mirrored stack (fixedpoint.mirror), whose reversal is
-the swap of x and y.  Each module's reach check, against the per-config
-limit _reach_limit (at most the format's top), rules out saturation in
-all four processors: each linear processor is cordic.linear_unit_lanes's
-closed form on the staged unit, and the circular stages run with no
-clip after the 1/K pre-scale, any step or the quarter turns, with the
+Every joint angle is known before the cascade starts, so ccm_points makes
+the stage plan of all of them in one call (cordic.circ_sigmas), and each
+circular stage runs its slice of it (cordic.circ_rotate_sigmas).  Each
+module's reach check, against the per-config limit _reach_limit (at most
+the format's top), rules out saturation in all four processors, so the
+circular stages run with no clip and the linear ones as
+cordic.linear_accumulate, exact where no partial sum saturates, with the
 bits a clipped route gives.  A lane that a clip could pin raises
-DomainError instead.
-Once CIRC1 has run, both linear processors of a module have their inputs,
-so the emulator runs them as one linear pass on a (2, lanes) stack.  The
-emulated processors still run n_iter shift-add steps each: op counts and
-the latency model do not change.
+DomainError instead.  Once CIRC1 has run, both linear processors of a
+module have their inputs, so the emulator runs them as one
+linear_accumulate on a (2, lanes) stack.  The emulated processors still
+run n_iter shift-add steps each: op counts and the latency model do not
+change.
 
 A cascade converts its caller's doubles to raws once and its output to
 doubles once, at the end.  Between modules it carries the raws where the
@@ -67,10 +64,10 @@ from .cordic import (
     circ_sigmas,
     gain,
     lin1_op_count,
-    linear_unit_lanes,
+    linear_accumulate,
 )
 from .dh import ChainSet
-from .fixedpoint import DomainError, fx_from_real, lane_dtype, lanes_from_real, lanes_real, mirror, turn_moves, unmirror
+from .fixedpoint import DomainError, fx_from_real, lanes_from_real, lanes_real
 
 # the paper's per-stage delay and fixed overhead of the cascade
 STAGE_TIME_US = 40.0
@@ -95,49 +92,6 @@ class PipelineModel:
 
 def latency_us(m: PipelineModel) -> float:
     return 2.0 * STAGE_TIME_US * m.n_links + OVERHEAD_US
-
-
-# k = 0 on every lane, as one 0-d int64 array that broadcasts
-_UNSTAGED = np.zeros((), dtype=np.int64)
-_UNSTAGED.flags.writeable = False
-
-
-def _lin_accumulate(const, value, cfg: CordicConfig):
-    """Linear-mode CORDIC add on lanes of any shape (..., lanes): returns
-    const + value (the LIN1 and LIN2 processors, one per row of a stack).
-
-    Linear mode only converges for |z0| <= 2, so larger arguments are
-    staged down by an exact power of two 2**k, chosen per lane, while the
-    unit multiplicand is staged up by the same factor (y accumulates x0 * z0
-    either way).  k stops at word_bits - frac_bits - 2, where every raw of
-    the format is staged within 2.  The n_iter shift-add steps on the unit
-    2**(frac_bits + k) run in cordic.linear_unit_lanes's closed form, a
-    few ufuncs on the lanes, which equals the clipping loop bit for bit
-    because _module's proof shows that no partial sum saturates on a lane
-    the reach check passes.
-
-    One test decides whether any lane stages at all: a raw's double
-    rounds monotonically, so the largest |raw|'s double is the largest
-    |double| of a raw.  With no lane past 2.0, k is the 0-d _UNSTAGED and
-    no staging array is made.
-    """
-    fmt = cfg.fmt
-    k_max = fmt.word_bits - fmt.frac_bits - 2
-    two = math.ldexp(2.0, fmt.frac_bits)  # |v.real| > 2.0 on the raw's double
-    if k_max <= 0 or not float(np.abs(value).max()) > two:
-        return linear_unit_lanes(const, value, _UNSTAGED, cfg)
-
-    def too_big(v, k):
-        return (np.abs(v.astype(np.float64)) > two) & (k < k_max)
-
-    k = np.zeros(value.shape, dtype=np.int64)
-    v = value
-    big = too_big(v, k)
-    while big.any():
-        k = k + big
-        v = value >> k
-        big = too_big(v, k)
-    return linear_unit_lanes(const, v, k, cfg)
 
 
 def _reach(norm, consts):
@@ -218,10 +172,8 @@ def _module(xyz: np.ndarray, raws, stages, cfg: CordicConfig) -> np.ndarray:
     and z raws xyz holds, shape (3, lanes).
 
     raws holds the link's constants (a_eff w, d w) as raws, (2, lanes);
-    stages holds the (swap, signs, sigmas) of CIRC1 and CIRC2, circ_sigmas
-    of the link's alpha and theta lanes as turn_moves and sigma stacks of
-    the lane dtype, mirrored: each circular stage takes its pair as
-    mirror(y, z) or mirror(x, y).  Returns the output raws, (3, lanes).  A
+    stages holds the stage plans of CIRC1 and CIRC2, circ_sigmas of the
+    link's alpha and theta lanes.  Returns the output raws, (3, lanes).  A
     free vector (w = 0) has zero constants, which is how orientation
     columns ride the same hardware as position.
 
@@ -232,7 +184,7 @@ def _module(xyz: np.ndarray, raws, stages, cfg: CordicConfig) -> np.ndarray:
     The caller has passed every lane through the reach check, _clears or
     _check_reach, on the points p as doubles.  No processor saturates on
     a lane that passes, so the module runs no clip: each linear processor
-    is linear_unit_lanes's closed form on the staged unit, exact where no
+    is linear_accumulate's closed form on the staged unit, exact where no
     partial sum saturates, and the circular stages leave out every clip,
     with the bits of the clipped route.  In
     raws, with u = 2**F (1.0), F = frac_bits, n = n_iter, M the format's
@@ -285,9 +237,9 @@ def _module(xyz: np.ndarray, raws, stages, cfg: CordicConfig) -> np.ndarray:
     of its top, since its 1/K rounds to 1.
     """
     # no clip in any stage (the trailing False): the reach check rules every one out
-    y_a, z_a = unmirror(circ_rotate_sigmas(mirror(xyz[1], xyz[2]), *stages[0], cfg, False))
-    x_a, z_out = _lin_accumulate(raws, np.array([xyz[0], z_a]), cfg)
-    x_out, y_out = unmirror(circ_rotate_sigmas(mirror(x_a, y_a), *stages[1], cfg, False))
+    y_a, z_a = circ_rotate_sigmas(xyz[1], xyz[2], *stages[0], cfg, False)
+    x_a, z_out = linear_accumulate(raws, np.array([xyz[0], z_a]), cfg)
+    x_out, y_out = circ_rotate_sigmas(x_a, y_a, *stages[1], cfg, False)
     return np.array([x_out, y_out, z_out])
 
 
@@ -321,15 +273,13 @@ def ccm_points(chains: ChainSet, points, cfg: CordicConfig = DEFAULT_CONFIG) -> 
     Every alpha and theta is known before the cascade starts, so one fold
     and one sigma pass over all of them, link by (alpha, theta) by lane,
     come first: a joint angle beyond MAX_ANGLE raises its DomainError before
-    any module checks its reach.  Their quarter-turn moves are gathered
-    then too, and they and the sigma stack are cast to the lane dtype
-    once.  w never changes, so the w check, the translation constants
-    a_eff w and d w of every link and each link's largest |a_eff w| +
-    |d w| are made once, and the constants converted to raws once: a
-    constant past the format's range fails its link's reach check before
-    any module reads it, so it converts as 0, with no warning.  The first
-    module's reach is checked on the caller's doubles, a later one's on
-    its input raws (as doubles).  No chains give a (0, 4) array."""
+    any module checks its reach.  w never changes, so the w check, the
+    translation constants a_eff w and d w of every link and each link's
+    largest |a_eff w| + |d w| are made once, and the constants converted to
+    raws once: a constant past the format's range fails its link's reach
+    check before any module reads it, so it converts as 0, with no warning.
+    The first module's reach is checked on the caller's doubles, a later
+    one's on its input raws (as doubles).  No chains give a (0, 4) array."""
     fmt = cfg.fmt
     p = np.array(points, dtype=np.float64).reshape(len(chains), 4)
     if not len(p):  # no lanes: no module has a point to push or check
@@ -337,10 +287,7 @@ def ccm_points(chains: ChainSet, points, cfg: CordicConfig = DEFAULT_CONFIG) -> 
     w = p[:, 3]
     bad_w = (w != 0.0) & (w != 1.0)
     clear_w, limit = not bad_w.any(), _reach_limit(cfg)
-    q, sigmas = circ_sigmas(_by_link(chains.alpha, chains.theta), cfg)
-    swaps, signs = turn_moves(q)
-    dtype = lane_dtype(fmt)
-    sigmas, signs = sigmas.astype(dtype), signs.astype(dtype)
+    swaps, signs, sigmas = circ_sigmas(_by_link(chains.alpha, chains.theta), cfg)
     carry = fmt.word_bits <= CARRY_BITS
     # inf and nan fail the reach check, which reports them
     with np.errstate(over="ignore", invalid="ignore"):

@@ -57,10 +57,6 @@ def exact_selection(u: float, i: int) -> int:
     return 1 if u >= 0 else -1
 
 
-def truncated_selection(w_frac: int) -> SelectionPolicy:
-    return lambda u, i: selection(u, w_frac)
-
-
 def forced_selection(seq: Sequence[int]) -> SelectionPolicy:
     """Replay a fixed sigma sequence (for exhaustive gain enumeration)."""
     return lambda u, i: seq[i]

@@ -18,26 +18,29 @@ n_iter steps either way; the emulator skips work whose result it knows:
 
 - sigmas depend on z alone, so a circular rotation is a sigma pass over z
   (_sigma_pass, which has no clip: a z update cannot saturate), then the
-  (x, y) steps (_stacked_steps), which take their clip as an operand,
-  saturate, so one loop serves the callers that need the clip and the
-  cascade, which has proved it cannot fire.  x and y ride one 1-D
-  mirrored stack, fixedpoint.mirror's [x_0 ... x_{L-1}, y_{L-1} ... y_0],
-  so a step's swap of x and y is the reversed view v[::-1], which numpy
-  runs on its fast path; the sigma stack and the quarter-turn moves
-  (fixedpoint.turn_moves) are mirrored to match.  cordic_lanes, for
-  arbitrary raws, composes the two with the clip; circ_sigmas (fold and
-  sigma pass) and circ_rotate_sigmas (pre-scale, steps, quarter turns)
-  let the module cascade run one sigma pass over all its angles.
-  circ_rotate_sigmas clips unless told not to: circ_rotate_lanes and
-  sincos_cordic take arbitrary raws and keep every clip (cos 0 saturates
-  in a format with one integer bit), and the cascade runs it with none,
-  since ccm's reach check rules every one out.
-- linear sigmas are the binary digits of z0, and the cascade's
-  multiplicand is always the staged unit 2**(frac_bits + k), so
-  linear_unit_lanes sums the loop in closed form with a few ufuncs per
-  lane, exact where no partial sum saturates; it runs on a stack of rows
-  as on one.  The general-multiplicand form it is summed from is the
-  tests' reference (tests/reference.py).
+  (x, y) steps (_stacked_steps), which take their clip as an operand, so
+  one loop serves the callers that need the clip and the cascade, which
+  has proved it cannot fire.  circ_sigmas (fold and sigma pass) makes a
+  stage plan and circ_rotate_sigmas (pre-scale, steps, quarter turns)
+  runs it, so the module cascade makes one plan for all its angles and
+  runs a slice of it per stage.  circ_rotate_sigmas clips unless told not
+  to: circ_rotate_lanes and sincos_cordic take arbitrary raws and keep
+  every clip (cos 0 saturates in a format with one integer bit), and the
+  cascade runs it with none, since ccm's reach check rules every one out.
+- a stage holds x and y as one 1-D mirrored stack, _mirror's
+  [x_0 ... x_{L-1}, y_{L-1} ... y_0], so swapping x and y is the reversed
+  view v[::-1], which numpy runs on its fast path, where a (2, lanes)
+  stack's v[::-1] takes the general iterator at about twice the cost per
+  call on 64 lanes.  The plan is mirrored to match: the sigma stack, and
+  the quarter turns' moves as a swap mask and signs (_turn_moves, read off
+  fixedpoint.quarter_turns once), with the signs and sigmas in the lane
+  dtype, cast once per plan, not once per stage.
+- linear sigmas are the binary digits of z0, and linear_accumulate's
+  multiplicand is always the unit 2**(frac_bits + k), staged up as its
+  argument is staged down, so linear_unit_lanes sums the loop in closed
+  form with a few ufuncs per lane, exact where no partial sum saturates;
+  both run on a stack of rows as on one.  The general-multiplicand form
+  it is summed from is the tests' reference (tests/reference.py).
 
 Every per-config constant (range, shifts, micro-angles, the 1/K pre-scale)
 is in one table of lane-dtype arrays made once per CordicConfig
@@ -68,10 +71,8 @@ from .fixedpoint import (
     lane_dtype,
     lanes_from_real,
     lanes_real,
-    mirror,
+    quarter_turns,
     rescale,
-    turn_moves,
-    unmirror,
 )
 
 CIRCULAR = 1
@@ -198,10 +199,42 @@ def _operands(cfg: CordicConfig) -> _Operands:
     )
 
 
+def _mirror(x, y):
+    """x and y, each of shape (..., lanes), as one mirrored lane stack of
+    shape (..., 2*lanes): [x_0 ... x_{L-1}, y_{L-1} ... y_0].  Its reversal
+    v[..., ::-1] holds y where v holds x and x where v holds y, lane for
+    lane."""
+    return np.concatenate([x, y[..., ::-1]], axis=-1)
+
+
+def _unmirror(v):
+    """The x and y of a mirrored lane stack v, each of shape (..., lanes),
+    in lane order."""
+    lanes = v.shape[-1] // 2
+    return v[..., :lanes], v[..., lanes:][..., ::-1]
+
+
+# per quarter turn q, read off quarter_turns' image of (1, 2): whether x
+# and y swap, then the signs they take; int8, so gathers stay small
+_TURNED = quarter_turns(np.arange(4), 1, 2)
+_SWAP = abs(_TURNED[0]) == 2
+_X_SIGN, _Y_SIGN = np.sign(_TURNED).astype(np.int8)
+
+
+def _turn_moves(q, dtype):
+    """quarter_turns' moves for an int array q of shape (..., lanes), for
+    (x, y) as a mirrored stack v = _mirror(x, y): the swap mask (bool) and
+    the signs (of dtype), both mirrored, of shape (..., 2*lanes).
+    np.where(swap, v[::-1], v) * signs is _mirror(*quarter_turns(q, x, y))
+    for a q of shape (lanes,)."""
+    swap = _SWAP[q]
+    return _mirror(swap, swap), _mirror(_X_SIGN[q], _Y_SIGN[q]).astype(dtype)
+
+
 def _sigma_pass(z, cfg: CordicConfig):
     """The circular z pass over raw residuals z, shape (..., lanes): returns
     the signed sigma stack, int8 of shape (..., n_iter, 2*lanes) holding
-    mirror(-sigma_i, +sigma_i) at step i (-sigma by lane, then +sigma in
+    _mirror(-sigma_i, +sigma_i) at step i (-sigma by lane, then +sigma in
     reversed lane order: the signs of x's and y's updates in a mirrored
     (x, y) stack), and the final residuals.
 
@@ -217,43 +250,24 @@ def _sigma_pass(z, cfg: CordicConfig):
         s = (z >> ops.sign_shift) | ops.one
         sigmas[..., i, :] = s
         z = z - s * e
-    return mirror(-sigmas, sigmas), z
+    return _mirror(-sigmas, sigmas), z
 
 
 def _stacked_steps(v, sigmas, cfg: CordicConfig, saturate: bool = True):
-    """The circular (x, y) steps on v = mirror(x, y), shape (2*lanes,),
-    driven by a signed sigma stack of _sigma_pass: x' = x - s*(y >> i) and
-    y' = y + s*(x >> i), as one shift of the reversed view v[::-1] (y where
-    v holds x, x where v holds y), one multiply and one add per step, and a
-    clip unless saturate is False, which a caller may pass only where it
-    has proved that no step leaves the format.  A sigma stack already of
-    v's dtype is used as it is, so the cascade casts its stack once, not
-    once per rotation."""
+    """The circular (x, y) steps on v = _mirror(x, y), shape (2*lanes,),
+    driven by a signed sigma stack of _sigma_pass in v's dtype:
+    x' = x - s*(y >> i) and y' = y + s*(x >> i), as one shift of the
+    reversed view v[::-1] (y where v holds x, x where v holds y), one
+    multiply and one add per step, and a clip unless saturate is False,
+    which a caller may pass only where it has proved that no step leaves
+    the format."""
     # bare clip, not rescale: a call per step would cost more than the clip on 64 lanes
     ops = _operands(cfg)
-    for s, i in zip(sigmas.astype(v.dtype, copy=False), ops.shifts):
+    for s, i in zip(sigmas, ops.shifts):
         v = v + s * (v[::-1] >> i)
         if saturate:
             v = clip(v, ops.lo, ops.hi)
     return v
-
-
-def cordic_lanes(x, y, z, cfg: CordicConfig):
-    """The circular rotation-mode micro-rotation loop over lanes of raws in
-    cfg.fmt; returns (x, y, z).
-
-    x, y and z are arrays of lane_dtype(cfg.fmt), one raw per lane.  sigma
-    is chosen per lane, sign(z) with +1 on ties, driving z to zero.  The
-    output is K*(x0*cos z0 - y0*sin z0, y0*cos z0 + x0*sin z0, ~0) for |z0|
-    within the sum of all atan(2**-i), about 1.7433.  Each lane equals
-    cordic_step folded over shift indices 0..n_iter-1 in CIRCULAR mode, bit
-    for bit: a sigma pass over z, then the (x, y) steps on the mirrored
-    stack.  No range checks: those belong to the callers that know what the
-    lanes hold.
-    """
-    sigmas, z = _sigma_pass(z, cfg)
-    x, y = unmirror(_stacked_steps(mirror(x, y), sigmas, cfg))
-    return x, y, z
 
 
 def linear_unit_lanes(y, z, k, cfg: CordicConfig):
@@ -284,10 +298,8 @@ def linear_unit_lanes(y, z, k, cfg: CordicConfig):
     LINEAR mode from (x0, y0, z0), bit for bit, provided no partial sum
     y0 + sum_{j<=i} sigma_j*(x0 >> j) saturates: the loop clips every
     partial sum, this form only the last (z never saturates in the loop).
-    ccm's reach check proves that precondition (ccm._module's proof).
     The digits also need 1.0 to be a power-of-two raw, frac_bits <=
-    word_bits - 2, which that check implies; a format without it raises
-    ValueError.
+    word_bits - 2; a format without it raises ValueError.
     """
     if cfg.fmt.frac_bits > cfg.fmt.word_bits - 2:
         raise ValueError(f"linear lanes need 1.0 as a power-of-two raw, which {cfg.fmt} lacks")
@@ -297,11 +309,58 @@ def linear_unit_lanes(y, z, k, cfg: CordicConfig):
     return clip(y + s, ops.lo, ops.hi)
 
 
+# k = 0 on every lane, as one 0-d int64 array that broadcasts
+_UNSTAGED = np.zeros((), dtype=np.int64)
+_UNSTAGED.flags.writeable = False
+
+
+def linear_accumulate(const, value, cfg: CordicConfig):
+    """Linear-mode CORDIC add on lanes of raws in cfg.fmt, of any shape
+    (..., lanes): returns const + value (ccm's LIN1 and LIN2 processors,
+    one per row of a stack).
+
+    Linear mode only converges for |z0| <= 2, so larger arguments are
+    staged down by an exact power of two 2**k, chosen per lane, while the
+    unit multiplicand is staged up by the same factor (y accumulates x0 * z0
+    either way).  k stops at linear_unit_lanes' bound word_bits - frac_bits
+    - 2, where every raw of the format is staged within 2.  The n_iter
+    shift-add steps on the unit 2**(frac_bits + k) run in linear_unit_lanes'
+    closed form, which equals the clipping loop bit for bit where no
+    partial sum saturates: ccm's reach check proves that on every lane it
+    passes (ccm._module's proof).
+
+    One test decides whether any lane stages at all: a raw's double
+    rounds monotonically, so the largest |raw|'s double is the largest
+    |double| of a raw.  With no lane past 2.0, k is the 0-d _UNSTAGED and
+    no staging array is made.
+    """
+    fmt = cfg.fmt
+    k_max = fmt.word_bits - fmt.frac_bits - 2
+    two = math.ldexp(2.0, fmt.frac_bits)  # |v.real| > 2.0 on the raw's double
+    if k_max <= 0 or not float(np.abs(value).max()) > two:
+        return linear_unit_lanes(const, value, _UNSTAGED, cfg)
+
+    def too_big(v, k):
+        return (np.abs(v.astype(np.float64)) > two) & (k < k_max)
+
+    k = np.zeros(value.shape, dtype=np.int64)
+    v = value
+    big = too_big(v, k)
+    while big.any():
+        k = k + big
+        v = value >> k
+        big = too_big(v, k)
+    return linear_unit_lanes(const, v, k, cfg)
+
+
 def circ_sigmas(angle: np.ndarray, cfg: CordicConfig):
-    """The front of circ_rotate_lanes for float64 angles within +-MAX_ANGLE,
-    of any shape (..., lanes): the quarter turns q, shape (..., lanes), and
-    the signed sigma stack of the folded residuals, (..., n_iter, 2*lanes),
-    mirrored as _sigma_pass gives it.
+    """The stage plan of float64 angles within +-MAX_ANGLE, of any shape
+    (..., lanes), as circ_rotate_sigmas runs it: (swap, signs, sigmas),
+    the quarter turns' moves (_turn_moves), (..., 2*lanes), and the signed
+    sigma stack of the folded residuals (_sigma_pass), (..., n_iter,
+    2*lanes), all mirrored, with signs and sigmas of lane_dtype(cfg.fmt).
+    Every operation is per angle, so the plan of a stack of angles, sliced
+    at a row, is the plan of that row alone.
 
     |angle| folds to a residual in [-pi/4, pi/4] plus a whole number of
     quarter turns, and one z pass over every residual gives every sigma.
@@ -313,30 +372,30 @@ def circ_sigmas(angle: np.ndarray, cfg: CordicConfig):
     neg = angle < 0
     q, r = np.where(neg, -q, q) & 3, np.where(neg, -r, r)
     sigmas, _ = _sigma_pass(lanes_from_real(r, cfg.fmt), cfg)
-    return q, sigmas
+    dtype = lane_dtype(cfg.fmt)
+    return *_turn_moves(q, dtype), sigmas.astype(dtype)
 
 
-def circ_rotate_sigmas(v, swap, signs, sigmas, cfg: CordicConfig, saturate: bool = True):
-    """The back of circ_rotate_lanes: raws v = mirror(x, y) in cfg.fmt,
-    shape (2*lanes,), rotated by the angles circ_sigmas folded into quarter
-    turns and sigmas (one (n_iter, 2*lanes) stack); returns the rotated
-    mirrored stack.  swap and signs are turn_moves of the quarter turns,
-    so a quarter turn's swap of x and y is a select from v[::-1].
+def circ_rotate_sigmas(x, y, swap, signs, sigmas, cfg: CordicConfig, saturate: bool = True):
+    """The back of circ_rotate_lanes: raws x and y in cfg.fmt, shape
+    (lanes,), rotated by one stage plan of circ_sigmas, whose mirrored
+    lanes are 2*lanes; returns the rotated raws (x, y).
 
     Pre-scales the vector by 1/K, steps it, then applies the quarter turns
-    as exact swap and sign moves, saturating after the pre-scale, each
-    step and the turns.  saturate=False leaves out every clip, for a
-    caller that has proved no value leaves the format; the bits are then
-    the same.  The module cascade is that caller: every one of its stages
-    runs with no clip, on lanes that ccm's reach check passed.
+    as exact swap and sign moves, all on (x, y) as one mirrored stack,
+    saturating after the pre-scale, each step and the turns.
+    saturate=False leaves out every clip, for a caller that has proved no
+    value leaves the format; the bits are then the same.  The module
+    cascade is that caller: every one of its stages runs with no clip, on
+    lanes that ccm's reach check passed.
     """
     ops = _operands(cfg)
-    v = (v * ops.inv_gain) >> ops.frac
+    v = (_mirror(x, y) * ops.inv_gain) >> ops.frac
     if saturate:
         v = clip(v, ops.lo, ops.hi)
     v = _stacked_steps(v, sigmas, cfg, saturate)
     v = np.where(swap, v[::-1], v) * signs
-    return clip(v, ops.lo, ops.hi) if saturate else v
+    return _unmirror(clip(v, ops.lo, ops.hi) if saturate else v)
 
 
 def circ_rotate_lanes(x, y, angle: np.ndarray, cfg: CordicConfig):
@@ -345,18 +404,17 @@ def circ_rotate_lanes(x, y, angle: np.ndarray, cfg: CordicConfig):
     raws (x, y).
 
     circ_sigmas (fold and sigma pass), then circ_rotate_sigmas (pre-scale
-    by 1/K, steps, quarter turns) on mirror(x, y) with every clip.  This is
-    the circular building block behind sin/cos generation and every
-    link-rotation stage; the cascade calls its two halves itself, so one
-    sigma pass serves all links.
+    by 1/K, steps, quarter turns) with every clip.  This is the circular
+    building block behind sin/cos generation and every link-rotation
+    stage; the cascade calls its two halves itself, so one sigma pass
+    serves all links.
 
     Odd symmetry holds only within sincos_tolerance, not bit for bit: the
     shift-add steps truncate toward -inf, so a rotation by -z is not the
     mirror image of one by z.  Raises DomainError if any |angle| exceeds
     MAX_ANGLE or is not finite.
     """
-    q, sigmas = circ_sigmas(angle, cfg)
-    return unmirror(circ_rotate_sigmas(mirror(x, y), *turn_moves(q), sigmas, cfg))
+    return circ_rotate_sigmas(x, y, *circ_sigmas(angle, cfg), cfg)
 
 
 def sincos_cordic(theta, cfg: CordicConfig = DEFAULT_CONFIG):

@@ -59,9 +59,6 @@ class DhJoint:
         return self.a if self.kind == ROTARY else 0.0
 
 
-DhChain = Sequence[DhJoint]
-
-
 @dataclass(frozen=True, eq=False)
 class ChainSet:
     """Chains of one length as (chains, links) float64 arrays, one per link
@@ -73,7 +70,7 @@ class ChainSet:
     alpha: np.ndarray
 
     @staticmethod
-    def of(chains: Sequence[DhChain]) -> "ChainSet":
+    def of(chains: Sequence[Sequence[DhJoint]]) -> "ChainSet":
         lengths = {len(c) for c in chains}
         if not lengths or 0 in lengths:
             raise ValueError("empty chain")
@@ -157,7 +154,7 @@ def finite(x, what: str):
     return x
 
 
-def chain_pose(chain: DhChain, sincos: SinCos = exact_sincos) -> np.ndarray:
+def chain_pose(chain: Sequence[DhJoint], sincos: SinCos = exact_sincos) -> np.ndarray:
     """Left-to-right product of link transforms: the end-effector pose.
 
     With the default provider this is the oracle; any other provider gives

@@ -9,14 +9,11 @@ undetectably while a pinned value stays visibly at the range edge.
 
 Both rules are written once, in rescale: a raw scaled by 2**-frac moves
 into a format by an exact left shift when the format gains fraction bits,
-a truncating right shift when it loses them, then saturation.  The lane
-kernels, fx_from_real and cordic_step narrow through it; only the CORDIC
-kernels inline their clip, for speed: the circular (x, y) steps, whose
-clip is an operand, the circular pre-scale and quarter turns, and the
-closed-form unit linear kernel.  The module cascade runs the circular
-ones with no clip at all: its reach check proves that none can fire.
-The Taylor cores write their narrowings out as shifts too, with the one
-clip their proof leaves.
+a truncating right shift when it loses them, then saturation.
+fx_from_real, cordic_step and Taylor's coefficient table narrow through
+it.  No lane kernel calls it: for speed, the CORDIC and Taylor kernels
+write their narrowings out as shifts and bare clips, and leave out each
+clip that their proofs rule out.
 
 There is one scalar type, Fx: a raw and its format, as fx_from_real
 quantizes a constant.  A wide multiply-accumulate register is a wide
@@ -26,15 +23,11 @@ Every sin/cos backend reduces its angle through the one fold_angle here and
 unfolds its quadrant through quarter_turns: its exact swaps and signs are
 one gather per output from the rows [x, y, -x, -y, x], each sign a
 negation, which has the bits of a product by -1 on every value but a NaN,
-and the fold rejects NaN.  The cascade unfolds through turn_moves, the same
-moves as a swap mask and signs, gathered once for an (x, y) held as one
-mirrored lane stack (mirror: x by lane, then y in reversed lane order, so
-that swapping x and y is reversing the stack).  The fold takes whole
-turns off by Cody and Waite's split constants: TWO_PI is
-_TWO_PI_HI, 32 significant bits, plus the exact rest _TWO_PI_LO, so k turns
-come off with two exact products and two exact subtractions, and one
-correction (+ TWO_PI where k was one too many) gives mag % TWO_PI bit for
-bit.
+and the fold rejects NaN.  The fold takes whole turns off by Cody and
+Waite's split constants: TWO_PI is _TWO_PI_HI, 32 significant bits, plus
+the exact rest _TWO_PI_LO, so k turns come off with two exact products and
+two exact subtractions, and one correction (+ TWO_PI where k was one too
+many) gives mag % TWO_PI bit for bit.
 
 Batched datapaths hold the raws of many values, one per lane, in an ndarray
 of lane_dtype(fmt); rescale, lanes_from_real and lanes_real work on such
@@ -105,12 +98,6 @@ def fold_angle(mag):
     return q.astype(np.int64), a - q * HALF_PI
 
 
-# per quarter turn q: whether x and y swap, then the signs they take; these
-# serve turn_moves alone, for the cascade's mirrored stacks, and are int8 so
-# int64 and object stacks keep their dtype and gathers stay small
-_ODD = np.array([False, True, False, True])
-_X_SIGN = np.array([1, -1, -1, 1], dtype=np.int8)
-_Y_SIGN = np.array([1, 1, -1, -1], dtype=np.int8)
 # per quarter turn q, the row of [x, y, -x, -y] that quarter_turns' first
 # output takes: x, -y, -x, y
 _FIRST_ROW = np.array([0, 3, 2, 1])
@@ -141,33 +128,6 @@ def quarter_turns(q, x, y):
     at = (_FIRST_ROW * n).take(q)
     at += np.arange(n).reshape(x.shape)
     return rows.take(at), rows[n:].take(at)
-
-
-def mirror(x, y):
-    """x and y, each of shape (..., lanes), as one mirrored lane stack of
-    shape (..., 2*lanes): [x_0 ... x_{L-1}, y_{L-1} ... y_0].  Its reversal
-    v[..., ::-1] holds y where v holds x and x where v holds y, lane for
-    lane, so a swap of x and y is one reversed view: on a 1-D stack numpy
-    runs it on its fast path, where a (2, lanes) stack's v[::-1] takes the
-    general iterator at about twice the cost per call on 64 lanes."""
-    return np.concatenate([x, y[..., ::-1]], axis=-1)
-
-
-def unmirror(v):
-    """The x and y of a mirrored lane stack v, each of shape (..., lanes),
-    in lane order."""
-    lanes = v.shape[-1] // 2
-    return v[..., :lanes], v[..., lanes:][..., ::-1]
-
-
-def turn_moves(q):
-    """quarter_turns' moves for an int array q of shape (..., lanes),
-    gathered once for (x, y) as a mirrored stack v = mirror(x, y): the swap
-    mask (bool) and the signs (int8), both mirrored, of shape (..., 2*lanes).
-    np.where(swap, v[::-1], v) * signs is mirror(*quarter_turns(q, x, y))
-    for a q of shape (lanes,)."""
-    odd = _ODD[q]
-    return mirror(odd, odd), mirror(_X_SIGN[q], _Y_SIGN[q])
 
 
 @dataclass(frozen=True, slots=True)

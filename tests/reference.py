@@ -4,16 +4,17 @@ The package computes on lanes and narrows through fixedpoint.rescale; these
 are the same rules one Fx at a time, plus the double-precision truncated
 series the Taylor engine evaluates in fixed point and its quantized
 coefficients, the Taylor lanes with every narrowing clipped, the linear
-CORDIC loop's closed form for any multiplicand, the quarter-turn unfold as
-a select and a product by each sign, and the thumb VM's dispatch one
-FkInstr at a time.
+CORDIC loop's closed form for any multiplicand, the circular loop on
+arbitrary raws with every clip, the quarter-turn unfold as a select and a
+product by each sign, and the thumb VM's dispatch one FkInstr at a time.
 """
 
 import math
 
 import numpy as np
 
-from fkemu.fixedpoint import _ODD, _X_SIGN, _Y_SIGN, Fx, QFormat, clip, fx_from_real, lane_dtype, rescale
+from fkemu.cordic import _mirror, _sigma_pass, _stacked_steps, _unmirror
+from fkemu.fixedpoint import Fx, QFormat, clip, fx_from_real, lane_dtype, rescale
 from fkemu.umdh import _BINARY, LOADK, SINCOS, CapacityError, FkProgram, UmdhParams, VmConfig
 
 
@@ -44,6 +45,13 @@ def fx_mul(a: Fx, b: Fx, out: QFormat) -> Fx:
 def fx_cast(a: Fx, out: QFormat) -> Fx:
     """a rescaled into out."""
     return Fx(rescale(a.raw, a.fmt.frac_bits, out), out)
+
+
+# per quarter turn q, a turn by q * 90 degrees: whether x and y swap, then
+# the signs they take, (x, y) -> (x, y), (-y, x), (-x, -y), (y, -x)
+_ODD = np.array([False, True, False, True])
+_X_SIGN = np.array([1, -1, -1, 1], dtype=np.int8)
+_Y_SIGN = np.array([1, 1, -1, -1], dtype=np.int8)
 
 
 def quarter_turns_ref(q, x, y):
@@ -103,6 +111,23 @@ def cores_reference(t: np.ndarray, cfg) -> np.ndarray:
     head = np.stack([rescale(t, frac, acc_fmt), np.full(t.shape, one, dtype=t.dtype)])  # t and 1
     prod = rescale(np.stack([z, u]) * rescale(acc, acc_frac, fmt), 2 * frac, acc_fmt)
     return rescale(rescale(head - prod, acc_frac, acc_fmt), acc_frac, fmt)  # t - z*R(u), 1 - u*S(u)
+
+
+def cordic_lanes(x, y, z, cfg):
+    """The circular rotation-mode loop over lanes of raws in cfg.fmt, with
+    every clip; returns (x, y, z).
+
+    x, y and z are arrays of lane_dtype(cfg.fmt), one raw per lane, and
+    sigma is sign(z) with +1 on ties, driving z to zero: the output is
+    K*(x0*cos z0 - y0*sin z0, y0*cos z0 + x0*sin z0, ~0) for |z0| within
+    the sum of all atan(2**-i), about 1.7433.  It is the package's sigma
+    pass over z, then its clipped (x, y) steps on the mirrored stack, with
+    no pre-scale or quarter turn; each lane must equal cordic_step folded
+    over shift indices 0..n_iter-1 in CIRCULAR mode, bit for bit.
+    """
+    sigmas, z = _sigma_pass(z, cfg)
+    x, y = _unmirror(_stacked_steps(_mirror(x, y), sigmas.astype(x.dtype), cfg))
+    return x, y, z
 
 
 def linear_lanes(x, y, z, cfg):

@@ -10,18 +10,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fkemu import ccm, cli
+from fkemu import ccm, cli, cordic
 
 from fkemu.ccm import (
     PipelineModel,
-    _lin_accumulate,
     ccm_points,
     ccm_poses,
     latency_us,
     point_op_count,
     pose_op_count,
 )
-from fkemu.cordic import LINEAR, CordicConfig, _angle_fx, circ_rotate_sigmas
+from fkemu.cordic import LINEAR, CordicConfig, _angle_fx, circ_rotate_sigmas, linear_accumulate
 from fkemu.dh import ChainSet, DhJoint, PRISMATIC, ROTARY, chain_pose
 from fkemu.fixedpoint import DomainError, Q8_24, QFormat, lane_dtype, lanes_from_real, lanes_real, rescale
 from reference import linear_lanes
@@ -294,7 +293,7 @@ def test_reach_check_refuses_what_a_clip_would_pin():
 
 
 def test_linear_partial_sums_stay_within_the_proofs_bound():
-    # _module's proof: an accumulate c + v, staged as _lin_accumulate
+    # _module's proof: an accumulate c + v, staged as linear_accumulate
     # stages it, keeps every partial sum of the clipping loop within |c| +
     # max(u, 2|v|).  With c = 0, on every raw of the 8- and 12-bit formats
     # that have linear lanes; the partial sums of fewer steps are a prefix
@@ -312,7 +311,7 @@ def test_linear_partial_sums_stay_within_the_proofs_bound():
                 total = total + sigma * (unit >> i)
                 z = z - sigma * _angle_fx(LINEAR, i, fmt).raw
                 assert (abs(total) <= np.maximum(u, 2 * abs(v))).all()
-            assert total.tolist() == _lin_accumulate(np.zeros_like(v), v, cfg).tolist()
+            assert total.tolist() == linear_accumulate(np.zeros_like(v), v, cfg).tolist()
 
 
 @st.composite
@@ -347,9 +346,9 @@ def reach_edge_lanes(draw):
     return cfg, ChainSet.of([(jk,) for jk in joints]), points
 
 
-def _clipped_stage(v, swap, signs, sigmas, cfg, saturate):
+def _clipped_stage(x, y, swap, signs, sigmas, cfg, saturate):
     """circ_rotate_sigmas with every clip, whatever the cascade asks."""
-    return circ_rotate_sigmas(v, swap, signs, sigmas, cfg)
+    return circ_rotate_sigmas(x, y, swap, signs, sigmas, cfg)
 
 
 def _clipped_linear_lanes(x, y, z, cfg):
@@ -379,7 +378,7 @@ def test_clip_free_stages_equal_the_clipped_route(case):
     cfg, chains, points = case
     free = ccm_points(chains, points, cfg)
     with mock.patch.object(ccm, "circ_rotate_sigmas", side_effect=_clipped_stage) as stage, \
-            mock.patch.object(ccm, "linear_unit_lanes", side_effect=_clipped_unit_lanes) as linear:
+            mock.patch.object(cordic, "linear_unit_lanes", side_effect=_clipped_unit_lanes) as linear:
         clipped = ccm_points(chains, points, cfg)
     assert stage.called and linear.called  # neither patch may go inert
     assert free.tobytes() == clipped.tobytes()
@@ -419,7 +418,7 @@ def test_coarse_configs_equal_the_clipped_route_at_the_limit():
         chains, points = _edge_lanes(cfg, 600, rng)
         free = ccm_points(chains, points, cfg)
         with mock.patch.object(ccm, "circ_rotate_sigmas", side_effect=_clipped_stage) as stage, \
-                mock.patch.object(ccm, "linear_unit_lanes", side_effect=_clipped_unit_lanes) as linear:
+                mock.patch.object(cordic, "linear_unit_lanes", side_effect=_clipped_unit_lanes) as linear:
             clipped = ccm_points(chains, points, cfg)
         assert stage.called and linear.called  # neither patch may go inert
         assert free.tobytes() == clipped.tobytes(), cfg
@@ -427,7 +426,7 @@ def test_coarse_configs_equal_the_clipped_route_at_the_limit():
 @st.composite
 def linear_stacks(draw):
     # int64 lanes (Q8.24) and object lanes (a 56-bit word); raws up to 8.0,
-    # so _lin_accumulate stages a lane by 2**k, k = 0..2, differing per lane,
+    # so linear_accumulate stages a lane by 2**k, k = 0..2, differing per lane,
     # and no partial sum nears the range
     fmt = draw(st.sampled_from([Q8_24, QFormat(56, 40)]))
     cfg = CordicConfig(draw(st.integers(1, fmt.frac_bits + 2)), fmt)
@@ -446,7 +445,7 @@ def test_stacked_linear_lanes_equal_row_calls(batch):
     cfg, (x, y, z) = batch
     for stacked, rows in [
         (linear_lanes(x, y, z, cfg), [linear_lanes(x[r], y[r], z[r], cfg) for r in range(2)]),
-        (_lin_accumulate(y, z, cfg), [_lin_accumulate(y[r], z[r], cfg) for r in range(2)]),
+        (linear_accumulate(y, z, cfg), [linear_accumulate(y[r], z[r], cfg) for r in range(2)]),
     ]:
         assert stacked.shape == x.shape
         assert stacked.dtype == rows[0].dtype == lane_dtype(cfg.fmt)

@@ -12,7 +12,6 @@ from fkemu.cfr import (
     cfr_step,
     forced_selection,
     selection,
-    truncated_selection,
 )
 from fkemu.fixedpoint import DomainError
 
@@ -102,9 +101,8 @@ def test_selection_policy():
 
 
 def test_truncated_selection_still_converges():
-    sel = truncated_selection(12)
     for ang in (0.4, -0.9, 1.1):
-        x, y = cfr_rotate(1.0, 0.0, ang, 16, sel=sel)
+        x, y = cfr_rotate(1.0, 0.0, ang, 16, sel=lambda u, i: selection(u, 12))
         k = cfr_gain(16)
         got = math.atan2(-y, x)
         assert abs(got - ang) <= 2.0**-11 + math.atan(2.0**-15)

@@ -12,9 +12,12 @@ from fkemu.cordic import (
     CordicConfig,
     CordicState,
     LINEAR,
+    _mirror,
     _sigma_pass,
+    _turn_moves,
+    _unmirror,
     circ_rotate_lanes,
-    cordic_lanes,
+    circ_sigmas,
     cordic_step,
     gain,
     linear_unit_lanes,
@@ -32,9 +35,9 @@ from fkemu.fixedpoint import (
     lane_dtype,
     lanes_from_real,
     lanes_real,
-    unmirror,
+    quarter_turns,
 )
-from reference import linear_lanes
+from reference import cordic_lanes, linear_lanes
 
 CFG = CordicConfig(24, Q8_24)
 
@@ -271,7 +274,7 @@ def test_sigma_pass_without_clip_equals_scalar_reference(batch):
     # sigmas are mirrored: -sigma at lane k, +sigma at 2*lanes - 1 - k
     sigmas, z = _sigma_pass(np.array(zs, dtype=lane_dtype(cfg.fmt)), cfg)
     assert sigmas.shape == (cfg.n_iter, 2 * len(zs))
-    minus, plus = unmirror(sigmas)
+    minus, plus = _unmirror(sigmas)
     zero = Fx(0, cfg.fmt)
     for k, z0 in enumerate(zs):
         s = CordicState(zero, zero, Fx(z0, cfg.fmt), 0)
@@ -280,6 +283,48 @@ def test_sigma_pass_without_clip_equals_scalar_reference(batch):
             assert [minus[i, k], plus[i, k]] == [-sigma, sigma]
             s = cordic_step(s, CIRCULAR, sigma)
         assert int(z[k]) == s.z.raw
+
+
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(-(1 << 40), 1 << 40), st.integers(-(1 << 40), 1 << 40)),
+                min_size=1, max_size=8), st.sampled_from([np.int64, object]))
+def test_turn_moves_on_a_stack_are_quarter_turns(lanes, dtype):
+    # a stage plan holds the moves of its quarter turns, applied to (x, y)
+    # as one mirrored stack, whose reversal swaps x and y
+    q, x, y = (np.array(v, dtype=t) for v, t in zip(zip(*lanes), (np.int64, dtype, dtype)))
+    swap, signs = _turn_moves(q, dtype)
+    v = _mirror(x, y)
+    assert v.shape == swap.shape == signs.shape == (2 * len(lanes),)
+    assert signs.dtype == v.dtype
+    assert [r.tolist() for r in _unmirror(v)] == [x.tolist(), y.tolist()]
+    moved = np.where(swap, v[::-1], v) * signs
+    assert moved.dtype == v.dtype
+    assert [r.tolist() for r in _unmirror(moved)] == [r.tolist() for r in quarter_turns(q, x, y)]
+
+
+PLAN_ANGLES = st.one_of(
+    st.sampled_from([0.0, -0.0, HALF_PI / 2, -HALF_PI / 2, HALF_PI, -math.pi, MAX_ANGLE, -MAX_ANGLE]),
+    st.floats(-MAX_ANGLE, MAX_ANGLE),
+)
+
+
+@settings(deadline=None)
+@given(st.sampled_from([CordicConfig(24, Q8_24), CordicConfig(40, QFormat(56, 40))]),
+       st.integers(1, 3), st.integers(1, 5), st.data())
+def test_stacked_plan_equals_the_plans_of_its_rows(cfg, links, lanes, data):
+    # the cascade makes one plan for a (links, 2, lanes) angle stack and
+    # slices it at [link, stage]: each slice must have the bits, dtype and
+    # shape of circ_sigmas on that row alone, on int64 and object lanes
+    n = links * 2 * lanes
+    angles = np.array(data.draw(st.lists(PLAN_ANGLES, min_size=n, max_size=n))).reshape(links, 2, lanes)
+    plan = circ_sigmas(angles, cfg)
+    for link in range(links):
+        for stage in range(2):
+            row = circ_sigmas(angles[link, stage], cfg)
+            assert [v.dtype for v in row] == [np.bool_, lane_dtype(cfg.fmt), lane_dtype(cfg.fmt)]
+            for stacked, want in zip(plan, row, strict=True):
+                got = stacked[link, stage]
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tolist() == want.tolist()
 
 
 @st.composite

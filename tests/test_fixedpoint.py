@@ -25,11 +25,8 @@ from fkemu.fixedpoint import (
     lane_dtype,
     lanes_from_real,
     lanes_real,
-    mirror,
     quarter_turns,
     rescale,
-    turn_moves,
-    unmirror,
 )
 from fkemu.taylor import taylor_sincos
 from reference import fx_add, fx_cast, fx_mul, fx_shr, fx_sub, quarter_turns_ref
@@ -284,6 +281,19 @@ def test_fold_angle_invariants(mag):
     assert rs[0] == r
 
 
+def _cordic_sigmas(angle):
+    """circ_sigmas' plan as the pin was taken: the quarter turns q, read
+    off the x half of the mirrored swap mask and signs, and the sigma stack
+    as int8."""
+    swap, signs, sigmas = circ_sigmas(angle, CORDIC_CONFIG)
+    lanes = swap.shape[-1] // 2
+    odd, negated = swap[..., :lanes], signs[..., :lanes] < 0
+    # x takes x, -y, -x, y at q = 0..3: q's low bit is odd, and its high
+    # bit is set where the sign of x differs from odd
+    q = odd + 2 * (negated != odd)
+    return q.astype(np.int64), sigmas.astype(np.int8)
+
+
 def _lut(mode):
     return partial(lut.lut_sincos, table=lut.build_table(1024, fmt=Q1_15, mode=mode))
 
@@ -295,7 +305,7 @@ PROVIDER_PINS = {
     "lut-nearest": (_lut(lut.NEAREST), "723bf337c21684fa4b472e7a65d59bdd616d995f8e04260f3531ff125b40a38e"),
     "lut-linear": (_lut(lut.LINEAR), "5fc77a0fceae603649306bbebddd75fbcc02e41f42fb1e21a5be380033ade3b3"),
     "taylor": (taylor_sincos, "7e373a79240f973fabe8f7637fb2fa02bc93363fdbcc173f830d50bb6e43cd1c"),
-    "cordic-sigmas": (partial(circ_sigmas, cfg=CORDIC_CONFIG),
+    "cordic-sigmas": (_cordic_sigmas,
                       "5830bcc8d8616ca8cfb3a76d08b1c4b20bc743458aa90a1c1652ff507efc1a90"),
 }
 
@@ -348,21 +358,6 @@ def test_quarter_turns_is_the_select_and_sign_unfold(dtype, shape, q_kind, data)
         assert type(got) is type(want)
         assert np.asarray(got).dtype == np.asarray(want).dtype and np.shape(got) == np.shape(want)
         assert _bits(got) == _bits(want)
-
-
-@given(st.lists(st.tuples(st.integers(0, 3), st.integers(-(1 << 40), 1 << 40), st.integers(-(1 << 40), 1 << 40)),
-                min_size=1, max_size=8), st.sampled_from([np.int64, object]))
-def test_turn_moves_on_a_stack_are_quarter_turns(lanes, dtype):
-    # the cascade gathers the moves once and applies them to (x, y) as one
-    # mirrored stack, whose reversal swaps x and y
-    q, x, y = (np.array(v, dtype=t) for v, t in zip(zip(*lanes), (np.int64, dtype, dtype)))
-    swap, signs = turn_moves(q)
-    v = mirror(x, y)
-    assert v.shape == swap.shape == signs.shape == (2 * len(lanes),)
-    assert [r.tolist() for r in unmirror(v)] == [x.tolist(), y.tolist()]
-    moved = np.where(swap, v[::-1], v) * signs
-    assert moved.dtype == v.dtype
-    assert [r.tolist() for r in unmirror(moved)] == [r.tolist() for r in quarter_turns(q, x, y)]
 
 
 @given(st.floats(0.0, MAX_ANGLE))
