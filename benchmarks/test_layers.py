@@ -144,7 +144,7 @@ def test_circ_sigmas_768_residuals(benchmark):
 
 def _stage_operands():
     """(1, 0) on 64 lanes and the stage plan of 64 angles."""
-    x, y = np.full(64, fx_from_real(1.0, Q8_24).raw), np.zeros(64, dtype=np.int64)
+    x, y = np.full(64, fx_from_real(1.0, Q8_24)), np.zeros(64, dtype=np.int64)
     return x, y, *circ_sigmas(np.linspace(-math.pi, math.pi, 64), DEFAULT_CONFIG)
 
 
@@ -170,7 +170,7 @@ def test_sincos_cordic_192_angles(benchmark):
 
 @pytest.mark.parametrize("lanes", [1, 64])
 def test_circ_rotate_lanes(benchmark, lanes):
-    x = np.full(lanes, fx_from_real(1.0, Q8_24).raw)
+    x = np.full(lanes, fx_from_real(1.0, Q8_24))
     y = np.zeros(lanes, dtype=np.int64)
     angles = np.linspace(-math.pi, math.pi, lanes)
     benchmark(circ_rotate_lanes, x, y, angles, DEFAULT_CONFIG)

@@ -7,14 +7,10 @@ tables) and a micro-coded FK-processor VM, all measurable for accuracy,
 operation count, and modeled latency.
 """
 
-from .fixedpoint import DomainError, Fx, Q1_15, Q8_24, QFormat, fx_from_real
+from .fixedpoint import DomainError, Q1_15, Q8_24, QFormat, fx_from_real
 from .cordic import (
-    CIRCULAR,
     CordicConfig,
-    CordicState,
-    LINEAR,
     circ_rotate_lanes,
-    cordic_step,
     gain,
     linear_unit_lanes,
     sincos_cordic,

@@ -59,6 +59,7 @@ import numpy as np
 from .cordic import (
     CordicConfig,
     DEFAULT_CONFIG,
+    _operands,
     circ1_op_count,
     circ_rotate_sigmas,
     circ_sigmas,
@@ -67,7 +68,7 @@ from .cordic import (
     linear_accumulate,
 )
 from .dh import ChainSet
-from .fixedpoint import DomainError, fx_from_real, lanes_from_real, lanes_real
+from .fixedpoint import DomainError, lanes_from_real, lanes_real
 
 # the paper's per-stage delay and fixed overhead of the cascade
 STAGE_TIME_US = 40.0
@@ -251,7 +252,7 @@ def _reach_limit(cfg: CordicConfig) -> float:
     which the proof's slack absorbs."""
     fmt, n = cfg.fmt, cfg.n_iter
     u, top, e = math.ldexp(1.0, fmt.frac_bits), float(fmt.max_raw), 1.0 + 2.0**-49
-    g = max(1.0, gain(n) * fx_from_real(1.0 / gain(n), fmt).raw / u)
+    g = max(1.0, gain(n) * int(_operands(cfg).inv_gain) / u)  # c: the stages' own 1/K raw
     drift = 1.5 * n + 1.0
     lam = (max(1.0, 2.0 ** (fmt.frac_bits + 1 - n)) + 2.0 + 2.0 ** (fmt.frac_bits - 52)) / u
     s = max(1.0, (g + lam) / 2.0)

@@ -5,8 +5,9 @@ z is driven to zero), in two coordinate systems selected by the mode
 constant m: circular (1) rotates a vector, linear (0) accumulates y + x*z.
 The circular gain K = prod sqrt(1 + 2**-2i) is never free: callers either
 pre-scale by 1/K (see circ_rotate_lanes) or account for it themselves.
-cordic_step is one micro-rotation of one Fx state in either mode, written
-on rescale; the tests fold it over a lane to check the kernels below.
+cordic_step is one micro-rotation of one lane's raws in either mode,
+written on rescale; the tests fold it over a lane to check the kernels
+below.
 
 The emulator runs lanes: x, y and z are ndarrays holding one raw integer
 per lane, each lane picks its own sigma, and a whole batch of independent
@@ -44,29 +45,30 @@ n_iter steps either way; the emulator skips work whose result it knows:
 
 Every per-config constant (range, shifts, micro-angles, the 1/K pre-scale)
 is in one table of lane-dtype arrays made once per CordicConfig
-(_operands), not Python ints that numpy would convert on every call.
+(_operands), not Python ints that numpy would convert on every call; ccm's
+reach limit reads its 1/K there too.
 
-Each lane equals a fold of cordic_step bit for bit (linear_unit_lanes
-under its precondition).  sincos_cordic is the trig provider on top: one
-lane per angle.
+Each lane equals a fold of cordic_step over its raws bit for bit
+(linear_unit_lanes under its precondition).  sincos_cordic is the trig
+provider on top: one lane per angle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
 
 from .fixedpoint import (
     HALF_PI,
-    Fx,
     Q8_24,
     QFormat,
     clip,
     fold_angle,
+    frozen,
     fx_from_real,
     lane_dtype,
     lanes_from_real,
@@ -77,14 +79,6 @@ from .fixedpoint import (
 
 CIRCULAR = 1
 LINEAR = 0
-
-
-@dataclass(frozen=True, slots=True)
-class CordicState:
-    x: Fx
-    y: Fx
-    z: Fx
-    i: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,8 +118,9 @@ def gain(n_iter: int) -> float:
 
 
 @lru_cache(maxsize=None)
-def _angle_fx(mode: int, i: int, fmt: QFormat) -> Fx:
-    """Elementary angle e_i of one micro-rotation at shift index i, in fmt."""
+def _angle_fx(mode: int, i: int, fmt: QFormat) -> int:
+    """The raw of the elementary angle e_i of one micro-rotation at shift
+    index i, in fmt."""
     if mode == CIRCULAR:
         return fx_from_real(math.atan(math.ldexp(1.0, -i)), fmt)
     if mode == LINEAR:
@@ -133,24 +128,23 @@ def _angle_fx(mode: int, i: int, fmt: QFormat) -> Fx:
     raise ValueError(f"bad mode {mode}")
 
 
-def cordic_step(s: CordicState, mode: int, sigma: int) -> CordicState:
-    """One micro-rotation: x' = x - m*s*2^-i*y, y' = y + s*2^-i*x, z' = z - s*e_i,
-    each sum saturating in the state's format.
+def cordic_step(x: int, y: int, z: int, i: int, mode: int, sigma: int, fmt: QFormat):
+    """One micro-rotation at shift index i of the raws x, y and z in fmt:
+    returns x' = x - m*s*2^-i*y, y' = y + s*2^-i*x and z' = z - s*e_i, each
+    sum saturating in fmt.  It serves only the tests, which fold it over a
+    lane to check the kernels, and stays in the package until perfbench's
+    tracer stops reading it.
 
-    Raises ValueError unless sigma is +-1, x, y and z share one format, and
-    the shift index i is in 0..word_bits-1.
+    Raises ValueError unless sigma is +-1 and i is in 0..word_bits-1.
     """
     if sigma not in (-1, 1):
         raise ValueError(f"sigma must be +-1, got {sigma}")
-    fmt, i, sigma = s.x.fmt, s.i, int(sigma)  # a Python int keeps sigma * raw exact at any word width
-    if s.y.fmt != fmt or s.z.fmt != fmt:
-        raise ValueError(f"format mismatch: {fmt}, {s.y.fmt}, {s.z.fmt}")
     if not 0 <= i < fmt.word_bits:
         raise ValueError(f"shift {i} out of range for {fmt}")
-    x = s.x.raw if mode == LINEAR else rescale(s.x.raw - sigma * (s.y.raw >> i), fmt.frac_bits, fmt)
-    y = rescale(s.y.raw + sigma * (s.x.raw >> i), fmt.frac_bits, fmt)
-    z = rescale(s.z.raw - sigma * _angle_fx(mode, i, fmt).raw, fmt.frac_bits, fmt)
-    return CordicState(Fx(x, fmt), Fx(y, fmt), Fx(z, fmt), i + 1)
+    sigma = int(sigma)  # a Python int keeps sigma * raw exact at any word width
+    x_out = x if mode == LINEAR else rescale(x - sigma * (y >> i), fmt.frac_bits, fmt)
+    y_out = rescale(y + sigma * (x >> i), fmt.frac_bits, fmt)
+    return x_out, y_out, rescale(z - sigma * _angle_fx(mode, i, fmt), fmt.frac_bits, fmt)
 
 
 class _Operands(NamedTuple):
@@ -177,24 +171,19 @@ def _operands(cfg: CordicConfig) -> _Operands:
     micro-angles, 1/K and the number of steps all depend on it."""
     fmt, n = cfg.fmt, cfg.n_iter
     top = 1 << (fmt.frac_bits + 1)
-
-    def const(v):
-        a = np.array(v, dtype=lane_dtype(fmt))
-        a.flags.writeable = False
-        return a
-
+    const = partial(frozen, dtype=lane_dtype(fmt))
     return _Operands(
         lo=const(fmt.min_raw),
         hi=const(fmt.max_raw),
         sign_shift=const(63),
         zero=const(0),
         one=const(1),
-        angles=tuple(const(_angle_fx(CIRCULAR, i, fmt).raw) for i in range(n)),
+        angles=tuple(const(_angle_fx(CIRCULAR, i, fmt)) for i in range(n)),
         shifts=tuple(map(const, range(n))),
         top_lo=const(-top),
         top_hi=const(top - 1),
         lin_shift=const(fmt.frac_bits + 1 - n),
-        inv_gain=const(fx_from_real(1.0 / gain(n), fmt).raw),
+        inv_gain=const(fx_from_real(1.0 / gain(n), fmt)),
         frac=const(fmt.frac_bits),
     )
 
@@ -310,8 +299,7 @@ def linear_unit_lanes(y, z, k, cfg: CordicConfig):
 
 
 # k = 0 on every lane, as one 0-d int64 array that broadcasts
-_UNSTAGED = np.zeros((), dtype=np.int64)
-_UNSTAGED.flags.writeable = False
+_UNSTAGED = frozen(0, np.int64)
 
 
 def linear_accumulate(const, value, cfg: CordicConfig):
@@ -422,13 +410,13 @@ def sincos_cordic(theta, cfg: CordicConfig = DEFAULT_CONFIG):
     or 0-d ndarray gives floats, another ndarray float64 ndarrays of its shape.
 
     Each angle is one lane of circ_rotate_lanes rotating (1, 0); each value
-    has the bits Fx.real gives its raw in cfg.fmt, so a zero sine is +0.0
-    for either sign of theta.  Raises DomainError if any angle is beyond
-    MAX_ANGLE or not finite.
+    is its raw in cfg.fmt times 2**-frac_bits (lanes_real), so a zero sine
+    is +0.0 for either sign of theta.  Raises DomainError if any angle is
+    beyond MAX_ANGLE or not finite.
     """
     arr = np.asarray(theta, dtype=np.float64)
     lanes = arr.reshape(-1)
-    one = np.full(lanes.size, fx_from_real(1.0, cfg.fmt).raw, dtype=lane_dtype(cfg.fmt))
+    one = np.full(lanes.size, fx_from_real(1.0, cfg.fmt), dtype=lane_dtype(cfg.fmt))
     xr, yr = circ_rotate_lanes(one, np.zeros_like(one), lanes, cfg)
     cos, sin = (lanes_real(v, cfg.fmt).reshape(arr.shape) for v in (xr, yr))
     if arr.ndim == 0:

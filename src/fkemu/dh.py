@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fixedpoint import DomainError, HALF_PI
+from .fixedpoint import DomainError, HALF_PI, frozen
 
 ROTARY = "rotary"
 PRISMATIC = "prismatic"
@@ -114,8 +114,7 @@ def _link_top(ct, st, ca, sa, a, d) -> tuple:
 
 
 _LINK_BOTTOM = (0.0, 0.0, 0.0, 1.0)
-_ZEROS = np.zeros(16)
-_ZEROS.flags.writeable = False
+_ZEROS = frozen(np.zeros(16))
 
 
 def tran(axis: str, t: float) -> np.ndarray:

@@ -1,11 +1,13 @@
 """Two's-complement fixed-point arithmetic with hardware narrowing semantics.
 
-A value is a plain integer scaled by 2**-frac_bits.  Rounding happens once,
-at real->fixed entry (round-half-to-even); every narrowing after that is an
-arithmetic right shift, i.e. truncation toward negative infinity, which is
-what a shifter does.  Overflow saturates instead of wrapping: pose
-coordinates are physically bounded, and a silent wrap would corrupt results
-undetectably while a pinned value stays visibly at the range edge.
+A value is a plain integer, its raw, scaled by 2**-frac_bits of a QFormat
+that the code holding it knows; a wide multiply-accumulate register is a
+wide QFormat.  Rounding happens once, at real->fixed entry
+(round-half-to-even); every narrowing after that is an arithmetic right
+shift, i.e. truncation toward negative infinity, which is what a shifter
+does.  Overflow saturates instead of wrapping: pose coordinates are
+physically bounded, and a silent wrap would corrupt results undetectably
+while a pinned value stays visibly at the range edge.
 
 Both rules are written once, in rescale: a raw scaled by 2**-frac moves
 into a format by an exact left shift when the format gains fraction bits,
@@ -14,10 +16,6 @@ fx_from_real, cordic_step and Taylor's coefficient table narrow through
 it.  No lane kernel calls it: for speed, the CORDIC and Taylor kernels
 write their narrowings out as shifts and bare clips, and leave out each
 clip that their proofs rule out.
-
-There is one scalar type, Fx: a raw and its format, as fx_from_real
-quantizes a constant.  A wide multiply-accumulate register is a wide
-QFormat.
 
 Every sin/cos backend reduces its angle through the one fold_angle here and
 unfolds its quadrant through quarter_turns: its exact swaps and signs are
@@ -31,7 +29,7 @@ many) gives mag % TWO_PI bit for bit.
 
 Batched datapaths hold the raws of many values, one per lane, in an ndarray
 of lane_dtype(fmt); rescale, lanes_from_real and lanes_real work on such
-arrays with the same bits as on Fx.
+arrays with the same bits as on one raw.
 """
 
 from __future__ import annotations
@@ -170,21 +168,6 @@ Q8_24 = QFormat(32, 24)
 Q1_15 = QFormat(16, 15)
 
 
-@dataclass(frozen=True, slots=True)
-class Fx:
-    """A fixed-point scalar: raw integer plus its format."""
-
-    raw: int
-    fmt: QFormat
-
-    @property
-    def real(self) -> float:
-        return math.ldexp(float(self.raw), -self.fmt.frac_bits)
-
-    def __repr__(self) -> str:
-        return f"Fx({self.real!r}, {self.fmt})"
-
-
 def rescale(raw, frac: int, fmt: QFormat):
     """raw, scaled by 2**-frac, moved into fmt: an exact left shift when fmt
     gains fraction bits, an arithmetic (floor) right shift when it loses
@@ -201,9 +184,9 @@ def rescale(raw, frac: int, fmt: QFormat):
     return clip(raw, lo, hi)
 
 
-def fx_from_real(v: float, fmt: QFormat) -> Fx:
-    """Quantize a real to fmt: round-half-to-even, then saturate."""
-    return Fx(rescale(round(math.ldexp(v, fmt.frac_bits)), fmt.frac_bits, fmt), fmt)
+def fx_from_real(v: float, fmt: QFormat) -> int:
+    """The raw of a real quantized to fmt: round-half-to-even, then saturate."""
+    return rescale(round(math.ldexp(v, fmt.frac_bits)), fmt.frac_bits, fmt)
 
 
 _to_int = np.frompyfunc(int, 1, 1)
@@ -227,5 +210,15 @@ def lanes_from_real(v, fmt: QFormat) -> np.ndarray:
 
 
 def lanes_real(raw: np.ndarray, fmt: QFormat) -> np.ndarray:
-    """Fx.real of every lane, as float64."""
+    """The real value raw * 2**-frac_bits of every lane, as float64."""
     return np.ldexp(raw.astype(np.float64), -fmt.frac_bits)
+
+
+def frozen(v, dtype=None) -> np.ndarray:
+    """v as a read-only array of dtype (v's own by default): a constant
+    numpy reads without converting it on every call, and no caller can
+    write.  An ndarray v already of that dtype is frozen itself, not
+    copied."""
+    a = np.asarray(v, dtype=dtype)
+    a.flags.writeable = False
+    return a

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dh
-from .fixedpoint import HALF_PI, TWO_PI, QFormat, fold_angle, lanes_from_real, lanes_real, quarter_turns
+from .fixedpoint import HALF_PI, TWO_PI, QFormat, fold_angle, frozen, lanes_from_real, lanes_real, quarter_turns
 
 NEAREST = "nearest"
 LINEAR = "linear"
@@ -54,11 +54,8 @@ class SinTable:
     deltas: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        padded = np.append(self.values, 1.0)
-        padded.setflags(write=False)
-        deltas = np.diff(padded) if self.mode == LINEAR else None
-        if deltas is not None:
-            deltas.setflags(write=False)
+        padded = frozen(np.append(self.values, 1.0))
+        deltas = frozen(np.diff(padded)) if self.mode == LINEAR else None
         object.__setattr__(self, "values", padded[:-1])
         object.__setattr__(self, "padded", padded)
         object.__setattr__(self, "deltas", deltas)

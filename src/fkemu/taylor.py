@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -34,6 +34,7 @@ from .fixedpoint import (
     QFormat,
     clip,
     fold_angle,
+    frozen,
     fx_from_real,
     lanes_from_real,
     lanes_real,
@@ -107,15 +108,9 @@ def _acc_coeffs(cfg: TaylorConfig) -> _Coeffs:
     column.  In the default config 1/9! and up quantize to 0 in Q1.15, so
     three of six steps go."""
     fmt, acc_fmt = cfg.operand_fmt, cfg.acc_fmt
-    dtype = np.int64 if cfg.acc_bits <= 63 else object
-
-    def const(v):
-        a = np.array(v, dtype=dtype)
-        a.flags.writeable = False
-        return a
-
+    const = partial(frozen, dtype=np.int64 if cfg.acc_bits <= 63 else object)
     cols = [
-        [rescale(fx_from_real(1.0 / math.factorial(2 * k + odd), fmt).raw, fmt.frac_bits, acc_fmt) for odd in (1, 0)]
+        [rescale(fx_from_real(1.0 / math.factorial(2 * k + odd), fmt), fmt.frac_bits, acc_fmt) for odd in (1, 0)]
         for k in range(1, cfg.n_terms)
     ]
     while cols and not any(cols[-1]):

@@ -1,21 +1,43 @@
 """Reference code the tests check the package's fast paths against.
 
-The package computes on lanes and narrows through fixedpoint.rescale; these
-are the same rules one Fx at a time, plus the double-precision truncated
-series the Taylor engine evaluates in fixed point and its quantized
-coefficients, the Taylor lanes with every narrowing clipped, the linear
-CORDIC loop's closed form for any multiplicand, the circular loop on
-arbitrary raws with every clip, the quarter-turn unfold as a select and a
-product by each sign, and the thumb VM's dispatch one FkInstr at a time.
+The package computes on lanes of raws and narrows through
+fixedpoint.rescale; these are the same rules one Fx (a raw and its format)
+at a time, plus the double-precision truncated series the Taylor engine
+evaluates in fixed point and its quantized coefficients, the Taylor lanes
+with every narrowing clipped, the linear CORDIC loop's closed form for any
+multiplicand, the circular loop on arbitrary raws with every clip, the
+quarter-turn unfold as a select and a product by each sign, and the thumb
+VM's dispatch one FkInstr at a time.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from fkemu.cordic import _mirror, _sigma_pass, _stacked_steps, _unmirror
-from fkemu.fixedpoint import Fx, QFormat, clip, fx_from_real, lane_dtype, rescale
+from fkemu.fixedpoint import QFormat, clip, fx_from_real, lane_dtype, rescale
 from fkemu.umdh import _BINARY, LOADK, SINCOS, CapacityError, FkProgram, UmdhParams, VmConfig
+
+
+@dataclass(frozen=True, slots=True)
+class Fx:
+    """A fixed-point scalar: raw integer plus its format."""
+
+    raw: int
+    fmt: QFormat
+
+    @property
+    def real(self) -> float:
+        return math.ldexp(float(self.raw), -self.fmt.frac_bits)
+
+    def __repr__(self) -> str:
+        return f"Fx({self.real!r}, {self.fmt})"
+
+
+def fx_quantize(v: float, fmt: QFormat) -> Fx:
+    """v quantized to fmt: the raw fixedpoint.fx_from_real gives, as an Fx."""
+    return Fx(fx_from_real(v, fmt), fmt)
 
 
 def fx_add(a: Fx, b: Fx) -> Fx:
@@ -85,7 +107,7 @@ def taylor_coeffs(which: str, n_terms: int, fmt: QFormat) -> tuple[Fx, ...]:
     1/3!, 1/5!, ... for "sin" and 1/2!, 1/4!, ... for "cos" (the leading
     1/1! and 1 are never stored)."""
     first = {"sin": 3, "cos": 2}[which]
-    return tuple(fx_from_real(1.0 / math.factorial(first + 2 * k), fmt) for k in range(n_terms - 1))
+    return tuple(fx_quantize(1.0 / math.factorial(first + 2 * k), fmt) for k in range(n_terms - 1))
 
 
 def cores_reference(t: np.ndarray, cfg) -> np.ndarray:

@@ -83,7 +83,7 @@ def test_c03_cordic_sincos():
     th = np.array([rng.uniform(-math.pi, math.pi) for _ in range(10_000)])
     # one lane per angle: each lane is what sincos_cordic computes
     quantized = lanes_real(lanes_from_real(th, Q8_24), Q8_24)
-    one = np.full(th.size, fx_from_real(1.0, Q8_24).raw)
+    one = np.full(th.size, fx_from_real(1.0, Q8_24))
     c, s = (lanes_real(v, Q8_24) for v in circ_rotate_lanes(one, np.zeros_like(one), quantized, CFG))
     worst = float(max(np.abs(c - np.cos(th)).max(), np.abs(s - np.sin(th)).max()))
     worst_pyth = float(np.abs(c**2 + s**2 - 1.0).max())

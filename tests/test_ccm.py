@@ -309,7 +309,7 @@ def test_linear_partial_sums_stay_within_the_proofs_bound():
             for i in range(cfg.n_iter):
                 sigma = np.where(z >= 0, 1, -1)
                 total = total + sigma * (unit >> i)
-                z = z - sigma * _angle_fx(LINEAR, i, fmt).raw
+                z = z - sigma * _angle_fx(LINEAR, i, fmt)
                 assert (abs(total) <= np.maximum(u, 2 * abs(v))).all()
             assert total.tolist() == linear_accumulate(np.zeros_like(v), v, cfg).tolist()
 
@@ -358,7 +358,7 @@ def _clipped_linear_lanes(x, y, z, cfg):
     for i in range(cfg.n_iter):
         sigma = np.where(z >= 0, 1, -1).astype(y.dtype)
         y = rescale(y + sigma * (x >> i), fmt.frac_bits, fmt)
-        z = rescale(z - sigma * _angle_fx(LINEAR, i, fmt).raw, fmt.frac_bits, fmt)
+        z = rescale(z - sigma * _angle_fx(LINEAR, i, fmt), fmt.frac_bits, fmt)
     return y
 
 

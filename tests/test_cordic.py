@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from fkemu.cordic import (
     CIRCULAR,
     CordicConfig,
-    CordicState,
     LINEAR,
     _mirror,
     _sigma_pass,
@@ -29,7 +28,6 @@ from fkemu.fixedpoint import (
     MAX_ANGLE,
     Q8_24,
     DomainError,
-    Fx,
     QFormat,
     fx_from_real,
     lane_dtype,
@@ -44,6 +42,11 @@ CFG = CordicConfig(24, Q8_24)
 
 def fx(v):
     return fx_from_real(v, Q8_24)
+
+
+def fx_real(v):
+    """v quantized to Q8.24, as the real its raw stands for (exact: a power-of-two scale)."""
+    return fx(v) * Q8_24.eps
 
 
 def quantized(*reals):
@@ -65,51 +68,32 @@ def test_config_validation():
 
 
 def test_step_linear_example():
-    s = CordicState(fx(1.0), fx(0.0), fx(0.5), 1)
-    out = cordic_step(s, LINEAR, 1)
-    assert out.y.real == 0.5
-    assert out.z.real == 0.0
-    assert out.x.raw == s.x.raw
-    assert out.i == 2
+    x, y, z = fx(1.0), fx(0.0), fx(0.5)
+    assert cordic_step(x, y, z, 1, LINEAR, 1, Q8_24) == (x, fx(0.5), 0)
 
 
 def test_step_circular_example():
-    s = CordicState(fx(1.0), fx(0.0), fx(0.0), 0)
-    out = cordic_step(s, CIRCULAR, 1)
-    assert out.x.real == 1.0
-    assert out.y.real == 1.0
-    assert abs(out.z.real + math.atan(1.0)) < Q8_24.eps
+    x, y, z = cordic_step(fx(1.0), fx(0.0), fx(0.0), 0, CIRCULAR, 1, Q8_24)
+    assert (x, y) == (fx(1.0), fx(1.0))
+    assert abs(z * Q8_24.eps + math.atan(1.0)) < Q8_24.eps
 
 
 def test_step_linear_cancels():
-    s = CordicState(fx(0.7), fx(0.3), fx(0.2), 3)
-    fwd = cordic_step(s, LINEAR, 1)
-    back = cordic_step(CordicState(fwd.x, fwd.y, fwd.z, 3), LINEAR, -1)
-    assert back.y.raw == s.y.raw
+    x, y, z = fx(0.7), fx(0.3), fx(0.2)
+    fwd = cordic_step(x, y, z, 3, LINEAR, 1, Q8_24)
+    assert cordic_step(*fwd, 3, LINEAR, -1, Q8_24)[1] == y
 
 
 def test_step_rejects_bad_sigma():
-    s = CordicState(fx(1.0), fx(0.0), fx(0.0), 0)
     with pytest.raises(ValueError):
-        cordic_step(s, CIRCULAR, 0)
+        cordic_step(fx(1.0), fx(0.0), fx(0.0), 0, CIRCULAR, 0, Q8_24)
 
 
 @pytest.mark.parametrize("mode", [CIRCULAR, LINEAR])
 def test_step_rejects_shift_beyond_word(mode):
     for i in (Q8_24.word_bits, Q8_24.word_bits + 5):
         with pytest.raises(ValueError):
-            cordic_step(CordicState(fx(1.0), fx(0.5), fx(0.25), i), mode, 1)
-
-
-@pytest.mark.parametrize("mode", [CIRCULAR, LINEAR])
-@pytest.mark.parametrize("sigma", [1, -1])
-@pytest.mark.parametrize("odd", ["x", "y", "z"])
-def test_step_rejects_mixed_formats(mode, sigma, odd):
-    # one of x, y, z in Q4.12, the others in Q8.24, at a shift both formats hold
-    parts = {k: fx(v) for k, v in zip("xyz", (0.75, -0.5, 0.25))}
-    parts[odd] = fx_from_real(0.5, QFormat(16, 12))
-    with pytest.raises(ValueError):
-        cordic_step(CordicState(**parts, i=2), mode, sigma)
+            cordic_step(fx(1.0), fx(0.5), fx(0.25), i, mode, 1, Q8_24)
 
 
 def test_rotate_linear_is_multiply_accumulate():
@@ -146,14 +130,14 @@ def test_gain_values():
 
 
 def test_sincos_examples():
-    c, s = sincos_cordic(fx(0.0).real, CFG)
+    c, s = sincos_cordic(fx_real(0.0), CFG)
     assert abs(c - 1.0) < 1e-6
     assert abs(s) < 1e-6
-    c, s = sincos_cordic(fx(math.pi / 2).real, CFG)
+    c, s = sincos_cordic(fx_real(math.pi / 2), CFG)
     assert abs(c) < 1e-6
     assert abs(s - 1.0) < 1e-6
     # frozen double trig oracle values for 1 radian
-    c, s = sincos_cordic(fx(1.0).real, CFG)
+    c, s = sincos_cordic(fx_real(1.0), CFG)
     assert abs(c - 0.5403023058681398) < 1e-6
     assert abs(s - 0.8414709848078965) < 1e-6
 
@@ -163,7 +147,7 @@ def test_sincos_full_circle_and_pythagoras():
     rng = random.Random(11)
     for _ in range(400):
         th = rng.uniform(-2 * math.pi, 2 * math.pi)
-        c, s = sincos_cordic(fx(th).real, CFG)
+        c, s = sincos_cordic(fx_real(th), CFG)
         assert abs(c - math.cos(th)) <= tol
         assert abs(s - math.sin(th)) <= tol
         assert abs(c**2 + s**2 - 1.0) <= 4 * tol
@@ -221,10 +205,9 @@ LANE_FORMATS = [QFormat(16, 12), Q8_24, QFormat(56, 40)]
 
 def scalar_reference(x, y, z, mode, cfg):
     """The micro-rotation loop as a fold of cordic_step over one lane."""
-    s = CordicState(Fx(x, cfg.fmt), Fx(y, cfg.fmt), Fx(z, cfg.fmt), 0)
-    for _ in range(cfg.n_iter):
-        s = cordic_step(s, mode, 1 if s.z.raw >= 0 else -1)
-    return s.x.raw, s.y.raw, s.z.raw
+    for i in range(cfg.n_iter):
+        x, y, z = cordic_step(x, y, z, i, mode, 1 if z >= 0 else -1, cfg.fmt)
+    return x, y, z
 
 
 @st.composite
@@ -275,14 +258,12 @@ def test_sigma_pass_without_clip_equals_scalar_reference(batch):
     sigmas, z = _sigma_pass(np.array(zs, dtype=lane_dtype(cfg.fmt)), cfg)
     assert sigmas.shape == (cfg.n_iter, 2 * len(zs))
     minus, plus = _unmirror(sigmas)
-    zero = Fx(0, cfg.fmt)
-    for k, z0 in enumerate(zs):
-        s = CordicState(zero, zero, Fx(z0, cfg.fmt), 0)
+    for k, zk in enumerate(zs):
         for i in range(cfg.n_iter):
-            sigma = 1 if s.z.raw >= 0 else -1
+            sigma = 1 if zk >= 0 else -1
             assert [minus[i, k], plus[i, k]] == [-sigma, sigma]
-            s = cordic_step(s, CIRCULAR, sigma)
-        assert int(z[k]) == s.z.raw
+            zk = cordic_step(0, 0, zk, i, CIRCULAR, sigma, cfg.fmt)[2]
+        assert int(z[k]) == zk
 
 
 @given(st.lists(st.tuples(st.integers(0, 3), st.integers(-(1 << 40), 1 << 40), st.integers(-(1 << 40), 1 << 40)),

@@ -15,7 +15,6 @@ from fkemu.fixedpoint import (
     MAX_ANGLE,
     TWO_PI,
     DomainError,
-    Fx,
     Q1_15,
     Q8_24,
     QFormat,
@@ -29,7 +28,7 @@ from fkemu.fixedpoint import (
     rescale,
 )
 from fkemu.taylor import taylor_sincos
-from reference import fx_add, fx_cast, fx_mul, fx_shr, fx_sub, quarter_turns_ref
+from reference import Fx, fx_add, fx_cast, fx_mul, fx_quantize, fx_shr, fx_sub, quarter_turns_ref
 
 ACC = QFormat(36, 31)  # the Taylor engine's default accumulator
 
@@ -45,53 +44,54 @@ def test_qformat_validation():
 
 
 def test_from_real_examples():
-    assert fx_from_real(0.5, Q1_15).raw == 0x4000
-    assert fx_from_real(0.0, Q8_24).raw == 0
-    assert fx_from_real(2.0, Q1_15).raw == 0x7FFF  # saturated
-    assert fx_from_real(-3.0, Q1_15).raw == -0x8000
+    assert type(fx_from_real(0.5, Q1_15)) is int
+    assert fx_from_real(0.5, Q1_15) == 0x4000
+    assert fx_from_real(0.0, Q8_24) == 0
+    assert fx_from_real(2.0, Q1_15) == 0x7FFF  # saturated
+    assert fx_from_real(-3.0, Q1_15) == -0x8000
 
 
 def test_from_real_rounds_half_to_even():
     # 1.5/2**15 sits exactly between raws 1 and 2
-    assert fx_from_real(1.5 * 2**-15, Q1_15).raw == 2
-    assert fx_from_real(2.5 * 2**-15, Q1_15).raw == 2
+    assert fx_from_real(1.5 * 2**-15, Q1_15) == 2
+    assert fx_from_real(2.5 * 2**-15, Q1_15) == 2
 
 
 def test_add_sub_examples():
     q = Q1_15
-    assert fx_add(fx_from_real(0.25, q), fx_from_real(0.25, q)).raw == 16384
-    assert fx_add(fx_from_real(0.9, q), fx_from_real(0.9, q)).raw == 0x7FFF
-    one = fx_from_real(1.0, Q8_24)
+    assert fx_add(fx_quantize(0.25, q), fx_quantize(0.25, q)).raw == 16384
+    assert fx_add(fx_quantize(0.9, q), fx_quantize(0.9, q)).raw == 0x7FFF
+    one = fx_quantize(1.0, Q8_24)
     assert fx_sub(one, one).raw == 0
 
 
 def test_format_mismatch_rejected():
     with pytest.raises(ValueError):
-        fx_add(fx_from_real(0.5, Q1_15), fx_from_real(0.5, Q8_24))
+        fx_add(fx_quantize(0.5, Q1_15), fx_quantize(0.5, Q8_24))
     with pytest.raises(ValueError):
-        fx_sub(fx_from_real(0.5, Q1_15), fx_from_real(0.5, Q8_24))
+        fx_sub(fx_quantize(0.5, Q1_15), fx_quantize(0.5, Q8_24))
 
 
 def test_mul_examples():
     q = Q1_15
-    half = fx_from_real(0.5, q)
+    half = fx_quantize(0.5, q)
     assert fx_mul(half, half, q).raw == 8192
-    neg = fx_mul(fx_from_real(-0.5, q), half, q)
+    neg = fx_mul(fx_quantize(-0.5, q), half, q)
     assert neg.real == -0.25
-    a = fx_from_real(1.5, Q8_24)
-    b = fx_from_real(2.0, Q8_24)
+    a = fx_quantize(1.5, Q8_24)
+    b = fx_quantize(2.0, Q8_24)
     assert fx_mul(a, b, Q8_24).real == 3.0
 
 
 def test_shr_examples():
     q = Q1_15
-    assert fx_shr(fx_from_real(0.5, q), 1).raw == 8192
-    assert fx_shr(type(fx_from_real(0, q))(-1, q), 1).raw == -1  # floor semantics
-    assert fx_shr(type(fx_from_real(0, q))(3, q), 2).raw == 0
+    assert fx_shr(fx_quantize(0.5, q), 1).raw == 8192
+    assert fx_shr(Fx(-1, q), 1).raw == -1  # floor semantics
+    assert fx_shr(Fx(3, q), 2).raw == 0
     with pytest.raises(ValueError):
-        fx_shr(fx_from_real(0.5, q), 16)
+        fx_shr(fx_quantize(0.5, q), 16)
     with pytest.raises(ValueError):
-        fx_shr(fx_from_real(0.5, q), -1)
+        fx_shr(fx_quantize(0.5, q), -1)
 
 
 def test_round_trip_bound():
@@ -100,7 +100,7 @@ def test_round_trip_bound():
         hi = float(fmt.max_raw) * fmt.eps
         for _ in range(2000):
             v = rng.uniform(-hi, hi)
-            got = fx_from_real(v, fmt).real
+            got = fx_quantize(v, fmt).real
             assert abs(got - v) <= 2.0 ** -(fmt.frac_bits + 1)
 
 
@@ -110,7 +110,7 @@ def test_saturation_fuzz_against_wide_oracle():
     for _ in range(5000):
         a = rng.randint(fmt.min_raw, fmt.max_raw)
         b = rng.randint(fmt.min_raw, fmt.max_raw)
-        fa, fb = type(fx_from_real(0, fmt))(a, fmt), type(fx_from_real(0, fmt))(b, fmt)
+        fa, fb = Fx(a, fmt), Fx(b, fmt)
         want = min(max(a + b, fmt.min_raw), fmt.max_raw)
         assert fx_add(fa, fb).raw == want
         want = min(max(a - b, fmt.min_raw), fmt.max_raw)
@@ -125,8 +125,8 @@ def test_mul_truncation_bound():
     rng = random.Random(3)
     fmt = Q8_24
     for _ in range(3000):
-        a = fx_from_real(rng.uniform(-10, 10), fmt)
-        b = fx_from_real(rng.uniform(-10, 10), fmt)
+        a = fx_quantize(rng.uniform(-10, 10), fmt)
+        b = fx_quantize(rng.uniform(-10, 10), fmt)
         got = fx_mul(a, b, fmt).real
         exact = a.real * b.real
         assert -(2.0**-fmt.frac_bits) < got - exact <= 0 or got == exact
@@ -137,18 +137,18 @@ def test_shr_equals_floor_division():
     for _ in range(3000):
         raw = rng.randint(Q8_24.min_raw, Q8_24.max_raw)
         k = rng.randint(0, 31)
-        fx = type(fx_from_real(0, Q8_24))(raw, Q8_24)
+        fx = Fx(raw, Q8_24)
         assert fx_shr(fx, k).raw == math.floor(raw / 2**k)
 
 
 def test_acc_covers_full_product():
-    a = fx_from_real(0.9, Q1_15)
+    a = fx_quantize(0.9, Q1_15)
     acc = fx_mul(a, a, ACC)
     assert abs(acc.real - a.real * a.real) < 2.0**-30
 
 
 def test_acc_align_and_narrow():
-    a = fx_from_real(0.75, Q1_15)
+    a = fx_quantize(0.75, Q1_15)
     acc = fx_cast(a, ACC)
     assert acc.real == 0.75
     back = fx_cast(acc, Q1_15)
@@ -228,11 +228,12 @@ def test_cast_into_wider_format_is_exact(fa, shift, data):
 K_MAX = math.floor(MAX_ANGLE / TWO_PI)  # the last whole turn within the domain
 
 
-def near_multiples(stride: int = 1) -> np.ndarray:
-    """k*TWO_PI for every stride-th k in 0..K_MAX+1, as a double, with its 4
-    float neighbours on each side, kept within [0, MAX_ANGLE]: the angles
-    whose quotient by TWO_PI a reduction is likeliest to get one off."""
-    centre = np.arange(0, K_MAX + 2, stride) * TWO_PI
+def near_multiples(stride: int = 1, period: float = TWO_PI) -> np.ndarray:
+    """k*period for every stride-th k from 0 to one past the last multiple
+    within MAX_ANGLE, as a double, with its 4 float neighbours on each side,
+    kept within [0, MAX_ANGLE]: the angles whose quotient by period a
+    reduction is likeliest to get one off."""
+    centre = np.arange(0, math.floor(MAX_ANGLE / period) + 2, stride) * period
     below = above = centre
     rings = [centre]
     for _ in range(4):
@@ -318,6 +319,26 @@ def test_providers_pinned_on_near_multiples(provider):
     assert hashlib.sha256(b"".join(v.tobytes() for v in out)).hexdigest() == digest
 
 
+# sha256 of the same outputs on near_multiples(409, HALF_PI) of both signs
+# (29386 angles): the stride is odd, so the multiples fall in every quarter
+# turn, and each side of every boundary folds into a different quadrant,
+# which PROVIDER_PINS' angles, all near whole turns, never do
+QUARTER_TURN_PINS = {
+    "lut-nearest": "077b602f09a4b235bedcfcf229f1856c6b37febac8be695f824b79e87b0c0b93",
+    "lut-linear": "b52803ff43b8c70ff1813a9980c2045e6c3145801ef2bd260b9cfad94acaf574",
+    "taylor": "12db9baf604965de7b530353cceb883164ba9cba3adad4c221e7db0d447c34e1",
+    "cordic-sigmas": "6b1749b52b1a8b6e77ab6da44ae5d29407645329c76c82904b74bc9e34ed2323",
+}
+
+
+@pytest.mark.parametrize("provider", QUARTER_TURN_PINS)
+def test_providers_pinned_near_quarter_turns(provider):
+    sincos = PROVIDER_PINS[provider][0]
+    mag = near_multiples(409, HALF_PI)
+    out = sincos(np.concatenate([mag, -mag]))
+    assert hashlib.sha256(b"".join(v.tobytes() for v in out)).hexdigest() == QUARTER_TURN_PINS[provider]
+
+
 def test_quarter_turns_of_the_x_axis():
     axes = [(1, 0), (0, 1), (-1, 0), (0, -1)]
     assert [tuple(int(v) for v in quarter_turns(q, 1, 0)) for q in range(4)] == axes
@@ -388,7 +409,7 @@ def test_lane_conversions_match_scalar_ones(fmt, data):
     values = data.draw(st.lists(real, min_size=1, max_size=8))
     raws = lanes_from_real(values, fmt)
     assert raws.dtype == lane_dtype(fmt)
-    assert [int(r) for r in raws] == [fx_from_real(v, fmt).raw for v in values]
+    assert [int(r) for r in raws] == [fx_from_real(v, fmt) for v in values]
     assert lanes_real(raws, fmt).tolist() == [Fx(int(r), fmt).real for r in raws]
     wide = np.array([fmt.max_raw + 1, fmt.min_raw - 1, 0], dtype=object)
     assert clip(wide, fmt.min_raw, fmt.max_raw).tolist() == [fmt.max_raw, fmt.min_raw, 0]

@@ -11,14 +11,13 @@ from fkemu.fixedpoint import (
     HALF_PI,
     MAX_ANGLE,
     DomainError,
-    Fx,
     Q8_24,
     QFormat,
     fold_angle,
     fx_from_real,
 )
 from fkemu.taylor import TaylorConfig, _cores, remainder_bound, taylor_sincos
-from reference import cores_reference, fx_cast, fx_mul, fx_sub, series_cos, series_sin, taylor_coeffs
+from reference import Fx, cores_reference, fx_cast, fx_mul, fx_quantize, fx_sub, series_cos, series_sin, taylor_coeffs
 
 CFG = TaylorConfig()
 GATE = 2.0**-13
@@ -27,7 +26,7 @@ ANGLES = st.floats(-MAX_ANGLE, MAX_ANGLE)
 
 def sincos(th, cfg=CFG):
     """(cos, sin) of th quantized to Q8.24 first, as a wide input register holds it."""
-    return taylor_sincos(fx_from_real(th, Q8_24).real, cfg)
+    return taylor_sincos(fx_from_real(th, Q8_24) * Q8_24.eps, cfg)
 
 
 def test_config_validation():
@@ -191,7 +190,7 @@ def reference_raws(theta: float, cfg: TaylorConfig) -> tuple[int, int]:
     """Raw (cos, sin) of one angle through the Fx reference."""
     q, r = fold_angle(abs(theta))
     swap = r >= HALF_PI / 2 if q & 1 else r > HALF_PI / 2
-    t = fx_from_real(HALF_PI - r if swap else r, cfg.operand_fmt)
+    t = fx_quantize(HALF_PI - r if swap else r, cfg.operand_fmt)
     s, c = _sin_core(t, cfg).raw, _cos_core(t, cfg).raw
     if swap:
         s, c = c, s
