@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
-"""Interleaved A/B runs of one perfbench workload on two revisions.
+"""Interleaved A/B runs of one perfbench workload, or of named layer rows,
+on two revisions.
 
     python benchmarks/ab.py PARENT [CHANGE] --workload W --pairs N --seconds S
+    python benchmarks/ab.py PARENT [CHANGE] --rows ROW [ROW ...] --pairs N
 
 PARENT and CHANGE are git revisions of this repository; each is checked
 out by a local ``git clone`` into a temporary directory (no network).
@@ -17,16 +19,27 @@ parent), each side's median and quartiles, the ratios' median and
 quartiles, and the pairs the change won, by the direction BENCHMARK.json
 gives the metric.
 
+``--rows`` times rows of benchmarks/test_layers.py instead (ROW as
+pytest names it, e.g. ``test_lut_sincos_384_angles[linear]``).  Pair k
+runs CHANGE's rows file once per side through ``pytest
+--benchmark-json``, from that side's tree with its ``src`` first on
+PYTHONPATH, in the same alternating order: a row is one body timed on
+each side's package, so a row new in CHANGE compares too.  For every row
+the summary prints each side's minimum per pair, in microseconds, the
+pair ratios (change / parent), the ratios' median and quartiles, and the
+pairs the change was faster in.  --seconds and --seed do not apply.
+
 Exits 1 if any run is not ``correct: true``, or if the two sides of a
 pair differ in ``sim``, ``acc`` or ``digest`` (the report line before the
-result) unless ``--bits-change`` is given; 2 on a bad revision or a run
-that prints no result.
+result) unless ``--bits-change`` is given; 2 on a bad revision, a run
+that prints no result, or a rows run that fails.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -35,6 +48,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 FINGERPRINT = ("sim", "acc", "digest")
+ROWS_FILE = Path("benchmarks") / "test_layers.py"
 
 
 def parse_run(stdout: str) -> tuple[dict, dict]:
@@ -97,6 +111,37 @@ def summarize(pairs: list[tuple[tuple[dict, dict], tuple[dict, dict]]], better: 
     return lines
 
 
+def row_minima(bench_json: dict) -> dict[str, float]:
+    """{row name: fastest round in microseconds} of a pytest --benchmark-json file."""
+    return {b["name"]: b["stats"]["min"] * 1e6 for b in bench_json["benchmarks"]}
+
+
+def summarize_rows(pairs: list[tuple[dict, dict]], rows: list[str]) -> list[str]:
+    """Per row: each side's minimum in every pair, the pair ratios (change /
+    parent), their median and quartiles, and the pairs the change was faster in."""
+    lines = []
+    for row in rows:
+        parent = [p[row] for p, _ in pairs]
+        change = [c[row] for _, c in pairs]
+        ratios = [c / p for p, c in zip(parent, change)]
+        won = sum(c < p for p, c in zip(parent, change))
+        r1, rm, r3 = _quartiles(ratios)
+        lines += [
+            f"{row} (us, minimum of each run, lower is better)",
+            "  parent: " + " ".join(f"{v:.4g}" for v in parent),
+            "  change: " + " ".join(f"{v:.4g}" for v in change),
+            "  ratios: " + " ".join(f"{r:.3f}" for r in ratios),
+            f"  median ratio {rm:.3f} (quartiles {r1:.3f}-{r3:.3f}), change faster in {won} of {len(pairs)} pairs",
+        ]
+    return lines
+
+
+def fail(msg: str):
+    """Stop with msg on stderr and exit status 2: a run that gave no result."""
+    print(msg, file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _checkout(rev: str, into: Path) -> str:
     """Clone this repository into `into` and check out rev there; returns
     the commit's short sha."""
@@ -115,14 +160,31 @@ def _run(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, di
     try:
         return parse_run(proc.stdout)
     except ValueError as e:
-        raise SystemExit(f"ab: {tree}: run.py exited {proc.returncode} with no result ({e}):\n{proc.stderr}")
+        fail(f"ab: {tree}: run.py exited {proc.returncode} with no result ({e}):\n{proc.stderr}")
+
+
+def _run_rows(tree: Path, rows_file: Path, rows: list[str], out: Path) -> dict[str, float]:
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", f"--benchmark-json={out}",
+         *(f"{rows_file}::{row}" for row in rows)],
+        cwd=tree, capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(tree / "src")},
+    )
+    if proc.returncode != 0:
+        fail(f"ab: {tree}: pytest exited {proc.returncode}:\n{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
+    minima = row_minima(json.loads(out.read_text(encoding="utf-8")))
+    missing = [row for row in rows if row not in minima]
+    if missing:
+        fail(f"ab: {tree}: no timing for {', '.join(missing)}")
+    return minima
 
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("parent", help="git revision of the parent side")
     p.add_argument("change", nargs="?", help="git revision of the change side (default: the working tree)")
-    p.add_argument("--workload", required=True)
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--workload")
+    mode.add_argument("--rows", nargs="+", metavar="ROW", help="rows of benchmarks/test_layers.py to time instead")
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seconds", type=float, default=25.0, help="measured run length of each run")
     p.add_argument("--seed", type=int, default=1, help="seed of the first pair; pair k runs seed + k")
@@ -147,6 +209,8 @@ def main(argv=None) -> int:
         except subprocess.CalledProcessError as e:
             print(f"ab: cannot check out a revision: {e}", file=sys.stderr)
             return 2
+        if args.rows:
+            return _main_rows(args, parent, parent_name, change, change_name, Path(tmp))
         seeds = range(args.seed, args.seed + args.pairs)
         print(f"ab: {args.workload}, {args.pairs} pairs of {args.seconds:g} s runs, seeds {seeds[0]}-{seeds[-1]}; "
               f"parent {parent_name}, change {change_name}" + (" (null)" if args.null else ""), flush=True)
@@ -168,6 +232,20 @@ def main(argv=None) -> int:
     for f in found:
         print(f"ab: {f}", file=sys.stderr)
     return 1 if found else 0
+
+
+def _main_rows(args, parent: Path, parent_name: str, change: Path, change_name: str, tmp: Path) -> int:
+    rows_file = change / ROWS_FILE
+    print(f"ab: {len(args.rows)} rows of {ROWS_FILE}, {args.pairs} pairs; "
+          f"parent {parent_name}, change {change_name}" + (" (null)" if args.null else ""), flush=True)
+    pairs = []
+    for k in range(args.pairs):
+        order = [("parent", parent), ("change", change)][:: 1 if k % 2 == 0 else -1]
+        runs = {name: _run_rows(tree, rows_file, args.rows, tmp / f"{name}.json") for name, tree in order}
+        pairs.append((runs["parent"], runs["change"]))
+        print(f"  pair {k} ({order[0][0]} first) done", file=sys.stderr, flush=True)
+    print("\n".join(summarize_rows(pairs, args.rows)))
+    return 0
 
 
 if __name__ == "__main__":

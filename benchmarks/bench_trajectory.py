@@ -47,6 +47,8 @@ DISPATCH_BOUND = (
     "test_sincos_cordic",
     "test_taylor_sincos",
     "test_taylor_sincos_384_angles",
+    "test_fold_angle_384_angles",
+    "test_lut_sincos_384_angles",
     "test_lut_sincos_scalar",
     "test_circ_rotate_lanes[1]",
     "test_ccm_points_one_module_64_lanes",

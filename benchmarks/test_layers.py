@@ -3,15 +3,16 @@
     PYTHONPATH=src python -m pytest benchmarks --benchmark-json=BENCH_<n>.json
 
 Layers, bottom up: fixed-point primitive (rescale on 64 int64 lanes, the
-narrowing the kernels use, and fold_angle and quarter_turns on one
-lut_sincos block of 8192 angles), the CORDIC processors the cascade runs
+narrowing the kernels use, fold_angle and quarter_turns on one
+lut_sincos block of 8192 angles, and fold_angle on a chain12-bench
+request's 384 angles, all under 2*pi), the CORDIC processors the cascade runs
 (the closed-form unit linear accumulate on one row and on a module's
 (2, 64) stack, the stage plan of a puma request's angles (fold, sigma
 pass, quarter-turn moves and the casts to the lane dtype), and one
 circular stage run from its plan, with every clip and clip-free as the
 cascade runs it), sin/cos generator per backend (one
 lane, and batched; the LUT also on perfbench lut-scan's 2**20 angles per
-table mode, Taylor on a chain12-bench request's 384 angles), link-matrix
+table mode, Taylor and the LUT on a chain12-bench request's 384 angles), link-matrix
 assembly and chain product apart (chain_links and chain_product on
 chain12-bench's stack of 48 chains: 16 variants for each of three
 providers, 12 links each; and provider_links, the three providers' trig
@@ -100,6 +101,9 @@ CHAIN12_TEXT = _chain12_text()
 CHAIN12_STACK = cli.bench_variants(cli.parse_chain(CHAIN12_TEXT).joints, 48, 5)
 # the 16 variants of one chain12-bench request
 CHAIN12_VARIANTS = cli.bench_variants(cli.parse_chain(CHAIN12_TEXT).joints, 16, 5)
+# their (theta, alpha) stacked, as every provider of the request takes them:
+# 2 x 16 variants x 12 links
+CHAIN12_ANGLES = np.array([CHAIN12_VARIANTS.theta, CHAIN12_VARIANTS.alpha])
 
 
 def test_rescale_64_lanes(benchmark):
@@ -112,6 +116,12 @@ def test_fold_angle_8192_angles(benchmark):
     # one lut-scan block: |angles| over +-4 turns, as lut_sincos folds them
     mag = np.abs(np.random.default_rng(20).uniform(-8 * math.pi, 8 * math.pi, lut.BLOCK))
     benchmark(fold_angle, mag)
+
+
+def test_fold_angle_384_angles(benchmark):
+    # a chain12-bench request's angles: the stacked (theta, alpha) of its 16
+    # variants, all within +-pi, as each provider folds them
+    benchmark(fold_angle, np.abs(CHAIN12_ANGLES))
 
 
 def test_quarter_turns_8192_block(benchmark):
@@ -188,12 +198,17 @@ def test_taylor_sincos_192_angles(benchmark):
 
 def test_taylor_sincos_384_angles(benchmark):
     # a chain12-bench request's worth: 16 variants x 12 links x (theta, alpha)
-    angles = np.stack([CHAIN12_STACK.theta[:16], CHAIN12_STACK.alpha[:16]])
-    benchmark(taylor.taylor_sincos, angles)
+    benchmark(taylor.taylor_sincos, CHAIN12_ANGLES)
 
 
 def test_lut_sincos_scalar(benchmark):
     benchmark(lut.lut_sincos, 1.0, TABLE)
+
+
+@pytest.mark.parametrize("mode", [lut.NEAREST, lut.LINEAR])
+def test_lut_sincos_384_angles(benchmark, mode):
+    # a chain12-bench request's angles: one block
+    benchmark(lut.lut_sincos, CHAIN12_ANGLES, lut.build_table(1024, mode=mode))
 
 
 @pytest.mark.parametrize("mode", [lut.NEAREST, lut.LINEAR])

@@ -68,7 +68,7 @@ from .cordic import (
     linear_accumulate,
 )
 from .dh import ChainSet
-from .fixedpoint import DomainError, lanes_from_real, lanes_real
+from .fixedpoint import DomainError, frozen, lanes_from_real, lanes_real
 
 # the paper's per-stage delay and fixed overhead of the cascade
 STAGE_TIME_US = 40.0
@@ -264,7 +264,9 @@ def _reach_limit(cfg: CordicConfig) -> float:
 def _by_link(a, b):
     """Two (lanes, links) arrays as one C-contiguous (links, 2, lanes) stack:
     the layout the kernels walk, adjacent lanes adjacent in memory."""
-    return np.ascontiguousarray(np.stack([a.T, b.T], axis=1))
+    out = np.empty((a.shape[1], 2, a.shape[0]))
+    out[:, 0], out[:, 1] = a.T, b.T
+    return out
 
 
 def ccm_points(chains: ChainSet, points, cfg: CordicConfig = DEFAULT_CONFIG) -> np.ndarray:
@@ -306,15 +308,20 @@ def ccm_points(chains: ChainSet, points, cfg: CordicConfig = DEFAULT_CONFIG) -> 
             out = _module(xyz, raws[link], stages, cfg)
             top = float(np.abs(out).max()) * fmt.eps  # rounding is monotone: at least every |double| of out
             xyz, p = (out, None) if carry else (None, lanes_real(out, fmt))
-        return np.column_stack([*(lanes_real(xyz, fmt) if p is None else p), w])
+        out = np.empty((len(w), 4))
+        out[:, :3], out[:, 3] = (lanes_real(xyz, fmt) if p is None else p).T, w
+        return out
+
+
+_EYE = frozen(np.eye(4).reshape(1, 16))  # one chain's four lanes, (x, y, z, w) each
 
 
 def ccm_poses(chains: ChainSet, cfg: CordicConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Full poses via the module cascade, (len(chains), 4, 4): per chain,
     the three direction columns pushed as free vectors plus the origin
     pushed as a point, four lanes per chain."""
-    lanes = ChainSet(*(np.repeat(v, 4, axis=0) for v in (chains.theta, chains.d, chains.a_eff, chains.alpha)))
-    out = ccm_points(lanes, np.tile(np.eye(4), (len(chains), 1)), cfg)  # row k of eye(4): column k of a pose
+    lanes = ChainSet(*(v.repeat(4, axis=0) for v in (chains.theta, chains.d, chains.a_eff, chains.alpha)))
+    out = ccm_points(lanes, _EYE.repeat(len(chains), axis=0), cfg)  # row k of eye(4): column k of a pose
     return out.reshape(len(chains), 4, 4).transpose(0, 2, 1)
 
 

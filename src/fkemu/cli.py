@@ -118,7 +118,7 @@ def parse_chain(text: str, filename: str = "<chain>") -> ChainFile:
         else:
             point = tuple(floats(1, 3))
         if len(tokens) > fields + 1:
-            raise error(fields + 1, f"{key} takes {fields} fields")
+            raise error(fields + 1, f"{key} takes {fields} field{'s' if fields != 1 else ''}")
     if not joints:
         raise ChainParseError(filename, 1, 1, "chain has no joints")
     return ChainFile(name, tuple(joints), point)
@@ -203,7 +203,7 @@ def _poses(backends: dict[str, _Backend], names: list[str], chains: ChainSet) ->
     for name in names:
         if name not in slots:
             slots[name] = backends[name].cascade(chains)
-    return oracles, np.stack([slots[name] for name in names])
+    return oracles, np.array([slots[name] for name in names])
 
 
 def cmd_solve(args) -> int:
@@ -228,12 +228,11 @@ def cmd_solve(args) -> int:
 def bench_variants(joints, trials: int, seed: int) -> ChainSet:
     """The seeded chains bench grades: rotary theta in [-pi, pi), prismatic d in
     [0, 1), each lo + (hi - lo) * u from one draw, the bits of rng.uniform(lo, hi)."""
-    base = ChainSet.of([joints])
+    rotary, theta, d, a_eff, alpha = np.array([(j.kind == ROTARY, j.theta, j.d, j.a_eff, j.alpha) for j in joints]).T
     u = np.random.default_rng(seed).random((trials, len(joints)))
-    rotary = np.array([j.kind == ROTARY for j in joints])
-    theta = np.where(rotary, -math.pi + (math.pi - -math.pi) * u, base.theta)
-    d = np.where(rotary, base.d, u)
-    return ChainSet(theta, d, np.broadcast_to(base.a_eff, theta.shape), np.broadcast_to(base.alpha, theta.shape))
+    theta = np.where(rotary, -math.pi + (math.pi - -math.pi) * u, theta)  # rotary is 1.0 or 0.0
+    d = np.where(rotary, d, u)
+    return ChainSet(theta, d, a_eff.reshape(1, -1).repeat(trials, axis=0), alpha.reshape(1, -1).repeat(trials, axis=0))
 
 
 def grade(poses: np.ndarray, oracles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

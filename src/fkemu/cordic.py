@@ -416,8 +416,8 @@ def sincos_cordic(theta, cfg: CordicConfig = DEFAULT_CONFIG):
     """
     arr = np.asarray(theta, dtype=np.float64)
     lanes = arr.reshape(-1)
-    one = np.full(lanes.size, fx_from_real(1.0, cfg.fmt), dtype=lane_dtype(cfg.fmt))
-    xr, yr = circ_rotate_lanes(one, np.zeros_like(one), lanes, cfg)
+    one = np.array([fx_from_real(1.0, cfg.fmt)], dtype=lane_dtype(cfg.fmt)).repeat(lanes.size)
+    xr, yr = circ_rotate_lanes(one, np.zeros(lanes.size, dtype=one.dtype), lanes, cfg)
     cos, sin = (lanes_real(v, cfg.fmt).reshape(arr.shape) for v in (xr, yr))
     if arr.ndim == 0:
         return float(cos), float(sin)

@@ -203,7 +203,7 @@ def _link_stack(cos, sin, a, d) -> np.ndarray:
 def chain_links(chains: ChainSet, sincos: SinCos = exact_sincos) -> np.ndarray:
     """Every link matrix of the set, (len(chains), n, 4, 4), from one
     provider call on every theta and alpha, assembled by _link_stack."""
-    return _link_stack(*sincos(np.stack([chains.theta, chains.alpha])), chains.a_eff, chains.d)
+    return _link_stack(*sincos(np.array([chains.theta, chains.alpha])), chains.a_eff, chains.d)
 
 
 def provider_links(chains: ChainSet, providers: Sequence[SinCos]) -> np.ndarray:
@@ -211,9 +211,11 @@ def provider_links(chains: ChainSet, providers: Sequence[SinCos]) -> np.ndarray:
     (len(providers), len(chains), n, 4, 4): each provider called once on
     the stacked (theta, alpha), and one _link_stack over all their (cos,
     sin).  Slot k has the bits of chain_links(chains, providers[k])."""
-    angles = np.stack([chains.theta, chains.alpha])
-    cos, sin = zip(*(sincos(angles) for sincos in providers))
-    return _link_stack(np.stack(cos, axis=1), np.stack(sin, axis=1), chains.a_eff, chains.d)
+    angles = np.array([chains.theta, chains.alpha])
+    cos, sin = trig = np.empty((2, 2, len(providers), *angles.shape[1:]))  # (cos, sin) of (theta, alpha)
+    for k, sincos in enumerate(providers):
+        trig[:, :, k] = sincos(angles)
+    return _link_stack(cos, sin, chains.a_eff, chains.d)
 
 
 def chain_product(links: np.ndarray) -> np.ndarray:

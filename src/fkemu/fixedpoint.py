@@ -25,7 +25,8 @@ and the fold rejects NaN.  The fold takes whole turns off by Cody and
 Waite's split constants: TWO_PI is _TWO_PI_HI, 32 significant bits, plus
 the exact rest _TWO_PI_LO, so k turns come off with two exact products and
 two exact subtractions, and one correction (+ TWO_PI where k was one too
-many) gives mag % TWO_PI bit for bit.
+many) gives mag % TWO_PI bit for bit; where every angle is below TWO_PI,
+k is 0 and the fold skips the reduction.
 
 Batched datapaths hold the raws of many values, one per lane, in an ndarray
 of lane_dtype(fmt); rescale, lanes_from_real and lanes_real work on such
@@ -68,7 +69,9 @@ def fold_angle(mag):
     q <= 3.  The reduction is modulo the float 2*pi, which drifts from the
     true period by |mag| * 3.9e-17: 4e-11 at MAX_ANGLE, under 1/1000 of a
     Q8.24 LSB, but 0.04 rad at 1e15.  So DomainError is raised unless
-    mag <= MAX_ANGLE, which rejects NaN and infinity too.
+    mag <= MAX_ANGLE, which rejects NaN and infinity too: one maximum over
+    the lanes decides it, since a maximum propagates NaN (with no lanes
+    it is 0).
 
     a is mag % TWO_PI bit for bit, at a quarter of its cost, by Cody and
     Waite's two-constant reduction: k = floor(mag / TWO_PI), then
@@ -85,13 +88,25 @@ def fold_angle(mag):
       4, k is 0 and a is mag.
 
     So a is mag - k'*TWO_PI for the true floor k', as fmod gives it.
+
+    Where every lane is below TWO_PI, as for joint angles within +-pi, a
+    is mag itself and the reduction is not run, with the same bits: a
+    double m in [0, TWO_PI) is at most TWO_PI - 2**-50 (TWO_PI's ulp), so
+    m / TWO_PI < 1 - 2**-53, and a rounded quotient, rounding being
+    monotone, is at most 1 - 2**-53: k is 0 on every lane.  Then
+    (m - 0*_TWO_PI_HI) - 0*_TWO_PI_LO is m bit for bit (m >= +0.0), no
+    lane is negative, and no correction runs.
     """
-    if not np.all(mag <= MAX_ANGLE):
+    top = np.maximum.reduce(mag, axis=None, initial=0.0)
+    if not top <= MAX_ANGLE:
         raise DomainError(f"|angle| must be finite and at most {MAX_ANGLE:.0f} rad")
-    k = np.floor(mag / TWO_PI)
-    # an array even for a float mag, so the correction runs in place
-    a = np.asarray((mag - k * _TWO_PI_HI) - k * _TWO_PI_LO)
-    np.add(a, TWO_PI, out=a, where=a < 0)
+    if top < TWO_PI:
+        a = mag
+    else:
+        k = np.floor(mag / TWO_PI)
+        # an array even for a float mag, so the correction runs in place
+        a = np.asarray((mag - k * _TWO_PI_HI) - k * _TWO_PI_LO)
+        np.add(a, TWO_PI, out=a, where=a < 0)
     q = np.floor(a / HALF_PI)  # a float in 0..3, so q*HALF_PI needs no cast
     return q.astype(np.int64), a - q * HALF_PI
 

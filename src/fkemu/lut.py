@@ -8,9 +8,11 @@ trade is the whole point of the backend.
 
 On arrays the emulator runs the lookup in blocks of BLOCK angles, so each
 block's temporaries stay in cache, and reads a table padded with the
-virtual endpoint sin(pi/2) = 1, so a lookup is a plain gather.  Neither
-changes the arithmetic emulated: every output is the same IEEE operations
-on the same operands as a one-angle call, bit for bit.
+virtual endpoint sin(pi/2) = 1, so a lookup is a plain gather.  An array
+of at most BLOCK angles is one block, returned in the arrays its unfold
+makes, with no output buffers to fill and no copy.  None of this changes
+the arithmetic emulated: every output is the same IEEE operations on the
+same operands as a one-angle call, bit for bit.
 """
 
 from __future__ import annotations
@@ -54,8 +56,8 @@ class SinTable:
     deltas: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        padded = frozen(np.append(self.values, 1.0))
-        deltas = frozen(np.diff(padded)) if self.mode == LINEAR else None
+        padded = frozen(np.concatenate([self.values, [1.0]]))
+        deltas = frozen(padded[1:] - padded[:-1]) if self.mode == LINEAR else None
         object.__setattr__(self, "values", padded[:-1])
         object.__setattr__(self, "padded", padded)
         object.__setattr__(self, "deltas", deltas)
@@ -97,10 +99,21 @@ def _sin_quarter(u, table: SinTable):
     """
     pos = u / table.step
     if table.mode == NEAREST:
-        return np.take(table.padded, np.rint(pos).astype(np.intp))
+        return table.padded.take(np.rint(pos).astype(np.intp))
     idx = np.minimum(np.floor(pos), table.n_entries - 1)  # a float, so pos - idx needs no cast
     lane = idx.astype(np.intp)
-    return np.take(table.padded, lane) + np.take(table.deltas, lane) * (pos - idx)
+    return table.padded.take(lane) + table.deltas.take(lane) * (pos - idx)
+
+
+def _signed_block(block: np.ndarray, table: SinTable, sin=None):
+    """(cos, sin) of one block of angles: folded by fold_angle, looked up in
+    the quarter table, unfolded by quarter_turns, and the sine given the
+    sign of theta, written into sin if given, else into the unfold's own
+    array."""
+    quad, r = fold_angle(np.abs(block))
+    c, s = quarter_turns(quad, _sin_quarter(HALF_PI - r, table), _sin_quarter(r, table))
+    # times -1.0 is negation, bit for bit: the sign of a negative theta, -0.0 included
+    return c, np.multiply(s, np.copysign(1.0, block), out=s if sin is None else sin)
 
 
 def lut_sincos(theta, table: SinTable):
@@ -109,20 +122,19 @@ def lut_sincos(theta, table: SinTable):
 
     The sign of theta is stripped before folding so odd/even symmetry is
     bit-exact.  Any angle beyond MAX_ANGLE, NaN or infinite raises
-    DomainError.  The angles run in blocks of BLOCK, each folded by
-    fold_angle, looked up in the quarter table, unfolded by quarter_turns
-    and given the sign of theta; a scalar is a block of one.
+    DomainError.  The angles run in blocks of BLOCK, each folded, looked
+    up, unfolded and signed by _signed_block; a scalar is a block of one.
+    At most BLOCK angles are one block, whose outputs are the arrays the
+    unfold returns; more fill two arrays block by block.
     """
     arr = np.asarray(theta, dtype=float)
     flat = arr.reshape(-1)
-    cos, sin = np.empty_like(flat), np.empty_like(flat)
-    for lo in range(0, flat.size, BLOCK):
-        block = flat[lo : lo + BLOCK]
-        quad, r = fold_angle(np.abs(block))
-        c, s = quarter_turns(quad, _sin_quarter(HALF_PI - r, table), _sin_quarter(r, table))
-        cos[lo : lo + BLOCK] = c
-        # times -1.0 is negation, bit for bit: the sign of a negative theta, -0.0 included
-        np.multiply(s, np.copysign(1.0, block), out=sin[lo : lo + BLOCK])
+    if flat.size <= BLOCK:
+        cos, sin = _signed_block(flat, table)
+    else:
+        cos, sin = np.empty_like(flat), np.empty_like(flat)
+        for lo in range(0, flat.size, BLOCK):
+            cos[lo : lo + BLOCK], _ = _signed_block(flat[lo : lo + BLOCK], table, sin[lo : lo + BLOCK])
     if arr.ndim == 0:
         return float(cos[0]), float(sin[0])
     return cos.reshape(arr.shape), sin.reshape(arr.shape)

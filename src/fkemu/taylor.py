@@ -177,9 +177,17 @@ def _cores(t: np.ndarray, cfg: TaylorConfig) -> np.ndarray:
     for col in c.steps[1:]:
         acc = col - u2 * (acc >> c.narrow)
     z = (t * u) >> c.frac
-    head = np.stack([t << c.narrow, np.full(t.shape, c.one, dtype=t.dtype)])  # t and 1
-    acc = head - np.stack([z + z, u2]) * (acc >> c.narrow)  # t - z*R(u), 1 - u*S(u)
+    head, mul = np.empty((2, 2, *t.shape), dtype=t.dtype)  # (t, 1) and (2z, 2u)
+    np.left_shift(t, c.narrow, out=head[0])
+    head[1] = c.one
+    np.add(z, z, out=mul[0])
+    mul[1] = u2
+    acc = head - mul * (acc >> c.narrow)  # t - z*R(u), 1 - u*S(u)
     return clip(acc >> c.narrow, c.lo, c.hi)
+
+
+# the least residual the cores run past pi/4 (trading places) in an even and an odd quadrant
+_EDGE = frozen([math.nextafter(HALF_PI / 2, math.inf), HALF_PI / 2])
 
 
 def taylor_sincos(theta, cfg: TaylorConfig = DEFAULT_CONFIG):
@@ -190,19 +198,22 @@ def taylor_sincos(theta, cfg: TaylorConfig = DEFAULT_CONFIG):
     residual r in [0, pi/2); past pi/4 the cores run on pi/2 - r and trade
     places.  The octant is measured from the nearest multiple of pi, which
     is the far end of an odd quadrant, so there the tie r == pi/4 trades
-    too.  The raws are bit-exactly odd (sine) and even (cosine) in theta,
-    but a zero sine is +0.0 for either sign of theta.  Raises DomainError
-    if any angle is beyond MAX_ANGLE or not finite.
+    too.  One compare decides both, against _EDGE[q & 1]: in an even
+    quadrant the double after pi/4, as r > pi/4 holds for a double r
+    exactly when r >= nextafter(pi/4, inf), and in an odd one pi/4.  The
+    raws are bit-exactly odd (sine) and even (cosine) in theta: a negative
+    theta negates its sine raw, but a zero sine is +0.0 for either sign of
+    theta.  Raises DomainError if any angle is beyond MAX_ANGLE or not
+    finite.
     """
     arr = np.asarray(theta, dtype=np.float64)
     lanes = arr.reshape(-1)
     q, r = fold_angle(np.abs(lanes))
-    odd = (q & 1).astype(bool)
-    swap = np.where(odd, r >= HALF_PI / 2, r > HALF_PI / 2)
+    swap = r >= _EDGE.take(q & 1)
     t = lanes_from_real(np.where(swap, HALF_PI - r, r), cfg.operand_fmt)
     cores = _cores(t.astype(_acc_coeffs(cfg).one.dtype, copy=False), cfg)  # to the lane dtype
     cos, sin = quarter_turns(q, *np.where(swap, cores, cores[::-1]))  # (cos r, sin r) turned by q
-    sin = sin * np.where(lanes < 0, -1, 1)
+    np.negative(sin, out=sin, where=lanes < 0)  # a fresh array: quarter_turns gathers it
     cos, sin = (lanes_real(v, cfg.operand_fmt).reshape(arr.shape) for v in (cos, sin))
     if arr.ndim == 0:
         return float(cos), float(sin)

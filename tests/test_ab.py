@@ -65,3 +65,45 @@ def test_parse_run_needs_a_report_and_a_result():
 def test_directions_come_from_benchmark_json():
     better = ab.directions()
     assert better["request_us.p50"] == "lower" and better["items_per_s"] == "higher"
+
+
+def _bench_json(minima_us):
+    """A pytest --benchmark-json document: one row per name, its minimum in seconds."""
+    rows = [{"name": name, "stats": {"min": us * 1e-6, "mean": 2 * us * 1e-6}} for name, us in minima_us.items()]
+    return {"machine_info": {}, "benchmarks": rows}
+
+
+def test_row_minima_read_microseconds_by_row_name():
+    got = ab.row_minima(_bench_json({"test_a": 12.5, "test_b[linear]": 40.0}))
+    assert got == pytest.approx({"test_a": 12.5, "test_b[linear]": 40.0})
+
+
+def test_rows_summary_gives_minima_ratios_and_pairs_won():
+    sides = [({"test_a": 10.0, "test_b": 100.0}, {"test_a": 8.0, "test_b": 110.0}),
+             ({"test_a": 12.0, "test_b": 100.0}, {"test_a": 9.0, "test_b": 90.0})]
+    pairs = [(ab.row_minima(_bench_json(p)), ab.row_minima(_bench_json(c))) for p, c in sides]
+    lines = ab.summarize_rows(pairs, ["test_b", "test_a"])
+    assert lines[:5] == [
+        "test_b (us, minimum of each run, lower is better)",
+        "  parent: 100 100",
+        "  change: 110 90",
+        "  ratios: 1.100 0.900",
+        "  median ratio 1.000 (quartiles 0.950-1.050), change faster in 1 of 2 pairs",
+    ]
+    assert lines[5] == "test_a (us, minimum of each run, lower is better)"
+    assert lines[8] == "  ratios: 0.800 0.750"
+    assert lines[9].endswith("change faster in 2 of 2 pairs")
+
+
+def test_rows_and_workload_exclude_each_other():
+    with pytest.raises(SystemExit):
+        ab.main(["HEAD", "--workload", "thumb-vm", "--rows", "test_vm_run"])
+    with pytest.raises(SystemExit):
+        ab.main(["HEAD"])
+
+
+def test_a_run_with_no_result_exits_2(capsys):
+    with pytest.raises(SystemExit) as e:
+        ab.fail("ab: tree: run.py exited 1 with no result")
+    assert e.value.code == 2
+    assert capsys.readouterr().err == "ab: tree: run.py exited 1 with no result\n"

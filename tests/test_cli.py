@@ -164,6 +164,17 @@ def test_parse_errors_carry_line_and_column():
     assert e.value.col == 10
 
 
+@pytest.mark.parametrize("text, msg", [
+    ("name a b\n", "f:2:8: name takes 1 field"),
+    ("joint R 0.1 0.2 0.3 0.4 0.5\n", "f:2:25: joint takes 5 fields"),
+    ("point 1 2 3 4\n", "f:2:13: point takes 3 fields"),
+])
+def test_extra_field_message_counts_in_the_right_number(text, msg):
+    with pytest.raises(ChainParseError) as e:
+        parse_chain(IDENTITY_CHAIN + text, "f")
+    assert str(e.value) == msg
+
+
 def test_load_chain_missing_file():
     with pytest.raises(ChainParseError):
         load_chain("/nonexistent/anywhere.chain")

@@ -27,7 +27,7 @@ from fkemu.fixedpoint import (
     quarter_turns,
     rescale,
 )
-from fkemu.taylor import taylor_sincos
+from fkemu.taylor import TaylorConfig, taylor_sincos
 from reference import Fx, fx_add, fx_cast, fx_mul, fx_quantize, fx_shr, fx_sub, quarter_turns_ref
 
 ACC = QFormat(36, 31)  # the Taylor engine's default accumulator
@@ -228,12 +228,12 @@ def test_cast_into_wider_format_is_exact(fa, shift, data):
 K_MAX = math.floor(MAX_ANGLE / TWO_PI)  # the last whole turn within the domain
 
 
-def near_multiples(stride: int = 1, period: float = TWO_PI) -> np.ndarray:
+def near_multiples(stride: int = 1, period: float = TWO_PI, stop: int | None = None) -> np.ndarray:
     """k*period for every stride-th k from 0 to one past the last multiple
-    within MAX_ANGLE, as a double, with its 4 float neighbours on each side,
-    kept within [0, MAX_ANGLE]: the angles whose quotient by period a
-    reduction is likeliest to get one off."""
-    centre = np.arange(0, math.floor(MAX_ANGLE / period) + 2, stride) * period
+    within MAX_ANGLE (or below stop), as a double, with its 4 float
+    neighbours on each side, kept within [0, MAX_ANGLE]: the angles whose
+    quotient by period a reduction is likeliest to get one off."""
+    centre = np.arange(0, stop or math.floor(MAX_ANGLE / period) + 2, stride) * period
     below = above = centre
     rings = [centre]
     for _ in range(4):
@@ -252,6 +252,67 @@ def test_fold_angle_on_every_near_multiple():
     want_r = a - want_q * HALF_PI
     assert q.dtype == np.int64 and np.array_equal(q, want_q)
     assert np.array_equal(r.view(np.int64), want_r.view(np.int64))
+
+
+def _folded(mag):
+    """fold_angle's (q, r) as the textbook reduction mag % TWO_PI gives them."""
+    a = mag % TWO_PI
+    q = np.floor(a / HALF_PI).astype(np.int64)
+    return q, a - q * HALF_PI
+
+
+def test_fold_angle_under_two_pi_route_keeps_the_bits():
+    # arrays wholly below TWO_PI, which the fold takes without the turn
+    # reduction: 4-ulp rings around each multiple of pi/2 below it, the
+    # smallest doubles and the largest double below TWO_PI
+    rings = near_multiples(1, HALF_PI, stop=5)
+    mag = np.concatenate([rings[rings < TWO_PI], [0.0, 5e-324, math.nextafter(TWO_PI, 0.0)]])
+    # 0, pi/2, pi and 3pi/2 with 4 neighbours each side (0 has none below),
+    # the 4 doubles below TWO_PI, and the 3 named
+    assert mag.max() < TWO_PI and mag.size == 4 * 9 - 4 + 4 + 3
+    kept = mag.copy()
+    q, r = fold_angle(mag)
+    want_q, want_r = _folded(mag)
+    assert q.dtype == np.int64 and np.array_equal(q, want_q)
+    assert np.array_equal(r.view(np.int64), want_r.view(np.int64))
+    assert np.array_equal(mag.view(np.int64), kept.view(np.int64))  # the caller's array is not written
+    # the same bits for each angle alone, and next to one that takes the full reduction
+    for k, m in enumerate(mag.tolist()):
+        assert fold_angle(m) == (q[k], r[k])
+        qs, rs = fold_angle(np.array([m, 3 * TWO_PI]))
+        assert (qs[0], rs[0].view(np.int64)) == (q[k], r[k].view(np.int64))
+    # either side of the route's edge: one angle alone near each multiple of
+    # pi/2 up to 4*pi decides its own route
+    for m in near_multiples(1, HALF_PI, stop=9).tolist():
+        q, r = fold_angle(np.array([m]))
+        want_q, want_r = _folded(m)
+        assert (q[0], r[0].view(np.int64)) == (want_q, np.float64(want_r).view(np.int64))
+
+
+@pytest.mark.parametrize("kind", ["float", "0-d"])
+def test_fold_angle_result_types_on_either_route(kind):
+    make = float if kind == "float" else np.array
+    got = [fold_angle(make(m)) for m in (1.0, 10.0)]  # below TWO_PI, and past it
+    for q, r in got:
+        assert type(q) is np.int64 and type(r) is np.float64
+    assert got[0] == (0, 1.0)
+
+
+def test_fold_angle_on_no_angles():
+    q, r = fold_angle(np.empty(0))
+    assert (q.dtype, q.shape, r.dtype, r.shape) == (np.int64, (0,), np.float64, (0,))
+    q, r = fold_angle(np.empty((2, 0)))
+    assert (q.shape, r.shape) == ((2, 0), (2, 0))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, math.nextafter(MAX_ANGLE, math.inf)])
+@pytest.mark.parametrize("other", [0.5, 3 * TWO_PI])
+def test_fold_angle_rejects_on_either_route(bad, other):
+    # the domain check decides before the route does: the other lane is
+    # below TWO_PI or past it
+    for angles in ([other, bad], [bad, other], [other] * 5 + [bad]):
+        with pytest.raises(DomainError):
+            fold_angle(np.abs(np.array(angles)))
 
 
 def _ulps_from(x: float, steps: int) -> float:
@@ -337,6 +398,44 @@ def test_providers_pinned_near_quarter_turns(provider):
     mag = near_multiples(409, HALF_PI)
     out = sincos(np.concatenate([mag, -mag]))
     assert hashlib.sha256(b"".join(v.tobytes() for v in out)).hexdigest() == QUARTER_TURN_PINS[provider]
+
+
+# sha256 of the same outputs on near_multiples(409, HALF_PI / 2) and the
+# first 16 multiples of pi/4 with their rings, of both signs (59042
+# angles), captured before taylor_sincos' octant became one compare: the
+# odd multiples fall on octant boundaries, the first few residuals on the
+# tie r == pi/4 itself, in even (pi/4, 5pi/4, 9pi/4) and odd (3pi/4,
+# 7pi/4) quadrants, which neither pin set above reaches.  The default
+# Taylor engine gives sin(pi/4) and cos(pi/4) one raw, so which way the
+# tie trades shows only in a coarser series: taylor-3, with three terms
+OCTANT_PINS = {
+    "lut-nearest": (PROVIDER_PINS["lut-nearest"][0],
+                    "634671c84be59f0c0e630cb4e829ff4aca1ee93f53f8dea6160c19fc338541ec"),
+    "lut-linear": (PROVIDER_PINS["lut-linear"][0],
+                   "74673fe0d8192666d1317d8c4586a1b4f96601a70a355702c1ebb85cea5e89ea"),
+    "taylor": (taylor_sincos, "3e5951dc1c5cfcf81934951eca99a334064e2233be973846cd7dd1bb0d5848d4"),
+    "taylor-3": (partial(taylor_sincos, cfg=TaylorConfig(n_terms=3)),
+                 "b98f24f7e81b29da09094bd1d079ef26270ae693da1aa392367c327e220daac1"),
+    "cordic-sigmas": (_cordic_sigmas, "36ceb860a9dfb67d3c2ab3235b9954d84f842feedce7082bc2373e5b4f8265bf"),
+}
+
+
+def octant_angles() -> np.ndarray:
+    return np.concatenate([near_multiples(409, HALF_PI / 2), near_multiples(1, HALF_PI / 2, stop=16)])
+
+
+def test_octant_angles_reach_the_tie_in_both_quadrant_parities():
+    q, r = fold_angle(octant_angles())
+    tie = r == HALF_PI / 2
+    assert set(q[tie].tolist()) == {0, 1, 2, 3}
+
+
+@pytest.mark.parametrize("provider", OCTANT_PINS)
+def test_providers_pinned_near_octants(provider):
+    sincos, digest = OCTANT_PINS[provider]
+    mag = octant_angles()
+    out = sincos(np.concatenate([mag, -mag]))
+    assert hashlib.sha256(b"".join(v.tobytes() for v in out)).hexdigest() == digest
 
 
 def test_quarter_turns_of_the_x_axis():
