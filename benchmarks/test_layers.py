@@ -8,7 +8,9 @@ lut_sincos block of 8192 angles, and fold_angle on a chain12-bench
 request's 384 angles, all under 2*pi), the CORDIC processors the cascade runs
 (the closed-form unit linear accumulate on one row and on a module's
 (2, 64) stack, the stage plan of a puma request's angles (fold, sigma
-pass, quarter-turn moves and the casts to the lane dtype), and one
+pass, quarter-turn moves and the casts to the lane dtype), made on all
+768 lanes, and as the cascade makes it: per chain, repeated onto each
+chain's four lanes, and one
 circular stage run from its plan, with every clip and clip-free as the
 cascade runs it), sin/cos generator per backend (one
 lane, and batched; the LUT also on perfbench lut-scan's 2**20 angles per
@@ -56,7 +58,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from fkemu import cli, lut, taylor, umdh
+from fkemu import cli, cordic, lut, taylor, umdh
 from fkemu.ccm import _by_link, ccm_points, ccm_poses
 from fkemu.cordic import (
     DEFAULT_CONFIG,
@@ -150,6 +152,20 @@ def test_circ_sigmas_768_residuals(benchmark):
     # links on four lanes
     alpha, theta = (np.repeat(v, 4, axis=0) for v in (VARIANTS.alpha, VARIANTS.theta))
     benchmark(circ_sigmas, _by_link(alpha, theta), DEFAULT_CONFIG)
+
+
+def test_ccm_poses_plan_16_puma560_variants(benchmark):
+    # the plan ccm_poses makes for a puma-bench request, the row above's
+    # plan: the (6, 2, 16) angles of its 16 chains, one lane per chain,
+    # repeated onto each chain's four lanes.  benchmarks/ab.py --rows runs
+    # this file on an older package too; one without _repeated_plan plans
+    # the 768 lanes themselves, as its ccm_poses does
+    repeated = getattr(cordic, "_repeated_plan", None)
+    if repeated is None:
+        alpha, theta = (np.repeat(v, 4, axis=0) for v in (VARIANTS.alpha, VARIANTS.theta))
+        benchmark(circ_sigmas, _by_link(alpha, theta), DEFAULT_CONFIG)
+    else:
+        benchmark(repeated, _by_link(VARIANTS.alpha, VARIANTS.theta), DEFAULT_CONFIG, 4)
 
 
 def _stage_operands():

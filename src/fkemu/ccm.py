@@ -12,9 +12,12 @@ The cascade runs on lanes (see cordic): lane k pushes points[k] through
 chains[k], and every module processes all lanes at once, link by link.  A
 pose is four lanes per chain: the three direction columns as free vectors
 and the origin as a point, so ccm_poses on 16 chains runs 64 lanes.
-Every joint angle is known before the cascade starts, so ccm_points makes
-the stage plan of all of them in one call (cordic.circ_sigmas), and each
-circular stage runs its slice of it (cordic.circ_rotate_sigmas).  Each
+ccm_points and ccm_poses share one cascade (_cascade), which drives a
+chain's lanes from that chain's links.  Every joint angle is known before
+the cascade starts, so it makes the stage plan of all of them in one
+call, on one lane per chain, and repeats it onto the chain's lanes
+(cordic._repeated_plan: bit for bit circ_sigmas of the repeated angles);
+each circular stage runs its slice of it (cordic.circ_rotate_sigmas).  Each
 module's reach check, against the per-config limit _reach_limit (at most
 the format's top), rules out saturation in all four processors, so the
 circular stages run with no clip and the linear ones as
@@ -60,9 +63,9 @@ from .cordic import (
     CordicConfig,
     DEFAULT_CONFIG,
     _operands,
+    _repeated_plan,
     circ1_op_count,
     circ_rotate_sigmas,
-    circ_sigmas,
     gain,
     lin1_op_count,
     linear_accumulate,
@@ -269,32 +272,34 @@ def _by_link(a, b):
     return out
 
 
-def ccm_points(chains: ChainSet, points, cfg: CordicConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Push points[k] (x, y, z, w) through chains[k], frame n to the base
-    (P_{i-1} = A_i P_i, i = n..1) on all lanes at once: (len(chains), 4).
+def _cascade(chains: ChainSet, p: np.ndarray, reps: int, cfg: CordicConfig) -> np.ndarray:
+    """Push p[k], (x, y, z, w) as doubles of shape (reps*len(chains), 4),
+    through chains[k // reps], frame n to the base (P_{i-1} = A_i P_i,
+    i = n..1), on all lanes at once: each chain's links drive reps adjacent
+    lanes.  Returns the pushed points, (lanes, 4); no lanes give p itself.
 
     Every alpha and theta is known before the cascade starts, so one fold
-    and one sigma pass over all of them, link by (alpha, theta) by lane,
-    come first: a joint angle beyond MAX_ANGLE raises its DomainError before
-    any module checks its reach.  w never changes, so the w check, the
-    translation constants a_eff w and d w of every link and each link's
-    largest |a_eff w| + |d w| are made once, and the constants converted to
-    raws once: a constant past the format's range fails its link's reach
-    check before any module reads it, so it converts as 0, with no warning.
-    The first module's reach is checked on the caller's doubles, a later
-    one's on its input raws (as doubles).  No chains give a (0, 4) array."""
+    and one sigma pass over all of them, link by (alpha, theta) by chain,
+    come first, and the plan is repeated onto the lanes
+    (cordic._repeated_plan): a joint angle beyond MAX_ANGLE raises its
+    DomainError before any module checks its reach.  w never changes, so
+    the w check, the translation constants a_eff w and d w of every link
+    and each link's largest |a_eff w| + |d w| are made once, and the
+    constants converted to raws once: a constant past the format's range
+    fails its link's reach check before any module reads it, so it
+    converts as 0, with no warning.  The first module's reach is checked on
+    the caller's doubles, a later one's on its input raws (as doubles)."""
     fmt = cfg.fmt
-    p = np.array(points, dtype=np.float64).reshape(len(chains), 4)
     if not len(p):  # no lanes: no module has a point to push or check
         return p
     w = p[:, 3]
     bad_w = (w != 0.0) & (w != 1.0)
     clear_w, limit = not bad_w.any(), _reach_limit(cfg)
-    swaps, signs, sigmas = circ_sigmas(_by_link(chains.alpha, chains.theta), cfg)
+    swaps, signs, sigmas = _repeated_plan(_by_link(chains.alpha, chains.theta), cfg, reps)
     carry = fmt.word_bits <= CARRY_BITS
     # inf and nan fail the reach check, which reports them
     with np.errstate(over="ignore", invalid="ignore"):
-        consts = _by_link(chains.a_eff, chains.d) * w
+        consts = _by_link(chains.a_eff, chains.d).repeat(reps, axis=-1) * w
         raws = lanes_from_real(np.where(abs(consts) <= fmt.max_raw * fmt.eps, consts, 0.0), fmt)
         c_link = np.abs(consts).sum(axis=1).max(axis=1).tolist()
         xyz, p = None, p[:, :3].T  # raws, or their doubles where xyz is None
@@ -313,16 +318,26 @@ def ccm_points(chains: ChainSet, points, cfg: CordicConfig = DEFAULT_CONFIG) -> 
         return out
 
 
+def ccm_points(chains: ChainSet, points, cfg: CordicConfig = DEFAULT_CONFIG) -> np.ndarray:
+    """Push points[k] (x, y, z, w) through chains[k], frame n to the base
+    (P_{i-1} = A_i P_i, i = n..1) on all lanes at once: (len(chains), 4),
+    one lane per chain (_cascade).  A joint angle beyond MAX_ANGLE raises
+    DomainError before any module checks its reach; a lane whose reach a
+    module cannot take without saturating raises DomainError, and a w other
+    than 0 or 1 ValueError.  No chains give a (0, 4) array."""
+    return _cascade(chains, np.array(points, dtype=np.float64).reshape(len(chains), 4), 1, cfg)
+
+
 _EYE = frozen(np.eye(4).reshape(1, 16))  # one chain's four lanes, (x, y, z, w) each
 
 
 def ccm_poses(chains: ChainSet, cfg: CordicConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Full poses via the module cascade, (len(chains), 4, 4): per chain,
     the three direction columns pushed as free vectors plus the origin
-    pushed as a point, four lanes per chain."""
-    lanes = ChainSet(*(v.repeat(4, axis=0) for v in (chains.theta, chains.d, chains.a_eff, chains.alpha)))
-    out = ccm_points(lanes, _EYE.repeat(len(chains), axis=0), cfg)  # row k of eye(4): column k of a pose
-    return out.reshape(len(chains), 4, 4).transpose(0, 2, 1)
+    pushed as a point, four adjacent lanes per chain, which share the
+    chain's one stage plan (_cascade)."""
+    points = _EYE.repeat(len(chains), axis=0).reshape(-1, 4)  # row k of eye(4): column k of a pose
+    return _cascade(chains, points, 4, cfg).reshape(len(chains), 4, 4).transpose(0, 2, 1)
 
 
 def point_op_count(cfg: CordicConfig = DEFAULT_CONFIG) -> int:

@@ -23,8 +23,10 @@ n_iter steps either way; the emulator skips work whose result it knows:
   one loop serves the callers that need the clip and the cascade, which
   has proved it cannot fire.  circ_sigmas (fold and sigma pass) makes a
   stage plan and circ_rotate_sigmas (pre-scale, steps, quarter turns)
-  runs it, so the module cascade makes one plan for all its angles and
-  runs a slice of it per stage.  circ_rotate_sigmas clips unless told not
+  runs it, so the module cascade makes one plan for all its angles, one
+  lane per chain, repeats it onto the lanes each chain drives
+  (_repeated_plan: the int8 sigmas repeat before their cast), and runs a
+  slice of it per stage.  circ_rotate_sigmas clips unless told not
   to: circ_rotate_lanes and sincos_cordic take arbitrary raws and keep
   every clip (cos 0 saturates in a format with one integer bit), and the
   cascade runs it with none, since ccm's reach check rules every one out.
@@ -36,6 +38,11 @@ n_iter steps either way; the emulator skips work whose result it knows:
   the quarter turns' moves as a swap mask and signs (_turn_moves, read off
   fixedpoint.quarter_turns once), with the signs and sigmas in the lane
   dtype, cast once per plan, not once per stage.
+- every kernel runs its ufuncs with a positional out into arrays it
+  allocated itself (the sigma pass's residuals, a stage's mirrored stack
+  and its one step temporary, the closed form's clip output), so a
+  circular step is three ufunc calls and no allocation, and no kernel
+  writes an array its caller passed.
 - linear sigmas are the binary digits of z0, and linear_accumulate's
   multiplicand is always the unit 2**(frac_bits + k), staged up as its
   argument is staged down, so linear_unit_lanes sums the loop in closed
@@ -235,27 +242,42 @@ def _sigma_pass(z, cfg: CordicConfig):
     """
     ops = _operands(cfg)
     sigmas = np.empty(z.shape[:-1] + (cfg.n_iter, z.shape[-1]), dtype=np.int8)
+    # the pass's own residuals and sigma row, which every ufunc writes in place
+    z, s = z.copy(), np.empty_like(z)
+    sign, one = ops.sign_shift, ops.one
+    shift, bit_or, mul, sub = np.right_shift, np.bitwise_or, np.multiply, np.subtract
     for i, e in enumerate(ops.angles):
-        s = (z >> ops.sign_shift) | ops.one
+        shift(z, sign, s)
+        bit_or(s, one, s)
         sigmas[..., i, :] = s
-        z = z - s * e
+        mul(s, e, s)
+        sub(z, s, z)
     return _mirror(-sigmas, sigmas), z
 
 
 def _stacked_steps(v, sigmas, cfg: CordicConfig, saturate: bool = True):
-    """The circular (x, y) steps on v = _mirror(x, y), shape (2*lanes,),
-    driven by a signed sigma stack of _sigma_pass in v's dtype:
-    x' = x - s*(y >> i) and y' = y + s*(x >> i), as one shift of the
-    reversed view v[::-1] (y where v holds x, x where v holds y), one
-    multiply and one add per step, and a clip unless saturate is False,
-    which a caller may pass only where it has proved that no step leaves
-    the format."""
+    """The circular (x, y) steps, in place on v = _mirror(x, y), shape
+    (2*lanes,), an array its caller owns, driven by a signed sigma stack of
+    _sigma_pass in v's dtype: x' = x - s*(y >> i) and y' = y + s*(x >> i),
+    as one shift of the reversed view v[::-1] (y where v holds x, x where v
+    holds y) into a temporary of the stage, one multiply and one add per
+    step, and a clip unless saturate is False, which a caller may pass only
+    where it has proved that no step leaves the format.  Returns v.
+
+    Every ufunc writes its output as a positional argument: on 128 values
+    the keyword out= costs more than the allocation it saves, and the
+    positional form less.  The shift reads all of v before the add writes
+    any of it, so the view and the update never overlap."""
     # bare clip, not rescale: a call per step would cost more than the clip on 64 lanes
     ops = _operands(cfg)
+    lo, hi, shift, mul, add = ops.lo, ops.hi, np.right_shift, np.multiply, np.add
+    r, t = v[::-1], np.empty_like(v)
     for s, i in zip(sigmas, ops.shifts):
-        v = v + s * (v[::-1] >> i)
+        shift(r, i, t)
+        mul(t, s, t)
+        add(v, t, v)
         if saturate:
-            v = clip(v, ops.lo, ops.hi)
+            clip(v, lo, hi, v)
     return v
 
 
@@ -294,8 +316,13 @@ def linear_unit_lanes(y, z, k, cfg: CordicConfig):
         raise ValueError(f"linear lanes need 1.0 as a power-of-two raw, which {cfg.fmt} lacks")
     ops = _operands(cfg)
     e = np.maximum(k + ops.lin_shift, ops.zero)
-    s = (((clip(z, ops.top_lo, ops.top_hi) << k) >> e) | ops.one) << e
-    return clip(y + s, ops.lo, ops.hi)
+    s = clip(z, ops.top_lo, ops.top_hi)  # a fresh array: the rest runs in place on it
+    np.left_shift(s, k, s)
+    np.right_shift(s, e, s)
+    np.bitwise_or(s, ops.one, s)
+    np.left_shift(s, e, s)
+    np.add(y, s, s)
+    return clip(s, ops.lo, ops.hi, s)
 
 
 # k = 0 on every lane, as one 0-d int64 array that broadcasts
@@ -341,6 +368,31 @@ def linear_accumulate(const, value, cfg: CordicConfig):
     return linear_unit_lanes(const, v, k, cfg)
 
 
+def _repeated_plan(angle: np.ndarray, cfg: CordicConfig, reps: int):
+    """circ_sigmas(angle.repeat(reps, axis=-1), cfg), the stage plan with
+    every lane of angle repeated on reps adjacent lanes, from one fold and
+    one sigma pass over angle's own lanes.
+
+    Every operation of the plan is per angle, and _mirror commutes with a
+    per-lane repeat (reversed, a sequence whose elements each appear reps
+    times in a row is the reversal with each element repeated), so the
+    plan of the repeated lanes is the plan repeated along its last axis.
+    The quarter turns repeat before their moves are read, and the int8
+    sigma stack before its cast, so the one copy at the repeated size is
+    the cast itself.
+    """
+    q, r = fold_angle(np.abs(angle))
+    up = r > HALF_PI / 2
+    q, r = q + up, np.where(up, r - HALF_PI, r)
+    neg = angle < 0
+    q, r = np.where(neg, -q, q) & 3, np.where(neg, -r, r)
+    sigmas, _ = _sigma_pass(lanes_from_real(r, cfg.fmt), cfg)
+    if reps > 1:
+        q, sigmas = q.repeat(reps, axis=-1), sigmas.repeat(reps, axis=-1)
+    dtype = lane_dtype(cfg.fmt)
+    return *_turn_moves(q, dtype), sigmas.astype(dtype)
+
+
 def circ_sigmas(angle: np.ndarray, cfg: CordicConfig):
     """The stage plan of float64 angles within +-MAX_ANGLE, of any shape
     (..., lanes), as circ_rotate_sigmas runs it: (swap, signs, sigmas),
@@ -354,14 +406,7 @@ def circ_sigmas(angle: np.ndarray, cfg: CordicConfig):
     quarter turns, and one z pass over every residual gives every sigma.
     Raises DomainError if any |angle| exceeds MAX_ANGLE or is not finite.
     """
-    q, r = fold_angle(np.abs(angle))
-    up = r > HALF_PI / 2
-    q, r = q + up, np.where(up, r - HALF_PI, r)
-    neg = angle < 0
-    q, r = np.where(neg, -q, q) & 3, np.where(neg, -r, r)
-    sigmas, _ = _sigma_pass(lanes_from_real(r, cfg.fmt), cfg)
-    dtype = lane_dtype(cfg.fmt)
-    return *_turn_moves(q, dtype), sigmas.astype(dtype)
+    return _repeated_plan(angle, cfg, 1)
 
 
 def circ_rotate_sigmas(x, y, swap, signs, sigmas, cfg: CordicConfig, saturate: bool = True):
@@ -378,12 +423,18 @@ def circ_rotate_sigmas(x, y, swap, signs, sigmas, cfg: CordicConfig, saturate: b
     lanes that ccm's reach check passed.
     """
     ops = _operands(cfg)
-    v = (_mirror(x, y) * ops.inv_gain) >> ops.frac
+    # the product is the stage's own array, in the dtype x, y and 1/K promote
+    # to; every later step writes into it or into the np.where result
+    v = np.multiply(_mirror(x, y), ops.inv_gain)
+    np.right_shift(v, ops.frac, v)
     if saturate:
-        v = clip(v, ops.lo, ops.hi)
-    v = _stacked_steps(v, sigmas, cfg, saturate)
-    v = np.where(swap, v[::-1], v) * signs
-    return _unmirror(clip(v, ops.lo, ops.hi) if saturate else v)
+        clip(v, ops.lo, ops.hi, v)
+    _stacked_steps(v, sigmas, cfg, saturate)
+    v = np.where(swap, v[::-1], v)
+    np.multiply(v, signs, v)
+    if saturate:
+        clip(v, ops.lo, ops.hi, v)
+    return _unmirror(v)
 
 
 def circ_rotate_lanes(x, y, angle: np.ndarray, cfg: CordicConfig):

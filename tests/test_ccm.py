@@ -22,7 +22,9 @@ from fkemu.ccm import (
 )
 from fkemu.cordic import LINEAR, CordicConfig, _angle_fx, circ_rotate_sigmas, linear_accumulate
 from fkemu.dh import ChainSet, DhJoint, PRISMATIC, ROTARY, chain_pose
-from fkemu.fixedpoint import DomainError, Q8_24, QFormat, lane_dtype, lanes_from_real, lanes_real, rescale
+from fkemu.fixedpoint import (
+    MAX_ANGLE, DomainError, Q8_24, QFormat, lane_dtype, lanes_from_real, lanes_real, rescale,
+)
 from reference import linear_lanes
 
 CFG = CordicConfig(24, Q8_24)
@@ -531,6 +533,65 @@ def test_ccm_poses_golden(capsys):
     )
     assert cli.main(["solve", "puma560", "--backend", "cordic", "--format", "Q16.40", "--iters", "40"]) == 0
     assert capsys.readouterr().out == GOLDEN_SOLVE_Q16_40
+
+
+def _lane_route_poses(chains, cfg):
+    """ccm_poses as one plan per lane: ccm_points on every chain repeated
+    on four lanes, pushing the rows of eye(4), each pose's columns."""
+    lanes = ChainSet(*(v.repeat(4, axis=0) for v in (chains.theta, chains.d, chains.a_eff, chains.alpha)))
+    out = ccm_points(lanes, np.tile(np.eye(4), (len(chains), 1)), cfg)
+    return out.reshape(len(chains), 4, 4).transpose(0, 2, 1)
+
+
+def _pose_outcome(route, chains, cfg):
+    try:
+        return route(chains, cfg).tobytes()
+    except ValueError as e:  # DomainError included
+        return type(e).__name__, str(e)
+
+
+# Q8.24, Q16.40 on object lanes, Q8.0 at 2 iterations (1/K rounds to 1,
+# limit about a quarter of the top) and Q4.12
+PLAN_CONFIGS = [CordicConfig(24, Q8_24), CordicConfig(40, QFormat(56, 40)), CordicConfig(2, QFormat(8, 0)),
+                CordicConfig(12, QFormat(16, 12))]
+
+
+@pytest.mark.parametrize("cfg", PLAN_CONFIGS, ids=str)
+def test_per_chain_plan_equals_the_per_lane_route(cfg):
+    # ccm_poses plans each chain once and repeats the plan onto its four
+    # lanes: the bits, or the error type and message, must be those of a
+    # plan made on every lane
+    limit = ccm._reach_limit(cfg)
+    puma = cli.load_chain("puma560").joints
+    # Q8.0 has no 1/K: a free vector grows by ~2.5 a module, so it takes 3 links
+    links = puma[:3] if cfg.fmt.frac_bits == 0 else puma
+    ok = cli.bench_variants(tuple(dataclasses.replace(j, d=j.d * limit / 8, a=j.a * limit / 8) for j in links), 5, 3)
+    far = ChainSet(*(v.copy() for v in (ok.theta, ok.d, ok.a_eff, ok.alpha)))
+    far.d[2, -2:] = 0.45 * limit  # chain 2's origin lane fails at the second module
+    past = ChainSet(*(v.copy() for v in (ok.theta, ok.d, ok.a_eff, ok.alpha)))
+    past.theta[4, 1] = math.nextafter(MAX_ANGLE, math.inf)
+    outcomes = []
+    for chains in (ok, far, past):
+        got = _pose_outcome(ccm_poses, chains, cfg)
+        assert got == _pose_outcome(_lane_route_poses, chains, cfg)
+        outcomes.append(got)
+    assert isinstance(outcomes[0], bytes)
+    assert outcomes[1][0] == "DomainError" and "the first of 1 failing lanes" in outcomes[1][1]
+    assert outcomes[2][0] == "DomainError" and "at most" in outcomes[2][1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(PLAN_CONFIGS), st.integers(1, 5), st.integers(1, 4), st.integers(0, 2**16),
+       st.sampled_from([0.1, 0.3, 0.5]))
+def test_random_chain_sets_take_the_per_lane_routes_outcome(cfg, n_chains, links, seed, scale):
+    # chain sets whose reach runs up to and past the limit: most pass, some
+    # fail at a later link or at the first, on one lane or on several
+    rng = np.random.default_rng(seed)
+    reach = ccm._reach_limit(cfg) * scale
+    theta, alpha = rng.uniform(-4 * math.pi, 4 * math.pi, (2, n_chains, links))
+    d, a = rng.uniform(-reach, reach, (2, n_chains, links))
+    chains = ChainSet(theta, d, a, alpha)
+    assert _pose_outcome(ccm_poses, chains, cfg) == _pose_outcome(_lane_route_poses, chains, cfg)
 
 
 # formats of 8 and 16 bits, Q8.24, and Q16.40 on object lanes, which does

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fkemu.ccm import ccm_points
 from fkemu.cordic import (
     CIRCULAR,
     CordicConfig,
@@ -16,13 +17,16 @@ from fkemu.cordic import (
     _turn_moves,
     _unmirror,
     circ_rotate_lanes,
+    circ_rotate_sigmas,
     circ_sigmas,
     cordic_step,
     gain,
+    linear_accumulate,
     linear_unit_lanes,
     sincos_cordic,
     sincos_tolerance,
 )
+from fkemu.dh import ChainSet
 from fkemu.fixedpoint import (
     HALF_PI,
     MAX_ANGLE,
@@ -306,6 +310,52 @@ def test_stacked_plan_equals_the_plans_of_its_rows(cfg, links, lanes, data):
                 got = stacked[link, stage]
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tolist() == want.tolist()
+
+
+def _untouched(kernel, *arrays):
+    """Run kernel() and assert it leaves every array of arrays as it was,
+    byte for byte (on object lanes, the same int objects), and returns no
+    array sharing memory with one of them.  A ValueError (DomainError
+    included) counts as a return."""
+    before = [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+    try:
+        out = kernel()
+    except ValueError:
+        out = ()
+    assert [(a.dtype, a.shape, a.tobytes()) for a in arrays] == before
+    for o in out if isinstance(out, tuple) else (out,):
+        assert not any(np.shares_memory(o, a) for a in arrays)
+
+
+# Q8.24 and Q4.12 on int64 lanes, Q16.40 on object lanes
+KERNEL_CONFIGS = [CordicConfig(24, Q8_24), CordicConfig(12, QFormat(16, 12)), CordicConfig(40, QFormat(56, 40))]
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(KERNEL_CONFIGS), st.booleans(), st.integers(1, 6), st.data())
+def test_no_kernel_writes_its_callers_arrays(cfg, saturate, lanes, data):
+    # the kernels write their ufunc outputs in place, into arrays they
+    # allocated: never into what the caller passed, on int64 and object
+    # lanes, with every clip and with none
+    fmt, dtype = cfg.fmt, lane_dtype(cfg.fmt)
+    raw = st.one_of(st.sampled_from([fmt.min_raw, fmt.max_raw, 0, -1, 1]), st.integers(fmt.min_raw, fmt.max_raw))
+
+    def drawn(elements, shape, dtype=None):
+        n = math.prod(shape)
+        return np.array(data.draw(st.lists(elements, min_size=n, max_size=n)), dtype=dtype).reshape(shape)
+
+    angle = drawn(PLAN_ANGLES, (2, lanes))
+    _untouched(lambda: circ_sigmas(angle, cfg), angle)
+    x, y, plan = drawn(raw, (lanes,), dtype), drawn(raw, (lanes,), dtype), circ_sigmas(angle[0], cfg)
+    _untouched(lambda: circ_rotate_sigmas(x, y, *plan, cfg, saturate), x, y, *plan)
+    const, value = drawn(raw, (2, lanes), dtype), drawn(raw, (2, lanes), dtype)
+    _untouched(lambda: linear_accumulate(const, value, cfg), const, value)
+    k = drawn(st.integers(0, fmt.word_bits - fmt.frac_bits - 2), (2, lanes), np.int64)
+    _untouched(lambda: linear_unit_lanes(const, value, k, cfg), const, value, k)
+    fields = [drawn(st.floats(-3.0, 3.0), (lanes, 1)) for _ in range(4)]
+    points = drawn(st.floats(-2.0, 2.0), (lanes, 4))
+    points[:, 3] = data.draw(st.sampled_from([0.0, 1.0]))
+    _untouched(lambda: ccm_points(ChainSet(*fields), points, cfg), points, *fields)
 
 
 @st.composite
