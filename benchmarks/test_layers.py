@@ -3,8 +3,8 @@
     PYTHONPATH=src python -m pytest benchmarks --benchmark-json=BENCH_<n>.json
 
 Layers, bottom up: fixed-point primitive (rescale on 64 int64 lanes, the
-narrowing the kernels use, fold_angle and quarter_turns on one
-lut_sincos block of 8192 angles, and fold_angle on a chain12-bench
+narrowing the kernels use, fold_angle and quarter_turns on 8192 angles,
+a lut_sincos block up to BENCH_30.json, and fold_angle on a chain12-bench
 request's 384 angles, all under 2*pi), the CORDIC processors the cascade runs
 (the closed-form unit linear accumulate on one row and on a module's
 (2, 64) stack, the stage plan of a puma request's angles (fold, sigma
@@ -13,8 +13,9 @@ pass, quarter-turn moves and the casts to the lane dtype), made on all
 chain's four lanes, and one
 circular stage run from its plan, with every clip and clip-free as the
 cascade runs it), sin/cos generator per backend (one
-lane, and batched; the LUT also on perfbench lut-scan's 2**20 angles per
-table mode, Taylor and the LUT on a chain12-bench request's 384 angles), link-matrix
+lane, and batched; the LUT also on 65536 angles, two blocks, the
+smallest array it splits across CPUs, and on perfbench lut-scan's 2**20
+angles per table mode, Taylor and the LUT on a chain12-bench request's 384 angles), link-matrix
 assembly and chain product apart (chain_links and chain_product on
 chain12-bench's stack of 48 chains: 16 variants for each of three
 providers, 12 links each; and provider_links, the three providers' trig
@@ -115,8 +116,9 @@ def test_rescale_64_lanes(benchmark):
 
 
 def test_fold_angle_8192_angles(benchmark):
-    # one lut-scan block: |angles| over +-4 turns, as lut_sincos folds them
-    mag = np.abs(np.random.default_rng(20).uniform(-8 * math.pi, 8 * math.pi, lut.BLOCK))
+    # 8192 |angles| over +-4 turns, as lut_sincos folds a block (lut.BLOCK
+    # was 8192 up to BENCH_30.json; the row keeps that size)
+    mag = np.abs(np.random.default_rng(20).uniform(-8 * math.pi, 8 * math.pi, 8192))
     benchmark(fold_angle, mag)
 
 
@@ -129,7 +131,7 @@ def test_fold_angle_384_angles(benchmark):
 def test_quarter_turns_8192_block(benchmark):
     # the unfold of that block: its quadrants and the quarter table's
     # (cos r, sin r), as lut_sincos passes them
-    q, r = fold_angle(np.abs(np.random.default_rng(20).uniform(-8 * math.pi, 8 * math.pi, lut.BLOCK)))
+    q, r = fold_angle(np.abs(np.random.default_rng(20).uniform(-8 * math.pi, 8 * math.pi, 8192)))
     benchmark(quarter_turns, q, lut._sin_quarter(HALF_PI - r, TABLE), lut._sin_quarter(r, TABLE))
 
 
@@ -225,6 +227,15 @@ def test_lut_sincos_scalar(benchmark):
 def test_lut_sincos_384_angles(benchmark, mode):
     # a chain12-bench request's angles: one block
     benchmark(lut.lut_sincos, CHAIN12_ANGLES, lut.build_table(1024, mode=mode))
+
+
+@pytest.mark.parametrize("mode", [lut.NEAREST, lut.LINEAR])
+def test_lut_sincos_65536_angles(benchmark, mode):
+    # two blocks of lut.BLOCK = 32768: the smallest array lut_sincos splits
+    # across CPUs, where starting and joining a thread weigh most (a fixed
+    # size, so the row compares across trees with another BLOCK)
+    angles = np.random.default_rng(20).uniform(-8 * math.pi, 8 * math.pi, 65536)
+    benchmark(lut.lut_sincos, angles, lut.build_table(1024, mode=mode))
 
 
 @pytest.mark.parametrize("mode", [lut.NEAREST, lut.LINEAR])

@@ -57,11 +57,6 @@ def exact_selection(u: float, i: int) -> int:
     return 1 if u >= 0 else -1
 
 
-def forced_selection(seq: Sequence[int]) -> SelectionPolicy:
-    """Replay a fixed sigma sequence (for exhaustive gain enumeration)."""
-    return lambda u, i: seq[i]
-
-
 def cfr_range(n_iter: int) -> float:
     return sum(math.atan(math.ldexp(1.0, -i)) for i in range(n_iter))
 

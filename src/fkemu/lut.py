@@ -6,19 +6,26 @@ entry.  Power-of-two sizes keep index extraction a shift.  Nearest-entry
 and linearly interpolated lookups both ship, since their accuracy/cost
 trade is the whole point of the backend.
 
-On arrays the emulator runs the lookup in blocks of BLOCK angles, so each
-block's temporaries stay in cache, and reads a table padded with the
-virtual endpoint sin(pi/2) = 1, so a lookup is a plain gather.  An array
-of at most BLOCK angles is one block, returned in the arrays its unfold
-makes, with no output buffers to fill and no copy.  None of this changes
-the arithmetic emulated: every output is the same IEEE operations on the
-same operands as a one-angle call, bit for bit.
+On arrays the emulator runs the lookup in blocks of BLOCK angles and
+reads a table padded with the virtual endpoint sin(pi/2) = 1, so a lookup
+is a plain gather.  An array of at most BLOCK angles is one block,
+returned in the arrays its unfold makes, with no output buffers to fill
+and no copy.  A longer array is split into contiguous ranges of blocks,
+one per CPU the process may run on: the caller runs the first range and a
+short-lived thread each other one, all writing their slices of two
+preallocated outputs, since numpy releases the GIL inside each ufunc and
+gather.  Every thread is joined before the call returns.  None of this
+changes the arithmetic emulated: every output is the same IEEE operations
+on the same operands as a one-angle call, bit for bit, whatever the
+number of threads.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,8 +41,9 @@ _HEADER = struct.Struct("<6sBBBI")  # magic, mode byte, word bits, fraction bits
 _MODES = (NEAREST, LINEAR)  # mode byte -> mode
 # 8 MB of float64; a linear table this size is off by step**2/8, about 3e-13
 MAX_ENTRIES = 1 << 20
-# angles per block of an array call: its ~20 float64 temporaries fit in L2
-BLOCK = 8192
+# angles per block of an array call: at 8192 each numpy call is so short that
+# two threads ran slower than one; at 65536 one thread is slower than at 32768
+BLOCK = 32768
 
 
 @dataclass(frozen=True)
@@ -125,19 +133,64 @@ def lut_sincos(theta, table: SinTable):
     DomainError.  The angles run in blocks of BLOCK, each folded, looked
     up, unfolded and signed by _signed_block; a scalar is a block of one.
     At most BLOCK angles are one block, whose outputs are the arrays the
-    unfold returns; more fill two arrays block by block.
+    unfold returns; more run on every CPU of the process by _split_blocks.
     """
     arr = np.asarray(theta, dtype=float)
     flat = arr.reshape(-1)
     if flat.size <= BLOCK:
         cos, sin = _signed_block(flat, table)
     else:
-        cos, sin = np.empty_like(flat), np.empty_like(flat)
-        for lo in range(0, flat.size, BLOCK):
-            cos[lo : lo + BLOCK], _ = _signed_block(flat[lo : lo + BLOCK], table, sin[lo : lo + BLOCK])
+        cos, sin = _split_blocks(flat, table, _cpus())
     if arr.ndim == 0:
         return float(cos[0]), float(sin[0])
     return cos.reshape(arr.shape), sin.reshape(arr.shape)
+
+
+def _cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _split_blocks(flat: np.ndarray, table: SinTable, workers: int):
+    """(cos, sin) of a flat array's blocks, split into at most workers
+    contiguous ranges of blocks.  The caller runs the first range and a
+    thread each other one, each writing its slices of two new arrays; all
+    threads are joined before return.  An error in the caller's range
+    propagates as it is, else the lowest helper range's error is raised, so
+    a DomainError surfaces from the first range that has one."""
+    cos, sin = np.empty_like(flat), np.empty_like(flat)
+    n_blocks = -(-flat.size // BLOCK)
+    workers = min(workers, n_blocks)
+    bounds = [n_blocks * k // workers * BLOCK for k in range(workers + 1)]
+    errors = [None] * workers
+
+    def fill(k):
+        for lo in range(bounds[k], bounds[k + 1], BLOCK):
+            cos[lo : lo + BLOCK], _ = _signed_block(flat[lo : lo + BLOCK], table, sin[lo : lo + BLOCK])
+
+    def helper(k):
+        try:
+            fill(k)
+        except Exception as e:  # raised in the caller, below
+            errors[k] = e
+
+    threads = []
+    try:
+        for k in range(1, workers):
+            thread = threading.Thread(target=helper, args=(k,))
+            thread.start()
+            threads.append(thread)
+        fill(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for e in errors:
+        if e is not None:
+            raise e
+    return cos, sin
 
 
 def error_profile(table: SinTable, n_samples: int = 1_000_000) -> tuple[float, float]:

@@ -6,8 +6,9 @@ at a time, plus the double-precision truncated series the Taylor engine
 evaluates in fixed point and its quantized coefficients, the Taylor lanes
 with every narrowing clipped, the linear CORDIC loop's closed form for any
 multiplicand, the circular loop on arbitrary raws with every clip, the
-quarter-turn unfold as a select and a product by each sign, and the thumb
-VM's dispatch one FkInstr at a time.
+quarter-turn unfold as a select and a product by each sign, the thumb
+VM's dispatch one FkInstr at a time, and a CFR sign policy that replays a
+fixed sequence.
 """
 
 import math
@@ -82,6 +83,12 @@ def quarter_turns_ref(q, x, y):
     sign, so the dtype is that of x and y together."""
     odd = _ODD[q]
     return np.where(odd, y, x) * _X_SIGN[q], np.where(odd, x, y) * _Y_SIGN[q]
+
+
+def forced_selection(seq):
+    """A cfr_rotate sign policy replaying a fixed sigma sequence (for
+    exhaustive gain enumeration)."""
+    return lambda u, i: seq[i]
 
 
 def series_sin(x: float, n_terms: int) -> float:

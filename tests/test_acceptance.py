@@ -15,7 +15,7 @@ import numpy as np
 
 from fkemu import cli
 from fkemu.ccm import PipelineModel, ccm_points, latency_us
-from fkemu.cfr import CfrState, cfr_gain, cfr_rotate, cfr_step, forced_selection
+from fkemu.cfr import CfrState, cfr_gain, cfr_rotate, cfr_step
 from fkemu.cordic import CordicConfig, circ_rotate_lanes
 from fkemu.dh import (
     ChainSet,
@@ -31,7 +31,7 @@ from fkemu.fixedpoint import Q1_15, Q8_24, fx_from_real, lanes_from_real, lanes_
 from fkemu.lut import LINEAR, NEAREST, build_table, error_profile
 from fkemu.taylor import TaylorConfig, remainder_bound, taylor_sincos
 from fkemu.umdh import UmdhParams, clock_time, umdh_chain, umdh_program, umdh_t04_naive, vm_run
-from reference import series_cos, series_sin
+from reference import forced_selection, series_cos, series_sin
 
 MODULE_START = time.monotonic()
 

@@ -10,10 +10,10 @@ from fkemu.cfr import (
     cfr_range,
     cfr_rotate,
     cfr_step,
-    forced_selection,
     selection,
 )
 from fkemu.fixedpoint import DomainError
+from reference import forced_selection
 
 
 def test_step_example():

@@ -2,6 +2,9 @@ import hashlib
 import math
 import random
 import struct
+import sys
+import threading
+import warnings
 from functools import partial
 
 import numpy as np
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fkemu import lut
 from fkemu.ccm import pose_op_count as cordic_pose_ops
 from fkemu.dh import DhJoint, ROTARY, chain_pose
 from fkemu.fixedpoint import MAX_ANGLE, DomainError, Q1_15, Q8_24, QFormat
@@ -96,6 +100,9 @@ BLOCK_SHAPES = [(), (0,), (2, 16, 12), (BLOCK - 1,), (BLOCK,), (BLOCK + 1,), (2 
 SPECIAL_ANGLES = st.sampled_from([0.0, -0.0, MAX_ANGLE, -MAX_ANGLE, 5e-324, -5e-324])
 
 
+SCALAR_SAMPLE = 512  # angles checked against one-angle calls, beside every block end: all of a small array
+
+
 @settings(max_examples=15, deadline=None)
 @given(
     shape=st.sampled_from(BLOCK_SHAPES),
@@ -111,15 +118,103 @@ def test_array_equals_scalar_across_blocks(shape, mode, fmt, log_n, seed, picks)
     rng = np.random.default_rng(seed)
     flat = rng.uniform(-8 * math.pi, 8 * math.pi, size)
     flat[::5] = rng.integers(-16 * table.n_entries, 16 * table.n_entries, flat[::5].size) * (table.step / 2)
-    # drawn angles sit at the ends of blocks, where a block bound would show
+    # drawn angles sit at the ends of blocks, where a block bound (and so a
+    # bound between two threads' ranges) would show
     ends = sorted({i for b in range(0, size + BLOCK, BLOCK) for i in (b - 1, b) if 0 <= i < size})
     for i, a in zip(ends, picks):
         flat[i] = a
     cos, sin = lut_sincos(flat.reshape(shape), table)
     assert np.shape(cos) == np.shape(sin) == shape
-    pairs = [lut_sincos(float(a), table) for a in flat]
-    assert _bits(cos) == _bits([c for c, _ in pairs])
-    assert _bits(sin) == _bits([s for _, s in pairs])
+    # every block end and a seeded sample against one-angle calls ...
+    at = np.union1d(ends, rng.choice(size, min(size, SCALAR_SAMPLE), replace=False)).astype(int)
+    pairs = [lut_sincos(float(a), table) for a in flat[at]]
+    assert _bits(np.reshape(cos, -1)[at]) == _bits([c for c, _ in pairs])
+    assert _bits(np.reshape(sin, -1)[at]) == _bits([s for _, s in pairs])
+    # ... and every angle of a longer array against a call on its block alone
+    if size > BLOCK:
+        blocks = [lut_sincos(flat[lo : lo + BLOCK], table) for lo in range(0, size, BLOCK)]
+        assert _bits(cos) == _bits(np.concatenate([c for c, _ in blocks]))
+        assert _bits(sin) == _bits(np.concatenate([s for _, s in blocks]))
+
+
+# _split_blocks on a small block, so each split is a few hundred angles:
+# sizes at block bounds, with a short last block, and with block counts that
+# 2 and 3 workers split unevenly; 9 workers are more than any size has blocks
+SPLIT_BLOCK = 64
+SPLIT_SIZES = [SPLIT_BLOCK + 1, 2 * SPLIT_BLOCK, 3 * SPLIT_BLOCK, 4 * SPLIT_BLOCK + 1, 7 * SPLIT_BLOCK - 5]
+WORKERS = [1, 2, 3, 9]
+
+
+def _split_cleanly(flat, table, workers):
+    """_split_blocks(flat, table, workers), asserting that no thread warned
+    or outlived the call and that flat was not written, whether it returned
+    or raised."""
+    before, threads = flat.tobytes(), threading.active_count()
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            return lut._split_blocks(flat, table, workers)
+    finally:
+        assert caught == []
+        assert threading.active_count() == threads
+        assert flat.tobytes() == before
+
+
+@pytest.mark.parametrize("fmt", [None, Q1_15], ids=["float", "q1.15"])
+@pytest.mark.parametrize("mode", MODES)
+def test_split_blocks_equal_one_worker(monkeypatch, mode, fmt):
+    monkeypatch.setattr(lut, "BLOCK", SPLIT_BLOCK)
+    table = build_table(256, fmt=fmt, mode=mode)
+    rng = np.random.default_rng(31)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads swap as often as the interpreter allows
+    try:
+        for size in SPLIT_SIZES:
+            flat = rng.uniform(-8 * math.pi, 8 * math.pi, size)
+            flat[::SPLIT_BLOCK] = -0.0
+            flat[SPLIT_BLOCK - 1 :: SPLIT_BLOCK] = MAX_ANGLE
+            one = _split_cleanly(flat, table, 1)
+            # the one-worker route is one block at a time, as one-block calls give it
+            assert _bits(one) == _bits([np.concatenate(half) for half in zip(*(
+                lut_sincos(flat[lo : lo + SPLIT_BLOCK], table) for lo in range(0, size, SPLIT_BLOCK)))])
+            for workers in WORKERS[1:]:
+                assert _bits(_split_cleanly(flat, table, workers)) == _bits(one)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("fmt", [None, Q1_15], ids=["float", "q1.15"])
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf, math.nextafter(MAX_ANGLE, math.inf)])
+def test_split_blocks_domain_error_in_any_range(monkeypatch, angle, mode, fmt):
+    monkeypatch.setattr(lut, "BLOCK", SPLIT_BLOCK)
+    table = build_table(256, fmt=fmt, mode=mode)
+    size = 4 * SPLIT_BLOCK + 1  # five blocks, the last of one angle
+    # the caller's range, a helper's range for 2 and 3 workers, and the short last block
+    for at in (0, 2 * SPLIT_BLOCK + 3, size - 1):
+        flat = np.linspace(-MAX_ANGLE, MAX_ANGLE, size)
+        flat[at] = angle
+        for workers in WORKERS:
+            with pytest.raises(DomainError):
+                _split_cleanly(flat, table, workers)
+
+
+@pytest.mark.parametrize("first_bad,raised", [(1, "64"), (2, "128"), (5, "320")])
+def test_split_blocks_raise_the_lowest_ranges_error(monkeypatch, first_bad, raised):
+    # six blocks in three ranges of two: blocks 1 and on fail in every range,
+    # 2 and on in the two helpers' ranges, 5 in the last alone; each error
+    # names its block's first angle, which is its index
+    monkeypatch.setattr(lut, "BLOCK", SPLIT_BLOCK)
+    signed_block = lut._signed_block
+
+    def failing(block, table, sin=None):
+        if block[0] >= first_bad * SPLIT_BLOCK:
+            raise ValueError(f"{block[0]:.0f}")
+        return signed_block(block, table, sin)
+
+    monkeypatch.setattr(lut, "_signed_block", failing)
+    with pytest.raises(ValueError, match=f"^{raised}$"):
+        _split_cleanly(np.arange(6.0 * SPLIT_BLOCK), build_table(256), 3)
 
 
 @pytest.mark.parametrize("mode", MODES)
