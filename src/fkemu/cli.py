@@ -281,13 +281,15 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_vm(args) -> int:
-    if not all(math.isfinite(v) for v in args.angles + args.params):
-        raise DomainError("joint angles and link constants must be finite")
+    t1, t2, t3, t4 = args.angles  # (t2 + t3) + t4 is the program's last angle sum, which may overflow
+    if not all(math.isfinite(v) for v in [t1, t2, t3, t4, (t2 + t3) + t4, *args.params]):
+        raise DomainError("joint angles, their sum and link constants must be finite")
     params = UmdhParams(*args.params)
     prog = umdh.umdh_program(params)
     hw = umdh.VmConfig(half_sized=args.half_sized, sincos_cycles=args.sincos_cycles)
     pose, cycles = umdh.vm_run(prog, *args.angles, params, hw)
-    time_us = umdh.clock_time(cycles, args.clock_mhz)
+    finite(pose, "pose")
+    time_us = finite(umdh.clock_time(cycles, args.clock_mhz), "time")
     if args.dump_program:
         print(prog.to_text(), end="")
     _print_pose(pose)

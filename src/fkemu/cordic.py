@@ -82,6 +82,7 @@ from .fixedpoint import (
     lanes_real,
     quarter_turns,
     rescale,
+    sincos_provider,
 )
 
 CIRCULAR = 1
@@ -456,23 +457,18 @@ def circ_rotate_lanes(x, y, angle: np.ndarray, cfg: CordicConfig):
     return circ_rotate_sigmas(x, y, *circ_sigmas(angle, cfg), cfg)
 
 
+@sincos_provider
 def sincos_cordic(theta, cfg: CordicConfig = DEFAULT_CONFIG):
-    """(cos, sin) of angles within +-MAX_ANGLE, gain pre-compensated: a float
-    or 0-d ndarray gives floats, another ndarray float64 ndarrays of its shape.
+    """(cos, sin) of flat angles within +-MAX_ANGLE, gain pre-compensated.
 
     Each angle is one lane of circ_rotate_lanes rotating (1, 0); each value
     is its raw in cfg.fmt times 2**-frac_bits (lanes_real), so a zero sine
     is +0.0 for either sign of theta.  Raises DomainError if any angle is
     beyond MAX_ANGLE or not finite.
     """
-    arr = np.asarray(theta, dtype=np.float64)
-    lanes = arr.reshape(-1)
-    one = np.array([fx_from_real(1.0, cfg.fmt)], dtype=lane_dtype(cfg.fmt)).repeat(lanes.size)
-    xr, yr = circ_rotate_lanes(one, np.zeros(lanes.size, dtype=one.dtype), lanes, cfg)
-    cos, sin = (lanes_real(v, cfg.fmt).reshape(arr.shape) for v in (xr, yr))
-    if arr.ndim == 0:
-        return float(cos), float(sin)
-    return cos, sin
+    one = np.array([fx_from_real(1.0, cfg.fmt)], dtype=lane_dtype(cfg.fmt)).repeat(theta.size)
+    xr, yr = circ_rotate_lanes(one, np.zeros(theta.size, dtype=one.dtype), theta, cfg)
+    return lanes_real(xr, cfg.fmt), lanes_real(yr, cfg.fmt)
 
 
 def sincos_tolerance(cfg: CordicConfig) -> float:

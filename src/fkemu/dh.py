@@ -83,11 +83,7 @@ class ChainSet:
         return len(self.theta)
 
 
-# A trig provider: theta -> (cos theta, sin theta), floats for a float or a
-# 0-d ndarray (numpy float64 from exact_sincos), else float64 ndarrays of
-# theta's shape.  sin(-0.0) is -0.0 from exact_sincos and lut_sincos, +0.0
-# from the fixed-point sincos_cordic and taylor_sincos.  Every backend that
-# swaps the trig of the chain product for an emulated sin/cos plugs in here.
+# A trig provider: theta -> (cos, sin), of the result kinds of fixedpoint.sincos_provider
 SinCos = Callable
 
 

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import wraps
 
 import numpy as np
 
@@ -109,6 +110,20 @@ def fold_angle(mag):
         np.add(a, TWO_PI, out=a, where=a < 0)
     q = np.floor(a / HALF_PI)  # a float in 0..3, so q*HALF_PI needs no cast
     return q.astype(np.int64), a - q * HALF_PI
+
+
+def sincos_provider(kernel):
+    """The trig provider (dh.SinCos) of kernel, which maps flat float64 angles
+    (and any further arguments) to flat (cos, sin) arrays: a float or a 0-d
+    array gives floats, and any other array gives outputs of its shape."""
+    @wraps(kernel)
+    def sincos(theta, *args, **kwargs):
+        angles = np.asarray(theta, dtype=np.float64)
+        cos, sin = kernel(angles.reshape(-1), *args, **kwargs)
+        if angles.ndim == 0:
+            return float(cos[0]), float(sin[0])
+        return cos.reshape(angles.shape), sin.reshape(angles.shape)
+    return sincos
 
 
 # per quarter turn q, the row of [x, y, -x, -y] that quarter_turns' first

@@ -32,6 +32,7 @@ import numpy as np
 
 from . import dh
 from .fixedpoint import HALF_PI, TWO_PI, QFormat, fold_angle, frozen, lanes_from_real, lanes_real, quarter_turns
+from .fixedpoint import sincos_provider
 
 NEAREST = "nearest"
 LINEAR = "linear"
@@ -124,9 +125,9 @@ def _signed_block(block: np.ndarray, table: SinTable, sin=None):
     return c, np.multiply(s, np.copysign(1.0, block), out=s if sin is None else sin)
 
 
+@sincos_provider
 def lut_sincos(theta, table: SinTable):
-    """(cos, sin) of angles within +-MAX_ANGLE: a float or a 0-d ndarray
-    gives floats, any other ndarray gives float64 ndarrays of its shape.
+    """(cos, sin) of flat angles within +-MAX_ANGLE.
 
     The sign of theta is stripped before folding so odd/even symmetry is
     bit-exact.  Any angle beyond MAX_ANGLE, NaN or infinite raises
@@ -135,15 +136,9 @@ def lut_sincos(theta, table: SinTable):
     At most BLOCK angles are one block, whose outputs are the arrays the
     unfold returns; more run on every CPU of the process by _split_blocks.
     """
-    arr = np.asarray(theta, dtype=float)
-    flat = arr.reshape(-1)
-    if flat.size <= BLOCK:
-        cos, sin = _signed_block(flat, table)
-    else:
-        cos, sin = _split_blocks(flat, table, _cpus())
-    if arr.ndim == 0:
-        return float(cos[0]), float(sin[0])
-    return cos.reshape(arr.shape), sin.reshape(arr.shape)
+    if theta.size <= BLOCK:
+        return _signed_block(theta, table)
+    return _split_blocks(theta, table, _cpus())
 
 
 def _cpus() -> int:

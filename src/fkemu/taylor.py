@@ -40,6 +40,7 @@ from .fixedpoint import (
     lanes_real,
     quarter_turns,
     rescale,
+    sincos_provider,
 )
 
 
@@ -190,9 +191,9 @@ def _cores(t: np.ndarray, cfg: TaylorConfig) -> np.ndarray:
 _EDGE = frozen([math.nextafter(HALF_PI / 2, math.inf), HALF_PI / 2])
 
 
+@sincos_provider
 def taylor_sincos(theta, cfg: TaylorConfig = DEFAULT_CONFIG):
-    """(cos, sin) of angles within +-MAX_ANGLE through the engine: a float
-    or 0-d ndarray gives floats, another ndarray float64 ndarrays of its shape.
+    """(cos, sin) of flat angles within +-MAX_ANGLE through the engine.
 
     Each angle is one lane of _cores.  One fold gives the quadrant q and a
     residual r in [0, pi/2); past pi/4 the cores run on pi/2 - r and trade
@@ -203,21 +204,15 @@ def taylor_sincos(theta, cfg: TaylorConfig = DEFAULT_CONFIG):
     exactly when r >= nextafter(pi/4, inf), and in an odd one pi/4.  The
     raws are bit-exactly odd (sine) and even (cosine) in theta: a negative
     theta negates its sine raw, but a zero sine is +0.0 for either sign of
-    theta.  Raises DomainError if any angle is beyond MAX_ANGLE or not
-    finite.
+    theta.  Raises DomainError on any angle beyond MAX_ANGLE or not finite.
     """
-    arr = np.asarray(theta, dtype=np.float64)
-    lanes = arr.reshape(-1)
-    q, r = fold_angle(np.abs(lanes))
+    q, r = fold_angle(np.abs(theta))
     swap = r >= _EDGE.take(q & 1)
     t = lanes_from_real(np.where(swap, HALF_PI - r, r), cfg.operand_fmt)
     cores = _cores(t.astype(_acc_coeffs(cfg).one.dtype, copy=False), cfg)  # to the lane dtype
     cos, sin = quarter_turns(q, *np.where(swap, cores, cores[::-1]))  # (cos r, sin r) turned by q
-    np.negative(sin, out=sin, where=lanes < 0)  # a fresh array: quarter_turns gathers it
-    cos, sin = (lanes_real(v, cfg.operand_fmt).reshape(arr.shape) for v in (cos, sin))
-    if arr.ndim == 0:
-        return float(cos), float(sin)
-    return cos, sin
+    np.negative(sin, out=sin, where=theta < 0)  # a fresh array: quarter_turns gathers it
+    return lanes_real(cos, cfg.operand_fmt), lanes_real(sin, cfg.operand_fmt)
 
 
 def sincos_op_count(cfg: TaylorConfig = DEFAULT_CONFIG) -> int:

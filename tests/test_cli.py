@@ -381,7 +381,10 @@ def test_bad_numeric_input_exits_2(capsys, argv):
     ["vm", "--angles", "nan", "0", "0", "0"],
     ["vm", "--angles", "0", "0", "inf", "0"],
     ["vm", "--angles", "0", "0", "0", "0", "--params", "0.05", "0.04", "0.03", "nan", "0.02"],
-], ids=["vm-nan-angle", "vm-inf-angle", "vm-nan-param"])
+    ["vm", "--angles", "0", "1e308", "1e308", "0"],  # t2 + t3 overflows
+    ["vm", "--angles", "0", "0", "0", "0", "--params", "1e308", "1e308", "1e308", "1e308", "1e308"],
+    ["vm", "--angles", "0", "0", "0", "0", "--clock-mhz", "5e-324"],  # 30 cycles take inf us
+], ids=["vm-nan-angle", "vm-inf-angle", "vm-nan-param", "vm-angle-sum-overflow", "vm-pose-overflow", "vm-time-overflow"])
 def test_vm_non_finite_input_exits_3(capsys, argv):
     assert main(argv) == 3
     out, err = capsys.readouterr()

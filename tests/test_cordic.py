@@ -157,17 +157,6 @@ def test_sincos_full_circle_and_pythagoras():
         assert abs(c**2 + s**2 - 1.0) <= 4 * tol
 
 
-@given(st.floats(-MAX_ANGLE, MAX_ANGLE))
-def test_sincos_error_bound_over_domain(th):
-    # odd symmetry is not bit-exact (shifts truncate toward -inf), so the
-    # mirrored angle is held to the same tolerance instead
-    tol = sincos_tolerance(CFG)
-    for a in (th, -th):
-        c, s = sincos_cordic(a, CFG)
-        assert abs(c - math.cos(a)) <= tol
-        assert abs(s - math.sin(a)) <= tol
-
-
 @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf, math.nextafter(MAX_ANGLE, math.inf), -1e16])
 def test_sincos_outside_domain_raises(angle):
     with pytest.raises(DomainError):
@@ -444,17 +433,15 @@ def test_lane_dtype_follows_word_width():
     assert all(type(v[0]) is int for v in out)
 
 
-@settings(deadline=None)
-@given(st.sampled_from(LANE_FORMATS), st.lists(st.floats(-MAX_ANGLE, MAX_ANGLE), min_size=1, max_size=8))
-def test_sincos_cordic_array_equals_float_calls(fmt, angles):
-    cfg = CordicConfig(fmt.frac_bits, fmt)
+@settings(deadline=None, max_examples=30)
+@given(st.lists(st.floats(-MAX_ANGLE, MAX_ANGLE), min_size=1, max_size=8))
+def test_sincos_cordic_array_equals_float_calls(angles):
+    # on object lanes, which tests/test_providers.py leaves out: its arrays
+    # of 2*BLOCK + 3 angles would take seconds on them
+    cfg = CordicConfig(40, QFormat(56, 40))
     cos, sin = sincos_cordic(np.array(angles).reshape(-1, 1), cfg)
-    assert cos.shape == sin.shape == (len(angles), 1)
-    assert cos.dtype == sin.dtype == np.float64
     for k, a in enumerate(angles):
-        c, s = sincos_cordic(a, cfg)
-        assert type(c) is float and type(s) is float
-        assert np.array([c, s]).tobytes() == np.array([cos[k, 0], sin[k, 0]]).tobytes()
+        assert np.array(sincos_cordic(a, cfg)).tobytes() == np.array([cos[k, 0], sin[k, 0]]).tobytes()
 
 
 def _pin_angles():

@@ -1,14 +1,13 @@
 import hashlib
 import math
 import random
-from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fkemu import cli, cordic, lut, taylor
+from fkemu import cli
 from fkemu.dh import (
     ChainSet,
     DhJoint,
@@ -27,6 +26,7 @@ from fkemu.dh import (
 )
 from fkemu.fixedpoint import DomainError
 from fkemu.umdh import umdh_chain
+from test_providers import PROVIDERS as CONTRACT
 
 PARAMS = PumaParams(d2=0.14909, d4=0.43307, d6=0.05625, a2=0.4318, a3=-0.02032)
 
@@ -175,12 +175,8 @@ def test_puma_requires_six_angles():
         puma_chain([0] * 7, PARAMS)
 
 
-PROVIDERS = {
-    "matrix": exact_sincos,
-    "cordic": cordic.sincos_cordic,
-    "taylor": taylor.taylor_sincos,
-    "lut-nearest": partial(lut.lut_sincos, table=lut.build_table(1024, mode=lut.NEAREST)),
-    "lut-linear": partial(lut.lut_sincos, table=lut.build_table(256, mode=lut.LINEAR)),
+PROVIDERS = {"matrix": exact_sincos} | {
+    name: CONTRACT[name].sincos for name in ("cordic", "taylor", "lut-nearest", "lut-linear")
 }
 
 joint_strategy = st.builds(
