@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Interleaved A/B runs of one perfbench workload, or of named layer rows,
+"""Interleaved A/B runs of one perfbench workload, or of the layer rows,
 on two revisions.
 
     python benchmarks/ab.py PARENT [CHANGE] --workload W --pairs N --seconds S
-    python benchmarks/ab.py PARENT [CHANGE] --rows ROW [ROW ...] --pairs N
+    python benchmarks/ab.py PARENT [CHANGE] --rows [ROW ...] --pairs N
 
 PARENT and CHANGE are git revisions of this repository; each is checked
 out by a local ``git clone`` into a temporary directory (no network).
@@ -11,28 +11,36 @@ CHANGE defaults to the working tree as it stands.  ``--null`` runs CHANGE
 on both sides instead, so the spread of a change against itself sits next
 to a claim.
 
-Pair k runs each side's own ``perfbench/run.py --workload W --seed
-SEED+k --seconds S``, the parent first in even pairs and the change first
-in odd ones, so a drift in the machine's speed falls on both sides alike.
-For every end-to-end metric the summary prints the pair ratios (change /
-parent), each side's median and quartiles, the ratios' median and
-quartiles, and the pairs the change won, by the direction BENCHMARK.json
-gives the metric.
+Pair k runs the parent first in even pairs and the change first in odd
+ones, so a drift in the machine's speed falls on both sides alike.  Both
+modes print, per metric or row, the pair ratios (change / parent), their
+median and quartiles, and the pairs the change won.
 
-``--rows`` times rows of benchmarks/test_layers.py instead (ROW as
-pytest names it, e.g. ``test_lut_sincos_384_angles[linear]``).  Pair k
-runs CHANGE's rows file once per side through ``pytest
---benchmark-json``, from that side's tree with its ``src`` first on
-PYTHONPATH, in the same alternating order: a row is one body timed on
-each side's package, so a row new in CHANGE compares too.  For every row
-the summary prints each side's minimum per pair, in microseconds, the
-pair ratios (change / parent), the ratios' median and quartiles, and the
-pairs the change was faster in.  --seconds and --seed do not apply.
+``--workload``: each side runs its own ``perfbench/run.py --workload W
+--seed SEED+k --seconds S``.  Every end-to-end metric also gets each
+side's median and quartiles, its better side taken from BENCHMARK.json.
+
+``--rows`` times rows of benchmarks/test_layers.py, as pytest names them
+(e.g. ``test_lut_sincos_384_angles[linear]``), and every row of CHANGE's
+file when none is named.  Each side runs CHANGE's rows file through
+``pytest --benchmark-json`` from its own tree, with its own ``src`` first
+on PYTHONPATH, so a row is one body timed on each side's package.  Per
+row it prints each side's minimum per pair in microseconds and the ratio
+summary.  A row that the parent's package cannot run in every pair is new.
+The last line is the record, one JSON object, committed as
+``BENCH_<n>.json``:
+
+    {"parent": SHA, "rows": {ROW: {"ratio": MEDIAN, "quartiles": [Q1, Q3],
+     "won": W, "pairs": N, "change_us": [MINIMUM, ...]}, NEW: {"new": true,
+     "change_us": [...]}}}
+
+where change_us holds the change side's minimum of each pair.  --seconds
+and --seed do not apply to rows.
 
 Exits 1 if any run is not ``correct: true``, or if the two sides of a
 pair differ in ``sim``, ``acc`` or ``digest`` (the report line before the
 result) unless ``--bits-change`` is given; 2 on a bad revision, a run
-that prints no result, or a rows run that fails.
+that prints no result, or a rows run that fails on the change side.
 """
 
 from __future__ import annotations
@@ -45,6 +53,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from xml.etree import ElementTree
 
 ROOT = Path(__file__).resolve().parents[1]
 FINGERPRINT = ("sim", "acc", "digest")
@@ -72,6 +81,20 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def ratios(parent: list[float], change: list[float], lower: bool = True) -> tuple[list[float], tuple, int]:
+    """The ratio summary of one metric or row over the pairs: the pair
+    ratios (change / parent), their (q1, median, q3), and the pairs won."""
+    got = [c / p if p else float("nan") for p, c in zip(parent, change)]
+    won = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+    return got, _quartiles(got), won
+
+
+def _ratio_lines(parent: list[float], change: list[float], lower: bool = True) -> list[str]:
+    got, (r1, rm, r3), won = ratios(parent, change, lower)
+    return ["  ratios: " + " ".join(f"{r:.3f}" for r in got),
+            f"  median ratio {rm:.3f} (quartiles {r1:.3f}-{r3:.3f}), change better in {won} of {len(got)} pairs"]
+
+
 def problems(pairs: list[tuple[tuple[dict, dict], tuple[dict, dict]]], bits_change: bool) -> list[str]:
     """Why the runs cannot stand as a comparison: a run not correct, or a
     pair whose sides differ in sim, acc or digest (unless bits_change)."""
@@ -89,24 +112,22 @@ def problems(pairs: list[tuple[tuple[dict, dict], tuple[dict, dict]]], bits_chan
 
 
 def summarize(pairs: list[tuple[tuple[dict, dict], tuple[dict, dict]]], better: dict[str, str]) -> list[str]:
-    """Per end-to-end metric: the pair ratios, each side's median and
-    quartiles, the ratios' median and quartiles, and the pairs won."""
+    """Per end-to-end metric: each side's median and quartiles, then the
+    ratio summary."""
     lines = []
     names = [n for n in pairs[0][0][1]["metrics"] if n in better] if pairs else []
     for name in names:
         parent = [p[1]["metrics"][name]["value"] for p, _ in pairs]
         change = [c[1]["metrics"][name]["value"] for _, c in pairs]
         unit = pairs[0][0][1]["metrics"][name]["unit"]
-        ratios = [c / p if p else float("nan") for p, c in zip(parent, change)]
-        lower = better[name] == "lower"
-        won = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
-        (p1, pm, p3), (c1, cm, c3), (r1, rm, r3) = map(_quartiles, (parent, change, ratios))
+        ratio, median = _ratio_lines(parent, change, better[name] == "lower")
+        (p1, pm, p3), (c1, cm, c3) = _quartiles(parent), _quartiles(change)
         lines += [
             f"{name} ({unit}, {better[name]} is better)",
-            "  ratios: " + " ".join(f"{r:.3f}" for r in ratios),
+            ratio,
             f"  parent: median {pm:.6g}, quartiles {p1:.6g}-{p3:.6g}",
             f"  change: median {cm:.6g}, quartiles {c1:.6g}-{c3:.6g}",
-            f"  median ratio {rm:.3f} (quartiles {r1:.3f}-{r3:.3f}), change better in {won} of {len(pairs)} pairs",
+            median,
         ]
     return lines
 
@@ -116,24 +137,39 @@ def row_minima(bench_json: dict) -> dict[str, float]:
     return {b["name"]: b["stats"]["min"] * 1e6 for b in bench_json["benchmarks"]}
 
 
+def _is_new(pairs: list[tuple[dict, dict]], row: str) -> bool:
+    return any(row not in parent for parent, _ in pairs)
+
+
 def summarize_rows(pairs: list[tuple[dict, dict]], rows: list[str]) -> list[str]:
-    """Per row: each side's minimum in every pair, the pair ratios (change /
-    parent), their median and quartiles, and the pairs the change was faster in."""
+    """Per row: each side's minimum in every pair, then the ratio summary;
+    a row new in the change gets its minima only."""
     lines = []
     for row in rows:
-        parent = [p[row] for p, _ in pairs]
         change = [c[row] for _, c in pairs]
-        ratios = [c / p for p, c in zip(parent, change)]
-        won = sum(c < p for p, c in zip(parent, change))
-        r1, rm, r3 = _quartiles(ratios)
-        lines += [
-            f"{row} (us, minimum of each run, lower is better)",
-            "  parent: " + " ".join(f"{v:.4g}" for v in parent),
-            "  change: " + " ".join(f"{v:.4g}" for v in change),
-            "  ratios: " + " ".join(f"{r:.3f}" for r in ratios),
-            f"  median ratio {rm:.3f} (quartiles {r1:.3f}-{r3:.3f}), change faster in {won} of {len(pairs)} pairs",
-        ]
+        lines.append(f"{row} (us, minimum of each run, lower is better)")
+        if _is_new(pairs, row):
+            lines += ["  new: the parent cannot run it", "  change: " + " ".join(f"{v:.4g}" for v in change)]
+            continue
+        parent = [p[row] for p, _ in pairs]
+        lines += ["  parent: " + " ".join(f"{v:.4g}" for v in parent),
+                  "  change: " + " ".join(f"{v:.4g}" for v in change),
+                  *_ratio_lines(parent, change)]
     return lines
+
+
+def record(pairs: list[tuple[dict, dict]], rows: list[str], parent_name: str) -> dict:
+    """The rows' record, as the module docstring gives it."""
+    out = {}
+    for row in rows:
+        entry = {"change_us": [float(f"{c[row]:.4g}") for _, c in pairs]}
+        if _is_new(pairs, row):
+            out[row] = {"new": True, **entry}
+            continue
+        _, (r1, rm, r3), won = ratios([p[row] for p, _ in pairs], [c[row] for _, c in pairs])
+        out[row] = {"ratio": round(rm, 4), "quartiles": [round(r1, 4), round(r3, 4)], "won": won,
+                    "pairs": len(pairs), **entry}
+    return {"parent": parent_name, "rows": out}
 
 
 def fail(msg: str):
@@ -163,19 +199,38 @@ def _run(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, di
         fail(f"ab: {tree}: run.py exited {proc.returncode} with no result ({e}):\n{proc.stderr}")
 
 
-def _run_rows(tree: Path, rows_file: Path, rows: list[str], out: Path) -> dict[str, float]:
+def _run_rows(tree: Path, rows_file: Path, rows: list[str], out: Path, must_pass: bool) -> dict[str, float]:
+    """{row: minimum in us} of one pytest run of rows (all rows of rows_file
+    if none) on tree's package; the change side (must_pass) fails unless
+    every row passes, the parent's side leaves out the rows it cannot run."""
+    report = out.with_suffix(".xml")
+    for path in (out, report):
+        path.unlink(missing_ok=True)
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", f"--benchmark-json={out}",
-         *(f"{rows_file}::{row}" for row in rows)],
+         f"--junitxml={report}", *([f"{rows_file}::{row}" for row in rows] or [str(rows_file)])],
         cwd=tree, capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(tree / "src")},
     )
-    if proc.returncode != 0:
+    if must_pass and proc.returncode != 0:
         fail(f"ab: {tree}: pytest exited {proc.returncode}:\n{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
-    minima = row_minima(json.loads(out.read_text(encoding="utf-8")))
-    missing = [row for row in rows if row not in minima]
-    if missing:
-        fail(f"ab: {tree}: no timing for {', '.join(missing)}")
-    return minima
+    if not out.exists():
+        return {}
+    # a row timed before it failed (an assert after the benchmark call) did not run either
+    failed = {case.get("name") for case in ElementTree.parse(report).iter("testcase")
+              if case.find("failure") is not None or case.find("error") is not None}
+    return {row: t for row, t in row_minima(json.loads(out.read_text(encoding="utf-8"))).items() if row not in failed}
+
+
+def _pairs(n: int, sides: dict[str, Path], run) -> list[tuple]:
+    """n pairs of (parent's result, change's result), run(name, tree, k)
+    giving each: the parent first in even pairs, the change in odd ones."""
+    pairs = []
+    for k in range(n):
+        order = list(sides.items())[:: 1 if k % 2 == 0 else -1]
+        runs = {name: run(name, tree, k) for name, tree in order}
+        pairs.append((runs["parent"], runs["change"]))
+        print(f"  pair {k} ({order[0][0]} first) done", file=sys.stderr, flush=True)
+    return pairs
 
 
 def main(argv=None) -> int:
@@ -184,7 +239,8 @@ def main(argv=None) -> int:
     p.add_argument("change", nargs="?", help="git revision of the change side (default: the working tree)")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--workload")
-    mode.add_argument("--rows", nargs="+", metavar="ROW", help="rows of benchmarks/test_layers.py to time instead")
+    mode.add_argument("--rows", nargs="*", metavar="ROW",
+                      help="rows of benchmarks/test_layers.py to time instead, every row if none is named")
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seconds", type=float, default=25.0, help="measured run length of each run")
     p.add_argument("--seed", type=int, default=1, help="seed of the first pair; pair k runs seed + k")
@@ -209,20 +265,24 @@ def main(argv=None) -> int:
         except subprocess.CalledProcessError as e:
             print(f"ab: cannot check out a revision: {e}", file=sys.stderr)
             return 2
-        if args.rows:
-            return _main_rows(args, parent, parent_name, change, change_name, Path(tmp))
+        sides = {"parent": parent, "change": change}
+        if args.rows is not None:
+            rows_file = change / ROWS_FILE
+            print(f"ab: {len(args.rows) or 'all'} rows of {ROWS_FILE}, {args.pairs} pairs; "
+                  f"parent {parent_name}, change {change_name}" + (" (null)" if args.null else ""), flush=True)
+            pairs = _pairs(args.pairs, sides, lambda name, tree, k: _run_rows(
+                tree, rows_file, args.rows, Path(tmp) / f"{name}.json", name == "change"))
+            rows = args.rows or list(pairs[0][1])
+            missing = [row for row in rows if any(row not in c for _, c in pairs)]
+            if missing:
+                fail(f"ab: {change}: no timing for {', '.join(missing)}")
+            print("\n".join(summarize_rows(pairs, rows)))
+            print(json.dumps(record(pairs, rows, parent_name)))
+            return 0
         seeds = range(args.seed, args.seed + args.pairs)
         print(f"ab: {args.workload}, {args.pairs} pairs of {args.seconds:g} s runs, seeds {seeds[0]}-{seeds[-1]}; "
               f"parent {parent_name}, change {change_name}" + (" (null)" if args.null else ""), flush=True)
-        pairs = []
-        for k, seed in enumerate(seeds):
-            order = [("parent", parent), ("change", change)][:: 1 if k % 2 == 0 else -1]
-            runs = {name: _run(tree, args.workload, seed, args.seconds) for name, tree in order}
-            pairs.append((runs["parent"], runs["change"]))
-            p50 = {name: run[1]["metrics"].get("request_us.p50", {}).get("value", float("nan"))
-                   for name, run in runs.items()}
-            print(f"  pair {k} (seed {seed}, {order[0][0]} first): "
-                  + ", ".join(f"{name} {v:.6g}" for name, v in p50.items()) + " us p50", file=sys.stderr, flush=True)
+        pairs = _pairs(args.pairs, sides, lambda name, tree, k: _run(tree, args.workload, seeds[k], args.seconds))
 
     found = problems(pairs, args.bits_change)
     print("bits: " + ("not compared (--bits-change)" if args.bits_change else
@@ -232,20 +292,6 @@ def main(argv=None) -> int:
     for f in found:
         print(f"ab: {f}", file=sys.stderr)
     return 1 if found else 0
-
-
-def _main_rows(args, parent: Path, parent_name: str, change: Path, change_name: str, tmp: Path) -> int:
-    rows_file = change / ROWS_FILE
-    print(f"ab: {len(args.rows)} rows of {ROWS_FILE}, {args.pairs} pairs; "
-          f"parent {parent_name}, change {change_name}" + (" (null)" if args.null else ""), flush=True)
-    pairs = []
-    for k in range(args.pairs):
-        order = [("parent", parent), ("change", change)][:: 1 if k % 2 == 0 else -1]
-        runs = {name: _run_rows(tree, rows_file, args.rows, tmp / f"{name}.json") for name, tree in order}
-        pairs.append((runs["parent"], runs["change"]))
-        print(f"  pair {k} ({order[0][0]} first) done", file=sys.stderr, flush=True)
-    print("\n".join(summarize_rows(pairs, args.rows)))
-    return 0
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 """Host-time micro-benchmarks of every layer of the emulator.
 
-    PYTHONPATH=src python -m pytest benchmarks --benchmark-json=BENCH_<n>.json
+    PYTHONPATH=src python -m pytest benchmarks
+    python benchmarks/ab.py PARENT --rows --pairs 10 | tail -n 1 > BENCH_<n>.json
 
 Layers, bottom up: fixed-point primitive (rescale on 64 int64 lanes, the
 narrowing the kernels use, fold_angle and quarter_turns on 8192 angles,
@@ -32,23 +33,11 @@ formula (ccm.latency_us, umdh.clock_time) and is not measured here.  The
 suite sits outside the tier-1 testpaths; ``--benchmark-disable`` runs each
 body once as a smoke test.
 
-The host's speed drifts by up to 2x, so a row's raw minimum moves between
-BENCH files even where no code changed.  From BENCH_16.json on, the
-session also times perfbench's two speed-reference kernels (calibrate.py)
-before and after the rows, each the fastest of a few runs, into
-machine_info["speed_reference"], with ratio = after_ns / before_ns from
-BENCH_17.json on; the session prints a one-line warning at its end where a
-ratio is off 1 by more than 20%: drop such a session and run it again.
-From BENCH_19.json on, each row also carries extra_info["core_ns"], the
-core kernel's fastest of a few runs just before and just after that row
-(benchmarks/conftest.py), since the speed also moves between the
-session's before and after timings.
-
-benchmarks/bench_trajectory.py reads every committed file by these
-records: it prints each row's minimum scaled by the rule its file allows,
-and marks the sessions that warned and the rows bound by numpy's per-call
-cost, which scaling does not make comparable across files.  The rules are
-written there.
+The host's speed drifts by up to 2x, so a row's minimum compares only
+with one timed beside it: benchmarks/ab.py --rows times every row on a
+parent and a change in interleaved pairs, and its last line, the record
+of each row's median ratio, is committed as BENCH_<n>.json.
+benchmarks/bench_trajectory.py chains those ratios across files.
 """
 
 import contextlib

@@ -55,6 +55,12 @@ DEMO_THUMB = UmdhParams(a0=0.05, a1=0.04, a2=0.03, a3=0.025, d1=0.02)
 
 CSV_HEADER = "backend,max_err,rms_err,ops_per_pose,model_latency_us,params"
 
+# A word with a leading "-" that float() takes: the vm parser reads it as a
+# number, where argparse's own test takes only "-1" and "-.5" forms and
+# would read "-1e-05" or "-inf" as an option
+_DIGITS = r"\d(?:_?\d)*"
+NEGATIVE_FLOAT = re.compile(rf"-(?:(?:{_DIGITS}(?:\.(?:{_DIGITS})?)?|\.{_DIGITS})(?:e[-+]?{_DIGITS})?|inf|infinity|nan)\s*$", re.I)
+
 
 class ChainParseError(ValueError):
     def __init__(self, filename: str, line: int, col: int, msg: str) -> None:
@@ -341,6 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_vm.add_argument("--sincos-cycles", type=int, default=1)
     p_vm.add_argument("--clock-mhz", type=float, default=10.3)
     p_vm.add_argument("--dump-program", action="store_true")
+    p_vm._negative_number_matcher = NEGATIVE_FLOAT  # --angles and --params take any float
     p_vm.set_defaults(func=cmd_vm)
     return parser
 

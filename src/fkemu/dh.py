@@ -206,7 +206,11 @@ def provider_links(chains: ChainSet, providers: Sequence[SinCos]) -> np.ndarray:
     """The link matrices of the set under several providers at once,
     (len(providers), len(chains), n, 4, 4): each provider called once on
     the stacked (theta, alpha), and one _link_stack over all their (cos,
-    sin).  Slot k has the bits of chain_links(chains, providers[k])."""
+    sin).  Slot k has the bits of chain_links(chains, providers[k]).
+    Raises DomainError if a link constant is not finite: the providers
+    check only the angles."""
+    if not (np.isfinite(chains.a_eff).all() and np.isfinite(chains.d).all()):
+        raise DomainError("link constants must be finite")
     angles = np.array([chains.theta, chains.alpha])
     cos, sin = trig = np.empty((2, 2, len(providers), *angles.shape[1:]))  # (cos, sin) of (theta, alpha)
     for k, sincos in enumerate(providers):

@@ -88,11 +88,59 @@ def test_rows_summary_gives_minima_ratios_and_pairs_won():
         "  parent: 100 100",
         "  change: 110 90",
         "  ratios: 1.100 0.900",
-        "  median ratio 1.000 (quartiles 0.950-1.050), change faster in 1 of 2 pairs",
+        "  median ratio 1.000 (quartiles 0.950-1.050), change better in 1 of 2 pairs",
     ]
     assert lines[5] == "test_a (us, minimum of each run, lower is better)"
     assert lines[8] == "  ratios: 0.800 0.750"
-    assert lines[9].endswith("change faster in 2 of 2 pairs")
+    assert lines[9].endswith("change better in 2 of 2 pairs")
+
+
+ROW_PAIRS = [({"test_a": 10.0, "test_b": 100.0}, {"test_a": 8.0, "test_b": 110.0, "test_c": 5.0}),
+             ({"test_a": 12.0, "test_b": 100.0}, {"test_a": 9.0, "test_b": 90.0, "test_c": 6.0}),
+             ({"test_a": 10.0, "test_b": 100.0, "test_c": 5.0}, {"test_a": 11.0, "test_b": 95.0, "test_c": 5.5})]
+
+
+def test_record_holds_each_rows_ratios_pairs_and_change_minima():
+    got = ab.record(ROW_PAIRS, ["test_a", "test_b", "test_c"], "3ad875fdb134")
+    assert json.loads(json.dumps(got)) == got  # one JSON line as it stands
+    assert got["parent"] == "3ad875fdb134"
+    # ratios 0.8, 0.75, 1.1: the median and inclusive quartiles; the change won two pairs
+    assert got["rows"]["test_a"] == {"ratio": 0.8, "quartiles": [0.775, 0.95], "won": 2, "pairs": 3,
+                                     "change_us": [8.0, 9.0, 11.0]}
+    assert got["rows"]["test_b"]["ratio"] == 0.95 and got["rows"]["test_b"]["won"] == 2
+    # the parent timed test_c in one pair of three: it cannot run it
+    assert got["rows"]["test_c"] == {"new": True, "change_us": [5.0, 6.0, 5.5]}
+
+
+def test_a_row_the_parent_cannot_run_is_new_in_the_summary():
+    lines = ab.summarize_rows(ROW_PAIRS, ["test_c"])
+    assert lines == ["test_c (us, minimum of each run, lower is better)",
+                     "  new: the parent cannot run it",
+                     "  change: 5 6 5.5"]
+
+
+def test_pairs_alternate_the_side_that_runs_first():
+    calls = []
+    pairs = ab._pairs(3, {"parent": "P", "change": "C"}, lambda name, tree, k: calls.append((k, tree)) or f"{tree}{k}")
+    assert calls == [(0, "P"), (0, "C"), (1, "C"), (1, "P"), (2, "P"), (2, "C")]
+    assert pairs == [("P0", "C0"), ("P1", "C1"), ("P2", "C2")]
+
+
+def test_rows_run_times_every_row_and_leaves_out_what_the_parent_cannot_run(tmp_path):
+    # a rows file with no row named: every row that passes is timed; the
+    # parent side drops a row that fails there, the change side stops on it
+    rows_file = tmp_path / "test_rows.py"
+    # py-cpuinfo's machine probe takes ~1 s a run; these runs need no machine info
+    (tmp_path / "conftest.py").write_text("def pytest_benchmark_generate_machine_info(config):\n    return {}\n")
+    once = "    benchmark.pedantic(int, rounds=1)\n"  # one round: no calibration
+    rows_file.write_text(f"def test_fast(benchmark):\n{once}\n"
+                         f"def test_fails(benchmark):\n{once}    assert False\n\n"
+                         "def test_errors(benchmark):\n    raise ImportError\n")
+    got = ab._run_rows(tmp_path, rows_file, [], tmp_path / "out.json", must_pass=False)
+    assert list(got) == ["test_fast"] and got["test_fast"] > 0
+    with pytest.raises(SystemExit) as e:
+        ab._run_rows(tmp_path, rows_file, ["test_fast", "test_fails"], tmp_path / "out.json", must_pass=True)
+    assert e.value.code == 2
 
 
 def test_rows_and_workload_exclude_each_other():

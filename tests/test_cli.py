@@ -384,7 +384,11 @@ def test_bad_numeric_input_exits_2(capsys, argv):
     ["vm", "--angles", "0", "1e308", "1e308", "0"],  # t2 + t3 overflows
     ["vm", "--angles", "0", "0", "0", "0", "--params", "1e308", "1e308", "1e308", "1e308", "1e308"],
     ["vm", "--angles", "0", "0", "0", "0", "--clock-mhz", "5e-324"],  # 30 cycles take inf us
-], ids=["vm-nan-angle", "vm-inf-angle", "vm-nan-param", "vm-angle-sum-overflow", "vm-pose-overflow", "vm-time-overflow"])
+    ["vm", "--angles", "-inf", "0", "0", "0"],  # argparse alone would take these for options
+    ["vm", "--angles", "0", "0", "0", "0", "--params", "0.05", "0.04", "0.03", "0.025", "-nan"],
+    ["vm", "--angles", "0", "-1e308", "-1E308", "0"],
+], ids=["vm-nan-angle", "vm-inf-angle", "vm-nan-param", "vm-angle-sum-overflow", "vm-pose-overflow", "vm-time-overflow",
+        "vm-negative-inf-angle", "vm-negative-nan-param", "vm-negative-angle-sum-overflow"])
 def test_vm_non_finite_input_exits_3(capsys, argv):
     assert main(argv) == 3
     out, err = capsys.readouterr()
@@ -477,6 +481,32 @@ def test_vm_zero_angles(capsys):
     rows = [line.split() for line in out.splitlines()[0:4]]
     pose = np.array([[float(v) for v in row] for row in rows])
     assert pose[0, 0] == 1.0 and pose[1, 2] == -1.0 and pose[2, 1] == 1.0
+
+
+def _vm_stdout(capsys, angles, params):
+    assert main(["vm", "--angles", *angles, "--params", *params]) == 0
+    return capsys.readouterr().out
+
+
+def test_vm_takes_negative_numbers_in_every_spelling(capsys):
+    # exponent, underscore and trailing-point forms of the plain decimals
+    want = _vm_stdout(capsys, ["-0.00001", "0", "-0.5", "-1000.5"], ["0.05", "0.04", "0.03", "0.025", "-0.001"])
+    assert want == _vm_stdout(capsys, ["-1e-05", "-0e0", "-.5", "-1_000.5"], ["5e-2", "0.04", "0.03", "0.025", "-1E-3"])
+    assert want == _vm_stdout(capsys, ["-1.0E-5", "-0.", "-5e-1", "-1000.5e0"], ["0.05", "0.04", "0.03", "0.025", "-1e-3"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(word=st.from_regex(r"-[0-9_.eE+\-infatyINFATY ]{0,9}", fullmatch=True)
+       | st.floats().map(lambda x: f"-{abs(x)!r}")
+       | st.floats().map(lambda x: f"-{abs(x):.3E}"))
+def test_vm_number_words_are_the_words_float_takes(word):
+    # the vm parser's test for a value with a leading "-" holds exactly where float() reads the word
+    try:
+        float(word)
+        takes = True
+    except ValueError:
+        takes = False
+    assert bool(cli.NEGATIVE_FLOAT.match(word)) == takes
 
 
 def test_vm_half_sized_exits_4(capsys):

@@ -1,16 +1,26 @@
 """cli.main driven in-process on all four subcommands with random options
 and random chain files: every run ends in a documented exit code, with no
 exception, no warning, and the output contract of a failed or a good bench.
+The library entry points under it take the same numbers as ChainSets: each
+call raises only DomainError or ValueError, warns of nothing, and returns
+only finite numbers.
 """
 
 import contextlib
 import io
+import math
 import warnings
 
-from hypothesis import HealthCheck, given, settings
+import numpy as np
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fkemu import cli
+from fkemu.ccm import ccm_poses
+from fkemu.cordic import CordicConfig
+from fkemu.dh import PRISMATIC, ROTARY, ChainSet, DhJoint, chain_poses, provider_links
+from fkemu.fixedpoint import DomainError, QFormat
+from test_providers import PROVIDERS
 
 # signed zeros, the largest double's neighbourhood, the angle domain's edge
 # and subnormals, then non-finite values, as a chain file or argv spells them
@@ -78,8 +88,7 @@ def argvs(draw, chain_path, clean):
         })]
     if command == "pipeline":
         return ["pipeline", *options(draw, {"--links": pick(clean, ["1", "6"], ["0", "-1", "x"])})]
-    # argparse takes "-1e-05" for an option, so clean vm numbers are at least -0.0
-    nums = numbers(["-0.0", "1e308", "1048576", "5e-324"], 0.0) if clean else numbers(EDGES)
+    nums = numbers(FINITE_EDGES if clean else EDGES)
     return ["vm", *options(draw, {
         "--angles": st.lists(nums, min_size=4, max_size=4),
         "--params": st.lists(nums, min_size=5 if clean else 4, max_size=5),
@@ -119,9 +128,54 @@ def test_cli_ends_in_an_exit_code_with_its_output_contract(tmp_path, clean, data
         # argparse prints its usage above the one line that says what is wrong
         assert err.count("\n") == 1 or err.startswith("usage: ")
         assert err.splitlines()[-1].startswith("fkemu")
+    if clean and argv[0] == "vm":
+        assert code != 2  # every number a clean vm run draws is a float, "-1e-05" included
     if argv[0] == "bench" and code == 0:
         names = [b.strip() for b in (argv[argv.index("--backends") + 1] if "--backends" in argv
                                      else "cordic,taylor,lut").split(",") if b.strip()]
         rows = out.splitlines()
         assert rows[0] == cli.CSV_HEADER
         assert [row.split(",")[0] for row in rows[1:]] == names
+
+
+QFORMATS = [(32, 24), (56, 40), (16, 12), (8, 0), (8, 4), (64, 63), (4, 2)]  # (word_bits, frac_bits)
+
+
+@st.composite
+def chain_sets(draw):
+    """1-4 chains of 1-5 joints each, every number as a chain file may spell it."""
+    nums = numbers(EDGES).map(float)
+    n_links = draw(st.integers(1, 5))
+    return ChainSet.of([[DhJoint(draw(st.sampled_from([ROTARY, PRISMATIC])), *draw(st.lists(nums, min_size=4, max_size=4)))
+                         for _ in range(n_links)] for _ in range(draw(st.integers(1, 4)))])
+
+
+def checked(call, *args):
+    """call(*args), if it returns: every number it gives is finite, and no
+    warning was raised; DomainError and ValueError are its only exceptions."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            got = call(*args)
+        except (DomainError, ValueError):
+            return
+    for part in got if isinstance(got, tuple) else (got,):
+        assert np.isfinite(part).all(), (call, args)
+
+
+@settings(max_examples=100, deadline=None)
+@given(chains=chain_sets(), cfg=st.tuples(st.integers(1, 40), st.sampled_from(QFORMATS)),
+       names=st.lists(st.sampled_from(sorted(PROVIDERS)), min_size=1, max_size=3))
+# found by this test: provider_links assembled an infinite link constant into its links
+@example(chains=ChainSet.of([[DhJoint(ROTARY, 0.0, 0.0, math.inf, 0.0)]]), cfg=(24, (32, 24)), names=["cordic"])
+def test_library_entry_points_raise_only_domain_errors(chains, cfg, names):
+    # the pose routes and every contract provider on the chains the CLI fuzz draws
+    providers = [PROVIDERS[name].sincos for name in names]
+    checked(lambda: ccm_poses(chains, CordicConfig(cfg[0], QFormat(*cfg[1]))))
+    checked(chain_poses, chains)
+    checked(chain_poses, chains, providers[0])
+    checked(provider_links, chains, providers)
+    angles = np.array([chains.theta, chains.alpha])
+    for sincos in providers:
+        checked(sincos, angles)
+        checked(sincos, float(angles.flat[0]))
