@@ -40,7 +40,9 @@ and --seed do not apply to rows.
 Exits 1 if any run is not ``correct: true``, or if the two sides of a
 pair differ in ``sim``, ``acc`` or ``digest`` (the report line before the
 result) unless ``--bits-change`` is given; 2 on a bad revision, a run
-that prints no result, or a rows run that fails on the change side.
+that prints no result, or a rows run that fails on the change side; 143
+on SIGTERM, after killing the run it was waiting on and removing its
+clones.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import statistics
 import subprocess
 import sys
@@ -178,6 +181,12 @@ def fail(msg: str):
     raise SystemExit(2)
 
 
+def terminate(signum, frame):
+    """SIGTERM as SystemExit(128 + signum): subprocess.run kills the child
+    it waits on, and TemporaryDirectory removes the clones, as it unwinds."""
+    raise SystemExit(128 + signum)
+
+
 def _checkout(rev: str, into: Path) -> str:
     """Clone this repository into `into` and check out rev there; returns
     the commit's short sha."""
@@ -295,4 +304,5 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    signal.signal(signal.SIGTERM, terminate)
     sys.exit(main())

@@ -25,7 +25,8 @@ product or module cascade with their
 link-matrix assembly (one chain, whose links chain_pose builds as one
 (n, 4, 4) array, on puma560 and on thumb-vm's five-link thumb chain; one
 module on 64 lanes; and the stacked product of a bench's 16 variants),
-the seeded variant draw, the VM (its program decoded once when built)
+the seeded variant draw, the VM (its program translated once, when built,
+into one host function)
 and the naive thumb pose, one whole perfbench thumb-vm request, and one
 in-process ``fkemu bench`` on puma560 and on a 12-link chain.
 These time the emulator on the host; the modeled hardware latency is a

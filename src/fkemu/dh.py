@@ -17,7 +17,8 @@ one helper, _link_top, so it is the same IEEE expression on the
 provider's (cos, sin) either way, and each product step is the same dgemm
 on C-contiguous 4x4 float64 operands, so the bits equal those of a
 product of one np.array per link, however many chains or providers share
-the stack.  chain_pose and chain_poses raise DomainError on a pose past
+the stack.  chain_links and provider_links raise DomainError on a link
+constant that is not finite, chain_pose and chain_poses on a pose past
 float64; chain_product, beneath them, leaves the check to its caller.
 """
 
@@ -196,10 +197,22 @@ def _link_stack(cos, sin, a, d) -> np.ndarray:
     return links
 
 
+def _link_constants(chains: ChainSet) -> tuple[np.ndarray, np.ndarray]:
+    """The set's (a_eff, d).  Raises DomainError if one is not finite: the
+    providers check only the angles, and an infinite a_eff times a zero
+    sine is NaN."""
+    for const in (chains.a_eff, chains.d):
+        if np.count_nonzero(np.isfinite(const)) != const.size:  # half the cost of .all()
+            raise DomainError("link constants must be finite")
+    return chains.a_eff, chains.d
+
+
 def chain_links(chains: ChainSet, sincos: SinCos = exact_sincos) -> np.ndarray:
     """Every link matrix of the set, (len(chains), n, 4, 4), from one
-    provider call on every theta and alpha, assembled by _link_stack."""
-    return _link_stack(*sincos(np.array([chains.theta, chains.alpha])), chains.a_eff, chains.d)
+    provider call on every theta and alpha, assembled by _link_stack.
+    Raises DomainError if a link constant is not finite."""
+    a_eff, d = _link_constants(chains)
+    return _link_stack(*sincos(np.array([chains.theta, chains.alpha])), a_eff, d)
 
 
 def provider_links(chains: ChainSet, providers: Sequence[SinCos]) -> np.ndarray:
@@ -207,15 +220,13 @@ def provider_links(chains: ChainSet, providers: Sequence[SinCos]) -> np.ndarray:
     (len(providers), len(chains), n, 4, 4): each provider called once on
     the stacked (theta, alpha), and one _link_stack over all their (cos,
     sin).  Slot k has the bits of chain_links(chains, providers[k]).
-    Raises DomainError if a link constant is not finite: the providers
-    check only the angles."""
-    if not (np.isfinite(chains.a_eff).all() and np.isfinite(chains.d).all()):
-        raise DomainError("link constants must be finite")
+    Raises DomainError if a link constant is not finite."""
+    a_eff, d = _link_constants(chains)
     angles = np.array([chains.theta, chains.alpha])
     cos, sin = trig = np.empty((2, 2, len(providers), *angles.shape[1:]))  # (cos, sin) of (theta, alpha)
     for k, sincos in enumerate(providers):
         trig[:, :, k] = sincos(angles)
-    return _link_stack(cos, sin, chains.a_eff, chains.d)
+    return _link_stack(cos, sin, a_eff, d)
 
 
 def chain_product(links: np.ndarray) -> np.ndarray:
@@ -235,7 +246,7 @@ def chain_poses(chains: ChainSet, sincos: SinCos = exact_sincos) -> np.ndarray:
     array: chain_product(chain_links(chains, sincos)).  Each pose equals
     chain_pose(chain, sincos) bit for bit when the provider's bits on an
     array equal its bits angle by angle.  Raises DomainError, with no
-    warning, if a pose leaves float64."""
+    warning, if a link constant is not finite or a pose leaves float64."""
     with np.errstate(over="ignore", invalid="ignore"):  # finite reports it
         return finite(chain_product(chain_links(chains, sincos)), "pose")
 

@@ -16,13 +16,15 @@ dst+1.  Registers r0..r3 hold the four joint angles at entry; the constant
 pool holds the five loaded constants plus 0.0.
 
 FkInstr and FkProgram check themselves when built (ValueError), and a
-program derives its op count, highest register and decoded form then, so
-vm_run runs a checked program without walking it first.  Its one check of
-its own is CapacityError, for a register file too small for the program.
-The decoded form holds each instruction's unit and operands as a plain
-tuple, so the dispatch loop reads no instruction fields and looks up no
-unit; the values and their order of evaluation are the instruction's own.
-Both pose builders make one flat 16-float np.array, reshaped to 4x4.
+program derives its op count, highest register, SINCOS count and host
+function then, so vm_run runs a checked program without walking it.  Its
+one check of its own is CapacityError, for a register file too small for
+the program.  The host function is the program translated once into
+Python source, one statement per instruction in program order, each
+register a local variable: the same operations on the same operands, so
+the same bits as dispatching the instructions one at a time, with no
+dispatch.  Both pose builders make one flat 16-float np.array, reshaped
+to 4x4.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -61,18 +64,29 @@ ADD = "ADD"
 SUB = "SUB"
 MUL = "MUL"
 
-# the two-operand units and what each computes: dst <- src1 op src2
-_BINARY = {ADD: operator.add, SUB: operator.sub, MUL: operator.mul}
+# the two-operand units and the Python operator each translates to: dst <- src1 op src2
+_INFIX = {ADD: "+", SUB: "-", MUL: "*"}
+
+
+def _ints(values, where) -> tuple[int, ...]:
+    """values as ints (operator.index), the only numbers a host function's
+    source spells; ValueError for one that is not an integer."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise ValueError(f"non-integer register or slot number in {where}") from None
+
 
 _POOL_SLOTS = len(UmdhParams(0.0, 0.0, 0.0, 0.0, 0.0).pool())
 
 
 @dataclass(frozen=True)
 class FkInstr:
-    """LOADK dst k(src1), SINCOS dst src1, or a _BINARY unit dst src1 src2.
+    """LOADK dst k(src1), SINCOS dst src1, or an _INFIX unit dst src1 src2.
 
-    Raises ValueError for an unknown opcode, a negative operand or a LOADK
-    slot outside the constant pool.
+    The register and slot numbers are stored as ints (operator.index).
+    Raises ValueError for an unknown opcode, an operand that is not an
+    integer or is negative, or a LOADK slot outside the constant pool.
     """
 
     op: str
@@ -81,8 +95,10 @@ class FkInstr:
     src2: int = 0
 
     def __post_init__(self) -> None:
-        if self.op not in (LOADK, SINCOS) and self.op not in _BINARY:
+        if self.op not in (LOADK, SINCOS) and self.op not in _INFIX:
             raise ValueError(f"bad opcode {self.op!r}")
+        for name, value in zip(("dst", "src1", "src2"), _ints((self.dst, self.src1, self.src2), self)):
+            object.__setattr__(self, name, value)
         if min(self.dst, self.src1, self.src2) < 0:
             raise ValueError(f"negative operand in {self}")
         if self.op == LOADK and self.src1 >= _POOL_SLOTS:
@@ -95,6 +111,14 @@ class FkInstr:
             return f"SINCOS r{self.dst} r{self.src1}"
         return f"{self.op} r{self.dst} r{self.src1} r{self.src2}"
 
+    def statement(self) -> str:
+        """The instruction as one Python statement on register locals."""
+        if self.op == LOADK:
+            return f"r{self.dst} = pool[{self.src1}]"
+        if self.op == SINCOS:
+            return f"r{self.dst}, r{self.dst + 1} = sincos(r{self.src1})"
+        return f"r{self.dst} = r{self.src1} {_INFIX[self.op]} r{self.src2}"
+
 
 @dataclass(frozen=True)
 class FkProgram:
@@ -104,36 +128,48 @@ class FkProgram:
     of the pose matrix.  One pass at construction raises ValueError for a
     read of a register that is neither an angle register nor written
     earlier, and for outputs that are not twelve written registers.  It
-    stores arith_ops (every instruction but LOADK) and max_register (the
-    highest register written, at least r3), and decoded: per instruction,
-    (binary unit or None, is SINCOS, dst, src1, src2), the form vm_run
-    dispatches on.  The three are derived, so equality, hash and repr see
-    instrs and outputs only.
+    stores arith_ops (every instruction but LOADK), max_register (the
+    highest register written, at least r3), sincos_count, and host: the
+    program as one Python function, host(r0, r1, r2, r3, pool, sincos),
+    made by exec from the checked instructions' statements, returning the
+    sixteen pose entries as a list.  The four are derived, so equality,
+    hash and repr see instrs and outputs only.
     """
 
     instrs: tuple[FkInstr, ...]
     outputs: tuple[int, ...]
     arith_ops: int = field(init=False, repr=False, compare=False)
     max_register: int = field(init=False, repr=False, compare=False)
-    decoded: tuple[tuple, ...] = field(init=False, repr=False, compare=False)
+    sincos_count: int = field(init=False, repr=False, compare=False)
+    host: Callable[..., list] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         written = {0, 1, 2, 3}  # r0..r3 carry the angles
-        arith_ops = 0
         for ins in self.instrs:
             reads = () if ins.op == LOADK else (ins.src1,) if ins.op == SINCOS else (ins.src1, ins.src2)
             for r in reads:
                 if r not in written:
                     raise ValueError(f"{ins.text()} reads r{r}, which no earlier instruction wrote")
             written.update((ins.dst, ins.dst + 1) if ins.op == SINCOS else (ins.dst,))
-            arith_ops += ins.op != LOADK
-        if len(self.outputs) != 12 or not written.issuperset(self.outputs):
+        outputs = _ints(self.outputs, "outputs")
+        if len(outputs) != 12 or not written.issuperset(outputs):
             raise ValueError(f"outputs must be 12 written registers, got {self.outputs}")
-        object.__setattr__(self, "arith_ops", arith_ops)
+        ops = [ins.op for ins in self.instrs]
+        object.__setattr__(self, "arith_ops", len(ops) - ops.count(LOADK))
         object.__setattr__(self, "max_register", max(written))
-        object.__setattr__(self, "decoded", tuple(
-            (_BINARY.get(ins.op), ins.op == SINCOS, ins.dst, ins.src1, ins.src2) for ins in self.instrs
-        ))
+        object.__setattr__(self, "sincos_count", ops.count(SINCOS))
+        source = "\n    ".join([
+            "def host(r0, r1, r2, r3, pool, sincos):",
+            *(ins.statement() for ins in self.instrs),
+            f"return [{', '.join(f'r{r}' for r in outputs)}, 0.0, 0.0, 0.0, 1.0]",
+        ])
+        namespace: dict = {}
+        exec(source, namespace)
+        object.__setattr__(self, "host", namespace["host"])
+
+    def __reduce__(self):
+        # pickle has no name to find an exec-made function by: a copy is translated anew
+        return FkProgram, (self.instrs, self.outputs)
 
     def to_text(self) -> str:
         lines = ["# four-joint thumb pose, straight-line schedule"]
@@ -295,28 +331,17 @@ def vm_run(
     p: UmdhParams,
     hw: VmConfig = VmConfig(),
 ) -> tuple[np.ndarray, int]:
-    """Execute a program: one dispatch per cycle, returns (pose, cycles)."""
+    """Execute a program: one call of its host function; returns (pose,
+    cycles), one cycle per instruction plus sincos_cycles - 1 more per
+    SINCOS, the count of a single-issue machine."""
     need = prog.max_register + 1
     if need > hw.capacity:
         raise CapacityError(
             f"program needs {need} registers, file provides {hw.capacity}"
             f"{' (half-sized)' if hw.half_sized else ''}"
         )
-    pool = p.pool()
-    sincos, sincos_extra = hw.sincos, hw.sincos_cycles - 1
-    regs = [0.0] * hw.capacity
-    regs[0:4] = [t1, t2, t3, t4]
-    cycles = len(prog.instrs)
-    for unit, is_sincos, dst, src1, src2 in prog.decoded:
-        if unit is not None:
-            regs[dst] = unit(regs[src1], regs[src2])
-        elif is_sincos:
-            regs[dst], regs[dst + 1] = sincos(regs[src1])
-            cycles += sincos_extra
-        else:  # LOADK
-            regs[dst] = pool[src1]
-    pose = np.array([regs[r] for r in prog.outputs] + [0.0, 0.0, 0.0, 1.0]).reshape(4, 4)
-    return pose, cycles
+    pose = np.array(prog.host(t1, t2, t3, t4, p.pool(), hw.sincos)).reshape(4, 4)
+    return pose, len(prog.instrs) + prog.sincos_count * (hw.sincos_cycles - 1)
 
 
 def clock_time(cycles: int, f_mhz: float = 10.3) -> float:

@@ -12,13 +12,14 @@ fixed sequence.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from fkemu.cordic import _mirror, _sigma_pass, _stacked_steps, _unmirror
 from fkemu.fixedpoint import QFormat, clip, fx_from_real, lane_dtype, rescale
-from fkemu.umdh import _BINARY, LOADK, SINCOS, CapacityError, FkProgram, UmdhParams, VmConfig
+from fkemu.umdh import ADD, LOADK, MUL, SINCOS, SUB, CapacityError, FkProgram, UmdhParams, VmConfig
 
 
 @dataclass(frozen=True, slots=True)
@@ -194,12 +195,16 @@ def linear_lanes(x, y, z, cfg):
     return rescale(y + (sigma * (x[..., None] >> shifts)).sum(axis=-1), fmt.frac_bits, fmt)
 
 
+# the two-operand units and what each computes: dst <- src1 op src2
+_BINARY = {ADD: operator.add, SUB: operator.sub, MUL: operator.mul}
+
+
 def vm_run_reference(
     prog: FkProgram, t1: float, t2: float, t3: float, t4: float, p: UmdhParams, hw: VmConfig = VmConfig()
 ) -> tuple[np.ndarray, int]:
     """umdh.vm_run dispatching on each FkInstr's fields, with the unit looked
-    up in _BINARY per instruction; vm_run runs prog.decoded and must equal
-    this bit for bit, pose and cycles."""
+    up in _BINARY per instruction; vm_run runs the program's host function
+    and must equal this bit for bit, pose and cycles."""
     need = prog.max_register + 1
     if need > hw.capacity:
         raise CapacityError(

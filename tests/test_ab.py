@@ -1,5 +1,11 @@
+import contextlib
 import importlib.util
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -155,3 +161,42 @@ def test_a_run_with_no_result_exits_2(capsys):
         ab.fail("ab: tree: run.py exited 1 with no result")
     assert e.value.code == 2
     assert capsys.readouterr().err == "ab: tree: run.py exited 1 with no result\n"
+
+
+def _children(pid):
+    """The child pids of pid, from /proc: every thread's children file."""
+    found = []
+    for task in Path(f"/proc/{pid}/task").iterdir():
+        found += (task / "children").read_text().split()
+    return [int(c) for c in found]
+
+
+@pytest.mark.skipif(not Path("/proc/thread-self/children").exists() or not (ROOT / ".git").exists(),
+                    reason="reads child pids from /proc and clones this repository's HEAD")
+def test_sigterm_kills_the_running_child_and_removes_the_clone(tmp_path):
+    # a null run of a clone of HEAD: ab.py waits on its perfbench/run.py
+    proc = subprocess.Popen(
+        [sys.executable, str(ROOT / "benchmarks" / "ab.py"), "HEAD", "HEAD", "--null",
+         "--workload", "thumb-vm", "--pairs", "1", "--seconds", "60"],
+        cwd=ROOT, env={**os.environ, "TMPDIR": str(tmp_path)}, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    child = None
+    try:
+        deadline = time.monotonic() + 30
+        while child is None and time.monotonic() < deadline and proc.poll() is None:
+            with contextlib.suppress(OSError):  # a process may end while it is read
+                for pid in _children(proc.pid):
+                    if b"perfbench/run.py" in Path(f"/proc/{pid}/cmdline").read_bytes():
+                        child = pid
+            time.sleep(0.05)
+        assert child is not None, proc.stderr.read() if proc.poll() is not None else "no run.py started"
+        assert list(tmp_path.glob("fkemu-ab-*"))
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30) == 128 + signal.SIGTERM
+        assert not Path(f"/proc/{child}").exists()  # killed, and reaped by ab.py
+        assert list(tmp_path.glob("fkemu-ab-*")) == []
+    finally:
+        proc.kill()
+        proc.wait()
+        if child is not None:  # a run.py that outlived ab.py would run on for a minute
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(child, signal.SIGKILL)

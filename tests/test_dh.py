@@ -246,19 +246,32 @@ def test_provider_links_equal_chain_links(chains, providers):
 HUGE = (DhJoint(ROTARY, 0.1, 1e308, 1e308, 0.3), DhJoint(ROTARY, 0.2, 1e308, 1e308, 0.5))
 
 
-@pytest.mark.parametrize("chain", [
-    HUGE,  # the product overflows
-    (DhJoint(ROTARY, 0.1, math.inf, 0.1, 0.3),),  # one link, no product: inf as given
-    (DhJoint(PRISMATIC, 0.1, 0.2, 0.0, 0.3), DhJoint(ROTARY, 0.2, math.nan, 0.1, 0.5)),
+@pytest.mark.parametrize("chain, stacked", [
+    (HUGE, "pose is not finite in float64"),  # the product overflows
+    # one link, no product: inf as given; the stacked route refuses the constant
+    ((DhJoint(ROTARY, 0.1, math.inf, 0.1, 0.3),), "link constants must be finite"),
+    ((DhJoint(PRISMATIC, 0.1, 0.2, 0.0, 0.3), DhJoint(ROTARY, 0.2, math.nan, 0.1, 0.5)),
+     "link constants must be finite"),
 ], ids=["overflow", "inf-link", "nan-link"])
-def test_pose_past_float64_raises_domain_error_without_warning(chain):
+def test_pose_past_float64_raises_domain_error_without_warning(chain, stacked):
     # the library's own domain; the RuntimeWarning filter of the test
     # config turns any overflow warning into a failure
     for provider in ("matrix", "taylor"):
         with pytest.raises(DomainError, match="pose is not finite in float64"):
             chain_pose(chain, PROVIDERS[provider])
-        with pytest.raises(DomainError, match="pose is not finite in float64"):
+        with pytest.raises(DomainError, match=stacked):
             chain_poses(ChainSet.of([chain, chain]), PROVIDERS[provider])
+
+
+@pytest.mark.parametrize("a, d", [(math.inf, 0.0), (-math.inf, 0.0), (math.nan, 0.0), (0.1, math.inf)])
+def test_links_refuse_a_non_finite_constant_without_warning(a, d):
+    # an infinite a times a zero sine would be a NaN link entry; the
+    # RuntimeWarning filter of the test config fails any warning
+    chains = ChainSet.of([[DhJoint(ROTARY, 0.0, d, a, 0.0)]])
+    with pytest.raises(DomainError, match="link constants must be finite"):
+        chain_links(chains)
+    with pytest.raises(DomainError, match="link constants must be finite"):
+        provider_links(chains, [exact_sincos])
 
 
 def test_chain_product_stays_the_ieee_layer():

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import pickle
 import random
 import re
 from functools import partial
@@ -131,10 +132,18 @@ def test_program_reads_follow_writes():
     (LOADK, 4, 6, 0),
     (SINCOS, -1, 2, 0),     # would write regs[-1] and regs[0]
     (ADD, 20, 1, -2),
+    (ADD, 20, 1.5, 2),      # a register number is an integer
 ])
 def test_bad_instruction_rejected_when_built(op, dst, src1, src2):
     with pytest.raises(ValueError):
         FkInstr(op, dst, src1, src2)
+
+
+def test_register_numbers_are_stored_as_ints():
+    # the host function's source spells them: an integer type becomes an int
+    ins = FkInstr(ADD, np.int64(20), np.int32(1), 2)
+    assert ins == FkInstr(ADD, 20, 1, 2)
+    assert type(ins.dst) is type(ins.src1) is int and ins.statement() == "r20 = r1 + r2"
 
 
 def test_read_before_write_rejected_when_built():
@@ -151,6 +160,7 @@ def test_read_before_write_rejected_when_built():
     PROG.outputs[:11],
     PROG.outputs + (30,),
     PROG.outputs[:11] + (31,),  # r31 is never written
+    PROG.outputs[:11] + (30.0,),  # a register number is an integer
 ])
 def test_outputs_must_be_twelve_written_registers(outputs):
     with pytest.raises(ValueError, match="outputs"):
@@ -163,7 +173,10 @@ def test_program_equality_ignores_derived_facts():
     assert repr(again) == f"FkProgram(instrs={PROG.instrs!r}, outputs={PROG.outputs!r})"
     seen = {f.name for f in dataclasses.fields(FkProgram) if f.compare or f.repr or f.init}
     assert seen == {"instrs", "outputs"}
-    assert len(PROG.decoded) == len(PROG.instrs)
+    assert PROG.sincos_count == sum(ins.op == SINCOS for ins in PROG.instrs) == 4
+    assert again.host is not PROG.host  # each program translated when built
+    copied, ts = pickle.loads(pickle.dumps(PROG)), (0.1, 0.2, 0.3, 0.4)
+    assert copied == PROG and vm_run(copied, *ts, P)[0].tobytes() == vm_run(PROG, *ts, P)[0].tobytes()
 
 
 @st.composite
