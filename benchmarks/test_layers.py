@@ -4,7 +4,9 @@
     python benchmarks/ab.py PARENT --rows --pairs 10 | tail -n 1 > BENCH_<n>.json
 
 Layers, bottom up: fixed-point primitive (rescale on 64 int64 lanes, the
-narrowing the kernels use, fold_angle and quarter_turns on 8192 angles,
+narrowing of fx_from_real, cordic_step and Taylor's coefficient table,
+which the lane kernels write out as shifts and bare clips instead of
+calling it; fold_angle and quarter_turns on 8192 angles,
 a lut_sincos block up to BENCH_30.json, and fold_angle on a chain12-bench
 request's 384 angles, all under 2*pi), the CORDIC processors the cascade runs
 (the closed-form unit linear accumulate on one row and on a module's
@@ -17,10 +19,10 @@ cascade runs it), sin/cos generator per backend (one
 lane, and batched; the LUT also on 65536 angles, two blocks, the
 smallest array it splits across CPUs, and on perfbench lut-scan's 2**20
 angles per table mode, Taylor and the LUT on a chain12-bench request's 384 angles), link-matrix
-assembly and chain product apart (chain_links and chain_product on
-chain12-bench's stack of 48 chains: 16 variants for each of three
-providers, 12 links each; and provider_links, the three providers' trig
-on the 16 variants assembled in one pass, as fkemu bench runs it), chain
+assembly and chain product apart (provider_links, the three providers'
+trig on chain12-bench's 16 variants assembled in one pass, as fkemu bench
+runs it; and chain_product on a stack of 48 chains: 16 variants for each
+of three providers, 12 links each), chain
 product or module cascade with their
 link-matrix assembly (one chain, whose links chain_pose builds as one
 (n, 4, 4) array, on puma560 and on thumb-vm's five-link thumb chain; one
@@ -59,7 +61,7 @@ from fkemu.cordic import (
     linear_unit_lanes,
     sincos_cordic,
 )
-from fkemu.dh import ChainSet, chain_links, chain_pose, chain_poses, chain_product, exact_sincos, provider_links
+from fkemu.dh import ChainSet, chain_pose, chain_poses, chain_product, exact_sincos, provider_links
 from fkemu.fixedpoint import (
     HALF_PI,
     Q8_24,
@@ -259,10 +261,6 @@ def test_chain_poses_16_puma560_variants(benchmark, backend):
     benchmark(chain_poses, VARIANTS, sincos[backend])
 
 
-def test_chain_links_chain12_48x12(benchmark):
-    benchmark(chain_links, CHAIN12_STACK)
-
-
 def test_bench_links_chain12_3_providers(benchmark):
     # a chain12-bench request's link assembly: matrix, taylor and linear-LUT
     # trig on the 16 variants, each provider called once and every link
@@ -273,7 +271,7 @@ def test_bench_links_chain12_3_providers(benchmark):
 
 
 def test_chain_product_chain12_48x12(benchmark):
-    benchmark(chain_product, chain_links(CHAIN12_STACK))
+    benchmark(chain_product, provider_links(CHAIN12_STACK, [exact_sincos])[0])
 
 
 def test_ccm_pose_puma560(benchmark):

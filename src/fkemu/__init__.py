@@ -21,7 +21,6 @@ from .dh import (
     PRISMATIC,
     ROTARY,
     PumaParams,
-    chain_links,
     chain_pose,
     chain_product,
     chain_poses,

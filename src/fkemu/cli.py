@@ -197,14 +197,12 @@ def _print_pose(pose: np.ndarray) -> None:
 def _poses(backends: dict[str, _Backend], names: list[str], chains: ChainSet) -> tuple[np.ndarray, np.ndarray]:
     """(oracles, poses): the oracle's (len(chains), 4, 4) poses of the set,
     and every named backend's stacked in names' order, (len(names),
-    len(chains), 4, 4).  provider_links makes the links of the oracle and
-    of every named chain-product backend in one pass, and one
-    chain_product multiplies them.  matrix reads the oracle's slot, and
-    cordic runs the cascade once the oracle is checked finite."""
+    len(chains), 4, 4).  One chain_product over provider_links' stack
+    gives the oracle and every named chain-product backend a slot; matrix
+    reads the oracle's, and cordic runs the cascade once the oracle is
+    checked finite."""
     stacked = list(dict.fromkeys(["matrix", *(n for n in names if backends[n].sincos)]))
-    links = provider_links(chains, [backends[n].sincos for n in stacked])
-    poses = chain_product(links.reshape(-1, *links.shape[2:]))
-    slots = dict(zip(stacked, poses.reshape(len(stacked), len(chains), 4, 4)))
+    slots = dict(zip(stacked, chain_product(provider_links(chains, [backends[n].sincos for n in stacked]))))
     oracles = finite(slots["matrix"], "oracle pose")
     for name in names:
         if name not in slots:

@@ -5,21 +5,15 @@ Tran(x,a)*Rot(x,alpha), chain products, and the six-joint closed-form pose
 used as the arm-level oracle.  Everything here is the reference arithmetic
 the emulated backends are measured against.
 
-A chain set's poses come from two layers: chain_links assembles every
-link of a ChainSet as a (chains, n, 4, 4) stack from one provider call, and
-chain_product multiplies any such stack link by link.  chain_poses is the
-one composed with the other; fkemu bench takes provider_links, which calls
-each of several providers once and assembles all their links in the same
-one pass (_link_stack), and runs one chain_product over them all.
-chain_pose is the one-chain route: it builds its chain's links as Python
-floats in one list and one (n, 4, 4) array.  Every link entry comes from
-one helper, _link_top, so it is the same IEEE expression on the
-provider's (cos, sin) either way, and each product step is the same dgemm
-on C-contiguous 4x4 float64 operands, so the bits equal those of a
-product of one np.array per link, however many chains or providers share
-the stack.  chain_links and provider_links raise DomainError on a link
-constant that is not finite, chain_pose and chain_poses on a pose past
-float64; chain_product, beneath them, leaves the check to its caller.
+A chain set's poses take one of two routes.  The stacked one:
+provider_links assembles every link of a ChainSet under several providers
+as one (providers, chains, n, 4, 4) stack, and chain_product multiplies a
+stack of any leading axes link by link; chain_poses is that route for one
+provider.  The one-chain one: chain_pose.  Both take every link entry from
+_link_top, and chain_product says why their bits agree.  provider_links
+and chain_poses raise DomainError on a link constant that is not finite,
+chain_pose and chain_poses on a pose past float64; chain_product leaves
+the check to its caller.
 """
 
 from __future__ import annotations
@@ -145,7 +139,7 @@ def decompose(j: DhJoint) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
 def finite(x, what: str):
     """x, unless some entry of it is NaN or infinite: link constants so large
     that a pose or an error leaves float64 are outside every backend's domain."""
-    if not np.isfinite(x).all():
+    if np.count_nonzero(np.isfinite(x)) != np.size(x):  # half the cost of .all() on an array
         raise DomainError(f"{what} is not finite in float64")
     return x
 
@@ -201,25 +195,14 @@ def _link_constants(chains: ChainSet) -> tuple[np.ndarray, np.ndarray]:
     """The set's (a_eff, d).  Raises DomainError if one is not finite: the
     providers check only the angles, and an infinite a_eff times a zero
     sine is NaN."""
-    for const in (chains.a_eff, chains.d):
-        if np.count_nonzero(np.isfinite(const)) != const.size:  # half the cost of .all()
-            raise DomainError("link constants must be finite")
-    return chains.a_eff, chains.d
-
-
-def chain_links(chains: ChainSet, sincos: SinCos = exact_sincos) -> np.ndarray:
-    """Every link matrix of the set, (len(chains), n, 4, 4), from one
-    provider call on every theta and alpha, assembled by _link_stack.
-    Raises DomainError if a link constant is not finite."""
-    a_eff, d = _link_constants(chains)
-    return _link_stack(*sincos(np.array([chains.theta, chains.alpha])), a_eff, d)
+    return finite(chains.a_eff, "link constant"), finite(chains.d, "link constant")
 
 
 def provider_links(chains: ChainSet, providers: Sequence[SinCos]) -> np.ndarray:
     """The link matrices of the set under several providers at once,
     (len(providers), len(chains), n, 4, 4): each provider called once on
     the stacked (theta, alpha), and one _link_stack over all their (cos,
-    sin).  Slot k has the bits of chain_links(chains, providers[k]).
+    sin).  Slot k has the bits of a one-provider call on providers[k].
     Raises DomainError if a link constant is not finite."""
     a_eff, d = _link_constants(chains)
     angles = np.array([chains.theta, chains.alpha])
@@ -230,25 +213,31 @@ def provider_links(chains: ChainSet, providers: Sequence[SinCos]) -> np.ndarray:
 
 
 def chain_product(links: np.ndarray) -> np.ndarray:
-    """The left-to-right product of each chain's links, (chains, 4, 4) from
-    a (chains, n, 4, 4) stack: link by link with a stacked matmul.  Each
-    pose depends on its own chain's links alone, with the same bits at any
-    stack size.  The IEEE layer: a pose past float64 holds inf or nan, and
-    its caller checks it."""
-    pose = links[:, 0]
-    for k in range(1, links.shape[1]):
-        pose = pose @ links[:, k]
+    """The left-to-right product of each chain's links: (..., 4, 4) poses
+    from a (..., n, 4, 4) stack, one (4, 4) pose from a bare (n, 4, 4)
+    chain, link by link with a stacked matmul.  Whatever the leading axes
+    hold, every 4x4 operand has the strides of a C-contiguous 4x4 float64
+    array, so each step is the same dgemm as chain_pose's dot: a pose
+    depends on its own chain's links alone, and has the bits of a product
+    of one np.array per link at any stack size or shape.  The IEEE layer:
+    a pose past float64 holds inf or nan, and its caller checks it."""
+    pose = links[..., 0, :, :]
+    for k in range(1, links.shape[-3]):
+        pose = pose @ links[..., k, :, :]
     return pose
 
 
 def chain_poses(chains: ChainSet, sincos: SinCos = exact_sincos) -> np.ndarray:
     """chain_pose of every chain of the set, as one (len(chains), 4, 4)
-    array: chain_product(chain_links(chains, sincos)).  Each pose equals
-    chain_pose(chain, sincos) bit for bit when the provider's bits on an
-    array equal its bits angle by angle.  Raises DomainError, with no
-    warning, if a link constant is not finite or a pose leaves float64."""
+    array: one provider call on every theta and alpha, one _link_stack and
+    one chain_product.  Each pose equals chain_pose(chain, sincos) bit for
+    bit when the provider's bits on an array equal its bits angle by
+    angle.  Raises DomainError, with no warning, if a link constant is not
+    finite or a pose leaves float64."""
+    a_eff, d = _link_constants(chains)
     with np.errstate(over="ignore", invalid="ignore"):  # finite reports it
-        return finite(chain_product(chain_links(chains, sincos)), "pose")
+        links = _link_stack(*sincos(np.array([chains.theta, chains.alpha])), a_eff, d)
+        return finite(chain_product(links), "pose")
 
 
 def pose_op_count(n_links: int, sincos_ops: int) -> int:

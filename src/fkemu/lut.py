@@ -12,12 +12,12 @@ is a plain gather.  An array of at most BLOCK angles is one block,
 returned in the arrays its unfold makes, with no output buffers to fill
 and no copy.  A longer array is split into contiguous ranges of blocks,
 one per CPU the process may run on: the caller runs the first range and a
-short-lived thread each other one, all writing their slices of two
-preallocated outputs, since numpy releases the GIL inside each ufunc and
-gather.  Every thread is joined before the call returns.  None of this
-changes the arithmetic emulated: every output is the same IEEE operations
-on the same operands as a one-angle call, bit for bit, whatever the
-number of threads.
+thread of a pool made inside the call each other one, all writing their
+slices of two preallocated outputs, since numpy releases the GIL inside
+each ufunc and gather.  Every thread is joined before the call returns.
+None of this changes the arithmetic emulated: every output is the same
+IEEE operations on the same operands as a one-angle call, bit for bit,
+whatever the number of threads.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 import os
 import struct
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -152,39 +151,31 @@ def _cpus() -> int:
 def _split_blocks(flat: np.ndarray, table: SinTable, workers: int):
     """(cos, sin) of a flat array's blocks, split into at most workers
     contiguous ranges of blocks.  The caller runs the first range and a
-    thread each other one, each writing its slices of two new arrays; all
-    threads are joined before return.  An error in the caller's range
-    propagates as it is, else the lowest helper range's error is raised, so
-    a DomainError surfaces from the first range that has one."""
+    pool thread each other one, each writing its slices of two new arrays;
+    the pool is made and shut down inside the call, so every thread is
+    joined before return, and one worker starts none.  An error in the
+    caller's range propagates as it is, else the lowest helper range's
+    error is raised, so a DomainError surfaces from the first range that
+    has one."""
     cos, sin = np.empty_like(flat), np.empty_like(flat)
     n_blocks = -(-flat.size // BLOCK)
     workers = min(workers, n_blocks)
     bounds = [n_blocks * k // workers * BLOCK for k in range(workers + 1)]
-    errors = [None] * workers
 
     def fill(k):
         for lo in range(bounds[k], bounds[k + 1], BLOCK):
             cos[lo : lo + BLOCK], _ = _signed_block(flat[lo : lo + BLOCK], table, sin[lo : lo + BLOCK])
 
-    def helper(k):
-        try:
-            fill(k)
-        except Exception as e:  # raised in the caller, below
-            errors[k] = e
+    # imported on the first multi-block call, not at the top: that import
+    # (logging with it) costs each fkemu process ~5 ms of start-up and
+    # ~0.4 MB, and read as ~2% on chain12-bench requests (2-vCPU VM)
+    from concurrent.futures import ThreadPoolExecutor
 
-    threads = []
-    try:
-        for k in range(1, workers):
-            thread = threading.Thread(target=helper, args=(k,))
-            thread.start()
-            threads.append(thread)
+    with ThreadPoolExecutor(workers) as pool:
+        helpers = [pool.submit(fill, k) for k in range(1, workers)]
         fill(0)
-    finally:
-        for thread in threads:
-            thread.join()
-    for e in errors:
-        if e is not None:
-            raise e
+    for h in helpers:
+        h.result()
     return cos, sin
 
 

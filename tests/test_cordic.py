@@ -31,7 +31,6 @@ from fkemu.fixedpoint import (
     HALF_PI,
     MAX_ANGLE,
     Q8_24,
-    DomainError,
     QFormat,
     fx_from_real,
     lane_dtype,
@@ -155,12 +154,6 @@ def test_sincos_full_circle_and_pythagoras():
         assert abs(c - math.cos(th)) <= tol
         assert abs(s - math.sin(th)) <= tol
         assert abs(c**2 + s**2 - 1.0) <= 4 * tol
-
-
-@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf, math.nextafter(MAX_ANGLE, math.inf), -1e16])
-def test_sincos_outside_domain_raises(angle):
-    with pytest.raises(DomainError):
-        sincos_cordic(angle, CFG)
 
 
 def test_rotation_residual_bound():

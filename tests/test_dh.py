@@ -14,7 +14,6 @@ from fkemu.dh import (
     PRISMATIC,
     ROTARY,
     PumaParams,
-    chain_links,
     chain_pose,
     chain_poses,
     chain_product,
@@ -210,37 +209,23 @@ def test_chain_poses_equal_chain_pose_stack(provider, chains):
     providers=st.lists(st.sampled_from(sorted(PROVIDERS)), min_size=1, max_size=6),
 )
 def test_one_product_over_stacked_providers(chains, providers):
-    # fkemu bench's route: several providers' link stacks, concatenated in
-    # any order (repeats too), through one chain_product
-    chain_set = ChainSet.of(chains)
-    links = np.concatenate([chain_links(chain_set, PROVIDERS[p]) for p in providers])
-    poses = chain_product(links).reshape(len(providers), len(chains), 4, 4)
-    for provider, got in zip(providers, poses):
-        sincos = PROVIDERS[provider]
-        assert got.tobytes() == chain_poses(chain_set, sincos).tobytes()
-        for k, chain in enumerate(chains):
-            assert got[k].tobytes() == chain_pose(chain, sincos).tobytes()
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    chains=st.integers(1, 6).flatmap(
-        lambda n: st.lists(st.lists(joint_strategy, min_size=n, max_size=n).map(tuple), min_size=1, max_size=5)
-    ),
-    providers=st.lists(st.sampled_from(sorted(PROVIDERS)), min_size=1, max_size=6),
-)
-def test_provider_links_equal_chain_links(chains, providers):
     # fkemu bench's route: each provider called once on the stacked
     # (theta, alpha), one _link_stack over every provider's (cos, sin) in
-    # provider_links, one chain_product
+    # provider_links, in any order (repeats too), and one chain_product
+    # over the whole stack, with no reshape
     chain_set = ChainSet.of(chains)
     links = provider_links(chain_set, [PROVIDERS[p] for p in providers])
     assert links.shape == (len(providers), len(chains), len(chains[0]), 4, 4)
-    for provider, got in zip(providers, links):
-        assert got.tobytes() == chain_links(chain_set, PROVIDERS[provider]).tobytes()
-    poses = chain_product(links.reshape(-1, *links.shape[2:])).reshape(len(providers), len(chains), 4, 4)
-    for provider, got in zip(providers, poses):
-        assert got.tobytes() == chain_poses(chain_set, PROVIDERS[provider]).tobytes()
+    poses = chain_product(links)
+    assert poses.shape == (len(providers), len(chains), 4, 4)
+    for provider, slot, got in zip(providers, links, poses):
+        sincos = PROVIDERS[provider]
+        assert slot.tobytes() == provider_links(chain_set, [sincos])[0].tobytes()
+        assert got.tobytes() == chain_poses(chain_set, sincos).tobytes()
+        for k, chain in enumerate(chains):
+            assert got[k].tobytes() == chain_pose(chain, sincos).tobytes()
+            # a bare (n, 4, 4) chain gives its one (4, 4) pose
+            assert chain_product(slot[k]).tobytes() == got[k].tobytes()
 
 
 HUGE = (DhJoint(ROTARY, 0.1, 1e308, 1e308, 0.3), DhJoint(ROTARY, 0.2, 1e308, 1e308, 0.5))
@@ -249,9 +234,9 @@ HUGE = (DhJoint(ROTARY, 0.1, 1e308, 1e308, 0.3), DhJoint(ROTARY, 0.2, 1e308, 1e3
 @pytest.mark.parametrize("chain, stacked", [
     (HUGE, "pose is not finite in float64"),  # the product overflows
     # one link, no product: inf as given; the stacked route refuses the constant
-    ((DhJoint(ROTARY, 0.1, math.inf, 0.1, 0.3),), "link constants must be finite"),
+    ((DhJoint(ROTARY, 0.1, math.inf, 0.1, 0.3),), "link constant is not finite in float64"),
     ((DhJoint(PRISMATIC, 0.1, 0.2, 0.0, 0.3), DhJoint(ROTARY, 0.2, math.nan, 0.1, 0.5)),
-     "link constants must be finite"),
+     "link constant is not finite in float64"),
 ], ids=["overflow", "inf-link", "nan-link"])
 def test_pose_past_float64_raises_domain_error_without_warning(chain, stacked):
     # the library's own domain; the RuntimeWarning filter of the test
@@ -268,16 +253,16 @@ def test_links_refuse_a_non_finite_constant_without_warning(a, d):
     # an infinite a times a zero sine would be a NaN link entry; the
     # RuntimeWarning filter of the test config fails any warning
     chains = ChainSet.of([[DhJoint(ROTARY, 0.0, d, a, 0.0)]])
-    with pytest.raises(DomainError, match="link constants must be finite"):
-        chain_links(chains)
-    with pytest.raises(DomainError, match="link constants must be finite"):
+    with pytest.raises(DomainError, match="link constant is not finite in float64"):
+        chain_poses(chains)
+    with pytest.raises(DomainError, match="link constant is not finite in float64"):
         provider_links(chains, [exact_sincos])
 
 
 def test_chain_product_stays_the_ieee_layer():
     # fkemu bench and solve check the product's poses themselves
     with np.errstate(over="ignore", invalid="ignore"):
-        pose = chain_product(chain_links(ChainSet.of([HUGE])))
+        pose = chain_product(provider_links(ChainSet.of([HUGE]), [exact_sincos])[0])
     assert not np.isfinite(pose).all()
 
 
@@ -297,17 +282,6 @@ def test_exact_sincos_keeps_the_argument_kind():
     assert type(c) is float and (c, s) == (math.cos(0.3), math.sin(0.3))
     cos, sin = exact_sincos(np.array([[0.3, -2.0]]))
     assert cos.shape == (1, 2) and sin[0, 1] == np.sin(-2.0)
-
-
-@pytest.mark.parametrize("provider", PROVIDERS)
-def test_provider_gives_floats_for_a_float_and_arrays_of_its_shape(provider):
-    sincos = PROVIDERS[provider]
-    c, s = sincos(0.7)
-    assert type(c) is float and type(s) is float
-    for shape in [(5,), (2, 3), (0,), (3, 0)]:
-        theta = np.linspace(-3.0, 3.0, math.prod(shape)).reshape(shape)
-        for v in sincos(theta):
-            assert type(v) is np.ndarray and v.dtype == np.float64 and v.shape == shape
 
 
 MIXED = (

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from fkemu.fixedpoint import (
     HALF_PI,
     MAX_ANGLE,
-    DomainError,
     Q8_24,
     QFormat,
     fold_angle,
@@ -122,12 +121,6 @@ def test_other_operand_formats():
     cfg = TaylorConfig(operand_fmt=QFormat(24, 22), acc_bits=50)
     th = 1.1
     assert abs(sincos(th, cfg)[1] - math.sin(th)) <= 2.0**-20
-
-
-@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf, math.nextafter(MAX_ANGLE, math.inf), -1e15])
-def test_non_finite_angle_raises_domain_error(angle):
-    with pytest.raises(DomainError):
-        taylor_sincos(angle, CFG)
 
 
 # -- the Fx reference the lanes are checked against ---------------------------
