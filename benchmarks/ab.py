@@ -7,9 +7,11 @@ on two revisions.
 
 PARENT and CHANGE are git revisions of this repository; each is checked
 out by a local ``git clone`` into a temporary directory (no network).
-CHANGE defaults to the working tree as it stands.  ``--null`` runs CHANGE
-on both sides instead, so the spread of a change against itself sits next
-to a claim.
+CHANGE defaults to a copy of the working tree as it stands: every file
+git lists, tracked or untracked, but none that .gitignore excludes, so
+neither side runs with a bytecode cache the other lacks.  ``--null``
+runs CHANGE on both sides instead, so the spread of a change against
+itself sits next to a claim.
 
 Pair k runs the parent first in even pairs and the change first in odd
 ones, so a drift in the machine's speed falls on both sides alike.  Both
@@ -50,6 +52,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import signal
 import statistics
 import subprocess
@@ -197,6 +200,19 @@ def _checkout(rev: str, into: Path) -> str:
     return sha[:12]
 
 
+def _snapshot(root: Path, into: Path) -> None:
+    """Copy root's working tree into `into`: the files that
+    ``git ls-files --cached --others --exclude-standard`` lists and that
+    still exist, so untracked new files come along and ignored ones, such
+    as __pycache__, stay behind."""
+    listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"], cwd=root,
+                            capture_output=True, check=True).stdout
+    for name in map(os.fsdecode, filter(None, listed.split(b"\0"))):
+        if (root / name).is_file():
+            (into / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(root / name, into / name)
+
+
 def _run(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)],
@@ -261,10 +277,11 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="fkemu-ab-") as tmp:
         try:
+            change = Path(tmp) / "change"
             if args.change is None:
-                change, change_name = ROOT, "working tree"
+                change_name = "working tree"
+                _snapshot(ROOT, change)
             else:
-                change = Path(tmp) / "change"
                 change_name = _checkout(args.change, change)
             if args.null:
                 parent, parent_name = change, change_name

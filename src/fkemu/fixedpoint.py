@@ -18,15 +18,10 @@ write their narrowings out as shifts and bare clips, and leave out each
 clip that their proofs rule out.
 
 Every sin/cos backend reduces its angle through the one fold_angle here and
-unfolds its quadrant through quarter_turns: its exact swaps and signs are
-one gather per output from the rows [x, y, -x, -y, x], each sign a
-negation, which has the bits of a product by -1 on every value but a NaN,
-and the fold rejects NaN.  The fold takes whole turns off by Cody and
-Waite's split constants: TWO_PI is _TWO_PI_HI, 32 significant bits, plus
-the exact rest _TWO_PI_LO, so k turns come off with two exact products and
-two exact subtractions, and one correction (+ TWO_PI where k was one too
-many) gives mag % TWO_PI bit for bit; where every angle is below TWO_PI,
-k is 0 and the fold skips the reduction.
+unfolds its quadrant through quarter_turns, its exact inverse.  The fold
+takes |angle| <= MAX_ANGLE, raises DomainError on anything else (NaN and
+infinity too), and reduces modulo TWO_PI as mag % TWO_PI does, bit for
+bit; fold_angle's docstring holds the proof.
 
 Batched datapaths hold the raws of many values, one per lane, in an ndarray
 of lane_dtype(fmt); rescale, lanes_from_real and lanes_real work on such

@@ -149,6 +149,21 @@ def test_rows_run_times_every_row_and_leaves_out_what_the_parent_cannot_run(tmp_
     assert e.value.code == 2
 
 
+def test_snapshot_takes_untracked_files_and_leaves_ignored_ones(tmp_path):
+    tree, snap = tmp_path / "tree", tmp_path / "snap"
+    (tree / "src" / "__pycache__").mkdir(parents=True)
+    for name, text in [(".gitignore", "__pycache__/\n"), ("src/tracked.py", ""), ("src/deleted.py", "")]:
+        (tree / name).write_text(text)
+    subprocess.run(["git", "init", "-q"], cwd=tree, check=True)
+    subprocess.run(["git", "add", "."], cwd=tree, check=True)
+    (tree / "src" / "deleted.py").unlink()
+    for name in ("src/new.py", "src/__pycache__/tracked.cpython-311.pyc"):
+        (tree / name).write_text("")
+    ab._snapshot(tree, snap)
+    files = sorted(p.relative_to(snap).as_posix() for p in snap.rglob("*"))
+    assert files == [".gitignore", "src", "src/new.py", "src/tracked.py"]
+
+
 def test_rows_and_workload_exclude_each_other():
     with pytest.raises(SystemExit):
         ab.main(["HEAD", "--workload", "thumb-vm", "--rows", "test_vm_run"])

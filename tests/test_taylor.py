@@ -1,4 +1,3 @@
-import hashlib
 import math
 import random
 
@@ -214,30 +213,3 @@ def test_cores_equal_clipped_reference_on_every_raw(n_terms, acc_bits):
     got, want = _cores(t, cfg), cores_reference(t, cfg)
     assert got.shape == want.shape == (2, len(t))
     assert np.array_equal(got, want)
-
-
-def pin_angles() -> np.ndarray:
-    ends = [0.0, -0.0, MAX_ANGLE, -MAX_ANGLE, 2.0**20 - 0.5, 1e-9, -1e-9]
-    return np.array(
-        TIES + ends + np.linspace(-30.0, 30.0, 1001).tolist() + np.linspace(-MAX_ANGLE, MAX_ANGLE, 257).tolist()
-    )
-
-
-# sha256 of the raw (cos, sin) pairs of the scalar Fx engine on pin_angles,
-# captured before the engine moved onto lanes
-TAYLOR_RAW_PINS = [
-    (TaylorConfig(), "bb038a0fc9803c84484ceedb847c6a52860a12e7f44b5d52a0b8c5b424657638"),
-    (TaylorConfig(n_terms=3), "44d26752aa70a314498a1a0ab735e46bb99869c4283dda94d9430ef1396d04d5"),
-    (TaylorConfig(n_terms=1), "3c96fdd558fddee371119c37568530991476a47f68006682347fb3f2e79c0fb4"),
-    (TaylorConfig(operand_fmt=QFormat(24, 22), acc_bits=50),
-     "be171559f75dc2875ff920754d5d3e85b448d712f4a2df7e06379a8856d5bf4f"),
-    (TaylorConfig(acc_bits=64), "bb038a0fc9803c84484ceedb847c6a52860a12e7f44b5d52a0b8c5b424657638"),
-    (TaylorConfig(operand_fmt=QFormat(32, 31), acc_bits=64),
-     "99f91fe489755a0727ad34fba6e2d02d02278165f99f5c186bdde1433fb67ed4"),
-]
-
-
-@pytest.mark.parametrize("cfg,digest", TAYLOR_RAW_PINS, ids=[str(c) for c, _ in TAYLOR_RAW_PINS])
-def test_taylor_raws_golden(cfg, digest):
-    pairs = lane_raws(pin_angles(), cfg).T  # one (cos, sin) row per angle
-    assert hashlib.sha256(np.ascontiguousarray(pairs).tobytes()).hexdigest() == digest
