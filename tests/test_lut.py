@@ -315,3 +315,13 @@ def test_load_rejects_corrupt_files(tmp_path, data, message):
     path.write_bytes(data)
     with pytest.raises(ValueError, match=message):
         load_table(str(path))
+
+
+@pytest.mark.parametrize("mode", [NEAREST, LINEAR])
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf, math.nextafter(MAX_ANGLE, math.inf), -1e15])
+def test_non_finite_angle_raises_domain_error(angle, mode):
+    table = build_table(256, mode=mode)
+    with pytest.raises(DomainError):
+        lut_sincos(angle, table)
+    with pytest.raises(DomainError):
+        lut_sincos(np.array([0.1, angle, 0.2]), table)
