@@ -1,54 +1,20 @@
 """Two-stage CORDIC computational module and the cascaded n-link pipeline.
 
-One module evaluates one link transform applied to a point using four
-CORDIC processors: stage 1 runs a circular rotation of (y, z) by alpha in
-parallel with a linear accumulate producing x + a; stage 2 rotates the
-intermediate (x, y) by theta and accumulates z + d.  Cascading n modules
-walks a point from the end-effector frame down to the base, one link per
-module; PipelineModel counts its processors and latency_us gives the
-documented (2*stage + overhead) latency.
+One module applies one link transform to a point with four CORDIC
+processors: stage 1 rotates (y, z) by alpha (CIRC1) beside a linear
+accumulate x + a (LIN1), and stage 2 rotates (x, y) by theta (CIRC2)
+beside z + d (LIN2).  n modules walk a point from the end-effector frame
+to the base; PipelineModel and latency_us model their processors and
+their (2*stage + overhead) latency.
 
-The cascade runs on lanes (see cordic): lane k pushes points[k] through
-chains[k], and every module processes all lanes at once, link by link.  A
-pose is four lanes per chain: the three direction columns as free vectors
-and the origin as a point, so ccm_poses on 16 chains runs 64 lanes.
-ccm_points and ccm_poses share one cascade (_cascade), which drives a
-chain's lanes from that chain's links.  Every joint angle is known before
-the cascade starts, so it makes the stage plan of all of them in one
-call, on one lane per chain, and repeats it onto the chain's lanes
-(cordic._repeated_plan: bit for bit circ_sigmas of the repeated angles);
-each circular stage runs its slice of it (cordic.circ_rotate_sigmas).  Each
-module's reach check, against the per-config limit _reach_limit (at most
-the format's top), rules out saturation in all four processors, so the
-circular stages run with no clip and the linear ones as
-cordic.linear_accumulate, exact where no partial sum saturates, with the
-bits a clipped route gives.  A lane that a clip could pin raises
-DomainError instead.  Once CIRC1 has run, both linear processors of a
-module have their inputs, so the emulator runs them as one
-linear_accumulate on a (2, lanes) stack.  The emulated processors still
-run n_iter shift-add steps each: op counts and the latency model do not
-change.
-
-A cascade converts its caller's doubles to raws once and its output to
-doubles once, at the end.  Between modules it carries the raws where the
-raw -> double -> raw round trip of a real-valued point is exact: in words
-of at most CARRY_BITS = 54 bits, whose raws are at most 2**53 in
-magnitude.  Wider words still pass each lane through a double between
-links, which rounds raws beyond 2**53.  w never changes, so the w check
-and the constants a_eff w and d w, as doubles and as raws, are made once
-per cascade, and so is each link's largest |a_eff w| + |d w|.  The
-per-link stacks are C-contiguous, adjacent lanes adjacent in memory.
-
-A module is cleared by one bound (_clears): with top the largest
-|coordinate| of its points, one reduction over its raws, every lane's
-reach is at most 2 sqrt(3) top + C + 2, C the link's largest |a_eff w| +
-|d w|.  When every w is 0 or 1 and that bound lies below the reach limit
-by CLEAR_MARGIN, the module runs only its four processors.  Otherwise
-the exact check (_check_reach) runs: it takes every lane's norm
-vectorized and falls back to math.hypot only for lanes whose reach lies
-within NEAR_LIMIT of the limit, so each decision is the documented
-bound's own.  Both take the same decisions; a cascade enters one
-np.errstate, not one per module.
+ccm_points and ccm_poses share one cascade, _cascade, which runs every
+module on all lanes at once (a pose is four lanes per chain) on cordic's
+lane kernels.  This module keeps the order of the links, the raws carried
+between modules (CARRY_BITS) and the reach check under which every stage
+runs with no clip: _module holds the proof, _reach_limit the per-config
+limit, and _clears and _check_reach the two checks that apply it.  The
+emulated processors still run n_iter steps each, so op counts and the
+latency model are those of the hardware.
 """
 
 from __future__ import annotations
@@ -117,7 +83,10 @@ CLEAR_MARGIN = 2.0 * NEAR_LIMIT
 SQRT3 = math.sqrt(3.0)
 
 # words of at most this many bits carry their raws from module to module:
-# every raw is within 2**53 in magnitude, so a double holds it exactly
+# every raw is within 2**53 in magnitude, so a double holds it exactly, and
+# the raw -> double -> raw round trip that carrying skips changes no bit.
+# A wider word still takes that round trip between modules, which rounds
+# raws past 2**53.
 CARRY_BITS = 54
 
 
@@ -185,17 +154,15 @@ def _module(xyz: np.ndarray, raws, stages, cfg: CordicConfig) -> np.ndarray:
     so after CIRC1 the two linear processors run as one accumulate on a
     (2, lanes) stack, then CIRC2.
 
-    The caller has passed every lane through the reach check, _clears or
-    _check_reach, on the points p as doubles.  No processor saturates on
-    a lane that passes, so the module runs no clip: each linear processor
-    is linear_accumulate's closed form on the staged unit, exact where no
-    partial sum saturates, and the circular stages leave out every clip,
-    with the bits of the clipped route.  In
-    raws, with u = 2**F (1.0), F = frac_bits, n = n_iter, M the format's
-    top, a = a_eff w, d = d w and L the limit, a lane that passes has
-    2|p| + |a| + |d| <= L e - 2u, where e = 1 + 2**-49 absorbs the rounding
-    of the check's doubles; the raws of x, y, z, a and d lie within 1/2 of
-    them.
+    The caller has passed every lane through the reach check (_clears or
+    _check_reach) on the points p as doubles, and no processor saturates
+    on such a lane, so the module runs no clip, with the bits of the
+    clipped route; linear_accumulate's closed form is exact where no
+    partial sum saturates.  In raws, with u = 2**F (1.0), F = frac_bits,
+    n = n_iter, M the format's top, a = a_eff w, d = d w and L the limit,
+    a lane that passes has 2|p| + |a| + |d| <= L e - 2u, where e = 1 +
+    2**-49 absorbs the rounding of the check's doubles; the raws of x, y,
+    z, a and d lie within 1/2 of them.
     - A linear accumulate c + v keeps every partial sum within |c| +
       max(u, 2|v|).  The loop runs on v' = v >> k, staged so |v'| <= 2u,
       with the unit 2**(F + k).  Its first partial sum is +-2**k u, and a
@@ -278,17 +245,16 @@ def _cascade(chains: ChainSet, p: np.ndarray, reps: int, cfg: CordicConfig) -> n
     i = n..1), on all lanes at once: each chain's links drive reps adjacent
     lanes.  Returns the pushed points, (lanes, 4); no lanes give p itself.
 
-    Every alpha and theta is known before the cascade starts, so one fold
-    and one sigma pass over all of them, link by (alpha, theta) by chain,
-    come first, and the plan is repeated onto the lanes
-    (cordic._repeated_plan): a joint angle beyond MAX_ANGLE raises its
-    DomainError before any module checks its reach.  w never changes, so
-    the w check, the translation constants a_eff w and d w of every link
-    and each link's largest |a_eff w| + |d w| are made once, and the
-    constants converted to raws once: a constant past the format's range
-    fails its link's reach check before any module reads it, so it
-    converts as 0, with no warning.  The first module's reach is checked on
-    the caller's doubles, a later one's on its input raws (as doubles)."""
+    Every angle is known before the cascade starts, so one plan of them
+    all, link by (alpha, theta) by chain, comes first
+    (cordic._repeated_plan), and an angle beyond MAX_ANGLE raises before
+    any module checks its reach.  w never changes, so the w check, the
+    constants a_eff w and d w and each link's largest |a_eff w| + |d w|
+    are made once, and the constants converted to raws once: one past the
+    format's range fails its link's reach check before any module reads
+    it, so it converts as 0, with no warning.  The first module's reach is
+    checked on the caller's doubles, a later one's on its input raws (as
+    doubles), carried as CARRY_BITS says."""
     fmt = cfg.fmt
     if not len(p):  # no lanes: no module has a point to push or check
         return p

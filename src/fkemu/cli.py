@@ -13,16 +13,11 @@ Chain files are line oriented so they diff cleanly:
 Angles are radians, lengths meters.  The special chain name "puma560"
 loads a built-in six-revolute demo profile, dh.puma_chain at zero angles.
 
-solve and bench take every pose from one stacked product over a ChainSet:
-dh.provider_links makes the links of the oracle and of each named
-chain-product backend (taylor, lut) in one pass, one chain_product
-multiplies them, and the matrix backend reads the oracle's slot; cordic
-runs the module cascade.  bench grades every backend in one pass over
-that stack, and prints nothing until every pose, error and finiteness
-check is done, so a failed bench leaves stdout empty, as a failed solve
-does.  Exit codes: 0 success, 2 parse failure or bad option, 3 numeric
-domain error (an angle or reach outside a backend's domain, or a pose or
-error past float64), 4 register capacity error.
+solve and bench compute every pose, error and finiteness check before
+they print, so a failure leaves stdout empty.  Exit codes: 0 success, 2
+parse failure or bad option, 3 numeric domain error (an angle or reach
+outside a backend's domain, or a pose or error past float64), 4 register
+capacity error.
 """
 
 from __future__ import annotations
@@ -55,9 +50,10 @@ DEMO_THUMB = UmdhParams(a0=0.05, a1=0.04, a2=0.03, a3=0.025, d1=0.02)
 
 CSV_HEADER = "backend,max_err,rms_err,ops_per_pose,model_latency_us,params"
 
-# Largest --trials times links that bench accepts: at the bound, with
-# every backend, a run peaked at 280-304 MB RSS on x86-64 (numpy 2.4), on
-# puma560 at 10922 trials and on a 65536-link chain at one trial alike
+# Largest trials times links that bench accepts, and solve at one trial:
+# at the bound, with every backend, a run peaked at 280-304 MB RSS on
+# x86-64 (numpy 2.4), on puma560 at 10922 trials and on a 65536-link
+# chain at one trial alike
 MAX_LINK_TRIALS = 1 << 16
 
 # A word with a leading "-" that float() takes: the vm parser reads it as a
@@ -215,8 +211,16 @@ def _poses(backends: dict[str, _Backend], names: list[str], chains: ChainSet) ->
     return oracles, np.array([slots[name] for name in names])
 
 
+def _check_size(trials: int, links: int) -> None:
+    """Refuse a run of trials chains of links links past MAX_LINK_TRIALS
+    (ValueError, exit 2), before anything is allocated for it."""
+    if trials * links > MAX_LINK_TRIALS:
+        raise ValueError(f"trials times links must be at most {MAX_LINK_TRIALS}, got {trials} x {links}")
+
+
 def cmd_solve(args) -> int:
     chain_file = load_chain(args.chain)
+    _check_size(1, len(chain_file.joints))
     backends = _make_backends(args, len(chain_file.joints))
     with np.errstate(over="ignore", invalid="ignore"):  # finite reports it
         oracles, poses = _poses(backends, [args.backend], ChainSet.of([chain_file.joints]))
@@ -259,9 +263,7 @@ def cmd_bench(args) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
     chain_file = load_chain(args.chain)
-    if args.trials * len(chain_file.joints) > MAX_LINK_TRIALS:
-        raise ValueError(f"--trials times links must be at most {MAX_LINK_TRIALS}, "
-                         f"got {args.trials} x {len(chain_file.joints)}")
+    _check_size(args.trials, len(chain_file.joints))
     names = [b.strip() for b in args.backends.split(",") if b.strip()]
     if not names:
         raise ValueError("--backends names no backend")

@@ -1,63 +1,22 @@
-"""CORDIC iteration engine on fixed-point state, as forward kinematics uses it.
+"""CORDIC iteration engine on fixed-point lanes, as forward kinematics uses it.
 
-One shift-add micro-rotation per step, in rotation mode (the angle residual
-z is driven to zero), in two coordinate systems selected by the mode
-constant m: circular (1) rotates a vector, linear (0) accumulates y + x*z.
-The circular gain K = prod sqrt(1 + 2**-2i) is never free: callers either
-pre-scale by 1/K (see circ_rotate_lanes) or account for it themselves.
-cordic_step is one micro-rotation of one lane's raws in either mode,
-written on rescale; the tests fold it over a lane to check the kernels
-below.
+One shift-add micro-rotation per step, in rotation mode (the residual z is
+driven to zero), circular (a vector rotation) or linear (y + x*z).  The
+circular gain K is never free: a rotation pre-scales by 1/K.  The kernels
+run lanes, one raw per lane in an ndarray of fixedpoint.lane_dtype, each
+lane with its own sigmas, all lanes one numpy operation per step.  Each
+lane equals cordic_step, one micro-rotation of one lane's raws, folded
+over it bit for bit; the tests check that.
 
-The emulator runs lanes: x, y and z are ndarrays holding one raw integer
-per lane, each lane picks its own sigma, and a whole batch of independent
-rotations advances one step per numpy operation.  Lanes are int64 for
-words up to 32 bits, where every sum and the 1/K pre-scale product are
-exact, and object arrays of Python ints for wider words
-(fixedpoint.lane_dtype); the code is the same.  The emulated hardware runs
-n_iter steps either way; the emulator skips work whose result it knows:
-
-- sigmas depend on z alone, so a circular rotation is a sigma pass over z
-  (_sigma_pass, which has no clip: a z update cannot saturate), then the
-  (x, y) steps (_stacked_steps), which take their clip as an operand, so
-  one loop serves the callers that need the clip and the cascade, which
-  has proved it cannot fire.  circ_sigmas (fold and sigma pass) makes a
-  stage plan and circ_rotate_sigmas (pre-scale, steps, quarter turns)
-  runs it, so the module cascade makes one plan for all its angles, one
-  lane per chain, repeats it onto the lanes each chain drives
-  (_repeated_plan: the int8 sigmas repeat before their cast), and runs a
-  slice of it per stage.  circ_rotate_sigmas clips unless told not
-  to: circ_rotate_lanes and sincos_cordic take arbitrary raws and keep
-  every clip (cos 0 saturates in a format with one integer bit), and the
-  cascade runs it with none, since ccm's reach check rules every one out.
-- a stage holds x and y as one 1-D mirrored stack, _mirror's
-  [x_0 ... x_{L-1}, y_{L-1} ... y_0], so swapping x and y is the reversed
-  view v[::-1], which numpy runs on its fast path, where a (2, lanes)
-  stack's v[::-1] takes the general iterator at about twice the cost per
-  call on 64 lanes.  The plan is mirrored to match: the sigma stack, and
-  the quarter turns' moves as a swap mask and signs (_turn_moves, read off
-  fixedpoint.quarter_turns once), with the signs and sigmas in the lane
-  dtype, cast once per plan, not once per stage.
-- every kernel runs its ufuncs with a positional out into arrays it
-  allocated itself (the sigma pass's residuals, a stage's mirrored stack
-  and its one step temporary, the closed form's clip output), so a
-  circular step is three ufunc calls and no allocation, and no kernel
-  writes an array its caller passed.
-- linear sigmas are the binary digits of z0, and linear_accumulate's
-  multiplicand is always the unit 2**(frac_bits + k), staged up as its
-  argument is staged down, so linear_unit_lanes sums the loop in closed
-  form with a few ufuncs per lane, exact where no partial sum saturates;
-  both run on a stack of rows as on one.  The general-multiplicand form
-  it is summed from is the tests' reference (tests/reference.py).
-
-Every per-config constant (range, shifts, micro-angles, the 1/K pre-scale)
-is in one table of lane-dtype arrays made once per CordicConfig
-(_operands), not Python ints that numpy would convert on every call; ccm's
-reach limit reads its 1/K there too.
-
-Each lane equals a fold of cordic_step over its raws bit for bit
-(linear_unit_lanes under its precondition).  sincos_cordic is the trig
-provider on top: one lane per angle.
+A circular rotation is a stage plan, circ_sigmas (the fold, then
+_sigma_pass), run by circ_rotate_sigmas (the 1/K pre-scale,
+_stacked_steps and the quarter turns, on one _mirror stack), with every
+clip unless the caller has proved that none fires; circ_rotate_lanes
+composes the two, and _repeated_plan plans a cascade's chains once.  The
+linear processor is linear_accumulate, which stages large arguments for
+linear_unit_lanes' closed form.  Every per-config constant is in
+_operands, and no kernel writes an array its caller passed.
+sincos_cordic is the trig provider on top, one lane per angle.
 """
 
 from __future__ import annotations
@@ -200,7 +159,10 @@ def _mirror(x, y):
     """x and y, each of shape (..., lanes), as one mirrored lane stack of
     shape (..., 2*lanes): [x_0 ... x_{L-1}, y_{L-1} ... y_0].  Its reversal
     v[..., ::-1] holds y where v holds x and x where v holds y, lane for
-    lane."""
+    lane, so a stage's every swap of x and y is that reversed view, which
+    numpy runs on its fast path: a (2, lanes) stack's v[::-1] takes the
+    general iterator, at about twice the cost per call on 64 lanes.  A
+    stage plan is mirrored to match."""
     return np.concatenate([x, y[..., ::-1]], axis=-1)
 
 
@@ -231,9 +193,8 @@ def _turn_moves(q, dtype):
 def _sigma_pass(z, cfg: CordicConfig):
     """The circular z pass over raw residuals z, shape (..., lanes): returns
     the signed sigma stack, int8 of shape (..., n_iter, 2*lanes) holding
-    _mirror(-sigma_i, +sigma_i) at step i (-sigma by lane, then +sigma in
-    reversed lane order: the signs of x's and y's updates in a mirrored
-    (x, y) stack), and the final residuals.
+    _mirror(-sigma_i, +sigma_i) at step i, the signs of x's and y's updates
+    in a mirrored (x, y) stack, and the final residuals.
 
     sigma_i is sign(z_i) with +1 on ties, driving z to zero.  z never reads
     x or y, so every sigma is known before the first (x, y) step.  No z
@@ -260,10 +221,10 @@ def _stacked_steps(v, sigmas, cfg: CordicConfig, saturate: bool = True):
     """The circular (x, y) steps, in place on v = _mirror(x, y), shape
     (2*lanes,), an array its caller owns, driven by a signed sigma stack of
     _sigma_pass in v's dtype: x' = x - s*(y >> i) and y' = y + s*(x >> i),
-    as one shift of the reversed view v[::-1] (y where v holds x, x where v
-    holds y) into a temporary of the stage, one multiply and one add per
-    step, and a clip unless saturate is False, which a caller may pass only
-    where it has proved that no step leaves the format.  Returns v.
+    as one shift of the reversed view v[::-1] into a temporary of the
+    stage, one multiply and one add per step, and a clip unless saturate is
+    False, which a caller may pass only where it has proved that no step
+    leaves the format.  Returns v.
 
     Every ufunc writes its output as a positional argument: on 128 values
     the keyword out= costs more than the allocation it saves, and the
@@ -339,11 +300,10 @@ def linear_accumulate(const, value, cfg: CordicConfig):
     staged down by an exact power of two 2**k, chosen per lane, while the
     unit multiplicand is staged up by the same factor (y accumulates x0 * z0
     either way).  k stops at linear_unit_lanes' bound word_bits - frac_bits
-    - 2, where every raw of the format is staged within 2.  The n_iter
-    shift-add steps on the unit 2**(frac_bits + k) run in linear_unit_lanes'
-    closed form, which equals the clipping loop bit for bit where no
-    partial sum saturates: ccm's reach check proves that on every lane it
-    passes (ccm._module's proof).
+    - 2, where every raw of the format is staged within 2.  The steps on
+    the unit 2**(frac_bits + k) run in linear_unit_lanes' closed form,
+    exact where no partial sum saturates, as ccm._module proves on every
+    lane that ccm's reach check passes.
 
     One test decides whether any lane stages at all: a raw's double
     rounds monotonically, so the largest |raw|'s double is the largest
@@ -420,8 +380,10 @@ def circ_rotate_sigmas(x, y, swap, signs, sigmas, cfg: CordicConfig, saturate: b
     saturating after the pre-scale, each step and the turns.
     saturate=False leaves out every clip, for a caller that has proved no
     value leaves the format; the bits are then the same.  The module
-    cascade is that caller: every one of its stages runs with no clip, on
-    lanes that ccm's reach check passed.
+    cascade is that caller, on lanes that ccm's reach check passed (see
+    ccm._module).  circ_rotate_lanes and sincos_cordic keep every clip:
+    they take any raws, and cos 0 saturates where the format has one
+    integer bit.
     """
     ops = _operands(cfg)
     # the product is the stage's own array, in the dtype x, y and 1/K promote
@@ -443,16 +405,11 @@ def circ_rotate_lanes(x, y, angle: np.ndarray, cfg: CordicConfig):
     and a float64 angle within +-MAX_ANGLE per lane; returns the rotated
     raws (x, y).
 
-    circ_sigmas (fold and sigma pass), then circ_rotate_sigmas (pre-scale
-    by 1/K, steps, quarter turns) with every clip.  This is the circular
-    building block behind sin/cos generation and every link-rotation
-    stage; the cascade calls its two halves itself, so one sigma pass
-    serves all links.
-
-    Odd symmetry holds only within sincos_tolerance, not bit for bit: the
-    shift-add steps truncate toward -inf, so a rotation by -z is not the
-    mirror image of one by z.  Raises DomainError if any |angle| exceeds
-    MAX_ANGLE or is not finite.
+    circ_sigmas, then circ_rotate_sigmas with every clip.  Odd symmetry
+    holds only within sincos_tolerance, not bit for bit: the shift-add
+    steps truncate toward -inf, so a rotation by -z is not the mirror image
+    of one by z.  Raises DomainError if any |angle| exceeds MAX_ANGLE or is
+    not finite.
     """
     return circ_rotate_sigmas(x, y, *circ_sigmas(angle, cfg), cfg)
 

@@ -5,15 +5,10 @@ Tran(x,a)*Rot(x,alpha), chain products, and the six-joint closed-form pose
 used as the arm-level oracle.  Everything here is the reference arithmetic
 the emulated backends are measured against.
 
-A chain set's poses take one of two routes.  The stacked one:
-provider_links assembles every link of a ChainSet under several providers
-as one (providers, chains, n, 4, 4) stack, and chain_product multiplies a
-stack of any leading axes link by link; chain_poses is that route for one
-provider.  The one-chain one: chain_pose.  Both take every link entry from
-_link_top, and chain_product says why their bits agree.  provider_links
-and chain_poses raise DomainError on a link constant that is not finite,
-chain_pose and chain_poses on a pose past float64; chain_product leaves
-the check to its caller.
+A chain set's poses take the stacked route, provider_links then
+chain_product (chain_poses for one provider); one chain's can also take
+chain_pose.  Both take every link entry from _link_top, and
+chain_product's docstring says why their bits agree.
 """
 
 from __future__ import annotations
@@ -178,8 +173,7 @@ def _link_stack(cos, sin, a, d) -> np.ndarray:
     """Link matrices, shape (..., 4, 4), from the (cos, sin) of a stacked
     (theta, alpha), each of shape (2, ...), and a_eff and d broadcasting
     with (...): every entry of every link as one stack of _link_top
-    entries, whatever the leading axes hold (chains and links, or
-    providers, chains and links)."""
+    entries, whatever the leading axes hold."""
     (ct, ca), (st, sa) = cos, sin
     links = np.zeros(ct.shape + (4, 4))
     (
@@ -191,20 +185,14 @@ def _link_stack(cos, sin, a, d) -> np.ndarray:
     return links
 
 
-def _link_constants(chains: ChainSet) -> tuple[np.ndarray, np.ndarray]:
-    """The set's (a_eff, d).  Raises DomainError if one is not finite: the
-    providers check only the angles, and an infinite a_eff times a zero
-    sine is NaN."""
-    return finite(chains.a_eff, "link constant"), finite(chains.d, "link constant")
-
-
 def provider_links(chains: ChainSet, providers: Sequence[SinCos]) -> np.ndarray:
     """The link matrices of the set under several providers at once,
     (len(providers), len(chains), n, 4, 4): each provider called once on
     the stacked (theta, alpha), and one _link_stack over all their (cos,
     sin).  Slot k has the bits of a one-provider call on providers[k].
     Raises DomainError if a link constant is not finite."""
-    a_eff, d = _link_constants(chains)
+    # the providers check only the angles, and an infinite a_eff times a zero sine is NaN
+    a_eff, d = finite(chains.a_eff, "link constant"), finite(chains.d, "link constant")
     angles = np.array([chains.theta, chains.alpha])
     cos, sin = trig = np.empty((2, 2, len(providers), *angles.shape[1:]))  # (cos, sin) of (theta, alpha)
     for k, sincos in enumerate(providers):
@@ -229,15 +217,13 @@ def chain_product(links: np.ndarray) -> np.ndarray:
 
 def chain_poses(chains: ChainSet, sincos: SinCos = exact_sincos) -> np.ndarray:
     """chain_pose of every chain of the set, as one (len(chains), 4, 4)
-    array: one provider call on every theta and alpha, one _link_stack and
-    one chain_product.  Each pose equals chain_pose(chain, sincos) bit for
-    bit when the provider's bits on an array equal its bits angle by
-    angle.  Raises DomainError, with no warning, if a link constant is not
-    finite or a pose leaves float64."""
-    a_eff, d = _link_constants(chains)
+    array: provider_links for the one provider, then chain_product.  Each
+    pose equals chain_pose(chain, sincos) bit for bit when the provider's
+    bits on an array equal its bits angle by angle.  Raises DomainError,
+    with no warning, if a link constant is not finite or a pose leaves
+    float64."""
     with np.errstate(over="ignore", invalid="ignore"):  # finite reports it
-        links = _link_stack(*sincos(np.array([chains.theta, chains.alpha])), a_eff, d)
-        return finite(chain_product(links), "pose")
+        return finite(chain_product(provider_links(chains, [sincos])[0]), "pose")
 
 
 def pose_op_count(n_links: int, sincos_ops: int) -> int:

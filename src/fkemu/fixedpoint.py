@@ -1,31 +1,18 @@
 """Two's-complement fixed-point arithmetic with hardware narrowing semantics.
 
 A value is a plain integer, its raw, scaled by 2**-frac_bits of a QFormat
-that the code holding it knows; a wide multiply-accumulate register is a
-wide QFormat.  Rounding happens once, at real->fixed entry
-(round-half-to-even); every narrowing after that is an arithmetic right
-shift, i.e. truncation toward negative infinity, which is what a shifter
-does.  Overflow saturates instead of wrapping: pose coordinates are
-physically bounded, and a silent wrap would corrupt results undetectably
-while a pinned value stays visibly at the range edge.
+that the code holding it knows; lanes hold many raws in an ndarray of
+lane_dtype(fmt).  Rounding happens once, at real->fixed entry
+(round-half-to-even); every later narrowing truncates toward -inf, as a
+shifter does, and overflow saturates, so a pinned value stays visibly at
+the range edge where a wrap would corrupt it silently.  rescale writes
+both rules for fx_from_real, cordic_step and Taylor's coefficients; the
+lane kernels write theirs out as shifts and bare clips, and leave out
+each clip that their proofs rule out.
 
-Both rules are written once, in rescale: a raw scaled by 2**-frac moves
-into a format by an exact left shift when the format gains fraction bits,
-a truncating right shift when it loses them, then saturation.
-fx_from_real, cordic_step and Taylor's coefficient table narrow through
-it.  No lane kernel calls it: for speed, the CORDIC and Taylor kernels
-write their narrowings out as shifts and bare clips, and leave out each
-clip that their proofs rule out.
-
-Every sin/cos backend reduces its angle through the one fold_angle here and
-unfolds its quadrant through quarter_turns, its exact inverse.  The fold
-takes |angle| <= MAX_ANGLE, raises DomainError on anything else (NaN and
-infinity too), and reduces modulo TWO_PI as mag % TWO_PI does, bit for
-bit; fold_angle's docstring holds the proof.
-
-Batched datapaths hold the raws of many values, one per lane, in an ndarray
-of lane_dtype(fmt); rescale, lanes_from_real and lanes_real work on such
-arrays with the same bits as on one raw.
+Every sin/cos backend folds its angle through fold_angle, whose docstring
+holds the proof, and unfolds its quadrant through quarter_turns, its
+exact inverse; sincos_provider makes a flat-lane kernel a trig provider.
 """
 
 from __future__ import annotations

@@ -1,23 +1,13 @@
 """Quarter-wave sine lookup tables with quadrant folding.
 
-The table stores sin over [0, pi/2) only; every other angle folds onto it
-through exact sign/swap identities, and cosine reads the complementary
-entry.  Power-of-two sizes keep index extraction a shift.  Nearest-entry
-and linearly interpolated lookups both ship, since their accuracy/cost
-trade is the whole point of the backend.
-
-On arrays the emulator runs the lookup in blocks of BLOCK angles and
-reads a table padded with the virtual endpoint sin(pi/2) = 1, so a lookup
-is a plain gather.  An array of at most BLOCK angles is one block,
-returned in the arrays its unfold makes, with no output buffers to fill
-and no copy.  A longer array is split into contiguous ranges of blocks,
-one per CPU the process may run on: the caller runs the first range and a
-thread of a pool made inside the call each other one, all writing their
-slices of two preallocated outputs, since numpy releases the GIL inside
-each ufunc and gather.  Every thread is joined before the call returns.
-None of this changes the arithmetic emulated: every output is the same
-IEEE operations on the same operands as a one-angle call, bit for bit,
-whatever the number of threads.
+The table stores sin over [0, pi/2), padded with the virtual endpoint
+sin(pi/2) = 1 so that a lookup is a plain gather (_sin_quarter); every
+other angle folds onto it, and cosine reads the complementary entry.
+Power-of-two sizes keep index extraction a shift.  Nearest-entry and
+linearly interpolated lookups both ship, since their accuracy/cost trade
+is the whole point of the backend.  lut_sincos runs an array in blocks of
+BLOCK angles, a longer array's blocks on one thread per CPU
+(_split_blocks), with the bits of one-angle calls.
 """
 
 from __future__ import annotations
@@ -151,12 +141,12 @@ def _cpus() -> int:
 def _split_blocks(flat: np.ndarray, table: SinTable, workers: int):
     """(cos, sin) of a flat array's blocks, split into at most workers
     contiguous ranges of blocks.  The caller runs the first range and a
-    pool thread each other one, each writing its slices of two new arrays;
-    the pool is made and shut down inside the call, so every thread is
-    joined before return, and one worker starts none.  An error in the
-    caller's range propagates as it is, else the lowest helper range's
-    error is raised, so a DomainError surfaces from the first range that
-    has one."""
+    pool thread each other one, each writing its slices of two new arrays
+    (numpy releases the GIL inside each ufunc and gather).  The pool is
+    made and shut down inside the call, so every thread is joined before
+    return, and one worker starts none.  An error in the caller's range
+    propagates as it is, else the lowest helper range's error is raised,
+    so a DomainError surfaces from the first range that has one."""
     cos, sin = np.empty_like(flat), np.empty_like(flat)
     n_blocks = -(-flat.size // BLOCK)
     workers = min(workers, n_blocks)

@@ -1,22 +1,12 @@
 """DSP-style sinusoid generation: truncated Taylor series in 16-bit
 fixed point with a wide multiply-accumulate model.
 
-Evaluation runs on a reduced argument in [0, pi/4]; anything larger folds
-through fold_angle's quadrant and the sin/cos co-function first, because a
-Q1.15 operand cannot even hold pi/2.  Each series is evaluated by Horner
-recursion on u = x**2 with the running value kept in the accumulator, a
-wide QFormat (36 bits with 31 fraction bits by default: the product scale
-plus one fractional-mode left shift).  Only the multiplier inputs are
-narrowed to operand width, and the result is narrowed once at the end.
-
-The engine runs on lanes (see fixedpoint): one raw integer per angle in an
-ndarray, every multiply, cast and subtract applied to all lanes at once, so
-a batch of angles costs one pass of the series.  A float angle is a
-one-lane call.  The quantized 1/k! coefficients and every other constant
-of the series are one table of lane-dtype arrays per TaylorConfig
-(_acc_coeffs).  Each step narrows by fixedpoint's rules, written out as
-shifts; only the final narrowing into the operand format clips, since
-_cores proves that no other clip can change a bit.
+taylor_sincos folds each angle to [0, pi/4], since a Q1.15 operand cannot
+hold pi/2, and runs _cores on lanes, one raw per angle: both series as one
+Horner recursion in a wide accumulator (Q5.31 by default).  _acc_coeffs
+holds the quantized 1/k! and every other constant per TaylorConfig, and
+_cores the proof that its final narrowing is the one clip that can change
+a bit.
 """
 
 from __future__ import annotations
@@ -107,7 +97,8 @@ def _acc_coeffs(cfg: TaylorConfig) -> _Coeffs:
     is zero, as at n_terms = 1): a step on a zero column after zero columns
     computes 0 - u*0 = 0, so the recursion's first nonzero partial is its
     column.  In the default config 1/9! and up quantize to 0 in Q1.15, so
-    three of six steps go."""
+    three of six steps go; they are still steps of the emulated engine,
+    and sincos_op_count charges them."""
     fmt, acc_fmt = cfg.operand_fmt, cfg.acc_fmt
     const = partial(frozen, dtype=np.int64 if cfg.acc_bits <= 63 else object)
     cols = [
@@ -165,12 +156,8 @@ def _cores(t: np.ndarray, cfg: TaylorConfig) -> np.ndarray:
     the accumulator pins at its top still narrows to at least the operand
     top, and the operand clip gives the same raw either way.  The operand
     clip stays, because cos(0) = 1 saturates in a format with one integer
-    bit.
-
-    The zero steps _acc_coeffs leaves out are still steps of the emulated
-    engine, so sincos_op_count keeps charging them.  On int64 lanes
-    (acc_bits <= 63, so F <= 30) no raw or product passes 2**(2F + 1) in
-    magnitude."""
+    bit.  On int64 lanes (acc_bits <= 63, so F <= 30) no raw or product
+    passes 2**(2F + 1) in magnitude."""
     c = _acc_coeffs(cfg)
     u = (t * t) >> c.frac
     u2 = u + u

@@ -13,18 +13,8 @@ The VM is single-issue: one functional-unit dispatch per cycle, with a
 configurable cycle cost for the cosine/sine unit, whose arithmetic is any
 trig provider (exact by default).  SINCOS writes cos to dst and sin to
 dst+1.  Registers r0..r3 hold the four joint angles at entry; the constant
-pool holds the five loaded constants plus 0.0.
-
-FkInstr and FkProgram check themselves when built (ValueError), and a
-program derives its op count, highest register, SINCOS count and host
-function then, so vm_run runs a checked program without walking it.  Its
-one check of its own is CapacityError, for a register file too small for
-the program.  The host function is the program translated once into
-Python source, one statement per instruction in program order, each
-register a local variable: the same operations on the same operands, so
-the same bits as dispatching the instructions one at a time, with no
-dispatch.  Both pose builders make one flat 16-float np.array, reshaped
-to 4x4.
+pool holds the five loaded constants plus 0.0.  FkProgram checks and
+translates a program once, when built, so vm_run makes one call.
 """
 
 from __future__ import annotations
@@ -132,8 +122,10 @@ class FkProgram:
     highest register written, at least r3), sincos_count, and host: the
     program as one Python function, host(r0, r1, r2, r3, pool, sincos),
     made by exec from the checked instructions' statements, returning the
-    sixteen pose entries as a list.  The four are derived, so equality,
-    hash and repr see instrs and outputs only.
+    sixteen pose entries as a list.  Each statement is its instruction's
+    operation on its operands, in program order, so host has the bits of
+    dispatching the instructions one at a time.  The four are derived, so
+    equality, hash and repr see instrs and outputs only.
     """
 
     instrs: tuple[FkInstr, ...]

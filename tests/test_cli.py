@@ -361,6 +361,13 @@ def test_vm_non_finite_input_exits_3(capsys, argv):
     assert err.startswith("fkemu: domain error:") and err.count("\n") == 1
 
 
+def test_solve_past_the_link_bound_exits_2(capsys, monkeypatch):
+    # solve is one trial of the chain's links; a small bound keeps the test fast
+    monkeypatch.setattr(cli, "MAX_LINK_TRIALS", 5)
+    assert main(["solve", "puma560"]) == 2
+    assert capsys.readouterr() == ("", "fkemu: trials times links must be at most 5, got 1 x 6\n")
+
+
 @pytest.mark.parametrize("links", ["0", "-3"])
 def test_pipeline_without_links_exits_2(capsys, links):
     assert main(["pipeline", "--links", links]) == 2
