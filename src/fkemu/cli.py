@@ -119,6 +119,8 @@ def parse_chain(text: str, filename: str = "<chain>") -> ChainFile:
                 raise error(1, "missing name")
             name = tokens[1]
         elif key == "joint":
+            if len(joints) == MAX_LINK_TRIALS:  # no run takes more: parse no further
+                raise error(0, f"more than {MAX_LINK_TRIALS} joints, past the trials times links bound")
             if len(tokens) < 2 or tokens[1] not in ("R", "P"):
                 raise error(1, "joint kind must be R or P")
             joints.append(DhJoint(ROTARY if tokens[1] == "R" else PRISMATIC, *floats(2, 4)))

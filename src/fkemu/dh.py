@@ -208,7 +208,10 @@ def chain_product(links: np.ndarray) -> np.ndarray:
     array, so each step is the same dgemm as chain_pose's dot: a pose
     depends on its own chain's links alone, and has the bits of a product
     of one np.array per link at any stack size or shape.  The IEEE layer:
-    a pose past float64 holds inf or nan, and its caller checks it."""
+    a pose past float64 holds inf or nan, and its caller checks it.
+    Raises ValueError for a stack of no links."""
+    if links.shape[-3] == 0:
+        raise ValueError("empty chain")
     pose = links[..., 0, :, :]
     for k in range(1, links.shape[-3]):
         pose = pose @ links[..., k, :, :]

@@ -1,20 +1,19 @@
 """Four-joint thumb forward kinematics and a micro-coded FK-processor VM.
 
-The pose matrix has twelve non-constant entries (the top three rows); the
-naive path evaluates each entry independently, while the scheduled program
-reuses the compound angles t2+t3 and t2+t3+t4, the four sin/cos pairs, and
-the shared reach term, cutting the arithmetic-operation count by more than
-half.  Operation counting convention, used by both paths: one fused
-(cos, sin) pair costs 1, each add/subtract/multiply costs 1, each unary
-negation costs 1 (it executes as a subtract from the zero register), and
-constant loads (LOADK) cost 0.
+The pose matrix has twelve non-constant entries (the top three rows).
+Both schedules of them are FkPrograms, checked and translated into one
+host function when built, and counted by arith_ops: umdh_t04_naive's
+(57 ops) evaluates each entry on its own, umdh_program's (24 ops) shares
+the compound angles t2+t3 and t2+t3+t4, the four sin/cos pairs and the
+reach term.  An op is any instruction but LOADK: a fused (cos, sin) pair,
+an add, a subtract or a multiply; a negation is a SUB from the zero
+register r9.
 
 The VM is single-issue: one functional-unit dispatch per cycle, with a
 configurable cycle cost for the cosine/sine unit, whose arithmetic is any
 trig provider (exact by default).  SINCOS writes cos to dst and sin to
 dst+1.  Registers r0..r3 hold the four joint angles at entry; the constant
-pool holds the five loaded constants plus 0.0.  FkProgram checks and
-translates a program once, when built, so vm_run makes one call.
+pool holds the five loaded constants plus 0.0.
 """
 
 from __future__ import annotations
@@ -188,92 +187,55 @@ class VmConfig:
         return REGISTERS // 2 if self.half_sized else REGISTERS
 
 
-class _OpCounter:
-    """Scalar evaluation with the declared operation-counting convention."""
+def _naive_program() -> FkProgram:
+    """umdh_t04_naive's schedule, 57 arithmetic ops in 63 instructions: each
+    entry re-evaluates its own SINCOS pairs and compound angles, in scratch
+    registers r24..r31; trig(24, 0) leaves c1, s1 in r24, r25 and
+    trig(26, 1, 2, 3) c234, s234 in r26, r27."""
+    instrs = [FkInstr(LOADK, 4 + slot, slot) for slot in range(6)]
 
-    def __init__(self) -> None:
-        self.count = 0
+    def emit(op: str, dst: int, src1: int = 0, src2: int = 0) -> int:
+        instrs.append(FkInstr(op, dst, src1, src2))
+        return dst
 
-    def sincos(self, a: float) -> tuple[float, float]:
-        self.count += 1
-        return math.cos(a), math.sin(a)
+    def trig(dst: int, total: int, *more: int) -> int:  # SINCOS of the angles' sum, summed in dst
+        for angle in more:
+            total = emit(ADD, dst, total, angle)
+        return emit(SINCOS, dst, total)
 
-    def add(self, a: float, b: float) -> float:
-        self.count += 1
-        return a + b
+    def reach(dst: int, factor: int) -> int:  # factor * (a1 + a2*c2 + a3*c23)
+        c2, c23 = trig(26, 1), trig(28, 1, 2)
+        inner = emit(ADD, 30, 5, emit(MUL, 30, 6, c2))
+        return emit(MUL, dst, factor, emit(ADD, 30, inner, emit(MUL, 31, 7, c23)))
 
-    def mul(self, a: float, b: float) -> float:
-        self.count += 1
-        return a * b
+    def height(dst: int) -> int:  # a2*s2 + a3*s23 + d1
+        s2, s23 = trig(24, 1) + 1, trig(26, 1, 2) + 1
+        return emit(ADD, dst, emit(ADD, dst, emit(MUL, 28, 6, s2), emit(MUL, 29, 7, s23)), 8)
 
-    def neg(self, a: float) -> float:
-        self.count += 1
-        return -a
+    outputs = (
+        emit(MUL, 10, trig(24, 0), trig(26, 1, 2, 3)),                          # c1*c234
+        emit(SUB, 11, 9, emit(MUL, 11, trig(24, 0), trig(26, 1, 2, 3) + 1)),    # -c1*s234
+        trig(12, 0) + 1,                                                        # s1
+        emit(ADD, 14, 4, reach(14, trig(24, 0))),                               # a0 + c1*reach
+        emit(MUL, 15, trig(24, 0) + 1, trig(26, 1, 2, 3)),                      # s1*c234
+        emit(SUB, 16, 9, emit(MUL, 16, trig(24, 0) + 1, trig(26, 1, 2, 3) + 1)),  # -s1*s234
+        emit(SUB, 17, 9, trig(24, 0)),                                          # -c1
+        reach(18, trig(24, 0) + 1),                                             # s1*reach
+        trig(19, 1, 2, 3) + 1,                                                  # s234
+        trig(21, 1, 2, 3),                                                      # c234
+        9,                                                                      # 0.0
+        height(23),
+    )
+    return FkProgram(tuple(instrs), outputs)
 
 
-def umdh_t04_naive(
-    t1: float, t2: float, t3: float, t4: float, p: UmdhParams
-) -> tuple[np.ndarray, int]:
-    """Per-entry evaluation with no term sharing; returns (pose, op count)."""
-    ops = _OpCounter()
+_NAIVE = _naive_program()
 
-    def c234_pair():
-        return ops.sincos(ops.add(ops.add(t2, t3), t4))
 
-    def reach(c1):
-        c2, _ = ops.sincos(t2)
-        c23, _ = ops.sincos(ops.add(t2, t3))
-        inner = ops.add(ops.add(p.a1, ops.mul(p.a2, c2)), ops.mul(p.a3, c23))
-        return ops.mul(c1, inner)
-
-    # row 0
-    c1, _ = ops.sincos(t1)
-    c234, _ = c234_pair()
-    r00 = ops.mul(c1, c234)
-
-    c1, _ = ops.sincos(t1)
-    _, s234 = c234_pair()
-    r01 = ops.neg(ops.mul(c1, s234))
-
-    _, s1 = ops.sincos(t1)
-    r02 = s1
-
-    c1, _ = ops.sincos(t1)
-    r03 = ops.add(p.a0, reach(c1))
-
-    # row 1
-    _, s1 = ops.sincos(t1)
-    c234, _ = c234_pair()
-    r10 = ops.mul(s1, c234)
-
-    _, s1 = ops.sincos(t1)
-    _, s234 = c234_pair()
-    r11 = ops.neg(ops.mul(s1, s234))
-
-    c1, _ = ops.sincos(t1)
-    r12 = ops.neg(c1)
-
-    _, s1 = ops.sincos(t1)
-    r13 = reach(s1)
-
-    # row 2
-    _, s234 = c234_pair()
-    r20 = s234
-
-    c234, _ = c234_pair()
-    r21 = c234
-
-    _, s2 = ops.sincos(t2)
-    _, s23 = ops.sincos(ops.add(t2, t3))
-    r23 = ops.add(ops.add(ops.mul(p.a2, s2), ops.mul(p.a3, s23)), p.d1)
-
-    pose = np.array([
-        r00, r01, r02, r03,
-        r10, r11, r12, r13,
-        r20, r21, 0.0, r23,
-        0.0, 0.0, 0.0, 1.0,
-    ]).reshape(4, 4)
-    return pose, ops.count
+def umdh_t04_naive(t1: float, t2: float, t3: float, t4: float, p: UmdhParams) -> tuple[np.ndarray, int]:
+    """Per-entry evaluation with no term sharing: the per-entry program run
+    with exact trig; returns (pose, its arithmetic-op count)."""
+    return np.array(_NAIVE.host(t1, t2, t3, t4, p.pool(), exact_sincos)).reshape(4, 4), _NAIVE.arith_ops
 
 
 def umdh_program(p: UmdhParams) -> FkProgram:
@@ -315,13 +277,7 @@ def umdh_program(p: UmdhParams) -> FkProgram:
 
 
 def vm_run(
-    prog: FkProgram,
-    t1: float,
-    t2: float,
-    t3: float,
-    t4: float,
-    p: UmdhParams,
-    hw: VmConfig = VmConfig(),
+    prog: FkProgram, t1: float, t2: float, t3: float, t4: float, p: UmdhParams, hw: VmConfig = VmConfig()
 ) -> tuple[np.ndarray, int]:
     """Execute a program: one call of its host function; returns (pose,
     cycles), one cycle per instruction plus sincos_cycles - 1 more per

@@ -368,6 +368,15 @@ def test_solve_past_the_link_bound_exits_2(capsys, monkeypatch):
     assert capsys.readouterr() == ("", "fkemu: trials times links must be at most 5, got 1 x 6\n")
 
 
+def test_chain_file_past_the_link_bound_stops_at_that_joint(capsys, monkeypatch, tmp_path):
+    # the sixth joint is refused before its own fields, or any later line, are read
+    monkeypatch.setattr(cli, "MAX_LINK_TRIALS", 5)
+    path = tmp_path / "long.chain"
+    path.write_text("name long\n" + "joint R 0.1 0 1 0\n" * 5 + "joint X\nnot a directive\n")
+    assert main(["solve", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"fkemu: {path}:7:1: more than 5 joints, past the trials times links bound\n")
+
+
 @pytest.mark.parametrize("links", ["0", "-3"])
 def test_pipeline_without_links_exits_2(capsys, links):
     assert main(["pipeline", "--links", links]) == 2

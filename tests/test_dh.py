@@ -263,6 +263,13 @@ def test_chain_product_stays_the_ieee_layer():
     assert not np.isfinite(pose).all()
 
 
+@pytest.mark.parametrize("shape", [(0, 4, 4), (3, 0, 4, 4)])
+def test_chain_product_of_no_links_raises(shape):
+    # as chain_pose([]) does, not an IndexError
+    with pytest.raises(ValueError, match="empty chain"):
+        chain_product(np.zeros(shape))
+
+
 def test_chain_poses_reject_empty_and_ragged_sets():
     # ChainSet.of is the one place a chain set is checked: chain_poses,
     # ccm_points and ccm_poses take only a ChainSet

@@ -7,9 +7,10 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fkemu import umdh
 from fkemu.cordic import sincos_cordic
 from fkemu.dh import chain_pose, exact_sincos
 from fkemu.lut import build_table, lut_sincos
@@ -185,6 +186,9 @@ length = st.floats(-1.0, 1.0)
 
 
 @settings(max_examples=200, deadline=None)
+@example(prog=umdh._NAIVE, ts=(0.3, -0.8, 1.1, 0.5), p=P, hw=VmConfig())
+@example(prog=umdh._NAIVE, ts=(-0.0, 0.0, -0.0, 0.0), p=P, hw=VmConfig(sincos_cycles=3, sincos=taylor_sincos))
+@example(prog=umdh._NAIVE, ts=(0.3, -0.8, 1.1, 0.5), p=P, hw=VmConfig(half_sized=True))
 @given(
     prog=straight_line_programs(),
     ts=st.tuples(angle, angle, angle, angle),
@@ -202,14 +206,26 @@ def test_vm_zero_angles():
     assert cycles == len(PROG.instrs)
 
 
+def test_naive_program_runs_on_the_vm():
+    # umdh_t04_naive is one run of the per-entry program, which fits only the full file
+    naive = umdh._NAIVE
+    assert (naive.arith_ops, len(naive.instrs), naive.max_register) == (57, 63, 31)
+    for ts in ((0.3, -0.8, 1.1, 0.5), (-0.0, 0.0, 0.0, -0.0)):
+        pose, cycles = vm_run(naive, *ts, P)
+        assert pose.tobytes() == umdh_t04_naive(*ts, P)[0].tobytes() and cycles == len(naive.instrs)
+    with pytest.raises(CapacityError, match="32 registers, file provides 16"):
+        vm_run(naive, 0.3, -0.8, 1.1, 0.5, P, VmConfig(half_sized=True))
+
+
 def test_vm_matches_naive_and_chain():
+    # both schedules round the same operations in the same order: equal bytes, signed zeros too
     rng = random.Random(72)
     for _ in range(300):
-        ts = [rng.uniform(-math.pi, math.pi) for _ in range(4)]
+        ts = [rng.choice([0.0, -0.0]) if rng.random() < 0.2 else rng.uniform(-math.pi, math.pi) for _ in range(4)]
         vm_pose, _ = vm_run(PROG, *ts, P)
         naive_pose, _ = umdh_t04_naive(*ts, P)
         oracle = chain_pose(umdh_chain(*ts, P))
-        assert np.abs(vm_pose - naive_pose).max() < 1e-12
+        assert vm_pose.tobytes() == naive_pose.tobytes()
         assert np.abs(vm_pose - oracle).max() < 1e-12
         assert np.array_equal(vm_pose[3], [0, 0, 0, 1])
 
