@@ -46,6 +46,8 @@ benchmarks/bench_trajectory.py chains those ratios across files.
 import contextlib
 import io
 import math
+import os
+import tempfile
 from functools import partial
 
 import numpy as np
@@ -90,12 +92,22 @@ def _chain12_text():
     return "\n".join(lines) + "\n"
 
 
+def _chain12_joints():
+    """CHAIN12_TEXT's joints, as load_chain reads them from a file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "chain12.chain")
+        with open(path, "w") as fh:
+            fh.write(CHAIN12_TEXT)
+        return cli.load_chain(path).joints
+
+
 CHAIN12_TEXT = _chain12_text()
+CHAIN12_JOINTS = _chain12_joints()
 # as many chains as one chain12-bench request stacks: the oracle, taylor
 # and lut each take the 16 variants
-CHAIN12_STACK = cli.bench_variants(cli.parse_chain(CHAIN12_TEXT).joints, 48, 5)
+CHAIN12_STACK = cli.bench_variants(CHAIN12_JOINTS, 48, 5)
 # the 16 variants of one chain12-bench request
-CHAIN12_VARIANTS = cli.bench_variants(cli.parse_chain(CHAIN12_TEXT).joints, 16, 5)
+CHAIN12_VARIANTS = cli.bench_variants(CHAIN12_JOINTS, 16, 5)
 # their (theta, alpha) stacked, as every provider of the request takes them:
 # 2 x 16 variants x 12 links
 CHAIN12_ANGLES = np.array([CHAIN12_VARIANTS.theta, CHAIN12_VARIANTS.alpha])

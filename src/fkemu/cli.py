@@ -28,7 +28,7 @@ import re
 import sys
 from dataclasses import dataclass
 from functools import cache, partial
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -81,11 +81,12 @@ class ChainFile:
 CHAIN_FIELDS = {"name": 1, "joint": 5, "point": 3}
 
 
-def parse_chain(text: str, filename: str = "<chain>") -> ChainFile:
+def parse_chain(lines: Iterable[str], filename: str = "<chain>") -> ChainFile:
+    """lines as str.splitlines gives them, none taken past the first joint over MAX_LINK_TRIALS."""
     name = "chain"
     joints: list[DhJoint] = []
     point: tuple[float, float, float] | None = None
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
+    for lineno, raw_line in enumerate(lines, start=1):
         line = raw_line.split("#", 1)[0]
         tokens = line.split()
         if not tokens:
@@ -133,15 +134,29 @@ def parse_chain(text: str, filename: str = "<chain>") -> ChainFile:
     return ChainFile(name, tuple(joints), point)
 
 
+def _text_lines(fh: Iterable[bytes], path: str) -> Iterator[str]:
+    """fh's lines read one at a time, decoded as UTF-8 and split as the whole
+    text's str.splitlines splits it; a ChainParseError at a byte not UTF-8."""
+    lineno = 0
+    for raw in fh:
+        try:
+            lines = raw.decode("utf-8").splitlines()
+        except UnicodeDecodeError as e:
+            # the bad byte's line and column: the decoded text before it, one character in its place
+            *before, here = (raw[: e.start].decode("utf-8") + "?").splitlines()
+            raise ChainParseError(path, lineno + len(before) + 1, len(here), f"byte 0x{raw[e.start]:02x} is not UTF-8") from None
+        lineno += len(lines)
+        yield from lines
+
+
 def load_chain(path: str) -> ChainFile:
     if path == "puma560":
         return ChainFile("puma560", tuple(puma_chain([0.0] * 6, PUMA560)), (0.0, 0.0, 0.0))
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            return parse_chain(_text_lines(fh, path), path)
     except OSError as e:
         raise ChainParseError(path, 1, 1, str(e)) from None
-    return parse_chain(text, path)
 
 
 def parse_qformat(text: str) -> QFormat:
@@ -264,6 +279,8 @@ def grade(poses: np.ndarray, oracles: np.ndarray) -> tuple[np.ndarray, np.ndarra
 def cmd_bench(args) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     chain_file = load_chain(args.chain)
     _check_size(args.trials, len(chain_file.joints))
     names = [b.strip() for b in args.backends.split(",") if b.strip()]

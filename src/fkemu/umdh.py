@@ -1,13 +1,13 @@
 """Four-joint thumb forward kinematics and a micro-coded FK-processor VM.
 
 The pose matrix has twelve non-constant entries (the top three rows).
-Both schedules of them are FkPrograms, checked and translated into one
-host function when built, and counted by arith_ops: umdh_t04_naive's
-(57 ops) evaluates each entry on its own, umdh_program's (24 ops) shares
-the compound angles t2+t3 and t2+t3+t4, the four sin/cos pairs and the
-reach term.  An op is any instruction but LOADK: a fused (cos, sin) pair,
-an add, a subtract or a multiply; a negation is a SUB from the zero
-register r9.
+umdh_program's schedule of them (24 ops) shares the compound angles t2+t3
+and t2+t3+t4, the four sin/cos pairs and the reach term; umdh_t04_naive's
+(57 ops) is derived from it with that sharing undone, so each entry is
+evaluated on its own.  Both are FkPrograms, checked and translated into
+one host function when built, and counted by arith_ops.  An op is any
+instruction but LOADK: a fused (cos, sin) pair, an add, a subtract or a
+multiply; a negation is a SUB from the zero register r9.
 
 The VM is single-issue: one functional-unit dispatch per cycle, with a
 configurable cycle cost for the cosine/sine unit, whose arithmetic is any
@@ -93,6 +93,14 @@ class FkInstr:
         if self.op == LOADK and self.src1 >= _POOL_SLOTS:
             raise ValueError(f"LOADK slot k{self.src1} outside the {_POOL_SLOTS}-entry pool")
 
+    @property
+    def reads(self) -> tuple[int, ...]:
+        return () if self.op == LOADK else (self.src1,) if self.op == SINCOS else (self.src1, self.src2)
+
+    @property
+    def writes(self) -> tuple[int, ...]:
+        return (self.dst, self.dst + 1) if self.op == SINCOS else (self.dst,)
+
     def text(self) -> str:
         if self.op == LOADK:
             return f"LOADK r{self.dst} k{self.src1}"
@@ -137,11 +145,10 @@ class FkProgram:
     def __post_init__(self) -> None:
         written = {0, 1, 2, 3}  # r0..r3 carry the angles
         for ins in self.instrs:
-            reads = () if ins.op == LOADK else (ins.src1,) if ins.op == SINCOS else (ins.src1, ins.src2)
-            for r in reads:
+            for r in ins.reads:
                 if r not in written:
                     raise ValueError(f"{ins.text()} reads r{r}, which no earlier instruction wrote")
-            written.update((ins.dst, ins.dst + 1) if ins.op == SINCOS else (ins.dst,))
+            written.update(ins.writes)
         outputs = _ints(self.outputs, "outputs")
         if len(outputs) != 12 or not written.issuperset(outputs):
             raise ValueError(f"outputs must be 12 written registers, got {self.outputs}")
@@ -187,57 +194,6 @@ class VmConfig:
         return REGISTERS // 2 if self.half_sized else REGISTERS
 
 
-def _naive_program() -> FkProgram:
-    """umdh_t04_naive's schedule, 57 arithmetic ops in 63 instructions: each
-    entry re-evaluates its own SINCOS pairs and compound angles, in scratch
-    registers r24..r31; trig(24, 0) leaves c1, s1 in r24, r25 and
-    trig(26, 1, 2, 3) c234, s234 in r26, r27."""
-    instrs = [FkInstr(LOADK, 4 + slot, slot) for slot in range(6)]
-
-    def emit(op: str, dst: int, src1: int = 0, src2: int = 0) -> int:
-        instrs.append(FkInstr(op, dst, src1, src2))
-        return dst
-
-    def trig(dst: int, total: int, *more: int) -> int:  # SINCOS of the angles' sum, summed in dst
-        for angle in more:
-            total = emit(ADD, dst, total, angle)
-        return emit(SINCOS, dst, total)
-
-    def reach(dst: int, factor: int) -> int:  # factor * (a1 + a2*c2 + a3*c23)
-        c2, c23 = trig(26, 1), trig(28, 1, 2)
-        inner = emit(ADD, 30, 5, emit(MUL, 30, 6, c2))
-        return emit(MUL, dst, factor, emit(ADD, 30, inner, emit(MUL, 31, 7, c23)))
-
-    def height(dst: int) -> int:  # a2*s2 + a3*s23 + d1
-        s2, s23 = trig(24, 1) + 1, trig(26, 1, 2) + 1
-        return emit(ADD, dst, emit(ADD, dst, emit(MUL, 28, 6, s2), emit(MUL, 29, 7, s23)), 8)
-
-    outputs = (
-        emit(MUL, 10, trig(24, 0), trig(26, 1, 2, 3)),                          # c1*c234
-        emit(SUB, 11, 9, emit(MUL, 11, trig(24, 0), trig(26, 1, 2, 3) + 1)),    # -c1*s234
-        trig(12, 0) + 1,                                                        # s1
-        emit(ADD, 14, 4, reach(14, trig(24, 0))),                               # a0 + c1*reach
-        emit(MUL, 15, trig(24, 0) + 1, trig(26, 1, 2, 3)),                      # s1*c234
-        emit(SUB, 16, 9, emit(MUL, 16, trig(24, 0) + 1, trig(26, 1, 2, 3) + 1)),  # -s1*s234
-        emit(SUB, 17, 9, trig(24, 0)),                                          # -c1
-        reach(18, trig(24, 0) + 1),                                             # s1*reach
-        trig(19, 1, 2, 3) + 1,                                                  # s234
-        trig(21, 1, 2, 3),                                                      # c234
-        9,                                                                      # 0.0
-        height(23),
-    )
-    return FkProgram(tuple(instrs), outputs)
-
-
-_NAIVE = _naive_program()
-
-
-def umdh_t04_naive(t1: float, t2: float, t3: float, t4: float, p: UmdhParams) -> tuple[np.ndarray, int]:
-    """Per-entry evaluation with no term sharing: the per-entry program run
-    with exact trig; returns (pose, its arithmetic-op count)."""
-    return np.array(_NAIVE.host(t1, t2, t3, t4, p.pool(), exact_sincos)).reshape(4, 4), _NAIVE.arith_ops
-
-
 def umdh_program(p: UmdhParams) -> FkProgram:
     """Shared-term schedule: 24 arithmetic ops in 30 instructions.
 
@@ -274,6 +230,32 @@ def umdh_program(p: UmdhParams) -> FkProgram:
     ]
     outputs = (20, 21, 13, 28, 22, 23, 24, 29, 19, 18, 9, 30)
     return FkProgram(tuple(k + body), outputs)
+
+
+def _unshared(prog: FkProgram) -> FkProgram:
+    """prog with its sharing undone: its LOADKs, then for each output the
+    other instructions it depends on, each read traced to its register's
+    last earlier writer, in program order on prog's registers.  Needs, as
+    umdh_program has, each LOADK register written once and no output's
+    instructions writing an earlier output's register with a different one."""
+    instrs = [ins for ins in prog.instrs if ins.op == LOADK]
+    for out in prog.outputs:
+        wanted, taken = {out}, []
+        for ins in reversed(prog.instrs):
+            if ins.op != LOADK and wanted.intersection(ins.writes):
+                wanted = wanted.difference(ins.writes).union(ins.reads)
+                taken.append(ins)
+        instrs += reversed(taken)
+    return FkProgram(tuple(instrs), prog.outputs)
+
+
+_NAIVE = _unshared(umdh_program(UmdhParams(0.0, 0.0, 0.0, 0.0, 0.0)))  # the schedule binds no constant
+
+
+def umdh_t04_naive(t1: float, t2: float, t3: float, t4: float, p: UmdhParams) -> tuple[np.ndarray, int]:
+    """Per-entry evaluation with no term sharing: the unshared program run
+    with exact trig; returns (pose, its arithmetic-op count)."""
+    return np.array(_NAIVE.host(t1, t2, t3, t4, p.pool(), exact_sincos)).reshape(4, 4), _NAIVE.arith_ops
 
 
 def vm_run(

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -62,7 +63,7 @@ def write_chain(tmp_path, text, name="chain.txt"):
 
 
 def test_parse_chain_full():
-    cf = parse_chain(DEMO, "demo")
+    cf = parse_chain(DEMO.splitlines(), "demo")
     assert cf.name == "demo"
     assert len(cf.joints) == 2
     assert cf.joints[0].kind == "rotary"
@@ -103,7 +104,7 @@ def chain_text(draw, name, joint_list, point):
     st.data(),
 )
 def test_parse_chain_round_trip(name, joint_list, point, data):
-    cf = parse_chain(chain_text(data.draw, name, joint_list, point))
+    cf = parse_chain(chain_text(data.draw, name, joint_list, point).splitlines())
     assert cf.name == name
     # repr, so that -0.0 has to come back as -0.0
     assert repr(cf.joints) == repr(tuple(joint_list))
@@ -112,24 +113,24 @@ def test_parse_chain_round_trip(name, joint_list, point, data):
 
 def test_parse_errors_carry_line_and_column():
     with pytest.raises(ChainParseError) as e:
-        parse_chain("joint Q 0 0 0 0\n", "f")
+        parse_chain("joint Q 0 0 0 0\n".splitlines(), "f")
     assert e.value.line == 1 and e.value.col == 7
     with pytest.raises(ChainParseError) as e:
-        parse_chain("joint R 0 zero 0 0\n", "f")
+        parse_chain("joint R 0 zero 0 0\n".splitlines(), "f")
     assert e.value.line == 1
     with pytest.raises(ChainParseError) as e:
-        parse_chain("# only comments\n", "f")
+        parse_chain("# only comments\n".splitlines(), "f")
     assert e.value.line == 1
     with pytest.raises(ChainParseError):
-        parse_chain("joint R 0 0 0\n", "f")  # too few numbers
+        parse_chain("joint R 0 0 0\n".splitlines(), "f")  # too few numbers
     with pytest.raises(ChainParseError):
-        parse_chain("joint R nan 0 0 0\n", "f")
+        parse_chain("joint R nan 0 0 0\n".splitlines(), "f")
     with pytest.raises(ChainParseError):
-        parse_chain("pivot R 0 0 0 0\n", "f")
+        parse_chain("pivot R 0 0 0 0\n".splitlines(), "f")
     # a column is where its token starts, not where its text first appears
     for text, col in [("joint R 1 2 3 n\n", 15), ("point 1 t 1\n", 9)]:
         with pytest.raises(ChainParseError) as e:
-            parse_chain(text, "f")
+            parse_chain(text.splitlines(), "f")
         assert (e.value.line, e.value.col) == (1, col)
     # extra fields are errors at the first extra token
     extra = [
@@ -140,10 +141,10 @@ def test_parse_errors_carry_line_and_column():
     ]
     for text, col in extra:
         with pytest.raises(ChainParseError) as e:
-            parse_chain(IDENTITY_CHAIN + text, "f")
+            parse_chain((IDENTITY_CHAIN + text).splitlines(), "f")
         assert (e.value.line, e.value.col) == (2, col)
     with pytest.raises(ChainParseError) as e:
-        parse_chain("point 1 2\t\n", "f")  # too few: one past the line's end, as before
+        parse_chain("point 1 2\t\n".splitlines(), "f")  # too few: one past the line's end, as before
     assert e.value.col == 10
 
 
@@ -154,7 +155,7 @@ def test_parse_errors_carry_line_and_column():
 ])
 def test_extra_field_message_counts_in_the_right_number(text, msg):
     with pytest.raises(ChainParseError) as e:
-        parse_chain(IDENTITY_CHAIN + text, "f")
+        parse_chain((IDENTITY_CHAIN + text).splitlines(), "f")
     assert str(e.value) == msg
 
 
@@ -377,6 +378,44 @@ def test_chain_file_past_the_link_bound_stops_at_that_joint(capsys, monkeypatch,
     assert capsys.readouterr() == ("", f"fkemu: {path}:7:1: more than 5 joints, past the trials times links bound\n")
 
 
+def test_parse_chain_takes_no_line_past_the_link_bound(monkeypatch):
+    # an endless chain is refused at its sixth joint, the sixth line taken
+    monkeypatch.setattr(cli, "MAX_LINK_TRIALS", 5)
+    taken = []
+    lines = (taken.append(line) or line for line in itertools.repeat("joint R 0 0 0 0"))
+    with pytest.raises(ChainParseError, match="f:6:1: more than 5 joints"):
+        parse_chain(lines, "f")
+    assert len(taken) <= 6
+
+
+@pytest.mark.parametrize("data, where", [
+    (b"\xff joint R 0 0 0 0\n", "1:1: byte 0xff"),
+    (b"name a\rjoint R 0 0 0 0\r\njoint R \xfe 0 0 0\n", "3:9: byte 0xfe"),
+], ids=["first-byte", "after-a-cr-line"])
+def test_chain_file_not_utf8_exits_2(capsys, tmp_path, data, where):
+    path = tmp_path / "bad.chain"
+    path.write_bytes(data)
+    assert main(["solve", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"fkemu: {path}:{where} is not UTF-8\n")
+
+
+def test_load_chain_numbers_lines_as_splitlines(tmp_path):
+    # every line break str.splitlines knows, read a line at a time, then an error on the last line
+    text = "name a\rjoint R 0 0 0 0\r\n\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029\n# x\npivot\n"
+    path = tmp_path / "breaks.chain"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(ChainParseError) as got:
+        load_chain(str(path))
+    with pytest.raises(ChainParseError) as want:
+        parse_chain(text.splitlines(), str(path))
+    assert str(got.value) == str(want.value) == f"{path}:13:1: unknown directive 'pivot'"
+
+
+def test_bench_negative_seed_exits_2(capsys):
+    assert main(["bench", "puma560", "--seed", "-1"]) == 2
+    assert capsys.readouterr() == ("", "fkemu: --seed must be >= 0, got -1\n")
+
+
 @pytest.mark.parametrize("links", ["0", "-3"])
 def test_pipeline_without_links_exits_2(capsys, links):
     assert main(["pipeline", "--links", links]) == 2
@@ -507,7 +546,7 @@ def test_solve_prints_transformed_point(tmp_path, capsys):
     assert main(["solve", path]) == 0
     out = capsys.readouterr().out
     # the chain file's point (x, y, z) moved as a point, w = 1, by the oracle pose
-    cf = parse_chain(DEMO)
+    cf = parse_chain(DEMO.splitlines())
     want = chain_pose(cf.joints) @ (*cf.point, 1.0)
     assert out.splitlines()[-1] == "point: " + "  ".join(f"{v: .9f}" for v in want[:3])
     assert out.splitlines()[-1] == "point:  0.154476409   0.405008670   0.470695189"

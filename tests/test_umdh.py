@@ -207,14 +207,19 @@ def test_vm_zero_angles():
 
 
 def test_naive_program_runs_on_the_vm():
-    # umdh_t04_naive is one run of the per-entry program, which fits only the full file
+    # umdh_t04_naive is one run of the unshared program, which fits only the full file
     naive = umdh._NAIVE
-    assert (naive.arith_ops, len(naive.instrs), naive.max_register) == (57, 63, 31)
+    assert (naive.arith_ops, len(naive.instrs), naive.max_register) == (57, 63, 30)
     for ts in ((0.3, -0.8, 1.1, 0.5), (-0.0, 0.0, 0.0, -0.0)):
         pose, cycles = vm_run(naive, *ts, P)
         assert pose.tobytes() == umdh_t04_naive(*ts, P)[0].tobytes() and cycles == len(naive.instrs)
-    with pytest.raises(CapacityError, match="32 registers, file provides 16"):
+    with pytest.raises(CapacityError, match="31 registers, file provides 16"):
         vm_run(naive, 0.3, -0.8, 1.1, 0.5, P, VmConfig(half_sized=True))
+
+
+def test_naive_program_derives_to_itself():
+    # no output of the naive schedule reads a value another output computed, so there is nothing to undo
+    assert umdh._unshared(umdh._NAIVE).instrs == umdh._NAIVE.instrs
 
 
 def test_vm_matches_naive_and_chain():
